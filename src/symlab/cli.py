@@ -31,7 +31,7 @@ from . import asymptotics as asy
 from . import efficiency as eff
 from . import montecarlo as mc
 from .distributions import ALTERNATIVE_NAMES, NULL_NAMES, get_alternative, get_null
-from .errors import DegenerateSampleError, InsufficientSampleError, NotApplicableError
+from .errors import NotApplicableError
 from .stats import MOMENT, SUPREMUM, evaluate, parse_statistic
 
 EXIT_OK = 0
@@ -133,7 +133,7 @@ def _cmd_test(args) -> int:
         result = evaluate(spec, data)
         pval = mc.p_value(spec, null, data, cfg)
         crit = mc.critical_value(spec, null, cfg)
-    except (InsufficientSampleError, DegenerateSampleError) as exc:
+    except ValueError as exc:  # too short, degenerate or non-finite sample
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

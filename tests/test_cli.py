@@ -57,6 +57,14 @@ class TestCmdTest:
         short = write_lines(tmp_path / "short.txt", [1.0, 2.0])
         assert main(["test", short, "--stat", "NA_I_4", "--reps", "400"]) == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_exits_two(self, tmp_path, capsys, bad):
+        data = write_lines(tmp_path / "d.txt", [0.3, -1.2, bad, 2.0, 0.7, -0.4])
+        assert main(["test", data, "--stat", "W", "--alpha", "0.25", "--reps", "400"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "NaN or infinite" in captured.err
+
 
 class TestCmdIndex:
     def test_equivalent_tests_emit_equal_columns(self, tmp_path):

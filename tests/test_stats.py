@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symlab.errors import DegenerateSampleError, InsufficientSampleError
 from symlab.stats import (
+    _comb_table,
     STATISTIC_NAMES,
     StatisticSpec,
+    StatisticValue,
     brute_force,
     counting_tables,
     evaluate,
@@ -86,6 +90,21 @@ class TestHandValues:
         j = math.sqrt(math.pi / 2.0) * np.mean(np.abs(np.asarray(x) - 2.5))
         assert evaluate(StatisticSpec("MGG"), x).value == pytest.approx(1.5 / j, rel=1e-15)
 
+    @pytest.mark.parametrize("name", ["BH_K", "NA_K_2", "MO_K_1"])
+    def test_sup_argument_ties(self, name):
+        spec = parse_statistic(name, alpha=0.5)
+        # symmetric: every threshold ties at zero, the smallest positive one is reported
+        assert evaluate(spec, [-2.0, -1.0, 0.0, 1.0, 2.0]) == StatisticValue(0.0, 1.0)
+        # constant: no positive threshold at all
+        assert evaluate(spec, [3.0, 3.0, 3.0]) == StatisticValue(0.0, 0.0)
+
+    def test_ks_sup_on_open_segment(self):
+        # centered at the median: y = (-1, 0, 0, 2, 2); n F_n(t) + n F_n(-t) - n is
+        # 1 at t = 0, -1 on (0, 1], -2 on (1, 2) and 0 from 2 on, so the supremum
+        # sits on an open segment, reported by its upper end
+        value = evaluate(StatisticSpec("KS", alpha=0.5), [-4.0, -3.0, -3.0, -1.0, -1.0])
+        assert value == StatisticValue(0.4, 2.0)
+
     def test_counting_tables(self):
         assert counting_tables([-3, -1, 2], 2.5) == (1, 3)
         # strict/weak pattern on the boundary: a counts <= -t, b counts < t
@@ -106,6 +125,22 @@ class TestErrors:
         with pytest.raises(ValueError):
             brute_force(StatisticSpec("W"), rng.normal(size=15))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["S", "W", "KS", "NA_I_2", "MO_K_1", "CM"])
+    def test_non_finite_sample_refused(self, name, bad, rng):
+        spec = parse_statistic(name, alpha=0.25)
+        x = rng.normal(size=10)
+        x[3] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            evaluate(spec, x)
+        samples = rng.normal(size=(4, 10))
+        samples[2, 3] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            evaluate_many(spec, samples)
+        if spec.family == "supremum":
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                evaluate_family_member(spec, x, 0.5)
+
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("name", ALL_IDS)
@@ -120,6 +155,19 @@ class TestOracleEquivalence:
             fast = evaluate(spec, x)
             slow = brute_force(spec, x)
             assert fast.value == slow.value
+
+    @pytest.mark.parametrize("name", ALL_IDS)
+    @given(
+        data=st.data(),
+        alpha=st.sampled_from([0.0, 0.1, 0.25, 0.5]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fast_path_equals_enumeration_with_ties(self, name, data, alpha):
+        # small integers tie with each other and, often, with the center
+        spec = parse_statistic(name, alpha=alpha)
+        values = st.sampled_from([-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0])
+        x = data.draw(st.lists(values, min_size=spec.kernel_order, max_size=14))
+        assert evaluate(spec, x).value == brute_force(spec, x).value
 
     def test_na2_coincides_with_mo1(self, rng):
         for _ in range(200):
@@ -189,27 +237,55 @@ class TestInvariances:
                 assert -1.0 <= value <= 1.0
 
 
+# 512 rows is a full Monte Carlo chunk, 88 the partial chunk of 600 replications
+CHUNK_ROWS = (1, 12, 88, 512)
+
+
 class TestBatchEvaluation:
     @pytest.mark.parametrize("name", ALL_IDS + MOMENT_IDS)
     def test_matches_rowwise(self, name, rng):
         spec = parse_statistic(name, alpha=0.25)
-        samples = rng.normal(size=(12, 18))
-        batch = evaluate_many(spec, samples)
-        single = np.asarray([evaluate(spec, row).value for row in samples])
-        if spec.family == "moment":
-            # axis-wise reductions may round differently than 1-D ones
-            np.testing.assert_allclose(batch, single, rtol=0, atol=1e-14)
-        else:
-            np.testing.assert_array_equal(batch, single)
+        for rows in CHUNK_ROWS:
+            samples = rng.normal(size=(rows, 18))
+            batch = evaluate_many(spec, samples)
+            single = np.asarray([evaluate(spec, row).value for row in samples])
+            if spec.family == "moment":
+                # axis-wise reductions may round differently than 1-D ones
+                np.testing.assert_allclose(batch, single, rtol=0, atol=1e-14)
+            else:
+                np.testing.assert_array_equal(batch, single)
 
     @pytest.mark.parametrize("name", ["KS", "BH_K", "NA_K_2", "MO_K_2"])
     def test_family_member_matches_rowwise(self, name, rng):
         spec = parse_statistic(name, alpha=0.1)
-        samples = rng.normal(size=(9, 20))
         t = 0.8
-        batch = evaluate_many(spec, samples, t=t)
-        single = np.asarray([evaluate_family_member(spec, row, t) for row in samples])
+        for rows in CHUNK_ROWS:
+            samples = rng.normal(size=(rows, 20))
+            batch = evaluate_many(spec, samples, t=t)
+            single = np.asarray([evaluate_family_member(spec, row, t) for row in samples])
+            np.testing.assert_array_equal(batch, single)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="evaluate centers by a 1-D dot product, evaluate_many by one matrix-vector "
+        "product per chunk; the two differ in the last bit, which moves ties",
+    )
+    def test_matches_rowwise_on_tied_data(self, rng):
+        spec = parse_statistic("NA_K_2", alpha=0.1)
+        samples = np.round(2.0 * rng.normal(size=(512, 20)))
+        batch = evaluate_many(spec, samples, t=1.0)
+        single = np.asarray([evaluate_family_member(spec, row, 1.0) for row in samples])
         np.testing.assert_array_equal(batch, single)
+
+    @pytest.mark.parametrize("name", ["NA_I_4", "MO_I_2"])
+    def test_long_row_single_and_batched_agree(self, name, rng):
+        # at n = 1e5 these subset counts pass 2**63 and wrap: both entry
+        # points must wrap identically
+        spec = parse_statistic(name, alpha=0.25)
+        x = rng.normal(size=100_000)
+        single = evaluate(spec, x).value
+        batch = evaluate_many(spec, x[None, :])[0]
+        assert repr(float(batch)) == repr(single)
 
     def test_sup_dominates_members(self, rng):
         spec = parse_statistic("NA_K_3", alpha=0.25)
@@ -227,3 +303,21 @@ class TestBatchEvaluation:
             for n in ALL_IDS + MOMENT_IDS
         }
         assert "S" in STATISTIC_NAMES
+
+
+class TestCombTable:
+    @pytest.mark.parametrize("n, p", [(200, 6), (2000, 4)])
+    def test_exact_where_int64_holds(self, n, p):
+        table = _comb_table(n, p)
+        assert table.shape == (n + 1, p + 1)
+        assert table.tolist() == [[math.comb(j, i) for i in range(p + 1)] for j in range(n + 1)]
+
+    def test_wraps_like_pascal_rule_in_int64(self):
+        # past 2**63 the entries are the exact coefficients reduced to signed
+        # 64 bits, as Pascal's rule carried out in int64 gives them
+        n, p = 100_000, 5
+        table = _comb_table(n, p)
+        for j in (1_000, 31_622, 65_536, 99_999, 100_000):
+            for i in range(p + 1):
+                wrapped = (math.comb(j, i) + 2**63) % 2**64 - 2**63
+                assert int(table[j, i]) == wrapped
