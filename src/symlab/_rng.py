@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream"]
+__all__ = ["stream", "DEFAULT_SEED"]
+
+#: root seed of every command and check that is not given one
+DEFAULT_SEED = 20260811
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:

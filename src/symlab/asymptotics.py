@@ -29,6 +29,15 @@ with an explicit polynomial ``Omega`` per family, while the supremum-family
 members factor as ``w(q) * chi(u; q)`` where ``chi(u; q) = 1{u >= q} -
 1{u < 1-q}`` and ``q = F(t)``.  These closed forms are certified against
 Monte Carlo conditional expectations in the test suite.
+
+:func:`report` is the single place the local index is assembled, including
+its degenerate cases (a vanishing variance, and KS at ``a = 1/2``); the
+index functions of :mod:`symlab.efficiency` read their values from it.
+:func:`applicability` is the single rule for which (test, null) pairs the
+theory covers: moment-based tests need a finite second moment (SQRT_B1 a
+sixth), and every other test needs mean centering (``a = 0``) to have a
+finite second moment under the null.  Every variance, slope and index here
+applies it, as does ``symlab test``.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ import numpy as np
 from ._quad import quad_split
 from .distributions import AlternativeFamily, SymmetricNull
 from .errors import NotApplicableError
-from .location import trimmed_mean_derivative
+from .location import check_centering, trimmed_mean_derivative
 from .stats import INTEGRAL, MOMENT, SUPREMUM, StatisticSpec
 
 __all__ = [
@@ -55,6 +64,7 @@ __all__ = [
     "sup_slope",
     "cm_family_slope",
     "sqrtb1_slope",
+    "applicability",
     "AsymptoticReport",
     "report",
     "DEGENERACY_TOL",
@@ -76,10 +86,6 @@ def _mu_prime(alt: AlternativeFamily, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 # projection profiles
 # ---------------------------------------------------------------------------
-
-
-def _char_p(spec: StatisticSpec) -> int:
-    return spec.subset_size
 
 
 def _omega(spec: StatisticSpec):
@@ -145,7 +151,7 @@ def _profile(spec: StatisticSpec):
 
         return phi_u
     omega = _omega(spec)
-    p = _char_p(spec)
+    p = spec.subset_size
     scale = p / (p + 1.0)
 
     def phi_u(u):
@@ -228,22 +234,36 @@ def _int_phi_fprime(spec: StatisticSpec, null: SymmetricNull) -> float:
     return _scalar_cache[key]
 
 
-def _check_mean_centering(null: SymmetricNull):
-    if not null.has_moment(2):
+def applicability(spec: StatisticSpec, null: SymmetricNull) -> None:
+    """The one test-level rule for when the theory covers ``spec`` under ``null``.
+
+    Moment-based tests need a finite second moment, SQRT_B1 a finite sixth;
+    every other test needs its center to have a limit
+    (:func:`symlab.location.check_centering`: mean centering needs a finite
+    second moment).  Raises :class:`~symlab.errors.NotApplicableError`
+    otherwise; the library's variances, slopes and indices and ``symlab
+    test`` all apply this rule.
+    """
+    if spec.family != MOMENT:
+        check_centering(null, spec.alpha)
+        return
+    order, name = (6, "sixth") if spec.kind == "SQRT_B1" else (2, "second")
+    if not null.has_moment(order):
         raise NotApplicableError(
-            f"untrimmed (mean) centering is not applicable under the {null.name} null"
+            f"{spec.kind} requires a finite {name} moment; {null.name} has none"
         )
 
 
-def _assemble_variance(null, alpha, m, t1, a_coef, t3, t4, t3_inf, i5) -> float:
+def _assemble_variance(spec, null, t1, a_coef, t3, t4, t3_inf, i5) -> float:
     """Three-branch variance assembly shared by the two statistic families.
 
     ``t3``/``t4`` are functions of the trimming quantile ``Q``; ``t3_inf`` and
     ``i5`` are the untrimmed/median-case substitutes (callables, evaluated
     lazily so the boundary branches never touch quantities they do not need).
     """
+    applicability(spec, null)
+    alpha, m = spec.alpha, spec.kernel_order
     if alpha == 0.0:
-        _check_mean_centering(null)
         half_second = null.moment(2) / 2.0
         return m * m * (t1 + 2.0 * a_coef**2 * half_second + 4.0 * a_coef * t3_inf())
     if alpha == 0.5:
@@ -281,7 +301,7 @@ def asymptotic_variance(spec: StatisticSpec, null: SymmetricNull) -> float:
     def i5():
         return quad_split(lambda x: phi(x) * null.density(x), 0.0, np.inf)
 
-    return _assemble_variance(null, spec.alpha, spec.kernel_order, t1, a_coef, t3, t4, t3_inf, i5)
+    return _assemble_variance(spec, null, t1, a_coef, t3, t4, t3_inf, i5)
 
 
 def variance_function(spec: StatisticSpec, null: SymmetricNull, t: float) -> float:
@@ -308,14 +328,12 @@ def variance_function(spec: StatisticSpec, null: SymmetricNull, t: float) -> flo
         return w * min(spec.alpha, 1.0 - q)
 
     def t3_inf():
-        # Int_t^inf x f dx exists iff the null has a first moment
-        _check_mean_centering(null)
         return w * (null.abs_mean() / 2.0 - null.partial_first_moment(0.0, t))
 
     def i5():
         return w * (1.0 - q)
 
-    return _assemble_variance(null, spec.alpha, spec.kernel_order, t1, a_coef, t3, t4, t3_inf, i5)
+    return _assemble_variance(spec, null, t1, a_coef, t3, t4, t3_inf, i5)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +356,7 @@ def slope_derivative(spec: StatisticSpec, alt: AlternativeFamily) -> float:
     if spec.family != INTEGRAL:
         raise ValueError("use slope_function/sup_slope for supremum-type statistics")
     null = alt.base
-    if spec.alpha == 0.0:
-        _check_mean_centering(null)
+    applicability(spec, null)
     mu_p = _mu_prime(alt, spec.alpha)
     return spec.kernel_order * (
         _int_phi_score(spec, alt) + mu_p * _int_phi_fprime(spec, null)
@@ -351,8 +368,7 @@ def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t: float) -> flo
     if spec.family != SUPREMUM:
         raise ValueError("slope_function applies to supremum-type statistics")
     null = alt.base
-    if spec.alpha == 0.0:
-        _check_mean_centering(null)
+    applicability(spec, null)
     t = abs(float(t))
     q = float(null.cdf(t))
     sign = _SUP_SIGN.get(spec.kind, 1.0)
@@ -435,8 +451,7 @@ def cm_family_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
     ``(Int x h + H(0)/f(0))^2 / (sigma^2 + 1/(4 f(0)^2) - tau/f(0))`` with
     ``tau = E|X|`` under the null; requires a finite second moment.
     """
-    if not null.has_moment(2):
-        raise NotApplicableError(f"mean-median statistics are not applicable under {null.name}")
+    applicability(StatisticSpec("CM"), null)
     if alt.base.name != null.name:
         raise ValueError("alternative family must perturb the same null")
     f0 = float(null.density(0.0))
@@ -452,10 +467,7 @@ def sqrtb1_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
     ``(Int x^3 h - 3 sigma^2 Int x h)^2 / (m6 - 6 sigma^2 m4 + 9 sigma^6)``;
     requires a finite sixth moment.
     """
-    if not null.has_moment(6):
-        raise NotApplicableError(
-            f"the skewness test is not applicable under {null.name}"
-        )
+    applicability(StatisticSpec("SQRT_B1"), null)
     if alt.base.name != null.name:
         raise ValueError("alternative family must perturb the same null")
     sigma2 = null.moment(2)
@@ -495,7 +507,14 @@ class AsymptoticReport:
 
 
 def report(spec: StatisticSpec, alt: AlternativeFamily) -> AsymptoticReport:
-    """Full asymptotic report of one statistic against one alternative."""
+    """Full asymptotic report of one statistic against one alternative.
+
+    The one place the local index is assembled: every index the library
+    gives (:func:`symlab.efficiency.bahadur_index`, index curves,
+    equivalence reports) is this report's ``index`` and ``degenerate``.
+    :class:`~symlab.errors.NotApplicableError` propagates from
+    :func:`applicability`.
+    """
     null = alt.base
     if spec.family == MOMENT:
         idx = (
@@ -509,6 +528,10 @@ def report(spec: StatisticSpec, alt: AlternativeFamily) -> AsymptoticReport:
     else:
         sigma2, var_arg = sup_variance(spec, null)
         slope, slope_arg = sup_slope(spec, alt)
-    degenerate = sigma2 < DEGENERACY_TOL
+    # Median centering pins the empirical process at the origin, so the
+    # sign-test member that defines the KS family is an exact 0/0 there;
+    # the comparison study treats the classical median-centered KS as
+    # inefficient at this endpoint and flags it.
+    degenerate = sigma2 < DEGENERACY_TOL or (spec.kind == "KS" and spec.alpha == 0.5)
     index = math.nan if degenerate else slope * slope / sigma2
     return AsymptoticReport(sigma2, slope, index, degenerate, var_arg, slope_arg)

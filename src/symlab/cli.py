@@ -30,6 +30,7 @@ import numpy as np
 from . import asymptotics as asy
 from . import efficiency as eff
 from . import montecarlo as mc
+from ._rng import DEFAULT_SEED
 from .distributions import ALTERNATIVE_NAMES, NULL_NAMES, get_alternative, get_null
 from .errors import NotApplicableError
 from .stats import MOMENT, SUPREMUM, evaluate, parse_statistic
@@ -38,8 +39,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
 EXIT_NOT_APPLICABLE = 3
-
-DEFAULT_SEED = 20260811
 
 
 def _version() -> str:
@@ -92,20 +91,6 @@ def _read_data(path: str, col: str | None) -> np.ndarray:
     return data
 
 
-def _check_applicable(spec, null) -> None:
-    """Reject test/null pairs excluded by moment conditions."""
-    if spec.kind == "SQRT_B1" and not null.has_moment(6):
-        raise NotApplicableError(f"SQRT_B1 requires a finite sixth moment; {null.name} has none")
-    if spec.family == MOMENT and not null.has_moment(2):
-        raise NotApplicableError(
-            f"{spec.kind} requires a finite second moment; {null.name} has none"
-        )
-    if spec.family != MOMENT and spec.alpha == 0.0 and not null.has_moment(1):
-        raise NotApplicableError(
-            f"untrimmed (mean) centering is not applicable under the {null.name} null"
-        )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -120,7 +105,7 @@ def _cmd_test(args) -> int:
     null = get_null(args.null)
     try:
         spec = parse_statistic(args.stat, alpha=args.alpha)
-        _check_applicable(spec, null)
+        asy.applicability(spec, null)
     except NotApplicableError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE
@@ -128,12 +113,12 @@ def _cmd_test(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    cfg = mc.McConfig(n=data.size, reps=args.reps, seed=args.seed, level=args.level)
     try:
+        cfg = mc.McConfig(n=data.size, reps=args.reps, seed=args.seed, level=args.level)
         result = evaluate(spec, data)
         pval = mc.p_value(spec, null, data, cfg)
         crit = mc.critical_value(spec, null, cfg)
-    except ValueError as exc:  # too short, degenerate or non-finite sample
+    except ValueError as exc:  # bad --reps/--level; too short, degenerate or non-finite sample
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

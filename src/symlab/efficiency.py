@@ -22,7 +22,7 @@ from scipy import optimize
 from . import asymptotics as asy
 from .distributions import AlternativeFamily
 from .errors import NotApplicableError
-from .stats import INTEGRAL, MOMENT, SUPREMUM, StatisticSpec, parse_statistic
+from .stats import INTEGRAL, StatisticSpec, parse_statistic
 
 __all__ = [
     "bahadur_index",
@@ -70,39 +70,16 @@ def _resolve(test, alpha: float | None) -> StatisticSpec:
     return parse_statistic(str(test), alpha=0.0 if alpha is None else alpha)
 
 
-def _index_state(spec: StatisticSpec, alt: AlternativeFamily) -> tuple[float, bool]:
-    """(index, degenerate) for one test; NotApplicableError propagates."""
-    if spec.family == MOMENT:
-        if spec.kind == "SQRT_B1":
-            return asy.sqrtb1_slope(alt.base, alt), False
-        return asy.cm_family_slope(alt.base, alt), False
-    if spec.kind == "KS" and spec.alpha == 0.5:
-        # Median centering pins the empirical process at the origin, so the
-        # sign-test member that defines the KS family is an exact 0/0 there;
-        # the comparison study treats the classical median-centered KS as
-        # inefficient at this endpoint and the index curve flags it.
-        return math.nan, True
-    if spec.family == SUPREMUM:
-        sigma2, _ = asy.sup_variance(spec, alt.base)
-        slope, _ = asy.sup_slope(spec, alt)
-    else:
-        sigma2 = asy.asymptotic_variance(spec, alt.base)
-        slope = asy.slope_derivative(spec, alt)
-    if sigma2 < asy.DEGENERACY_TOL:
-        return math.nan, True
-    return slope * slope / sigma2, False
-
-
 def bahadur_index(test, alt: AlternativeFamily, alpha: float | None = None) -> float:
     """Local Bahadur index of ``test`` against ``alt`` at trimming ``alpha``.
 
-    Returns NaN when the (variance, slope) pair is degenerate (the 0/0 case;
-    see :func:`index_curve` for the per-point flags).  Raises
+    The ``index`` of :func:`symlab.asymptotics.report`: NaN when the
+    (variance, slope) pair is degenerate (the 0/0 case; see
+    :func:`index_curve` for the per-point flags).  Raises
     :class:`~symlab.errors.NotApplicableError` for combinations the theory
     excludes, e.g. moment-based tests or untrimmed centering under the Cauchy.
     """
-    value, _ = _index_state(_resolve(test, alpha), alt)
-    return value
+    return asy.report(_resolve(test, alpha), alt).index
 
 
 def default_grid(points: int = 101) -> np.ndarray:
@@ -169,9 +146,11 @@ def index_curve(test, alt: AlternativeFamily, grid=None) -> IndexCurve:
     na = np.zeros(grid.size, dtype=bool)
     for i, a in enumerate(grid):
         try:
-            values[i], degen[i] = _index_state(_resolve(spec0, float(a)), alt)
+            rep = asy.report(_resolve(spec0, float(a)), alt)
         except NotApplicableError:
             na[i] = True
+            continue
+        values[i], degen[i] = rep.index, rep.degenerate
     return IndexCurve(spec0.label, alt.base.name, alt.kind, grid, values, degen, na)
 
 
@@ -229,13 +208,11 @@ def ks_s_equivalence_crossover(alt: AlternativeFamily, grid=None) -> float:
     for a in grid:
         if a >= 0.5:
             break
-        spec = StatisticSpec("KS", alpha=float(a))
         try:
-            _, var_arg = asy.sup_variance(spec, alt.base)
-            _, slope_arg = asy.sup_slope(spec, alt)
+            rep = asy.report(StatisticSpec("KS", alpha=float(a)), alt)
         except NotApplicableError:
             continue
-        if var_arg != 0.0 or slope_arg != 0.0:
+        if rep.var_argmax != 0.0 or rep.slope_argmax != 0.0:
             break
         crossover = float(a)
     return crossover
@@ -261,14 +238,14 @@ def equivalence_report(
     for name in tests:
         spec = _resolve(name, alpha)
         try:
-            value, degen = _index_state(spec, alt)
+            rep = asy.report(spec, alt)
         except NotApplicableError:
             not_applicable.append(spec.label)
             continue
-        if degen:
+        if rep.degenerate:
             degenerate.append(spec.label)
         else:
-            values.append((spec.label, value))
+            values.append((spec.label, rep.index))
     values.sort(key=lambda kv: kv[1])
     groups: list[list[str]] = []
     last = None

@@ -26,6 +26,7 @@ __all__ = [
     "influence_curve",
     "trimmed_mean_derivative",
     "population_trimmed_mean",
+    "check_centering",
 ]
 
 
@@ -34,6 +35,20 @@ def _check_alpha(alpha: float) -> float:
     if not 0.0 <= alpha <= 0.5:
         raise ValueError("trimming coefficient must lie in [0, 1/2]")
     return alpha
+
+
+def check_centering(null: SymmetricNull, alpha: float) -> None:
+    """The one centering rule: mean centering needs a finite second moment.
+
+    The untrimmed (``alpha = 0``) center is the sample mean, whose root-n
+    limit exists only when the null has a finite variance; every trimmed
+    center has one under any null.  Raises
+    :class:`~symlab.errors.NotApplicableError` otherwise.
+    """
+    if alpha == 0.0 and not null.has_moment(2):
+        raise NotApplicableError(
+            f"untrimmed (mean) centering is not applicable under the {null.name} null"
+        )
 
 
 def trim_weights(n: int, alpha: float) -> np.ndarray:
@@ -65,7 +80,7 @@ def trimmed_mean(sample, alpha: float) -> float:
     x = np.asarray(sample, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("sample must be a nonempty one-dimensional array")
-    return float(np.sort(x) @ trim_weights(x.size, alpha))
+    return float((np.sort(x) * trim_weights(x.size, alpha)).sum())
 
 
 def influence_curve(null: SymmetricNull, alpha: float, x):
@@ -82,11 +97,8 @@ def influence_curve(null: SymmetricNull, alpha: float, x):
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
 
+    check_centering(null, alpha)
     if alpha == 0.0:
-        if not null.has_moment(1):
-            raise NotApplicableError(
-                f"mean centering is undefined under the {null.name} null"
-            )
         out = x_arr.astype(float)
     elif alpha == 0.5:
         out = np.sign(x_arr) / (2.0 * null.density(0.0))
@@ -119,15 +131,12 @@ def trimmed_mean_derivative(alt: AlternativeFamily, alpha: float) -> float:
     """
     alpha = _check_alpha(alpha)
     null = alt.base
+    check_centering(null, alpha)
 
     if alpha == 0.5:
         return float(-alt.score_cumulative(0.0) / null.density(0.0))
 
     if alpha == 0.0:
-        if not null.has_moment(1):
-            raise NotApplicableError(
-                f"mean centering is undefined under the {null.name} null"
-            )
         return quad_split(lambda x: x * alt.score(x), -np.inf, np.inf, points=[0.0, 1.0])
 
     q = float(null.quantile(1.0 - alpha))
@@ -146,6 +155,7 @@ def population_trimmed_mean(alt: AlternativeFamily, theta: float, alpha: float) 
     from scipy import optimize
 
     alpha = _check_alpha(alpha)
+    check_centering(alt.base, alpha)
 
     def inv_cdf(u: float) -> float:
         lo, hi = -1.0, 1.0
@@ -158,10 +168,6 @@ def population_trimmed_mean(alt: AlternativeFamily, theta: float, alpha: float) 
     if alpha == 0.5:
         return inv_cdf(0.5)
     if alpha == 0.0:
-        if not alt.base.has_moment(1):
-            raise NotApplicableError(
-                f"mean centering is undefined under the {alt.base.name} null"
-            )
         return quad_split(
             lambda x: x * alt.density(x, theta), -np.inf, np.inf, points=[0.0, 1.0]
         )

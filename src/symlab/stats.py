@@ -1,31 +1,38 @@
 """Exact finite-sample evaluation of the symmetry test statistics.
 
-Every statistic is evaluated on data centered by the trimmed mean (the
-moment-based ones — CM, GAMMA, MGG, SQRT_B1 — center themselves with the
-sample mean/median and ignore the trimming coefficient).  Two evaluation
-paths are provided:
+Every public entry point — :func:`evaluate`, :func:`evaluate_family_member`,
+:func:`evaluate_many` and the moment branch of :func:`brute_force` — runs the
+same private row path on a ``(rows, n)`` matrix (one row for a single
+sample), so one sample gives the same bits whichever entry point sees it.
+That path has one centering and one moment block:
 
-* one row-batched counting kernel, :func:`_count_rows`, on a ``(rows, n)``
-  matrix of sorted, centered samples.  All characterization statistics
-  (BH/NA/MO) reduce to counts of subsets whose relevant order statistic has
-  absolute value below a threshold: closed-form products of binomial
-  coefficients of ``#{y <= -t}``, ``#{-t < y < t}`` and ``#{y >= t}``.  The
-  kernel finds these counts for every threshold of every row, gathers the
-  coefficients from one binomial table as 2-D arrays and reduces each row to
-  an integer numerator (the integral sum, the supremum with its maximizing
-  threshold, or a family member at fixed ``t``): ``O(n log n)`` per row
-  after sorting.  :func:`evaluate_many` runs it on a matrix,
-  :func:`evaluate` and :func:`evaluate_family_member` on one row.  Counts
-  are int64, exact while ``2 n C(n, p) < 2**63`` and wrapping modulo
-  ``2**64`` beyond.
-* :func:`brute_force` — literal enumeration of every subset and outer index,
-  exactly as the statistics are defined.  Guarded to ``n <= 14``; used as the
-  oracle the kernel must match bit for bit.
+* counting statistics (S, W, KS, BH/NA/MO) sort each row and subtract its
+  trimmed mean ``(xs * trim_weights(n, alpha)).sum(axis=1)``, the same sum
+  :func:`symlab.location.trimmed_mean` takes.  The row-batched counting
+  kernel :func:`_count_rows` then takes the matrix of sorted, centered rows.
+  All characterization statistics reduce to counts of subsets whose
+  relevant order statistic has absolute value below a threshold:
+  closed-form products of binomial coefficients of ``#{y <= -t}``,
+  ``#{-t < y < t}`` and ``#{y >= t}``.  The kernel finds these counts for
+  every threshold of every row, gathers the coefficients from one binomial
+  table as 2-D arrays and reduces each row to an integer numerator (the
+  integral sum, the supremum with its maximizing threshold, or a family
+  member at fixed ``t``): ``O(n log n)`` per row after sorting.  Counts are
+  int64, exact while ``2 n C(n, p) < 2**63`` and wrapping modulo ``2**64``
+  beyond.
+* the moment statistics (CM, GAMMA, MGG, SQRT_B1) ignore the trimming
+  coefficient and center each unsorted row by its mean and median in one
+  block of axis-wise reductions; they need ``n >= 2`` and refuse a zero
+  variance or (MGG) a zero mean absolute deviation.
+
+The independent reference is :func:`brute_force`, a literal enumeration of
+every subset and outer index, exactly as the statistics are defined.  It is
+guarded to ``n <= 14`` and is the oracle the kernel must match bit for bit.
 
 Indicator comparisons are strict everywhere; ties with the centered value
 count as "not satisfied".  Under a continuous model ties occur with
-probability zero, but integer-valued data will hit them, so both paths apply
-the identical rule.
+probability zero, but integer-valued data will hit them, so kernel and
+oracle apply the identical rule.
 """
 
 from __future__ import annotations
@@ -334,27 +341,50 @@ def _count_rows(spec: StatisticSpec, ys: np.ndarray, t: float | None = None):
     return nums.sum(axis=1) / (n * _char_denominator(spec, n)), None
 
 
-def _eval_moment(spec: StatisticSpec, x: np.ndarray) -> float:
-    if x.size < 2:
-        raise InsufficientSampleError("moment-based statistics need n >= 2")
-    xbar = float(np.mean(x))
-    med = float(np.median(x))
-    centered = x - xbar
-    var = float(np.mean(centered**2))
-    if var <= 0.0:
+def _check_size(spec: StatisticSpec, n: int) -> None:
+    if spec.family == MOMENT:
+        if n < 2:
+            raise InsufficientSampleError("moment-based statistics need n >= 2")
+    elif n < spec.kernel_order:
+        raise InsufficientSampleError(
+            f"{spec.label} needs at least {spec.kernel_order} observations"
+        )
+
+
+def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = None):
+    """Values of ``spec`` on every row of a finite ``(rows, n)`` sample matrix.
+
+    The one evaluation path behind every public entry point.  Counting
+    statistics sort each row, center it by its trimmed mean
+    ``(xs * trim_weights(n, alpha)).sum(axis=1)`` (a row-wise sum, so one row
+    alone and the same row inside any chunk get the same bits) and run
+    :func:`_count_rows`.  Moment statistics center with the row mean and
+    median instead.  Returns ``(values, sup_arguments)`` as
+    :func:`_count_rows` does.
+    """
+    n = samples.shape[1]
+    _check_size(spec, n)
+    if spec.family != MOMENT:
+        xs = np.sort(samples, axis=1)
+        mu = (xs * trim_weights(n, spec.alpha)).sum(axis=1)
+        return _count_rows(spec, xs - mu[:, None], t)
+    xbar = samples.mean(axis=1)
+    med = np.median(samples, axis=1)
+    centered = samples - xbar[:, None]
+    var = np.mean(centered**2, axis=1)
+    if np.any(var <= 0.0):
         raise DegenerateSampleError("sample variance is zero")
-    s = math.sqrt(var)
+    s = np.sqrt(var)
     if spec.kind == "CM":
-        return (xbar - med) / s
+        return (xbar - med) / s, None
     if spec.kind == "GAMMA":
-        return 2.0 * (xbar - med)
+        return 2.0 * (xbar - med), None
     if spec.kind == "MGG":
-        j = math.sqrt(math.pi / 2.0) * float(np.mean(np.abs(x - med)))
-        if j <= 0.0:
+        j = math.sqrt(math.pi / 2.0) * np.mean(np.abs(samples - med[:, None]), axis=1)
+        if np.any(j <= 0.0):
             raise DegenerateSampleError("mean absolute deviation is zero")
-        return (xbar - med) / j
-    m3 = float(np.mean(centered**3))
-    return m3 / s**3
+        return (xbar - med) / j, None
+    return np.mean(centered**3, axis=1) / s**3, None
 
 
 # ---------------------------------------------------------------------------
@@ -362,30 +392,18 @@ def _eval_moment(spec: StatisticSpec, x: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _prepare(spec: StatisticSpec, sample) -> np.ndarray:
+def _prepare(sample) -> np.ndarray:
     x = np.asarray(sample, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("sample must be a nonempty one-dimensional array")
     if not np.isfinite(x).all():
         raise ValueError("sample contains NaN or infinite values")
-    if spec.family != MOMENT and x.size < spec.kernel_order:
-        raise InsufficientSampleError(
-            f"{spec.label} needs at least {spec.kernel_order} observations"
-        )
     return x
 
 
-def _centered_row(spec: StatisticSpec, x: np.ndarray) -> np.ndarray:
-    """The sorted sample less its trimmed mean, as a one-row matrix."""
-    return (np.sort(x) - trimmed_mean(x, spec.alpha))[None, :]
-
-
 def evaluate(spec: StatisticSpec, sample) -> StatisticValue:
-    """Evaluate one statistic on a data vector (the counting kernel on one row)."""
-    x = _prepare(spec, sample)
-    if spec.family == MOMENT:
-        return StatisticValue(_eval_moment(spec, x))
-    values, args = _count_rows(spec, _centered_row(spec, x))
+    """Evaluate one statistic on a data vector (the row path on one row)."""
+    values, args = _evaluate_rows(spec, _prepare(sample)[None, :])
     return StatisticValue(float(values[0]), None if args is None else float(args[0]))
 
 
@@ -398,49 +416,22 @@ def evaluate_family_member(spec: StatisticSpec, sample, t: float) -> float:
     """
     if spec.family != SUPREMUM:
         raise ValueError("family members exist only for supremum-type statistics")
-    x = _prepare(spec, sample)
-    return float(_count_rows(spec, _centered_row(spec, x), t)[0][0])
+    return float(_evaluate_rows(spec, _prepare(sample)[None, :], t)[0][0])
 
 
 def evaluate_many(spec: StatisticSpec, samples: np.ndarray, t: float | None = None) -> np.ndarray:
     """Row-wise evaluation on a 2-D array of samples.
 
     With ``t`` given (supremum kinds only) the fixed-threshold family member
-    is evaluated instead of the supremum.  Matches :func:`evaluate` /
-    :func:`evaluate_family_member` row for row.
+    is evaluated instead of the supremum.  Equals :func:`evaluate` /
+    :func:`evaluate_family_member` row for row, bit for bit.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ValueError("expected a 2-D array of samples")
     if not np.isfinite(samples).all():
         raise ValueError("samples contain NaN or infinite values")
-    n = samples.shape[1]
-
-    if spec.family == MOMENT:
-        xbar = samples.mean(axis=1)
-        med = np.median(samples, axis=1)
-        centered = samples - xbar[:, None]
-        var = np.mean(centered**2, axis=1)
-        if np.any(var <= 0.0):
-            raise DegenerateSampleError("sample variance is zero")
-        s = np.sqrt(var)
-        if spec.kind == "CM":
-            return (xbar - med) / s
-        if spec.kind == "GAMMA":
-            return 2.0 * (xbar - med)
-        if spec.kind == "MGG":
-            j = math.sqrt(math.pi / 2.0) * np.mean(np.abs(samples - med[:, None]), axis=1)
-            return (xbar - med) / j
-        return np.mean(centered**3, axis=1) / s**3
-
-    if n < spec.kernel_order:
-        raise InsufficientSampleError(
-            f"{spec.label} needs at least {spec.kernel_order} observations"
-        )
-    weights = trim_weights(n, spec.alpha)
-    xs = np.sort(samples, axis=1)
-    mu = xs @ weights
-    return _count_rows(spec, xs - mu[:, None], t)[0]
+    return _evaluate_rows(spec, samples, t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +452,13 @@ def _segment_candidates(values: np.ndarray) -> np.ndarray:
 
 def brute_force(spec: StatisticSpec, sample) -> StatisticValue:
     """Literal subset enumeration of a statistic (oracle path, ``n <= 14``)."""
-    x = _prepare(spec, sample)
+    x = _prepare(sample)
     n = x.size
     if n > _BRUTE_LIMIT:
         raise ValueError(f"brute-force evaluation refuses n > {_BRUTE_LIMIT}")
     if spec.family == MOMENT:
-        return StatisticValue(_eval_moment(spec, x))
+        return StatisticValue(float(_evaluate_rows(spec, x[None, :])[0][0]))
+    _check_size(spec, n)
 
     mu = trimmed_mean(x, spec.alpha)
     y = x - mu

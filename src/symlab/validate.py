@@ -18,35 +18,18 @@ from . import asymptotics as asy
 from . import efficiency as eff
 from ._oracles import population_slope_fd
 from ._quad import quad_split
-from ._rng import stream
+from ._rng import DEFAULT_SEED, stream
 from .distributions import get_alternative, get_null
 from .errors import NotApplicableError
 from .location import influence_curve, trimmed_mean_derivative
 from .montecarlo import McConfig, null_distribution, power
-from .stats import StatisticSpec, brute_force, evaluate, parse_statistic
+from .stats import INTEGRAL, MOMENT, StatisticSpec, brute_force, evaluate, parse_statistic
 
 __all__ = ["CheckResult", "CHECKS", "run_suite", "DEFAULT_SEED"]
 
-DEFAULT_SEED = 20260811
-
-_ALL_KINDS = (
-    "S",
-    "W",
-    "KS",
-    "BH_I",
-    "BH_K",
-    "NA_I_2",
-    "NA_I_3",
-    "NA_I_4",
-    "NA_K_2",
-    "NA_K_3",
-    "NA_K_4",
-    "MO_I_1",
-    "MO_I_2",
-    "MO_K_1",
-    "MO_K_2",
-)
-_INTEGRAL_TESTS = ("S", "W", "BH_I", "NA_I_2", "NA_I_3", "NA_I_4", "MO_I_1", "MO_I_2")
+#: the counting tests of the comparison study, and the integral ones among them
+_ALL_KINDS = tuple(t for t in eff.DEFAULT_TESTS if parse_statistic(t).family != MOMENT)
+_INTEGRAL_TESTS = tuple(t for t in _ALL_KINDS if parse_statistic(t).family == INTEGRAL)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 import symlab.validate
+from symlab import efficiency as eff
 from symlab.cli import main
+from symlab.distributions import NULL_NAMES, get_alternative
+from symlab.errors import NotApplicableError
 from symlab.validate import CheckResult
 
 
@@ -56,6 +59,9 @@ class TestCmdTest:
         assert main(["test", str(bad), "--stat", "S"]) == 2
         short = write_lines(tmp_path / "short.txt", [1.0, 2.0])
         assert main(["test", short, "--stat", "NA_I_4", "--reps", "400"]) == 2
+        data = write_lines(tmp_path / "d.txt", [0.3, -1.2, 2.0, 0.7, -0.4])
+        assert main(["test", data, "--stat", "S", "--reps", "50"]) == 2
+        assert main(["test", data, "--stat", "S", "--reps", "400", "--level", "1.5"]) == 2
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_sample_exits_two(self, tmp_path, capsys, bad):
@@ -64,6 +70,22 @@ class TestCmdTest:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "NaN or infinite" in captured.err
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25])
+@pytest.mark.parametrize("null_name", NULL_NAMES)
+def test_cli_refuses_exactly_where_the_library_does(tmp_path, capsys, null_name, alpha):
+    data = write_lines(tmp_path / "d.txt", [0.3, -1.2, 2.0, 0.7, -0.4, 1.1, -0.9, 0.2])
+    alt = get_alternative("contam", null_name)
+    for name in eff.DEFAULT_TESTS:
+        try:
+            eff.bahadur_index(name, alt, alpha)
+            expected = 0
+        except NotApplicableError:
+            expected = 3
+        argv = ["test", data, "--stat", name, "--alpha", str(alpha), "--null", null_name]
+        assert main(argv + ["--reps", "100"]) == expected, name
+    capsys.readouterr()
 
 
 class TestCmdIndex:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from symlab import efficiency as eff
+from symlab.asymptotics import report
 from symlab.distributions import AlternativeFamily, get_alternative
 from symlab.errors import NotApplicableError
 from symlab.montecarlo import McConfig, power
@@ -105,6 +106,26 @@ class TestIndexCurve:
         assert payload["test"] == "S"
         assert payload["index"][2] is None  # degenerate endpoint
         assert payload["degenerate"][2] is True
+
+
+@pytest.mark.parametrize("null_name, alt_name", [("normal", "contam"), ("cauchy", "fs")])
+@pytest.mark.parametrize("name", eff.DEFAULT_TESTS)
+def test_report_is_the_one_index(name, null_name, alt_name):
+    alt = get_alternative(alt_name, null_name)
+    grid = np.linspace(0.0, 0.5, 11)
+    curve = eff.index_curve(name, alt, grid)
+    for i, a in enumerate(grid):
+        spec = parse_statistic(name, alpha=float(a))
+        if curve.not_applicable[i]:
+            with pytest.raises(NotApplicableError):
+                report(spec, alt)
+            with pytest.raises(NotApplicableError):
+                eff.bahadur_index(spec, alt)
+            continue
+        rep = report(spec, alt)
+        np.testing.assert_array_equal(rep.index, eff.bahadur_index(spec, alt))
+        np.testing.assert_array_equal(rep.index, curve.index[i])
+        assert rep.degenerate == curve.degenerate[i]
 
 
 class TestZeroEfficiency:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symlab.errors import DegenerateSampleError, InsufficientSampleError
@@ -237,6 +237,77 @@ class TestInvariances:
                 assert -1.0 <= value <= 1.0
 
 
+def _finite(bound: float):
+    # no subnormal magnitudes, so scaling by 2**k stays exact
+    return st.floats(-bound, bound).map(lambda v: 0.0 if abs(v) < 1e-100 else v)
+
+
+class TestRowCoreProperties:
+    """Exact properties of the one evaluation path, on arbitrary finite samples."""
+
+    @pytest.mark.parametrize("name", ALL_IDS)
+    @given(
+        data=st.data(),
+        alpha=st.sampled_from([0.0, 0.1, 0.25, 0.5]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_permutation_invariance(self, name, data, alpha):
+        spec = parse_statistic(name, alpha=alpha)
+        x = np.asarray(
+            data.draw(
+                st.lists(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=max(spec.kernel_order, 2),
+                    max_size=16,
+                )
+            )
+        )
+        perm = np.asarray(data.draw(st.permutations(range(x.size))))
+        base = evaluate(spec, x)
+        assert evaluate(spec, x[perm]) == base
+        batch = evaluate_many(spec, np.stack([x, x[perm], x[perm[::-1]]]))
+        np.testing.assert_array_equal(batch, np.full(3, base.value))
+
+    @pytest.mark.parametrize("name", ALL_IDS)
+    @given(
+        data=st.data(),
+        alpha=st.sampled_from([0.0, 0.1, 0.25, 0.5]),
+        k=st.integers(-40, 40),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_scaling_by_power_of_two(self, name, data, alpha, k):
+        spec = parse_statistic(name, alpha=alpha)
+        x = np.asarray(data.draw(st.lists(_finite(1e6), min_size=spec.kernel_order, max_size=16)))
+        base = evaluate(spec, x)
+        scaled = evaluate(spec, x * 2.0**k)
+        assert scaled.value == base.value
+        if base.sup_argument is not None:
+            assert scaled.sup_argument == base.sup_argument * 2.0**k
+
+    @pytest.mark.parametrize("name", [n for n in ALL_IDS if n not in ("S", "W")])
+    @given(data=st.data(), half=st.integers(1, 7))
+    @settings(max_examples=25, deadline=None)
+    def test_sign_flip_about_the_median(self, name, data, half):
+        # at alpha = 1/2 with odd n the center is the middle order statistic,
+        # so -x centers to exactly the negated values; S and W count the zero
+        # this leaves, so they are not odd
+        spec = parse_statistic(name, alpha=0.5)
+        n = 2 * half + 1
+        if n < spec.kernel_order:
+            n += 2 * ((spec.kernel_order - n + 1) // 2)
+        x = np.asarray(data.draw(st.lists(_finite(1e6), min_size=n, max_size=n)))
+        if name == "KS":
+            # F_n is right-continuous and the flip turns it into left limits,
+            # which agree only where no two |x - median| tie
+            assume(np.unique(np.abs(x - np.median(x))).size == n)
+        direct = evaluate(spec, x).value
+        flipped = evaluate(spec, -x).value
+        if spec.family == "supremum":
+            assert flipped == direct
+        else:
+            assert flipped == -direct
+
+
 # 512 rows is a full Monte Carlo chunk, 88 the partial chunk of 600 replications
 CHUNK_ROWS = (1, 12, 88, 512)
 
@@ -249,11 +320,7 @@ class TestBatchEvaluation:
             samples = rng.normal(size=(rows, 18))
             batch = evaluate_many(spec, samples)
             single = np.asarray([evaluate(spec, row).value for row in samples])
-            if spec.family == "moment":
-                # axis-wise reductions may round differently than 1-D ones
-                np.testing.assert_allclose(batch, single, rtol=0, atol=1e-14)
-            else:
-                np.testing.assert_array_equal(batch, single)
+            np.testing.assert_array_equal(batch, single)
 
     @pytest.mark.parametrize("name", ["KS", "BH_K", "NA_K_2", "MO_K_2"])
     def test_family_member_matches_rowwise(self, name, rng):
@@ -265,12 +332,8 @@ class TestBatchEvaluation:
             single = np.asarray([evaluate_family_member(spec, row, t) for row in samples])
             np.testing.assert_array_equal(batch, single)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="evaluate centers by a 1-D dot product, evaluate_many by one matrix-vector "
-        "product per chunk; the two differ in the last bit, which moves ties",
-    )
     def test_matches_rowwise_on_tied_data(self, rng):
+        # a center one ulp off moves every observation tied with it
         spec = parse_statistic("NA_K_2", alpha=0.1)
         samples = np.round(2.0 * rng.normal(size=(512, 20)))
         batch = evaluate_many(spec, samples, t=1.0)
