@@ -42,5 +42,6 @@ for alpha in (0.1, 0.4):
     spec = parse_statistic("KS", alpha=alpha)
     sup_val, argmax = sup_variance(spec, normal)
     ts = np.round(np.linspace(0.0, 2.0, 6), 2)
-    vals = ", ".join(f"{t}:{variance_function(spec, normal, t):.3f}" for t in ts)
+    member = variance_function(spec, normal, ts)  # one call for the whole grid
+    vals = ", ".join(f"{t}:{v:.3f}" for t, v in zip(ts, member))
     print(f"  alpha={alpha}: sup={sup_val:.4f} at t={argmax:.4f}   [{vals}]")

@@ -6,7 +6,8 @@ one-dimensional quadrature: conditioning on the outer observation reduces the
 subset order-statistic events to binomial survival probabilities of the
 alternative CDF.  Finite differences of these limits in ``theta`` validate
 the analytic slope derivatives; none of the projection/variance machinery is
-reused.
+reused, including the supremum search over the threshold, which here is a
+dense grid uniform in null probability refined by a bounded scalar search.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 from scipy import optimize, stats as sps
 
 from ._quad import quad, quad_split
-from .asymptotics import _sup_over_t
-from .distributions import AlternativeFamily
+from .distributions import AlternativeFamily, SymmetricNull
 from .location import population_trimmed_mean
 from .stats import MOMENT, SUPREMUM, StatisticSpec
 
@@ -43,14 +43,28 @@ def _char_member(spec: StatisticSpec, alt, theta, mu, t):
     return val
 
 
+def _sup_abs(member, null: SymmetricNull) -> float:
+    """``sup_{t >= 0} |member(t)|``, for a member that takes an array of thresholds.
+
+    2001 null quantiles from the median to the 0.9999 quantile, the best one
+    refined by a bounded Brent search between its neighbours.
+    """
+    ts = null.quantile(np.linspace(0.5, 0.9999, 2001))
+    vals = np.abs(member(ts))
+    i = int(np.argmax(vals))
+    bounds = (ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)])
+    res = optimize.minimize_scalar(
+        lambda tt: -abs(float(member(tt))),
+        bounds=bounds,
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    return max(float(vals[i]), -float(res.fun))
+
+
 def _moment_limit(spec: StatisticSpec, alt: AlternativeFamily, theta: float) -> float:
-    mean = quad_split(lambda x: x * alt.density(x, theta), -np.inf, np.inf, points=[0.0, 1.0])
-    lo, hi = -1.0, 1.0
-    while alt.cdf(lo, theta) > 0.5:
-        lo *= 2.0
-    while alt.cdf(hi, theta) < 0.5:
-        hi *= 2.0
-    med = float(optimize.brentq(lambda x: alt.cdf(x, theta) - 0.5, lo, hi, xtol=1e-13))
+    mean = population_trimmed_mean(alt, theta, 0.0)
+    med = population_trimmed_mean(alt, theta, 0.5)
     var = quad_split(
         lambda x: (x - mean) ** 2 * alt.density(x, theta), -np.inf, np.inf, points=[0.0, 1.0]
     )
@@ -98,25 +112,17 @@ def population_limit(
             )
             - 0.5
         )
-    if spec.kind == "KS":
-        def member(tt):
-            return float(alt.cdf(mu + tt, theta) + alt.cdf(mu - tt, theta) - 1.0)
-
-        if t is not None:
-            return member(float(t))
-        val, _ = _sup_over_t(
-            lambda ts: np.abs([member(tt) for tt in ts]), alt.base
-        )
-        return val
-
     if spec.family == SUPREMUM:
+        if spec.kind == "KS":
+            def member(tt):
+                return np.asarray(alt.cdf(mu + tt, theta) + alt.cdf(mu - tt, theta) - 1.0)
+        else:
+            def member(tt):
+                return _char_member(spec, alt, theta, mu, tt)
+
         if t is not None:
-            return float(_char_member(spec, alt, theta, mu, float(t)))
-        val, _ = _sup_over_t(
-            lambda ts: np.abs(_char_member(spec, alt, theta, mu, np.asarray(ts))),
-            alt.base,
-        )
-        return val
+            return float(member(float(t)))
+        return _sup_abs(member, alt.base)
 
     # integral characterization statistic: integrate the outer coordinate
     def integrand(s: float) -> float:

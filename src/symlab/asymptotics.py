@@ -15,7 +15,13 @@ local alternative with score ``h`` is
 ``m Integral phi(x) (h(x) + mu' f'(x)) dx``, where ``mu'`` is the estimand
 derivative from :func:`symlab.location.trimmed_mean_derivative`; for
 supremum-type statistics both the variance and the slope are functions of the
-threshold ``t`` and the supremum over ``t`` is taken.
+threshold ``t`` (a float or an array, so the search evaluates a whole grid in
+one call) and the supremum over ``t`` is taken.
+
+:func:`functools.cache` holds the alpha-free integrals ``Int phi^2``,
+``Int phi f'`` and ``Int phi h`` per ``(kind, k)`` statistic and model, and
+``mu'`` per (alternative, alpha); models compare by value, so every lookup of
+one model shares an entry.
 
 Projections are analytic.  Every characterization statistic compares the
 ``r``-th and ``(p+1-r)``-th order statistics of a ``p``-subsample in absolute
@@ -44,11 +50,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from ._quad import quad_split
-from .distributions import AlternativeFamily, SymmetricNull
+from .distributions import AlternativeFamily, SymmetricNull, _as_float, _libm
 from .errors import NotApplicableError
 from .location import check_centering, trimmed_mean_derivative
 from .stats import INTEGRAL, MOMENT, SUPREMUM, StatisticSpec
@@ -72,15 +79,15 @@ __all__ = [
 
 DEGENERACY_TOL = 1e-10
 
-_mu_prime_cache: dict[tuple, float] = {}
-_scalar_cache: dict[tuple, float] = {}
 
-
+@cache
 def _mu_prime(alt: AlternativeFamily, alpha: float) -> float:
-    key = (alt.kind, alt.base.name, round(float(alpha), 12))
-    if key not in _mu_prime_cache:
-        _mu_prime_cache[key] = trimmed_mean_derivative(alt, alpha)
-    return _mu_prime_cache[key]
+    return trimmed_mean_derivative(alt, alpha)
+
+
+def _kernel(spec: StatisticSpec) -> StatisticSpec:
+    """The alpha-free ``(kind, k)`` statistic that keys the cached integrals."""
+    return StatisticSpec(spec.kind, spec.k)
 
 
 # ---------------------------------------------------------------------------
@@ -90,41 +97,27 @@ def _mu_prime(alt: AlternativeFamily, alpha: float) -> float:
 
 def _omega(spec: StatisticSpec):
     """Polynomial ``Omega(v) = Integral_{1/2}^{v} w(q) dq`` of the family."""
+    k = spec.k
     if spec.kind.startswith("NA"):
-        k = spec.k
-
-        def omega(v):
-            return (v**k + (1.0 - v) ** k - 2.0 * 0.5**k) / k
-
-        return omega
+        return lambda v: (v**k + (1.0 - v) ** k - 2.0 * 0.5**k) / k
     if spec.kind.startswith("MO"):
-        k = spec.k
         c = math.comb(2 * k - 1, k)
-
-        def omega(v):
-            return c * (0.25**k - (v * (1.0 - v)) ** k) / k
-
-        return omega
+        return lambda v: c * (0.25**k - (v * (1.0 - v)) ** k) / k
     if spec.kind.startswith("BH"):
-
-        def omega(v):
-            return 0.5 * ((v - 0.5) ** 2)
-
-        return omega
+        return lambda v: 0.5 * ((v - 0.5) ** 2)
     raise ValueError(f"{spec.kind} has no characterization profile")
 
 
 def _weight(spec: StatisticSpec):
-    """Threshold weight ``w(q)`` of the supremum-family projection."""
+    """Threshold weight ``w(q)`` of the supremum-family projection (powers by ``_libm``)."""
+    k = spec.k
     if spec.kind == "KS":
         return lambda q: np.ones_like(np.asarray(q, dtype=float))
     if spec.kind.startswith("NA"):
-        k = spec.k
-        return lambda q: q ** (k - 1) - (1.0 - q) ** (k - 1)
+        return lambda q: _libm(pow, q, k - 1) - _libm(pow, 1.0 - q, k - 1)
     if spec.kind.startswith("MO"):
-        k = spec.k
         c = math.comb(2 * k - 1, k)
-        return lambda q: c * (q * (1.0 - q)) ** (k - 1) * (2.0 * q - 1.0)
+        return lambda q: c * _libm(pow, q * (1.0 - q), k - 1) * (2.0 * q - 1.0)
     if spec.kind.startswith("BH"):
         return lambda q: 0.5 * (2.0 * q - 1.0)
     raise ValueError(f"{spec.kind} is not supremum-type")
@@ -138,18 +131,9 @@ def _chi(u, q):
 def _profile(spec: StatisticSpec):
     """Integral-type projection as a function of ``u = F(x)``."""
     if spec.kind == "S":
-
-        def phi_u(u):
-            u = np.asarray(u, dtype=float)
-            return np.where(u > 0.5, 0.5, np.where(u < 0.5, -0.5, 0.0))
-
-        return phi_u
+        return lambda u: np.where(u > 0.5, 0.5, np.where(u < 0.5, -0.5, 0.0))
     if spec.kind == "W":
-
-        def phi_u(u):
-            return np.asarray(u, dtype=float) - 0.5
-
-        return phi_u
+        return lambda u: np.asarray(u, dtype=float) - 0.5
     omega = _omega(spec)
     p = spec.subset_size
     scale = p / (p + 1.0)
@@ -202,21 +186,16 @@ def projection(spec: StatisticSpec, null: SymmetricNull) -> Projection:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _phi_sq(spec: StatisticSpec) -> float:
     """``Integral_0^1 phi(u)^2 du`` (null-free)."""
-    key = ("phi_sq", spec.kind, spec.k)
-    if key not in _scalar_cache:
-        if spec.kind == "S":
-            val = 0.25
-        elif spec.kind == "W":
-            val = 1.0 / 12.0
-        else:
-            phi_u = _profile(spec)
-            nodes, weights = np.polynomial.legendre.leggauss(24)
-            half = 0.25 * (nodes + 1.0) + 0.5  # map to (1/2, 1)
-            val = 2.0 * 0.25 * float(np.sum(weights * phi_u(half) ** 2))
-        _scalar_cache[key] = val
-    return _scalar_cache[key]
+    if spec.kind == "S":
+        return 0.25
+    if spec.kind == "W":
+        return 1.0 / 12.0
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    half = 0.25 * (nodes + 1.0) + 0.5  # map to (1/2, 1)
+    return 2.0 * 0.25 * float(np.sum(weights * _profile(spec)(half) ** 2))
 
 
 def _phi_x(spec: StatisticSpec, null: SymmetricNull):
@@ -224,14 +203,12 @@ def _phi_x(spec: StatisticSpec, null: SymmetricNull):
     return lambda x: float(phi_u(null.cdf(x)))
 
 
+@cache
 def _int_phi_fprime(spec: StatisticSpec, null: SymmetricNull) -> float:
-    key = ("A", spec.kind, spec.k, null.name)
-    if key not in _scalar_cache:
-        phi = _phi_x(spec, null)
-        _scalar_cache[key] = quad_split(
-            lambda x: phi(x) * null.density_derivative(x), -np.inf, np.inf, points=[0.0]
-        )
-    return _scalar_cache[key]
+    phi = _phi_x(spec, null)
+    return quad_split(
+        lambda x: phi(x) * null.density_derivative(x), -np.inf, np.inf, points=[0.0]
+    )
 
 
 def applicability(spec: StatisticSpec, null: SymmetricNull) -> None:
@@ -263,20 +240,19 @@ def _assemble_variance(spec, null, t1, a_coef, t3, t4, t3_inf, i5) -> float:
     """
     applicability(spec, null)
     alpha, m = spec.alpha, spec.kernel_order
+    a_sq = _libm(pow, a_coef, 2)
     if alpha == 0.0:
         half_second = null.moment(2) / 2.0
-        return m * m * (t1 + 2.0 * a_coef**2 * half_second + 4.0 * a_coef * t3_inf())
+        return m * m * (t1 + 2.0 * a_sq * half_second + 4.0 * a_coef * t3_inf())
     if alpha == 0.5:
         f0 = float(null.density(0.0))
-        return m * m * (
-            t1 + a_coef**2 / (4.0 * f0 * f0) + (2.0 / f0) * a_coef * i5()
-        )
+        return m * m * (t1 + a_sq / (4.0 * f0 * f0) + (2.0 / f0) * a_coef * i5())
     q = float(null.quantile(1.0 - alpha))
     kappa = null.partial_second_moment(q) + alpha * q * q
     scale = 1.0 - 2.0 * alpha
     return m * m * (
         t1
-        + (2.0 / scale**2) * a_coef**2 * kappa
+        + (2.0 / scale**2) * a_sq * kappa
         + (4.0 / scale) * a_coef * (t3(q) + q * t4(q))
     )
 
@@ -286,8 +262,8 @@ def asymptotic_variance(spec: StatisticSpec, null: SymmetricNull) -> float:
     if spec.family != INTEGRAL:
         raise ValueError("use variance_function/sup_variance for supremum-type statistics")
     phi = _phi_x(spec, null)
-    t1 = _phi_sq(spec)
-    a_coef = _int_phi_fprime(spec, null)
+    t1 = _phi_sq(_kernel(spec))
+    a_coef = _int_phi_fprime(_kernel(spec), null)
 
     def t3(q):
         return quad_split(lambda x: phi(x) * x * null.density(x), 0.0, q)
@@ -304,28 +280,30 @@ def asymptotic_variance(spec: StatisticSpec, null: SymmetricNull) -> float:
     return _assemble_variance(spec, null, t1, a_coef, t3, t4, t3_inf, i5)
 
 
-def variance_function(spec: StatisticSpec, null: SymmetricNull, t: float) -> float:
+def variance_function(spec: StatisticSpec, null: SymmetricNull, t):
     """Member variance ``sigma^2(alpha; t)`` of a supremum-type family.
 
     All ingredients are closed-form: with ``q = F(t)`` the member projection
     is ``w(q) chi(.; q)`` whose squared mass is ``2(1-q)``, whose density-
     derivative pairing is ``-2 f(t)``, and whose partial moments are partial
-    moments of the null.
+    moments of the null.  ``t`` may be an array (elementwise, bit for bit
+    the values of scalar calls); a float in gives a float out.
     """
     if spec.family != SUPREMUM:
         raise ValueError("variance_function applies to supremum-type statistics")
-    t = abs(float(t))
-    q = float(null.cdf(t))
-    w = float(_weight(spec)(q))
-    f_t = float(null.density(t))
+    t = np.abs(np.asarray(t, dtype=float))
+    q = null.cdf(t)
+    w = _weight(spec)(q)
+    f_t = null.density(t)
     t1 = w * w * 2.0 * (1.0 - q)
     a_coef = w * (-2.0) * f_t  # sign of the member cancels in every product
 
     def t3(Q):
-        return w * (null.partial_first_moment(t, Q) if t < Q else 0.0)
+        # the partial moment over (t, Q), empty (exactly 0.0) once t >= Q
+        return w * null.partial_first_moment(np.minimum(t, Q), Q)
 
     def t4(Q):
-        return w * min(spec.alpha, 1.0 - q)
+        return w * np.minimum(spec.alpha, 1.0 - q)
 
     def t3_inf():
         return w * (null.abs_mean() / 2.0 - null.partial_first_moment(0.0, t))
@@ -333,7 +311,7 @@ def variance_function(spec: StatisticSpec, null: SymmetricNull, t: float) -> flo
     def i5():
         return w * (1.0 - q)
 
-    return _assemble_variance(spec, null, t1, a_coef, t3, t4, t3_inf, i5)
+    return _as_float(_assemble_variance(spec, null, t1, a_coef, t3, t4, t3_inf, i5))
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +319,10 @@ def variance_function(spec: StatisticSpec, null: SymmetricNull, t: float) -> flo
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _int_phi_score(spec: StatisticSpec, alt: AlternativeFamily) -> float:
-    key = ("phih", spec.kind, spec.k, alt.base.name, alt.kind)
-    if key not in _scalar_cache:
-        phi = _phi_x(spec, alt.base)
-        _scalar_cache[key] = quad_split(
-            lambda x: phi(x) * alt.score(x), -np.inf, np.inf, points=[0.0, 1.0]
-        )
-    return _scalar_cache[key]
+    phi = _phi_x(spec, alt.base)
+    return quad_split(lambda x: phi(x) * alt.score(x), -np.inf, np.inf, points=[0.0, 1.0])
 
 
 def slope_derivative(spec: StatisticSpec, alt: AlternativeFamily) -> float:
@@ -359,24 +333,24 @@ def slope_derivative(spec: StatisticSpec, alt: AlternativeFamily) -> float:
     applicability(spec, null)
     mu_p = _mu_prime(alt, spec.alpha)
     return spec.kernel_order * (
-        _int_phi_score(spec, alt) + mu_p * _int_phi_fprime(spec, null)
+        _int_phi_score(_kernel(spec), alt) + mu_p * _int_phi_fprime(_kernel(spec), null)
     )
 
 
-def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t: float) -> float:
-    """Member slope ``b'(0, alpha; t)`` of a supremum-type family (signed)."""
+def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t):
+    """Member slope ``b'(0, alpha; t)`` of a supremum-type family (signed; ``t`` float or array)."""
     if spec.family != SUPREMUM:
         raise ValueError("slope_function applies to supremum-type statistics")
     null = alt.base
     applicability(spec, null)
-    t = abs(float(t))
-    q = float(null.cdf(t))
+    t = np.abs(np.asarray(t, dtype=float))
+    q = null.cdf(t)
     sign = _SUP_SIGN.get(spec.kind, 1.0)
-    w = float(_weight(spec)(q))
-    chi_score = -(float(alt.score_cumulative(t)) + float(alt.score_cumulative(-t)))
-    chi_fprime = -2.0 * float(null.density(t))
+    w = _weight(spec)(q)
+    chi_score = -(alt.score_cumulative(t) + alt.score_cumulative(-t))
+    chi_fprime = -2.0 * null.density(t)
     mu_p = _mu_prime(alt, spec.alpha)
-    return spec.kernel_order * sign * w * (chi_score + mu_p * chi_fprime)
+    return _as_float(spec.kernel_order * sign * w * (chi_score + mu_p * chi_fprime))
 
 
 # ---------------------------------------------------------------------------
@@ -404,19 +378,20 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-6) -> tuple[float, floa
     return f(mid), mid
 
 
-def _sup_over_t(f_vec, null: SymmetricNull, tol: float = 1e-6) -> tuple[float, float]:
+def _sup_over_t(f, null: SymmetricNull, tol: float = 1e-6) -> tuple[float, float]:
     """Maximize a smooth-between-kinks function of the threshold ``t >= 0``.
 
-    Scans ``t = 0`` plus 512 log-spaced points up to the 0.999 null quantile,
-    then refines around the best grid point by golden section.
+    ``f`` takes a float or an array of thresholds.  Scans ``t = 0`` plus 512
+    log-spaced points up to the 0.999 null quantile in one call, then refines
+    around the best grid point by golden section.
     """
     q999 = float(null.quantile(0.999))
     ts = np.concatenate([[0.0], np.geomspace(q999 * 1e-5, q999, 512)])
-    vals = np.asarray(f_vec(ts), dtype=float)
+    vals = f(ts)
     i = int(np.argmax(vals))
     lo = ts[i - 1] if i > 0 else 0.0
     hi = ts[i + 1] if i < ts.size - 1 else ts[-1]
-    val, arg = _golden_max(lambda t: float(f_vec(np.asarray([t]))[0]), lo, hi, tol)
+    val, arg = _golden_max(f, lo, hi, tol)
     if vals[i] >= val:
         val, arg = float(vals[i]), float(ts[i])
     return val, arg
@@ -424,20 +399,12 @@ def _sup_over_t(f_vec, null: SymmetricNull, tol: float = 1e-6) -> tuple[float, f
 
 def sup_variance(spec: StatisticSpec, null: SymmetricNull) -> tuple[float, float]:
     """Supremum over ``t`` of the member variance, with its argmax."""
-
-    def f_vec(ts):
-        return np.asarray([variance_function(spec, null, t) for t in ts])
-
-    return _sup_over_t(f_vec, null)
+    return _sup_over_t(lambda t: variance_function(spec, null, t), null)
 
 
 def sup_slope(spec: StatisticSpec, alt: AlternativeFamily) -> tuple[float, float]:
     """Supremum over ``t`` of the absolute member slope, with its argmax."""
-
-    def f_vec(ts):
-        return np.asarray([abs(slope_function(spec, alt, t)) for t in ts])
-
-    return _sup_over_t(f_vec, alt.base)
+    return _sup_over_t(lambda t: abs(slope_function(spec, alt, t)), alt.base)
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +415,16 @@ def sup_slope(spec: StatisticSpec, alt: AlternativeFamily) -> tuple[float, float
 def cm_family_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
     """Local index shared by the mean-median statistics (CM, GAMMA, MGG).
 
-    ``(Int x h + H(0)/f(0))^2 / (sigma^2 + 1/(4 f(0)^2) - tau/f(0))`` with
-    ``tau = E|X|`` under the null; requires a finite second moment.
+    ``(mu'(0) - mu'(1/2))^2 / (sigma^2 + 1/(4 f(0)^2) - tau/f(0))``: the
+    numerator is the drift of mean minus median, ``Int x h + H(0)/f(0)``,
+    from the estimand derivatives, and ``tau = E|X|`` under the null;
+    requires a finite second moment.
     """
     applicability(StatisticSpec("CM"), null)
-    if alt.base.name != null.name:
+    if alt.base != null:
         raise ValueError("alternative family must perturb the same null")
     f0 = float(null.density(0.0))
-    xh = quad_split(lambda x: x * alt.score(x), -np.inf, np.inf, points=[0.0, 1.0])
-    num = (xh + float(alt.score_cumulative(0.0)) / f0) ** 2
+    num = (_mu_prime(alt, 0.0) - _mu_prime(alt, 0.5)) ** 2
     den = null.moment(2) + 1.0 / (4.0 * f0 * f0) - null.abs_mean() / f0
     return num / den
 
@@ -464,14 +432,15 @@ def cm_family_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
 def sqrtb1_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
     """Local index of the skewness-coefficient test.
 
-    ``(Int x^3 h - 3 sigma^2 Int x h)^2 / (m6 - 6 sigma^2 m4 + 9 sigma^6)``;
-    requires a finite sixth moment.
+    ``(Int x^3 h - 3 sigma^2 Int x h)^2 / (m6 - 6 sigma^2 m4 + 9 sigma^6)``,
+    with the mean shift rate ``Int x h = mu'(0)``; requires a finite sixth
+    moment.
     """
     applicability(StatisticSpec("SQRT_B1"), null)
-    if alt.base.name != null.name:
+    if alt.base != null:
         raise ValueError("alternative family must perturb the same null")
     sigma2 = null.moment(2)
-    xh = quad_split(lambda x: x * alt.score(x), -np.inf, np.inf, points=[0.0, 1.0])
+    xh = _mu_prime(alt, 0.0)
     x3h = quad_split(lambda x: x**3 * alt.score(x), -np.inf, np.inf, points=[0.0, 1.0])
     num = (x3h - 3.0 * sigma2 * xh) ** 2
     den = null.moment(6) - 6.0 * sigma2 * null.moment(4) + 9.0 * sigma2**3

@@ -221,7 +221,7 @@ def _cmd_variance(args) -> int:
         nulls = [get_null(name.strip()) for name in args.null.split(",") if name.strip()]
         if not nulls:
             raise ValueError("no null models requested")
-        spec0 = parse_statistic(args.stat)
+        spec0 = parse_statistic(args.stat, alpha=args.alpha if args.over_t else 0.0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -236,15 +236,10 @@ def _cmd_variance(args) -> int:
         if spec0.family != SUPREMUM:
             print("error: --over-t applies to supremum-type statistics", file=sys.stderr)
             return EXIT_INPUT
-        rows = []
         t_max = max(float(null.quantile(0.999)) for null in nulls)
         ts = np.linspace(0.0, t_max, args.grid)
-        for t in ts:
-            row = [t]
-            for null in nulls:
-                spec = parse_statistic(args.stat, alpha=args.alpha)
-                row.append(asy.variance_function(spec, null, float(t)))
-            rows.append(row)
+        columns = [asy.variance_function(spec0, null, ts) for null in nulls]
+        rows = np.column_stack([ts, *columns]).tolist()
         header = ["t"] + [f"sigma2_{null.name}" for null in nulls]
         params = {"stat": spec0.label, "alpha": args.alpha, "over_t": True}
     else:

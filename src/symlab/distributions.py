@@ -52,10 +52,24 @@ def _as_float(x):
     return float(arr) if arr.ndim == 0 else arr
 
 
+def _libm(f, *args):
+    """``f`` elementwise, so an array gives the bits of a loop of float calls.
+
+    numpy's vector ``pow`` and ``log1p`` round differently from the C library.
+    """
+    return _as_float(np.frompyfunc(f, len(args), 1)(*args))
+
+
 class SymmetricNull:
-    """A symmetric absolutely continuous model centered at zero."""
+    """A symmetric absolutely continuous model centered at zero; stateless, so equal by class."""
 
     name: str = ""
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other)
+
+    def __hash__(self) -> int:
+        return hash(type(self))
 
     # -- functional accessors -------------------------------------------
     def density(self, x):
@@ -102,11 +116,11 @@ class SymmetricNull:
     def _abs_mean(self) -> float:
         raise NotImplementedError
 
-    def partial_first_moment(self, a: float, b: float) -> float:
-        """``Integral_a^b x f(x) dx`` (closed form, finite limits)."""
+    def partial_first_moment(self, a, b):
+        """``Integral_a^b x f(x) dx`` (closed form, finite limits; arrays elementwise)."""
         return self._first_moment_primitive(b) - self._first_moment_primitive(a)
 
-    def _first_moment_primitive(self, x: float) -> float:
+    def _first_moment_primitive(self, x):
         raise NotImplementedError
 
     def partial_second_moment(self, b: float) -> float:
@@ -157,8 +171,8 @@ class Normal(SymmetricNull):
     def _abs_mean(self) -> float:
         return math.sqrt(2.0 / math.pi)
 
-    def _first_moment_primitive(self, x: float) -> float:
-        return -float(self.density(x))
+    def _first_moment_primitive(self, x):
+        return -self.density(x)
 
     def partial_second_moment(self, b: float) -> float:
         return float(special.ndtr(b) - 0.5 - b * self.density(b))
@@ -201,10 +215,10 @@ class Logistic(SymmetricNull):
     def _abs_mean(self) -> float:
         return 2.0 * math.log(2.0)
 
-    def _first_moment_primitive(self, x: float) -> float:
+    def _first_moment_primitive(self, x):
         # d/dx [x F(x) - log(1+e^x)] = x f(x)
-        x = float(x)
-        return x * float(special.expit(x)) - float(np.logaddexp(0.0, x))
+        x = np.asarray(x, dtype=float)
+        return _as_float(x * special.expit(x) - np.logaddexp(0.0, x))
 
     def partial_second_moment(self, b: float) -> float:
         # x^2 F - 2 [x log(1+e^x) + Li2(-e^x)] primitive, via the dilogarithm
@@ -246,14 +260,8 @@ class Cauchy(SymmetricNull):
     def has_moment(self, k: int) -> bool:
         return k < 1
 
-    def _even_moment(self, k: int) -> float:  # pragma: no cover - guarded by has_moment
-        raise NotApplicableError("cauchy null has no finite moments")
-
-    def _abs_mean(self) -> float:  # pragma: no cover - guarded by has_moment
-        raise NotApplicableError("cauchy null has no finite first absolute moment")
-
-    def _first_moment_primitive(self, x: float) -> float:
-        return math.log1p(float(x) ** 2) / (2.0 * math.pi)
+    def _first_moment_primitive(self, x):
+        return _libm(lambda v: math.log1p(v**2) / (2.0 * math.pi), x)
 
     def partial_second_moment(self, b: float) -> float:
         b = float(b)
@@ -267,6 +275,12 @@ class AlternativeFamily:
 
     def __init__(self, base: SymmetricNull):
         self.base = base
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and self.base == other.base
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.base))
 
     def _check_theta(self, theta: float) -> float:
         raise NotImplementedError

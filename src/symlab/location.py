@@ -27,6 +27,7 @@ __all__ = [
     "trimmed_mean_derivative",
     "population_trimmed_mean",
     "check_centering",
+    "check_sample",
 ]
 
 
@@ -49,6 +50,20 @@ def check_centering(null: SymmetricNull, alpha: float) -> None:
         raise NotApplicableError(
             f"untrimmed (mean) centering is not applicable under the {null.name} null"
         )
+
+
+def check_sample(sample, ndim: int = 1) -> np.ndarray:
+    """The one input rule for data: a nonempty ``ndim``-D array of finite floats.
+
+    An infinite value is refused even in a tail that trimming drops, where
+    ``0 * inf`` would make the weighted sum NaN.
+    """
+    x = np.asarray(sample, dtype=float)
+    if x.ndim != ndim or x.size == 0:
+        raise ValueError(f"sample must be a nonempty {ndim}-D array")
+    if not np.isfinite(x).all():
+        raise ValueError("sample contains NaN or infinite values")
+    return x
 
 
 def trim_weights(n: int, alpha: float) -> np.ndarray:
@@ -76,10 +91,8 @@ def trim_weights(n: int, alpha: float) -> np.ndarray:
 
 
 def trimmed_mean(sample, alpha: float) -> float:
-    """Trimmed mean of ``sample`` with trimming coefficient ``alpha``."""
-    x = np.asarray(sample, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("sample must be a nonempty one-dimensional array")
+    """Trimmed mean of a finite ``sample`` with trimming coefficient ``alpha``."""
+    x = check_sample(sample)
     return float((np.sort(x) * trim_weights(x.size, alpha)).sum())
 
 

@@ -45,7 +45,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateSampleError, InsufficientSampleError
-from .location import trim_weights, trimmed_mean
+from .location import check_sample, trim_weights, trimmed_mean
 
 __all__ = [
     "StatisticSpec",
@@ -341,13 +341,27 @@ def _count_rows(spec: StatisticSpec, ys: np.ndarray, t: float | None = None):
     return nums.sum(axis=1) / (n * _char_denominator(spec, n)), None
 
 
-def _check_size(spec: StatisticSpec, n: int) -> None:
+def _check_rows(spec: StatisticSpec, samples: np.ndarray) -> None:
+    """The size and magnitude rules for a finite ``(rows, n)`` sample matrix.
+
+    Centering at most doubles a magnitude; the moment statistics then sum
+    ``n`` squares (SQRT_B1 cubes).  Below the limit nothing overflows in any
+    summation order, so a sample and all its permutations are refused alike.
+    """
+    n = samples.shape[1]
+    power, terms = 1, 1
     if spec.family == MOMENT:
         if n < 2:
             raise InsufficientSampleError("moment-based statistics need n >= 2")
+        power, terms = (3 if spec.kind == "SQRT_B1" else 2), n
     elif n < spec.kernel_order:
         raise InsufficientSampleError(
             f"{spec.label} needs at least {spec.kernel_order} observations"
+        )
+    limit = (np.finfo(float).max / (2.0 * terms)) ** (1.0 / power) / 2.0
+    if max(samples.max(), -samples.min()) > limit:
+        raise ValueError(
+            f"{spec.label} overflows float64 on values beyond {limit:.3g} in magnitude"
         )
 
 
@@ -363,7 +377,7 @@ def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = N
     :func:`_count_rows` does.
     """
     n = samples.shape[1]
-    _check_size(spec, n)
+    _check_rows(spec, samples)
     if spec.family != MOMENT:
         xs = np.sort(samples, axis=1)
         mu = (xs * trim_weights(n, spec.alpha)).sum(axis=1)
@@ -392,18 +406,9 @@ def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = N
 # ---------------------------------------------------------------------------
 
 
-def _prepare(sample) -> np.ndarray:
-    x = np.asarray(sample, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("sample must be a nonempty one-dimensional array")
-    if not np.isfinite(x).all():
-        raise ValueError("sample contains NaN or infinite values")
-    return x
-
-
 def evaluate(spec: StatisticSpec, sample) -> StatisticValue:
     """Evaluate one statistic on a data vector (the row path on one row)."""
-    values, args = _evaluate_rows(spec, _prepare(sample)[None, :])
+    values, args = _evaluate_rows(spec, check_sample(sample)[None, :])
     return StatisticValue(float(values[0]), None if args is None else float(args[0]))
 
 
@@ -416,7 +421,7 @@ def evaluate_family_member(spec: StatisticSpec, sample, t: float) -> float:
     """
     if spec.family != SUPREMUM:
         raise ValueError("family members exist only for supremum-type statistics")
-    return float(_evaluate_rows(spec, _prepare(sample)[None, :], t)[0][0])
+    return float(_evaluate_rows(spec, check_sample(sample)[None, :], t)[0][0])
 
 
 def evaluate_many(spec: StatisticSpec, samples: np.ndarray, t: float | None = None) -> np.ndarray:
@@ -426,12 +431,7 @@ def evaluate_many(spec: StatisticSpec, samples: np.ndarray, t: float | None = No
     is evaluated instead of the supremum.  Equals :func:`evaluate` /
     :func:`evaluate_family_member` row for row, bit for bit.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2:
-        raise ValueError("expected a 2-D array of samples")
-    if not np.isfinite(samples).all():
-        raise ValueError("samples contain NaN or infinite values")
-    return _evaluate_rows(spec, samples, t)[0]
+    return _evaluate_rows(spec, check_sample(samples, ndim=2), t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +452,13 @@ def _segment_candidates(values: np.ndarray) -> np.ndarray:
 
 def brute_force(spec: StatisticSpec, sample) -> StatisticValue:
     """Literal subset enumeration of a statistic (oracle path, ``n <= 14``)."""
-    x = _prepare(sample)
+    x = check_sample(sample)
     n = x.size
     if n > _BRUTE_LIMIT:
         raise ValueError(f"brute-force evaluation refuses n > {_BRUTE_LIMIT}")
     if spec.family == MOMENT:
         return StatisticValue(float(_evaluate_rows(spec, x[None, :])[0][0]))
-    _check_size(spec, n)
+    _check_rows(spec, x[None, :])
 
     mu = trimmed_mean(x, spec.alpha)
     y = x - mu

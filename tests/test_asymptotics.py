@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.integrate import quad
 from helpers import mc_projection
 from symlab import asymptotics as asy
 from symlab.distributions import AlternativeFamily, get_alternative, get_null
+from symlab.efficiency import DEFAULT_TESTS
 from symlab.errors import NotApplicableError
 from symlab.montecarlo import McConfig, null_distribution
 from symlab.stats import StatisticSpec, parse_statistic
@@ -15,6 +17,7 @@ from symlab._rng import stream
 
 INTEGRAL_IDS = ["S", "W", "BH_I", "NA_I_2", "NA_I_4", "MO_I_2"]
 SUP_IDS = ["KS", "BH_K", "NA_K_2", "NA_K_4", "MO_K_2"]
+ALL_SUP_IDS = [name for name in DEFAULT_TESTS if parse_statistic(name).family == "supremum"]
 
 
 class TestProjections:
@@ -57,7 +60,7 @@ class TestProjections:
         spec = parse_statistic(name)
         proj = asy.projection(spec, null)
         x_grid = null.quantile(np.linspace(0.02, 0.98, 25))
-        est, se = mc_projection(spec, null, x_grid, stream(777, hash(name) % 1000))
+        est, se = mc_projection(spec, null, x_grid, stream(777, zlib.crc32(name.encode())))
         analytic = proj.phi(x_grid)
         assert np.all(np.abs(analytic - est) <= 3.0 * se + 1e-12)
 
@@ -68,7 +71,7 @@ class TestProjections:
         x_grid = normal.quantile(np.linspace(0.05, 0.95, 13))
         for t in (0.5, 1.3):
             est, se = mc_projection(
-                spec, normal, x_grid, stream(778, hash(name) % 1000), n_draws=400_000, t=t
+                spec, normal, x_grid, stream(778, zlib.crc32(name.encode())), n_draws=400_000, t=t
             )
             analytic = proj.phi(x_grid, t)
             assert np.all(np.abs(analytic - est) <= 3.0 * se + 1e-12)
@@ -255,6 +258,52 @@ class TestMomentStatistics:
             means[theta] = skew.mean()
         slope = (4.0 * means[0.025] - means[0.05]) / 0.05
         assert slope**2 / 6.0 == pytest.approx(idx, rel=0.10)
+
+
+class TestArrayThresholds:
+    @pytest.mark.parametrize("name", ALL_SUP_IDS)
+    @pytest.mark.parametrize(
+        "null_name,alpha",
+        # mean centering (alpha = 0) is not applicable under the Cauchy null
+        [(n, a) for n in ("normal", "logistic", "cauchy") for a in (0.0, 0.1, 0.25, 0.5)
+         if (n, a) != ("cauchy", 0.0)],
+    )
+    def test_array_equals_scalar_calls_bit_for_bit(self, name, null_name, alpha):
+        null = get_null(null_name)
+        spec = parse_statistic(name, alpha=alpha)
+        q999 = float(null.quantile(0.999))
+        ts = np.concatenate(
+            [[0.0], np.geomspace(q999 * 1e-5, q999, 97), [1.5 * q999, 4.0 * q999, -0.7]]
+        )
+
+        def assert_bitwise(func, *args):
+            got = func(*args, ts)
+            assert isinstance(got, np.ndarray) and got.shape == ts.shape
+            loop = [func(*args, float(t)) for t in ts]
+            assert all(isinstance(v, float) for v in loop)
+            np.testing.assert_array_equal(got.view(np.int64), np.asarray(loop).view(np.int64))
+
+        assert_bitwise(asy.variance_function, spec, null)
+        for alt_name in ("contam", "fs"):
+            assert_bitwise(asy.slope_function, spec, get_alternative(alt_name, null))
+
+    def test_models_compare_by_value(self):
+        assert get_null("normal") == get_null("normal")
+        assert hash(get_null("normal")) == hash(get_null("normal"))
+        assert get_null("normal") != get_null("logistic")
+        contam = get_alternative("contam", "normal")
+        assert contam == get_alternative("contamination", get_null("normal"))
+        assert hash(contam) == hash(get_alternative("contam", "normal"))
+        assert contam != get_alternative("fs", "normal")
+        assert contam != get_alternative("contam", "logistic")
+
+    def test_repeated_lookups_share_one_cache_entry(self):
+        spec = StatisticSpec("KS", alpha=0.3)
+        first = asy.slope_function(spec, get_alternative("fs", "logistic"), 0.7)
+        misses = asy._mu_prime.cache_info().misses
+        again = asy.slope_function(spec, get_alternative("fs", "logistic"), 0.7)
+        assert again == first
+        assert asy._mu_prime.cache_info().misses == misses
 
 
 class TestReport:

@@ -8,8 +8,10 @@ import pytest
 import symlab.validate
 from symlab import efficiency as eff
 from symlab.cli import main
-from symlab.distributions import NULL_NAMES, get_alternative
+from symlab.asymptotics import variance_function
+from symlab.distributions import NULL_NAMES, get_alternative, get_null
 from symlab.errors import NotApplicableError
+from symlab.stats import parse_statistic
 from symlab.validate import CheckResult
 
 
@@ -70,6 +72,14 @@ class TestCmdTest:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "NaN or infinite" in captured.err
+
+    @pytest.mark.parametrize("stat", ["W", "KS", "CM", "SQRT_B1"])
+    def test_overflowing_sample_exits_two(self, tmp_path, capsys, stat):
+        data = write_lines(tmp_path / "d.txt", [1.7e308, 1.7e308, -1.7e308, 1.0])
+        assert main(["test", data, "--stat", stat, "--reps", "400"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows" in captured.err
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25])
@@ -190,6 +200,32 @@ class TestCmdVariance:
             rows = list(csv.DictReader(fh))
         values = np.asarray([float(r["sigma2_normal"]) for r in rows])
         assert np.argmax(values) == 0
+
+    @pytest.mark.parametrize("stat,alpha", [("KS", "0.1"), ("NA_K_4", "0.25"), ("MO_K_2", "0.5")])
+    def test_over_t_equals_scalar_member_calls(self, tmp_path, stat, alpha):
+        # the table one scalar variance_function call per (t, null) gives
+        names = ["normal", "logistic", "cauchy"]
+        out = tmp_path / "vart.csv"
+        code = main(
+            ["variance", "--null", ",".join(names), "--stat", stat, "--over-t",
+             "--alpha", alpha, "--grid", "33", "-o", str(out)]
+        )
+        assert code == 0
+        spec = parse_statistic(stat, alpha=float(alpha))
+        nulls = [get_null(name) for name in names]
+        ts = np.linspace(0.0, max(float(null.quantile(0.999)) for null in nulls), 33)
+        expected = [["t"] + [f"sigma2_{name}" for name in names]] + [
+            [format(float(t), ".12g")]
+            + [format(variance_function(spec, null, float(t)), ".12g") for null in nulls]
+            for t in ts
+        ]
+        with open(out, newline="") as fh:
+            assert list(csv.reader(fh)) == expected
+
+    def test_over_t_bad_alpha_exits_two(self, tmp_path):
+        code = main(["variance", "--null", "normal", "--stat", "KS", "--over-t",
+                     "--alpha", "0.7", "-o", str(tmp_path / "x.csv")])
+        assert code == 2
 
     def test_moment_statistic_rejected(self, tmp_path):
         code = main(["variance", "--null", "normal", "--stat", "CM", "-o",

@@ -33,6 +33,12 @@ class TestTrimmedMean:
         with pytest.raises(ValueError):
             trimmed_mean([1.0, 2.0], 0.6)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, bad):
+        # even in the trimmed tail: 0 * inf would make the weighted sum NaN
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            trimmed_mean([1.0, 2.0, 3.0, bad], 0.25)
+
     @given(
         n=st.integers(min_value=1, max_value=40),
         alpha=st.floats(min_value=0.0, max_value=0.5),

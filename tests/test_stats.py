@@ -142,6 +142,41 @@ class TestErrors:
                 evaluate_family_member(spec, x, 0.5)
 
 
+class TestOverflowRefused:
+    """Finite samples whose centered powers overflow float64 are refused."""
+
+    @pytest.mark.parametrize("name", ALL_IDS + MOMENT_IDS)
+    def test_overflowing_sample_refused(self, name):
+        spec = parse_statistic(name, alpha=0.25)
+        x = [1.7e308, 1.7e308, -1.7e308, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        with pytest.raises(ValueError, match="overflows"):
+            evaluate(spec, x)
+        with pytest.raises(ValueError, match="overflows"):
+            evaluate_many(spec, np.asarray([x, x[::-1]]))
+        if spec.family == "supremum":
+            with pytest.raises(ValueError, match="overflows"):
+                evaluate_family_member(spec, x, 1.0)
+
+    @pytest.mark.parametrize("name", ["S", "KS", "NA_I_2", "MO_K_2"] + MOMENT_IDS)
+    def test_exact_up_to_the_magnitude_limit(self, name, rng):
+        # scaling by 2**k is exact, so up to the largest accepted scale every
+        # value is the unscaled one (GAMMA's scaled by 2**k) bit for bit, and
+        # one more doubling is refused
+        spec = parse_statistic(name, alpha=0.25)
+        x = rng.normal(size=12)
+        base = evaluate(spec, x).value
+        k = 0
+        while True:
+            try:
+                scaled = evaluate(spec, x * 2.0 ** (k + 1)).value
+            except ValueError as exc:
+                assert "overflows" in str(exc)
+                break
+            k += 1
+            assert scaled == (base * 2.0**k if name == "GAMMA" else base)
+        assert k > 300
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("name", ALL_IDS)
     def test_fast_path_equals_enumeration(self, name, rng):
@@ -263,7 +298,15 @@ class TestRowCoreProperties:
             )
         )
         perm = np.asarray(data.draw(st.permutations(range(x.size))))
-        base = evaluate(spec, x)
+        try:
+            base = evaluate(spec, x)
+        except ValueError:
+            # values the arithmetic cannot carry: every order is refused alike
+            with pytest.raises(ValueError, match="overflows"):
+                evaluate(spec, x[perm])
+            with pytest.raises(ValueError, match="overflows"):
+                evaluate_many(spec, np.stack([x[perm], x]))
+            return
         assert evaluate(spec, x[perm]) == base
         batch = evaluate_many(spec, np.stack([x, x[perm], x[perm[::-1]]]))
         np.testing.assert_array_equal(batch, np.full(3, base.value))
