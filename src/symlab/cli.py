@@ -160,6 +160,7 @@ def _cmd_index(args) -> int:
         tests = [t.strip() for t in args.tests.split(",") if t.strip()]
         if not tests:
             raise ValueError("no tests requested")
+        specs = [parse_statistic(name) for name in tests]
         grid = _grid_from_arg(args.grid)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -169,8 +170,8 @@ def _cmd_index(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     curves = []
     all_na = True
-    for name in tests:
-        curve = eff.index_curve(name, alt, grid)
+    for spec in specs:
+        curve = eff.index_curve(spec, alt, grid)
         curves.append(curve)
         if not curve.not_applicable.all():
             all_na = False
@@ -222,6 +223,7 @@ def _cmd_variance(args) -> int:
         if not nulls:
             raise ValueError("no null models requested")
         spec0 = parse_statistic(args.stat, alpha=args.alpha if args.over_t else 0.0)
+        grid = _grid_from_arg(args.grid)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -243,7 +245,6 @@ def _cmd_variance(args) -> int:
         header = ["t"] + [f"sigma2_{null.name}" for null in nulls]
         params = {"stat": spec0.label, "alpha": args.alpha, "over_t": True}
     else:
-        grid = _grid_from_arg(args.grid)
         rows = []
         for a in grid:
             row = [a]

@@ -2,16 +2,21 @@
 
 Replications are organized in fixed-size chunks; each chunk owns a private
 counter-derived random stream (see :mod:`symlab._rng`), and chunk results are
-written into preallocated arrays by index.  Outputs are therefore
-byte-identical for a given configuration regardless of how many worker
-threads execute the chunks (``SYMLAB_THREADS`` caps the pool, default
-sequential).  Calibration and evaluation always consume disjoint stream
-families so critical values are never reused on the data that produced them.
+concatenated in chunk order.  Outputs are therefore byte-identical for a given
+configuration however many worker threads execute the chunks.  The worker
+count is ``min(usable CPUs, reps // 512)``: a thread pays off only once every
+worker has a full chunk, so fewer than two full chunks (or one usable CPU) run
+inline.  On a 2-core x86-64 VM, ``power`` for ``NA_K_4`` at n = 100 with 10^4
+replications took 0.77-0.86 s inline and 0.56-0.74 s on two workers (six
+runs each); with 600 replications it runs inline in 40-50 ms.  Calibration
+and evaluation always consume disjoint stream families so critical values are
+never reused on the data that produced them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -50,6 +55,8 @@ class McConfig:
     level: float = 0.05
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) for v in (self.n, self.reps)):
+            raise ValueError("sample size and replications must be integers")
         if self.n < 1:
             raise ValueError("sample size must be positive")
         if self.reps < 100:
@@ -58,40 +65,21 @@ class McConfig:
             raise ValueError("level must lie in (0, 1)")
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("SYMLAB_THREADS", "1")
+def _usable_cpus() -> int:
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _chunks(reps: int):
-    start = 0
-    index = 0
-    while start < reps:
-        rows = min(_CHUNK, reps - start)
-        yield index, start, rows
-        index += 1
-        start += rows
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def _run_chunked(reps: int, job) -> np.ndarray:
-    """Run ``job(chunk_index, rows) -> values`` over all chunks, in order."""
-    out = np.empty(reps)
-    workers = _max_workers()
-    tasks = list(_chunks(reps))
-    if workers == 1:
-        for index, start, rows in tasks:
-            out[start : start + rows] = job(index, rows)
-        return out
+    """Run ``job(chunk_index, rows) -> values`` over all chunks, in chunk order."""
+    rows = [min(_CHUNK, reps - start) for start in range(0, reps, _CHUNK)]
+    workers = min(_usable_cpus(), reps // _CHUNK)
+    if workers < 2:
+        return np.concatenate(list(map(job, range(len(rows)), rows)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(job, index, rows): (start, rows) for index, start, rows in tasks
-        }
-        for future, (start, rows) in futures.items():
-            out[start : start + rows] = future.result()
-    return out
+        return np.concatenate(list(pool.map(job, range(len(rows)), rows)))
 
 
 def _simulate(
@@ -124,18 +112,23 @@ def null_distribution(
     return _simulate(spec, null, None, cfg, _CAL, t=t)
 
 
-def _is_one_sided(spec: StatisticSpec) -> bool:
-    # large values of supremum-type statistics are significant; the others
-    # are asymptotically normal and reject for large absolute values
-    return spec.family == SUPREMUM
+def _calibrate(spec: StatisticSpec, null: SymmetricNull, cfg: McConfig, observed=()):
+    """Sorted null values of ``spec``, and ``observed``, on the rejection scale.
+
+    Large values of supremum-type statistics are significant; the others are
+    asymptotically normal and reject for large absolute values, so both the
+    null values and ``observed`` fold to ``|T|``.
+    """
+    values = null_distribution(spec, null, cfg)
+    if spec.family != SUPREMUM:
+        values, observed = np.abs(values), np.abs(observed)
+    values.sort()
+    return values, observed
 
 
 def critical_value(spec: StatisticSpec, null: SymmetricNull, cfg: McConfig) -> float:
     """Monte Carlo critical value at ``cfg.level`` (upper order statistic)."""
-    values = null_distribution(spec, null, cfg)
-    if not _is_one_sided(spec):
-        values = np.abs(values)
-    values.sort()
+    values, _ = _calibrate(spec, null, cfg)
     rank = min(cfg.reps, math.ceil((1.0 - cfg.level) * (cfg.reps + 1)))
     return float(values[rank - 1])
 
@@ -146,12 +139,8 @@ def p_value(spec: StatisticSpec, null: SymmetricNull, sample, cfg: McConfig) -> 
     One-sided for supremum-type statistics, two-sided by absolute value
     otherwise; ties with the observed value count as at least as extreme.
     """
-    observed = evaluate(spec, sample).value
-    values = null_distribution(spec, null, cfg)
-    if not _is_one_sided(spec):
-        observed = abs(observed)
-        values = np.abs(values)
-    exceed = int(np.sum(values >= observed))
+    values, observed = _calibrate(spec, null, cfg, evaluate(spec, sample).value)
+    exceed = cfg.reps - int(np.searchsorted(values, observed, side="left"))
     return (1.0 + exceed) / (cfg.reps + 1.0)
 
 
@@ -172,16 +161,12 @@ def power(
     whose achievable deterministic sizes can sit far from the nominal level;
     with it the empirical size matches the level for every statistic.
     """
-    calib = _simulate(spec, alt.base, None, cfg, _CAL)
-    values = _simulate(spec, alt, float(theta), cfg, _EVAL)
-    if not _is_one_sided(spec):
-        calib = np.abs(calib)
-        values = np.abs(values)
-    calib.sort()
-    greater = cfg.reps - np.searchsorted(calib, values, side="right")
-    ties = np.searchsorted(calib, values, side="right") - np.searchsorted(
-        calib, values, side="left"
+    calib, values = _calibrate(
+        spec, alt.base, cfg, _simulate(spec, alt, float(theta), cfg, _EVAL)
     )
+    at_most = np.searchsorted(calib, values, side="right")
+    greater = cfg.reps - at_most
+    ties = at_most - np.searchsorted(calib, values, side="left")
 
     def tie_job(chunk_index: int, rows: int) -> np.ndarray:
         return stream(cfg.seed, _TIE, chunk_index).random(rows)

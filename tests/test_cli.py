@@ -163,6 +163,15 @@ class TestCmdIndex:
         assert all(row["degenerate"] == "true" for row in rows)
         assert all(row["index"] == "nan" for row in rows)
 
+    @pytest.mark.parametrize("tests", ["FOO", "NA_I_1", "W,NA_I_1"])
+    def test_bad_test_name_exits_two_before_any_curve(self, tmp_path, capsys, tests):
+        out = tmp_path / "bad.csv"
+        code = main(["index", "--null", "normal", "--alt", "contam", "--tests", tests,
+                     "--grid", "5", "-o", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mixed_applicability_exits_zero(self, tmp_path):
         out = tmp_path / "mix.csv"
         code = main(
@@ -226,6 +235,16 @@ class TestCmdVariance:
         code = main(["variance", "--null", "normal", "--stat", "KS", "--over-t",
                      "--alpha", "0.7", "-o", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--over-t", "--alpha", "0.1"]])
+    @pytest.mark.parametrize("points", ["1", "0"])
+    def test_grid_below_two_points_exits_two(self, tmp_path, capsys, extra, points):
+        out = tmp_path / "x.csv"
+        code = main(["variance", "--null", "normal", "--stat", "KS", "--grid", points,
+                     "-o", str(out), *extra])
+        assert code == 2
+        assert "at least 2 points" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_moment_statistic_rejected(self, tmp_path):
         code = main(["variance", "--null", "normal", "--stat", "CM", "-o",

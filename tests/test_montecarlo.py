@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import symlab.montecarlo
+from symlab._rng import stream
 from symlab.distributions import get_alternative
 from symlab.montecarlo import McConfig, critical_value, null_distribution, p_value, power
-from symlab.stats import StatisticSpec, parse_statistic
+from symlab.stats import StatisticSpec, evaluate_many, parse_statistic
 
 
 class TestConfig:
@@ -16,6 +18,12 @@ class TestConfig:
             McConfig(n=10, reps=50, seed=1)
         with pytest.raises(ValueError):
             McConfig(n=10, reps=1000, seed=1, level=1.5)
+        # float counts would only fail later, inside numpy's sampler
+        with pytest.raises(ValueError, match="integers"):
+            McConfig(n=50, reps=1e3, seed=1)
+        with pytest.raises(ValueError, match="integers"):
+            McConfig(n=50.0, reps=1000, seed=1)
+        assert McConfig(n=np.int64(50), reps=np.int64(1000), seed=1).reps == 1000
 
 
 class TestNullDistribution:
@@ -26,20 +34,59 @@ class TestNullDistribution:
         b = null_distribution(spec, normal, cfg)
         np.testing.assert_array_equal(a, b)
 
-    def test_thread_count_does_not_change_results(self, normal, monkeypatch):
-        cfg = McConfig(n=30, reps=1500, seed=32)
-        spec = parse_statistic("NA_K_2", alpha=0.25)
-        monkeypatch.setenv("SYMLAB_THREADS", "1")
-        a = null_distribution(spec, normal, cfg)
-        monkeypatch.setenv("SYMLAB_THREADS", "4")
-        b = null_distribution(spec, normal, cfg)
-        np.testing.assert_array_equal(a, b)
-
     def test_centered_statistic_has_zero_mean(self, normal):
         cfg = McConfig(n=60, reps=4000, seed=33)
         values = null_distribution(StatisticSpec("S", alpha=0.2), normal, cfg)
         se = values.std() / math.sqrt(cfg.reps)
         assert abs(values.mean()) < 3.0 * se + 1e-3
+
+
+def _chunk_by_chunk(reps, job):
+    # the reference assembly: 512-row chunk i draws from its own stream i
+    return np.concatenate(
+        [job(i, min(512, reps - start)) for i, start in enumerate(range(0, reps, 512))]
+    )
+
+
+class TestChunkRunner:
+    # 600 replications run inline (one full chunk); 1024 and 1500 run two
+    # pooled workers once four CPUs are usable; 600 and 1500 end in a
+    # partial chunk
+    @pytest.mark.parametrize("reps", [600, 1024, 1500])
+    @pytest.mark.parametrize("name", ["W", "NA_K_2"])
+    def test_cpu_count_does_not_change_results(self, normal, monkeypatch, name, reps):
+        contam = get_alternative("contam", normal)
+        spec = parse_statistic(name, alpha=0.25)
+        cfg = McConfig(n=30, reps=reps, seed=32)
+        runs = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(symlab.montecarlo, "_usable_cpus", lambda: cpus)
+            runs.append(
+                (null_distribution(spec, normal, cfg), power(spec, contam, 0.2, cfg))
+            )
+        (null_inline, power_inline), (null_pooled, power_pooled) = runs
+        np.testing.assert_array_equal(null_inline, null_pooled)
+        assert power_inline == power_pooled
+
+        def draw(model, purpose, *theta):
+            def job(i, rows):
+                rng = stream(cfg.seed, purpose, i)
+                draws = model.sample(*theta, rows * cfg.n, 0, rng=rng)
+                return evaluate_many(spec, draws.reshape(rows, cfg.n))
+
+            return _chunk_by_chunk(reps, job)
+
+        null_ref = draw(normal, 0)
+        np.testing.assert_array_equal(null_pooled, null_ref)
+        calib, values = null_ref, draw(contam, 1, 0.2)
+        if spec.family != "supremum":
+            calib, values = np.abs(calib), np.abs(values)
+        calib = np.sort(calib)
+        u = _chunk_by_chunk(reps, lambda i, rows: stream(cfg.seed, 2, i).random(rows))
+        at_most = np.searchsorted(calib, values, side="right")
+        ties = at_most - np.searchsorted(calib, values, side="left")
+        p_rand = (reps - at_most + u * (1.0 + ties)) / (reps + 1.0)
+        assert power_pooled == float(np.mean(p_rand <= cfg.level))
 
 
 class TestPValues:

@@ -327,6 +327,21 @@ class TestRowCoreProperties:
         if base.sup_argument is not None:
             assert scaled.sup_argument == base.sup_argument * 2.0**k
 
+    @pytest.mark.parametrize("name", ALL_IDS)
+    @given(data=st.data(), shift=st.integers(-(10**6), 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_translation_by_an_integer(self, name, data, shift):
+        # on integer data the center is exact in two cases: at alpha = 1/2 with
+        # odd n it is the middle order statistic, and at alpha = 0 with n a
+        # power of two every weight 1/n is a power of two; x + c then centers
+        # to exactly the values x does
+        alpha, sizes = data.draw(st.sampled_from([(0.5, range(1, 17, 2)), (0.0, (2, 4, 8, 16))]))
+        spec = parse_statistic(name, alpha=alpha)
+        n = data.draw(st.sampled_from([m for m in sizes if m >= spec.kernel_order]))
+        ints = data.draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n))
+        x = np.asarray(ints, dtype=float)
+        assert evaluate(spec, x + shift) == evaluate(spec, x)
+
     @pytest.mark.parametrize("name", [n for n in ALL_IDS if n not in ("S", "W")])
     @given(data=st.data(), half=st.integers(1, 7))
     @settings(max_examples=25, deadline=None)
