@@ -55,8 +55,10 @@ class McConfig:
     level: float = 0.05
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral) for v in (self.n, self.reps)):
-            raise ValueError("sample size and replications must be integers")
+        if not all(isinstance(v, numbers.Integral) for v in (self.n, self.reps, self.seed)):
+            raise ValueError("sample size, replications and seed must be integers")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.n < 1:
             raise ValueError("sample size must be positive")
         if self.reps < 100:

@@ -11,14 +11,13 @@ That path has one centering and one moment block:
   :func:`symlab.location.trimmed_mean` takes.  The row-batched counting
   kernel :func:`_count_rows` then takes the matrix of sorted, centered rows.
   All characterization statistics reduce to counts of subsets whose
-  relevant order statistic has absolute value below a threshold:
-  closed-form products of binomial coefficients of ``#{y <= -t}``,
-  ``#{-t < y < t}`` and ``#{y >= t}``.  The kernel finds these counts for
-  every threshold of every row, gathers the coefficients from one binomial
-  table as 2-D arrays and reduces each row to an integer numerator (the
+  relevant order statistic has absolute value below a threshold ``t``:
+  ``D[b] - D[a]`` for ``a = #{y <= -t}``, ``b = #{y < t}`` and one band
+  table ``D`` (:func:`_band_counts`).  The kernel gathers these for every
+  threshold of every row and reduces each row to an integer numerator (the
   integral sum, the supremum with its maximizing threshold, or a family
-  member at fixed ``t``): ``O(n log n)`` per row after sorting.  Counts are
-  int64, exact while ``2 n C(n, p) < 2**63`` and wrapping modulo ``2**64``
+  member at fixed ``t``): ``O(n log n)`` per row after sorting.  Counts
+  are exact for every ``n`` and ``k``: int64 where they fit, Python ints
   beyond.
 * the moment statistics (CM, GAMMA, MGG, SQRT_B1) ignore the trimming
   coefficient and center each unsorted row by its mean and median in one
@@ -38,6 +37,8 @@ oracle apply the identical rule.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -112,8 +113,8 @@ class StatisticSpec:
             raise ValueError(f"unknown statistic kind {self.kind!r}")
         _, needs_k = _KIND_TABLE[self.kind]
         if needs_k:
-            if self.k is None or self.k < 1:
-                raise ValueError(f"{self.kind} requires a positive order parameter k")
+            if not isinstance(self.k, numbers.Integral) or isinstance(self.k, bool) or self.k < 1:
+                raise ValueError(f"{self.kind} requires a positive integer order parameter k")
             if self.kind.startswith("NA") and self.k < 2:
                 raise ValueError("NA statistics require k >= 2")
         elif self.k is not None:
@@ -191,19 +192,25 @@ class StatisticValue:
 # ---------------------------------------------------------------------------
 
 
-def _comb_table(n: int, p: int) -> np.ndarray:
-    """Exact table ``T[j, i] = C(j, i)`` for ``j <= n``, ``i <= p`` (int64).
+def _band_counts(n: int, p: int, r_low: int, r_high: int) -> np.ndarray:
+    """``D[m] = sum_{r_low <= j < r_high} C(m, j) C(n - m, p - j)`` for ``m = 0..n``.
 
-    Column ``i`` is the running sum of column ``i - 1`` (the hockey-stick
-    identity ``C(j, i) = sum_{m < j} C(m, i - 1)``), one ``cumsum`` per
-    column.  int64 sums wrap modulo ``2**64``, so every entry equals Pascal's
-    rule carried out in int64.
+    The ``p``-subsets whose ``r``-th order statistic lies in ``(-t, t)`` are
+    those with at least ``r`` elements below ``t`` less those with at least
+    ``r`` at or below ``-t``, so with ``a = #{y <= -t}`` and ``b = #{y < t}``
+    the count at rank ``r_low`` less that at ``r_high`` is ``D[b] - D[a]``.
+    Column ``i`` of ``C(m, i)`` is the running sum of column ``i - 1``.
+    Entries of ``D`` are at most ``C(n, p)``: int64 while ``2 C(n, p) <
+    2**63``, so doubled numerators fit, and Python ints beyond.  An int64
+    binomial past ``2**63`` only multiplies zeros: two nonzero factors
+    multiply to a term of ``C(n, p)``.
     """
-    cols = np.zeros((p + 1, n + 1), dtype=np.int64)
+    dtype = np.int64 if 2 * math.comb(n, p) < 2**63 else object
+    cols = np.zeros((p + 1, n + 1), dtype=dtype)
     cols[0] = 1
     for i in range(1, p + 1):
         np.cumsum(cols[i - 1, :-1], out=cols[i, 1:])
-    return cols.T
+    return sum(cols[j] * cols[p - j, ::-1] for j in range(r_low, r_high))
 
 
 def counting_tables(centered_sorted, t: float) -> tuple[int, int]:
@@ -231,50 +238,25 @@ def _search(ys: np.ndarray, queries: np.ndarray, side: str) -> np.ndarray:
     return out
 
 
-def _order_stat_counts(table: np.ndarray, n: int, p: int, r: int, a, b) -> np.ndarray:
-    """Number of ``p``-subsets whose ``r``-th order statistic ``W`` has ``|W| < t``.
-
-    ``a = #{y <= -t}`` and ``b = #{y < t}`` are arrays with one entry per
-    row and threshold.  The condition ``-t < W < t`` is equivalent to
-    ``#{subset elements < t} >= r`` and ``#{subset elements <= -t} <= r - 1``,
-    so the count is a sum of products of binomial coefficients over the
-    composition of the subset across the three groups.
-    """
-    n_mid = b - a
-    n_right = n - b
-    total = np.zeros(a.shape, dtype=np.int64)
-    for left in range(0, min(r - 1, p) + 1):
-        c_left = table[a, left]
-        for mid in range(max(0, r - left), p - left + 1):
-            total += c_left * table[n_mid, mid] * table[n_right, p - left - mid]
-    return total
-
-
 def _char_numerators(spec: StatisticSpec, ys: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Doubled integer numerators ``N_low(t) - N_high(t)``, one per row and threshold.
 
     Doubling keeps the BH statistics' half-weighted kernel integral; the
-    caller divides by :func:`_char_denominator`.  The count step functions
+    caller divides with :func:`_char_values`.  The count step functions
     are left-continuous, so evaluating at every jump threshold covers all
     attained values.
     """
-    n = ys.shape[1]
-    p = spec.subset_size
-    r_low, r_high = spec.order_pair
-    table = _comb_table(n, p)
-    a = _search(ys, -t, "right")
-    b = _search(ys, t, "left")
-    num = _order_stat_counts(table, n, p, r_low, a, b) - _order_stat_counts(
-        table, n, p, r_high, a, b
-    )
+    band = _band_counts(ys.shape[1], spec.subset_size, *spec.order_pair)
+    num = band[_search(ys, t, "left")] - band[_search(ys, -t, "right")]
     num = np.where(t > 0.0, num, 0)
     # the half-weighted BH kernel is (N_1 + N_2)/2 - N_2 = (N_1 - N_2)/2
     return num if spec.kind.startswith("BH") else 2 * num
 
 
-def _char_denominator(spec: StatisticSpec, n: int) -> float:
+def _char_values(spec: StatisticSpec, n: int, num: np.ndarray, terms: int = 1) -> np.ndarray:
+    """``num / (terms * 2 C(n, p))`` in float64, for int64 and Python-int numerators alike."""
     # doubled throughout so BH's half-weights stay integral
-    return 2.0 * math.comb(n, spec.subset_size)
+    return np.asarray(num / (terms * (2.0 * math.comb(n, spec.subset_size))), dtype=float)
 
 
 def _ks_numerators(ys: np.ndarray, s: np.ndarray):
@@ -307,9 +289,10 @@ def _count_rows(spec: StatisticSpec, ys: np.ndarray, t: float | None = None):
     """Values of a counting statistic on every row of ``ys`` at once.
 
     ``ys`` is a ``(rows, n)`` matrix of sorted, centered samples.  Every
-    count is an int64 array over all rows and thresholds, and each value is
-    one division of its integer numerator: the integral sum, the supremum
-    or, with ``t`` given (supremum kinds), the family member at ``t``.
+    count is an integer array over all rows and thresholds (Python ints
+    where int64 would not hold them), and each value is one division of its
+    integer numerator: the integral sum, the supremum or, with ``t`` given
+    (supremum kinds), the family member at ``t``.
     Returns ``(values, sup_arguments)``; the arguments are the maximizing
     thresholds of a supremum and None otherwise.
     """
@@ -327,7 +310,7 @@ def _count_rows(spec: StatisticSpec, ys: np.ndarray, t: float | None = None):
         member = np.full((rows, 1), float(t))
         if spec.kind == "KS":
             return _ks_numerators(ys, member)[0][:, 0] / n, None
-        return _char_numerators(spec, ys, member)[:, 0] / _char_denominator(spec, n), None
+        return _char_values(spec, n, _char_numerators(spec, ys, member)[:, 0]), None
     mags = np.abs(ys)
     if spec.kind == "KS":
         s = np.concatenate([np.zeros((rows, 1)), mags], axis=1)
@@ -337,8 +320,13 @@ def _count_rows(spec: StatisticSpec, ys: np.ndarray, t: float | None = None):
     if spec.family == SUPREMUM:
         # beyond the largest jump every count difference is zero
         best, arg = _sup((nums,), np.where(mags > 0.0, mags, np.inf))
-        return best / _char_denominator(spec, n), arg
-    return nums.sum(axis=1) / (n * _char_denominator(spec, n)), None
+        return _char_values(spec, n, best), arg
+    if nums.dtype == object or n * 2 * math.comb(n, spec.subset_size) < 2**63:
+        total = nums.sum(axis=1)
+    else:  # int64 row sums would wrap: sum the high and low 32-bit halves apart
+        high, low = (nums >> 32).sum(axis=1), (nums & 0xFFFFFFFF).sum(axis=1)
+        total = high.astype(object) * 2**32 + low.astype(object)
+    return _char_values(spec, n, total, terms=n), None
 
 
 def _check_rows(spec: StatisticSpec, samples: np.ndarray) -> None:
@@ -347,6 +335,8 @@ def _check_rows(spec: StatisticSpec, samples: np.ndarray) -> None:
     Centering at most doubles a magnitude; the moment statistics then sum
     ``n`` squares (SQRT_B1 cubes).  Below the limit nothing overflows in any
     summation order, so a sample and all its permutations are refused alike.
+    The characterization statistics divide by twice the subset count (and
+    ``n``, integral kinds) in float64, which must not overflow either.
     """
     n = samples.shape[1]
     power, terms = 1, 1
@@ -358,6 +348,10 @@ def _check_rows(spec: StatisticSpec, samples: np.ndarray) -> None:
         raise InsufficientSampleError(
             f"{spec.label} needs at least {spec.kernel_order} observations"
         )
+    elif spec.kind not in ("S", "W", "KS"):
+        divisor = 2 * math.comb(n, spec.subset_size) * (n if spec.family == INTEGRAL else 1)
+        if divisor > sys.float_info.max:
+            raise ValueError(f"{spec.label} counts more subsets of {n} than float64 can hold")
     limit = (np.finfo(float).max / (2.0 * terms)) ** (1.0 / power) / 2.0
     if max(samples.max(), -samples.min()) > limit:
         raise ValueError(

@@ -1,15 +1,60 @@
-"""Simulation oracles shared by the test modules.
+"""Oracles shared by the test modules.
 
 The kernel-projection estimator here evaluates the symmetrized kernels by
 literal order-statistic comparisons on simulated draws, so it is independent
-of the closed-form profiles in ``symlab.asymptotics``.
+of the closed-form profiles in ``symlab.asymptotics``.  The exact counting
+value recounts the characterization statistics in Python ints, with a
+different subset-count formula from the one in ``symlab.stats``.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 
-from symlab.stats import StatisticSpec
+from symlab.location import trimmed_mean
+from symlab.stats import INTEGRAL, StatisticSpec
+
+
+def exact_counting_value(spec: StatisticSpec, sample, t: float | None = None) -> float:
+    """A BH/NA/MO statistic (or its member at ``t``) from Python-int subset counts.
+
+    The sorted sample is centered by its trimmed mean.  At each threshold
+    the ``p``-subsets whose ``r``-th order statistic lies in ``(-t, t)`` are
+    counted by how many of their elements fall in each of the groups
+    ``y <= -t``, ``-t < y < t`` and ``y >= t``: at most ``r - 1`` in the
+    first and at least ``r`` in the first two.  The value divides as the
+    program does, so it matches a correct kernel bit for bit.
+    """
+    x = np.asarray(sample, dtype=float)
+    n = x.size
+    y = (np.sort(x) - trimmed_mean(x, spec.alpha)).tolist()
+    p = spec.subset_size
+    comb = math.comb
+
+    def inside(r: int, left: int, mid: int, right: int) -> int:
+        return sum(
+            comb(left, i) * comb(mid, j) * comb(right, p - i - j)
+            for i in range(min(r - 1, p) + 1)
+            for j in range(max(0, r - i), p - i + 1)
+        )
+
+    def doubled(s: float) -> int:
+        if s <= 0.0:
+            return 0
+        a, b = bisect_right(y, -s), bisect_left(y, s)
+        r_low, r_high = spec.order_pair
+        num = inside(r_low, a, b - a, n - b) - inside(r_high, a, b - a, n - b)
+        return num if spec.kind.startswith("BH") else 2 * num
+
+    denom = 2.0 * comb(n, p)
+    if t is not None:
+        return doubled(abs(t)) / denom
+    if spec.family == INTEGRAL:
+        return sum(doubled(abs(v)) for v in y) / (n * denom)
+    return max(abs(doubled(abs(v))) for v in y) / denom
 
 
 def mc_projection(

@@ -64,6 +64,7 @@ class TestCmdTest:
         data = write_lines(tmp_path / "d.txt", [0.3, -1.2, 2.0, 0.7, -0.4])
         assert main(["test", data, "--stat", "S", "--reps", "50"]) == 2
         assert main(["test", data, "--stat", "S", "--reps", "400", "--level", "1.5"]) == 2
+        assert main(["test", data, "--stat", "S", "--reps", "400", "--seed", "-1"]) == 2
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_sample_exits_two(self, tmp_path, capsys, bad):
@@ -72,6 +73,13 @@ class TestCmdTest:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "NaN or infinite" in captured.err
+
+    def test_subset_count_beyond_float_exits_two(self, tmp_path, capsys):
+        data = write_lines(tmp_path / "d.txt", np.random.default_rng(0).normal(size=1200))
+        assert main(["test", data, "--stat", "NA_K_600", "--reps", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "subsets" in captured.err
 
     @pytest.mark.parametrize("stat", ["W", "KS", "CM", "SQRT_B1"])
     def test_overflowing_sample_exits_two(self, tmp_path, capsys, stat):

@@ -23,7 +23,12 @@ class TestConfig:
             McConfig(n=50, reps=1e3, seed=1)
         with pytest.raises(ValueError, match="integers"):
             McConfig(n=50.0, reps=1000, seed=1)
-        assert McConfig(n=np.int64(50), reps=np.int64(1000), seed=1).reps == 1000
+        # a float seed would alias its truncation; a negative one fails mid-run
+        with pytest.raises(ValueError, match="integers"):
+            McConfig(n=50, reps=1000, seed=1.5)
+        with pytest.raises(ValueError, match="non-negative"):
+            McConfig(n=50, reps=1000, seed=-1)
+        assert McConfig(n=np.int64(50), reps=np.int64(1000), seed=np.int64(1)).reps == 1000
 
 
 class TestNullDistribution:

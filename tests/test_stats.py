@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import exact_counting_value
 from symlab.errors import DegenerateSampleError, InsufficientSampleError
 from symlab.stats import (
-    _comb_table,
+    _band_counts,
     STATISTIC_NAMES,
     StatisticSpec,
     StatisticValue,
@@ -50,6 +51,11 @@ class TestSpec:
             StatisticSpec("NA_I", k=1)  # k >= 2 for this family
         with pytest.raises(ValueError):
             StatisticSpec("S", k=3)
+        # a non-integral k would only fail later, inside the counting kernel
+        for k in (2.5, 3.0, True, "3"):
+            with pytest.raises(ValueError, match="integer"):
+                StatisticSpec("NA_K", k=k)
+        assert StatisticSpec("MO_I", k=np.int64(2)).subset_size == 4
 
     def test_kernel_orders(self):
         orders = {
@@ -155,6 +161,19 @@ class TestOverflowRefused:
             evaluate_many(spec, np.asarray([x, x[::-1]]))
         if spec.family == "supremum":
             with pytest.raises(ValueError, match="overflows"):
+                evaluate_family_member(spec, x, 1.0)
+
+    @pytest.mark.parametrize("name", ["NA_K_600", "NA_I_600", "MO_K_300", "NA_I_335"])
+    def test_subset_count_beyond_float_refused(self, name, rng):
+        # 2 C(1200, p) passes float64 from p = 338 on, 2 n C(1200, p) from 330
+        spec = parse_statistic(name)
+        x = rng.normal(size=1200)
+        with pytest.raises(ValueError, match="subsets"):
+            evaluate(spec, x)
+        with pytest.raises(ValueError, match="subsets"):
+            evaluate_many(spec, x[None, :])
+        if spec.family == "supremum":
+            with pytest.raises(ValueError, match="subsets"):
                 evaluate_family_member(spec, x, 1.0)
 
     @pytest.mark.parametrize("name", ["S", "KS", "NA_I_2", "MO_K_2"] + MOMENT_IDS)
@@ -398,15 +417,19 @@ class TestBatchEvaluation:
         single = np.asarray([evaluate_family_member(spec, row, 1.0) for row in samples])
         np.testing.assert_array_equal(batch, single)
 
-    @pytest.mark.parametrize("name", ["NA_I_4", "MO_I_2"])
+    @pytest.mark.parametrize("name", ["NA_I_4", "MO_I_2", "NA_K_10", "NA_I_10"])
     def test_long_row_single_and_batched_agree(self, name, rng):
-        # at n = 1e5 these subset counts pass 2**63 and wrap: both entry
-        # points must wrap identically
+        # past 2**63: the integral sums of NA_I_4 and MO_I_2 at n = 1e5, and
+        # the subset counts themselves of NA_K_10 and NA_I_10 at n = 500
         spec = parse_statistic(name, alpha=0.25)
-        x = rng.normal(size=100_000)
+        x = rng.normal(size=100_000 if spec.subset_size == 4 else 500)
         single = evaluate(spec, x).value
         batch = evaluate_many(spec, x[None, :])[0]
-        assert repr(float(batch)) == repr(single)
+        assert repr(float(batch)) == repr(single) == repr(exact_counting_value(spec, x))
+        if spec.family == "supremum":
+            for t in (0.3, 0.6, 1.5):
+                member = evaluate_family_member(spec, x, t)
+                assert repr(member) == repr(exact_counting_value(spec, x, t))
 
     def test_sup_dominates_members(self, rng):
         spec = parse_statistic("NA_K_3", alpha=0.25)
@@ -426,19 +449,19 @@ class TestBatchEvaluation:
         assert "S" in STATISTIC_NAMES
 
 
-class TestCombTable:
-    @pytest.mark.parametrize("n, p", [(200, 6), (2000, 4)])
-    def test_exact_where_int64_holds(self, n, p):
-        table = _comb_table(n, p)
-        assert table.shape == (n + 1, p + 1)
-        assert table.tolist() == [[math.comb(j, i) for i in range(p + 1)] for j in range(n + 1)]
-
-    def test_wraps_like_pascal_rule_in_int64(self):
-        # past 2**63 the entries are the exact coefficients reduced to signed
-        # 64 bits, as Pascal's rule carried out in int64 gives them
-        n, p = 100_000, 5
-        table = _comb_table(n, p)
-        for j in (1_000, 31_622, 65_536, 99_999, 100_000):
-            for i in range(p + 1):
-                wrapped = (math.comb(j, i) + 2**63) % 2**64 - 2**63
-                assert int(table[j, i]) == wrapped
+class TestBandCounts:
+    @pytest.mark.parametrize(
+        "n, p, dtype",
+        # an int64 table, an int64 table whose integral sums pass 2**63, Python ints
+        [(200, 6, np.int64), (100_000, 4, np.int64), (500, 10, object)],
+    )
+    def test_matches_binomial_sums(self, n, p, dtype):
+        # the order pairs of NA_K_p and MO_K_(p/2)
+        for r_low, r_high in [(1, p), (p // 2, p // 2 + 1)]:
+            band = _band_counts(n, p, r_low, r_high)
+            assert band.dtype == dtype
+            want = [
+                sum(math.comb(m, j) * math.comb(n - m, p - j) for j in range(r_low, r_high))
+                for m in range(n + 1)
+            ]
+            assert [int(d) for d in band] == want
