@@ -10,15 +10,24 @@ no matter how many workers consume streams concurrently.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-__all__ = ["stream", "DEFAULT_SEED"]
+__all__ = ["stream", "check_seed", "DEFAULT_SEED"]
 
 #: root seed of every command and check that is not given one
 DEFAULT_SEED = 20260811
 
 
+def check_seed(seed) -> int:
+    """``seed`` as a root seed; floats (which alias their truncation), bools and negatives fail."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
+    return int(seed)
+
+
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Return the generator identified by ``seed`` and an integer path."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
+    ss = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))

@@ -30,7 +30,7 @@ import numpy as np
 from . import asymptotics as asy
 from . import efficiency as eff
 from . import montecarlo as mc
-from ._rng import DEFAULT_SEED
+from ._rng import DEFAULT_SEED, check_seed
 from .distributions import ALTERNATIVE_NAMES, NULL_NAMES, get_alternative, get_null
 from .errors import NotApplicableError
 from .stats import MOMENT, SUPREMUM, evaluate, parse_statistic
@@ -46,6 +46,10 @@ def _version() -> str:
         return metadata.version("symlab")
     except metadata.PackageNotFoundError:  # pragma: no cover - dev tree
         return "0.0.0"
+
+
+def _seed(text: str) -> int:
+    return check_seed(int(text))  # argparse turns a refusal into a usage error, exit 2
 
 
 def _fmt(x: float) -> str:
@@ -99,26 +103,17 @@ def _read_data(path: str, col: str | None) -> np.ndarray:
 def _cmd_test(args) -> int:
     try:
         data = _read_data(args.data, args.col)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    null = get_null(args.null)
-    try:
+        null = get_null(args.null)
         spec = parse_statistic(args.stat, alpha=args.alpha)
         asy.applicability(spec, null)
-    except NotApplicableError as exc:
-        print(f"not applicable: {exc}", file=sys.stderr)
-        return EXIT_NOT_APPLICABLE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
         cfg = mc.McConfig(n=data.size, reps=args.reps, seed=args.seed, level=args.level)
         result = evaluate(spec, data)
         pval = mc.p_value(spec, null, data, cfg)
         crit = mc.critical_value(spec, null, cfg)
-    except ValueError as exc:  # bad --reps/--level; too short, degenerate or non-finite sample
+    except NotApplicableError as exc:
+        print(f"not applicable: {exc}", file=sys.stderr)
+        return EXIT_NOT_APPLICABLE
+    except (OSError, ValueError) as exc:  # unreadable data, bad options, unusable sample
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -223,21 +218,19 @@ def _cmd_variance(args) -> int:
         if not nulls:
             raise ValueError("no null models requested")
         spec0 = parse_statistic(args.stat, alpha=args.alpha if args.over_t else 0.0)
+        if spec0.family == MOMENT:
+            raise ValueError("moment-based statistics have no trimming-variance curve")
+        if args.over_t and spec0.family != SUPREMUM:
+            raise ValueError("--over-t applies to supremum-type statistics")
         grid = _grid_from_arg(args.grid)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if spec0.family == MOMENT:
-        print("error: moment-based statistics have no trimming-variance curve", file=sys.stderr)
         return EXIT_INPUT
 
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
 
     if args.over_t:
-        if spec0.family != SUPREMUM:
-            print("error: --over-t applies to supremum-type statistics", file=sys.stderr)
-            return EXIT_INPUT
         t_max = max(float(null.quantile(0.999)) for null in nulls)
         ts = np.linspace(0.0, t_max, args.grid)
         columns = [asy.variance_function(spec0, null, ts) for null in nulls]
@@ -309,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--alpha", type=float, default=0.0, help="trimming coefficient")
     p_test.add_argument("--null", default="normal", choices=NULL_NAMES)
     p_test.add_argument("--reps", type=int, default=10_000, help="Monte Carlo replications")
-    p_test.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_test.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p_test.add_argument("--level", type=float, default=0.05)
     p_test.add_argument("--col", default=None, help="CSV column to read")
     p_test.add_argument("--json", action="store_true", help="machine-readable output")
@@ -321,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--tests", default=",".join(eff.DEFAULT_TESTS))
     p_index.add_argument("--grid", type=int, default=101, help="number of grid points")
     p_index.add_argument("-o", "--output", required=True, help="combined long-format CSV path")
-    p_index.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_index.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p_index.set_defaults(func=_cmd_index)
 
     p_var = sub.add_parser("variance", help="limiting-variance curves")
@@ -335,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="run the validation suite")
     p_val.add_argument("--suite", choices=["quick", "full"], default="quick")
-    p_val.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_val.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p_val.add_argument("-o", "--output", default=None, help="JSON report path")
     p_val.set_defaults(func=_cmd_validate)
     return parser

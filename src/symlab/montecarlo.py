@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import stream
+from ._rng import check_seed, stream
 from .distributions import AlternativeFamily, SymmetricNull
 from .stats import SUPREMUM, StatisticSpec, evaluate, evaluate_many
 
@@ -55,10 +55,9 @@ class McConfig:
     level: float = 0.05
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral) for v in (self.n, self.reps, self.seed)):
-            raise ValueError("sample size, replications and seed must be integers")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not all(isinstance(v, numbers.Integral) for v in (self.n, self.reps)):
+            raise ValueError("sample size and replications must be integers")
+        check_seed(self.seed)  # refused here already, not first inside a worker
         if self.n < 1:
             raise ValueError("sample size must be positive")
         if self.reps < 100:

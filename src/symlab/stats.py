@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -113,10 +112,9 @@ class StatisticSpec:
             raise ValueError(f"unknown statistic kind {self.kind!r}")
         _, needs_k = _KIND_TABLE[self.kind]
         if needs_k:
-            if not isinstance(self.k, numbers.Integral) or isinstance(self.k, bool) or self.k < 1:
-                raise ValueError(f"{self.kind} requires a positive integer order parameter k")
-            if self.kind.startswith("NA") and self.k < 2:
-                raise ValueError("NA statistics require k >= 2")
+            lo = 2 if self.kind.startswith("NA") else 1
+            if not isinstance(self.k, numbers.Integral) or isinstance(self.k, bool) or self.k < lo:
+                raise ValueError(f"{self.kind} requires an integer order parameter k >= {lo}")
         elif self.k is not None:
             raise ValueError(f"{self.kind} does not take an order parameter")
         if not 0.0 <= self.alpha <= 0.5:
@@ -253,10 +251,16 @@ def _char_numerators(spec: StatisticSpec, ys: np.ndarray, t: np.ndarray) -> np.n
     return num if spec.kind.startswith("BH") else 2 * num
 
 
-def _char_values(spec: StatisticSpec, n: int, num: np.ndarray, terms: int = 1) -> np.ndarray:
-    """``num / (terms * 2 C(n, p))`` in float64, for int64 and Python-int numerators alike."""
-    # doubled throughout so BH's half-weights stay integral
-    return np.asarray(num / (terms * (2.0 * math.comb(n, spec.subset_size))), dtype=float)
+def _char_divisor(spec: StatisticSpec, n: int) -> float:
+    """``2 C(n, p)``, times ``n`` for the integral kinds, in float64; ``inf`` past its range."""
+    count = math.comb(n, spec.subset_size)
+    twice = 2.0 * count if count < 2**1023 else math.inf  # doubled: BH half-weights stay integral
+    return n * twice if spec.family == INTEGRAL else twice
+
+
+def _char_values(spec: StatisticSpec, n: int, num: np.ndarray) -> np.ndarray:
+    """``num`` over :func:`_char_divisor` in float64, for int64 and Python-int numerators alike."""
+    return np.asarray(num / _char_divisor(spec, n), dtype=float)
 
 
 def _ks_numerators(ys: np.ndarray, s: np.ndarray):
@@ -321,12 +325,12 @@ def _count_rows(spec: StatisticSpec, ys: np.ndarray, t: float | None = None):
         # beyond the largest jump every count difference is zero
         best, arg = _sup((nums,), np.where(mags > 0.0, mags, np.inf))
         return _char_values(spec, n, best), arg
-    if nums.dtype == object or n * 2 * math.comb(n, spec.subset_size) < 2**63:
+    if nums.dtype == object:
         total = nums.sum(axis=1)
-    else:  # int64 row sums would wrap: sum the high and low 32-bit halves apart
+    else:  # an int64 row sum can wrap: sum the high and low 32-bit halves apart
         high, low = (nums >> 32).sum(axis=1), (nums & 0xFFFFFFFF).sum(axis=1)
-        total = high.astype(object) * 2**32 + low.astype(object)
-    return _char_values(spec, n, total, terms=n), None
+        total = high.astype(object) * 2**32 + low
+    return _char_values(spec, n, total), None
 
 
 def _check_rows(spec: StatisticSpec, samples: np.ndarray) -> None:
@@ -348,10 +352,8 @@ def _check_rows(spec: StatisticSpec, samples: np.ndarray) -> None:
         raise InsufficientSampleError(
             f"{spec.label} needs at least {spec.kernel_order} observations"
         )
-    elif spec.kind not in ("S", "W", "KS"):
-        divisor = 2 * math.comb(n, spec.subset_size) * (n if spec.family == INTEGRAL else 1)
-        if divisor > sys.float_info.max:
-            raise ValueError(f"{spec.label} counts more subsets of {n} than float64 can hold")
+    elif spec.kind not in ("S", "W", "KS") and math.isinf(_char_divisor(spec, n)):
+        raise ValueError(f"{spec.label} counts more subsets of {n} than float64 can hold")
     limit = (np.finfo(float).max / (2.0 * terms)) ** (1.0 / power) / 2.0
     if max(samples.max(), -samples.min()) > limit:
         raise ValueError(

@@ -64,7 +64,6 @@ class TestCmdTest:
         data = write_lines(tmp_path / "d.txt", [0.3, -1.2, 2.0, 0.7, -0.4])
         assert main(["test", data, "--stat", "S", "--reps", "50"]) == 2
         assert main(["test", data, "--stat", "S", "--reps", "400", "--level", "1.5"]) == 2
-        assert main(["test", data, "--stat", "S", "--reps", "400", "--seed", "-1"]) == 2
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_sample_exits_two(self, tmp_path, capsys, bad):
@@ -254,6 +253,13 @@ class TestCmdVariance:
         assert "at least 2 points" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_over_t_refused_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "sub" / "x.csv"
+        code = main(["variance", "--null", "normal", "--stat", "W", "--over-t", "-o", str(out)])
+        assert code == 2
+        assert "supremum-type" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_moment_statistic_rejected(self, tmp_path):
         code = main(["variance", "--null", "normal", "--stat", "CM", "-o",
                      str(tmp_path / "x.csv")])
@@ -279,3 +285,11 @@ class TestCmdValidate:
         )
         assert main(["validate", "--suite", "quick"]) == 1
         assert "[FAIL] fake-fail" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [["test", "data.txt"], ["index"], ["validate"]])
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_bad_seed_is_a_usage_error(self, capsys, command, seed):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--seed", seed])
+        assert exc.value.code == 2
+        assert "argument --seed: invalid _seed value" in capsys.readouterr().err

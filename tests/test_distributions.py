@@ -175,6 +175,14 @@ class TestSamplers:
         fs = get_alternative("fs", normal)
         np.testing.assert_array_equal(fs.sample(0.3, 500, 7), fs.sample(0.3, 500, 7))
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1])
+    def test_refuses_seeds_that_are_not_natural_numbers(self, normal, seed):
+        # a float seed would draw the stream of its truncation, True that of 1
+        with pytest.raises(ValueError, match="seed"):
+            normal.sample(10, seed)
+        with pytest.raises(ValueError, match="seed"):
+            get_alternative("fs", normal).sample(0.3, 10, seed)
+
     def test_null_sample_mean(self, normal):
         x = normal.sample(100_000, 11)
         assert abs(x.mean()) < 0.02

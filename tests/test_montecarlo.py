@@ -24,9 +24,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="integers"):
             McConfig(n=50.0, reps=1000, seed=1)
         # a float seed would alias its truncation; a negative one fails mid-run
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="non-negative integer"):
             McConfig(n=50, reps=1000, seed=1.5)
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            McConfig(n=50, reps=1000, seed=True)
+        with pytest.raises(ValueError, match="non-negative integer"):
             McConfig(n=50, reps=1000, seed=-1)
         assert McConfig(n=np.int64(50), reps=np.int64(1000), seed=np.int64(1)).reps == 1000
 
