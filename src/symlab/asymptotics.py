@@ -15,13 +15,21 @@ local alternative with score ``h`` is
 ``m Integral phi(x) (h(x) + mu' f'(x)) dx``, where ``mu'`` is the estimand
 derivative from :func:`symlab.location.trimmed_mean_derivative`; for
 supremum-type statistics both the variance and the slope are functions of the
-threshold ``t`` (a float or an array, so the search evaluates a whole grid in
-one call) and the supremum over ``t`` is taken.
+threshold ``t`` and the supremum over ``t`` is taken.
+
+A whole grid of trimming levels ``a`` is computed in one pass, each level
+from its own ``a`` alone, so it gives the same bits on any grid.  For
+supremum-type statistics ``a`` enters only through ``Q``, ``min(a, 1-q)``
+and ``mu'(a)``, so :func:`_sup_over_t` searches an ``(a, t)`` array.  For
+integral-type ones ``Int_Q^inf phi f`` integrates a polynomial in
+``u = F(x)``, exact under a fixed Gauss-Legendre rule, and
+``Int_0^Q phi x f`` uses a fixed composite rule (:func:`_t3`).  A
+moment-based index does not depend on ``a`` and is computed once.
 
 :func:`functools.cache` holds the alpha-free integrals ``Int phi^2``,
-``Int phi f'`` and ``Int phi h`` per ``(kind, k)`` statistic and model, and
-``mu'`` per (alternative, alpha); models compare by value, so every lookup of
-one model shares an entry.
+``Int phi f'``, ``Int_0^inf phi x f``, ``Int phi h`` and ``Int x^3 h`` per
+``(kind, k)`` statistic and model, and ``mu'`` per (alternative, alpha);
+models compare by value, so every lookup of one model shares an entry.
 
 Projections are analytic.  Every characterization statistic compares the
 ``r``-th and ``(p+1-r)``-th order statistics of a ``p``-subsample in absolute
@@ -36,9 +44,10 @@ members factor as ``w(q) * chi(u; q)`` where ``chi(u; q) = 1{u >= q} -
 1{u < 1-q}`` and ``q = F(t)``.  These closed forms are certified against
 Monte Carlo conditional expectations in the test suite.
 
-:func:`report` is the single place the local index is assembled, including
-its degenerate cases (a vanishing variance, and KS at ``a = 1/2``); the
-index functions of :mod:`symlab.efficiency` read their values from it.
+:func:`report_curve` is the single place the local index is assembled,
+including its degenerate cases (a vanishing variance, and KS at
+``a = 1/2``); :func:`report` is its one-level case, and the index functions
+of :mod:`symlab.efficiency` read their values from it.
 :func:`applicability` is the single rule for which (test, null) pairs the
 theory covers: moment-based tests need a finite second moment (SQRT_B1 a
 sixth), and every other test needs mean centering (``a = 0``) to have a
@@ -48,6 +57,7 @@ applies it, as does ``symlab test``.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -73,7 +83,9 @@ __all__ = [
     "sqrtb1_slope",
     "applicability",
     "AsymptoticReport",
+    "IndexCurve",
     "report",
+    "report_curve",
     "DEGENERACY_TOL",
 ]
 
@@ -182,6 +194,39 @@ def projection(spec: StatisticSpec, null: SymmetricNull) -> Projection:
 
 
 # ---------------------------------------------------------------------------
+# fixed quadrature rules
+# ---------------------------------------------------------------------------
+
+
+@cache
+def _gauss01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on ``[0, 1]``."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+@cache
+def _graded_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on ``[0, 1]``, panels ``[4^-j-1, 4^-j]`` and ``[0, 4^-25]``.
+
+    Scaled to ``[0, q]``, the graded panels resolve an integrand that varies
+    on a fixed scale near the origin for any ``q`` up to about 3e15 (the
+    largest Cauchy quantile); uniform panels lose digits once ``q`` is large.
+    """
+    s, w = _gauss01(nodes)
+    edges = np.concatenate([[0.0], 0.25 ** np.arange(25.0, -1.0, -1.0)])
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    return (lo + width * s).ravel(), (width * w).ravel()
+
+
+def _u_integral(f, lo):
+    """``Integral_lo^1 f(u) du`` for each ``lo``, exact for polynomials of degree <= 47."""
+    u, w = _gauss01(24)
+    lo = np.asarray(lo, dtype=float)[..., None]
+    return (1.0 - lo[..., 0]) * np.sum(w * f(lo + (1.0 - lo) * u), axis=-1)
+
+
+# ---------------------------------------------------------------------------
 # variance (integral type and supremum members)
 # ---------------------------------------------------------------------------
 
@@ -189,13 +234,8 @@ def projection(spec: StatisticSpec, null: SymmetricNull) -> Projection:
 @cache
 def _phi_sq(spec: StatisticSpec) -> float:
     """``Integral_0^1 phi(u)^2 du`` (null-free)."""
-    if spec.kind == "S":
-        return 0.25
-    if spec.kind == "W":
-        return 1.0 / 12.0
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    half = 0.25 * (nodes + 1.0) + 0.5  # map to (1/2, 1)
-    return 2.0 * 0.25 * float(np.sum(weights * _profile(spec)(half) ** 2))
+    phi_u = _profile(spec)
+    return 2.0 * float(_u_integral(lambda u: phi_u(u) ** 2, 0.5))
 
 
 def _phi_x(spec: StatisticSpec, null: SymmetricNull):
@@ -209,6 +249,32 @@ def _int_phi_fprime(spec: StatisticSpec, null: SymmetricNull) -> float:
     return quad_split(
         lambda x: phi(x) * null.density_derivative(x), -np.inf, np.inf, points=[0.0]
     )
+
+
+@cache
+def _int_phi_x(spec: StatisticSpec, null: SymmetricNull) -> float:
+    """``Integral_0^inf phi(x) x f(x) dx``, the untrimmed case of :func:`_t3`."""
+    phi = _phi_x(spec, null)
+    return quad_split(lambda x: phi(x) * x * null.density(x), 0.0, np.inf)
+
+
+def _t3(spec: StatisticSpec, null: SymmetricNull, q):
+    """``Integral_0^q phi(x) x f(x) dx`` for each ``q``, with an error estimate.
+
+    The 24-point :func:`_graded_rule` scaled to ``[0, q]``.  The estimate is
+    the distance to the 12-point rule on the same panels: about the coarser
+    rule's error, so a conservative bound on this one's.
+    """
+    phi_u = _profile(spec)
+    q = np.asarray(q, dtype=float)[..., None]
+
+    def apply(nodes):
+        s, w = _graded_rule(nodes)
+        x = q * s
+        return q[..., 0] * np.sum(w * phi_u(null.cdf(x)) * x * null.density(x), axis=-1)
+
+    value = apply(24)
+    return value, np.abs(value - apply(12))
 
 
 def applicability(spec: StatisticSpec, null: SymmetricNull) -> None:
@@ -231,29 +297,49 @@ def applicability(spec: StatisticSpec, null: SymmetricNull) -> None:
         )
 
 
-def _assemble_variance(spec, null, t1, a_coef, t3, t4, t3_inf, i5) -> float:
-    """Three-branch variance assembly shared by the two statistic families.
+def _assemble_variance(null, m, alphas, t1, a_coef, mean_cross, median_cross, trim_cross):
+    """``m^2 [t1 + c(a) A^2 + A J(a)]`` on each level ``a``, shared by the two families.
 
-    ``t3``/``t4`` are functions of the trimming quantile ``Q``; ``t3_inf`` and
-    ``i5`` are the untrimmed/median-case substitutes (callables, evaluated
-    lazily so the boundary branches never touch quantities they do not need).
+    ``alphas`` broadcasts against ``t1`` and ``A = a_coef`` (scalars, or
+    supremum-member thresholds).  ``J`` is ``4 mean_cross()`` at ``a = 0``,
+    ``(2/f(0)) median_cross()`` at ``a = 1/2`` and ``4/(1-2a) trim_cross(Q,
+    a)`` between, with ``Q`` the ``(1-a)`` quantile; a branch runs only when
+    some level needs it, and no level reads another.
     """
-    applicability(spec, null)
-    alpha, m = spec.alpha, spec.kernel_order
-    a_sq = _libm(pow, a_coef, 2)
-    if alpha == 0.0:
-        half_second = null.moment(2) / 2.0
-        return m * m * (t1 + 2.0 * a_sq * half_second + 4.0 * a_coef * t3_inf())
-    if alpha == 0.5:
+    zero, half = alphas == 0.0, alphas == 0.5
+    inner = ~(zero | half)
+    c2 = np.zeros(alphas.shape)
+    cross = np.zeros(np.broadcast_shapes(alphas.shape, np.shape(a_coef)))
+    if zero.any():
+        c2 = np.where(zero, null.moment(2), c2)
+        cross = np.where(zero, 4.0 * mean_cross(), cross)
+    if half.any():
         f0 = float(null.density(0.0))
-        return m * m * (t1 + a_sq / (4.0 * f0 * f0) + (2.0 / f0) * a_coef * i5())
-    q = float(null.quantile(1.0 - alpha))
-    kappa = null.partial_second_moment(q) + alpha * q * q
-    scale = 1.0 - 2.0 * alpha
-    return m * m * (
-        t1
-        + (2.0 / scale**2) * a_sq * kappa
-        + (4.0 / scale) * a_coef * (t3(q) + q * t4(q))
+        c2 = np.where(half, 1.0 / (4.0 * f0 * f0), c2)
+        cross = np.where(half, (2.0 / f0) * median_cross(), cross)
+    if inner.any():
+        a = np.where(inner, alphas, 0.25)  # a stand-in level on the boundary rows, discarded
+        q = null.quantile(1.0 - a)
+        scale = 1.0 - 2.0 * a
+        kappa = null.partial_second_moment(q) + a * q * q
+        c2 = np.where(inner, 2.0 * kappa / (scale * scale), c2)
+        cross = np.where(inner, (4.0 / scale) * trim_cross(q, a), cross)
+    return m * m * (t1 + c2 * (a_coef * a_coef) + a_coef * cross)
+
+
+def _integral_variance(spec: StatisticSpec, null: SymmetricNull, alphas):
+    kernel = _kernel(spec)
+    phi_u = _profile(spec)
+    return _assemble_variance(
+        null,
+        spec.kernel_order,
+        alphas,
+        _phi_sq(kernel),
+        _int_phi_fprime(kernel, null),
+        lambda: _int_phi_x(kernel, null),
+        lambda: _u_integral(phi_u, 0.5),
+        # Int_Q^inf phi f is Int_{1-a}^1 phi(u) du: a polynomial in u there
+        lambda q, a: _t3(spec, null, q)[0] + q * _u_integral(phi_u, 1.0 - a),
     )
 
 
@@ -261,23 +347,33 @@ def asymptotic_variance(spec: StatisticSpec, null: SymmetricNull) -> float:
     """Limiting variance of the root-n scaled integral-type statistic."""
     if spec.family != INTEGRAL:
         raise ValueError("use variance_function/sup_variance for supremum-type statistics")
-    phi = _phi_x(spec, null)
-    t1 = _phi_sq(_kernel(spec))
-    a_coef = _int_phi_fprime(_kernel(spec), null)
+    applicability(spec, null)
+    return float(_integral_variance(spec, null, np.array([spec.alpha]))[0])
 
-    def t3(q):
-        return quad_split(lambda x: phi(x) * x * null.density(x), 0.0, q)
 
-    def t4(q):
-        return quad_split(lambda x: phi(x) * null.density(x), q, np.inf)
+def _member_variance(spec: StatisticSpec, null: SymmetricNull, alphas, t):
+    """``sigma^2(a; t)`` for a column of levels ``a`` and thresholds (one row, or one per level)."""
+    t = np.abs(np.asarray(t, dtype=float))
+    q = null.cdf(t)
+    w = _weight(spec)(q)
+    a_coef = w * (-2.0) * null.density(t)  # sign of the member cancels in every product
+    below = null.partial_first_moment(0.0, t)
 
-    def t3_inf():
-        return quad_split(lambda x: phi(x) * x * null.density(x), 0.0, np.inf)
+    def trim_cross(Q, a):
+        # the partial moment over (t, Q), empty (exactly 0.0) once t >= Q
+        inside = np.where(t < Q, null.partial_first_moment(0.0, Q) - below, 0.0)
+        return w * (inside + Q * np.minimum(a, 1.0 - q))
 
-    def i5():
-        return quad_split(lambda x: phi(x) * null.density(x), 0.0, np.inf)
-
-    return _assemble_variance(spec, null, t1, a_coef, t3, t4, t3_inf, i5)
+    return _assemble_variance(
+        null,
+        spec.kernel_order,
+        alphas,
+        w * w * 2.0 * (1.0 - q),
+        a_coef,
+        lambda: w * (null.abs_mean() / 2.0 - below),
+        lambda: w * (1.0 - q),
+        trim_cross,
+    )
 
 
 def variance_function(spec: StatisticSpec, null: SymmetricNull, t):
@@ -291,27 +387,9 @@ def variance_function(spec: StatisticSpec, null: SymmetricNull, t):
     """
     if spec.family != SUPREMUM:
         raise ValueError("variance_function applies to supremum-type statistics")
-    t = np.abs(np.asarray(t, dtype=float))
-    q = null.cdf(t)
-    w = _weight(spec)(q)
-    f_t = null.density(t)
-    t1 = w * w * 2.0 * (1.0 - q)
-    a_coef = w * (-2.0) * f_t  # sign of the member cancels in every product
-
-    def t3(Q):
-        # the partial moment over (t, Q), empty (exactly 0.0) once t >= Q
-        return w * null.partial_first_moment(np.minimum(t, Q), Q)
-
-    def t4(Q):
-        return w * np.minimum(spec.alpha, 1.0 - q)
-
-    def t3_inf():
-        return w * (null.abs_mean() / 2.0 - null.partial_first_moment(0.0, t))
-
-    def i5():
-        return w * (1.0 - q)
-
-    return _as_float(_assemble_variance(spec, null, t1, a_coef, t3, t4, t3_inf, i5))
+    applicability(spec, null)
+    values = _member_variance(spec, null, np.array([[spec.alpha]]), t)
+    return _as_float(values.reshape(np.shape(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,86 +403,93 @@ def _int_phi_score(spec: StatisticSpec, alt: AlternativeFamily) -> float:
     return quad_split(lambda x: phi(x) * alt.score(x), -np.inf, np.inf, points=[0.0, 1.0])
 
 
+def _integral_slope(spec: StatisticSpec, alt: AlternativeFamily, mu_p):
+    kernel = _kernel(spec)
+    return spec.kernel_order * (
+        _int_phi_score(kernel, alt) + mu_p * _int_phi_fprime(kernel, alt.base)
+    )
+
+
 def slope_derivative(spec: StatisticSpec, alt: AlternativeFamily) -> float:
     """Local slope of the limit in probability, integral-type statistics."""
     if spec.family != INTEGRAL:
         raise ValueError("use slope_function/sup_slope for supremum-type statistics")
-    null = alt.base
-    applicability(spec, null)
-    mu_p = _mu_prime(alt, spec.alpha)
-    return spec.kernel_order * (
-        _int_phi_score(_kernel(spec), alt) + mu_p * _int_phi_fprime(_kernel(spec), null)
-    )
+    applicability(spec, alt.base)
+    return _integral_slope(spec, alt, _mu_prime(alt, spec.alpha))
 
 
-def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t):
-    """Member slope ``b'(0, alpha; t)`` of a supremum-type family (signed; ``t`` float or array)."""
-    if spec.family != SUPREMUM:
-        raise ValueError("slope_function applies to supremum-type statistics")
+def _member_slope(spec: StatisticSpec, alt: AlternativeFamily, mu_p, t):
+    """Signed member slope for ``mu_p = mu'(a)`` (a float, or a column of levels) at ``t``."""
     null = alt.base
-    applicability(spec, null)
     t = np.abs(np.asarray(t, dtype=float))
     q = null.cdf(t)
     sign = _SUP_SIGN.get(spec.kind, 1.0)
     w = _weight(spec)(q)
     chi_score = -(alt.score_cumulative(t) + alt.score_cumulative(-t))
     chi_fprime = -2.0 * null.density(t)
-    mu_p = _mu_prime(alt, spec.alpha)
-    return _as_float(spec.kernel_order * sign * w * (chi_score + mu_p * chi_fprime))
+    return spec.kernel_order * sign * w * (chi_score + mu_p * chi_fprime)
+
+
+def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t):
+    """Member slope ``b'(0, alpha; t)`` of a supremum-type family (signed; ``t`` float or array)."""
+    if spec.family != SUPREMUM:
+        raise ValueError("slope_function applies to supremum-type statistics")
+    applicability(spec, alt.base)
+    return _as_float(_member_slope(spec, alt, _mu_prime(alt, spec.alpha), t))
 
 
 # ---------------------------------------------------------------------------
 # supremum search
 # ---------------------------------------------------------------------------
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_REFINE_POINTS = 17
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-6) -> tuple[float, float]:
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    mid = 0.5 * (a + b)
-    return f(mid), mid
+def _sup_over_t(f, null: SymmetricNull, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """Row maxima and argmaxes of smooth-between-kinks functions of the threshold ``t >= 0``.
 
-
-def _sup_over_t(f, null: SymmetricNull, tol: float = 1e-6) -> tuple[float, float]:
-    """Maximize a smooth-between-kinks function of the threshold ``t >= 0``.
-
-    ``f`` takes a float or an array of thresholds.  Scans ``t = 0`` plus 512
-    log-spaced points up to the 0.999 null quantile in one call, then refines
-    around the best grid point by golden section.
+    ``f`` maps thresholds (one row for all, or one row each) to a ``(rows,
+    thresholds)`` array.  One call scans ``t = 0`` plus 512 log-spaced
+    points up to the 0.999 null quantile; then each round evaluates a
+    17-point grid on every bracket wider than ``tol`` and narrows it to the
+    neighbours of the best point, so no row depends on another.  Only a
+    strictly larger value replaces the best: grid points win ties, and an
+    argmax of exactly 0.0 stays exact.
     """
     q999 = float(null.quantile(0.999))
     ts = np.concatenate([[0.0], np.geomspace(q999 * 1e-5, q999, 512)])
     vals = f(ts)
-    i = int(np.argmax(vals))
-    lo = ts[i - 1] if i > 0 else 0.0
-    hi = ts[i + 1] if i < ts.size - 1 else ts[-1]
-    val, arg = _golden_max(f, lo, hi, tol)
-    if vals[i] >= val:
-        val, arg = float(vals[i]), float(ts[i])
-    return val, arg
+    rows = np.arange(vals.shape[0])
+    i = np.argmax(vals, axis=1)
+    best, arg = vals[rows, i], ts[i]
+    lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, ts.size - 1)]
+    steps = np.linspace(0.0, 1.0, _REFINE_POINTS)
+    while (live := hi - lo > tol).any():
+        grid = lo[:, None] + (hi - lo)[:, None] * steps
+        vals = f(grid)
+        j = np.argmax(vals, axis=1)
+        top = vals[rows, j]
+        better = live & (top > best)
+        best, arg = np.where(better, top, best), np.where(better, grid[rows, j], arg)
+        lo = np.where(live, grid[rows, np.maximum(j - 1, 0)], lo)
+        hi = np.where(live, grid[rows, np.minimum(j + 1, steps.size - 1)], hi)
+    return best, arg
 
 
 def sup_variance(spec: StatisticSpec, null: SymmetricNull) -> tuple[float, float]:
     """Supremum over ``t`` of the member variance, with its argmax."""
-    return _sup_over_t(lambda t: variance_function(spec, null, t), null)
+    applicability(spec, null)
+    alphas = np.array([[spec.alpha]])
+    val, arg = _sup_over_t(lambda t: _member_variance(spec, null, alphas, t), null)
+    return float(val[0]), float(arg[0])
 
 
 def sup_slope(spec: StatisticSpec, alt: AlternativeFamily) -> tuple[float, float]:
     """Supremum over ``t`` of the absolute member slope, with its argmax."""
-    return _sup_over_t(lambda t: abs(slope_function(spec, alt, t)), alt.base)
+    applicability(spec, alt.base)
+    mu_p = np.array([[_mu_prime(alt, spec.alpha)]])
+    val, arg = _sup_over_t(lambda t: np.abs(_member_slope(spec, alt, mu_p, t)), alt.base)
+    return float(val[0]), float(arg[0])
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +514,11 @@ def cm_family_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
     return num / den
 
 
+@cache
+def _int_x3_score(alt: AlternativeFamily) -> float:
+    return quad_split(lambda x: x**3 * alt.score(x), -np.inf, np.inf, points=[0.0, 1.0])
+
+
 def sqrtb1_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
     """Local index of the skewness-coefficient test.
 
@@ -441,8 +531,7 @@ def sqrtb1_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
         raise ValueError("alternative family must perturb the same null")
     sigma2 = null.moment(2)
     xh = _mu_prime(alt, 0.0)
-    x3h = quad_split(lambda x: x**3 * alt.score(x), -np.inf, np.inf, points=[0.0, 1.0])
-    num = (x3h - 3.0 * sigma2 * xh) ** 2
+    num = (_int_x3_score(alt) - 3.0 * sigma2 * xh) ** 2
     den = null.moment(6) - 6.0 * sigma2 * null.moment(4) + 9.0 * sigma2**3
     return num / den
 
@@ -475,32 +564,123 @@ class AsymptoticReport:
         return 1.0 / self.sigma2 if self.sigma2 > 0.0 else math.inf
 
 
+@dataclass
+class IndexCurve:
+    """The asymptotic report of one test on each level of a trimming grid.
+
+    ``degenerate`` marks 0/0 points and ``not_applicable`` points the theory
+    excludes; ``index`` is NaN at both, so they plot as missing values
+    rather than zeros.  ``sigma2`` and ``slope`` are NaN for the
+    moment-based tests, and the argmaxes NaN but for supremum-type ones.
+    """
+
+    test: str
+    null: str
+    alternative: str
+    grid: np.ndarray
+    index: np.ndarray
+    degenerate: np.ndarray
+    not_applicable: np.ndarray
+    sigma2: np.ndarray
+    slope: np.ndarray
+    var_argmax: np.ndarray
+    slope_argmax: np.ndarray
+
+    def __post_init__(self):
+        if not (len(self.grid) == len(self.index) == len(self.degenerate)):
+            raise ValueError("grid and value arrays must have equal length")
+        if np.any(np.diff(self.grid) <= 0):
+            raise ValueError("trimming grid must be strictly increasing")
+
+    def rows(self):
+        """Iterate (alpha, index, degenerate, not_applicable) tuples."""
+        for i, a in enumerate(self.grid):
+            yield (
+                float(a),
+                float(self.index[i]),
+                bool(self.degenerate[i]),
+                bool(self.not_applicable[i]),
+            )
+
+    def to_json(self) -> str:
+        payload = {
+            "test": self.test,
+            "null": self.null,
+            "alternative": self.alternative,
+            "alpha": [float(a) for a in self.grid],
+            "index": [None if not np.isfinite(v) else float(v) for v in self.index],
+            "degenerate": [bool(d) for d in self.degenerate],
+            "not_applicable": [bool(d) for d in self.not_applicable],
+        }
+        return json.dumps(payload, indent=2)
+
+
+def report_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas) -> IndexCurve:
+    """Asymptotic report of ``spec`` against ``alt`` on each of the increasing ``alphas``.
+
+    The one place the local index is assembled: every index the library
+    gives (:func:`report`, :func:`symlab.efficiency.bahadur_index`, index
+    curves, equivalence reports) is this curve's.  ``spec.alpha`` is
+    ignored; levels :func:`applicability` refuses are flagged.
+    """
+    null = alt.base
+    alphas = np.asarray(alphas, dtype=float).ravel()
+    na = np.zeros(alphas.size, dtype=bool)
+    for i, a in enumerate(alphas):
+        try:
+            applicability(StatisticSpec(spec.kind, spec.k, float(a)), null)
+        except NotApplicableError:
+            na[i] = True
+    ok = alphas[~na]
+    sigma2 = slope = index = var_arg = slope_arg = np.full(ok.size, math.nan)
+    flagged = np.zeros(ok.size, dtype=bool)
+    if ok.size and spec.family == MOMENT:
+        moment = sqrtb1_slope if spec.kind == "SQRT_B1" else cm_family_slope
+        index = np.full(ok.size, moment(null, alt))
+    elif ok.size:
+        mu_p = np.array([_mu_prime(alt, float(a)) for a in ok])
+        if spec.family == INTEGRAL:
+            sigma2 = _integral_variance(spec, null, ok)
+            slope = _integral_slope(spec, alt, mu_p)
+        else:
+            level = ok[:, None]
+            sigma2, var_arg = _sup_over_t(lambda t: _member_variance(spec, null, level, t), null)
+            slope, slope_arg = _sup_over_t(
+                lambda t: np.abs(_member_slope(spec, alt, mu_p[:, None], t)), null
+            )
+        # Median centering pins the empirical process at the origin, so the
+        # sign-test member that defines the KS family is an exact 0/0 there;
+        # the comparison study treats the classical median-centered KS as
+        # inefficient at this endpoint and flags it.
+        flagged = (sigma2 < DEGENERACY_TOL) | ((spec.kind == "KS") & (ok == 0.5))
+        index = np.divide(slope * slope, sigma2, out=np.full(ok.size, math.nan), where=~flagged)
+
+    def spread(values):
+        out = np.full(alphas.size, math.nan if values.dtype.kind == "f" else False)
+        out[~na] = values
+        return out
+
+    return IndexCurve(
+        spec.label, null.name, alt.kind, alphas, spread(index), spread(flagged), na,
+        *(spread(v) for v in (sigma2, slope, var_arg, slope_arg)),
+    )
+
+
 def report(spec: StatisticSpec, alt: AlternativeFamily) -> AsymptoticReport:
     """Full asymptotic report of one statistic against one alternative.
 
-    The one place the local index is assembled: every index the library
-    gives (:func:`symlab.efficiency.bahadur_index`, index curves,
-    equivalence reports) is this report's ``index`` and ``degenerate``.
+    The one-level case of :func:`report_curve`, at ``spec.alpha``.
     :class:`~symlab.errors.NotApplicableError` propagates from
     :func:`applicability`.
     """
-    null = alt.base
-    if spec.family == MOMENT:
-        idx = (
-            sqrtb1_slope(null, alt) if spec.kind == "SQRT_B1" else cm_family_slope(null, alt)
-        )
-        return AsymptoticReport(math.nan, math.nan, idx, False)
-    if spec.family == INTEGRAL:
-        sigma2 = asymptotic_variance(spec, null)
-        slope = slope_derivative(spec, alt)
-        var_arg = slope_arg = None
-    else:
-        sigma2, var_arg = sup_variance(spec, null)
-        slope, slope_arg = sup_slope(spec, alt)
-    # Median centering pins the empirical process at the origin, so the
-    # sign-test member that defines the KS family is an exact 0/0 there;
-    # the comparison study treats the classical median-centered KS as
-    # inefficient at this endpoint and flags it.
-    degenerate = sigma2 < DEGENERACY_TOL or (spec.kind == "KS" and spec.alpha == 0.5)
-    index = math.nan if degenerate else slope * slope / sigma2
-    return AsymptoticReport(sigma2, slope, index, degenerate, var_arg, slope_arg)
+    applicability(spec, alt.base)
+    c = report_curve(spec, alt, [spec.alpha])
+    sup = spec.family == SUPREMUM
+    return AsymptoticReport(
+        float(c.sigma2[0]),
+        float(c.slope[0]),
+        float(c.index[0]),
+        bool(c.degenerate[0]),
+        float(c.var_argmax[0]) if sup else None,
+        float(c.slope_argmax[0]) if sup else None,
+    )

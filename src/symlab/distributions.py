@@ -123,8 +123,8 @@ class SymmetricNull:
     def _first_moment_primitive(self, x):
         raise NotImplementedError
 
-    def partial_second_moment(self, b: float) -> float:
-        """``Integral_0^b x^2 f(x) dx`` for finite ``b >= 0``."""
+    def partial_second_moment(self, b):
+        """``Integral_0^b x^2 f(x) dx`` for finite ``b >= 0`` (arrays elementwise)."""
         raise NotImplementedError
 
     # -- sampling ---------------------------------------------------------
@@ -174,8 +174,9 @@ class Normal(SymmetricNull):
     def _first_moment_primitive(self, x):
         return -self.density(x)
 
-    def partial_second_moment(self, b: float) -> float:
-        return float(special.ndtr(b) - 0.5 - b * self.density(b))
+    def partial_second_moment(self, b):
+        b = np.asarray(b, dtype=float)
+        return _as_float(special.ndtr(b) - 0.5 - b * self.density(b))
 
 
 class Logistic(SymmetricNull):
@@ -220,21 +221,17 @@ class Logistic(SymmetricNull):
         x = np.asarray(x, dtype=float)
         return _as_float(x * special.expit(x) - np.logaddexp(0.0, x))
 
-    def partial_second_moment(self, b: float) -> float:
+    def partial_second_moment(self, b):
         # x^2 F - 2 [x log(1+e^x) + Li2(-e^x)] primitive, via the dilogarithm
-        b = float(b)
-        return self._second_moment_primitive(b) - self._second_moment_primitive(0.0)
+        b = np.asarray(b, dtype=float)
+        return _as_float(self._second_moment_primitive(b) - self._second_moment_primitive(0.0))
 
     @staticmethod
-    def _second_moment_primitive(x: float) -> float:
+    def _second_moment_primitive(x):
         # primitive of x^2 f(x): x^2 F(x) - 2 x log(1+e^x) - 2 Li2(-e^x)
         # scipy's spence(z) = Li2(1 - z), so Li2(-e^x) = spence(1 + e^x)
-        li2 = float(special.spence(1.0 + math.exp(min(x, 700.0))))
-        return (
-            x * x * float(special.expit(x))
-            - 2.0 * x * float(np.logaddexp(0.0, x))
-            - 2.0 * li2
-        )
+        li2 = special.spence(1.0 + np.exp(np.minimum(x, 700.0)))
+        return x * x * special.expit(x) - 2.0 * x * np.logaddexp(0.0, x) - 2.0 * li2
 
 
 class Cauchy(SymmetricNull):
@@ -263,9 +260,9 @@ class Cauchy(SymmetricNull):
     def _first_moment_primitive(self, x):
         return _libm(lambda v: math.log1p(v**2) / (2.0 * math.pi), x)
 
-    def partial_second_moment(self, b: float) -> float:
-        b = float(b)
-        return (b - math.atan(b)) / math.pi
+    def partial_second_moment(self, b):
+        b = np.asarray(b, dtype=float)
+        return _as_float((b - np.arctan(b)) / math.pi)
 
 
 class AlternativeFamily:

@@ -12,16 +12,14 @@ sign tests coincide.
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
 from . import asymptotics as asy
+from .asymptotics import IndexCurve
 from .distributions import AlternativeFamily
-from .errors import NotApplicableError
 from .stats import INTEGRAL, StatisticSpec, parse_statistic
 
 __all__ = [
@@ -87,71 +85,14 @@ def default_grid(points: int = 101) -> np.ndarray:
     return np.linspace(0.0, 0.5, points)
 
 
-@dataclass
-class IndexCurve:
-    """Index of one test over a trimming grid, with per-point status flags.
-
-    ``degenerate`` marks 0/0 points (index stored as NaN); ``not_applicable``
-    marks grid points excluded by moment conditions.  Both plot as missing
-    values rather than zeros.
-    """
-
-    test: str
-    null: str
-    alternative: str
-    grid: np.ndarray
-    index: np.ndarray
-    degenerate: np.ndarray
-    not_applicable: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.not_applicable is None:
-            self.not_applicable = np.zeros(len(self.grid), dtype=bool)
-        if not (len(self.grid) == len(self.index) == len(self.degenerate)):
-            raise ValueError("grid and value arrays must have equal length")
-        if np.any(np.diff(self.grid) <= 0):
-            raise ValueError("trimming grid must be strictly increasing")
-
-    def rows(self):
-        """Iterate (alpha, index, degenerate, not_applicable) tuples."""
-        for i, a in enumerate(self.grid):
-            yield (
-                float(a),
-                float(self.index[i]),
-                bool(self.degenerate[i]),
-                bool(self.not_applicable[i]),
-            )
-
-    def to_json(self) -> str:
-        payload = {
-            "test": self.test,
-            "null": self.null,
-            "alternative": self.alternative,
-            "alpha": [float(a) for a in self.grid],
-            "index": [None if not np.isfinite(v) else float(v) for v in self.index],
-            "degenerate": [bool(d) for d in self.degenerate],
-            "not_applicable": [bool(d) for d in self.not_applicable],
-        }
-        return json.dumps(payload, indent=2)
-
-
 def index_curve(test, alt: AlternativeFamily, grid=None) -> IndexCurve:
-    """Pointwise Bahadur indices of ``test`` over a trimming grid."""
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    if np.any(grid < 0.0) or np.any(grid > 0.5):
-        raise ValueError("trimming grid must lie in [0, 1/2]")
-    spec0 = _resolve(test, None)
-    values = np.full(grid.size, math.nan)
-    degen = np.zeros(grid.size, dtype=bool)
-    na = np.zeros(grid.size, dtype=bool)
-    for i, a in enumerate(grid):
-        try:
-            rep = asy.report(_resolve(spec0, float(a)), alt)
-        except NotApplicableError:
-            na[i] = True
-            continue
-        values[i], degen[i] = rep.index, rep.degenerate
-    return IndexCurve(spec0.label, alt.base.name, alt.kind, grid, values, degen, na)
+    """Pointwise Bahadur indices of ``test`` over a trimming grid, in one pass.
+
+    The :func:`symlab.asymptotics.report_curve` of ``test``: its variances
+    and slopes come with the indices.
+    """
+    grid = default_grid() if grid is None else grid
+    return asy.report_curve(_resolve(test, None), alt, grid)
 
 
 @dataclass(frozen=True)
@@ -204,15 +145,16 @@ def ks_s_equivalence_crossover(alt: AlternativeFamily, grid=None) -> float:
     moves off the origin is returned (0.0 when it moves immediately).
     """
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    past = np.flatnonzero(grid >= 0.5)
+    grid = grid[: past[0]] if past.size else grid
+    curve = asy.report_curve(StatisticSpec("KS"), alt, grid)
     crossover = 0.0
-    for a in grid:
-        if a >= 0.5:
-            break
-        try:
-            rep = asy.report(StatisticSpec("KS", alpha=float(a)), alt)
-        except NotApplicableError:
+    for a, na, var_arg, slope_arg in zip(
+        grid, curve.not_applicable, curve.var_argmax, curve.slope_argmax
+    ):
+        if na:
             continue
-        if rep.var_argmax != 0.0 or rep.slope_argmax != 0.0:
+        if var_arg != 0.0 or slope_arg != 0.0:
             break
         crossover = float(a)
     return crossover
@@ -237,15 +179,13 @@ def equivalence_report(
     not_applicable: list[str] = []
     for name in tests:
         spec = _resolve(name, alpha)
-        try:
-            rep = asy.report(spec, alt)
-        except NotApplicableError:
+        curve = asy.report_curve(spec, alt, [alpha])
+        if curve.not_applicable[0]:
             not_applicable.append(spec.label)
-            continue
-        if rep.degenerate:
+        elif curve.degenerate[0]:
             degenerate.append(spec.label)
         else:
-            values.append((spec.label, rep.index))
+            values.append((spec.label, float(curve.index[0])))
     values.sort(key=lambda kv: kv[1])
     groups: list[list[str]] = []
     last = None

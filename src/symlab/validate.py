@@ -83,10 +83,6 @@ _CLASS_SUP = ("BH_K", "MO_K_1", "NA_K_2", "NA_K_3")
 _CLASS_MOMENT = ("CM", "GAMMA", "MGG")
 
 
-def _class_spread(values: list[float]) -> float:
-    return max(values) - min(values)
-
-
 def _check_equivalence_classes(seed: int, full: bool) -> tuple[bool, str]:
     grid = np.linspace(0.0, 0.5, 21)
     tol = eff.EQUIVALENCE_TOL
@@ -95,30 +91,19 @@ def _check_equivalence_classes(seed: int, full: bool) -> tuple[bool, str]:
     for null_name in ("normal", "logistic", "cauchy"):
         for alt_name in ("contam", "fs"):
             alt = get_alternative(alt_name, null_name)
-            # within-class agreement over the grid
+            # within-class agreement over the grid, where every member has an index
             for members in (_CLASS_INTEGRAL, _CLASS_SUP):
-                for a in grid:
-                    vals = []
-                    for name in members:
-                        try:
-                            v = eff.bahadur_index(name, alt, float(a))
-                        except NotApplicableError:
-                            vals = []
-                            break
-                        if math.isnan(v):
-                            vals = []
-                            break
-                        vals.append(v)
-                    if vals:
-                        spread = _class_spread(vals)
-                        worst = max(worst, spread)
-                        if spread > tol:
+                curves = [eff.index_curve(name, alt, grid).index for name in members]
+                for a, value in zip(grid, np.ptp(curves, axis=0)):
+                    if not math.isnan(value):
+                        worst = max(worst, value)
+                        if value > tol:
                             failures.append(f"{members[0]}-class {null_name}/{alt_name} a={a:.3f}")
             # mean-median class ties to the untrimmed sign test
             try:
                 vals = [eff.bahadur_index(name, alt, None) for name in _CLASS_MOMENT]
                 vals.append(eff.bahadur_index("S", alt, 0.0))
-                spread = _class_spread(vals)
+                spread = max(vals) - min(vals)
                 worst = max(worst, spread)
                 if spread > tol:
                     failures.append(f"CM-class {null_name}/{alt_name}")
@@ -126,18 +111,13 @@ def _check_equivalence_classes(seed: int, full: bool) -> tuple[bool, str]:
                 pass
             # KS equals S below the crossover
             crossover = eff.ks_s_equivalence_crossover(alt, grid)
-            for a in grid:
-                if a > crossover or a >= 0.5:
-                    continue
-                try:
-                    ks = eff.bahadur_index("KS", alt, float(a))
-                    s = eff.bahadur_index("S", alt, float(a))
-                except NotApplicableError:
-                    continue
-                diff = abs(ks - s)
-                worst = max(worst, diff)
-                if diff > tol:
-                    failures.append(f"KS-vs-S {null_name}/{alt_name} a={a:.3f}")
+            below = grid[(grid <= crossover) & (grid < 0.5)]
+            ks, s = (eff.index_curve(name, alt, below).index for name in ("KS", "S"))
+            for a, diff in zip(below, np.abs(ks - s)):
+                if not math.isnan(diff):
+                    worst = max(worst, diff)
+                    if diff > tol:
+                        failures.append(f"KS-vs-S {null_name}/{alt_name} a={a:.3f}")
     detail = f"worst in-class spread {worst:.2e} (tol {tol:g})"
     if failures:
         detail += "; failures: " + ", ".join(failures[:5])

@@ -322,3 +322,52 @@ class TestReport:
         rep = asy.report(StatisticSpec("KS", alpha=0.4), contam_normal)
         assert rep.var_argmax > 0.0
         assert rep.index > 0.0
+
+
+class TestSupremumSearch:
+    @pytest.mark.parametrize("name", ALL_SUP_IDS)
+    @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+    @pytest.mark.parametrize("alt_name", ["contam", "fs"])
+    def test_never_short_of_a_dense_grid(self, name, null_name, alt_name):
+        # the batched refinement against 20,001 thresholds plus the kink Q
+        alt = get_alternative(alt_name, null_name)
+        null = alt.base
+        alphas = [0.05, 0.1, 0.25, 0.4]
+        curve = asy.report_curve(parse_statistic(name), alt, alphas)
+        q999 = float(null.quantile(0.999))
+        for i, alpha in enumerate(alphas):
+            spec = parse_statistic(name, alpha=alpha)
+            dense = np.append(np.linspace(0.0, q999, 20_001), null.quantile(1.0 - alpha))
+            var_max = asy.variance_function(spec, null, dense).max()
+            slope_max = np.abs(asy.slope_function(spec, alt, dense)).max()
+            assert curve.sigma2[i] >= var_max * (1.0 - 1e-12)
+            assert curve.slope[i] >= slope_max * (1.0 - 1e-12)
+            assert (curve.sigma2[i], curve.var_argmax[i]) == asy.sup_variance(spec, null)
+            assert (curve.slope[i], curve.slope_argmax[i]) == asy.sup_slope(spec, alt)
+
+
+INTEGRAL_KINDS = [name for name in DEFAULT_TESTS if parse_statistic(name).family == "integral"]
+
+
+class TestQuadratureBudget:
+    @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+    def test_fixed_rules_within_abs_tol(self, null_name):
+        # Int_0^Q phi x f and Int_Q^inf phi f on every interior level of the
+        # default grid, against adaptive quadrature
+        from symlab._quad import ABS_TOL, quad_split
+        from symlab.efficiency import default_grid
+
+        null = get_null(null_name)
+        alphas = default_grid()[1:-1]
+        q = null.quantile(1.0 - alphas)
+        for name in INTEGRAL_KINDS:
+            spec = parse_statistic(name)
+            phi = asy._phi_x(spec, null)
+            value, abserr = asy._t3(spec, null, q)
+            tail = asy._u_integral(asy._profile(spec), 1.0 - alphas)
+            assert abserr.max() <= ABS_TOL
+            for i, qi in enumerate(q):
+                inner = quad_split(lambda x: phi(x) * x * null.density(x), 0.0, qi)
+                outer = quad_split(lambda x: phi(x) * null.density(x), qi, np.inf)
+                assert abs(value[i] - inner) <= ABS_TOL, (name, alphas[i])
+                assert abs(tail[i] - outer) <= ABS_TOL, (name, alphas[i])

@@ -108,15 +108,25 @@ class TestIndexCurve:
         assert payload["degenerate"][2] is True
 
 
-@pytest.mark.parametrize("null_name, alt_name", [("normal", "contam"), ("cauchy", "fs")])
+@pytest.mark.parametrize(
+    "null_name, alt_name", [("normal", "contam"), ("cauchy", "fs"), ("logistic", "fs")]
+)
 @pytest.mark.parametrize("name", eff.DEFAULT_TESTS)
 def test_report_is_the_one_index(name, null_name, alt_name):
+    # a level's index is the same bits on an 11-point grid, on a 101-point
+    # grid and from bahadur_index, also at a level on neither grid
     alt = get_alternative(alt_name, null_name)
-    grid = np.linspace(0.0, 0.5, 11)
-    curve = eff.index_curve(name, alt, grid)
-    for i, a in enumerate(grid):
-        spec = parse_statistic(name, alpha=float(a))
-        if curve.not_applicable[i]:
+    coarse, fine, off_grid = np.linspace(0.0, 0.5, 11), np.linspace(0.0, 0.5, 101), 0.123
+    grids = (coarse, fine, np.sort(np.append(coarse, off_grid)))
+    curves = [eff.index_curve(name, alt, grid) for grid in grids]
+    shared = [float(a) for a in coarse if a in fine]
+    assert len(shared) == 9 and off_grid not in coarse and off_grid not in fine
+    for a in [*shared, off_grid]:
+        spec = parse_statistic(name, alpha=a)
+        points = [(c, c.grid == a) for c in curves if a in c.grid]
+        assert len(points) == (3 if a in shared else 1)
+        if points[0][0].not_applicable[points[0][1]].all():
+            assert all(c.not_applicable[at].all() for c, at in points)
             with pytest.raises(NotApplicableError):
                 report(spec, alt)
             with pytest.raises(NotApplicableError):
@@ -124,8 +134,11 @@ def test_report_is_the_one_index(name, null_name, alt_name):
             continue
         rep = report(spec, alt)
         np.testing.assert_array_equal(rep.index, eff.bahadur_index(spec, alt))
-        np.testing.assert_array_equal(rep.index, curve.index[i])
-        assert rep.degenerate == curve.degenerate[i]
+        for c, at in points:
+            assert not c.not_applicable[at].any()
+            assert (c.degenerate[at] == rep.degenerate).all()
+            np.testing.assert_array_equal(c.index[at].view(np.int64),
+                                          np.float64(rep.index).view(np.int64))
 
 
 class TestZeroEfficiency:
