@@ -33,7 +33,7 @@ from . import montecarlo as mc
 from ._rng import DEFAULT_SEED, check_seed
 from .distributions import ALTERNATIVE_NAMES, NULL_NAMES, get_alternative, get_null
 from .errors import NotApplicableError
-from .stats import MOMENT, SUPREMUM, evaluate, parse_statistic
+from .stats import MOMENT, SUPREMUM, parse_statistic
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -107,9 +107,7 @@ def _cmd_test(args) -> int:
         spec = parse_statistic(args.stat, alpha=args.alpha)
         asy.applicability(spec, null)
         cfg = mc.McConfig(n=data.size, reps=args.reps, seed=args.seed, level=args.level)
-        result = evaluate(spec, data)
-        pval = mc.p_value(spec, null, data, cfg)
-        crit = mc.critical_value(spec, null, cfg)
+        result, pval, crit = mc.mc_test(spec, null, data, cfg)
     except NotApplicableError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE
@@ -117,6 +115,7 @@ def _cmd_test(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
+    pval_se = math.sqrt(pval * (1.0 - pval) / args.reps)  # Monte Carlo standard error
     report = {
         "statistic": spec.label,
         "alpha": spec.alpha,
@@ -125,6 +124,7 @@ def _cmd_test(args) -> int:
         "value": result.value,
         "sup_argument": result.sup_argument,
         "p_value": pval,
+        "p_value_se": pval_se,
         "critical_value": crit,
         "level": args.level,
         "reps": args.reps,
@@ -137,7 +137,8 @@ def _cmd_test(args) -> int:
         print(f"value          {_fmt(result.value)}")
         if result.sup_argument is not None:
             print(f"sup argument   {_fmt(result.sup_argument)}")
-        print(f"p-value        {_fmt(pval)}   ({args.reps} replications, seed {args.seed})")
+        runs = f"{args.reps} replications, seed {args.seed}"
+        print(f"p-value        {_fmt(pval)} +- {_fmt(pval_se)}   ({runs})")
         print(f"critical value {_fmt(crit)}   (level {_fmt(args.level)})")
     return EXIT_OK
 
@@ -163,13 +164,8 @@ def _cmd_index(args) -> int:
 
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    curves = []
-    all_na = True
-    for spec in specs:
-        curve = eff.index_curve(spec, alt, grid)
-        curves.append(curve)
-        if not curve.not_applicable.all():
-            all_na = False
+    curves = [eff.index_curve(spec, alt, grid) for spec in specs]
+    not_applicable = [c.test for c in curves if c.not_applicable.all()]
 
     outputs = []
     for curve in curves:
@@ -195,14 +191,14 @@ def _cmd_index(args) -> int:
             "alt": alt.kind,
             "tests": tests,
             "grid_points": args.grid,
-            "not_applicable": [c.test for c in curves if c.not_applicable.all()],
+            "not_applicable": not_applicable,
         },
         args.seed,
         outputs,
     )
     for path in outputs:
         print(f"wrote {path}")
-    return EXIT_NOT_APPLICABLE if all_na else EXIT_OK
+    return EXIT_NOT_APPLICABLE if len(not_applicable) == len(curves) else EXIT_OK
 
 
 def _variance_at(spec, null) -> float:

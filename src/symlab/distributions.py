@@ -22,6 +22,7 @@ deterministic.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import special
@@ -123,8 +124,29 @@ class SymmetricNull:
     def _first_moment_primitive(self, x):
         raise NotImplementedError
 
+    #: coefficients ``d_k`` of ``Integral_0^b x^2 f(x) dx = b^3 sum_k d_k b^(2k)``,
+    #: summed below ``_series_cut`` (see :meth:`partial_second_moment`)
+    _moment_series: np.ndarray
+    _series_cut: float
+
     def partial_second_moment(self, b):
-        """``Integral_0^b x^2 f(x) dx`` for finite ``b >= 0`` (arrays elementwise)."""
+        """``Integral_0^b x^2 f(x) dx`` for finite ``b >= 0`` (arrays elementwise).
+
+        The closed forms subtract O(1) terms whose difference is O(b^3) and
+        lose digits as ``b`` shrinks, so below ``_series_cut`` the density's
+        Taylor series, integrated term by term, is summed instead.  Either side
+        is within 1e-12 relative of a high-precision quadrature.
+        """
+        b = np.asarray(b, dtype=float)
+        small = b < self._series_cut
+        s = np.where(small, b, 0.0)
+        s2, series = s * s, 0.0
+        for d in self._moment_series[::-1]:  # Horner in b^2
+            series = series * s2 + d
+        closed = self._closed_second_moment(np.where(small, self._series_cut, b))
+        return _as_float(np.where(small, s * s2 * series, closed))
+
+    def _closed_second_moment(self, b):
         raise NotImplementedError
 
     # -- sampling ---------------------------------------------------------
@@ -174,9 +196,26 @@ class Normal(SymmetricNull):
     def _first_moment_primitive(self, x):
         return -self.density(x)
 
-    def partial_second_moment(self, b):
-        b = np.asarray(b, dtype=float)
-        return _as_float(special.ndtr(b) - 0.5 - b * self.density(b))
+    # f(x) = sum_k (-1/2)^k x^(2k) / (k! sqrt(2 pi))
+    _moment_series = np.array(
+        [float(Fraction(-1, 2) ** k / (math.factorial(k) * (2 * k + 3))) for k in range(12)]
+    ) / _SQRT_2PI
+    _series_cut = 0.5
+
+    def _closed_second_moment(self, b):
+        return special.ndtr(b) - 0.5 - b * self.density(b)
+
+
+def _logistic_density_series(terms: int) -> list[Fraction]:
+    """Exact ``c_k`` of the logistic density ``f(x) = sum_k c_k x^(2k)``, for ``|x| < pi``.
+
+    ``f(x) = sech^2(x/2)/4``, and ``tanh(u) = sum_j a_j u^(2j+1)`` follows
+    from ``tanh' = 1 - tanh^2``: ``(2j+1) a_j = [j = 0] - sum_{i<j} a_i a_(j-1-i)``.
+    """
+    a: list[Fraction] = []
+    for j in range(terms):
+        a.append((Fraction(j == 0) - sum(a[i] * a[j - 1 - i] for i in range(j))) / (2 * j + 1))
+    return [(2 * j + 1) * a[j] / 4 ** (j + 1) for j in range(terms)]
 
 
 class Logistic(SymmetricNull):
@@ -221,10 +260,14 @@ class Logistic(SymmetricNull):
         x = np.asarray(x, dtype=float)
         return _as_float(x * special.expit(x) - np.logaddexp(0.0, x))
 
-    def partial_second_moment(self, b):
+    _moment_series = np.array(
+        [float(c / (2 * k + 3)) for k, c in enumerate(_logistic_density_series(19))]
+    )
+    _series_cut = 1.0
+
+    def _closed_second_moment(self, b):
         # x^2 F - 2 [x log(1+e^x) + Li2(-e^x)] primitive, via the dilogarithm
-        b = np.asarray(b, dtype=float)
-        return _as_float(self._second_moment_primitive(b) - self._second_moment_primitive(0.0))
+        return self._second_moment_primitive(b) - self._second_moment_primitive(0.0)
 
     @staticmethod
     def _second_moment_primitive(x):
@@ -260,9 +303,12 @@ class Cauchy(SymmetricNull):
     def _first_moment_primitive(self, x):
         return _libm(lambda v: math.log1p(v**2) / (2.0 * math.pi), x)
 
-    def partial_second_moment(self, b):
-        b = np.asarray(b, dtype=float)
-        return _as_float((b - np.arctan(b)) / math.pi)
+    # f(x) = sum_k (-1)^k x^(2k) / pi, for |x| < 1
+    _moment_series = np.array([(-1.0) ** k / (2 * k + 3) for k in range(15)]) / math.pi
+    _series_cut = 0.25
+
+    def _closed_second_moment(self, b):
+        return (b - np.arctan(b)) / math.pi
 
 
 class AlternativeFamily:

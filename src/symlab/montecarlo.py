@@ -6,11 +6,12 @@ concatenated in chunk order.  Outputs are therefore byte-identical for a given
 configuration however many worker threads execute the chunks.  The worker
 count is ``min(usable CPUs, reps // 512)``: a thread pays off only once every
 worker has a full chunk, so fewer than two full chunks (or one usable CPU) run
-inline.  On a 2-core x86-64 VM, ``power`` for ``NA_K_4`` at n = 100 with 10^4
-replications took 0.77-0.86 s inline and 0.56-0.74 s on two workers (six
-runs each); with 600 replications it runs inline in 40-50 ms.  Calibration
-and evaluation always consume disjoint stream families so critical values are
-never reused on the data that produced them.
+inline.  On a 2-core x86-64 VM, ``power`` for ``NA_K_4`` at n = 100 took
+0.77-0.86 s inline and 0.56-0.74 s on two workers with 10^4 replications, and
+17-20 ms inline with 600; :func:`mc_test` takes a test's p-value and critical
+value from one null simulation (8-12 ms).  Calibration and evaluation always
+consume disjoint stream families so critical values are never reused on the
+data that produced them.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "null_distribution",
     "critical_value",
     "p_value",
+    "mc_test",
     "power",
 ]
 
@@ -43,11 +45,7 @@ _CAL, _EVAL, _TIE = 0, 1, 2
 
 @dataclass(frozen=True)
 class McConfig:
-    """Simulation configuration.
-
-    ``level`` is the nominal test size used by :func:`critical_value` and
-    :func:`power`.
-    """
+    """Simulation configuration; ``level`` is the nominal size of critical values and power."""
 
     n: int
     reps: int
@@ -91,12 +89,10 @@ def _simulate(
     purpose: int,
     t: float | None = None,
 ) -> np.ndarray:
+    params = () if theta is None else (theta,)  # a null model takes no theta
+
     def job(chunk_index: int, rows: int) -> np.ndarray:
-        rng = stream(cfg.seed, purpose, chunk_index)
-        if theta is None:
-            draws = model.sample(rows * cfg.n, 0, rng=rng)
-        else:
-            draws = model.sample(theta, rows * cfg.n, 0, rng=rng)
+        draws = model.sample(*params, rows * cfg.n, 0, rng=stream(cfg.seed, purpose, chunk_index))
         return evaluate_many(spec, draws.reshape(rows, cfg.n), t=t)
 
     return _run_chunked(cfg.reps, job)
@@ -127,11 +123,19 @@ def _calibrate(spec: StatisticSpec, null: SymmetricNull, cfg: McConfig, observed
     return values, observed
 
 
-def critical_value(spec: StatisticSpec, null: SymmetricNull, cfg: McConfig) -> float:
-    """Monte Carlo critical value at ``cfg.level`` (upper order statistic)."""
-    values, _ = _calibrate(spec, null, cfg)
+def _critical_rank(values: np.ndarray, cfg: McConfig) -> float:
     rank = min(cfg.reps, math.ceil((1.0 - cfg.level) * (cfg.reps + 1)))
     return float(values[rank - 1])
+
+
+def _p_rank(values: np.ndarray, observed, cfg: McConfig) -> float:
+    exceed = cfg.reps - int(np.searchsorted(values, observed, side="left"))
+    return (1.0 + exceed) / (cfg.reps + 1.0)
+
+
+def critical_value(spec: StatisticSpec, null: SymmetricNull, cfg: McConfig) -> float:
+    """Monte Carlo critical value at ``cfg.level`` (upper order statistic)."""
+    return _critical_rank(_calibrate(spec, null, cfg)[0], cfg)
 
 
 def p_value(spec: StatisticSpec, null: SymmetricNull, sample, cfg: McConfig) -> float:
@@ -140,9 +144,17 @@ def p_value(spec: StatisticSpec, null: SymmetricNull, sample, cfg: McConfig) -> 
     One-sided for supremum-type statistics, two-sided by absolute value
     otherwise; ties with the observed value count as at least as extreme.
     """
-    values, observed = _calibrate(spec, null, cfg, evaluate(spec, sample).value)
-    exceed = cfg.reps - int(np.searchsorted(values, observed, side="left"))
-    return (1.0 + exceed) / (cfg.reps + 1.0)
+    return _p_rank(*_calibrate(spec, null, cfg, evaluate(spec, sample).value), cfg)
+
+
+def mc_test(spec: StatisticSpec, null: SymmetricNull, sample, cfg: McConfig):
+    """``(evaluate(spec, sample), p_value, critical_value)`` from one null simulation.
+
+    The sample is evaluated first, so an unusable one is refused before any simulation.
+    """
+    result = evaluate(spec, sample)
+    values, observed = _calibrate(spec, null, cfg, result.value)
+    return result, _p_rank(values, observed, cfg), _critical_rank(values, cfg)
 
 
 def power(
@@ -166,12 +178,7 @@ def power(
         spec, alt.base, cfg, _simulate(spec, alt, float(theta), cfg, _EVAL)
     )
     at_most = np.searchsorted(calib, values, side="right")
-    greater = cfg.reps - at_most
     ties = at_most - np.searchsorted(calib, values, side="left")
-
-    def tie_job(chunk_index: int, rows: int) -> np.ndarray:
-        return stream(cfg.seed, _TIE, chunk_index).random(rows)
-
-    u = _run_chunked(cfg.reps, tie_job)
-    p_rand = (greater + u * (1.0 + ties)) / (cfg.reps + 1.0)
+    u = _run_chunked(cfg.reps, lambda i, rows: stream(cfg.seed, _TIE, i).random(rows))
+    p_rand = (cfg.reps - at_most + u * (1.0 + ties)) / (cfg.reps + 1.0)
     return float(np.mean(p_rand <= cfg.level))

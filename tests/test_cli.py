@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import symlab.montecarlo
 import symlab.validate
 from symlab import efficiency as eff
 from symlab.cli import main
 from symlab.asymptotics import variance_function
 from symlab.distributions import NULL_NAMES, get_alternative, get_null
 from symlab.errors import NotApplicableError
-from symlab.stats import parse_statistic
+from symlab.montecarlo import McConfig, critical_value, p_value
+from symlab.stats import evaluate, parse_statistic
 from symlab.validate import CheckResult
 
 
@@ -87,6 +89,63 @@ class TestCmdTest:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "overflows" in captured.err
+
+
+@pytest.fixture
+def simulations(monkeypatch):
+    """Count the Monte Carlo simulations run while the test runs."""
+    calls = []
+    simulate = symlab.montecarlo._simulate
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(symlab.montecarlo, "_simulate", counted)
+    return calls
+
+
+class TestOneSimulationPerTest:
+    # 600 replications run one full 512-row chunk and a partial one
+    @pytest.mark.parametrize("reps", [600, 100])
+    @pytest.mark.parametrize("stat", ["S", "W", "KS", "NA_K_4", "CM", "SQRT_B1"])
+    def test_report_equals_separate_calls(self, tmp_path, capsys, simulations, stat, reps):
+        sample = np.random.default_rng(reps).normal(size=60) + 0.2
+        data = write_lines(tmp_path / "d.txt", [repr(float(v)) for v in sample])
+        argv = ["test", data, "--stat", stat, "--alpha", "0.1", "--reps", str(reps), "--seed", "9"]
+        assert main(argv + ["--json"]) == 0
+        assert len(simulations) == 1
+        out = json.loads(capsys.readouterr().out)
+
+        spec = parse_statistic(stat, alpha=0.1)
+        normal = get_null("normal")
+        cfg = McConfig(n=60, reps=reps, seed=9)
+        result = evaluate(spec, sample)
+        want = {
+            "value": result.value,
+            "sup_argument": result.sup_argument,
+            "p_value": p_value(spec, normal, sample, cfg),
+            "critical_value": critical_value(spec, normal, cfg),
+        }
+        assert {key: repr(out[key]) for key in want} == {k: repr(v) for k, v in want.items()}
+
+    def test_unusable_sample_runs_no_simulation(self, tmp_path, simulations):
+        data = write_lines(tmp_path / "d.txt", [0.3, -1.2, "nan", 2.0, 0.7, -0.4])
+        assert main(["test", data, "--stat", "W", "--reps", "600"]) == 2
+        assert simulations == []
+
+
+def test_p_value_standard_error(tmp_path, capsys):
+    data = write_lines(tmp_path / "d.txt", np.random.default_rng(3).normal(size=40) + 0.3)
+    argv = ["test", data, "--stat", "W", "--alpha", "0.1", "--reps", "400"]
+    assert main(argv + ["--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    p = out["p_value"]
+    assert 0.0 < p < 1.0
+    assert out["p_value_se"] == math.sqrt(p * (1.0 - p) / 400)
+    assert main(argv) == 0
+    line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("p-value"))
+    assert line.split()[1:4] == [format(p, ".12g"), "+-", format(out["p_value_se"], ".12g")]
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25])

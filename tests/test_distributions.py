@@ -76,6 +76,26 @@ class TestNullModels:
             val, _ = quad(lambda x: x * x * null.density(x), 0.0, b, epsabs=1e-13)
             assert null.partial_second_moment(b) == pytest.approx(val, abs=1e-10)
 
+    @pytest.mark.parametrize("name", ["normal", "logistic", "cauchy"])
+    def test_partial_second_moment_full_precision_for_small_b(self, name):
+        # the closed forms lose digits as b shrinks (logistic: 3e-2 relative
+        # at b = 1e-4); the series below the cut keeps them
+        mp = pytest.importorskip("mpmath")
+        null = get_null(name)
+        cut = null._series_cut
+        b = np.concatenate([np.logspace(-8, 1, 37), [np.nextafter(cut, 0.0), cut, 2.0 * cut]])
+        density = {
+            "normal": mp.npdf,
+            "logistic": lambda x: mp.exp(-x) / (1 + mp.exp(-x)) ** 2,
+            "cauchy": lambda x: 1 / (mp.pi * (1 + x * x)),
+        }[name]
+        with mp.workdps(30):
+            want = np.array([float(mp.quad(lambda x: x * x * density(x), [0, v])) for v in b])
+        got = null.partial_second_moment(b)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # an array gives the bits of a loop of scalar calls
+        assert [null.partial_second_moment(float(v)) for v in b] == got.tolist()
+
 
 class TestAlternativeFamilies:
     @pytest.mark.parametrize("alt_name", ["fs", "contam"])
