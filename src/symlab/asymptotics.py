@@ -17,10 +17,14 @@ derivative from :func:`symlab.location.trimmed_mean_derivative`; for
 supremum-type statistics both the variance and the slope are functions of the
 threshold ``t`` and the supremum over ``t`` is taken.
 
-A whole grid of trimming levels ``a`` is computed in one pass, each level
-from its own ``a`` alone, so it gives the same bits on any grid.  For
-supremum-type statistics ``a`` enters only through ``Q``, ``min(a, 1-q)``
-and ``mu'(a)``, so :func:`_sup_over_t` searches an ``(a, t)`` array.  For
+:func:`variance_curve` and :func:`slope_curve` are the only places a
+variance or a slope is assembled; :func:`asymptotic_variance`,
+:func:`sup_variance`, :func:`slope_derivative` and :func:`sup_slope` read
+one level of them.  A curve computes a grid of trimming levels ``a`` in one
+pass, each level from its own ``a`` alone, so it gives the same bits on any
+grid.  For supremum-type statistics ``a`` enters only through ``Q``,
+``min(a, 1-q)`` and ``mu'(a)``, so :func:`_sup_over_t` searches an
+``(a, t)`` array.  For
 integral-type ones ``Int_Q^inf phi f`` integrates a polynomial in
 ``u = F(x)``, exact under a fixed Gauss-Legendre rule, and
 ``Int_0^Q phi x f`` uses a fixed composite rule (:func:`_t3`).  A
@@ -44,10 +48,11 @@ members factor as ``w(q) * chi(u; q)`` where ``chi(u; q) = 1{u >= q} -
 1{u < 1-q}`` and ``q = F(t)``.  These closed forms are certified against
 Monte Carlo conditional expectations in the test suite.
 
-:func:`report_curve` is the single place the local index is assembled,
-including its degenerate cases (a vanishing variance, and KS at
-``a = 1/2``); :func:`report` is its one-level case, and the index functions
-of :mod:`symlab.efficiency` read their values from it.
+:func:`report_curve` is the single place the local index, slope squared
+over variance, is assembled from the two curves, including its degenerate
+cases (a vanishing variance, and KS at ``a = 1/2``); :func:`report` is its
+one-level case, and the index functions of :mod:`symlab.efficiency` read
+their values from it.
 :func:`applicability` is the single rule for which (test, null) pairs the
 theory covers: moment-based tests need a finite second moment (SQRT_B1 a
 sixth), and every other test needs mean centering (``a = 0``) to have a
@@ -73,6 +78,8 @@ from .stats import INTEGRAL, MOMENT, SUPREMUM, StatisticSpec
 __all__ = [
     "Projection",
     "projection",
+    "variance_curve",
+    "slope_curve",
     "asymptotic_variance",
     "variance_function",
     "sup_variance",
@@ -343,14 +350,6 @@ def _integral_variance(spec: StatisticSpec, null: SymmetricNull, alphas):
     )
 
 
-def asymptotic_variance(spec: StatisticSpec, null: SymmetricNull) -> float:
-    """Limiting variance of the root-n scaled integral-type statistic."""
-    if spec.family != INTEGRAL:
-        raise ValueError("use variance_function/sup_variance for supremum-type statistics")
-    applicability(spec, null)
-    return float(_integral_variance(spec, null, np.array([spec.alpha]))[0])
-
-
 def _member_variance(spec: StatisticSpec, null: SymmetricNull, alphas, t):
     """``sigma^2(a; t)`` for a column of levels ``a`` and thresholds (one row, or one per level)."""
     t = np.abs(np.asarray(t, dtype=float))
@@ -408,14 +407,6 @@ def _integral_slope(spec: StatisticSpec, alt: AlternativeFamily, mu_p):
     return spec.kernel_order * (
         _int_phi_score(kernel, alt) + mu_p * _int_phi_fprime(kernel, alt.base)
     )
-
-
-def slope_derivative(spec: StatisticSpec, alt: AlternativeFamily) -> float:
-    """Local slope of the limit in probability, integral-type statistics."""
-    if spec.family != INTEGRAL:
-        raise ValueError("use slope_function/sup_slope for supremum-type statistics")
-    applicability(spec, alt.base)
-    return _integral_slope(spec, alt, _mu_prime(alt, spec.alpha))
 
 
 def _member_slope(spec: StatisticSpec, alt: AlternativeFamily, mu_p, t):
@@ -476,20 +467,87 @@ def _sup_over_t(f, null: SymmetricNull, tol: float = 1e-6) -> tuple[np.ndarray, 
     return best, arg
 
 
+def _refused(spec: StatisticSpec, null: SymmetricNull, alphas: np.ndarray) -> np.ndarray:
+    """Mask of the levels :func:`applicability` refuses (``spec.alpha`` ignored)."""
+    na = np.zeros(alphas.size, dtype=bool)
+    for i, a in enumerate(alphas):
+        try:
+            applicability(StatisticSpec(spec.kind, spec.k, float(a)), null)
+        except NotApplicableError:
+            na[i] = True
+    return na
+
+
+def _on_accepted(spec: StatisticSpec, null: SymmetricNull, alphas, compute):
+    """``compute(a)`` on the levels ``a`` :func:`applicability` accepts, NaN on the rest."""
+    if spec.family == MOMENT:
+        raise ValueError(f"{spec.kind} is moment-based; it has no trimming curve")
+    alphas = np.asarray(alphas, dtype=float).ravel()
+    na = _refused(spec, null, alphas)
+    value, arg = np.full((2, alphas.size), math.nan)
+    if not na.all():
+        value[~na], arg[~na] = compute(alphas[~na])
+    return value, arg
+
+
+def variance_curve(spec: StatisticSpec, null: SymmetricNull, alphas):
+    """Limiting variance of ``spec`` on each trimming level, and its argmax over ``t``.
+
+    The supremum over the threshold for supremum-type statistics; the
+    argmax is NaN for integral-type ones.  Each level is computed from its
+    own ``a`` alone (``spec.alpha`` is ignored); refused levels are NaN.
+    """
+
+    def compute(a):
+        if spec.family == INTEGRAL:
+            return _integral_variance(spec, null, a), math.nan
+        return _sup_over_t(lambda t: _member_variance(spec, null, a[:, None], t), null)
+
+    return _on_accepted(spec, null, alphas, compute)
+
+
+def slope_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas):
+    """Local slope of ``spec`` against ``alt`` on each level, as :func:`variance_curve`.
+
+    A supremum-type slope is the supremum of the absolute member slope.
+    """
+
+    def compute(a):
+        mu_p = np.array([_mu_prime(alt, float(level)) for level in a])
+        if spec.family == INTEGRAL:
+            return _integral_slope(spec, alt, mu_p), math.nan
+        return _sup_over_t(lambda t: np.abs(_member_slope(spec, alt, mu_p[:, None], t)), alt.base)
+
+    return _on_accepted(spec, alt.base, alphas, compute)
+
+
+def _at_level(curve, family: str, spec: StatisticSpec, model, null: SymmetricNull):
+    """``(value, argmax)`` of ``curve`` at ``spec.alpha``, for ``family``-type statistics."""
+    if spec.family != family:
+        raise ValueError(f"{spec.kind} is {spec.family}-type; this applies to {family}-type")
+    applicability(spec, null)
+    value, arg = curve(spec, model, [spec.alpha])
+    return float(value[0]), float(arg[0])
+
+
+def asymptotic_variance(spec: StatisticSpec, null: SymmetricNull) -> float:
+    """Limiting variance of the root-n scaled integral-type statistic."""
+    return _at_level(variance_curve, INTEGRAL, spec, null, null)[0]
+
+
 def sup_variance(spec: StatisticSpec, null: SymmetricNull) -> tuple[float, float]:
     """Supremum over ``t`` of the member variance, with its argmax."""
-    applicability(spec, null)
-    alphas = np.array([[spec.alpha]])
-    val, arg = _sup_over_t(lambda t: _member_variance(spec, null, alphas, t), null)
-    return float(val[0]), float(arg[0])
+    return _at_level(variance_curve, SUPREMUM, spec, null, null)
+
+
+def slope_derivative(spec: StatisticSpec, alt: AlternativeFamily) -> float:
+    """Local slope of the limit in probability, integral-type statistics."""
+    return _at_level(slope_curve, INTEGRAL, spec, alt, alt.base)[0]
 
 
 def sup_slope(spec: StatisticSpec, alt: AlternativeFamily) -> tuple[float, float]:
     """Supremum over ``t`` of the absolute member slope, with its argmax."""
-    applicability(spec, alt.base)
-    mu_p = np.array([[_mu_prime(alt, spec.alpha)]])
-    val, arg = _sup_over_t(lambda t: np.abs(_member_slope(spec, alt, mu_p, t)), alt.base)
-    return float(val[0]), float(arg[0])
+    return _at_level(slope_curve, SUPREMUM, spec, alt, alt.base)
 
 
 # ---------------------------------------------------------------------------
@@ -625,44 +683,27 @@ def report_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas) -> IndexCu
     """
     null = alt.base
     alphas = np.asarray(alphas, dtype=float).ravel()
-    na = np.zeros(alphas.size, dtype=bool)
-    for i, a in enumerate(alphas):
-        try:
-            applicability(StatisticSpec(spec.kind, spec.k, float(a)), null)
-        except NotApplicableError:
-            na[i] = True
-    ok = alphas[~na]
-    sigma2 = slope = index = var_arg = slope_arg = np.full(ok.size, math.nan)
-    flagged = np.zeros(ok.size, dtype=bool)
-    if ok.size and spec.family == MOMENT:
-        moment = sqrtb1_slope if spec.kind == "SQRT_B1" else cm_family_slope
-        index = np.full(ok.size, moment(null, alt))
-    elif ok.size:
-        mu_p = np.array([_mu_prime(alt, float(a)) for a in ok])
-        if spec.family == INTEGRAL:
-            sigma2 = _integral_variance(spec, null, ok)
-            slope = _integral_slope(spec, alt, mu_p)
-        else:
-            level = ok[:, None]
-            sigma2, var_arg = _sup_over_t(lambda t: _member_variance(spec, null, level, t), null)
-            slope, slope_arg = _sup_over_t(
-                lambda t: np.abs(_member_slope(spec, alt, mu_p[:, None], t)), null
-            )
+    na = _refused(spec, null, alphas)
+    if spec.family == MOMENT:
+        index, sigma2, slope, var_arg, slope_arg = np.full((5, alphas.size), math.nan)
+        if not na.all():
+            moment = sqrtb1_slope if spec.kind == "SQRT_B1" else cm_family_slope
+            index[~na] = moment(null, alt)
+        flagged = np.zeros(alphas.size, dtype=bool)
+    else:
+        sigma2, var_arg = variance_curve(spec, null, alphas)
+        slope, slope_arg = slope_curve(spec, alt, alphas)
         # Median centering pins the empirical process at the origin, so the
         # sign-test member that defines the KS family is an exact 0/0 there;
         # the comparison study treats the classical median-centered KS as
         # inefficient at this endpoint and flags it.
-        flagged = (sigma2 < DEGENERACY_TOL) | ((spec.kind == "KS") & (ok == 0.5))
-        index = np.divide(slope * slope, sigma2, out=np.full(ok.size, math.nan), where=~flagged)
-
-    def spread(values):
-        out = np.full(alphas.size, math.nan if values.dtype.kind == "f" else False)
-        out[~na] = values
-        return out
-
+        flagged = ~na & ((sigma2 < DEGENERACY_TOL) | ((spec.kind == "KS") & (alphas == 0.5)))
+        index = np.divide(
+            slope * slope, sigma2, out=np.full(alphas.size, math.nan), where=~(flagged | na)
+        )
     return IndexCurve(
-        spec.label, null.name, alt.kind, alphas, spread(index), spread(flagged), na,
-        *(spread(v) for v in (sigma2, slope, var_arg, slope_arg)),
+        spec.label, null.name, alt.kind, alphas, index, flagged, na,
+        sigma2, slope, var_arg, slope_arg,
     )
 
 

@@ -143,12 +143,6 @@ def _cmd_test(args) -> int:
     return EXIT_OK
 
 
-def _grid_from_arg(points: int) -> np.ndarray:
-    if points < 2:
-        raise ValueError("grid needs at least 2 points")
-    return np.linspace(0.0, 0.5, points)
-
-
 def _cmd_index(args) -> int:
     try:
         null = get_null(args.null)
@@ -157,7 +151,7 @@ def _cmd_index(args) -> int:
         if not tests:
             raise ValueError("no tests requested")
         specs = [parse_statistic(name) for name in tests]
-        grid = _grid_from_arg(args.grid)
+        grid = eff.default_grid(args.grid)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -183,29 +177,11 @@ def _cmd_index(args) -> int:
             for a, v, degen, na in curve.rows():
                 writer.writerow([curve.test, _fmt(a), _fmt(v), str(degen or na).lower()])
     outputs.append(out)
-    _write_manifest(
-        out,
-        "index",
-        {
-            "null": null.name,
-            "alt": alt.kind,
-            "tests": tests,
-            "grid_points": args.grid,
-            "not_applicable": not_applicable,
-        },
-        args.seed,
-        outputs,
-    )
+    params = {"null": null.name, "alt": alt.kind, "tests": tests, "grid_points": args.grid}
+    _write_manifest(out, "index", params | {"not_applicable": not_applicable}, args.seed, outputs)
     for path in outputs:
         print(f"wrote {path}")
     return EXIT_NOT_APPLICABLE if len(not_applicable) == len(curves) else EXIT_OK
-
-
-def _variance_at(spec, null) -> float:
-    if spec.family == SUPREMUM:
-        value, _ = asy.sup_variance(spec, null)
-        return value
-    return asy.asymptotic_variance(spec, null)
 
 
 def _cmd_variance(args) -> int:
@@ -218,7 +194,7 @@ def _cmd_variance(args) -> int:
             raise ValueError("moment-based statistics have no trimming-variance curve")
         if args.over_t and spec0.family != SUPREMUM:
             raise ValueError("--over-t applies to supremum-type statistics")
-        grid = _grid_from_arg(args.grid)
+        grid = eff.default_grid(args.grid)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -227,30 +203,19 @@ def _cmd_variance(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
 
     if args.over_t:
-        t_max = max(float(null.quantile(0.999)) for null in nulls)
-        ts = np.linspace(0.0, t_max, args.grid)
-        columns = [asy.variance_function(spec0, null, ts) for null in nulls]
-        rows = np.column_stack([ts, *columns]).tolist()
-        header = ["t"] + [f"sigma2_{null.name}" for null in nulls]
+        axis = "t"
+        xs = np.linspace(0.0, max(float(null.quantile(0.999)) for null in nulls), args.grid)
+        columns = [asy.variance_function(spec0, null, xs) for null in nulls]
         params = {"stat": spec0.label, "alpha": args.alpha, "over_t": True}
     else:
-        rows = []
-        for a in grid:
-            row = [a]
-            for null in nulls:
-                spec = parse_statistic(args.stat, alpha=float(a))
-                try:
-                    row.append(_variance_at(spec, null))
-                except NotApplicableError:
-                    row.append(math.nan)
-            rows.append(row)
-        header = ["alpha"] + [f"sigma2_{null.name}" for null in nulls]
+        axis, xs = "alpha", grid
+        columns = [asy.variance_curve(spec0, null, grid)[0] for null in nulls]
         params = {"stat": spec0.label, "grid_points": args.grid, "over_t": False}
 
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
+        writer.writerow([axis] + [f"sigma2_{null.name}" for null in nulls])
+        for row in np.column_stack([xs, *columns]).tolist():
             writer.writerow([_fmt(v) for v in row])
     _write_manifest(out, "variance", params | {"nulls": [n.name for n in nulls]}, None, [out])
     print(f"wrote {out}")

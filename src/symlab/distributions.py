@@ -61,6 +61,21 @@ def _libm(f, *args):
     return _as_float(np.frompyfunc(f, len(args), 1)(*args))
 
 
+def _uniforms(n: int, seed: int, rng: np.random.Generator | None, count: int) -> list:
+    """``count`` arrays of ``n`` uniforms drawn in turn from ``rng`` (``stream(seed, 0)`` if None).
+
+    The sampling preamble of every model: the last array feeds an inverse
+    CDF, so it is clipped into ``[2^-53, 1 - 2^-53]`` to keep draws finite.
+    """
+    if n < 1:
+        raise ValueError("sample size must be at least 1")
+    if rng is None:
+        rng = stream(seed, 0)
+    draws = [rng.random(n) for _ in range(count)]
+    np.clip(draws[-1], 2.0**-53, 1.0 - 2.0**-53, out=draws[-1])
+    return draws
+
+
 class SymmetricNull:
     """A symmetric absolutely continuous model centered at zero; stateless, so equal by class."""
 
@@ -152,12 +167,7 @@ class SymmetricNull:
     # -- sampling ---------------------------------------------------------
     def sample(self, n: int, seed: int, rng: np.random.Generator | None = None) -> np.ndarray:
         """``n`` i.i.d. draws by inverse CDF; deterministic given ``seed``."""
-        if n < 1:
-            raise ValueError("sample size must be at least 1")
-        if rng is None:
-            rng = stream(seed, 0)
-        u = rng.random(n)
-        np.clip(u, 2.0**-53, 1.0 - 2.0**-53, out=u)
+        (u,) = _uniforms(n, seed, rng, 1)
         return np.asarray(self._quantile(u), dtype=float)
 
     def __repr__(self) -> str:
@@ -402,15 +412,9 @@ class FernandezSteel(AlternativeFamily):
         self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None
     ) -> np.ndarray:
         theta = self._check_theta(theta)
-        if n < 1:
-            raise ValueError("sample size must be at least 1")
+        side, u = _uniforms(n, seed, rng, 2)
         gamma = 1.0 + theta
         mass_neg = gamma * gamma / (1.0 + gamma * gamma)
-        if rng is None:
-            rng = stream(seed, 0)
-        side = rng.random(n)
-        u = rng.random(n)
-        np.clip(u, 2.0**-53, 1.0 - 2.0**-53, out=u)
         half = np.asarray(self.base.quantile(0.5 + 0.5 * u), dtype=float)
         return np.where(side < mass_neg, -gamma * half, half / gamma)
 
@@ -456,13 +460,8 @@ class Contamination(AlternativeFamily):
         self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None
     ) -> np.ndarray:
         theta = self._check_theta(theta)
-        if n < 1:
-            raise ValueError("sample size must be at least 1")
-        if rng is None:
-            rng = stream(seed, 0)
-        shifted = rng.random(n) < theta
-        u = rng.random(n)
-        np.clip(u, 2.0**-53, 1.0 - 2.0**-53, out=u)
+        picks, u = _uniforms(n, seed, rng, 2)
+        shifted = picks < theta
         draws = np.asarray(self.base.quantile(u), dtype=float)
         draws[shifted] += 1.0
         return draws

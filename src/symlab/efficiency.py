@@ -81,7 +81,9 @@ def bahadur_index(test, alt: AlternativeFamily, alpha: float | None = None) -> f
 
 
 def default_grid(points: int = 101) -> np.ndarray:
-    """Equally spaced trimming grid on [0, 1/2]."""
+    """Equally spaced trimming grid on [0, 1/2], both ends included."""
+    if points < 2:
+        raise ValueError("grid needs at least 2 points")
     return np.linspace(0.0, 0.5, points)
 
 
@@ -106,9 +108,10 @@ class ZeroEfficiencyResult:
 def zero_efficiency_alpha(test, alt: AlternativeFamily, scan_points: int = 64) -> ZeroEfficiencyResult:
     """Interior trimming level at which an integral-type test's index vanishes.
 
-    Scans the slope of the limit in probability over (0, 1/2) for a sign
-    change and bisects to 1e-6.  The index vanishes exactly where the slope
-    does (the variance is positive in the interior).  Returns a not-found
+    Scans the slope of the limit in probability over (0, 1/2), one
+    :func:`~symlab.asymptotics.slope_curve`, for a sign change and bisects
+    to 1e-6.  The index vanishes exactly where the slope does (the
+    variance is positive in the interior).  Returns a not-found
     result when the slope does not change sign; the sign test is the
     structural example, since its slope is proportional to
     ``mu'(alpha) - mu'(1/2)`` and so vanishes only at the median endpoint.
@@ -120,15 +123,11 @@ def zero_efficiency_alpha(test, alt: AlternativeFamily, scan_points: int = 64) -
     def slope_at(a: float) -> float:
         return asy.slope_derivative(_resolve(spec0, a), alt)
 
-    lo, hi = 1e-4, 0.5 - 1e-4
-    grid = np.linspace(lo, hi, scan_points)
-    vals = np.asarray([slope_at(a) for a in grid])
-    signs = np.sign(vals)
+    grid = np.linspace(1e-4, 0.5 - 1e-4, scan_points)
+    signs = np.sign(asy.slope_curve(spec0, alt, grid)[0])
     for i in range(grid.size - 1):
         if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]:
-            root = float(
-                optimize.brentq(slope_at, grid[i], grid[i + 1], xtol=1e-6)
-            )
+            root = float(optimize.brentq(slope_at, grid[i], grid[i + 1], xtol=1e-6))
             return ZeroEfficiencyResult(True, root)
         if signs[i] == 0:
             return ZeroEfficiencyResult(True, float(grid[i]))

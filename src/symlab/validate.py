@@ -84,7 +84,7 @@ _CLASS_MOMENT = ("CM", "GAMMA", "MGG")
 
 
 def _check_equivalence_classes(seed: int, full: bool) -> tuple[bool, str]:
-    grid = np.linspace(0.0, 0.5, 21)
+    grid = eff.default_grid(21)
     tol = eff.EQUIVALENCE_TOL
     worst = 0.0
     failures: list[str] = []
@@ -234,47 +234,35 @@ def _check_slope_fd(seed: int, full: bool) -> tuple[bool, str]:
     worst = 0.0
     failures = []
     checked = 0
+
+    def record(label: str, analytic: float, fd: float) -> None:
+        nonlocal worst, checked
+        err = abs(analytic - fd)
+        worst, checked = max(worst, err), checked + 1
+        if err > tol:
+            failures.append(f"{label}: {err:.1e}")
+
     for alt_name in ("contam", "fs"):
         alt = get_alternative(alt_name, "normal")
         null = alt.base
         for name in integral_tests:
             for a in alphas:
                 spec = parse_statistic(name, alpha=a)
-                analytic = asy.slope_derivative(spec, alt)
                 fd = population_slope_fd(spec, alt)
-                err = abs(analytic - fd)
-                worst = max(worst, err)
-                checked += 1
-                if err > tol:
-                    failures.append(f"{name} a={a} {alt_name}: {err:.1e}")
+                record(f"{name} a={a} {alt_name}", asy.slope_derivative(spec, alt), fd)
         for name in sup_tests:
             t = float(null.quantile(0.8))
             for a in alphas:
                 spec = parse_statistic(name, alpha=a)
-                analytic = asy.slope_function(spec, alt, t)
                 fd = population_slope_fd(spec, alt, t=t)
-                err = abs(analytic - fd)
-                worst = max(worst, err)
-                checked += 1
-                if err > tol:
-                    failures.append(f"{name} a={a} t {alt_name}: {err:.1e}")
+                record(f"{name} a={a} t {alt_name}", asy.slope_function(spec, alt, t), fd)
             # supremum level: |b| expands as theta * sup_t |slope(t)|
             spec = parse_statistic(name, alpha=alphas[-1])
-            analytic, _ = asy.sup_slope(spec, alt)
             fd = population_slope_fd(spec, alt, absolute=True)
-            err = abs(analytic - fd)
-            worst = max(worst, err)
-            checked += 1
-            if err > tol:
-                failures.append(f"{name} sup {alt_name}: {err:.1e}")
+            record(f"{name} sup {alt_name}", asy.sup_slope(spec, alt)[0], fd)
         for name in moment_tests:
-            analytic = _moment_slope(name, alt)
             fd = population_slope_fd(parse_statistic(name), alt)
-            err = abs(analytic - fd)
-            worst = max(worst, err)
-            checked += 1
-            if err > tol:
-                failures.append(f"{name} {alt_name}: {err:.1e}")
+            record(f"{name} {alt_name}", _moment_slope(name, alt), fd)
     # skewness-statistic variance denominator for the normal null (exact)
     normal = get_null("normal")
     denom = normal.moment(6) - 6.0 * normal.moment(2) * normal.moment(4) + 9.0 * normal.moment(2) ** 3

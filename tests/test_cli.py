@@ -9,7 +9,7 @@ import symlab.montecarlo
 import symlab.validate
 from symlab import efficiency as eff
 from symlab.cli import main
-from symlab.asymptotics import variance_function
+from symlab.asymptotics import asymptotic_variance, sup_variance, variance_function
 from symlab.distributions import NULL_NAMES, get_alternative, get_null
 from symlab.errors import NotApplicableError
 from symlab.montecarlo import McConfig, critical_value, p_value
@@ -294,6 +294,34 @@ class TestCmdVariance:
             + [format(variance_function(spec, null, float(t)), ".12g") for null in nulls]
             for t in ts
         ]
+        with open(out, newline="") as fh:
+            assert list(csv.reader(fh)) == expected
+
+    @pytest.mark.parametrize("stat", ["S", "W", "NA_I_4", "KS", "NA_K_4", "MO_K_2"])
+    def test_grid_equals_scalar_level_calls(self, tmp_path, stat):
+        # the table one asymptotic_variance/sup_variance call per (alpha, null)
+        # gives, with nan where the theory refuses the level
+        names = ["normal", "logistic", "cauchy"]
+        out = tmp_path / "var.csv"
+        code = main(["variance", "--null", ",".join(names), "--stat", stat,
+                     "--grid", "11", "-o", str(out)])
+        assert code == 0
+
+        def cell(a, null):
+            spec = parse_statistic(stat, alpha=float(a))
+            try:
+                if spec.family == "supremum":
+                    return format(sup_variance(spec, null)[0], ".12g")
+                return format(asymptotic_variance(spec, null), ".12g")
+            except NotApplicableError:
+                return "nan"
+
+        nulls = [get_null(name) for name in names]
+        expected = [["alpha"] + [f"sigma2_{name}" for name in names]] + [
+            [format(float(a), ".12g")] + [cell(a, null) for null in nulls]
+            for a in np.linspace(0.0, 0.5, 11)
+        ]
+        assert expected[1][3] == "nan"  # untrimmed centering under the Cauchy
         with open(out, newline="") as fh:
             assert list(csv.reader(fh)) == expected
 

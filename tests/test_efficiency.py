@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from symlab import efficiency as eff
+from symlab import asymptotics as asy
 from symlab.asymptotics import report
 from symlab.distributions import AlternativeFamily, get_alternative
 from symlab.errors import NotApplicableError
@@ -139,6 +140,41 @@ def test_report_is_the_one_index(name, null_name, alt_name):
             assert (c.degenerate[at] == rep.degenerate).all()
             np.testing.assert_array_equal(c.index[at].view(np.int64),
                                           np.float64(rep.index).view(np.int64))
+
+    # the variance and slope curves on each grid give, level by level, the
+    # bits of their one-level readers, and NaN exactly where those refuse
+    spec0 = parse_statistic(name)
+    family_readers = {
+        "integral": (asy.asymptotic_variance, asy.slope_derivative),
+        "supremum": (asy.sup_variance, asy.sup_slope),
+    }
+    for family, readers in family_readers.items():
+        if family != spec0.family:  # each reader keeps its family guard
+            for reader, model in zip(readers, (alt.base, alt)):
+                with pytest.raises(ValueError):
+                    reader(parse_statistic(name, alpha=0.25), model)
+    if spec0.family == "moment":
+        for curve, model in ((asy.variance_curve, alt.base), (asy.slope_curve, alt)):
+            with pytest.raises(ValueError):
+                curve(spec0, model, coarse)
+        return
+    sup = spec0.family == "supremum"
+    for curve, reader, model in zip(
+        (asy.variance_curve, asy.slope_curve), family_readers[spec0.family], (alt.base, alt)
+    ):
+        wanted = {}
+        for a in np.unique(np.concatenate(grids)):
+            try:
+                got = reader(parse_statistic(name, alpha=float(a)), model)
+                wanted[a] = got if sup else (got, math.nan)
+            except NotApplicableError:
+                wanted[a] = (math.nan, math.nan)
+        assert any(math.isnan(v) for v, _ in wanted.values()) == (null_name == "cauchy")
+        for grid in grids:
+            values, argmaxes = curve(spec0, model, grid)
+            want = np.array([wanted[a] for a in grid])
+            np.testing.assert_array_equal(values.view(np.int64), want[:, 0].view(np.int64))
+            np.testing.assert_array_equal(argmaxes.view(np.int64), want[:, 1].view(np.int64))
 
 
 class TestZeroEfficiency:
