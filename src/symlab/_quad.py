@@ -1,33 +1,85 @@
-"""Thin adaptive-quadrature helpers used by the asymptotic formulas.
+"""Quadrature: fixed rules for the asymptotic layer, adaptive ones for the references.
 
-``scipy.integrate.quad`` already performs the variable transform needed for
-(semi-)infinite ranges, so these wrappers only fix tolerances and make the
-"split at known kinks" pattern explicit.
+Every integral behind a variance, slope or index uses the fixed composite
+Gauss-Legendre rules :func:`graded` and :func:`half_line`, each level from
+its own limit alone, with the distance to the rule with half the nodes as
+the error estimate.  :func:`quad` and :func:`quad_split` wrap
+``scipy.integrate.quad``, imported on first call, for the independent
+references only: the oracles, ``validate``, the influence curve and the
+population trimmed mean.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
+from functools import cache
 
-from scipy import integrate
+import numpy as np
 
-__all__ = ["quad", "quad_split"]
+__all__ = ["quad", "quad_split", "graded", "half_line"]
 
 ABS_TOL = 1e-10
 
 
+@cache
+def _gauss01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on ``[0, 1]``."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+@cache
+def _graded_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on ``[0, 1]``, panels ``[4^-j-1, 4^-j]`` and ``[0, 4^-25]``.
+
+    Scaled to ``[0, q]``, the graded panels resolve an integrand that varies
+    on a fixed scale near the origin for any ``q`` up to about 3e15 (the
+    largest Cauchy quantile); uniform panels lose digits once ``q`` is large.
+    """
+    s, w = _gauss01(nodes)
+    edges = np.concatenate([[0.0], 0.25 ** np.arange(25.0, -1.0, -1.0)])
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    return (lo + width * s).ravel(), (width * w).ravel()
+
+
+def graded(g: Callable, q, nodes: int = 32):
+    """``Integral_0^q g(x) dx`` for each ``q`` by :func:`_graded_rule`, and its error estimate."""
+    q = np.asarray(q, dtype=float)[..., None]
+
+    def apply(n):
+        s, w = _graded_rule(n)
+        return q[..., 0] * np.sum(w * g(q * s), axis=-1)
+
+    value = apply(nodes)
+    return value, np.abs(value - apply(nodes // 2))
+
+
+def half_line(g: Callable, null) -> tuple[float, float]:
+    """``Integral_0^inf g(x) dx`` and its error estimate, for ``g`` that decays like ``null``.
+
+    With ``x = -Q(s/2)``, ``Q`` the null quantile, the integral is
+    ``1/2 Integral_0^1 g(x)/f(x) ds``; :func:`graded` in ``s`` resolves the
+    tail at ``s -> 0``.
+    """
+
+    def mapped(s):
+        x = -null.quantile(0.5 * s)
+        return 0.5 * g(x) / null.density(x)
+
+    value, err = graded(mapped, 1.0)
+    return float(value), float(err)
+
+
 def quad(f: Callable[[float], float], a: float, b: float, abs_tol: float = ABS_TOL) -> float:
     """Adaptive quadrature of ``f`` over ``[a, b]`` (limits may be infinite)."""
+    from scipy import integrate
+
     val, _ = integrate.quad(f, a, b, epsabs=abs_tol, epsrel=1e-11, limit=200)
     return val
 
 
 def quad_split(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    points: Iterable[float] = (),
-    abs_tol: float = ABS_TOL,
+    f: Callable[[float], float], a: float, b: float, points: Iterable[float] = ()
 ) -> float:
     """Quadrature over ``[a, b]`` split at interior breakpoints.
 
@@ -36,4 +88,4 @@ def quad_split(
     """
     cuts = sorted(p for p in points if a < p < b)
     edges = [a, *cuts, b]
-    return sum(quad(f, lo, hi, abs_tol=abs_tol) for lo, hi in zip(edges[:-1], edges[1:]))
+    return sum(quad(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))

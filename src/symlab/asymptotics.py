@@ -30,10 +30,13 @@ integral-type ones ``Int_Q^inf phi f`` integrates a polynomial in
 ``Int_0^Q phi x f`` uses a fixed composite rule (:func:`_t3`).  A
 moment-based index does not depend on ``a`` and is computed once.
 
-:func:`functools.cache` holds the alpha-free integrals ``Int phi^2``,
+The other integrals use the fixed rules of :mod:`symlab._quad` too (the
+whole-line ones folded onto ``[0, inf)``), and the curves carry the largest
+error estimate behind each level.  :func:`functools.cache` holds the alpha-free integrals ``Int phi^2``,
 ``Int phi f'``, ``Int_0^inf phi x f``, ``Int phi h`` and ``Int x^3 h`` per
-``(kind, k)`` statistic and model, and ``mu'`` per (alternative, alpha);
-models compare by value, so every lookup of one model shares an entry.
+``(kind, k)`` statistic and model, with their estimates, and ``mu'`` per
+alternative and grid of levels; models compare by value, so every lookup of
+one model shares an entry.
 
 Projections are analytic.  Every characterization statistic compares the
 ``r``-th and ``(p+1-r)``-th order statistics of a ``p``-subsample in absolute
@@ -69,10 +72,10 @@ from functools import cache
 
 import numpy as np
 
-from ._quad import quad_split
+from ._quad import _gauss01, graded, half_line
 from .distributions import AlternativeFamily, SymmetricNull, _as_float, _libm
 from .errors import NotApplicableError
-from .location import check_centering, trimmed_mean_derivative
+from .location import _derivative_curve, check_centering
 from .stats import INTEGRAL, MOMENT, SUPREMUM, StatisticSpec
 
 __all__ = [
@@ -100,8 +103,12 @@ DEGENERACY_TOL = 1e-10
 
 
 @cache
-def _mu_prime(alt: AlternativeFamily, alpha: float) -> float:
-    return trimmed_mean_derivative(alt, alpha)
+def _mu_prime(alt: AlternativeFamily, alphas: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``mu'`` on each of the levels ``alphas`` and its quadrature error estimate."""
+    curve = _derivative_curve(alt, alphas)
+    for array in curve:
+        array.flags.writeable = False  # every caller shares the cached arrays
+    return curve
 
 
 def _kernel(spec: StatisticSpec) -> StatisticSpec:
@@ -201,29 +208,8 @@ def projection(spec: StatisticSpec, null: SymmetricNull) -> Projection:
 
 
 # ---------------------------------------------------------------------------
-# fixed quadrature rules
+# variance (integral type and supremum members)
 # ---------------------------------------------------------------------------
-
-
-@cache
-def _gauss01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on ``[0, 1]``."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-@cache
-def _graded_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on ``[0, 1]``, panels ``[4^-j-1, 4^-j]`` and ``[0, 4^-25]``.
-
-    Scaled to ``[0, q]``, the graded panels resolve an integrand that varies
-    on a fixed scale near the origin for any ``q`` up to about 3e15 (the
-    largest Cauchy quantile); uniform panels lose digits once ``q`` is large.
-    """
-    s, w = _gauss01(nodes)
-    edges = np.concatenate([[0.0], 0.25 ** np.arange(25.0, -1.0, -1.0)])
-    lo, width = edges[:-1, None], np.diff(edges)[:, None]
-    return (lo + width * s).ravel(), (width * w).ravel()
 
 
 def _u_integral(f, lo):
@@ -233,11 +219,6 @@ def _u_integral(f, lo):
     return (1.0 - lo[..., 0]) * np.sum(w * f(lo + (1.0 - lo) * u), axis=-1)
 
 
-# ---------------------------------------------------------------------------
-# variance (integral type and supremum members)
-# ---------------------------------------------------------------------------
-
-
 @cache
 def _phi_sq(spec: StatisticSpec) -> float:
     """``Integral_0^1 phi(u)^2 du`` (null-free)."""
@@ -245,43 +226,26 @@ def _phi_sq(spec: StatisticSpec) -> float:
     return 2.0 * float(_u_integral(lambda u: phi_u(u) ** 2, 0.5))
 
 
-def _phi_x(spec: StatisticSpec, null: SymmetricNull):
-    phi_u = _profile(spec)
-    return lambda x: float(phi_u(null.cdf(x)))
+@cache
+def _int_phi_fprime(spec: StatisticSpec, null: SymmetricNull) -> tuple[float, float]:
+    phi = Projection(spec, null).phi
+    return half_line(lambda x: 2.0 * phi(x) * null.density_derivative(x), null)  # even
 
 
 @cache
-def _int_phi_fprime(spec: StatisticSpec, null: SymmetricNull) -> float:
-    phi = _phi_x(spec, null)
-    return quad_split(
-        lambda x: phi(x) * null.density_derivative(x), -np.inf, np.inf, points=[0.0]
-    )
-
-
-@cache
-def _int_phi_x(spec: StatisticSpec, null: SymmetricNull) -> float:
+def _int_phi_x(spec: StatisticSpec, null: SymmetricNull) -> tuple[float, float]:
     """``Integral_0^inf phi(x) x f(x) dx``, the untrimmed case of :func:`_t3`."""
-    phi = _phi_x(spec, null)
-    return quad_split(lambda x: phi(x) * x * null.density(x), 0.0, np.inf)
+    phi = Projection(spec, null).phi
+    return half_line(lambda x: phi(x) * x * null.density(x), null)
 
 
 def _t3(spec: StatisticSpec, null: SymmetricNull, q):
     """``Integral_0^q phi(x) x f(x) dx`` for each ``q``, with an error estimate.
 
-    The 24-point :func:`_graded_rule` scaled to ``[0, q]``.  The estimate is
-    the distance to the 12-point rule on the same panels: about the coarser
-    rule's error, so a conservative bound on this one's.
+    The 24-point graded rule (12 points for the estimate) suffices here.
     """
-    phi_u = _profile(spec)
-    q = np.asarray(q, dtype=float)[..., None]
-
-    def apply(nodes):
-        s, w = _graded_rule(nodes)
-        x = q * s
-        return q[..., 0] * np.sum(w * phi_u(null.cdf(x)) * x * null.density(x), axis=-1)
-
-    value = apply(24)
-    return value, np.abs(value - apply(12))
+    phi = Projection(spec, null).phi
+    return graded(lambda x: phi(x) * x * null.density(x), q, nodes=24)
 
 
 def applicability(spec: StatisticSpec, null: SymmetricNull) -> None:
@@ -311,15 +275,18 @@ def _assemble_variance(null, m, alphas, t1, a_coef, mean_cross, median_cross, tr
     supremum-member thresholds).  ``J`` is ``4 mean_cross()`` at ``a = 0``,
     ``(2/f(0)) median_cross()`` at ``a = 1/2`` and ``4/(1-2a) trim_cross(Q,
     a)`` between, with ``Q`` the ``(1-a)`` quantile; a branch runs only when
-    some level needs it, and no level reads another.
+    some level needs it, and no level reads another.  ``mean_cross`` and
+    ``trim_cross`` return ``(value, error estimate)``; the second result is
+    the estimate of the branch each level took.
     """
     zero, half = alphas == 0.0, alphas == 0.5
     inner = ~(zero | half)
-    c2 = np.zeros(alphas.shape)
+    c2, err = np.zeros((2, *alphas.shape))
     cross = np.zeros(np.broadcast_shapes(alphas.shape, np.shape(a_coef)))
     if zero.any():
+        value, e = mean_cross()
         c2 = np.where(zero, null.moment(2), c2)
-        cross = np.where(zero, 4.0 * mean_cross(), cross)
+        cross, err = np.where(zero, 4.0 * value, cross), np.where(zero, e, err)
     if half.any():
         f0 = float(null.density(0.0))
         c2 = np.where(half, 1.0 / (4.0 * f0 * f0), c2)
@@ -329,25 +296,34 @@ def _assemble_variance(null, m, alphas, t1, a_coef, mean_cross, median_cross, tr
         q = null.quantile(1.0 - a)
         scale = 1.0 - 2.0 * a
         kappa = null.partial_second_moment(q) + a * q * q
+        value, e = trim_cross(q, a)
         c2 = np.where(inner, 2.0 * kappa / (scale * scale), c2)
-        cross = np.where(inner, (4.0 / scale) * trim_cross(q, a), cross)
-    return m * m * (t1 + c2 * (a_coef * a_coef) + a_coef * cross)
+        cross, err = np.where(inner, (4.0 / scale) * value, cross), np.where(inner, e, err)
+    return m * m * (t1 + c2 * (a_coef * a_coef) + a_coef * cross), err
 
 
 def _integral_variance(spec: StatisticSpec, null: SymmetricNull, alphas):
+    """Variance on each level, and the largest error estimate of its integrals."""
     kernel = _kernel(spec)
     phi_u = _profile(spec)
-    return _assemble_variance(
+    fprime, fprime_err = _int_phi_fprime(kernel, null)
+
+    def trim_cross(q, a):
+        # Int_Q^inf phi f is Int_{1-a}^1 phi(u) du: a polynomial in u there
+        value, err = _t3(spec, null, q)
+        return value + q * _u_integral(phi_u, 1.0 - a), err
+
+    value, err = _assemble_variance(
         null,
         spec.kernel_order,
         alphas,
         _phi_sq(kernel),
-        _int_phi_fprime(kernel, null),
+        fprime,
         lambda: _int_phi_x(kernel, null),
         lambda: _u_integral(phi_u, 0.5),
-        # Int_Q^inf phi f is Int_{1-a}^1 phi(u) du: a polynomial in u there
-        lambda q, a: _t3(spec, null, q)[0] + q * _u_integral(phi_u, 1.0 - a),
+        trim_cross,
     )
+    return value, np.maximum(err, fprime_err)
 
 
 def _member_variance(spec: StatisticSpec, null: SymmetricNull, alphas, t):
@@ -361,7 +337,7 @@ def _member_variance(spec: StatisticSpec, null: SymmetricNull, alphas, t):
     def trim_cross(Q, a):
         # the partial moment over (t, Q), empty (exactly 0.0) once t >= Q
         inside = np.where(t < Q, null.partial_first_moment(0.0, Q) - below, 0.0)
-        return w * (inside + Q * np.minimum(a, 1.0 - q))
+        return w * (inside + Q * np.minimum(a, 1.0 - q)), 0.0
 
     return _assemble_variance(
         null,
@@ -369,10 +345,10 @@ def _member_variance(spec: StatisticSpec, null: SymmetricNull, alphas, t):
         alphas,
         w * w * 2.0 * (1.0 - q),
         a_coef,
-        lambda: w * (null.abs_mean() / 2.0 - below),
+        lambda: (w * (null.abs_mean() / 2.0 - below), 0.0),
         lambda: w * (1.0 - q),
         trim_cross,
-    )
+    )[0]
 
 
 def variance_function(spec: StatisticSpec, null: SymmetricNull, t):
@@ -397,16 +373,18 @@ def variance_function(spec: StatisticSpec, null: SymmetricNull, t):
 
 
 @cache
-def _int_phi_score(spec: StatisticSpec, alt: AlternativeFamily) -> float:
-    phi = _phi_x(spec, alt.base)
-    return quad_split(lambda x: phi(x) * alt.score(x), -np.inf, np.inf, points=[0.0, 1.0])
+def _int_phi_score(spec: StatisticSpec, alt: AlternativeFamily) -> tuple[float, float]:
+    phi = Projection(spec, alt.base).phi
+    return half_line(lambda x: phi(x) * (alt.score(x) - alt.score(-x)), alt.base)  # phi odd
 
 
-def _integral_slope(spec: StatisticSpec, alt: AlternativeFamily, mu_p):
+def _integral_slope(spec: StatisticSpec, alt: AlternativeFamily, mu_p, mu_err):
+    """Slope on each level, and the largest error estimate of its integrals."""
     kernel = _kernel(spec)
-    return spec.kernel_order * (
-        _int_phi_score(kernel, alt) + mu_p * _int_phi_fprime(kernel, alt.base)
-    )
+    score, score_err = _int_phi_score(kernel, alt)
+    fprime, fprime_err = _int_phi_fprime(kernel, alt.base)
+    value = spec.kernel_order * (score + mu_p * fprime)
+    return value, np.maximum(mu_err, max(score_err, fprime_err))
 
 
 def _member_slope(spec: StatisticSpec, alt: AlternativeFamily, mu_p, t):
@@ -426,7 +404,7 @@ def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t):
     if spec.family != SUPREMUM:
         raise ValueError("slope_function applies to supremum-type statistics")
     applicability(spec, alt.base)
-    return _as_float(_member_slope(spec, alt, _mu_prime(alt, spec.alpha), t))
+    return _as_float(_member_slope(spec, alt, _mu_prime(alt, (spec.alpha,))[0][0], t))
 
 
 # ---------------------------------------------------------------------------
@@ -478,47 +456,59 @@ def _refused(spec: StatisticSpec, null: SymmetricNull, alphas: np.ndarray) -> np
     return na
 
 
-def _on_accepted(spec: StatisticSpec, null: SymmetricNull, alphas, compute):
-    """``compute(a)`` on the levels ``a`` :func:`applicability` accepts, NaN on the rest."""
+def _on_accepted(spec: StatisticSpec, null: SymmetricNull, alphas, compute, refused):
+    """``compute(a)``, a ``(value, argmax, error)`` triple, on the accepted levels ``a``.
+
+    Refused levels (:func:`_refused`) read NaN, with error 0.
+    """
     if spec.family == MOMENT:
         raise ValueError(f"{spec.kind} is moment-based; it has no trimming curve")
     alphas = np.asarray(alphas, dtype=float).ravel()
-    na = _refused(spec, null, alphas)
+    na = _refused(spec, null, alphas) if refused is None else refused
     value, arg = np.full((2, alphas.size), math.nan)
+    err = np.zeros(alphas.size)
     if not na.all():
-        value[~na], arg[~na] = compute(alphas[~na])
-    return value, arg
+        value[~na], arg[~na], err[~na] = compute(alphas[~na])
+    return value, arg, err
 
 
-def variance_curve(spec: StatisticSpec, null: SymmetricNull, alphas):
-    """Limiting variance of ``spec`` on each trimming level, and its argmax over ``t``.
+def variance_curve(spec: StatisticSpec, null: SymmetricNull, alphas, refused=None):
+    """Limiting variance of ``spec`` on each trimming level, its argmax over ``t`` and error.
 
     The supremum over the threshold for supremum-type statistics; the
-    argmax is NaN for integral-type ones.  Each level is computed from its
-    own ``a`` alone (``spec.alpha`` is ignored); refused levels are NaN.
+    argmax is NaN for integral-type ones.  The error is the largest
+    quadrature error estimate behind each level.  Each level is computed
+    from its own ``a`` alone (``spec.alpha`` is ignored); refused levels
+    (the mask ``refused``, if the caller has it) are NaN.
     """
 
     def compute(a):
         if spec.family == INTEGRAL:
-            return _integral_variance(spec, null, a), math.nan
-        return _sup_over_t(lambda t: _member_variance(spec, null, a[:, None], t), null)
+            value, err = _integral_variance(spec, null, a)
+            return value, math.nan, err
+        return *_sup_over_t(lambda t: _member_variance(spec, null, a[:, None], t), null), 0.0
 
-    return _on_accepted(spec, null, alphas, compute)
+    return _on_accepted(spec, null, alphas, compute, refused)
 
 
-def slope_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas):
+def slope_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas, refused=None):
     """Local slope of ``spec`` against ``alt`` on each level, as :func:`variance_curve`.
 
     A supremum-type slope is the supremum of the absolute member slope.
     """
 
     def compute(a):
-        mu_p = np.array([_mu_prime(alt, float(level)) for level in a])
+        mu_p, mu_err = _mu_prime(alt, tuple(a.tolist()))
         if spec.family == INTEGRAL:
-            return _integral_slope(spec, alt, mu_p), math.nan
-        return _sup_over_t(lambda t: np.abs(_member_slope(spec, alt, mu_p[:, None], t)), alt.base)
+            value, err = _integral_slope(spec, alt, mu_p, mu_err)
+            return value, math.nan, err
 
-    return _on_accepted(spec, alt.base, alphas, compute)
+        def members(t):
+            return np.abs(_member_slope(spec, alt, mu_p[:, None], t))
+
+        return *_sup_over_t(members, alt.base), mu_err
+
+    return _on_accepted(spec, alt.base, alphas, compute, refused)
 
 
 def _at_level(curve, family: str, spec: StatisticSpec, model, null: SymmetricNull):
@@ -526,7 +516,7 @@ def _at_level(curve, family: str, spec: StatisticSpec, model, null: SymmetricNul
     if spec.family != family:
         raise ValueError(f"{spec.kind} is {spec.family}-type; this applies to {family}-type")
     applicability(spec, null)
-    value, arg = curve(spec, model, [spec.alpha])
+    value, arg, _ = curve(spec, model, [spec.alpha])
     return float(value[0]), float(arg[0])
 
 
@@ -567,14 +557,14 @@ def cm_family_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
     if alt.base != null:
         raise ValueError("alternative family must perturb the same null")
     f0 = float(null.density(0.0))
-    num = (_mu_prime(alt, 0.0) - _mu_prime(alt, 0.5)) ** 2
+    num = (_mu_prime(alt, (0.0,))[0][0] - _mu_prime(alt, (0.5,))[0][0]) ** 2
     den = null.moment(2) + 1.0 / (4.0 * f0 * f0) - null.abs_mean() / f0
     return num / den
 
 
 @cache
-def _int_x3_score(alt: AlternativeFamily) -> float:
-    return quad_split(lambda x: x**3 * alt.score(x), -np.inf, np.inf, points=[0.0, 1.0])
+def _int_x3_score(alt: AlternativeFamily) -> tuple[float, float]:
+    return half_line(lambda x: x**3 * (alt.score(x) - alt.score(-x)), alt.base)
 
 
 def sqrtb1_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
@@ -588,8 +578,8 @@ def sqrtb1_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
     if alt.base != null:
         raise ValueError("alternative family must perturb the same null")
     sigma2 = null.moment(2)
-    xh = _mu_prime(alt, 0.0)
-    num = (_int_x3_score(alt) - 3.0 * sigma2 * xh) ** 2
+    xh = _mu_prime(alt, (0.0,))[0][0]
+    num = (_int_x3_score(alt)[0] - 3.0 * sigma2 * xh) ** 2
     den = null.moment(6) - 6.0 * sigma2 * null.moment(4) + 9.0 * sigma2**3
     return num / den
 
@@ -630,6 +620,8 @@ class IndexCurve:
     excludes; ``index`` is NaN at both, so they plot as missing values
     rather than zeros.  ``sigma2`` and ``slope`` are NaN for the
     moment-based tests, and the argmaxes NaN but for supremum-type ones.
+    ``quad_err`` is the largest quadrature error estimate behind each point
+    (0 where nothing was integrated).
     """
 
     test: str
@@ -643,6 +635,7 @@ class IndexCurve:
     slope: np.ndarray
     var_argmax: np.ndarray
     slope_argmax: np.ndarray
+    quad_err: np.ndarray
 
     def __post_init__(self):
         if not (len(self.grid) == len(self.index) == len(self.degenerate)):
@@ -686,13 +679,16 @@ def report_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas) -> IndexCu
     na = _refused(spec, null, alphas)
     if spec.family == MOMENT:
         index, sigma2, slope, var_arg, slope_arg = np.full((5, alphas.size), math.nan)
+        err = np.zeros(alphas.size)
         if not na.all():
-            moment = sqrtb1_slope if spec.kind == "SQRT_B1" else cm_family_slope
-            index[~na] = moment(null, alt)
+            sqrtb1 = spec.kind == "SQRT_B1"
+            index[~na] = (sqrtb1_slope if sqrtb1 else cm_family_slope)(null, alt)
+            err[~na] = max(_mu_prime(alt, (0.0,))[1][0], _int_x3_score(alt)[1] if sqrtb1 else 0.0)
         flagged = np.zeros(alphas.size, dtype=bool)
     else:
-        sigma2, var_arg = variance_curve(spec, null, alphas)
-        slope, slope_arg = slope_curve(spec, alt, alphas)
+        sigma2, var_arg, var_err = variance_curve(spec, null, alphas, na)
+        slope, slope_arg, slope_err = slope_curve(spec, alt, alphas, na)
+        err = np.maximum(var_err, slope_err)
         # Median centering pins the empirical process at the origin, so the
         # sign-test member that defines the KS family is an exact 0/0 there;
         # the comparison study treats the classical median-centered KS as
@@ -703,7 +699,7 @@ def report_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas) -> IndexCu
         )
     return IndexCurve(
         spec.label, null.name, alt.kind, alphas, index, flagged, na,
-        sigma2, slope, var_arg, slope_arg,
+        sigma2, slope, var_arg, slope_arg, err,
     )
 
 

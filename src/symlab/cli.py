@@ -178,7 +178,9 @@ def _cmd_index(args) -> int:
                 writer.writerow([curve.test, _fmt(a), _fmt(v), str(degen or na).lower()])
     outputs.append(out)
     params = {"null": null.name, "alt": alt.kind, "tests": tests, "grid_points": args.grid}
-    _write_manifest(out, "index", params | {"not_applicable": not_applicable}, args.seed, outputs)
+    results = {"not_applicable": not_applicable,
+               "quad_err_max": max(float(c.quad_err.max()) for c in curves)}
+    _write_manifest(out, "index", params | results, args.seed, outputs)
     for path in outputs:
         print(f"wrote {path}")
     return EXIT_NOT_APPLICABLE if len(not_applicable) == len(curves) else EXIT_OK

@@ -233,13 +233,15 @@ class Logistic(SymmetricNull):
 
     name = "logistic"
 
+    # F(-|x|) (1 - F(-|x|)): 1 - F(x) loses every digit in the right tail
     def density(self, x):
-        F = special.expit(np.asarray(x, dtype=float))
+        F = special.expit(-np.abs(np.asarray(x, dtype=float)))
         return _as_float(F * (1.0 - F))
 
     def density_derivative(self, x):
-        F = special.expit(np.asarray(x, dtype=float))
-        return _as_float(F * (1.0 - F) * (1.0 - 2.0 * F))
+        # f' = -f tanh(x/2); 1 - 2 F(x) cancels near the origin
+        x = np.asarray(x, dtype=float)
+        return _as_float(-np.sign(x) * (self.density(x) * np.tanh(0.5 * np.abs(x))))
 
     def cdf(self, x):
         return _as_float(special.expit(np.asarray(x, dtype=float)))

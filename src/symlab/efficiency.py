@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import asymptotics as asy
 from .asymptotics import IndexCurve
@@ -116,6 +115,8 @@ def zero_efficiency_alpha(test, alt: AlternativeFamily, scan_points: int = 64) -
     structural example, since its slope is proportional to
     ``mu'(alpha) - mu'(1/2)`` and so vanishes only at the median endpoint.
     """
+    from scipy import optimize
+
     spec0 = _resolve(test, None)
     if spec0.family != INTEGRAL:
         raise ValueError("zero-efficiency roots are defined for integral-type tests")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._quad import quad, quad_split
+from ._quad import graded, half_line, quad, quad_split
 from .distributions import AlternativeFamily, SymmetricNull
 from .errors import NotApplicableError
 
@@ -142,27 +142,36 @@ def trimmed_mean_derivative(alt: AlternativeFamily, alpha: float) -> float:
     * ``alpha = 1/2``: ``-H(0)/f(0)`` (median shift rate);
     * ``alpha = 0``: ``Integral x h(x) dx`` (mean shift rate).
     """
-    alpha = _check_alpha(alpha)
+    return float(_derivative_curve(alt, [alpha])[0][0])
+
+
+def _derivative_curve(alt: AlternativeFamily, alphas) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`trimmed_mean_derivative` on each level from its own ``a``, with an error estimate."""
+    alphas = np.array([_check_alpha(a) for a in alphas])
     null = alt.base
-    check_centering(null, alpha)
+    check_centering(null, float(alphas.min()))  # only a = 0 can be refused
 
-    if alpha == 0.5:
-        return float(-alt.score_cumulative(0.0) / null.density(0.0))
+    def xh(x):  # Int_{-q}^{q} x h(x) dx folded onto [0, q]
+        return x * (alt.score(x) - alt.score(-x))
 
-    if alpha == 0.0:
-        return quad_split(lambda x: x * alt.score(x), -np.inf, np.inf, points=[0.0, 1.0])
-
-    q = float(null.quantile(1.0 - alpha))
+    value, err = np.zeros((2, alphas.size))
+    inner = (alphas > 0.0) & (alphas < 0.5)
+    scale = 1.0 - 2.0 * alphas[inner]
+    q = null.quantile(1.0 - alphas[inner])
+    integral, e = graded(xh, q)
     edge = -q * (alt.score_cumulative(q) + alt.score_cumulative(-q))
-    inner = quad_split(lambda x: x * alt.score(x), -q, q, points=[0.0, 1.0])
-    return (edge + inner) / (1.0 - 2.0 * alpha)
+    value[inner], err[inner] = (edge + integral) / scale, e / scale
+    value[alphas == 0.5] = -alt.score_cumulative(0.0) / null.density(0.0)
+    if (alphas == 0.0).any():
+        value[alphas == 0.0], err[alphas == 0.0] = half_line(xh, null)
+    return value, err
 
 
 def population_trimmed_mean(alt: AlternativeFamily, theta: float, alpha: float) -> float:
     """Population trimmed mean under ``g(.; theta)``, by quantile quadrature.
 
     Independent oracle used to cross-check :func:`trimmed_mean_derivative`
-    through finite differences; quantiles are found by bisection on the
+    through finite differences; quantiles are found by Brent's method on the
     alternative CDF.
     """
     from scipy import optimize

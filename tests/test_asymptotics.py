@@ -96,9 +96,9 @@ class TestVariance:
 
         spec = StatisticSpec("W", alpha=0.0)
         assert _phi_sq(spec) == pytest.approx(1.0 / 12.0, abs=1e-14)
-        assert _int_phi_fprime(spec, normal) == pytest.approx(
-            -1.0 / (2.0 * math.sqrt(math.pi)), abs=1e-12
-        )
+        value, err = _int_phi_fprime(spec, normal)
+        assert value == pytest.approx(-1.0 / (2.0 * math.sqrt(math.pi)), abs=1e-12)
+        assert err <= 1e-12
 
     def test_ks_member_at_origin_is_four_times_sign(self, normal):
         for alpha in (0.0, 0.1, 0.25):
@@ -362,7 +362,7 @@ class TestQuadratureBudget:
         q = null.quantile(1.0 - alphas)
         for name in INTEGRAL_KINDS:
             spec = parse_statistic(name)
-            phi = asy._phi_x(spec, null)
+            phi = asy.projection(spec, null).phi
             value, abserr = asy._t3(spec, null, q)
             tail = asy._u_integral(asy._profile(spec), 1.0 - alphas)
             assert abserr.max() <= ABS_TOL
@@ -371,3 +371,55 @@ class TestQuadratureBudget:
                 outer = quad_split(lambda x: phi(x) * null.density(x), qi, np.inf)
                 assert abs(value[i] - inner) <= ABS_TOL, (name, alphas[i])
                 assert abs(tail[i] - outer) <= ABS_TOL, (name, alphas[i])
+
+    @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+    @pytest.mark.parametrize("alt_name", ["contam", "fs"])
+    def test_half_line_rules_within_abs_tol(self, null_name, alt_name):
+        # Int phi f', Int_0^inf phi x f, Int phi h and Int x^3 h against
+        # adaptive quadrature, each with its estimate within the budget
+        from symlab._quad import ABS_TOL, quad_split
+
+        alt = get_alternative(alt_name, null_name)
+        null = alt.base
+        inf = np.inf
+
+        def check(fixed, adaptive, label):
+            value, err = fixed
+            assert err <= ABS_TOL and abs(value - adaptive) <= ABS_TOL, label
+
+        for name in INTEGRAL_KINDS:
+            spec = parse_statistic(name)
+            phi = asy.projection(spec, null).phi
+            fprime = quad_split(lambda x: phi(x) * null.density_derivative(x), -inf, inf, [0.0])
+            check(asy._int_phi_fprime(spec, null), fprime, (name, "phi f'"))
+            score = quad_split(lambda x: phi(x) * alt.score(x), -inf, inf, [0.0, 1.0])
+            check(asy._int_phi_score(spec, alt), score, (name, "phi h"))
+            if null.has_moment(2):  # x f is not integrable under the Cauchy
+                phi_x = quad_split(lambda x: phi(x) * x * null.density(x), 0.0, inf)
+                check(asy._int_phi_x(spec, null), phi_x, (name, "phi x f"))
+        if null.has_moment(6):
+            x3h = quad_split(lambda x: x**3 * alt.score(x), -inf, inf, [0.0, 1.0])
+            check(asy._int_x3_score(alt), x3h, "x^3 h")
+
+    @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+    @pytest.mark.parametrize("alt_name", ["contam", "fs"])
+    def test_mu_prime_within_abs_tol(self, null_name, alt_name):
+        # mu' on the 99 interior levels of the default grid, and at a = 0
+        # where mean centering applies, against adaptive quadrature
+        from symlab._quad import ABS_TOL, quad_split
+        from symlab.efficiency import default_grid
+
+        alt = get_alternative(alt_name, null_name)
+        null = alt.base
+        alphas = default_grid()[:-1] if null.has_moment(2) else default_grid()[1:-1]
+        value, err = asy._mu_prime(alt, tuple(alphas.tolist()))
+        assert err.max() <= ABS_TOL
+        for i, a in enumerate(alphas):
+            if a == 0.0:
+                want = quad_split(lambda x: x * alt.score(x), -np.inf, np.inf, [0.0, 1.0])
+            else:
+                q = float(null.quantile(1.0 - a))
+                edge = -q * (alt.score_cumulative(q) + alt.score_cumulative(-q))
+                inner = quad_split(lambda x: x * alt.score(x), -q, q, [0.0, 1.0])
+                want = (edge + inner) / (1.0 - 2.0 * a)
+            assert abs(value[i] - want) <= ABS_TOL, a

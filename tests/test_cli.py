@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +12,10 @@ import pytest
 import symlab.montecarlo
 import symlab.validate
 from symlab import efficiency as eff
+from symlab._quad import ABS_TOL
 from symlab.cli import main
 from symlab.asymptotics import asymptotic_variance, sup_variance, variance_function
-from symlab.distributions import NULL_NAMES, get_alternative, get_null
+from symlab.distributions import ALTERNATIVE_NAMES, NULL_NAMES, get_alternative, get_null
 from symlab.errors import NotApplicableError
 from symlab.montecarlo import McConfig, critical_value, p_value
 from symlab.stats import evaluate, parse_statistic
@@ -245,6 +250,36 @@ class TestCmdIndex:
              "--grid", "5", "-o", str(out)]
         )
         assert code == 0
+
+
+    @pytest.mark.parametrize(
+        "null_name, alt_name", [("normal", "contam"), ("logistic", "fs"), ("cauchy", "fs")]
+    )
+    def test_quadrature_error_budget_in_manifest(self, tmp_path, null_name, alt_name):
+        # the 19 default tests on 101 points
+        out = tmp_path / "idx.csv"
+        assert main(["index", "--null", null_name, "--alt", alt_name, "-o", str(out)]) == 0
+        manifest = json.loads((tmp_path / "idx.csv.manifest.json").read_text())
+        assert 0.0 < manifest["parameters"]["quad_err_max"] <= ABS_TOL
+
+
+def test_index_loads_no_adaptive_quadrature(tmp_path):
+    # a fresh interpreter: symlab index on every pair leaves scipy.integrate
+    # and scipy.optimize unloaded, and validate (which needs them) still runs
+    script = f"""
+import sys
+from symlab.cli import main
+for null in {list(NULL_NAMES)!r}:
+    for alt in {list(ALTERNATIVE_NAMES)!r}:
+        main(["index", "--null", null, "--alt", alt, "-o", {str(tmp_path / "idx.csv")!r}])
+print([m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules])
+sys.exit(main(["validate", "--suite", "quick"]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "[]" in result.stdout.splitlines()
+    assert "10/10 checks passed" in result.stdout
 
 
 class TestCmdVariance:

@@ -40,6 +40,18 @@ class TestNullModels:
         numeric = (null.density(x + h) - null.density(x - h)) / (2 * h)
         np.testing.assert_allclose(null.density_derivative(x), numeric, atol=1e-8)
 
+    def test_logistic_density_to_a_few_ulp_in_both_tails(self, logistic):
+        # against e/(1+e)^2 and -e(1-e)/(1+e)^3 with e = exp(-|x|), 1-e by expm1
+        x = np.concatenate([np.geomspace(1e-300, 1.0, 601), np.linspace(0.0, 700.0, 70_001)[1:]])
+        e = np.exp(-x)
+        ulp = 4.0 * np.finfo(float).eps
+        np.testing.assert_allclose(logistic.density(x), e / (1.0 + e) ** 2, rtol=ulp, atol=0.0)
+        np.testing.assert_allclose(
+            logistic.density_derivative(x), e * np.expm1(-x) / (1.0 + e) ** 3, rtol=ulp, atol=0.0
+        )
+        assert (logistic.density(-x) == logistic.density(x)).all()
+        assert (logistic.density_derivative(-x) == -logistic.density_derivative(x)).all()
+
     def test_quantile_domain(self, normal):
         with pytest.raises(ValueError):
             normal.quantile(0.0)

@@ -6,6 +6,7 @@ import pytest
 
 from symlab import efficiency as eff
 from symlab import asymptotics as asy
+from symlab._quad import ABS_TOL
 from symlab.asymptotics import report
 from symlab.distributions import AlternativeFamily, get_alternative
 from symlab.errors import NotApplicableError
@@ -171,7 +172,8 @@ def test_report_is_the_one_index(name, null_name, alt_name):
                 wanted[a] = (math.nan, math.nan)
         assert any(math.isnan(v) for v, _ in wanted.values()) == (null_name == "cauchy")
         for grid in grids:
-            values, argmaxes = curve(spec0, model, grid)
+            values, argmaxes, errs = curve(spec0, model, grid)
+            assert errs.max() <= ABS_TOL and (errs[np.isnan(values)] == 0.0).all()
             want = np.array([wanted[a] for a in grid])
             np.testing.assert_array_equal(values.view(np.int64), want[:, 0].view(np.int64))
             np.testing.assert_array_equal(argmaxes.view(np.int64), want[:, 1].view(np.int64))
