@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize, stats as sps
 
 from ._quad import quad, quad_split
 from .distributions import AlternativeFamily, SymmetricNull
@@ -26,7 +25,8 @@ __all__ = ["population_limit", "population_slope_fd"]
 
 
 def _binom_sf(r: int, p: int, prob) -> np.ndarray:
-    return sps.binom.sf(r - 1, p, prob)
+    """``P(Bin(p, prob) >= r)``, summed exactly over the small subset size ``p``."""
+    return sum(math.comb(p, j) * prob**j * (1.0 - prob) ** (p - j) for j in range(r, p + 1))
 
 
 def _char_member(spec: StatisticSpec, alt, theta, mu, t):
@@ -49,6 +49,8 @@ def _sup_abs(member, null: SymmetricNull) -> float:
     2001 null quantiles from the median to the 0.9999 quantile, the best one
     refined by a bounded Brent search between its neighbours.
     """
+    from scipy import optimize
+
     ts = null.quantile(np.linspace(0.5, 0.9999, 2001))
     vals = np.abs(member(ts))
     i = int(np.argmax(vals))

@@ -302,12 +302,13 @@ class Cauchy(SymmetricNull):
         x = np.asarray(x, dtype=float)
         return _as_float(-2.0 * x / (math.pi * (1.0 + x * x) ** 2))
 
+    # 1/2 + arctan(x)/pi and tan(pi (u - 1/2)) cancel in the lower tail; arctan2(1, -x)
+    # is -arctan(1/x) there, and -1/tan(pi u) is mirrored (1 - u is exact above 1/2)
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return _as_float(0.5 + np.arctan(x) / math.pi)
+        return _as_float(np.arctan2(1.0, -np.asarray(x, dtype=float)) / math.pi)
 
     def _quantile(self, u):
-        return _as_float(np.tan(math.pi * (np.asarray(u, dtype=float) - 0.5)))
+        return _as_float(np.sign(u - 0.5) / np.tan(math.pi * np.minimum(u, 1.0 - u)))
 
     def has_moment(self, k: int) -> bool:
         return k < 1

@@ -6,16 +6,20 @@ concatenated in chunk order.  Outputs are therefore byte-identical for a given
 configuration however many worker threads execute the chunks.  The worker
 count is ``min(usable CPUs, reps // 512)``: a thread pays off only once every
 worker has a full chunk, so fewer than two full chunks (or one usable CPU) run
-inline.  On a 2-core x86-64 VM, ``power`` for ``NA_K_4`` at n = 100 took
-0.77-0.86 s inline and 0.56-0.74 s on two workers with 10^4 replications, and
-17-20 ms inline with 600; :func:`mc_test` takes a test's p-value and critical
-value from one null simulation (8-12 ms).  Calibration and evaluation always
-consume disjoint stream families so critical values are never reused on the
-data that produced them.
+inline.  Calibration and evaluation always consume disjoint stream families
+so critical values are never reused on the data that produced them.  All
+calibrations go through a cache of the last sorted null (reps float64 values,
+read-only) keyed by (statistic, null, n, reps, seed), not by the level or the
+worker count, so consecutive calls on one key simulate it once; results are
+byte-identical with or without it, and :func:`null_distribution` is uncached.
+On a 2-core x86-64 VM, ``power`` for ``NA_K_4`` at n = 100 took 0.77-0.86 s
+inline and 0.56-0.74 s on two workers with 10^4 replications; with 600 it took
+19-24 ms cold and 10-15 ms after :func:`mc_test` (9-11 ms) on the same key.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -109,18 +113,22 @@ def null_distribution(
     return _simulate(spec, null, None, cfg, _CAL, t=t)
 
 
-def _calibrate(spec: StatisticSpec, null: SymmetricNull, cfg: McConfig, observed=()):
-    """Sorted null values of ``spec``, and ``observed``, on the rejection scale.
-
-    Large values of supremum-type statistics are significant; the others are
-    asymptotically normal and reject for large absolute values, so both the
-    null values and ``observed`` fold to ``|T|``.
-    """
-    values = null_distribution(spec, null, cfg)
+# one entry: the reuse is consecutive (mc_test then power, a power curve over theta)
+@functools.lru_cache(maxsize=1)
+def _sorted_null(spec: StatisticSpec, null: SymmetricNull, n: int, reps: int, seed: int):
+    """Sorted read-only null values on the rejection scale: ``T`` for supremum kinds, else ``|T|``."""
+    values = null_distribution(spec, null, McConfig(n=n, reps=reps, seed=seed))
     if spec.family != SUPREMUM:
-        values, observed = np.abs(values), np.abs(observed)
+        np.abs(values, out=values)
     values.sort()
-    return values, observed
+    values.flags.writeable = False
+    return values
+
+
+def _calibrate(spec: StatisticSpec, null: SymmetricNull, cfg: McConfig, observed=()):
+    """Sorted null values of ``spec``, and ``observed``, on the rejection scale."""
+    observed = observed if spec.family == SUPREMUM else np.abs(observed)
+    return _sorted_null(spec, null, cfg.n, cfg.reps, cfg.seed), observed
 
 
 def _critical_rank(values: np.ndarray, cfg: McConfig) -> float:

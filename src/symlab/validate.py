@@ -428,18 +428,19 @@ def _size_cells(full: bool):
 
 def _check_size_calibration(seed: int, full: bool) -> tuple[bool, str]:
     cells = _size_cells(full)
+    cfg = McConfig(n=100, reps=10_000, seed=seed + 10, level=0.05)
     worst = 0.0
     failures = []
     for kind, alpha, null_name in cells:
         alt = get_alternative("contam", null_name)
         spec = parse_statistic(kind, alpha=alpha if alpha is not None else 0.0)
-        cfg = McConfig(n=100, reps=10_000, seed=seed + 10, level=0.05)
         size = power(spec, alt, 0.0, cfg)
         dev = abs(size - 0.05)
         worst = max(worst, dev)
         if dev > 0.01:
             failures.append(f"{kind}/{null_name}: size {size:.4f}")
-    detail = f"{len(cells)} tests, worst |size - 0.05| = {worst:.4f} (tol 0.01)"
+    se = math.sqrt(cfg.level * (1.0 - cfg.level) / cfg.reps)  # Monte Carlo error of a size
+    detail = f"{len(cells)} tests, worst |size - 0.05| = {worst:.4f} (MC s.e. {se:.4f}, tol 0.01)"
     if failures:
         detail += "; failures: " + ", ".join(failures[:5])
     return not failures, detail

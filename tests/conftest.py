@@ -1,7 +1,28 @@
 import numpy as np
 import pytest
 
+import symlab.montecarlo
 from symlab.distributions import get_alternative, get_null
+
+
+@pytest.fixture(autouse=True)
+def cold_null_cache():
+    """Start every test without cached null simulations, whatever ran before it."""
+    symlab.montecarlo._sorted_null.cache_clear()
+
+
+@pytest.fixture
+def simulations(monkeypatch):
+    """The stream purpose of each Monte Carlo simulation run while the test runs."""
+    calls = []
+    simulate = symlab.montecarlo._simulate
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(symlab.montecarlo, "_simulate", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -96,20 +96,6 @@ class TestCmdTest:
         assert "overflows" in captured.err
 
 
-@pytest.fixture
-def simulations(monkeypatch):
-    """Count the Monte Carlo simulations run while the test runs."""
-    calls = []
-    simulate = symlab.montecarlo._simulate
-
-    def counted(*args, **kwargs):
-        calls.append(args[:2])
-        return simulate(*args, **kwargs)
-
-    monkeypatch.setattr(symlab.montecarlo, "_simulate", counted)
-    return calls
-
-
 class TestOneSimulationPerTest:
     # 600 replications run one full 512-row chunk and a partial one
     @pytest.mark.parametrize("reps", [600, 100])
@@ -122,6 +108,7 @@ class TestOneSimulationPerTest:
         assert len(simulations) == 1
         out = json.loads(capsys.readouterr().out)
 
+        symlab.montecarlo._sorted_null.cache_clear()  # the reference simulates on its own
         spec = parse_statistic(stat, alpha=0.1)
         normal = get_null("normal")
         cfg = McConfig(n=60, reps=reps, seed=9)
@@ -282,6 +269,15 @@ sys.exit(main(["validate", "--suite", "quick"]))
     assert "10/10 checks passed" in result.stdout
 
 
+def test_validate_loads_no_scipy_stats():
+    # the oracles sum binomial tails exactly; scipy.stats alone costs about 1 s to import
+    script = "import sys, symlab.validate; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["[]"]
+
+
 class TestCmdVariance:
     def test_grid_output_columns_and_degenerate_row(self, tmp_path):
         out = tmp_path / "var.csv"
@@ -407,6 +403,13 @@ class TestCmdValidate:
         )
         assert main(["validate", "--suite", "quick"]) == 1
         assert "[FAIL] fake-fail" in capsys.readouterr().out
+
+    def test_size_calibration_reports_its_monte_carlo_error(self, monkeypatch):
+        # sqrt(0.05 * 0.95 / 10^4) = 0.00218, next to the deviation and its tolerance
+        monkeypatch.setattr(symlab.validate, "power", lambda spec, alt, theta, cfg: 0.0537)
+        result = symlab.validate.CHECKS["size-calibration"](1, False)
+        assert result.passed
+        assert result.detail == "6 tests, worst |size - 0.05| = 0.0037 (MC s.e. 0.0022, tol 0.01)"
 
     @pytest.mark.parametrize("command", [["test", "data.txt"], ["index"], ["validate"]])
     @pytest.mark.parametrize("seed", ["-1", "1.5"])

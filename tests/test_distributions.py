@@ -108,6 +108,23 @@ class TestNullModels:
         # an array gives the bits of a loop of scalar calls
         assert [null.partial_second_moment(float(v)) for v in b] == got.tolist()
 
+    def test_cauchy_tails_to_two_ulp(self, cauchy):
+        # tan(pi (u - 1/2)) and 1/2 + arctan(x)/pi lose the digits of a small
+        # u or F(x): quantile(1e-18) used to read -1.6e16 against -3.2e17
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for u in (1e-18, 1e-12, 1.0 - 1e-12):
+                want = float(-mp.cot(mp.pi * mp.mpf(u)))
+                assert abs(cauchy.quantile(u) - want) <= 2.0 * math.ulp(want)
+            for x in (-1e8, -1e12):
+                want = float(-mp.atan(1 / mp.mpf(x)) / mp.pi)
+                assert abs(cauchy.cdf(x) - want) <= 2.0 * math.ulp(want)
+        # the mirror halves meet at the center and an array agrees with scalars
+        assert cauchy.quantile(0.5) == 0.0 and cauchy.cdf(0.0) == 0.5
+        u = np.array([1e-18, 0.25, 0.5, 0.75, 1.0 - 1e-12])
+        assert cauchy.quantile(u).tolist() == [cauchy.quantile(float(v)) for v in u]
+        assert cauchy.cdf(-u).tolist() == [cauchy.cdf(-float(v)) for v in u]
+
 
 class TestAlternativeFamilies:
     @pytest.mark.parametrize("alt_name", ["fs", "contam"])

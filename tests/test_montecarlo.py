@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,16 @@ import pytest
 import symlab.montecarlo
 from symlab._rng import stream
 from symlab.distributions import get_alternative
-from symlab.montecarlo import McConfig, critical_value, null_distribution, p_value, power
+from symlab.montecarlo import (
+    _CAL,
+    _EVAL,
+    McConfig,
+    critical_value,
+    mc_test,
+    null_distribution,
+    p_value,
+    power,
+)
 from symlab.stats import StatisticSpec, evaluate_many, parse_statistic
 
 
@@ -67,6 +77,7 @@ class TestChunkRunner:
         cfg = McConfig(n=30, reps=reps, seed=32)
         runs = []
         for cpus in (1, 4):
+            symlab.montecarlo._sorted_null.cache_clear()  # each power simulates its calibration
             monkeypatch.setattr(symlab.montecarlo, "_usable_cpus", lambda: cpus)
             runs.append(
                 (null_distribution(spec, normal, cfg), power(spec, contam, 0.2, cfg))
@@ -179,3 +190,68 @@ class TestPower:
         cfg = McConfig(n=100, reps=10_000, seed=43, level=0.05)
         size = power(parse_statistic("S", alpha=0.0), contam, 0.0, cfg)
         assert abs(size - 0.05) < 0.01
+
+
+class TestNullCache:
+    # critical values, p-values and power read one cached sorted null per
+    # (statistic, null, n, reps, seed); 1024 replications run two chunks
+    @pytest.mark.parametrize("reps", [600, 1024])
+    @pytest.mark.parametrize("stat", ["S", "W", "KS", "NA_K_4", "CM", "SQRT_B1"])
+    def test_cold_and_warm_cache_agree(self, normal, fs_normal, stat, reps):
+        spec = parse_statistic(stat, alpha=0.1)
+        cfg = McConfig(n=60, reps=reps, seed=51)
+        sample = np.random.default_rng(reps).normal(size=60) + 0.2
+        calls = {
+            "mc_test": lambda: mc_test(spec, normal, sample, cfg),
+            "critical_value": lambda: critical_value(spec, normal, cfg),
+            "p_value": lambda: p_value(spec, normal, sample, cfg),
+            "power": lambda: power(spec, fs_normal, 0.3, cfg),
+        }
+        cold = {}
+        for name, call in calls.items():
+            symlab.montecarlo._sorted_null.cache_clear()
+            cold[name] = repr(call())
+        warm = {name: repr(call()) for name, call in calls.items()}
+        assert warm == cold
+        info = symlab.montecarlo._sorted_null.cache_info()
+        assert (info.hits, info.misses) == (4, 1)
+
+    def test_power_after_mc_test_simulates_the_null_once(self, normal, fs_normal, simulations):
+        spec = parse_statistic("W", alpha=0.1)
+        cfg = McConfig(n=60, reps=600, seed=52)
+        mc_test(spec, normal, np.linspace(-1.0, 2.0, 60), cfg)
+        power(spec, fs_normal, 0.3, cfg)
+        assert simulations == [_CAL, _EVAL]
+
+    def test_key_leaves_out_the_level_only(self, normal, logistic):
+        spec = parse_statistic("W", alpha=0.1)
+        cfg = McConfig(n=40, reps=300, seed=53)
+        critical_value(spec, normal, cfg)
+        critical_value(spec, normal, dataclasses.replace(cfg, level=0.1))
+        assert symlab.montecarlo._sorted_null.cache_info().hits == 1
+        others = [
+            (parse_statistic("W", alpha=0.2), normal, cfg),
+            (parse_statistic("S", alpha=0.1), normal, cfg),
+            (spec, logistic, cfg),
+            (spec, normal, dataclasses.replace(cfg, n=41)),
+            (spec, normal, dataclasses.replace(cfg, reps=301)),
+            (spec, normal, dataclasses.replace(cfg, seed=54)),
+        ]
+        for args in others:
+            misses = symlab.montecarlo._sorted_null.cache_info().misses
+            critical_value(*args)
+            assert symlab.montecarlo._sorted_null.cache_info().misses == misses + 1
+
+    def test_cached_values_are_read_only(self, normal):
+        values = symlab.montecarlo._sorted_null(StatisticSpec("W", alpha=0.1), normal, 40, 300, 53)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+
+    def test_null_distribution_stays_private(self, normal, fs_normal):
+        spec = StatisticSpec("W", alpha=0.1)
+        cfg = McConfig(n=40, reps=300, seed=55)
+        before = power(spec, fs_normal, 0.3, cfg)
+        values = null_distribution(spec, normal, cfg)
+        values[:] = 0.0
+        assert power(spec, fs_normal, 0.3, cfg) == before
