@@ -73,9 +73,9 @@ from functools import cache
 import numpy as np
 
 from ._quad import _gauss01, graded, half_line
-from .distributions import AlternativeFamily, SymmetricNull, _as_float, _libm
+from .distributions import AlternativeFamily, SymmetricNull, _as_float
 from .errors import NotApplicableError
-from .location import _derivative_curve, check_centering
+from .location import _derivative_curve, _uncentered, check_centering
 from .stats import INTEGRAL, MOMENT, SUPREMUM, StatisticSpec
 
 __all__ = [
@@ -134,16 +134,21 @@ def _omega(spec: StatisticSpec):
     raise ValueError(f"{spec.kind} has no characterization profile")
 
 
+def _power(x, k: int):
+    """``x**k`` (integer ``k >= 0``) by repeated multiplication: floats and arrays agree."""
+    return math.prod([x] * k, start=1.0)
+
+
 def _weight(spec: StatisticSpec):
-    """Threshold weight ``w(q)`` of the supremum-family projection (powers by ``_libm``)."""
+    """Threshold weight ``w(q)`` of the supremum-family projection."""
     k = spec.k
     if spec.kind == "KS":
         return lambda q: np.ones_like(np.asarray(q, dtype=float))
     if spec.kind.startswith("NA"):
-        return lambda q: _libm(pow, q, k - 1) - _libm(pow, 1.0 - q, k - 1)
+        return lambda q: _power(q, k - 1) - _power(1.0 - q, k - 1)
     if spec.kind.startswith("MO"):
         c = math.comb(2 * k - 1, k)
-        return lambda q: c * _libm(pow, q * (1.0 - q), k - 1) * (2.0 * q - 1.0)
+        return lambda q: c * _power(q * (1.0 - q), k - 1) * (2.0 * q - 1.0)
     if spec.kind.startswith("BH"):
         return lambda q: 0.5 * (2.0 * q - 1.0)
     raise ValueError(f"{spec.kind} is not supremum-type")
@@ -260,12 +265,18 @@ def applicability(spec: StatisticSpec, null: SymmetricNull) -> None:
     """
     if spec.family != MOMENT:
         check_centering(null, spec.alpha)
-        return
-    order, name = (6, "sixth") if spec.kind == "SQRT_B1" else (2, "second")
-    if not null.has_moment(order):
+    elif _refused(spec, null, spec.alpha):
+        name = "sixth" if spec.kind == "SQRT_B1" else "second"
         raise NotApplicableError(
             f"{spec.kind} requires a finite {name} moment; {null.name} has none"
         )
+
+
+def _refused(spec: StatisticSpec, null: SymmetricNull, alphas) -> np.ndarray:
+    """Mask of the levels :func:`applicability` refuses (``spec.alpha`` ignored)."""
+    if spec.family == MOMENT:
+        return np.full(np.shape(alphas), not null.has_moment(6 if spec.kind == "SQRT_B1" else 2))
+    return _uncentered(null, alphas)
 
 
 def _assemble_variance(null, m, alphas, t1, a_coef, mean_cross, median_cross, trim_cross):
@@ -358,13 +369,24 @@ def variance_function(spec: StatisticSpec, null: SymmetricNull, t):
     is ``w(q) chi(.; q)`` whose squared mass is ``2(1-q)``, whose density-
     derivative pairing is ``-2 f(t)``, and whose partial moments are partial
     moments of the null.  ``t`` may be an array (elementwise, bit for bit
-    the values of scalar calls); a float in gives a float out.
+    the values of scalar calls); a float in gives a float out.  A NaN ``t``
+    is refused, and ``t`` beyond the null's finite arithmetic (``inf``
+    included) gives the ``t -> inf`` limit 0.0.
     """
     if spec.family != SUPREMUM:
         raise ValueError("variance_function applies to supremum-type statistics")
     applicability(spec, null)
-    values = _member_variance(spec, null, np.array([[spec.alpha]]), t)
-    return _as_float(values.reshape(np.shape(t)))
+    alpha = np.asarray(spec.alpha)
+    return _at_thresholds(lambda t: _member_variance(spec, null, alpha, t), null, t)
+
+
+def _at_thresholds(member, null: SymmetricNull, t):
+    """``member(|t|)``, with ``t`` refused if NaN and 0.0 where ``|t|`` passes ``null._x_max``."""
+    t = np.abs(np.asarray(t, dtype=float))
+    if np.isnan(t).any():
+        raise ValueError("threshold t must not be NaN")
+    far = t > null._x_max
+    return _as_float(np.where(far, 0.0, member(np.where(far, 0.0, t))))
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +422,12 @@ def _member_slope(spec: StatisticSpec, alt: AlternativeFamily, mu_p, t):
 
 
 def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t):
-    """Member slope ``b'(0, alpha; t)`` of a supremum-type family (signed; ``t`` float or array)."""
+    """Signed member slope ``b'(0, alpha; t)`` of a supremum family (``t`` as for the variance)."""
     if spec.family != SUPREMUM:
         raise ValueError("slope_function applies to supremum-type statistics")
     applicability(spec, alt.base)
-    return _as_float(_member_slope(spec, alt, _mu_prime(alt, (spec.alpha,))[0][0], t))
+    mu_p = _mu_prime(alt, (spec.alpha,))[0][0]
+    return _at_thresholds(lambda t: _member_slope(spec, alt, mu_p, t), alt.base, t)
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +468,7 @@ def _sup_over_t(f, null: SymmetricNull, tol: float = 1e-6) -> tuple[np.ndarray, 
     return best, arg
 
 
-def _refused(spec: StatisticSpec, null: SymmetricNull, alphas: np.ndarray) -> np.ndarray:
-    """Mask of the levels :func:`applicability` refuses (``spec.alpha`` ignored)."""
-    na = np.zeros(alphas.size, dtype=bool)
-    for i, a in enumerate(alphas):
-        try:
-            applicability(StatisticSpec(spec.kind, spec.k, float(a)), null)
-        except NotApplicableError:
-            na[i] = True
-    return na
-
-
-def _on_accepted(spec: StatisticSpec, null: SymmetricNull, alphas, compute, refused):
+def _on_accepted(spec: StatisticSpec, null: SymmetricNull, alphas, compute):
     """``compute(a)``, a ``(value, argmax, error)`` triple, on the accepted levels ``a``.
 
     Refused levels (:func:`_refused`) read NaN, with error 0.
@@ -464,7 +476,7 @@ def _on_accepted(spec: StatisticSpec, null: SymmetricNull, alphas, compute, refu
     if spec.family == MOMENT:
         raise ValueError(f"{spec.kind} is moment-based; it has no trimming curve")
     alphas = np.asarray(alphas, dtype=float).ravel()
-    na = _refused(spec, null, alphas) if refused is None else refused
+    na = _refused(spec, null, alphas)
     value, arg = np.full((2, alphas.size), math.nan)
     err = np.zeros(alphas.size)
     if not na.all():
@@ -472,14 +484,14 @@ def _on_accepted(spec: StatisticSpec, null: SymmetricNull, alphas, compute, refu
     return value, arg, err
 
 
-def variance_curve(spec: StatisticSpec, null: SymmetricNull, alphas, refused=None):
+def variance_curve(spec: StatisticSpec, null: SymmetricNull, alphas):
     """Limiting variance of ``spec`` on each trimming level, its argmax over ``t`` and error.
 
     The supremum over the threshold for supremum-type statistics; the
     argmax is NaN for integral-type ones.  The error is the largest
     quadrature error estimate behind each level.  Each level is computed
-    from its own ``a`` alone (``spec.alpha`` is ignored); refused levels
-    (the mask ``refused``, if the caller has it) are NaN.
+    from its own ``a`` alone (``spec.alpha`` is ignored); levels
+    :func:`applicability` refuses are NaN.
     """
 
     def compute(a):
@@ -488,10 +500,10 @@ def variance_curve(spec: StatisticSpec, null: SymmetricNull, alphas, refused=Non
             return value, math.nan, err
         return *_sup_over_t(lambda t: _member_variance(spec, null, a[:, None], t), null), 0.0
 
-    return _on_accepted(spec, null, alphas, compute, refused)
+    return _on_accepted(spec, null, alphas, compute)
 
 
-def slope_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas, refused=None):
+def slope_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas):
     """Local slope of ``spec`` against ``alt`` on each level, as :func:`variance_curve`.
 
     A supremum-type slope is the supremum of the absolute member slope.
@@ -508,7 +520,7 @@ def slope_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas, refused=Non
 
         return *_sup_over_t(members, alt.base), mu_err
 
-    return _on_accepted(spec, alt.base, alphas, compute, refused)
+    return _on_accepted(spec, alt.base, alphas, compute)
 
 
 def _at_level(curve, family: str, spec: StatisticSpec, model, null: SymmetricNull):
@@ -686,8 +698,8 @@ def report_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas) -> IndexCu
             err[~na] = max(_mu_prime(alt, (0.0,))[1][0], _int_x3_score(alt)[1] if sqrtb1 else 0.0)
         flagged = np.zeros(alphas.size, dtype=bool)
     else:
-        sigma2, var_arg, var_err = variance_curve(spec, null, alphas, na)
-        slope, slope_arg, slope_err = slope_curve(spec, alt, alphas, na)
+        sigma2, var_arg, var_err = variance_curve(spec, null, alphas)
+        slope, slope_arg, slope_err = slope_curve(spec, alt, alphas)
         err = np.maximum(var_err, slope_err)
         # Median centering pins the empirical process at the origin, so the
         # sign-test member that defines the KS family is an exact 0/0 there;

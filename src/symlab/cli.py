@@ -208,11 +208,14 @@ def _cmd_variance(args) -> int:
         axis = "t"
         xs = np.linspace(0.0, max(float(null.quantile(0.999)) for null in nulls), args.grid)
         columns = [asy.variance_function(spec0, null, xs) for null in nulls]
-        params = {"stat": spec0.label, "alpha": args.alpha, "over_t": True}
+        # the member variance is closed-form: nothing is integrated
+        params = {"stat": spec0.label, "alpha": args.alpha, "over_t": True, "quad_err_max": 0.0}
     else:
         axis, xs = "alpha", grid
-        columns = [asy.variance_curve(spec0, null, grid)[0] for null in nulls]
-        params = {"stat": spec0.label, "grid_points": args.grid, "over_t": False}
+        curves = [asy.variance_curve(spec0, null, grid) for null in nulls]
+        columns = [value for value, _, _ in curves]
+        params = {"stat": spec0.label, "grid_points": args.grid, "over_t": False,
+                  "quad_err_max": max(float(err.max()) for _, _, err in curves)}
 
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -53,14 +53,6 @@ def _as_float(x):
     return float(arr) if arr.ndim == 0 else arr
 
 
-def _libm(f, *args):
-    """``f`` elementwise, so an array gives the bits of a loop of float calls.
-
-    numpy's vector ``pow`` and ``log1p`` round differently from the C library.
-    """
-    return _as_float(np.frompyfunc(f, len(args), 1)(*args))
-
-
 def _uniforms(n: int, seed: int, rng: np.random.Generator | None, count: int) -> list:
     """``count`` arrays of ``n`` uniforms drawn in turn from ``rng`` (``stream(seed, 0)`` if None).
 
@@ -80,6 +72,8 @@ class SymmetricNull:
     """A symmetric absolutely continuous model centered at zero; stateless, so equal by class."""
 
     name: str = ""
+    #: largest ``|x|`` at which the density's arithmetic stays finite
+    _x_max: float = float(np.finfo(float).max)
 
     def __eq__(self, other) -> bool:
         return type(self) is type(other)
@@ -178,6 +172,7 @@ class Normal(SymmetricNull):
     """Standard normal model."""
 
     name = "normal"
+    _x_max = math.sqrt(2.0) * math.sqrt(np.finfo(float).max)  # -0.5 x x
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -293,6 +288,7 @@ class Cauchy(SymmetricNull):
     """Standard Cauchy model (no finite absolute moments)."""
 
     name = "cauchy"
+    _x_max = math.sqrt(np.finfo(float).max / math.pi)  # pi (1 + x x)
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -314,7 +310,7 @@ class Cauchy(SymmetricNull):
         return k < 1
 
     def _first_moment_primitive(self, x):
-        return _libm(lambda v: math.log1p(v**2) / (2.0 * math.pi), x)
+        return _as_float(np.log1p(np.square(x, dtype=float)) / (2.0 * math.pi))
 
     # f(x) = sum_k (-1)^k x^(2k) / pi, for |x| < 1
     _moment_series = np.array([(-1.0) ** k / (2 * k + 3) for k in range(15)]) / math.pi

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._quad import graded, half_line, quad, quad_split
-from .distributions import AlternativeFamily, SymmetricNull
+from .distributions import AlternativeFamily, SymmetricNull, _as_float
 from .errors import NotApplicableError
 
 __all__ = [
@@ -31,22 +31,25 @@ __all__ = [
 ]
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 0.5:
+def _check_alpha(alpha):
+    """The trimming range rule, on one level (a float back) or an array of them."""
+    alphas = np.asarray(alpha, dtype=float)
+    if not ((alphas >= 0.0) & (alphas <= 0.5)).all():
         raise ValueError("trimming coefficient must lie in [0, 1/2]")
-    return alpha
+    return _as_float(alphas)
 
 
-def check_centering(null: SymmetricNull, alpha: float) -> None:
-    """The one centering rule: mean centering needs a finite second moment.
+def _uncentered(null: SymmetricNull, alphas) -> np.ndarray:
+    """The one centering rule, as a mask of the levels whose center has no root-n limit.
 
-    The untrimmed (``alpha = 0``) center is the sample mean, whose root-n
-    limit exists only when the null has a finite variance; every trimmed
-    center has one under any null.  Raises
-    :class:`~symlab.errors.NotApplicableError` otherwise.
+    The untrimmed (``alpha = 0``) center, the mean, needs a finite variance.
     """
-    if alpha == 0.0 and not null.has_moment(2):
+    return (np.asarray(alphas) == 0.0) & (not null.has_moment(2))
+
+
+def check_centering(null: SymmetricNull, alpha) -> None:
+    """Raise :class:`~symlab.errors.NotApplicableError` if :func:`_uncentered` refuses a level."""
+    if _uncentered(null, alpha).any():
         raise NotApplicableError(
             f"untrimmed (mean) centering is not applicable under the {null.name} null"
         )
@@ -147,9 +150,9 @@ def trimmed_mean_derivative(alt: AlternativeFamily, alpha: float) -> float:
 
 def _derivative_curve(alt: AlternativeFamily, alphas) -> tuple[np.ndarray, np.ndarray]:
     """:func:`trimmed_mean_derivative` on each level from its own ``a``, with an error estimate."""
-    alphas = np.array([_check_alpha(a) for a in alphas])
+    alphas = _check_alpha(alphas)
     null = alt.base
-    check_centering(null, float(alphas.min()))  # only a = 0 can be refused
+    check_centering(null, alphas)
 
     def xh(x):  # Int_{-q}^{q} x h(x) dx folded onto [0, q]
         return x * (alt.score(x) - alt.score(-x))

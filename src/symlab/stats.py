@@ -316,8 +316,9 @@ def _count_rows(spec: StatisticSpec, ys: np.ndarray, t: float | None = None):
         if spec.family != SUPREMUM:
             raise ValueError("fixed thresholds apply to supremum-type statistics only")
         member = np.full((rows, 1), float(t))
-        if spec.kind == "KS":
-            return _ks_numerators(ys, member)[0][:, 0] / n, None
+        if spec.kind == "KS":  # n (F_n(t) + F_n(-t) - 1), from the two searches it reads
+            counts = _search(ys, member, "right") + _search(ys, -member, "right")
+            return (counts[:, 0] - n) / n, None
         return _char_values(spec, n, _char_numerators(spec, ys, member)[:, 0]), None
     mags = np.abs(ys)
     if spec.kind == "KS":

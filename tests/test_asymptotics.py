@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from helpers import mc_projection
 from symlab import asymptotics as asy
 from symlab.distributions import AlternativeFamily, get_alternative, get_null
-from symlab.efficiency import DEFAULT_TESTS
+from symlab.efficiency import DEFAULT_TESTS, default_grid
 from symlab.errors import NotApplicableError
 from symlab.montecarlo import McConfig, null_distribution
 from symlab.stats import StatisticSpec, parse_statistic
@@ -261,7 +261,8 @@ class TestMomentStatistics:
 
 
 class TestArrayThresholds:
-    @pytest.mark.parametrize("name", ALL_SUP_IDS)
+    # NA_K_8 and MO_K_4 raise their weights to longer powers than any default test
+    @pytest.mark.parametrize("name", ALL_SUP_IDS + ["NA_K_8", "MO_K_4"])
     @pytest.mark.parametrize(
         "null_name,alpha",
         # mean centering (alpha = 0) is not applicable under the Cauchy null
@@ -287,6 +288,26 @@ class TestArrayThresholds:
         for alt_name in ("contam", "fs"):
             assert_bitwise(asy.slope_function, spec, get_alternative(alt_name, null))
 
+    @pytest.mark.parametrize("name", ALL_SUP_IDS)
+    @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+    def test_non_finite_thresholds(self, name, null_name):
+        # t -> inf limits are 0.0 wherever the arithmetic would overflow; NaN is refused
+        null = get_null(null_name)
+        spec = parse_statistic(name, alpha=0.25)
+        for func, model in [(asy.variance_function, null)] + [
+            (asy.slope_function, get_alternative(alt_name, null)) for alt_name in ("contam", "fs")
+        ]:
+            inside = func(spec, model, 0.5)
+            for t in (math.inf, -math.inf, 1e300):
+                got = func(spec, model, t)
+                assert got == 0.0  # -0.0 where the logistic arithmetic reaches it at 1e300
+                values = func(spec, model, np.array([0.5, t]))
+                expected = np.array([inside, got])
+                np.testing.assert_array_equal(values.view(np.int64), expected.view(np.int64))
+            for t in (math.nan, np.array([0.5, math.nan])):
+                with pytest.raises(ValueError, match="NaN"):
+                    func(spec, model, t)
+
     def test_models_compare_by_value(self):
         assert get_null("normal") == get_null("normal")
         assert hash(get_null("normal")) == hash(get_null("normal"))
@@ -304,6 +325,22 @@ class TestArrayThresholds:
         again = asy.slope_function(spec, get_alternative("fs", "logistic"), 0.7)
         assert again == first
         assert asy._mu_prime.cache_info().misses == misses
+
+
+class TestApplicabilityMask:
+    @pytest.mark.parametrize("name", DEFAULT_TESTS)
+    @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+    def test_mask_equals_per_level_rule(self, name, null_name):
+        null = get_null(null_name)
+        grid = default_grid(11)
+        expected = []
+        for a in grid:
+            try:
+                asy.applicability(parse_statistic(name, alpha=float(a)), null)
+                expected.append(False)
+            except NotApplicableError:
+                expected.append(True)
+        np.testing.assert_array_equal(asy._refused(parse_statistic(name), null, grid), expected)
 
 
 class TestReport:

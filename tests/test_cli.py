@@ -252,30 +252,28 @@ class TestCmdIndex:
 
 def test_index_loads_no_adaptive_quadrature(tmp_path):
     # a fresh interpreter: symlab index on every pair leaves scipy.integrate
-    # and scipy.optimize unloaded, and validate (which needs them) still runs
+    # and scipy.optimize unloaded; importing symlab.validate then loads no
+    # scipy.stats (the oracles sum binomial tails exactly, and scipy.stats
+    # alone costs about 1 s to import); and validate (which needs
+    # scipy.integrate and scipy.optimize) still runs
     script = f"""
 import sys
 from symlab.cli import main
 for null in {list(NULL_NAMES)!r}:
     for alt in {list(ALTERNATIVE_NAMES)!r}:
         main(["index", "--null", null, "--alt", alt, "-o", {str(tmp_path / "idx.csv")!r}])
-print([m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules])
+print("adaptive:", [m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules])
+import symlab.validate
+print("stats:", sorted(m for m in sys.modules if m.startswith("scipy.stats")))
 sys.exit(main(["validate", "--suite", "quick"]))
 """
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "[]" in result.stdout.splitlines()
+    lines = result.stdout.splitlines()
+    assert "adaptive: []" in lines
+    assert "stats: []" in lines
     assert "10/10 checks passed" in result.stdout
-
-
-def test_validate_loads_no_scipy_stats():
-    # the oracles sum binomial tails exactly; scipy.stats alone costs about 1 s to import
-    script = "import sys, symlab.validate; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["[]"]
 
 
 class TestCmdVariance:
@@ -355,6 +353,21 @@ class TestCmdVariance:
         assert expected[1][3] == "nan"  # untrimmed centering under the Cauchy
         with open(out, newline="") as fh:
             assert list(csv.reader(fh)) == expected
+
+    @pytest.mark.parametrize(
+        "stat, extra",
+        [("W", []), ("NA_I_4", []), ("KS", []), ("KS", ["--over-t", "--alpha", "0.25"])],
+    )
+    def test_quadrature_error_budget_in_manifest(self, tmp_path, stat, extra):
+        # the largest estimate over the requested nulls; 0.0 for the closed-form member
+        out = tmp_path / "var.csv"
+        code = main(["variance", "--null", "normal,logistic,cauchy", "--stat", stat,
+                     "-o", str(out), *extra])
+        assert code == 0
+        manifest = json.loads((tmp_path / "var.csv.manifest.json").read_text())
+        err = manifest["parameters"]["quad_err_max"]
+        assert 0.0 <= err <= ABS_TOL
+        assert (err > 0.0) == (stat != "KS")  # only integral kinds integrate anything
 
     def test_over_t_bad_alpha_exits_two(self, tmp_path):
         code = main(["variance", "--null", "normal", "--stat", "KS", "--over-t",

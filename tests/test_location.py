@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 from symlab.distributions import get_alternative, get_null
 from symlab.errors import NotApplicableError
 from symlab.location import (
+    _derivative_curve,
     influence_curve,
     population_trimmed_mean,
     trim_weights,
@@ -153,6 +154,13 @@ class TestTrimmedMeanDerivative:
         alt = get_alternative("contam", cauchy)
         with pytest.raises(NotApplicableError):
             trimmed_mean_derivative(alt, 0.0)
+        with pytest.raises(NotApplicableError):
+            _derivative_curve(alt, [0.25, 0.0, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.01, 0.51])
+    def test_curve_refuses_levels_outside_the_range(self, contam_normal, bad):
+        with pytest.raises(ValueError, match=r"trimming coefficient must lie in \[0, 1/2\]"):
+            _derivative_curve(contam_normal, [0.0, bad, 0.5])
 
     @pytest.mark.parametrize("alt_name", ["contam", "fs"])
     @pytest.mark.parametrize("alpha", [0.0, 0.2, 0.35, 0.5])
