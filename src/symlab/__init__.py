@@ -6,11 +6,9 @@ curves over the trimming coefficient, and a seeded Monte Carlo harness.
 """
 
 from .asymptotics import (
-    AsymptoticReport,
     asymptotic_variance,
     cm_family_slope,
     projection,
-    report,
     slope_derivative,
     slope_function,
     sqrtb1_slope,
@@ -51,7 +49,6 @@ from .stats import (
     StatisticSpec,
     StatisticValue,
     brute_force,
-    counting_tables,
     evaluate,
     evaluate_family_member,
     evaluate_many,
@@ -60,7 +57,6 @@ from .stats import (
 
 __all__ = [
     "AlternativeFamily",
-    "AsymptoticReport",
     "Cauchy",
     "Contamination",
     "DegenerateSampleError",
@@ -79,7 +75,6 @@ __all__ = [
     "bahadur_index",
     "brute_force",
     "cm_family_slope",
-    "counting_tables",
     "critical_value",
     "equivalence_report",
     "evaluate",
@@ -96,7 +91,6 @@ __all__ = [
     "population_trimmed_mean",
     "power",
     "projection",
-    "report",
     "slope_derivative",
     "slope_function",
     "sqrtb1_slope",

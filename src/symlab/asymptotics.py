@@ -53,14 +53,16 @@ Monte Carlo conditional expectations in the test suite.
 
 :func:`report_curve` is the single place the local index, slope squared
 over variance, is assembled from the two curves, including its degenerate
-cases (a vanishing variance, and KS at ``a = 1/2``); :func:`report` is its
-one-level case, and the index functions of :mod:`symlab.efficiency` read
-their values from it.
+cases (a vanishing variance, and KS at ``a = 1/2``); the index functions of
+:mod:`symlab.efficiency` read their values from it, one level of it for
+:func:`symlab.efficiency.bahadur_index`.
 :func:`applicability` is the single rule for which (test, null) pairs the
 theory covers: moment-based tests need a finite second moment (SQRT_B1 a
 sixth), and every other test needs mean centering (``a = 0``) to have a
 finite second moment under the null.  Every variance, slope and index here
-applies it, as does ``symlab test``.
+applies it, as does ``symlab test``.  Every one of them also applies
+:func:`symlab.location.check_level` to its trimming levels, which refuses
+the positive levels so small that ``1 - a`` rounds to 1.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ import numpy as np
 from ._quad import _gauss01, graded, half_line
 from .distributions import AlternativeFamily, SymmetricNull, _as_float
 from .errors import NotApplicableError
-from .location import _derivative_curve, _uncentered, check_centering
+from .location import _derivative_curve, _uncentered, check_centering, check_level
 from .stats import INTEGRAL, MOMENT, SUPREMUM, StatisticSpec
 
 __all__ = [
@@ -92,9 +94,7 @@ __all__ = [
     "cm_family_slope",
     "sqrtb1_slope",
     "applicability",
-    "AsymptoticReport",
     "IndexCurve",
-    "report",
     "report_curve",
     "DEGENERACY_TOL",
 ]
@@ -376,7 +376,7 @@ def variance_function(spec: StatisticSpec, null: SymmetricNull, t):
     if spec.family != SUPREMUM:
         raise ValueError("variance_function applies to supremum-type statistics")
     applicability(spec, null)
-    alpha = np.asarray(spec.alpha)
+    alpha = np.asarray(check_level(spec.alpha))
     return _at_thresholds(lambda t: _member_variance(spec, null, alpha, t), null, t)
 
 
@@ -475,7 +475,7 @@ def _on_accepted(spec: StatisticSpec, null: SymmetricNull, alphas, compute):
     """
     if spec.family == MOMENT:
         raise ValueError(f"{spec.kind} is moment-based; it has no trimming curve")
-    alphas = np.asarray(alphas, dtype=float).ravel()
+    alphas = check_level(np.asarray(alphas, dtype=float).ravel())
     na = _refused(spec, null, alphas)
     value, arg = np.full((2, alphas.size), math.nan)
     err = np.zeros(alphas.size)
@@ -491,7 +491,8 @@ def variance_curve(spec: StatisticSpec, null: SymmetricNull, alphas):
     argmax is NaN for integral-type ones.  The error is the largest
     quadrature error estimate behind each level.  Each level is computed
     from its own ``a`` alone (``spec.alpha`` is ignored); levels
-    :func:`applicability` refuses are NaN.
+    :func:`applicability` refuses are NaN, and a level that breaks
+    :func:`symlab.location.check_level` raises ``ValueError``.
     """
 
     def compute(a):
@@ -601,32 +602,9 @@ def sqrtb1_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
-    """Variance, slope and local index of one (statistic, null, alternative).
-
-    For supremum-type statistics ``sigma2`` and ``slope`` are the suprema over
-    the threshold, with their argmax locations.  When the variance (and slope)
-    vanish the index is an undefined 0/0; it is reported as NaN with the
-    ``degenerate`` flag set, never silently as 0 or infinity.
-    """
-
-    sigma2: float
-    slope: float
-    index: float
-    degenerate: bool
-    var_argmax: float | None = None
-    slope_argmax: float | None = None
-
-    @property
-    def a_coefficient(self) -> float:
-        """Inverse limiting variance (inf when degenerate)."""
-        return 1.0 / self.sigma2 if self.sigma2 > 0.0 else math.inf
-
-
 @dataclass
 class IndexCurve:
-    """The asymptotic report of one test on each level of a trimming grid.
+    """Variance, slope and local index of one test on each level of a trimming grid.
 
     ``degenerate`` marks 0/0 points and ``not_applicable`` points the theory
     excludes; ``index`` is NaN at both, so they plot as missing values
@@ -682,12 +660,13 @@ def report_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas) -> IndexCu
     """Asymptotic report of ``spec`` against ``alt`` on each of the increasing ``alphas``.
 
     The one place the local index is assembled: every index the library
-    gives (:func:`report`, :func:`symlab.efficiency.bahadur_index`, index
-    curves, equivalence reports) is this curve's.  ``spec.alpha`` is
-    ignored; levels :func:`applicability` refuses are flagged.
+    gives (:func:`symlab.efficiency.bahadur_index`, index curves,
+    equivalence reports) is this curve's.  ``spec.alpha`` is
+    ignored; levels :func:`applicability` refuses are flagged, and a level
+    that breaks :func:`symlab.location.check_level` raises ``ValueError``.
     """
     null = alt.base
-    alphas = np.asarray(alphas, dtype=float).ravel()
+    alphas = check_level(np.asarray(alphas, dtype=float).ravel())
     na = _refused(spec, null, alphas)
     if spec.family == MOMENT:
         index, sigma2, slope, var_arg, slope_arg = np.full((5, alphas.size), math.nan)
@@ -712,24 +691,4 @@ def report_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas) -> IndexCu
     return IndexCurve(
         spec.label, null.name, alt.kind, alphas, index, flagged, na,
         sigma2, slope, var_arg, slope_arg, err,
-    )
-
-
-def report(spec: StatisticSpec, alt: AlternativeFamily) -> AsymptoticReport:
-    """Full asymptotic report of one statistic against one alternative.
-
-    The one-level case of :func:`report_curve`, at ``spec.alpha``.
-    :class:`~symlab.errors.NotApplicableError` propagates from
-    :func:`applicability`.
-    """
-    applicability(spec, alt.base)
-    c = report_curve(spec, alt, [spec.alpha])
-    sup = spec.family == SUPREMUM
-    return AsymptoticReport(
-        float(c.sigma2[0]),
-        float(c.slope[0]),
-        float(c.index[0]),
-        bool(c.degenerate[0]),
-        float(c.var_argmax[0]) if sup else None,
-        float(c.slope_argmax[0]) if sup else None,
     )

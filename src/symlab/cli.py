@@ -33,7 +33,8 @@ from . import montecarlo as mc
 from ._rng import DEFAULT_SEED, check_seed
 from .distributions import ALTERNATIVE_NAMES, NULL_NAMES, get_alternative, get_null
 from .errors import NotApplicableError
-from .stats import MOMENT, SUPREMUM, parse_statistic
+from .location import check_level
+from .stats import MOMENT, SUPREMUM, evaluate, parse_statistic
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -107,7 +108,9 @@ def _cmd_test(args) -> int:
         spec = parse_statistic(args.stat, alpha=args.alpha)
         asy.applicability(spec, null)
         cfg = mc.McConfig(n=data.size, reps=args.reps, seed=args.seed, level=args.level)
-        result, pval, crit = mc.mc_test(spec, null, data, cfg)
+        result = evaluate(spec, data)
+        pval = mc.p_value(spec, null, data, cfg)
+        crit = mc.critical_value(spec, null, cfg)  # reads the null p_value simulated
     except NotApplicableError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE
@@ -192,6 +195,7 @@ def _cmd_variance(args) -> int:
         if not nulls:
             raise ValueError("no null models requested")
         spec0 = parse_statistic(args.stat, alpha=args.alpha if args.over_t else 0.0)
+        check_level(spec0.alpha)
         if spec0.family == MOMENT:
             raise ValueError("moment-based statistics have no trimming-variance curve")
         if args.over_t and spec0.family != SUPREMUM:

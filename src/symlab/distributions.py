@@ -208,7 +208,7 @@ class Normal(SymmetricNull):
     _series_cut = 0.5
 
     def _closed_second_moment(self, b):
-        return special.ndtr(b) - 0.5 - b * self.density(b)
+        return special.ndtr(b) - 0.5 - b * self.density(np.minimum(b, self._x_max))
 
 
 def _logistic_density_series(terms: int) -> list[Fraction]:
@@ -271,10 +271,18 @@ class Logistic(SymmetricNull):
         [float(c / (2 * k + 3)) for k, c in enumerate(_logistic_density_series(19))]
     )
     _series_cut = 1.0
+    #: past this ``b`` the primitive's O(b^2) terms cancel (1.7e-11 relative off at
+    #: b = 550) and then overflow; it lies beyond logit(1 - 2^-53) = 36.74
+    _tail_cut = 37.0
 
     def _closed_second_moment(self, b):
-        # x^2 F - 2 [x log(1+e^x) + Li2(-e^x)] primitive, via the dilogarithm
-        return self._second_moment_primitive(b) - self._second_moment_primitive(0.0)
+        # x^2 F - 2 [x log(1+e^x) + Li2(-e^x)] primitive, via the dilogarithm; past
+        # the cut, pi^2/6 less the tail e^-b (b^2 + 2b + 2), as f(x) = e^-x (1 + O(e^-x))
+        far = b > self._tail_cut
+        near = np.where(far, self._tail_cut, b)
+        head = self._second_moment_primitive(near) - self._second_moment_primitive(0.0)
+        e = np.exp(-np.where(far, b, 0.0))
+        return np.where(far, math.pi**2 / 6.0 - ((b + 2.0) * e * b + 2.0 * e), head)
 
     @staticmethod
     def _second_moment_primitive(x):
@@ -310,7 +318,11 @@ class Cauchy(SymmetricNull):
         return k < 1
 
     def _first_moment_primitive(self, x):
-        return _as_float(np.log1p(np.square(x, dtype=float)) / (2.0 * math.pi))
+        # past _x_max, x x overflows and log1p(1/x^2) is below an ulp of log|x|
+        x = np.abs(np.asarray(x, dtype=float))
+        far = x > self._x_max
+        near = np.log1p(np.square(np.where(far, 0.0, x))) / (2.0 * math.pi)
+        return _as_float(np.where(far, np.log(np.where(far, x, 1.0)) / math.pi, near))
 
     # f(x) = sum_k (-1)^k x^(2k) / pi, for |x| < 1
     _moment_series = np.array([(-1.0) ** k / (2 * k + 3) for k in range(15)]) / math.pi

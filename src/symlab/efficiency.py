@@ -70,13 +70,16 @@ def _resolve(test, alpha: float | None) -> StatisticSpec:
 def bahadur_index(test, alt: AlternativeFamily, alpha: float | None = None) -> float:
     """Local Bahadur index of ``test`` against ``alt`` at trimming ``alpha``.
 
-    The ``index`` of :func:`symlab.asymptotics.report`: NaN when the
+    The one-level :func:`symlab.asymptotics.report_curve`: NaN when the
     (variance, slope) pair is degenerate (the 0/0 case; see
-    :func:`index_curve` for the per-point flags).  Raises
-    :class:`~symlab.errors.NotApplicableError` for combinations the theory
-    excludes, e.g. moment-based tests or untrimmed centering under the Cauchy.
+    :func:`index_curve` for the per-point flags and the variance and slope
+    behind the index).  Raises :class:`~symlab.errors.NotApplicableError`
+    for combinations the theory excludes, e.g. moment-based tests or
+    untrimmed centering under the Cauchy.
     """
-    return asy.report(_resolve(test, alpha), alt).index
+    spec = _resolve(test, alpha)
+    asy.applicability(spec, alt.base)
+    return float(asy.report_curve(spec, alt, [spec.alpha]).index[0])
 
 
 def default_grid(points: int = 101) -> np.ndarray:

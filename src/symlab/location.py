@@ -26,6 +26,7 @@ __all__ = [
     "influence_curve",
     "trimmed_mean_derivative",
     "population_trimmed_mean",
+    "check_level",
     "check_centering",
     "check_sample",
 ]
@@ -36,6 +37,22 @@ def _check_alpha(alpha):
     alphas = np.asarray(alpha, dtype=float)
     if not ((alphas >= 0.0) & (alphas <= 0.5)).all():
         raise ValueError("trimming coefficient must lie in [0, 1/2]")
+    return _as_float(alphas)
+
+
+def check_level(alpha):
+    """The one trimming-level rule of the population quantities, on one level or an array.
+
+    On top of :func:`_check_alpha`'s ``[0, 1/2]`` (no NaN), a positive level
+    must keep ``1 - alpha < 1``: they read the ``(1 - alpha)`` null quantile,
+    which does not exist once ``1 - alpha`` rounds to 1 (``alpha <= 2^-54``).
+    Finite samples take any level in ``[0, 1/2]``.
+    """
+    alphas = np.asarray(alpha, dtype=float)
+    if not (((alphas == 0.0) | (1.0 - alphas < 1.0)) & (alphas <= 0.5)).all():
+        raise ValueError(
+            "trimming coefficient must lie in [0, 1/2], and be 0 or exceed 2^-54 (1 - alpha < 1)"
+        )
     return _as_float(alphas)
 
 
@@ -108,7 +125,7 @@ def influence_curve(null: SymmetricNull, alpha: float, x):
     domain away from the ``t -> 0, 1`` endpoint singularities.  The boundary
     cases use the closed forms ``x`` (mean) and ``sgn(x)/(2 f(0))`` (median).
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_level(alpha)
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
@@ -150,7 +167,7 @@ def trimmed_mean_derivative(alt: AlternativeFamily, alpha: float) -> float:
 
 def _derivative_curve(alt: AlternativeFamily, alphas) -> tuple[np.ndarray, np.ndarray]:
     """:func:`trimmed_mean_derivative` on each level from its own ``a``, with an error estimate."""
-    alphas = _check_alpha(alphas)
+    alphas = check_level(alphas)
     null = alt.base
     check_centering(null, alphas)
 
@@ -179,7 +196,7 @@ def population_trimmed_mean(alt: AlternativeFamily, theta: float, alpha: float) 
     """
     from scipy import optimize
 
-    alpha = _check_alpha(alpha)
+    alpha = check_level(alpha)
     check_centering(alt.base, alpha)
 
     def inv_cdf(u: float) -> float:

@@ -10,11 +10,12 @@ inline.  Calibration and evaluation always consume disjoint stream families
 so critical values are never reused on the data that produced them.  All
 calibrations go through a cache of the last sorted null (reps float64 values,
 read-only) keyed by (statistic, null, n, reps, seed), not by the level or the
-worker count, so consecutive calls on one key simulate it once; results are
+worker count, so consecutive calls on one key simulate it once (``symlab
+test`` runs :func:`p_value`, then :func:`critical_value`); results are
 byte-identical with or without it, and :func:`null_distribution` is uncached.
 On a 2-core x86-64 VM, ``power`` for ``NA_K_4`` at n = 100 took 0.77-0.86 s
 inline and 0.56-0.74 s on two workers with 10^4 replications; with 600 it took
-19-24 ms cold and 10-15 ms after :func:`mc_test` (9-11 ms) on the same key.
+19-24 ms cold and 10-15 ms after another call on the same key.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "null_distribution",
     "critical_value",
     "p_value",
-    "mc_test",
     "power",
 ]
 
@@ -113,37 +113,26 @@ def null_distribution(
     return _simulate(spec, null, None, cfg, _CAL, t=t)
 
 
-# one entry: the reuse is consecutive (mc_test then power, a power curve over theta)
+def _rejection_scale(spec: StatisticSpec, values):
+    """``values`` on the rejection scale: ``T`` for supremum kinds, else ``|T|``."""
+    return values if spec.family == SUPREMUM else np.abs(values)
+
+
+# one entry: the reuse is consecutive (p_value then critical_value, a power curve over theta)
 @functools.lru_cache(maxsize=1)
 def _sorted_null(spec: StatisticSpec, null: SymmetricNull, n: int, reps: int, seed: int):
-    """Sorted read-only null values on the rejection scale: ``T`` for supremum kinds, else ``|T|``."""
-    values = null_distribution(spec, null, McConfig(n=n, reps=reps, seed=seed))
-    if spec.family != SUPREMUM:
-        np.abs(values, out=values)
+    """Sorted read-only null values on the rejection scale."""
+    cfg = McConfig(n=n, reps=reps, seed=seed)
+    values = _rejection_scale(spec, null_distribution(spec, null, cfg))
     values.sort()
     values.flags.writeable = False
     return values
 
 
-def _calibrate(spec: StatisticSpec, null: SymmetricNull, cfg: McConfig, observed=()):
-    """Sorted null values of ``spec``, and ``observed``, on the rejection scale."""
-    observed = observed if spec.family == SUPREMUM else np.abs(observed)
-    return _sorted_null(spec, null, cfg.n, cfg.reps, cfg.seed), observed
-
-
-def _critical_rank(values: np.ndarray, cfg: McConfig) -> float:
-    rank = min(cfg.reps, math.ceil((1.0 - cfg.level) * (cfg.reps + 1)))
-    return float(values[rank - 1])
-
-
-def _p_rank(values: np.ndarray, observed, cfg: McConfig) -> float:
-    exceed = cfg.reps - int(np.searchsorted(values, observed, side="left"))
-    return (1.0 + exceed) / (cfg.reps + 1.0)
-
-
 def critical_value(spec: StatisticSpec, null: SymmetricNull, cfg: McConfig) -> float:
     """Monte Carlo critical value at ``cfg.level`` (upper order statistic)."""
-    return _critical_rank(_calibrate(spec, null, cfg)[0], cfg)
+    rank = min(cfg.reps, math.ceil((1.0 - cfg.level) * (cfg.reps + 1)))
+    return float(_sorted_null(spec, null, cfg.n, cfg.reps, cfg.seed)[rank - 1])
 
 
 def p_value(spec: StatisticSpec, null: SymmetricNull, sample, cfg: McConfig) -> float:
@@ -151,18 +140,13 @@ def p_value(spec: StatisticSpec, null: SymmetricNull, sample, cfg: McConfig) -> 
 
     One-sided for supremum-type statistics, two-sided by absolute value
     otherwise; ties with the observed value count as at least as extreme.
+    The sample is evaluated first, so an unusable one is refused before any
+    simulation.
     """
-    return _p_rank(*_calibrate(spec, null, cfg, evaluate(spec, sample).value), cfg)
-
-
-def mc_test(spec: StatisticSpec, null: SymmetricNull, sample, cfg: McConfig):
-    """``(evaluate(spec, sample), p_value, critical_value)`` from one null simulation.
-
-    The sample is evaluated first, so an unusable one is refused before any simulation.
-    """
-    result = evaluate(spec, sample)
-    values, observed = _calibrate(spec, null, cfg, result.value)
-    return result, _p_rank(values, observed, cfg), _critical_rank(values, cfg)
+    observed = _rejection_scale(spec, evaluate(spec, sample).value)
+    values = _sorted_null(spec, null, cfg.n, cfg.reps, cfg.seed)
+    exceed = cfg.reps - int(np.searchsorted(values, observed, side="left"))
+    return (1.0 + exceed) / (cfg.reps + 1.0)
 
 
 def power(
@@ -182,9 +166,8 @@ def power(
     whose achievable deterministic sizes can sit far from the nominal level;
     with it the empirical size matches the level for every statistic.
     """
-    calib, values = _calibrate(
-        spec, alt.base, cfg, _simulate(spec, alt, float(theta), cfg, _EVAL)
-    )
+    values = _rejection_scale(spec, _simulate(spec, alt, float(theta), cfg, _EVAL))
+    calib = _sorted_null(spec, alt.base, cfg.n, cfg.reps, cfg.seed)
     at_most = np.searchsorted(calib, values, side="right")
     ties = at_most - np.searchsorted(calib, values, side="left")
     u = _run_chunked(cfg.reps, lambda i, rows: stream(cfg.seed, _TIE, i).random(rows))

@@ -45,7 +45,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateSampleError, InsufficientSampleError
-from .location import check_sample, trim_weights, trimmed_mean
+from .location import _check_alpha, check_sample, trim_weights, trimmed_mean
 
 __all__ = [
     "StatisticSpec",
@@ -55,7 +55,6 @@ __all__ = [
     "evaluate_many",
     "evaluate_family_member",
     "brute_force",
-    "counting_tables",
     "STATISTIC_NAMES",
     "INTEGRAL",
     "SUPREMUM",
@@ -117,8 +116,7 @@ class StatisticSpec:
                 raise ValueError(f"{self.kind} requires an integer order parameter k >= {lo}")
         elif self.k is not None:
             raise ValueError(f"{self.kind} does not take an order parameter")
-        if not 0.0 <= self.alpha <= 0.5:
-            raise ValueError("trimming coefficient must lie in [0, 1/2]")
+        _check_alpha(self.alpha)
 
     @property
     def family(self) -> str:
@@ -209,18 +207,6 @@ def _band_counts(n: int, p: int, r_low: int, r_high: int) -> np.ndarray:
     for i in range(1, p + 1):
         np.cumsum(cols[i - 1, :-1], out=cols[i, 1:])
     return sum(cols[j] * cols[p - j, ::-1] for j in range(r_low, r_high))
-
-
-def counting_tables(centered_sorted, t: float) -> tuple[int, int]:
-    """Counts ``a = #{x <= -t}`` and ``b = #{x < t}`` on a sorted vector.
-
-    These two numbers determine every subset count the characterization
-    statistics need at threshold ``t``.
-    """
-    y = np.asarray(centered_sorted, dtype=float)
-    a = int(np.searchsorted(y, -t, side="right"))
-    b = int(np.searchsorted(y, t, side="left"))
-    return a, b
 
 
 def _search(ys: np.ndarray, queries: np.ndarray, side: str) -> np.ndarray:

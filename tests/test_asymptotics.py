@@ -7,6 +7,8 @@ from scipy.integrate import quad
 
 from helpers import mc_projection
 from symlab import asymptotics as asy
+from symlab import efficiency as eff
+from symlab import location as loc
 from symlab.distributions import AlternativeFamily, get_alternative, get_null
 from symlab.efficiency import DEFAULT_TESTS, default_grid
 from symlab.errors import NotApplicableError
@@ -343,22 +345,59 @@ class TestApplicabilityMask:
         np.testing.assert_array_equal(asy._refused(parse_statistic(name), null, grid), expected)
 
 
+class TestTrimmingLevelRule:
+    # every population quantity reads the (1 - a) null quantile, which does
+    # not exist once a positive a rounds 1 - a to 1 (a <= 2^-54)
+    ENTRY_POINTS = {
+        "variance_curve": lambda a, alt: asy.variance_curve(StatisticSpec("W"), alt.base, [0.0, a]),
+        "slope_curve": lambda a, alt: asy.slope_curve(StatisticSpec("KS"), alt, [a]),
+        "report_curve": lambda a, alt: asy.report_curve(StatisticSpec("CM"), alt, [a]),
+        "index_curve": lambda a, alt: eff.index_curve("NA_K_2", alt, [0.0, a]),
+        "bahadur_index": lambda a, alt: eff.bahadur_index("W", alt, a),
+        "equivalence_report": lambda a, alt: eff.equivalence_report(alt, a, tests=("S", "KS")),
+        "asymptotic_variance": lambda a, alt: asy.asymptotic_variance(
+            StatisticSpec("W", alpha=a), alt.base),
+        "sup_variance": lambda a, alt: asy.sup_variance(StatisticSpec("BH_K", alpha=a), alt.base),
+        "slope_derivative": lambda a, alt: asy.slope_derivative(StatisticSpec("S", alpha=a), alt),
+        "sup_slope": lambda a, alt: asy.sup_slope(StatisticSpec("NA_K", 4, alpha=a), alt),
+        "variance_function": lambda a, alt: asy.variance_function(
+            StatisticSpec("KS", alpha=a), alt.base, 0.5),
+        "slope_function": lambda a, alt: asy.slope_function(
+            StatisticSpec("MO_K", 1, alpha=a), alt, 0.5),
+        "trimmed_mean_derivative": lambda a, alt: loc.trimmed_mean_derivative(alt, a),
+        "influence_curve": lambda a, alt: loc.influence_curve(alt.base, a, 0.3),
+        "population_trimmed_mean": lambda a, alt: loc.population_trimmed_mean(alt, 0.1, a),
+    }
+
+    @pytest.mark.parametrize("level", [2.0**-54, 1e-300, 0.7, math.nan])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_one_rule_at_every_entry_point(self, contam_normal, entry, level):
+        with pytest.raises(ValueError, match=r"trimming coefficient must lie in \[0, 1/2\]"):
+            self.ENTRY_POINTS[entry](level, contam_normal)
+
+    def test_smallest_level_above_the_rule(self, contam_normal):
+        a = np.nextafter(2.0**-54, 1.0)  # 1 - a is the float below 1
+        assert np.isfinite(asy.variance_curve(StatisticSpec("W"), contam_normal.base, [a])[0]).all()
+        assert np.isfinite(eff.index_curve("NA_K_2", contam_normal, [0.0, a]).index).all()
+        assert np.isfinite(loc.trimmed_mean_derivative(contam_normal, a))
+
+
 class TestReport:
+    # the one-level report_curve
     def test_report_integral(self, normal, contam_normal):
-        rep = asy.report(StatisticSpec("W", alpha=0.1), contam_normal)
-        assert rep.sigma2 > 0 and not rep.degenerate
-        assert rep.index == pytest.approx(rep.slope**2 / rep.sigma2, rel=1e-12)
-        assert rep.a_coefficient == pytest.approx(1.0 / rep.sigma2, rel=1e-12)
+        rep = asy.report_curve(StatisticSpec("W"), contam_normal, [0.1])
+        assert rep.sigma2[0] > 0 and not rep.degenerate[0]
+        assert rep.index[0] == pytest.approx(rep.slope[0] ** 2 / rep.sigma2[0], rel=1e-12)
 
     def test_report_degenerate_is_flagged_nan(self, contam_normal):
-        rep = asy.report(StatisticSpec("S", alpha=0.5), contam_normal)
-        assert rep.degenerate
-        assert math.isnan(rep.index)
+        rep = asy.report_curve(StatisticSpec("S"), contam_normal, [0.5])
+        assert rep.degenerate[0]
+        assert math.isnan(rep.index[0])
 
     def test_report_supremum_carries_argmax(self, contam_normal):
-        rep = asy.report(StatisticSpec("KS", alpha=0.4), contam_normal)
-        assert rep.var_argmax > 0.0
-        assert rep.index > 0.0
+        rep = asy.report_curve(StatisticSpec("KS"), contam_normal, [0.4])
+        assert rep.var_argmax[0] > 0.0
+        assert rep.index[0] > 0.0
 
 
 class TestSupremumSearch:

@@ -80,6 +80,14 @@ class TestCmdTest:
         assert captured.out == ""
         assert "NaN or infinite" in captured.err
 
+    def test_tiny_trimming_level_is_accepted(self, tmp_path, capsys):
+        # a finite sample takes any level in [0, 1/2]; only the population
+        # quantities need 1 - alpha < 1
+        data = write_lines(tmp_path / "d.txt", [0.3, -1.2, 2.0, 0.7, -0.4, 1.1])
+        argv = ["test", data, "--stat", "W", "--alpha", "1e-17", "--reps", "100", "--json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["alpha"] == 1e-17
+
     def test_subset_count_beyond_float_exits_two(self, tmp_path, capsys):
         data = write_lines(tmp_path / "d.txt", np.random.default_rng(0).normal(size=1200))
         assert main(["test", data, "--stat", "NA_K_600", "--reps", "100"]) == 2
@@ -369,10 +377,15 @@ class TestCmdVariance:
         assert 0.0 <= err <= ABS_TOL
         assert (err > 0.0) == (stat != "KS")  # only integral kinds integrate anything
 
-    def test_over_t_bad_alpha_exits_two(self, tmp_path):
+    # 1e-17 and 2^-54 pass the [0, 1/2] range, but 1 - alpha rounds to 1
+    @pytest.mark.parametrize("alpha", ["0.7", "nan", "1e-17", repr(2.0**-54)])
+    def test_over_t_bad_alpha_exits_two(self, tmp_path, capsys, alpha):
+        out = tmp_path / "x.csv"
         code = main(["variance", "--null", "normal", "--stat", "KS", "--over-t",
-                     "--alpha", "0.7", "-o", str(tmp_path / "x.csv")])
+                     "--alpha", alpha, "-o", str(out)])
         assert code == 2
+        assert "trimming coefficient must lie in [0, 1/2]" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra", [[], ["--over-t", "--alpha", "0.1"]])
     @pytest.mark.parametrize("points", ["1", "0"])

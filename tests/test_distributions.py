@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -91,18 +92,29 @@ class TestNullModels:
     @pytest.mark.parametrize("name", ["normal", "logistic", "cauchy"])
     def test_partial_second_moment_full_precision_for_small_b(self, name):
         # the closed forms lose digits as b shrinks (logistic: 3e-2 relative
-        # at b = 1e-4); the series below the cut keeps them
-        mp = pytest.importorskip("mpmath")
+        # at b = 1e-4); the series below the cut keeps them.  Large b too, up
+        # to the largest float: the logistic primitive's O(b^2) terms cancel
+        # (1.7e-11 relative off at b = 550, -63534 for 1.645 at b = 744), and
+        # the normal's b f(b) overflowed past its _x_max
         null = get_null(name)
         cut = null._series_cut
-        b = np.concatenate([np.logspace(-8, 1, 37), [np.nextafter(cut, 0.0), cut, 2.0 * cut]])
+        top = np.finfo(float).max
+        large = [36.7, 37.0, 40.0, 100.0, 550.0, 700.0, 744.0, 1e4, 1e100, 1e200, top]
+        b = np.concatenate([
+            np.logspace(-8, 1, 37), [np.nextafter(cut, 0.0), cut, 2.0 * cut], large,
+            [null._x_max, np.nextafter(null._x_max, top)],
+        ])
         density = {
             "normal": mp.npdf,
             "logistic": lambda x: mp.exp(-x) / (1 + mp.exp(-x)) ** 2,
             "cauchy": lambda x: 1 / (mp.pi * (1 + x * x)),
         }[name]
         with mp.workdps(30):
-            want = np.array([float(mp.quad(lambda x: x * x * density(x), [0, v])) for v in b])
+            want = np.array([
+                float(mp.quad(lambda x: x * x * density(x),
+                              [0] + [p for p in (1, 4, 16, 64, 256) if p < v] + [v]))
+                for v in b
+            ])
         got = null.partial_second_moment(b)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         # an array gives the bits of a loop of scalar calls
@@ -111,7 +123,6 @@ class TestNullModels:
     def test_cauchy_tails_to_two_ulp(self, cauchy):
         # tan(pi (u - 1/2)) and 1/2 + arctan(x)/pi lose the digits of a small
         # u or F(x): quantile(1e-18) used to read -1.6e16 against -3.2e17
-        mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             for u in (1e-18, 1e-12, 1.0 - 1e-12):
                 want = float(-mp.cot(mp.pi * mp.mpf(u)))
@@ -119,6 +130,11 @@ class TestNullModels:
             for x in (-1e8, -1e12):
                 want = float(-mp.atan(1 / mp.mpf(x)) / mp.pi)
                 assert abs(cauchy.cdf(x) - want) <= 2.0 * math.ulp(want)
+            # log1p(x^2) / (2 pi), whose x x overflowed past _x_max (inf at x = 1e200)
+            big = [cauchy._x_max, np.nextafter(cauchy._x_max, np.inf), 1e200, np.finfo(float).max]
+            for x in [1e-8, 1.0, 1e8, *big]:
+                want = float(mp.log1p(mp.mpf(x) ** 2) / (2 * mp.pi))
+                assert cauchy.partial_first_moment(0.0, -x) == pytest.approx(want, rel=1e-12, abs=0)
         # the mirror halves meet at the center and an array agrees with scalars
         assert cauchy.quantile(0.5) == 0.0 and cauchy.cdf(0.0) == 0.5
         u = np.array([1e-18, 0.25, 0.5, 0.75, 1.0 - 1e-12])

@@ -7,7 +7,6 @@ import pytest
 from symlab import efficiency as eff
 from symlab import asymptotics as asy
 from symlab._quad import ABS_TOL
-from symlab.asymptotics import report
 from symlab.distributions import AlternativeFamily, get_alternative
 from symlab.errors import NotApplicableError
 from symlab.montecarlo import McConfig, power
@@ -127,20 +126,18 @@ def test_report_is_the_one_index(name, null_name, alt_name):
         spec = parse_statistic(name, alpha=a)
         points = [(c, c.grid == a) for c in curves if a in c.grid]
         assert len(points) == (3 if a in shared else 1)
+        rep = asy.report_curve(spec, alt, [a])  # the one-level curve
         if points[0][0].not_applicable[points[0][1]].all():
             assert all(c.not_applicable[at].all() for c, at in points)
-            with pytest.raises(NotApplicableError):
-                report(spec, alt)
+            assert rep.not_applicable[0]
             with pytest.raises(NotApplicableError):
                 eff.bahadur_index(spec, alt)
             continue
-        rep = report(spec, alt)
-        np.testing.assert_array_equal(rep.index, eff.bahadur_index(spec, alt))
+        np.testing.assert_array_equal(rep.index[0], eff.bahadur_index(spec, alt))
         for c, at in points:
             assert not c.not_applicable[at].any()
-            assert (c.degenerate[at] == rep.degenerate).all()
-            np.testing.assert_array_equal(c.index[at].view(np.int64),
-                                          np.float64(rep.index).view(np.int64))
+            assert (c.degenerate[at] == rep.degenerate[0]).all()
+            np.testing.assert_array_equal(c.index[at].view(np.int64), rep.index.view(np.int64))
 
     # the variance and slope curves on each grid give, level by level, the
     # bits of their one-level readers, and NaN exactly where those refuse

@@ -157,7 +157,7 @@ class TestTrimmedMeanDerivative:
         with pytest.raises(NotApplicableError):
             _derivative_curve(alt, [0.25, 0.0, 0.5])
 
-    @pytest.mark.parametrize("bad", [np.nan, -0.01, 0.51])
+    @pytest.mark.parametrize("bad", [np.nan, -0.01, 0.51, 2.0**-54, 1e-300])
     def test_curve_refuses_levels_outside_the_range(self, contam_normal, bad):
         with pytest.raises(ValueError, match=r"trimming coefficient must lie in \[0, 1/2\]"):
             _derivative_curve(contam_normal, [0.0, bad, 0.5])

@@ -6,13 +6,13 @@ import pytest
 
 import symlab.montecarlo
 from symlab._rng import stream
+from symlab.cli import main
 from symlab.distributions import get_alternative
 from symlab.montecarlo import (
     _CAL,
     _EVAL,
     McConfig,
     critical_value,
-    mc_test,
     null_distribution,
     p_value,
     power,
@@ -202,7 +202,6 @@ class TestNullCache:
         cfg = McConfig(n=60, reps=reps, seed=51)
         sample = np.random.default_rng(reps).normal(size=60) + 0.2
         calls = {
-            "mc_test": lambda: mc_test(spec, normal, sample, cfg),
             "critical_value": lambda: critical_value(spec, normal, cfg),
             "p_value": lambda: p_value(spec, normal, sample, cfg),
             "power": lambda: power(spec, fs_normal, 0.3, cfg),
@@ -214,13 +213,16 @@ class TestNullCache:
         warm = {name: repr(call()) for name, call in calls.items()}
         assert warm == cold
         info = symlab.montecarlo._sorted_null.cache_info()
-        assert (info.hits, info.misses) == (4, 1)
+        assert (info.hits, info.misses) == (3, 1)
 
-    def test_power_after_mc_test_simulates_the_null_once(self, normal, fs_normal, simulations):
-        spec = parse_statistic("W", alpha=0.1)
-        cfg = McConfig(n=60, reps=600, seed=52)
-        mc_test(spec, normal, np.linspace(-1.0, 2.0, 60), cfg)
-        power(spec, fs_normal, 0.3, cfg)
+    def test_power_after_symlab_test_simulates_the_null_once(
+        self, tmp_path, fs_normal, simulations
+    ):
+        data = tmp_path / "d.txt"
+        data.write_text("\n".join(map(repr, np.linspace(-1.0, 2.0, 60).tolist())) + "\n")
+        argv = ["test", str(data), "--stat", "W", "--alpha", "0.1", "--reps", "600", "--seed", "52"]
+        assert main(argv) == 0
+        power(parse_statistic("W", alpha=0.1), fs_normal, 0.3, McConfig(n=60, reps=600, seed=52))
         assert simulations == [_CAL, _EVAL]
 
     def test_key_leaves_out_the_level_only(self, normal, logistic):

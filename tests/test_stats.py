@@ -13,7 +13,6 @@ from symlab.stats import (
     StatisticSpec,
     StatisticValue,
     brute_force,
-    counting_tables,
     evaluate,
     evaluate_family_member,
     evaluate_many,
@@ -110,12 +109,6 @@ class TestHandValues:
         # sits on an open segment, reported by its upper end
         value = evaluate(StatisticSpec("KS", alpha=0.5), [-4.0, -3.0, -3.0, -1.0, -1.0])
         assert value == StatisticValue(0.4, 2.0)
-
-    def test_counting_tables(self):
-        assert counting_tables([-3, -1, 2], 2.5) == (1, 3)
-        # strict/weak pattern on the boundary: a counts <= -t, b counts < t
-        assert counting_tables([-3, -1, 2], 1.0) == (2, 2)
-        assert counting_tables([-3, -1, 2], 0.0) == (2, 2)
 
 
 class TestErrors:
