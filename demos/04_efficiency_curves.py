@@ -15,7 +15,7 @@ from symlab import (
     bahadur_index,
     equivalence_report,
     get_alternative,
-    index_curve,
+    index_curves,
     ks_s_equivalence_crossover,
     zero_efficiency_alpha,
 )
@@ -27,9 +27,8 @@ grid = np.linspace(0.0, 0.5, 26)
 print("Bahadur indices, normal null vs contamination (selected trimming levels):")
 show = (0.0, 0.1, 0.25, 0.4, 0.5)
 print(f"{'test':<9}" + "".join(f"  a={a:<6}" for a in show))
-curves = {}
+curves = dict(zip(tests, index_curves(tests, alt, grid)))  # one pass for all tests
 for name in tests:
-    curves[name] = index_curve(name, alt, grid)
     row = [f"{name:<9}"]
     for a in show:
         i = int(np.argmin(np.abs(grid - a)))

@@ -33,6 +33,7 @@ from .efficiency import (
     bahadur_index,
     equivalence_report,
     index_curve,
+    index_curves,
     ks_s_equivalence_crossover,
     zero_efficiency_alpha,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "get_alternative",
     "get_null",
     "index_curve",
+    "index_curves",
     "influence_curve",
     "ks_s_equivalence_crossover",
     "null_distribution",

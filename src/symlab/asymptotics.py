@@ -23,20 +23,21 @@ variance or a slope is assembled; :func:`asymptotic_variance`,
 one level of them.  A curve computes a grid of trimming levels ``a`` in one
 pass, each level from its own ``a`` alone, so it gives the same bits on any
 grid.  For supremum-type statistics ``a`` enters only through ``Q``,
-``min(a, 1-q)`` and ``mu'(a)``, so :func:`_sup_over_t` searches an
-``(a, t)`` array.  For
-integral-type ones ``Int_Q^inf phi f`` integrates a polynomial in
-``u = F(x)``, exact under a fixed Gauss-Legendre rule, and
-``Int_0^Q phi x f`` uses a fixed composite rule (:func:`_t3`).  A
+``min(a, 1-q)`` and ``mu'(a)``: a test's levels are the rows of an ``(a,
+t)`` array, which :func:`_sup_over_t` scans per test, then refines together
+with the rows of every other test and curve it is given
+(:func:`report_curves`).  For integral-type ones ``Int_Q^inf phi f``
+integrates a polynomial in ``u = F(x)``, exact under a fixed Gauss-Legendre
+rule, and ``Int_0^Q phi x f`` uses a fixed composite rule (:func:`_t3`).  A
 moment-based index does not depend on ``a`` and is computed once.
 
 The other integrals use the fixed rules of :mod:`symlab._quad` too (the
 whole-line ones folded onto ``[0, inf)``), and the curves carry the largest
-error estimate behind each level.  :func:`functools.cache` holds the alpha-free integrals ``Int phi^2``,
-``Int phi f'``, ``Int_0^inf phi x f``, ``Int phi h`` and ``Int x^3 h`` per
-``(kind, k)`` statistic and model, with their estimates, and ``mu'`` per
-alternative and grid of levels; models compare by value, so every lookup of
-one model shares an entry.
+error estimate behind each level.  :func:`functools.cache` holds the
+alpha-free integrals ``Int phi^2``, ``Int phi f'``, ``Int_0^inf phi x f``,
+``Int phi h`` and ``Int x^3 h`` per ``(kind, k)`` statistic and model, with
+their estimates, and ``mu'`` per alternative and grid of levels; models
+compare by value, so every lookup of one model shares an entry.
 
 Projections are analytic.  Every characterization statistic compares the
 ``r``-th and ``(p+1-r)``-th order statistics of a ``p``-subsample in absolute
@@ -51,11 +52,11 @@ members factor as ``w(q) * chi(u; q)`` where ``chi(u; q) = 1{u >= q} -
 1{u < 1-q}`` and ``q = F(t)``.  These closed forms are certified against
 Monte Carlo conditional expectations in the test suite.
 
-:func:`report_curve` is the single place the local index, slope squared
+:func:`report_curves` is the single place the local index, slope squared
 over variance, is assembled from the two curves, including its degenerate
 cases (a vanishing variance, and KS at ``a = 1/2``); the index functions of
-:mod:`symlab.efficiency` read their values from it, one level of it for
-:func:`symlab.efficiency.bahadur_index`.
+:mod:`symlab.efficiency` read their values from it, one level of one test
+(:func:`report_curve`) for :func:`symlab.efficiency.bahadur_index`.
 :func:`applicability` is the single rule for which (test, null) pairs the
 theory covers: moment-based tests need a finite second moment (SQRT_B1 a
 sixth), and every other test needs mean centering (``a = 0``) to have a
@@ -70,7 +71,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -95,6 +96,7 @@ __all__ = [
     "sqrtb1_slope",
     "applicability",
     "IndexCurve",
+    "report_curves",
     "report_curve",
     "DEGENERACY_TOL",
 ]
@@ -337,11 +339,27 @@ def _integral_variance(spec: StatisticSpec, null: SymmetricNull, alphas):
     return value, np.maximum(err, fprime_err)
 
 
-def _member_variance(spec: StatisticSpec, null: SymmetricNull, alphas, t):
-    """``sigma^2(a; t)`` for a column of levels ``a`` and thresholds (one row, or one per level)."""
+def _by_test(groups, q):
+    """Kernel order and member sign (columns) and weight ``w(q)`` of the rows of ``groups``,
+    ``(spec, levels)`` blocks, one per test; ``q`` has one row per row, or any shape for one."""
+
+    def column(value):
+        return np.concatenate([np.full(len(lv), value(s), float) for s, lv in groups])[:, None]
+
+    if len(groups) == 1:
+        w = _weight(groups[0][0])(q)
+    else:
+        cuts = np.cumsum([len(lv) for _, lv in groups])[:-1]
+        w = np.concatenate([_weight(s)(part) for (s, _), part in zip(groups, np.split(q, cuts))])
+    return column(lambda s: s.kernel_order), column(lambda s: _SUP_SIGN.get(s.kind, 1.0)), w
+
+
+def _member_variance(null: SymmetricNull, groups, t):
+    """``sigma^2(a; t)`` on the rows of ``(spec, a)`` blocks, ``t`` as :func:`_by_test`'s ``q``."""
     t = np.abs(np.asarray(t, dtype=float))
     q = null.cdf(t)
-    w = _weight(spec)(q)
+    m, _, w = _by_test(groups, q)
+    alphas = np.concatenate([lv for _, lv in groups])[:, None]
     a_coef = w * (-2.0) * null.density(t)  # sign of the member cancels in every product
     below = null.partial_first_moment(0.0, t)
 
@@ -352,7 +370,7 @@ def _member_variance(spec: StatisticSpec, null: SymmetricNull, alphas, t):
 
     return _assemble_variance(
         null,
-        spec.kernel_order,
+        m,
         alphas,
         w * w * 2.0 * (1.0 - q),
         a_coef,
@@ -376,17 +394,17 @@ def variance_function(spec: StatisticSpec, null: SymmetricNull, t):
     if spec.family != SUPREMUM:
         raise ValueError("variance_function applies to supremum-type statistics")
     applicability(spec, null)
-    alpha = np.asarray(check_level(spec.alpha))
-    return _at_thresholds(lambda t: _member_variance(spec, null, alpha, t), null, t)
+    alpha = check_level([spec.alpha])
+    return _at_thresholds(lambda t: _member_variance(null, [(spec, alpha)], t), null, t)
 
 
 def _at_thresholds(member, null: SymmetricNull, t):
-    """``member(|t|)``, with ``t`` refused if NaN and 0.0 where ``|t|`` passes ``null._x_max``."""
+    """One-row ``member(|t|)`` in the shape of ``t``, refused if NaN, 0.0 past ``null._x_max``."""
     t = np.abs(np.asarray(t, dtype=float))
     if np.isnan(t).any():
         raise ValueError("threshold t must not be NaN")
     far = t > null._x_max
-    return _as_float(np.where(far, 0.0, member(np.where(far, 0.0, t))))
+    return _as_float(np.where(far, 0.0, np.reshape(member(np.where(far, 0.0, t)), t.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +418,9 @@ def _int_phi_score(spec: StatisticSpec, alt: AlternativeFamily) -> tuple[float, 
     return half_line(lambda x: phi(x) * (alt.score(x) - alt.score(-x)), alt.base)  # phi odd
 
 
-def _integral_slope(spec: StatisticSpec, alt: AlternativeFamily, mu_p, mu_err):
+def _integral_slope(spec: StatisticSpec, alt: AlternativeFamily, alphas):
     """Slope on each level, and the largest error estimate of its integrals."""
+    mu_p, mu_err = _mu_prime(alt, tuple(alphas.tolist()))
     kernel = _kernel(spec)
     score, score_err = _int_phi_score(kernel, alt)
     fprime, fprime_err = _int_phi_fprime(kernel, alt.base)
@@ -409,16 +428,16 @@ def _integral_slope(spec: StatisticSpec, alt: AlternativeFamily, mu_p, mu_err):
     return value, np.maximum(mu_err, max(score_err, fprime_err))
 
 
-def _member_slope(spec: StatisticSpec, alt: AlternativeFamily, mu_p, t):
-    """Signed member slope for ``mu_p = mu'(a)`` (a float, or a column of levels) at ``t``."""
+def _member_slope(alt: AlternativeFamily, groups, t):
+    """Signed member slope on the rows of ``(spec, mu'(a))`` blocks, ``t`` as for the variance."""
     null = alt.base
     t = np.abs(np.asarray(t, dtype=float))
     q = null.cdf(t)
-    sign = _SUP_SIGN.get(spec.kind, 1.0)
-    w = _weight(spec)(q)
+    m, sign, w = _by_test(groups, q)
+    mu_p = np.concatenate([lv for _, lv in groups])[:, None]
     chi_score = -(alt.score_cumulative(t) + alt.score_cumulative(-t))
     chi_fprime = -2.0 * null.density(t)
-    return spec.kernel_order * sign * w * (chi_score + mu_p * chi_fprime)
+    return m * sign * w * (chi_score + mu_p * chi_fprime)
 
 
 def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t):
@@ -426,8 +445,8 @@ def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t):
     if spec.family != SUPREMUM:
         raise ValueError("slope_function applies to supremum-type statistics")
     applicability(spec, alt.base)
-    mu_p = _mu_prime(alt, (spec.alpha,))[0][0]
-    return _at_thresholds(lambda t: _member_slope(spec, alt, mu_p, t), alt.base, t)
+    mu_p = _mu_prime(alt, (spec.alpha,))[0]
+    return _at_thresholds(lambda t: _member_slope(alt, [(spec, mu_p)], t), alt.base, t)
 
 
 # ---------------------------------------------------------------------------
@@ -437,28 +456,35 @@ def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t):
 _REFINE_POINTS = 17
 
 
-def _sup_over_t(f, null: SymmetricNull, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def _sup_over_t(searches, null: SymmetricNull, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
     """Row maxima and argmaxes of smooth-between-kinks functions of the threshold ``t >= 0``.
 
-    ``f`` maps thresholds (one row for all, or one row each) to a ``(rows,
-    thresholds)`` array.  One call scans ``t = 0`` plus 512 log-spaced
-    points up to the 0.999 null quantile; then each round evaluates a
-    17-point grid on every bracket wider than ``tol`` and narrows it to the
-    neighbours of the best point, so no row depends on another.  Only a
-    strictly larger value replaces the best: grid points win ties, and an
-    argmax of exactly 0.0 stays exact.
+    ``searches`` lists ``(member, groups)``; ``member(groups, t)`` maps
+    thresholds (one row for all, or one row each) to the values of the rows
+    of ``groups`` (:func:`_by_test`).  Each test's block is scanned on its
+    own at ``t = 0`` plus 512 log-spaced points up to the 0.999 null
+    quantile.  Then each round of one refinement loop makes one call per
+    search on a 17-point grid over each row's bracket, and narrows those
+    wider than ``tol`` to the neighbours of their best point, so no row
+    depends on another.  Only a strictly larger value replaces the best:
+    grid points win ties, and an argmax of exactly 0.0 stays exact.
     """
     q999 = float(null.quantile(0.999))
     ts = np.concatenate([[0.0], np.geomspace(q999 * 1e-5, q999, 512)])
-    vals = f(ts)
-    rows = np.arange(vals.shape[0])
-    i = np.argmax(vals, axis=1)
-    best, arg = vals[rows, i], ts[i]
+
+    def scan(member, group):  # reduced to its argmax before the next test's scan
+        vals = member([group], ts)
+        i = np.argmax(vals, axis=1)
+        return i, vals[np.arange(i.size), i]
+
+    i, best = (np.concatenate(a) for a in zip(*[scan(f, g) for f, gs in searches for g in gs]))
+    rows, arg = np.arange(i.size), ts[i]
     lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, ts.size - 1)]
     steps = np.linspace(0.0, 1.0, _REFINE_POINTS)
+    cuts = np.cumsum([sum(len(lv) for _, lv in groups) for _, groups in searches])[:-1]
     while (live := hi - lo > tol).any():
         grid = lo[:, None] + (hi - lo)[:, None] * steps
-        vals = f(grid)
+        vals = np.concatenate([f(g, part) for (f, g), part in zip(searches, np.split(grid, cuts))])
         j = np.argmax(vals, axis=1)
         top = vals[rows, j]
         better = live & (top > best)
@@ -468,20 +494,48 @@ def _sup_over_t(f, null: SymmetricNull, tol: float = 1e-6) -> tuple[np.ndarray, 
     return best, arg
 
 
-def _on_accepted(spec: StatisticSpec, null: SymmetricNull, alphas, compute):
-    """``compute(a)``, a ``(value, argmax, error)`` triple, on the accepted levels ``a``.
+# (integral, column, member) of a curve, for :func:`_curves`; a slope's supremum is of |member|
+_VARIANCE = (_integral_variance, lambda null, a: (a, 0.0), _member_variance)
+_SLOPE = (_integral_slope, lambda alt, a: _mu_prime(alt, tuple(a.tolist())),
+          lambda alt, groups, t: np.abs(_member_slope(alt, groups, t)))
 
-    Refused levels (:func:`_refused`) read NaN, with error 0.
+
+def _curves(specs, null: SymmetricNull, alphas, parts):
+    """``(value, argmax, error)`` of each test in ``specs`` on each level, one list per part.
+
+    A part is ``(model, (integral, column, member))``.  On the accepted
+    levels ``a``, ``integral(spec, model, a)`` is an integral-type test's
+    ``(value, error)``; a supremum-type test's rows ``(spec, levels)``, with
+    ``(levels, error) = column(model, a)``, are searched over ``member`` by
+    one :func:`_sup_over_t` for all parts and tests.  Refused levels
+    (:func:`_refused`) read NaN with error 0, integral-type argmaxes NaN.
     """
-    if spec.family == MOMENT:
-        raise ValueError(f"{spec.kind} is moment-based; it has no trimming curve")
+    if moment := [spec.kind for spec in specs if spec.family == MOMENT]:
+        raise ValueError(f"{moment[0]} is moment-based; it has no trimming curve")
     alphas = check_level(np.asarray(alphas, dtype=float).ravel())
-    na = _refused(spec, null, alphas)
-    value, arg = np.full((2, alphas.size), math.nan)
-    err = np.zeros(alphas.size)
-    if not na.all():
-        value[~na], arg[~na], err[~na] = compute(alphas[~na])
-    return value, arg, err
+    curves, searches, pending = [], [], []
+    for model, (integral, column, member) in parts:
+        groups = []
+        for spec in specs:
+            ok = ~_refused(spec, null, alphas)
+            value, arg, err = *np.full((2, alphas.size), math.nan), np.zeros(alphas.size)
+            curves.append((value, arg, err))
+            if not ok.any():
+                continue
+            if spec.family == INTEGRAL:
+                value[ok], err[ok] = integral(spec, model, alphas[ok])
+            else:
+                levels, err[ok] = column(model, alphas[ok])
+                groups.append((spec, levels))
+                pending.append((value, arg, ok))
+        if groups:
+            searches.append((partial(member, model), groups))
+    if pending:
+        best, where = _sup_over_t(searches, null)
+        cuts = np.cumsum([ok.sum() for *_, ok in pending])[:-1]
+        for (value, arg, ok), b, w in zip(pending, np.split(best, cuts), np.split(where, cuts)):
+            value[ok], arg[ok] = b, w
+    return [curves[i * len(specs) : (i + 1) * len(specs)] for i in range(len(parts))]
 
 
 def variance_curve(spec: StatisticSpec, null: SymmetricNull, alphas):
@@ -494,14 +548,7 @@ def variance_curve(spec: StatisticSpec, null: SymmetricNull, alphas):
     :func:`applicability` refuses are NaN, and a level that breaks
     :func:`symlab.location.check_level` raises ``ValueError``.
     """
-
-    def compute(a):
-        if spec.family == INTEGRAL:
-            value, err = _integral_variance(spec, null, a)
-            return value, math.nan, err
-        return *_sup_over_t(lambda t: _member_variance(spec, null, a[:, None], t), null), 0.0
-
-    return _on_accepted(spec, null, alphas, compute)
+    return _curves([spec], null, alphas, [(null, _VARIANCE)])[0][0]
 
 
 def slope_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas):
@@ -509,19 +556,7 @@ def slope_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas):
 
     A supremum-type slope is the supremum of the absolute member slope.
     """
-
-    def compute(a):
-        mu_p, mu_err = _mu_prime(alt, tuple(a.tolist()))
-        if spec.family == INTEGRAL:
-            value, err = _integral_slope(spec, alt, mu_p, mu_err)
-            return value, math.nan, err
-
-        def members(t):
-            return np.abs(_member_slope(spec, alt, mu_p[:, None], t))
-
-        return *_sup_over_t(members, alt.base), mu_err
-
-    return _on_accepted(spec, alt.base, alphas, compute)
+    return _curves([spec], alt.base, alphas, [(alt, _SLOPE)])[0][0]
 
 
 def _at_level(curve, family: str, spec: StatisticSpec, model, null: SymmetricNull):
@@ -656,39 +691,48 @@ class IndexCurve:
         return json.dumps(payload, indent=2)
 
 
-def report_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas) -> IndexCurve:
-    """Asymptotic report of ``spec`` against ``alt`` on each of the increasing ``alphas``.
+def report_curves(specs, alt: AlternativeFamily, alphas) -> list[IndexCurve]:
+    """Asymptotic report of each of ``specs`` against ``alt`` on the increasing ``alphas``.
 
     The one place the local index is assembled: every index the library
     gives (:func:`symlab.efficiency.bahadur_index`, index curves,
-    equivalence reports) is this curve's.  ``spec.alpha`` is
-    ignored; levels :func:`applicability` refuses are flagged, and a level
-    that breaks :func:`symlab.location.check_level` raises ``ValueError``.
+    equivalence reports) is one of these curves.  All supremum searches
+    share one refinement loop; a curve is the bits of its one-test
+    :func:`report_curve`.  ``spec.alpha`` is ignored; levels
+    :func:`applicability` refuses are flagged, and a level that breaks
+    :func:`symlab.location.check_level` raises ``ValueError``.
     """
     null = alt.base
     alphas = check_level(np.asarray(alphas, dtype=float).ravel())
-    na = _refused(spec, null, alphas)
-    if spec.family == MOMENT:
-        index, sigma2, slope, var_arg, slope_arg = np.full((5, alphas.size), math.nan)
-        err = np.zeros(alphas.size)
-        if not na.all():
-            sqrtb1 = spec.kind == "SQRT_B1"
-            index[~na] = (sqrtb1_slope if sqrtb1 else cm_family_slope)(null, alt)
-            err[~na] = max(_mu_prime(alt, (0.0,))[1][0], _int_x3_score(alt)[1] if sqrtb1 else 0.0)
-        flagged = np.zeros(alphas.size, dtype=bool)
-    else:
-        sigma2, var_arg, var_err = variance_curve(spec, null, alphas)
-        slope, slope_arg, slope_err = slope_curve(spec, alt, alphas)
-        err = np.maximum(var_err, slope_err)
-        # Median centering pins the empirical process at the origin, so the
-        # sign-test member that defines the KS family is an exact 0/0 there;
-        # the comparison study treats the classical median-centered KS as
-        # inefficient at this endpoint and flags it.
-        flagged = ~na & ((sigma2 < DEGENERACY_TOL) | ((spec.kind == "KS") & (alphas == 0.5)))
-        index = np.divide(
-            slope * slope, sigma2, out=np.full(alphas.size, math.nan), where=~(flagged | na)
-        )
-    return IndexCurve(
-        spec.label, null.name, alt.kind, alphas, index, flagged, na,
-        sigma2, slope, var_arg, slope_arg, err,
-    )
+    curved = [spec for spec in specs if spec.family != MOMENT]
+    curves = iter(zip(*_curves(curved, null, alphas, [(null, _VARIANCE), (alt, _SLOPE)])))
+    reports = []
+    for spec in specs:
+        na = _refused(spec, null, alphas)
+        if spec.family == MOMENT:
+            index, sigma2, slope, var_arg, slope_arg = np.full((5, alphas.size), math.nan)
+            err = np.zeros(alphas.size)
+            if not na.all():
+                sqrtb1 = spec.kind == "SQRT_B1"
+                index[~na] = (sqrtb1_slope if sqrtb1 else cm_family_slope)(null, alt)
+                x3_err = _int_x3_score(alt)[1] if sqrtb1 else 0.0
+                err[~na] = max(_mu_prime(alt, (0.0,))[1][0], x3_err)
+            flagged = np.zeros(alphas.size, dtype=bool)
+        else:
+            (sigma2, var_arg, var_err), (slope, slope_arg, slope_err) = next(curves)
+            err = np.maximum(var_err, slope_err)
+            # Median centering pins the empirical process at the origin, so the
+            # sign-test member that defines the KS family is an exact 0/0 there;
+            # the comparison study treats the classical median-centered KS as
+            # inefficient at this endpoint and flags it.
+            flagged = ~na & ((sigma2 < DEGENERACY_TOL) | ((spec.kind == "KS") & (alphas == 0.5)))
+            index = np.full(alphas.size, math.nan)
+            np.divide(slope * slope, sigma2, out=index, where=~(flagged | na))
+        reports.append(IndexCurve(spec.label, null.name, alt.kind, alphas, index, flagged, na,
+                                  sigma2, slope, var_arg, slope_arg, err))
+    return reports
+
+
+def report_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas) -> IndexCurve:
+    """The one-test :func:`report_curves`."""
+    return report_curves([spec], alt, alphas)[0]

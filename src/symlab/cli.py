@@ -161,7 +161,7 @@ def _cmd_index(args) -> int:
 
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    curves = [eff.index_curve(spec, alt, grid) for spec in specs]
+    curves = eff.index_curves(specs, alt, grid)
     not_applicable = [c.test for c in curves if c.not_applicable.all()]
 
     outputs = []

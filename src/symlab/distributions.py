@@ -180,7 +180,8 @@ class Normal(SymmetricNull):
 
     def density_derivative(self, x):
         x = np.asarray(x, dtype=float)
-        return _as_float(-x * np.exp(-0.5 * x * x) / _SQRT_2PI)
+        c = np.clip(x, -self._x_max, self._x_max)  # -0.5 x x overflows past it; exp is 0 there
+        return _as_float(-x * np.exp(-0.5 * c * c) / _SQRT_2PI)
 
     def cdf(self, x):
         return _as_float(special.ndtr(np.asarray(x, dtype=float)))
@@ -199,7 +200,7 @@ class Normal(SymmetricNull):
         return math.sqrt(2.0 / math.pi)
 
     def _first_moment_primitive(self, x):
-        return -self.density(x)
+        return -self.density(np.clip(x, -self._x_max, self._x_max))
 
     # f(x) = sum_k (-1/2)^k x^(2k) / (k! sqrt(2 pi))
     _moment_series = np.array(
@@ -297,14 +298,22 @@ class Cauchy(SymmetricNull):
 
     name = "cauchy"
     _x_max = math.sqrt(np.finfo(float).max / math.pi)  # pi (1 + x x)
+    _d_max = math.sqrt(_x_max)  # pi (1 + x x)^2, of the density derivative
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
         return _as_float(1.0 / (math.pi * (1.0 + x * x)))
 
     def density_derivative(self, x):
+        # past _d_max, 1 + x x is x x: -2/(pi x^3), divided out in turn so nothing overflows
         x = np.asarray(x, dtype=float)
-        return _as_float(-2.0 * x / (math.pi * (1.0 + x * x) ** 2))
+        far = np.abs(x) > self._d_max
+        near = np.where(far, 0.0, x)
+        value = -2.0 * near / (math.pi * (1.0 + near * near) ** 2)
+        if far.any():
+            big = np.where(far, x, 1.0)
+            value = np.where(far, -2.0 / math.pi / big / big / big, value)
+        return _as_float(value)
 
     # 1/2 + arctan(x)/pi and tan(pi (u - 1/2)) cancel in the lower tail; arctan2(1, -x)
     # is -arctan(1/x) there, and -1/tan(pi u) is mirrored (1 - u is exact above 1/2)
@@ -426,7 +435,8 @@ class FernandezSteel(AlternativeFamily):
         side, u = _uniforms(n, seed, rng, 2)
         gamma = 1.0 + theta
         mass_neg = gamma * gamma / (1.0 + gamma * gamma)
-        half = np.asarray(self.base.quantile(0.5 + 0.5 * u), dtype=float)
+        # 0.5 + 0.5 u rounds to 1 at the top uniform 1 - 2^-53 alone; the cap moves no other draw
+        half = self.base.quantile(np.minimum(0.5 + 0.5 * u, 1.0 - 2.0**-53))
         return np.where(side < mass_neg, -gamma * half, half / gamma)
 
 

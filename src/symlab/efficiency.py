@@ -24,6 +24,7 @@ from .stats import INTEGRAL, StatisticSpec, parse_statistic
 __all__ = [
     "bahadur_index",
     "IndexCurve",
+    "index_curves",
     "index_curve",
     "default_grid",
     "ZeroEfficiencyResult",
@@ -89,14 +90,19 @@ def default_grid(points: int = 101) -> np.ndarray:
     return np.linspace(0.0, 0.5, points)
 
 
-def index_curve(test, alt: AlternativeFamily, grid=None) -> IndexCurve:
-    """Pointwise Bahadur indices of ``test`` over a trimming grid, in one pass.
+def index_curves(tests, alt: AlternativeFamily, grid=None) -> list[IndexCurve]:
+    """Pointwise Bahadur indices of each of ``tests`` over a trimming grid, in one pass.
 
-    The :func:`symlab.asymptotics.report_curve` of ``test``: its variances
-    and slopes come with the indices.
+    The :func:`symlab.asymptotics.report_curves` of ``tests``, variances and
+    slopes included: each curve is the bits of its test's :func:`index_curve`.
     """
     grid = default_grid() if grid is None else grid
-    return asy.report_curve(_resolve(test, None), alt, grid)
+    return asy.report_curves([_resolve(test, None) for test in tests], alt, grid)
+
+
+def index_curve(test, alt: AlternativeFamily, grid=None) -> IndexCurve:
+    """The one-test :func:`index_curves`."""
+    return index_curves([test], alt, grid)[0]
 
 
 @dataclass(frozen=True)
@@ -180,15 +186,13 @@ def equivalence_report(
     values: list[tuple[str, float]] = []
     degenerate: list[str] = []
     not_applicable: list[str] = []
-    for name in tests:
-        spec = _resolve(name, alpha)
-        curve = asy.report_curve(spec, alt, [alpha])
+    for curve in index_curves(tests, alt, [alpha]):
         if curve.not_applicable[0]:
-            not_applicable.append(spec.label)
+            not_applicable.append(curve.test)
         elif curve.degenerate[0]:
-            degenerate.append(spec.label)
+            degenerate.append(curve.test)
         else:
-            values.append((spec.label, float(curve.index[0])))
+            values.append((curve.test, float(curve.index[0])))
     values.sort(key=lambda kv: kv[1])
     groups: list[list[str]] = []
     last = None

@@ -85,16 +85,17 @@ _CLASS_MOMENT = ("CM", "GAMMA", "MGG")
 
 def _check_equivalence_classes(seed: int, full: bool) -> tuple[bool, str]:
     grid = eff.default_grid(21)
+    tests = _CLASS_INTEGRAL + _CLASS_SUP + ("KS", "S")
     tol = eff.EQUIVALENCE_TOL
     worst = 0.0
     failures: list[str] = []
     for null_name in ("normal", "logistic", "cauchy"):
         for alt_name in ("contam", "fs"):
             alt = get_alternative(alt_name, null_name)
+            index = {curve.test: curve.index for curve in eff.index_curves(tests, alt, grid)}
             # within-class agreement over the grid, where every member has an index
             for members in (_CLASS_INTEGRAL, _CLASS_SUP):
-                curves = [eff.index_curve(name, alt, grid).index for name in members]
-                for a, value in zip(grid, np.ptp(curves, axis=0)):
+                for a, value in zip(grid, np.ptp([index[name] for name in members], axis=0)):
                     if not math.isnan(value):
                         worst = max(worst, value)
                         if value > tol:
@@ -109,11 +110,10 @@ def _check_equivalence_classes(seed: int, full: bool) -> tuple[bool, str]:
                     failures.append(f"CM-class {null_name}/{alt_name}")
             except NotApplicableError:
                 pass
-            # KS equals S below the crossover
+            # KS equals S below the crossover (each point is computed from its own level)
             crossover = eff.ks_s_equivalence_crossover(alt, grid)
-            below = grid[(grid <= crossover) & (grid < 0.5)]
-            ks, s = (eff.index_curve(name, alt, below).index for name in ("KS", "S"))
-            for a, diff in zip(below, np.abs(ks - s)):
+            below = (grid <= crossover) & (grid < 0.5)
+            for a, diff in zip(grid[below], np.abs(index["KS"] - index["S"])[below]):
                 if not math.isnan(diff):
                     worst = max(worst, diff)
                     if diff > tol:

@@ -141,6 +141,46 @@ class TestNullModels:
         assert cauchy.quantile(u).tolist() == [cauchy.quantile(float(v)) for v in u]
         assert cauchy.cdf(-u).tolist() == [cauchy.cdf(-float(v)) for v in u]
 
+    @pytest.mark.parametrize("name", ["normal", "cauchy"])
+    def test_density_derivative_up_to_the_largest_float(self, name):
+        # the normal's -0.5 x x overflowed past _x_max, and the Cauchy's
+        # pi (1 + x x)^2 past _d_max (about 8.7e76); below the normal range,
+        # where the true value underflows, the smallest normal is the bound
+        null = get_null(name)
+        top = np.finfo(float).max
+        cut = null._x_max if name == "normal" else null._d_max
+        x = np.concatenate([
+            np.logspace(-8, 308, 317), [cut, np.nextafter(cut, top), 1e77, 1e102, 1e154, top],
+        ])
+        exact = {
+            "normal": lambda v: -v * mp.npdf(v),
+            "cauchy": lambda v: -2 * v / (mp.pi * (1 + v * v) ** 2),
+        }[name]
+        with mp.workdps(30):
+            want = np.array([float(exact(mp.mpf(float(v)))) for v in x])
+        got = null.density_derivative(x)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=np.finfo(float).tiny)
+        assert (null.density_derivative(-x) == -got).all()
+        assert [null.density_derivative(float(v)) for v in x] == got.tolist()
+        # the closed form's bits wherever its arithmetic stays finite, which ends at the cut
+        closed = {
+            "normal": lambda v: -v * np.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi),
+            "cauchy": lambda v: -2.0 * v / (math.pi * (1.0 + v * v) ** 2),
+        }[name]
+        near = x <= cut
+        assert (got[near] == closed(x[near])).all()
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            closed(np.nextafter(cut, top))
+
+    def test_normal_partial_first_moment_up_to_the_largest_float(self, normal):
+        # -density(b) overflowed in -0.5 b b past _x_max; the moment is f(0) - f(b)
+        top = np.finfo(float).max
+        b = np.array([40.0, 1e100, normal._x_max, np.nextafter(normal._x_max, top), 1e300, top])
+        f0 = 1.0 / math.sqrt(2.0 * math.pi)
+        assert (normal.partial_first_moment(0.0, b) == f0).all()
+        assert (normal.partial_first_moment(0.0, -b) == f0).all()
+        assert (normal.partial_first_moment(-b, b) == 0.0).all()
+
 
 class TestAlternativeFamilies:
     @pytest.mark.parametrize("alt_name", ["fs", "contam"])
@@ -247,6 +287,27 @@ class TestSamplers:
             normal.sample(10, seed)
         with pytest.raises(ValueError, match="seed"):
             get_alternative("fs", normal).sample(0.3, 10, seed)
+
+    @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+    def test_fernandez_steel_at_the_largest_uniform(self, null_name):
+        # Generator.random tops out at 1 - 2^-53, where 0.5 + 0.5 u rounds to 1
+        # and the base quantile used to raise; the other draws keep their bits
+        top = 1.0 - 2.0**-53
+        u = np.array([top, 0.5, 0.9, 1.0 - 2.0**-52, 2.0**-53, top])
+
+        class Uniforms:  # a generator stub: the same uniforms for the side and the size
+            def random(self, n):
+                return u[:n].copy()
+
+        fs = get_alternative("fs", null_name)
+        x = fs.sample(0.3, u.size, 0, rng=Uniforms())
+        assert np.isfinite(x).all()
+        gamma = 1.3
+        rest = u != top
+        half = fs.base.quantile(0.5 + 0.5 * u[rest])
+        mirrored = np.where(u[rest] < gamma**2 / (1.0 + gamma**2), -gamma * half, half / gamma)
+        assert (x[rest] == mirrored).all()
+        assert (x[~rest] == fs.base.quantile(top) / gamma).all()
 
     def test_null_sample_mean(self, normal):
         x = normal.sample(100_000, 11)

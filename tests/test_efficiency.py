@@ -176,6 +176,52 @@ def test_report_is_the_one_index(name, null_name, alt_name):
             np.testing.assert_array_equal(argmaxes.view(np.int64), want[:, 1].view(np.int64))
 
 
+_CURVE_FIELDS = (
+    "index", "degenerate", "not_applicable", "sigma2", "slope", "var_argmax", "slope_argmax",
+    "quad_err",
+)
+
+
+def assert_same_curve(got, want):
+    """Equal test, grid and all eight array fields, bit for bit (NaNs by their bits)."""
+    assert (got.test, got.null, got.alternative) == (want.test, want.null, want.alternative)
+    for field in ("grid", *_CURVE_FIELDS):
+        a, b = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+class TestIndexCurves:
+    # the supremum searches of all tests share one refinement loop; each
+    # curve must still be the bits of its test computed alone
+    @pytest.mark.parametrize(
+        "null_name, alt_name, points",
+        [("normal", "contam", 11), ("cauchy", "fs", 11), ("logistic", "fs", 101)],
+    )
+    def test_each_curve_is_its_tests_index_curve(self, null_name, alt_name, points):
+        alt = get_alternative(alt_name, null_name)
+        grid = eff.default_grid(points)
+        curves = eff.index_curves(eff.DEFAULT_TESTS, alt, grid)
+        assert [c.test for c in curves] == list(eff.DEFAULT_TESTS)
+        for name, curve in zip(eff.DEFAULT_TESTS, curves):
+            assert_same_curve(curve, eff.index_curve(name, alt, grid))
+
+    def test_repeated_test(self, contam_normal):
+        grid = eff.default_grid(11)
+        tests = ["KS", "W", "KS", "NA_K_4", "KS"]
+        curves = eff.index_curves(tests, contam_normal, grid)
+        for name, curve in zip(tests, curves):
+            assert_same_curve(curve, eff.index_curve(name, contam_normal, grid))
+
+    def test_no_supremum_test(self, cauchy):
+        # integral-type and moment tests only, under a null that refuses a = 0
+        alt = get_alternative("fs", cauchy)
+        grid = eff.default_grid(11)
+        tests = ["S", "CM", "MO_I_2", "SQRT_B1"]
+        for name, curve in zip(tests, eff.index_curves(tests, alt, grid)):
+            assert_same_curve(curve, eff.index_curve(name, alt, grid))
+        assert eff.index_curves([], alt, grid) == []
+
+
 class TestZeroEfficiency:
     def test_wilcoxon_interior_root(self, contam_normal):
         result = eff.zero_efficiency_alpha("W", contam_normal)
