@@ -13,9 +13,9 @@ read-only) keyed by (statistic, null, n, reps, seed), not by the level or the
 worker count, so consecutive calls on one key simulate it once (``symlab
 test`` runs :func:`p_value`, then :func:`critical_value`); results are
 byte-identical with or without it, and :func:`null_distribution` is uncached.
-On a 2-core x86-64 VM, ``power`` for ``NA_K_4`` at n = 100 took 0.77-0.86 s
-inline and 0.56-0.74 s on two workers with 10^4 replications; with 600 it took
-19-24 ms cold and 10-15 ms after another call on the same key.
+On a 2-core x86-64 VM, ``power`` for ``NA_K_4`` at n = 100 took 0.21-0.28 s
+inline and 0.12-0.18 s on two workers with 10^4 replications; with 600 it took
+14-19 ms cold and 6-10 ms after another call on the same key.
 """
 
 from __future__ import annotations

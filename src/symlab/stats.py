@@ -8,16 +8,16 @@ That path has one centering and one moment block:
 
 * counting statistics (S, W, KS, BH/NA/MO) sort each row and subtract its
   trimmed mean ``(xs * trim_weights(n, alpha)).sum(axis=1)``, the same sum
-  :func:`symlab.location.trimmed_mean` takes.  The row-batched counting
-  kernel :func:`_count_rows` then takes the matrix of sorted, centered rows.
-  All characterization statistics reduce to counts of subsets whose
-  relevant order statistic has absolute value below a threshold ``t``:
-  ``D[b] - D[a]`` for ``a = #{y <= -t}``, ``b = #{y < t}`` and one band
-  table ``D`` (:func:`_band_counts`).  The kernel gathers these for every
-  threshold of every row and reduces each row to an integer numerator (the
-  integral sum, the supremum with its maximizing threshold, or a family
-  member at fixed ``t``): ``O(n log n)`` per row after sorting.  Counts
-  are exact for every ``n`` and ``k``: int64 where they fit, Python ints
+  :func:`symlab.location.trimmed_mean` takes.  The counting kernel
+  :func:`_count_rows` then sorts the keys ``(|y| bits << 1) | (y < 0)``
+  once for the whole chunk (by magnitude, ``y >= 0`` first among equal
+  ones) and reads every count at each threshold ``z = |y|`` off that order
+  with flat accumulations, with no loop over rows.  A characterization
+  statistic counts ``D[#{y < z}] - D[#{y <= -z}]`` subsets for one band
+  table ``D`` (:func:`_band_counts`), KS its one-sided limits, W sorted
+  positions.  Each row reduces to an integer numerator (the integral sum,
+  the supremum with its maximizing threshold, or a family member at fixed
+  ``t``), exact for every ``n`` and ``k``: int64 where it fits, Python ints
   beyond.
 * the moment statistics (CM, GAMMA, MGG, SQRT_B1) ignore the trimming
   coefficient and center each unsorted row by its mean and median in one
@@ -209,36 +209,54 @@ def _band_counts(n: int, p: int, r_low: int, r_high: int) -> np.ndarray:
     return sum(cols[j] * cols[p - j, ::-1] for j in range(r_low, r_high))
 
 
-def _search(ys: np.ndarray, queries: np.ndarray, side: str) -> np.ndarray:
-    """``np.searchsorted`` of ``queries[i]`` in the sorted row ``ys[i]``, for every row.
+def _magnitude_keys(ys: np.ndarray) -> np.ndarray:
+    """Each row's keys ``(|y| bits << 1) | (y < 0)``, sorted; ``y >= 0`` first among equal ``|y|``."""
+    keys = np.abs(ys).view(np.uint64)  # a non-negative float64's bits are a monotone integer
+    keys <<= 1
+    keys |= ys < 0.0
+    keys.sort(axis=1)
+    return keys
 
-    The one step taken row by row, as numpy has no batched binary search: a
-    stable argsort of each row with its queries took 1.6x (512 x 100) to 4x
-    (100 x 2000) as long as this loop on a 2-core x86-64 VM.  The loop calls
-    the array method, not ``np.searchsorted``, whose per-call dispatch wrapper
-    adds about 40% to a 100-long row's search: the two searches of a
-    characterization statistic on one 512 x 100 chunk took 4.2-4.4 ms instead
-    of 5.9-6.2 ms; at 1 x 1e5 and 100 x 2000 the two differ by under 10%.
+
+def _magnitude_counts(ys: np.ndarray):
+    """Each row's magnitudes ``z`` ascending, with ``a = #{y <= -z}`` and ``c = #{y >= z}``.
+
+    Both counts start at the first key of ``z``'s run of equal magnitudes,
+    found by one flat ``maximum.accumulate`` over the chunk; ``a`` counts the
+    sign bits from there to the row's end, read off one flat ``cumsum``.  At
+    ``z = 0`` they are ``#{y < 0}`` and ``#{y >= 0}``.
     """
-    out = np.empty(queries.shape, dtype=np.int64)
-    for y, q, o in zip(ys, queries, out):
-        o[:] = y.searchsorted(q, side)
-    return out
+    rows, n = ys.shape
+    keys = _magnitude_keys(ys).ravel()
+    start = np.arange(keys.size)
+    new = np.empty(keys.size, dtype=bool)
+    np.greater(keys[1:] ^ keys[:-1], 1, out=new[1:])
+    new[::n] = True
+    start *= new
+    np.maximum.accumulate(start, out=start)
+    neg = np.zeros(keys.size + 1, dtype=np.int64)  # sign bits before each flat position
+    np.cumsum((keys & 1).view(np.int64), out=neg[1:])
+    a = neg[start].reshape(rows, n)
+    np.subtract(neg[n::n, None], a, out=a)
+    c = start.reshape(rows, n)
+    np.subtract(np.arange(n, keys.size + 1, n)[:, None], c, out=c)
+    c -= a
+    keys >>= 1
+    return keys.view(float).reshape(rows, n), a, c
 
 
-def _char_numerators(spec: StatisticSpec, ys: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Doubled integer numerators ``N_low(t) - N_high(t)``, one per row and threshold.
+def _sup(mag: np.ndarray, z: np.ndarray, zero=None):
+    """Per-row largest ``mag`` and the smallest threshold of ``z`` (ascending) attaining it.
 
-    Doubling keeps the BH statistics' half-weighted kernel integral; the
-    caller divides with :func:`_char_values`.  The count step functions
-    are left-continuous, so evaluating at every jump threshold covers all
-    attained values.
+    ``zero`` holds the numerators at threshold 0, which precedes every other.
     """
-    band = _band_counts(ys.shape[1], spec.subset_size, *spec.order_pair)
-    num = band[_search(ys, t, "left")] - band[_search(ys, -t, "right")]
-    num = np.where(t > 0.0, num, 0)
-    # the half-weighted BH kernel is (N_1 + N_2)/2 - N_2 = (N_1 - N_2)/2
-    return num if spec.kind.startswith("BH") else 2 * num
+    r = np.arange(len(z))
+    i = mag.argmax(axis=1)  # the first largest entry
+    best, arg = mag[r, i], z[r, i]
+    if zero is None:
+        return best, arg
+    zero = np.abs(zero)
+    return np.maximum(best, zero), np.where(zero >= best, 0.0, arg)
 
 
 def _char_divisor(spec: StatisticSpec, n: int) -> float:
@@ -253,32 +271,6 @@ def _char_values(spec: StatisticSpec, n: int, num: np.ndarray) -> np.ndarray:
     return np.asarray(num / _char_divisor(spec, n), dtype=float)
 
 
-def _ks_numerators(ys: np.ndarray, s: np.ndarray):
-    """``n (F_n(s) + F_n(-s) - 1)`` at, just below and just above each threshold ``s``."""
-    n = ys.shape[1]
-    up_at = _search(ys, s, "right")
-    down_at = _search(ys, -s, "right")
-    left = _search(ys, s, "left") + down_at - n
-    right = up_at + _search(ys, -s, "left") - n
-    return up_at + down_at - n, left, right
-
-
-def _sup(numerators, thresholds: np.ndarray):
-    """Per-row largest ``|numerator|`` and the threshold attaining it.
-
-    Ties go to the earliest array of ``numerators``, then to the smallest
-    threshold; thresholds set to ``inf`` are never chosen, and a row with no
-    eligible threshold gets 0.
-    """
-    mags = [np.abs(num) for num in numerators]
-    best = np.max([mag.max(axis=1) for mag in mags], axis=0)
-    arg = np.zeros(best.shape)
-    for mag in reversed(mags):
-        tied = np.where(mag == best[:, None], thresholds, np.inf).min(axis=1)
-        arg = np.where(tied < np.inf, tied, arg)
-    return best, arg
-
-
 def _count_rows(spec: StatisticSpec, ys: np.ndarray, t: float | None = None):
     """Values of a counting statistic on every row of ``ys`` at once.
 
@@ -290,36 +282,52 @@ def _count_rows(spec: StatisticSpec, ys: np.ndarray, t: float | None = None):
     Returns ``(values, sup_arguments)``; the arguments are the maximizing
     thresholds of a supremum and None otherwise.
     """
-    rows, n = ys.shape
+    n = ys.shape[1]
     if spec.kind == "S":
         return np.sum(ys > 0.0, axis=1) / n - 0.5, None
     if spec.kind == "W":
-        # ordered pairs with y_i + y_j > 0, less the diagonal, halved
-        above = n - _search(ys, -ys, "right")
-        pairs = (above.sum(axis=1) - np.sum(ys > 0.0, axis=1)) // 2
+        # a pair sums above 0 exactly when its later key is positive, so each
+        # positive key adds its position in the row
+        keys = _magnitude_keys(ys)
+        pairs = ((keys & 1 == 0) & (keys > 0)) @ np.arange(n)
         return pairs / math.comb(n, 2) - 0.5, None
-    if t is not None:
-        if spec.family != SUPREMUM:
-            raise ValueError("fixed thresholds apply to supremum-type statistics only")
-        member = np.full((rows, 1), float(t))
-        if spec.kind == "KS":  # n (F_n(t) + F_n(-t) - 1), from the two searches it reads
-            counts = _search(ys, member, "right") + _search(ys, -member, "right")
-            return (counts[:, 0] - n) / n, None
-        return _char_values(spec, n, _char_numerators(spec, ys, member)[:, 0]), None
-    mags = np.abs(ys)
+    if spec.kind == "KS" and t is not None:  # n (F_n(t) + F_n(-t) - 1)
+        counts = np.count_nonzero(ys <= t, axis=1) + np.count_nonzero(ys <= -t, axis=1)
+        return (counts - n) / n, None
     if spec.kind == "KS":
-        s = np.concatenate([np.zeros((rows, 1)), mags], axis=1)
-        best, arg = _sup(_ks_numerators(ys, s), s)
-        return best / n, arg
-    nums = _char_numerators(spec, ys, mags)
-    if spec.family == SUPREMUM:
-        # beyond the largest jump every count difference is zero
-        best, arg = _sup((nums,), np.where(mags > 0.0, mags, np.inf))
-        return _char_values(spec, n, best), arg
-    if nums.dtype == object:
-        total = nums.sum(axis=1)
+        # n (F_n(s) + F_n(-s) - 1) is a - c just below s = z > 0 and a - c' at
+        # s, where c' = #{y > z} is the next key's c at the last key of each
+        # run of equal z; the value just above s is the one just below the
+        # next threshold, or 0 past the largest
+        z, a, c = _magnitude_counts(ys)
+        keep = (np.diff(z, axis=1, append=np.inf) > 0.0) & (z > 0.0)
+        zeros = np.count_nonzero(z == 0.0, axis=1)
+        side0 = 2 * a[:, 0] + zeros - n  # beside t = 0; at t = 0 the zeros count twice
+        b_left, g_left = _sup(np.abs(a - c) * keep, z, side0)
+        c[:, :-1] = c[:, 1:]  # #{y > z} at the last key of each run
+        c[:, -1] = 0
+        b_at, g_at = _sup(np.abs(a - c) * keep, z, side0 + zeros)
+        return np.maximum(b_at, b_left) / n, np.where(b_at >= b_left, g_at, g_left)
+    band = _band_counts(n, spec.subset_size, *spec.order_pair)
+    if t is not None:  # a = #{y <= -t}, b = #{y < t}
+        a, b = np.count_nonzero(ys <= -t, axis=1), np.count_nonzero(ys < t, axis=1)
+        num = (band[b] - band[a]) * (t > 0.0)
+    else:  # b = n - c: a and b are equal at z = 0
+        z, a, c = _magnitude_counts(ys)
+        num = band[np.subtract(n, c, out=c)]
+        num -= band[a]
+    # the half-weighted BH kernel is (N_1 + N_2)/2 - N_2 = (N_1 - N_2)/2
+    if not spec.kind.startswith("BH"):
+        num *= 2
+    if t is not None:
+        return _char_values(spec, n, num), None
+    if spec.family == SUPREMUM:  # threshold 0 is no jump: its entries drop to -1
+        best, arg = _sup(np.abs(num) - (z == 0.0), z)
+        return _char_values(spec, n, np.maximum(best, 0)), arg
+    if num.dtype == object:
+        total = num.sum(axis=1)
     else:  # an int64 row sum can wrap: sum the high and low 32-bit halves apart
-        high, low = (nums >> 32).sum(axis=1), (nums & 0xFFFFFFFF).sum(axis=1)
+        high, low = (num >> 32).sum(axis=1), (num & 0xFFFFFFFF).sum(axis=1)
         total = high.astype(object) * 2**32 + low
     return _char_values(spec, n, total), None
 
@@ -363,6 +371,10 @@ def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = N
     median instead.  Returns ``(values, sup_arguments)`` as
     :func:`_count_rows` does.
     """
+    if t is not None and spec.family != SUPREMUM:
+        raise ValueError("fixed thresholds apply to supremum-type statistics only")
+    if t is not None and math.isnan(t := float(t)):
+        raise ValueError("threshold t must not be NaN")
     n = samples.shape[1]
     _check_rows(spec, samples)
     if spec.family != MOMENT:
@@ -406,8 +418,6 @@ def evaluate_family_member(spec: StatisticSpec, sample, t: float) -> float:
     characterization families it is the subset-count difference at ``t``.
     Used to validate the member-level limiting variances by simulation.
     """
-    if spec.family != SUPREMUM:
-        raise ValueError("family members exist only for supremum-type statistics")
     return float(_evaluate_rows(spec, check_sample(sample)[None, :], t)[0][0])
 
 

@@ -4,13 +4,16 @@ The kernel-projection estimator here evaluates the symmetrized kernels by
 literal order-statistic comparisons on simulated draws, so it is independent
 of the closed-form profiles in ``symlab.asymptotics``.  The exact counting
 value recounts the characterization statistics in Python ints, with a
-different subset-count formula from the one in ``symlab.stats``.
+different subset-count formula from the one in ``symlab.stats``, and the
+threshold counts are one binary search per row instead of the kernel's one
+sort of sign-tagged magnitudes per chunk.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 
 import numpy as np
 
@@ -55,6 +58,51 @@ def exact_counting_value(spec: StatisticSpec, sample, t: float | None = None) ->
     if spec.family == INTEGRAL:
         return sum(doubled(abs(v)) for v in y) / (n * denom)
     return max(abs(doubled(abs(v))) for v in y) / denom
+
+
+def sup_argument(spec: StatisticSpec, sample) -> float:
+    """The maximizing threshold a supremum statistic reports, by its stated rule.
+
+    The thresholds are 0 and the centered sample's ``|y|``, and ties go to
+    the smallest.  A characterization statistic takes its positive
+    thresholds alone (0 when there is none).  KS takes the thresholds where
+    ``|n (F_n(t) + F_n(-t) - 1)|`` reaches its supremum first; failing
+    those, the open segments between them, each read off an exact midpoint
+    and reported by its upper end, or by 0 for the one starting at 0.
+    """
+    x = np.asarray(sample, dtype=float)
+    y = (np.sort(x) - trimmed_mean(x, spec.alpha)).tolist()
+    jumps = [0.0] + sorted({abs(v) for v in y if v != 0.0})
+    if spec.kind != "KS":
+        values = [abs(exact_counting_value(spec, x, s)) for s in jumps[1:]]
+        return jumps[1 + values.index(max(values))] if values else 0.0
+
+    def g(t) -> int:
+        return abs(sum(v <= t for v in y) + sum(v <= -t for v in y) - len(y))
+
+    at = [g(s) for s in jumps]
+    between = [g((Fraction(lo) + Fraction(hi)) / 2) for lo, hi in zip(jumps, jumps[1:])]
+    best = max(at + between)
+    if best in at:
+        return jumps[at.index(best)]
+    k = between.index(best)
+    return jumps[k + 1] if k else 0.0
+
+
+def searchsorted_counts(ys: np.ndarray):
+    """``(z, a, c)`` of ``stats._magnitude_counts`` by one ``np.searchsorted`` per sorted row.
+
+    ``z`` is each row's ``|y|`` in ascending order, ``a = #{y <= -z}`` and
+    ``c = #{y >= z}``; at ``z = 0`` the kernel's counts are ``#{y < 0}`` and
+    ``#{y >= 0}``.
+    """
+    z = np.sort(np.abs(ys), axis=1)
+    a = np.empty(ys.shape, dtype=np.int64)
+    c = np.empty(ys.shape, dtype=np.int64)
+    for y, row_z, row_a, row_c in zip(ys, z, a, c):
+        row_a[:] = np.where(row_z > 0.0, y.searchsorted(-row_z, "right"), y.searchsorted(0.0))
+        row_c[:] = y.size - y.searchsorted(row_z, "left")
+    return z, a, c
 
 
 def mc_projection(

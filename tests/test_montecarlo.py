@@ -51,6 +51,12 @@ class TestNullDistribution:
         b = null_distribution(spec, normal, cfg)
         np.testing.assert_array_equal(a, b)
 
+    def test_nan_threshold_refused(self, normal):
+        cfg = McConfig(n=20, reps=600, seed=1)
+        for name in ("KS", "NA_K_2", "MO_K_2"):
+            with pytest.raises(ValueError, match="must not be NaN"):
+                null_distribution(parse_statistic(name, alpha=0.25), normal, cfg, t=math.nan)
+
     def test_centered_statistic_has_zero_mean(self, normal):
         cfg = McConfig(n=60, reps=4000, seed=33)
         values = null_distribution(StatisticSpec("S", alpha=0.2), normal, cfg)

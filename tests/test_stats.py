@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import exact_counting_value
+from helpers import exact_counting_value, searchsorted_counts, sup_argument
+from symlab.efficiency import DEFAULT_TESTS
 from symlab.errors import DegenerateSampleError, InsufficientSampleError
 from symlab.stats import (
     _band_counts,
+    _evaluate_rows,
+    _magnitude_counts,
     STATISTIC_NAMES,
     StatisticSpec,
     StatisticValue,
@@ -37,6 +41,18 @@ ALL_IDS = [
     "MO_K_2",
 ]
 MOMENT_IDS = ["CM", "GAMMA", "MGG", "SQRT_B1"]
+SUP_IDS = [name for name in DEFAULT_TESTS if parse_statistic(name).family == "supremum"]
+
+
+def tied_rows(rng, rows: int, n: int) -> np.ndarray:
+    """Rows full of ties: small integers, halves with signed zeros, and exact +-v pairs."""
+    ints = rng.integers(-3, 4, size=(rows, n)).astype(float)
+    halves = rng.integers(-4, 5, size=(rows, n)) / 2.0
+    halves[halves == 0.0] = rng.choice([0.0, -0.0], size=np.count_nonzero(halves == 0.0))
+    v = np.where(rng.random((rows, n // 2)) < 0.5, rng.normal(size=(rows, n // 2)), ints[:, : n // 2])
+    pairs = np.concatenate([v, -v, halves[:, : n % 2]], axis=1)
+    kind = rng.integers(0, 3, size=(rows, 1))
+    return np.select([kind == 0, kind == 1], [ints, halves], pairs)
 
 
 class TestSpec:
@@ -139,6 +155,24 @@ class TestErrors:
         if spec.family == "supremum":
             with pytest.raises(ValueError, match="NaN or infinite"):
                 evaluate_family_member(spec, x, 0.5)
+
+    @pytest.mark.parametrize("name", SUP_IDS)
+    def test_nan_threshold_refused(self, name, rng):
+        spec = parse_statistic(name, alpha=0.25)
+        samples = rng.normal(size=(3, 20))
+        with pytest.raises(ValueError, match="must not be NaN"):
+            evaluate_family_member(spec, samples[0], math.nan)
+        with pytest.raises(ValueError, match="must not be NaN"):
+            evaluate_many(spec, samples, t=math.nan)
+
+    @pytest.mark.parametrize("name", ["S", "W", "NA_I_2"] + MOMENT_IDS)
+    def test_threshold_refused_off_the_supremum_kinds(self, name, rng):
+        spec = parse_statistic(name, alpha=0.25)
+        samples = rng.normal(size=(3, 20))
+        with pytest.raises(ValueError, match="supremum-type"):
+            evaluate_family_member(spec, samples[0], 0.5)
+        with pytest.raises(ValueError, match="supremum-type"):
+            evaluate_many(spec, samples, t=0.5)
 
 
 class TestOverflowRefused:
@@ -440,6 +474,52 @@ class TestBatchEvaluation:
             for n in ALL_IDS + MOMENT_IDS
         }
         assert "S" in STATISTIC_NAMES
+
+
+class TestMagnitudeCounts:
+    """The kernel's counts off one sort per chunk, against one search per row."""
+
+    @pytest.mark.parametrize("rows, n", [(1, 5000), (512, 100), (100, 2000)])
+    def test_matches_per_row_search(self, rows, n, rng):
+        ys = np.sort(tied_rows(rng, rows, n), axis=1)
+        ys[0, :4] = [-1.0, -0.0, 0.0, 1.0]  # a run of both zeros next to a +-1 pair
+        ys[0] = np.sort(ys[0])
+        z, a, c = _magnitude_counts(ys)
+        want_z, want_a, want_c = searchsorted_counts(ys)
+        np.testing.assert_array_equal(z.view(np.int64), want_z.view(np.int64))
+        np.testing.assert_array_equal(a, want_a)
+        np.testing.assert_array_equal(c, want_c)
+
+    @pytest.mark.parametrize("name", list(DEFAULT_TESTS) + ["NA_I_5", "MO_K_3"])
+    def test_batch_equals_enumeration_on_tied_rows(self, name, rng):
+        for alpha in (0.0, 0.25, 0.5):
+            spec = parse_statistic(name, alpha=alpha)
+            for n in (6, 9, 14):
+                samples = tied_rows(rng, 8, n)
+                want = [brute_force(spec, row).value for row in samples]
+                np.testing.assert_array_equal(evaluate_many(spec, samples), want)
+
+    @pytest.mark.parametrize("name", SUP_IDS + ["MO_K_3"])
+    def test_sup_argument_rule_on_tied_rows(self, name, rng):
+        for alpha in (0.0, 0.25, 0.5):
+            spec = parse_statistic(name, alpha=alpha)
+            for n in (6, 9, 14):
+                for row in tied_rows(rng, 8, n):
+                    assert evaluate(spec, row).sup_argument == sup_argument(spec, row)
+
+    @pytest.mark.parametrize("name, mib", [("KS", 8.49), ("NA_I_4", 7.63)])
+    def test_peak_memory_at_a_long_row(self, name, mib):
+        # the traced peaks of the per-row binary-search kernel (numpy 2.4.6)
+        spec = parse_statistic(name, alpha=0.25)
+        x = np.random.default_rng(1).normal(size=(1, 100_000))
+        _evaluate_rows(spec, x)
+        tracemalloc.start()
+        try:
+            _evaluate_rows(spec, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2**20
 
 
 class TestBandCounts:
