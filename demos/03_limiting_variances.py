@@ -11,14 +11,12 @@ import numpy as np
 
 from symlab import (
     McConfig,
-    asymptotic_variance,
     get_null,
     null_distribution,
     parse_statistic,
-    sup_variance,
+    variance_curve,
     variance_function,
 )
-from symlab.asymptotics import variance_curve
 
 nulls = [get_null(name) for name in ("normal", "logistic", "cauchy")]
 
@@ -32,14 +30,15 @@ for i, alpha in enumerate(alphas):
 print("\nsimulation check (normal, alpha = 0.25, n = 2000, 4000 replications):")
 spec = parse_statistic("W", alpha=0.25)
 values = null_distribution(spec, get_null("normal"), McConfig(n=2000, reps=4000, seed=5))
-print(f"  theory    {asymptotic_variance(spec, get_null('normal')):.5f}")
+print(f"  theory    {variance_curve(spec, get_null('normal'), [0.25])[0][0]:.5f}")
 print(f"  simulated {2000 * values.var():.5f}")
 
 print("\nKS variance function over the threshold t (normal null):")
 normal = get_null("normal")
-for alpha in (0.1, 0.4):
+levels = (0.1, 0.4)
+sups, argmaxes, _ = variance_curve(parse_statistic("KS"), normal, levels)  # both levels at once
+for alpha, sup_val, argmax in zip(levels, sups, argmaxes):
     spec = parse_statistic("KS", alpha=alpha)
-    sup_val, argmax = sup_variance(spec, normal)
     ts = np.round(np.linspace(0.0, 2.0, 6), 2)
     member = variance_function(spec, normal, ts)  # one call for the whole grid
     vals = ", ".join(f"{t}:{v:.3f}" for t, v in zip(ts, member))

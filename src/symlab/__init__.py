@@ -6,14 +6,10 @@ curves over the trimming coefficient, and a seeded Monte Carlo harness.
 """
 
 from .asymptotics import (
-    asymptotic_variance,
-    cm_family_slope,
     projection,
-    slope_derivative,
+    slope_curve,
     slope_function,
-    sqrtb1_slope,
-    sup_slope,
-    sup_variance,
+    variance_curve,
     variance_function,
 )
 from .distributions import (
@@ -32,7 +28,6 @@ from .efficiency import (
     ZeroEfficiencyResult,
     bahadur_index,
     equivalence_report,
-    index_curve,
     index_curves,
     ks_s_equivalence_crossover,
     zero_efficiency_alpha,
@@ -51,7 +46,6 @@ from .stats import (
     StatisticValue,
     brute_force,
     evaluate,
-    evaluate_family_member,
     evaluate_many,
     parse_statistic,
 )
@@ -72,18 +66,14 @@ __all__ = [
     "StatisticValue",
     "SymmetricNull",
     "ZeroEfficiencyResult",
-    "asymptotic_variance",
     "bahadur_index",
     "brute_force",
-    "cm_family_slope",
     "critical_value",
     "equivalence_report",
     "evaluate",
-    "evaluate_family_member",
     "evaluate_many",
     "get_alternative",
     "get_null",
-    "index_curve",
     "index_curves",
     "influence_curve",
     "ks_s_equivalence_crossover",
@@ -93,14 +83,12 @@ __all__ = [
     "population_trimmed_mean",
     "power",
     "projection",
-    "slope_derivative",
+    "slope_curve",
     "slope_function",
-    "sqrtb1_slope",
-    "sup_slope",
-    "sup_variance",
     "trim_weights",
     "trimmed_mean",
     "trimmed_mean_derivative",
+    "variance_curve",
     "variance_function",
     "zero_efficiency_alpha",
 ]

@@ -18,18 +18,18 @@ supremum-type statistics both the variance and the slope are functions of the
 threshold ``t`` and the supremum over ``t`` is taken.
 
 :func:`variance_curve` and :func:`slope_curve` are the only places a
-variance or a slope is assembled; :func:`asymptotic_variance`,
-:func:`sup_variance`, :func:`slope_derivative` and :func:`sup_slope` read
-one level of them.  A curve computes a grid of trimming levels ``a`` in one
-pass, each level from its own ``a`` alone, so it gives the same bits on any
-grid.  For supremum-type statistics ``a`` enters only through ``Q``,
-``min(a, 1-q)`` and ``mu'(a)``: a test's levels are the rows of an ``(a,
-t)`` array, which :func:`_sup_over_t` scans per test, then refines together
-with the rows of every other test and curve it is given
-(:func:`report_curves`).  For integral-type ones ``Int_Q^inf phi f``
-integrates a polynomial in ``u = F(x)``, exact under a fixed Gauss-Legendre
-rule, and ``Int_0^Q phi x f`` uses a fixed composite rule (:func:`_t3`).  A
-moment-based index does not depend on ``a`` and is computed once.
+variance or a slope is assembled, and the public readers of both: a value
+at one level is index 0 of the curve on ``[a]``.  A curve computes a grid
+of trimming levels ``a`` in one pass, each level from its own ``a`` alone,
+so it gives the same bits on any grid.  For supremum-type statistics ``a``
+enters only through ``Q``, ``min(a, 1-q)`` and ``mu'(a)``: a test's levels
+are the rows of an ``(a, t)`` array, which :func:`_sup_over_t` scans per
+test, then refines together with the rows of every other test and curve it
+is given (:func:`_report_curves`).  For integral-type ones ``Int_Q^inf phi
+f`` integrates a polynomial in ``u = F(x)``, exact under a fixed
+Gauss-Legendre rule, and ``Int_0^Q phi x f`` uses a fixed composite rule
+(:func:`_t3`).  A moment-based index does not depend on ``a`` and is
+computed once.
 
 The other integrals use the fixed rules of :mod:`symlab._quad` too (the
 whole-line ones folded onto ``[0, inf)``), and the curves carry the largest
@@ -52,11 +52,11 @@ members factor as ``w(q) * chi(u; q)`` where ``chi(u; q) = 1{u >= q} -
 1{u < 1-q}`` and ``q = F(t)``.  These closed forms are certified against
 Monte Carlo conditional expectations in the test suite.
 
-:func:`report_curves` is the single place the local index, slope squared
+:func:`_report_curves` is the single place the local index, slope squared
 over variance, is assembled from the two curves, including its degenerate
-cases (a vanishing variance, and KS at ``a = 1/2``); the index functions of
-:mod:`symlab.efficiency` read their values from it, one level of one test
-(:func:`report_curve`) for :func:`symlab.efficiency.bahadur_index`.
+cases (a vanishing variance, and KS at ``a = 1/2``); every index function of
+:mod:`symlab.efficiency` reads its values from it through
+:func:`symlab.efficiency.index_curves`.
 :func:`applicability` is the single rule for which (test, null) pairs the
 theory covers: moment-based tests need a finite second moment (SQRT_B1 a
 sixth), and every other test needs mean centering (``a = 0``) to have a
@@ -86,18 +86,10 @@ __all__ = [
     "projection",
     "variance_curve",
     "slope_curve",
-    "asymptotic_variance",
     "variance_function",
-    "sup_variance",
-    "slope_derivative",
     "slope_function",
-    "sup_slope",
-    "cm_family_slope",
-    "sqrtb1_slope",
     "applicability",
     "IndexCurve",
-    "report_curves",
-    "report_curve",
     "DEGENERACY_TOL",
 ]
 
@@ -559,35 +551,6 @@ def slope_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas):
     return _curves([spec], alt.base, alphas, [(alt, _SLOPE)])[0][0]
 
 
-def _at_level(curve, family: str, spec: StatisticSpec, model, null: SymmetricNull):
-    """``(value, argmax)`` of ``curve`` at ``spec.alpha``, for ``family``-type statistics."""
-    if spec.family != family:
-        raise ValueError(f"{spec.kind} is {spec.family}-type; this applies to {family}-type")
-    applicability(spec, null)
-    value, arg, _ = curve(spec, model, [spec.alpha])
-    return float(value[0]), float(arg[0])
-
-
-def asymptotic_variance(spec: StatisticSpec, null: SymmetricNull) -> float:
-    """Limiting variance of the root-n scaled integral-type statistic."""
-    return _at_level(variance_curve, INTEGRAL, spec, null, null)[0]
-
-
-def sup_variance(spec: StatisticSpec, null: SymmetricNull) -> tuple[float, float]:
-    """Supremum over ``t`` of the member variance, with its argmax."""
-    return _at_level(variance_curve, SUPREMUM, spec, null, null)
-
-
-def slope_derivative(spec: StatisticSpec, alt: AlternativeFamily) -> float:
-    """Local slope of the limit in probability, integral-type statistics."""
-    return _at_level(slope_curve, INTEGRAL, spec, alt, alt.base)[0]
-
-
-def sup_slope(spec: StatisticSpec, alt: AlternativeFamily) -> tuple[float, float]:
-    """Supremum over ``t`` of the absolute member slope, with its argmax."""
-    return _at_level(slope_curve, SUPREMUM, spec, alt, alt.base)
-
-
 # ---------------------------------------------------------------------------
 # moment-based statistics (their own limit theory)
 # ---------------------------------------------------------------------------
@@ -691,14 +654,14 @@ class IndexCurve:
         return json.dumps(payload, indent=2)
 
 
-def report_curves(specs, alt: AlternativeFamily, alphas) -> list[IndexCurve]:
+def _report_curves(specs, alt: AlternativeFamily, alphas) -> list[IndexCurve]:
     """Asymptotic report of each of ``specs`` against ``alt`` on the increasing ``alphas``.
 
     The one place the local index is assembled: every index the library
     gives (:func:`symlab.efficiency.bahadur_index`, index curves,
     equivalence reports) is one of these curves.  All supremum searches
-    share one refinement loop; a curve is the bits of its one-test
-    :func:`report_curve`.  ``spec.alpha`` is ignored; levels
+    share one refinement loop; a curve is the bits of its test's curve
+    computed alone.  ``spec.alpha`` is ignored; levels
     :func:`applicability` refuses are flagged, and a level that breaks
     :func:`symlab.location.check_level` raises ``ValueError``.
     """
@@ -732,7 +695,3 @@ def report_curves(specs, alt: AlternativeFamily, alphas) -> list[IndexCurve]:
                                   sigma2, slope, var_arg, slope_arg, err))
     return reports
 
-
-def report_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas) -> IndexCurve:
-    """The one-test :func:`report_curves`."""
-    return report_curves([spec], alt, alphas)[0]

@@ -33,8 +33,7 @@ from . import montecarlo as mc
 from ._rng import DEFAULT_SEED, check_seed
 from .distributions import ALTERNATIVE_NAMES, NULL_NAMES, get_alternative, get_null
 from .errors import NotApplicableError
-from .location import check_level
-from .stats import MOMENT, SUPREMUM, evaluate, parse_statistic
+from .stats import evaluate, parse_statistic
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -195,32 +194,28 @@ def _cmd_variance(args) -> int:
         if not nulls:
             raise ValueError("no null models requested")
         spec0 = parse_statistic(args.stat, alpha=args.alpha if args.over_t else 0.0)
-        check_level(spec0.alpha)
-        if spec0.family == MOMENT:
-            raise ValueError("moment-based statistics have no trimming-variance curve")
-        if args.over_t and spec0.family != SUPREMUM:
-            raise ValueError("--over-t applies to supremum-type statistics")
         grid = eff.default_grid(args.grid)
+        if args.over_t:
+            axis = "t"
+            xs = np.linspace(0.0, max(float(null.quantile(0.999)) for null in nulls), args.grid)
+            columns = [asy.variance_function(spec0, null, xs) for null in nulls]
+            # the member variance is closed-form: nothing is integrated
+            params = {"stat": spec0.label, "alpha": args.alpha, "over_t": True, "quad_err_max": 0.0}
+        else:
+            axis, xs = "alpha", grid
+            curves = [asy.variance_curve(spec0, null, grid) for null in nulls]
+            columns = [value for value, _, _ in curves]
+            params = {"stat": spec0.label, "grid_points": args.grid, "over_t": False,
+                      "quad_err_max": max(float(err.max()) for _, _, err in curves)}
+    except NotApplicableError as exc:
+        print(f"not applicable: {exc}", file=sys.stderr)
+        return EXIT_NOT_APPLICABLE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-
-    if args.over_t:
-        axis = "t"
-        xs = np.linspace(0.0, max(float(null.quantile(0.999)) for null in nulls), args.grid)
-        columns = [asy.variance_function(spec0, null, xs) for null in nulls]
-        # the member variance is closed-form: nothing is integrated
-        params = {"stat": spec0.label, "alpha": args.alpha, "over_t": True, "quad_err_max": 0.0}
-    else:
-        axis, xs = "alpha", grid
-        curves = [asy.variance_curve(spec0, null, grid) for null in nulls]
-        columns = [value for value, _, _ in curves]
-        params = {"stat": spec0.label, "grid_points": args.grid, "over_t": False,
-                  "quad_err_max": max(float(err.max()) for _, _, err in curves)}
-
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([axis] + [f"sigma2_{null.name}" for null in nulls])

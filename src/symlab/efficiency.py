@@ -25,7 +25,6 @@ __all__ = [
     "bahadur_index",
     "IndexCurve",
     "index_curves",
-    "index_curve",
     "default_grid",
     "ZeroEfficiencyResult",
     "zero_efficiency_alpha",
@@ -71,16 +70,16 @@ def _resolve(test, alpha: float | None) -> StatisticSpec:
 def bahadur_index(test, alt: AlternativeFamily, alpha: float | None = None) -> float:
     """Local Bahadur index of ``test`` against ``alt`` at trimming ``alpha``.
 
-    The one-level :func:`symlab.asymptotics.report_curve`: NaN when the
-    (variance, slope) pair is degenerate (the 0/0 case; see
-    :func:`index_curve` for the per-point flags and the variance and slope
-    behind the index).  Raises :class:`~symlab.errors.NotApplicableError`
-    for combinations the theory excludes, e.g. moment-based tests or
-    untrimmed centering under the Cauchy.
+    The one-level :func:`index_curves`: NaN when the (variance, slope) pair
+    is degenerate (the 0/0 case; the curve carries the per-point flags and
+    the variance and slope behind the index).  Raises
+    :class:`~symlab.errors.NotApplicableError` for combinations the theory
+    excludes, e.g. moment-based tests or untrimmed centering under the
+    Cauchy.
     """
     spec = _resolve(test, alpha)
     asy.applicability(spec, alt.base)
-    return float(asy.report_curve(spec, alt, [spec.alpha]).index[0])
+    return float(index_curves([spec], alt, [spec.alpha])[0].index[0])
 
 
 def default_grid(points: int = 101) -> np.ndarray:
@@ -93,16 +92,12 @@ def default_grid(points: int = 101) -> np.ndarray:
 def index_curves(tests, alt: AlternativeFamily, grid=None) -> list[IndexCurve]:
     """Pointwise Bahadur indices of each of ``tests`` over a trimming grid, in one pass.
 
-    The :func:`symlab.asymptotics.report_curves` of ``tests``, variances and
-    slopes included: each curve is the bits of its test's :func:`index_curve`.
+    The public reader of every index: each curve carries its test's
+    variances, slopes and their argmaxes over ``t``, and is the bits of the
+    same test's curve computed alone (``index_curves([test], alt, grid)[0]``).
     """
     grid = default_grid() if grid is None else grid
-    return asy.report_curves([_resolve(test, None) for test in tests], alt, grid)
-
-
-def index_curve(test, alt: AlternativeFamily, grid=None) -> IndexCurve:
-    """The one-test :func:`index_curves`."""
-    return index_curves([test], alt, grid)[0]
+    return asy._report_curves([_resolve(test, None) for test in tests], alt, grid)
 
 
 @dataclass(frozen=True)
@@ -131,7 +126,7 @@ def zero_efficiency_alpha(test, alt: AlternativeFamily, scan_points: int = 64) -
         raise ValueError("zero-efficiency roots are defined for integral-type tests")
 
     def slope_at(a: float) -> float:
-        return asy.slope_derivative(_resolve(spec0, a), alt)
+        return float(asy.slope_curve(spec0, alt, [a])[0][0])
 
     grid = np.linspace(1e-4, 0.5 - 1e-4, scan_points)
     signs = np.sign(asy.slope_curve(spec0, alt, grid)[0])
@@ -156,7 +151,7 @@ def ks_s_equivalence_crossover(alt: AlternativeFamily, grid=None) -> float:
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     past = np.flatnonzero(grid >= 0.5)
     grid = grid[: past[0]] if past.size else grid
-    curve = asy.report_curve(StatisticSpec("KS"), alt, grid)
+    curve = index_curves(["KS"], alt, grid)[0]
     crossover = 0.0
     for a, na, var_arg, slope_arg in zip(
         grid, curve.not_applicable, curve.var_argmax, curve.slope_argmax

@@ -1,9 +1,10 @@
 """Exact finite-sample evaluation of the symmetry test statistics.
 
-Every public entry point — :func:`evaluate`, :func:`evaluate_family_member`,
-:func:`evaluate_many` and the moment branch of :func:`brute_force` — runs the
-same private row path on a ``(rows, n)`` matrix (one row for a single
-sample), so one sample gives the same bits whichever entry point sees it.
+Every public entry point — :func:`evaluate`, :func:`evaluate_many` (which
+also reads a supremum family's member at a fixed threshold ``t``) and the
+moment branch of :func:`brute_force` — runs the same private row path on a
+``(rows, n)`` matrix (one row for a single sample), so one sample gives the
+same bits whichever entry point sees it.
 That path has one centering and one moment block:
 
 * counting statistics (S, W, KS, BH/NA/MO) sort each row and subtract its
@@ -53,7 +54,6 @@ __all__ = [
     "parse_statistic",
     "evaluate",
     "evaluate_many",
-    "evaluate_family_member",
     "brute_force",
     "STATISTIC_NAMES",
     "INTEGRAL",
@@ -411,22 +411,14 @@ def evaluate(spec: StatisticSpec, sample) -> StatisticValue:
     return StatisticValue(float(values[0]), None if args is None else float(args[0]))
 
 
-def evaluate_family_member(spec: StatisticSpec, sample, t: float) -> float:
-    """Value of a supremum-family member at fixed threshold ``t`` (signed).
-
-    For KS this is ``F_n(t + center) + F_n(center - t) - 1``; for the
-    characterization families it is the subset-count difference at ``t``.
-    Used to validate the member-level limiting variances by simulation.
-    """
-    return float(_evaluate_rows(spec, check_sample(sample)[None, :], t)[0][0])
-
-
 def evaluate_many(spec: StatisticSpec, samples: np.ndarray, t: float | None = None) -> np.ndarray:
     """Row-wise evaluation on a 2-D array of samples.
 
-    With ``t`` given (supremum kinds only) the fixed-threshold family member
-    is evaluated instead of the supremum.  Equals :func:`evaluate` /
-    :func:`evaluate_family_member` row for row, bit for bit.
+    With ``t`` given (supremum kinds only) the signed family member at the
+    fixed threshold is evaluated instead of the supremum: for KS
+    ``F_n(t + center) + F_n(center - t) - 1``, for the characterization
+    families the subset-count difference at ``t``; one sample ``x`` is the
+    row ``x[None, :]``.  Equals :func:`evaluate` row for row, bit for bit.
     """
     return _evaluate_rows(spec, check_sample(samples, ndim=2), t)[0]
 

@@ -133,14 +133,12 @@ def _check_degeneracy(seed: int, full: bool) -> tuple[bool, str]:
     worst_var = worst_slope = 0.0
     ks_flagged = True
     for null_name in ("normal", "logistic", "cauchy"):
-        null = get_null(null_name)
-        spec = StatisticSpec("S", alpha=0.5)
-        worst_var = max(worst_var, abs(asy.asymptotic_variance(spec, null)))
         for alt_name in ("contam", "fs"):
-            alt = get_alternative(alt_name, null)
-            worst_slope = max(worst_slope, abs(asy.slope_derivative(spec, alt)))
-            curve = eff.index_curve("KS", alt, np.asarray([0.45, 0.5]))
-            if not (curve.degenerate[-1] and math.isnan(curve.index[-1])):
+            alt = get_alternative(alt_name, null_name)
+            sign, ks = eff.index_curves(["S", "KS"], alt, [0.45, 0.5])
+            worst_var = max(worst_var, abs(sign.sigma2[-1]))
+            worst_slope = max(worst_slope, abs(sign.slope[-1]))
+            if not (ks.degenerate[-1] and math.isnan(ks.index[-1])):
                 ks_flagged = False
     passed = worst_var < 1e-8 and worst_slope < 1e-8 and ks_flagged
     return passed, (
@@ -186,7 +184,7 @@ def _check_variance_mc(seed: int, full: bool) -> tuple[bool, str]:
         analytic = (
             asy.variance_function(spec, null, t)
             if t is not None
-            else asy.asymptotic_variance(spec, null)
+            else asy.variance_curve(spec, null, [alpha])[0][0]
         )
         values = null_distribution(spec, null, cfg, t=t)
         empirical = cfg.n * float(np.var(values))
@@ -246,10 +244,10 @@ def _check_slope_fd(seed: int, full: bool) -> tuple[bool, str]:
         alt = get_alternative(alt_name, "normal")
         null = alt.base
         for name in integral_tests:
-            for a in alphas:
-                spec = parse_statistic(name, alpha=a)
-                fd = population_slope_fd(spec, alt)
-                record(f"{name} a={a} {alt_name}", asy.slope_derivative(spec, alt), fd)
+            slopes = asy.slope_curve(parse_statistic(name), alt, alphas)[0]
+            for a, slope in zip(alphas, slopes):
+                fd = population_slope_fd(parse_statistic(name, alpha=a), alt)
+                record(f"{name} a={a} {alt_name}", slope, fd)
         for name in sup_tests:
             t = float(null.quantile(0.8))
             for a in alphas:
@@ -259,7 +257,8 @@ def _check_slope_fd(seed: int, full: bool) -> tuple[bool, str]:
             # supremum level: |b| expands as theta * sup_t |slope(t)|
             spec = parse_statistic(name, alpha=alphas[-1])
             fd = population_slope_fd(spec, alt, absolute=True)
-            record(f"{name} sup {alt_name}", asy.sup_slope(spec, alt)[0], fd)
+            sup = asy.slope_curve(spec, alt, [spec.alpha])[0][0]
+            record(f"{name} sup {alt_name}", sup, fd)
         for name in moment_tests:
             fd = population_slope_fd(parse_statistic(name), alt)
             record(f"{name} {alt_name}", _moment_slope(name, alt), fd)
@@ -284,7 +283,7 @@ def _check_closed_forms(seed: int, full: bool) -> tuple[bool, str]:
     contam = get_alternative("contam", normal)
     errors = {}
 
-    sigma2 = asy.asymptotic_variance(StatisticSpec("S", alpha=0.0), normal)
+    sigma2 = asy.variance_curve(StatisticSpec("S"), normal, [0.0])[0][0]
     errors["sign-variance"] = abs(sigma2 - (0.25 - 1.0 / (2.0 * math.pi)))
 
     # mean-median denominator recomputed by quadrature
@@ -294,7 +293,7 @@ def _check_closed_forms(seed: int, full: bool) -> tuple[bool, str]:
     denom = var_q + 1.0 / (4.0 * f0 * f0) - tau_q / f0
     errors["mean-median-denominator"] = abs(denom - (math.pi / 2.0 - 1.0))
 
-    slope = asy.slope_derivative(StatisticSpec("S", alpha=0.0), contam)
+    slope = asy.slope_curve(StatisticSpec("S"), contam, [0.0])[0][0]
     phi1 = float(normal.cdf(1.0))
     errors["sign-slope"] = abs(slope - (phi1 - 0.5 - f0))
 
@@ -341,7 +340,7 @@ def _check_zero_roots(seed: int, full: bool) -> tuple[bool, str]:
     # boundary zero of the sign test: slope vanishes exactly at a = 1/2
     for alt_name in ("contam", "fs"):
         alt = get_alternative(alt_name, "normal")
-        slope_end = asy.slope_derivative(StatisticSpec("S", alpha=0.5), alt)
+        slope_end = asy.slope_curve(StatisticSpec("S"), alt, [0.5])[0][0]
         if abs(slope_end) > 1e-10:
             failures.append(f"S {alt_name}: endpoint slope {slope_end:.2e}")
     detail = (
@@ -379,9 +378,10 @@ def _check_not_applicable(seed: int, full: bool) -> tuple[bool, str]:
             )
         expect_raise(f"mu'@0/{alt_name}", lambda a=alt: trimmed_mean_derivative(a, 0.0))
     expect_raise("influence@0", lambda: influence_curve(cauchy, 0.0, 1.0))
-    expect_raise(
-        "variance@0", lambda: asy.asymptotic_variance(StatisticSpec("W", alpha=0.0), cauchy)
-    )
+    # the rule raises, and the curve reads NaN at the level it refuses
+    expect_raise("variance@0", lambda: asy.applicability(StatisticSpec("W"), cauchy))
+    if not math.isnan(asy.variance_curve(StatisticSpec("W"), cauchy, [0.0])[0][0]):
+        failures.append("variance-curve@0")
     detail = "all moment-based tests and all untrimmed centerings raise under Cauchy"
     if failures:
         detail = "returned numbers instead of raising: " + ", ".join(failures)
@@ -395,8 +395,7 @@ def _check_not_applicable(seed: int, full: bool) -> tuple[bool, str]:
 
 def _check_ks_variance_shape(seed: int, full: bool) -> tuple[bool, str]:
     normal = get_null("normal")
-    _, arg_small = asy.sup_variance(StatisticSpec("KS", alpha=0.1), normal)
-    _, arg_large = asy.sup_variance(StatisticSpec("KS", alpha=0.4), normal)
+    arg_small, arg_large = asy.variance_curve(StatisticSpec("KS"), normal, [0.1, 0.4])[1]
     passed = arg_small == 0.0 and arg_large > 0.01
     return passed, f"argmax t at a=0.1: {arg_small:.6f}; at a=0.4: {arg_large:.6f}"
 

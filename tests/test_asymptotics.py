@@ -85,12 +85,9 @@ class TestProjections:
 
 class TestVariance:
     def test_sign_closed_forms(self, normal):
-        spec0 = StatisticSpec("S", alpha=0.0)
-        assert asy.asymptotic_variance(spec0, normal) == pytest.approx(
-            0.25 - 1.0 / (2.0 * math.pi), abs=1e-12
-        )
-        spec_half = StatisticSpec("S", alpha=0.5)
-        assert asy.asymptotic_variance(spec_half, normal) == pytest.approx(0.0, abs=1e-12)
+        mean, median = asy.variance_curve(StatisticSpec("S"), normal, [0.0, 0.5])[0]
+        assert mean == pytest.approx(0.25 - 1.0 / (2.0 * math.pi), abs=1e-12)
+        assert median == pytest.approx(0.0, abs=1e-12)
 
     def test_wilcoxon_pieces(self, normal):
         # squared projection mass and density-derivative pairing
@@ -103,9 +100,9 @@ class TestVariance:
         assert err <= 1e-12
 
     def test_ks_member_at_origin_is_four_times_sign(self, normal):
-        for alpha in (0.0, 0.1, 0.25):
+        alphas = (0.0, 0.1, 0.25)
+        for alpha, s in zip(alphas, asy.variance_curve(StatisticSpec("S"), normal, alphas)[0]):
             ks = asy.variance_function(StatisticSpec("KS", alpha=alpha), normal, 0.0)
-            s = asy.asymptotic_variance(StatisticSpec("S", alpha=alpha), normal)
             assert ks == pytest.approx(4.0 * s, rel=1e-9)
 
     def test_variance_function_vanishes_in_the_tail(self, normal):
@@ -116,30 +113,18 @@ class TestVariance:
     @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
     def test_positivity_away_from_median(self, name, null_name):
         null = get_null(null_name)
-        for alpha in np.linspace(0.0, 0.45, 10):
-            if null_name == "cauchy" and alpha == 0.0:
-                continue
-            spec = parse_statistic(name, alpha=float(alpha))
-            if spec.family == "supremum":
-                value, _ = asy.sup_variance(spec, null)
-            else:
-                value = asy.asymptotic_variance(spec, null)
-            assert value > 0.0
+        alphas = np.linspace(0.0, 0.45, 10)
+        if null_name == "cauchy":
+            alphas = alphas[1:]  # mean centering is not applicable
+        assert (asy.variance_curve(parse_statistic(name), null, alphas)[0] > 0.0).all()
 
     def test_variance_curves_approach_each_other(self):
         # the three null curves of one integral statistic come together for
         # some trimming level, relative to their spread near zero trimming
         nulls = [get_null(n) for n in ("normal", "logistic", "cauchy")]
         grid = np.linspace(0.02, 0.48, 24)
-
-        def spread(alpha):
-            vals = [
-                asy.asymptotic_variance(StatisticSpec("W", alpha=float(alpha)), null)
-                for null in nulls
-            ]
-            return (max(vals) - min(vals)) / np.mean(vals)
-
-        spreads = [spread(a) for a in grid]
+        vals = np.array([asy.variance_curve(StatisticSpec("W"), null, grid)[0] for null in nulls])
+        spreads = np.ptp(vals, axis=0) / vals.mean(axis=0)
         assert min(spreads) < spreads[0]
 
     def test_simulation_smoke(self, normal):
@@ -147,57 +132,57 @@ class TestVariance:
         spec = StatisticSpec("W", alpha=0.25)
         values = null_distribution(spec, normal, cfg)
         assert cfg.n * values.var() == pytest.approx(
-            asy.asymptotic_variance(spec, normal), rel=0.10
+            asy.variance_curve(spec, normal, [spec.alpha])[0][0], rel=0.10
         )
 
 
 class TestSlopes:
     def test_sign_contamination_closed_form(self, normal, contam_normal):
         expected = float(normal.cdf(1.0)) - 0.5 - float(normal.density(0.0))
-        got = asy.slope_derivative(StatisticSpec("S", alpha=0.0), contam_normal)
+        got = asy.slope_curve(StatisticSpec("S"), contam_normal, [0.0])[0][0]
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(-0.05759753, abs=1e-7)
 
     def test_sign_median_case_vanishes(self, contam_normal, fs_normal):
         for alt in (contam_normal, fs_normal):
-            got = asy.slope_derivative(StatisticSpec("S", alpha=0.5), alt)
+            got = asy.slope_curve(StatisticSpec("S"), alt, [0.5])[0][0]
             assert got == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["W", "NA_I_2", "MO_I_2"])
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     def test_matches_population_finite_difference(self, name, alpha, fs_normal):
         spec = parse_statistic(name, alpha=alpha)
-        analytic = asy.slope_derivative(spec, fs_normal)
+        analytic = asy.slope_curve(spec, fs_normal, [alpha])[0][0]
         fd = population_slope_fd(spec, fs_normal)
         assert analytic == pytest.approx(fd, abs=1e-4)
 
-    def test_sup_slope_member_signs(self, normal, contam_normal):
+    def test_ks_member_slope_at_origin(self, normal, contam_normal):
         # the KS member slope at the origin is minus twice the sign slope
-        for alpha in (0.0, 0.2):
+        alphas = (0.0, 0.2)
+        for alpha, s in zip(alphas, asy.slope_curve(StatisticSpec("S"), contam_normal, alphas)[0]):
             ks0 = asy.slope_function(StatisticSpec("KS", alpha=alpha), contam_normal, 0.0)
-            s = asy.slope_derivative(StatisticSpec("S", alpha=alpha), contam_normal)
             assert ks0 == pytest.approx(-2.0 * s, abs=1e-10)
 
     def test_degeneracy_pair_everywhere(self, all_nulls):
+        spec = StatisticSpec("S")
         for null in all_nulls:
-            spec = StatisticSpec("S", alpha=0.5)
-            assert abs(asy.asymptotic_variance(spec, null)) < 1e-8
+            assert abs(asy.variance_curve(spec, null, [0.5])[0][0]) < 1e-8
             for alt_name in ("contam", "fs"):
                 alt = get_alternative(alt_name, null)
-                assert abs(asy.slope_derivative(spec, alt)) < 1e-8
+                assert abs(asy.slope_curve(spec, alt, [0.5])[0][0]) < 1e-8
 
 
 class TestMomentStatistics:
     def test_cm_family_not_applicable_on_cauchy(self, cauchy):
         alt = get_alternative("contam", cauchy)
         with pytest.raises(NotApplicableError):
-            asy.cm_family_slope(cauchy, alt)
+            eff.bahadur_index("CM", alt)
         with pytest.raises(NotApplicableError):
-            asy.sqrtb1_slope(cauchy, alt)
+            eff.bahadur_index("SQRT_B1", alt)
 
     def test_cm_denominator_normal(self, normal, contam_normal):
         # index = numerator / (pi/2 - 1) for the standard normal
-        idx = asy.cm_family_slope(normal, contam_normal)
+        idx = eff.bahadur_index("CM", contam_normal)
         f0 = float(normal.density(0.0))
         xh = 1.0  # mean shift of the contamination family
         h0 = float(contam_normal.score_cumulative(0.0))
@@ -213,7 +198,7 @@ class TestMomentStatistics:
             population_limit(StatisticSpec("GAMMA"), fs_normal, eps)
             - population_limit(StatisticSpec("GAMMA"), fs_normal, -eps)
         ) / (2 * eps)
-        idx = asy.cm_family_slope(normal, fs_normal)
+        idx = eff.bahadur_index("CM", fs_normal)
         den = 1.0 + 1.0 / (4.0 * normal.density(0.0) ** 2) - normal.abs_mean() / normal.density(0.0)
         # gamma = 2(mean - median): index = (fd/2)^2 / den
         assert idx == pytest.approx((fd / 2.0) ** 2 / den, rel=1e-6)
@@ -236,7 +221,7 @@ class TestMomentStatistics:
                 return -np.asarray(self.base.density(x))
 
         alt = BalancedScore(normal)
-        assert asy.sqrtb1_slope(normal, alt) == pytest.approx(0.0, abs=1e-12)
+        assert eff.bahadur_index("SQRT_B1", alt) == pytest.approx(0.0, abs=1e-12)
 
     def test_sqrtb1_against_simulation(self, normal, contam_normal):
         # index 1/6 under normal contamination; the limit curves strongly in
@@ -245,7 +230,7 @@ class TestMomentStatistics:
         # Richardson-extrapolated from two mixture weights
         from symlab._oracles import population_limit
 
-        idx = asy.sqrtb1_slope(normal, contam_normal)
+        idx = eff.bahadur_index("SQRT_B1", contam_normal)
         assert idx == pytest.approx(1.0 / 6.0, rel=1e-9)
         n, reps = 5000, 10_000
         means = {}
@@ -350,16 +335,14 @@ class TestTrimmingLevelRule:
     # not exist once a positive a rounds 1 - a to 1 (a <= 2^-54)
     ENTRY_POINTS = {
         "variance_curve": lambda a, alt: asy.variance_curve(StatisticSpec("W"), alt.base, [0.0, a]),
+        "variance_curve_sup": lambda a, alt: asy.variance_curve(
+            StatisticSpec("BH_K"), alt.base, [a]),
         "slope_curve": lambda a, alt: asy.slope_curve(StatisticSpec("KS"), alt, [a]),
-        "report_curve": lambda a, alt: asy.report_curve(StatisticSpec("CM"), alt, [a]),
-        "index_curve": lambda a, alt: eff.index_curve("NA_K_2", alt, [0.0, a]),
+        "slope_curve_integral": lambda a, alt: asy.slope_curve(StatisticSpec("S"), alt, [0.0, a]),
+        "index_curves": lambda a, alt: eff.index_curves(["NA_K_2"], alt, [0.0, a]),
+        "index_curves_moment": lambda a, alt: eff.index_curves(["CM"], alt, [a]),
         "bahadur_index": lambda a, alt: eff.bahadur_index("W", alt, a),
         "equivalence_report": lambda a, alt: eff.equivalence_report(alt, a, tests=("S", "KS")),
-        "asymptotic_variance": lambda a, alt: asy.asymptotic_variance(
-            StatisticSpec("W", alpha=a), alt.base),
-        "sup_variance": lambda a, alt: asy.sup_variance(StatisticSpec("BH_K", alpha=a), alt.base),
-        "slope_derivative": lambda a, alt: asy.slope_derivative(StatisticSpec("S", alpha=a), alt),
-        "sup_slope": lambda a, alt: asy.sup_slope(StatisticSpec("NA_K", 4, alpha=a), alt),
         "variance_function": lambda a, alt: asy.variance_function(
             StatisticSpec("KS", alpha=a), alt.base, 0.5),
         "slope_function": lambda a, alt: asy.slope_function(
@@ -378,24 +361,24 @@ class TestTrimmingLevelRule:
     def test_smallest_level_above_the_rule(self, contam_normal):
         a = np.nextafter(2.0**-54, 1.0)  # 1 - a is the float below 1
         assert np.isfinite(asy.variance_curve(StatisticSpec("W"), contam_normal.base, [a])[0]).all()
-        assert np.isfinite(eff.index_curve("NA_K_2", contam_normal, [0.0, a]).index).all()
+        assert np.isfinite(eff.index_curves(["NA_K_2"], contam_normal, [0.0, a])[0].index).all()
         assert np.isfinite(loc.trimmed_mean_derivative(contam_normal, a))
 
 
 class TestReport:
-    # the one-level report_curve
+    # one-level index curves
     def test_report_integral(self, normal, contam_normal):
-        rep = asy.report_curve(StatisticSpec("W"), contam_normal, [0.1])
+        rep = eff.index_curves(["W"], contam_normal, [0.1])[0]
         assert rep.sigma2[0] > 0 and not rep.degenerate[0]
         assert rep.index[0] == pytest.approx(rep.slope[0] ** 2 / rep.sigma2[0], rel=1e-12)
 
     def test_report_degenerate_is_flagged_nan(self, contam_normal):
-        rep = asy.report_curve(StatisticSpec("S"), contam_normal, [0.5])
+        rep = eff.index_curves(["S"], contam_normal, [0.5])[0]
         assert rep.degenerate[0]
         assert math.isnan(rep.index[0])
 
     def test_report_supremum_carries_argmax(self, contam_normal):
-        rep = asy.report_curve(StatisticSpec("KS"), contam_normal, [0.4])
+        rep = eff.index_curves(["KS"], contam_normal, [0.4])[0]
         assert rep.var_argmax[0] > 0.0
         assert rep.index[0] > 0.0
 
@@ -409,7 +392,7 @@ class TestSupremumSearch:
         alt = get_alternative(alt_name, null_name)
         null = alt.base
         alphas = [0.05, 0.1, 0.25, 0.4]
-        curve = asy.report_curve(parse_statistic(name), alt, alphas)
+        curve = eff.index_curves([name], alt, alphas)[0]
         q999 = float(null.quantile(0.999))
         for i, alpha in enumerate(alphas):
             spec = parse_statistic(name, alpha=alpha)
@@ -418,8 +401,11 @@ class TestSupremumSearch:
             slope_max = np.abs(asy.slope_function(spec, alt, dense)).max()
             assert curve.sigma2[i] >= var_max * (1.0 - 1e-12)
             assert curve.slope[i] >= slope_max * (1.0 - 1e-12)
-            assert (curve.sigma2[i], curve.var_argmax[i]) == asy.sup_variance(spec, null)
-            assert (curve.slope[i], curve.slope_argmax[i]) == asy.sup_slope(spec, alt)
+            # the same bits as each curve on this level alone
+            var, var_arg, _ = asy.variance_curve(spec, null, [alpha])
+            slope, slope_arg, _ = asy.slope_curve(spec, alt, [alpha])
+            assert (curve.sigma2[i], curve.var_argmax[i]) == (var[0], var_arg[0])
+            assert (curve.slope[i], curve.slope_argmax[i]) == (slope[0], slope_arg[0])
 
 
 INTEGRAL_KINDS = [name for name in DEFAULT_TESTS if parse_statistic(name).family == "integral"]

@@ -14,7 +14,7 @@ import symlab.validate
 from symlab import efficiency as eff
 from symlab._quad import ABS_TOL
 from symlab.cli import main
-from symlab.asymptotics import asymptotic_variance, sup_variance, variance_function
+from symlab.asymptotics import variance_curve, variance_function
 from symlab.distributions import ALTERNATIVE_NAMES, NULL_NAMES, get_alternative, get_null
 from symlab.errors import NotApplicableError
 from symlab.montecarlo import McConfig, critical_value, p_value
@@ -335,9 +335,9 @@ class TestCmdVariance:
             assert list(csv.reader(fh)) == expected
 
     @pytest.mark.parametrize("stat", ["S", "W", "NA_I_4", "KS", "NA_K_4", "MO_K_2"])
-    def test_grid_equals_scalar_level_calls(self, tmp_path, stat):
-        # the table one asymptotic_variance/sup_variance call per (alpha, null)
-        # gives, with nan where the theory refuses the level
+    def test_grid_equals_one_level_curves(self, tmp_path, stat):
+        # the table one variance_curve call per (alpha, null) on that level
+        # alone gives, with nan where the theory refuses the level
         names = ["normal", "logistic", "cauchy"]
         out = tmp_path / "var.csv"
         code = main(["variance", "--null", ",".join(names), "--stat", stat,
@@ -345,13 +345,8 @@ class TestCmdVariance:
         assert code == 0
 
         def cell(a, null):
-            spec = parse_statistic(stat, alpha=float(a))
-            try:
-                if spec.family == "supremum":
-                    return format(sup_variance(spec, null)[0], ".12g")
-                return format(asymptotic_variance(spec, null), ".12g")
-            except NotApplicableError:
-                return "nan"
+            value = variance_curve(parse_statistic(stat), null, [a])[0][0]
+            return "nan" if math.isnan(value) else format(value, ".12g")
 
         nulls = [get_null(name) for name in names]
         expected = [["alpha"] + [f"sigma2_{name}" for name in names]] + [
@@ -403,6 +398,15 @@ class TestCmdVariance:
         assert code == 2
         assert "supremum-type" in capsys.readouterr().err
         assert not out.parent.exists()
+
+    def test_not_applicable_refused_before_any_output(self, tmp_path, capsys):
+        # mean centering under the Cauchy: exit 3 and no directory left behind
+        out = tmp_path / "d" / "sub" / "x.csv"
+        code = main(["variance", "--null", "cauchy", "--stat", "KS", "--over-t",
+                     "--alpha", "0", "-o", str(out)])
+        assert code == 3
+        assert "not applicable" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_moment_statistic_rejected(self, tmp_path):
         code = main(["variance", "--null", "normal", "--stat", "CM", "-o",

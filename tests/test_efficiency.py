@@ -79,30 +79,30 @@ class TestBahadurIndex:
 
 class TestIndexCurve:
     def test_grid_contract(self, contam_normal):
-        curve = eff.index_curve("W", contam_normal, np.linspace(0.0, 0.5, 11))
+        curve = eff.index_curves(["W"], contam_normal, np.linspace(0.0, 0.5, 11))[0]
         assert curve.grid[0] == 0.0 and curve.grid[-1] == 0.5
         assert np.all(np.isfinite(curve.index[~curve.degenerate & ~curve.not_applicable]))
         assert np.all(curve.index[~np.isnan(curve.index)] >= 0.0)
 
     def test_constant_for_moment_statistics(self, contam_normal):
-        curve = eff.index_curve("CM", contam_normal, np.linspace(0.0, 0.5, 7))
+        curve = eff.index_curves(["CM"], contam_normal, np.linspace(0.0, 0.5, 7))[0]
         assert np.ptp(curve.index) == 0.0
-        curve = eff.index_curve("SQRT_B1", contam_normal, np.linspace(0.0, 0.5, 7))
+        curve = eff.index_curves(["SQRT_B1"], contam_normal, np.linspace(0.0, 0.5, 7))[0]
         assert np.ptp(curve.index) == 0.0
 
     def test_ks_flagged_degenerate_at_median_endpoint(self, contam_normal):
-        curve = eff.index_curve("KS", contam_normal, np.asarray([0.3, 0.5]))
+        curve = eff.index_curves(["KS"], contam_normal, np.asarray([0.3, 0.5]))[0]
         assert not curve.degenerate[0]
         assert curve.degenerate[1] and math.isnan(curve.index[1])
 
     def test_cauchy_mean_point_not_applicable(self, cauchy):
         alt = get_alternative("fs", cauchy)
-        curve = eff.index_curve("W", alt, np.asarray([0.0, 0.25]))
+        curve = eff.index_curves(["W"], alt, np.asarray([0.0, 0.25]))[0]
         assert curve.not_applicable[0] and not curve.not_applicable[1]
         assert math.isnan(curve.index[0]) and np.isfinite(curve.index[1])
 
     def test_json_round_trip(self, contam_normal):
-        curve = eff.index_curve("S", contam_normal, np.asarray([0.0, 0.25, 0.5]))
+        curve = eff.index_curves(["S"], contam_normal, np.asarray([0.0, 0.25, 0.5]))[0]
         payload = json.loads(curve.to_json())
         assert payload["test"] == "S"
         assert payload["index"][2] is None  # degenerate endpoint
@@ -119,14 +119,14 @@ def test_report_is_the_one_index(name, null_name, alt_name):
     alt = get_alternative(alt_name, null_name)
     coarse, fine, off_grid = np.linspace(0.0, 0.5, 11), np.linspace(0.0, 0.5, 101), 0.123
     grids = (coarse, fine, np.sort(np.append(coarse, off_grid)))
-    curves = [eff.index_curve(name, alt, grid) for grid in grids]
+    curves = [eff.index_curves([name], alt, grid)[0] for grid in grids]
     shared = [float(a) for a in coarse if a in fine]
     assert len(shared) == 9 and off_grid not in coarse and off_grid not in fine
     for a in [*shared, off_grid]:
         spec = parse_statistic(name, alpha=a)
         points = [(c, c.grid == a) for c in curves if a in c.grid]
         assert len(points) == (3 if a in shared else 1)
-        rep = asy.report_curve(spec, alt, [a])  # the one-level curve
+        rep = eff.index_curves([spec], alt, [a])[0]  # the one-level curve
         if points[0][0].not_applicable[points[0][1]].all():
             assert all(c.not_applicable[at].all() for c, at in points)
             assert rep.not_applicable[0]
@@ -140,34 +140,29 @@ def test_report_is_the_one_index(name, null_name, alt_name):
             np.testing.assert_array_equal(c.index[at].view(np.int64), rep.index.view(np.int64))
 
     # the variance and slope curves on each grid give, level by level, the
-    # bits of their one-level readers, and NaN exactly where those refuse
+    # bits of the same curve on that level alone, and NaN exactly where the
+    # applicability rule refuses the level
     spec0 = parse_statistic(name)
-    family_readers = {
-        "integral": (asy.asymptotic_variance, asy.slope_derivative),
-        "supremum": (asy.sup_variance, asy.sup_slope),
-    }
-    for family, readers in family_readers.items():
-        if family != spec0.family:  # each reader keeps its family guard
-            for reader, model in zip(readers, (alt.base, alt)):
-                with pytest.raises(ValueError):
-                    reader(parse_statistic(name, alpha=0.25), model)
     if spec0.family == "moment":
         for curve, model in ((asy.variance_curve, alt.base), (asy.slope_curve, alt)):
             with pytest.raises(ValueError):
                 curve(spec0, model, coarse)
         return
-    sup = spec0.family == "supremum"
-    for curve, reader, model in zip(
-        (asy.variance_curve, asy.slope_curve), family_readers[spec0.family], (alt.base, alt)
-    ):
+    levels = np.unique(np.concatenate(grids))
+    refused = []
+    for a in levels:
+        try:
+            asy.applicability(parse_statistic(name, alpha=float(a)), alt.base)
+            refused.append(False)
+        except NotApplicableError:
+            refused.append(True)
+    assert any(refused) == (null_name == "cauchy")
+    for curve, model in ((asy.variance_curve, alt.base), (asy.slope_curve, alt)):
         wanted = {}
-        for a in np.unique(np.concatenate(grids)):
-            try:
-                got = reader(parse_statistic(name, alpha=float(a)), model)
-                wanted[a] = got if sup else (got, math.nan)
-            except NotApplicableError:
-                wanted[a] = (math.nan, math.nan)
-        assert any(math.isnan(v) for v, _ in wanted.values()) == (null_name == "cauchy")
+        for a, na in zip(levels, refused):
+            value, argmax, _ = curve(spec0, model, [a])
+            assert np.isnan(value[0]) == na
+            wanted[a] = (value[0], argmax[0])
         for grid in grids:
             values, argmaxes, errs = curve(spec0, model, grid)
             assert errs.max() <= ABS_TOL and (errs[np.isnan(values)] == 0.0).all()
@@ -197,20 +192,20 @@ class TestIndexCurves:
         "null_name, alt_name, points",
         [("normal", "contam", 11), ("cauchy", "fs", 11), ("logistic", "fs", 101)],
     )
-    def test_each_curve_is_its_tests_index_curve(self, null_name, alt_name, points):
+    def test_each_curve_is_its_test_alone(self, null_name, alt_name, points):
         alt = get_alternative(alt_name, null_name)
         grid = eff.default_grid(points)
         curves = eff.index_curves(eff.DEFAULT_TESTS, alt, grid)
         assert [c.test for c in curves] == list(eff.DEFAULT_TESTS)
         for name, curve in zip(eff.DEFAULT_TESTS, curves):
-            assert_same_curve(curve, eff.index_curve(name, alt, grid))
+            assert_same_curve(curve, eff.index_curves([name], alt, grid)[0])
 
     def test_repeated_test(self, contam_normal):
         grid = eff.default_grid(11)
         tests = ["KS", "W", "KS", "NA_K_4", "KS"]
         curves = eff.index_curves(tests, contam_normal, grid)
         for name, curve in zip(tests, curves):
-            assert_same_curve(curve, eff.index_curve(name, contam_normal, grid))
+            assert_same_curve(curve, eff.index_curves([name], contam_normal, grid)[0])
 
     def test_no_supremum_test(self, cauchy):
         # integral-type and moment tests only, under a null that refuses a = 0
@@ -218,7 +213,7 @@ class TestIndexCurves:
         grid = eff.default_grid(11)
         tests = ["S", "CM", "MO_I_2", "SQRT_B1"]
         for name, curve in zip(tests, eff.index_curves(tests, alt, grid)):
-            assert_same_curve(curve, eff.index_curve(name, alt, grid))
+            assert_same_curve(curve, eff.index_curves([name], alt, grid)[0])
         assert eff.index_curves([], alt, grid) == []
 
 

@@ -1,0 +1,83 @@
+"""The package exports one public reader per quantity."""
+
+import pytest
+
+import symlab
+from symlab import asymptotics, efficiency, stats
+
+PUBLIC = [
+    "AlternativeFamily",
+    "Cauchy",
+    "Contamination",
+    "DegenerateSampleError",
+    "FernandezSteel",
+    "IndexCurve",
+    "InsufficientSampleError",
+    "Logistic",
+    "McConfig",
+    "Normal",
+    "NotApplicableError",
+    "StatisticSpec",
+    "StatisticValue",
+    "SymmetricNull",
+    "ZeroEfficiencyResult",
+    "bahadur_index",
+    "brute_force",
+    "critical_value",
+    "equivalence_report",
+    "evaluate",
+    "evaluate_many",
+    "get_alternative",
+    "get_null",
+    "index_curves",
+    "influence_curve",
+    "ks_s_equivalence_crossover",
+    "null_distribution",
+    "p_value",
+    "parse_statistic",
+    "population_trimmed_mean",
+    "power",
+    "projection",
+    "slope_curve",
+    "slope_function",
+    "trim_weights",
+    "trimmed_mean",
+    "trimmed_mean_derivative",
+    "variance_curve",
+    "variance_function",
+    "zero_efficiency_alpha",
+]
+
+# one level of a curve, one test of index_curves, one row of evaluate_many
+RETIRED = (
+    "evaluate_family_member",
+    "asymptotic_variance",
+    "sup_variance",
+    "slope_derivative",
+    "sup_slope",
+    "report_curve",
+    "report_curves",
+    "index_curve",
+)
+
+
+def test_package_exports_exactly_the_public_readers():
+    assert len(PUBLIC) == 40
+    assert symlab.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert getattr(symlab, name) is not None
+
+
+@pytest.mark.parametrize("module", [symlab, stats, asymptotics, efficiency])
+def test_retired_readers_are_gone(module):
+    for name in RETIRED:
+        assert not hasattr(module, name), name
+    for name in getattr(module, "__all__", ()):
+        assert hasattr(module, name), name
+
+
+def test_moment_index_formulas_are_not_exported():
+    # bahadur_index("CM" | "SQRT_B1", alt) reads them
+    for name in ("cm_family_slope", "sqrtb1_slope"):
+        assert name not in asymptotics.__all__
+        assert not hasattr(symlab, name)

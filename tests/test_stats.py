@@ -18,7 +18,6 @@ from symlab.stats import (
     StatisticValue,
     brute_force,
     evaluate,
-    evaluate_family_member,
     evaluate_many,
     parse_statistic,
 )
@@ -154,14 +153,12 @@ class TestErrors:
             evaluate_many(spec, samples)
         if spec.family == "supremum":
             with pytest.raises(ValueError, match="NaN or infinite"):
-                evaluate_family_member(spec, x, 0.5)
+                evaluate_many(spec, x[None, :], 0.5)
 
     @pytest.mark.parametrize("name", SUP_IDS)
     def test_nan_threshold_refused(self, name, rng):
         spec = parse_statistic(name, alpha=0.25)
         samples = rng.normal(size=(3, 20))
-        with pytest.raises(ValueError, match="must not be NaN"):
-            evaluate_family_member(spec, samples[0], math.nan)
         with pytest.raises(ValueError, match="must not be NaN"):
             evaluate_many(spec, samples, t=math.nan)
 
@@ -169,8 +166,6 @@ class TestErrors:
     def test_threshold_refused_off_the_supremum_kinds(self, name, rng):
         spec = parse_statistic(name, alpha=0.25)
         samples = rng.normal(size=(3, 20))
-        with pytest.raises(ValueError, match="supremum-type"):
-            evaluate_family_member(spec, samples[0], 0.5)
         with pytest.raises(ValueError, match="supremum-type"):
             evaluate_many(spec, samples, t=0.5)
 
@@ -188,7 +183,7 @@ class TestOverflowRefused:
             evaluate_many(spec, np.asarray([x, x[::-1]]))
         if spec.family == "supremum":
             with pytest.raises(ValueError, match="overflows"):
-                evaluate_family_member(spec, x, 1.0)
+                evaluate_many(spec, np.asarray([x]), 1.0)
 
     @pytest.mark.parametrize("name", ["NA_K_600", "NA_I_600", "MO_K_300", "NA_I_335"])
     def test_subset_count_beyond_float_refused(self, name, rng):
@@ -201,7 +196,7 @@ class TestOverflowRefused:
             evaluate_many(spec, x[None, :])
         if spec.family == "supremum":
             with pytest.raises(ValueError, match="subsets"):
-                evaluate_family_member(spec, x, 1.0)
+                evaluate_many(spec, x[None, :], 1.0)
 
     @pytest.mark.parametrize("name", ["S", "KS", "NA_I_2", "MO_K_2"] + MOMENT_IDS)
     def test_exact_up_to_the_magnitude_limit(self, name, rng):
@@ -433,7 +428,7 @@ class TestBatchEvaluation:
         for rows in CHUNK_ROWS:
             samples = rng.normal(size=(rows, 20))
             batch = evaluate_many(spec, samples, t=t)
-            single = np.asarray([evaluate_family_member(spec, row, t) for row in samples])
+            single = np.asarray([evaluate_many(spec, row[None, :], t)[0] for row in samples])
             np.testing.assert_array_equal(batch, single)
 
     def test_matches_rowwise_on_tied_data(self, rng):
@@ -441,7 +436,7 @@ class TestBatchEvaluation:
         spec = parse_statistic("NA_K_2", alpha=0.1)
         samples = np.round(2.0 * rng.normal(size=(512, 20)))
         batch = evaluate_many(spec, samples, t=1.0)
-        single = np.asarray([evaluate_family_member(spec, row, 1.0) for row in samples])
+        single = np.asarray([evaluate_many(spec, row[None, :], 1.0)[0] for row in samples])
         np.testing.assert_array_equal(batch, single)
 
     @pytest.mark.parametrize("name", ["NA_I_4", "MO_I_2", "NA_K_10", "NA_I_10"])
@@ -455,7 +450,7 @@ class TestBatchEvaluation:
         assert repr(float(batch)) == repr(single) == repr(exact_counting_value(spec, x))
         if spec.family == "supremum":
             for t in (0.3, 0.6, 1.5):
-                member = evaluate_family_member(spec, x, t)
+                member = float(evaluate_many(spec, x[None, :], t)[0])
                 assert repr(member) == repr(exact_counting_value(spec, x, t))
 
     def test_sup_dominates_members(self, rng):
@@ -463,8 +458,8 @@ class TestBatchEvaluation:
         x = rng.normal(size=25)
         sup = evaluate(spec, x)
         for t in (0.2, 0.7, 1.4, 2.5):
-            assert abs(evaluate_family_member(spec, x, t)) <= sup.value + 1e-15
-        assert abs(evaluate_family_member(spec, x, sup.sup_argument)) == pytest.approx(
+            assert abs(evaluate_many(spec, x[None, :], t)[0]) <= sup.value + 1e-15
+        assert abs(evaluate_many(spec, x[None, :], sup.sup_argument)[0]) == pytest.approx(
             sup.value, abs=1e-15
         )
 
@@ -507,9 +502,10 @@ class TestMagnitudeCounts:
                 for row in tied_rows(rng, 8, n):
                     assert evaluate(spec, row).sup_argument == sup_argument(spec, row)
 
-    @pytest.mark.parametrize("name, mib", [("KS", 8.49), ("NA_I_4", 7.63)])
+    @pytest.mark.parametrize("name, mib", [("KS", 8.49), ("NA_I_4", 6.87)])
     def test_peak_memory_at_a_long_row(self, name, mib):
-        # the traced peaks of the per-row binary-search kernel (numpy 2.4.6)
+        # ceilings on the traced peaks of the one-sort kernel (numpy 2.4.6): KS at
+        # the peak of the per-row search kernel it replaced, NA_I_4 at its own
         spec = parse_statistic(name, alpha=0.25)
         x = np.random.default_rng(1).normal(size=(1, 100_000))
         _evaluate_rows(spec, x)
