@@ -53,19 +53,21 @@ def _as_float(x):
     return float(arr) if arr.ndim == 0 else arr
 
 
-def _uniforms(n: int, seed: int, rng: np.random.Generator | None, count: int) -> list:
-    """``count`` arrays of ``n`` uniforms drawn in turn from ``rng`` (``stream(seed, 0)`` if None).
+def _uniforms(n: int, seed: int, rng: np.random.Generator | None, count: int, out=None):
+    """The rows of ``out`` (or ``count + 1`` fresh arrays), the first ``count`` drawn from ``rng``.
 
-    The sampling preamble of every model: the last array feeds an inverse
-    CDF, so it is clipped into ``[2^-53, 1 - 2^-53]`` to keep draws finite.
+    The sampling preamble of every model (``rng`` is ``stream(seed, 0)`` if None):
+    the last uniforms feed an inverse CDF, so they are clipped into ``[2^-53, 1 - 2^-53]``.
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
     if rng is None:
         rng = stream(seed, 0)
-    draws = [rng.random(n) for _ in range(count)]
-    np.clip(draws[-1], 2.0**-53, 1.0 - 2.0**-53, out=draws[-1])
-    return draws
+    rows = [np.empty(n) for _ in range(count + 1)] if out is None else out
+    for row in rows[:count]:
+        rng.random(n, out=row)
+    np.clip(rows[count - 1], 2.0**-53, 1.0 - 2.0**-53, out=rows[count - 1])
+    return rows
 
 
 class SymmetricNull:
@@ -98,7 +100,8 @@ class SymmetricNull:
             raise ValueError("quantile argument must lie in (0, 1)")
         return self._quantile(u_arr if u_arr.ndim else float(u_arr))
 
-    def _quantile(self, u):
+    def _quantile(self, u, out=None):
+        """The inverse CDF without the domain check; with ``out``, into it (``u`` is scratch then)."""
         raise NotImplementedError
 
     # -- moments ---------------------------------------------------------
@@ -131,6 +134,7 @@ class SymmetricNull:
         return self._first_moment_primitive(b) - self._first_moment_primitive(a)
 
     def _first_moment_primitive(self, x):
+        """The primitive of ``x f(x)`` that vanishes at 0, so ``(0, b)`` cancels nothing."""
         raise NotImplementedError
 
     #: coefficients ``d_k`` of ``Integral_0^b x^2 f(x) dx = b^3 sum_k d_k b^(2k)``,
@@ -159,10 +163,15 @@ class SymmetricNull:
         raise NotImplementedError
 
     # -- sampling ---------------------------------------------------------
-    def sample(self, n: int, seed: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        """``n`` i.i.d. draws by inverse CDF; deterministic given ``seed``."""
-        (u,) = _uniforms(n, seed, rng, 1)
-        return np.asarray(self._quantile(u), dtype=float)
+    def sample(self, n: int, seed: int, rng: np.random.Generator | None = None, out=None):
+        """``n`` i.i.d. draws by inverse CDF; deterministic given ``seed``.
+
+        With ``out``, a float64 ``(3, n)`` array (two rows suffice here), the
+        uniforms and the draws are made in its rows, bit for bit as without;
+        the draws' row is returned.
+        """
+        u, draws = _uniforms(n, seed, rng, 1, out)[:2]
+        return self._quantile(u, out=draws)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -186,8 +195,8 @@ class Normal(SymmetricNull):
     def cdf(self, x):
         return _as_float(special.ndtr(np.asarray(x, dtype=float)))
 
-    def _quantile(self, u):
-        return _as_float(special.ndtri(u))
+    def _quantile(self, u, out=None):
+        return _as_float(special.ndtri(u, out=out))
 
     def has_moment(self, k: int) -> bool:
         return True
@@ -200,7 +209,8 @@ class Normal(SymmetricNull):
         return math.sqrt(2.0 / math.pi)
 
     def _first_moment_primitive(self, x):
-        return -self.density(np.clip(x, -self._x_max, self._x_max))
+        c = np.clip(x, -self._x_max, self._x_max)  # -0.5 x x overflows past it
+        return _as_float(-np.expm1(-0.5 * c * c) / _SQRT_2PI)  # f(0) - f(x)
 
     # f(x) = sum_k (-1/2)^k x^(2k) / (k! sqrt(2 pi))
     _moment_series = np.array(
@@ -242,8 +252,8 @@ class Logistic(SymmetricNull):
     def cdf(self, x):
         return _as_float(special.expit(np.asarray(x, dtype=float)))
 
-    def _quantile(self, u):
-        return _as_float(special.logit(u))
+    def _quantile(self, u, out=None):
+        return _as_float(special.logit(u, out=out))
 
     def has_moment(self, k: int) -> bool:
         return True
@@ -264,9 +274,11 @@ class Logistic(SymmetricNull):
         return 2.0 * math.log(2.0)
 
     def _first_moment_primitive(self, x):
-        # d/dx [x F(x) - log(1+e^x)] = x f(x)
-        x = np.asarray(x, dtype=float)
-        return _as_float(x * special.expit(x) - np.logaddexp(0.0, x))
+        # x F(x) - log(1 + e^x) + log 2 is y tanh(y) - log cosh(y) for y = x/2, with
+        # log cosh(y) = log1p(2 sinh(y/2)^2): no O(1) terms cancel near 0.  Past
+        # |y| = 40 it is log 2 to double precision, and sinh would overflow
+        y = 0.5 * np.clip(np.asarray(x, dtype=float), -80.0, 80.0)
+        return _as_float(y * np.tanh(y) - np.log1p(2.0 * np.sinh(0.5 * y) ** 2))
 
     _moment_series = np.array(
         [float(c / (2 * k + 3)) for k, c in enumerate(_logistic_density_series(19))]
@@ -320,8 +332,11 @@ class Cauchy(SymmetricNull):
     def cdf(self, x):
         return _as_float(np.arctan2(1.0, -np.asarray(x, dtype=float)) / math.pi)
 
-    def _quantile(self, u):
-        return _as_float(np.sign(u - 0.5) / np.tan(math.pi * np.minimum(u, 1.0 - u)))
+    def _quantile(self, u, out=None):
+        m = np.minimum(u, np.subtract(1.0, u, out=out), out=out)
+        m = np.tan(np.multiply(math.pi, m, out=out), out=out)
+        tmp = None if out is None else u
+        return _as_float(np.divide(np.sign(np.subtract(u, 0.5, out=tmp), out=tmp), m, out=out))
 
     def has_moment(self, k: int) -> bool:
         return k < 1
@@ -373,8 +388,9 @@ class AlternativeFamily:
         raise NotImplementedError
 
     def sample(
-        self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None
+        self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None, out=None
     ) -> np.ndarray:
+        """``n`` draws at ``theta``, with ``out`` as in :meth:`SymmetricNull.sample`."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -429,15 +445,21 @@ class FernandezSteel(AlternativeFamily):
         return _as_float(np.where(x <= 0.0, F - xf, 1.0 - F + xf))
 
     def sample(
-        self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None
+        self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None, out=None
     ) -> np.ndarray:
         theta = self._check_theta(theta)
-        side, u = _uniforms(n, seed, rng, 2)
+        side, u, half = _uniforms(n, seed, rng, 2, out)
         gamma = 1.0 + theta
-        mass_neg = gamma * gamma / (1.0 + gamma * gamma)
+        # every bit set (the sign bit shifted through) where side < mass_neg: the draws mirrored
+        negative = np.subtract(side, gamma * gamma / (1.0 + gamma * gamma), out=side).view(np.int64)
+        negative >>= 63  # onto x < 0
         # 0.5 + 0.5 u rounds to 1 at the top uniform 1 - 2^-53 alone; the cap moves no other draw
-        half = self.base.quantile(np.minimum(0.5 + 0.5 * u, 1.0 - 2.0**-53))
-        return np.where(side < mass_neg, -gamma * half, half / gamma)
+        np.minimum(np.add(np.multiply(u, 0.5, out=u), 0.5, out=u), 1.0 - 2.0**-53, out=u)
+        self.base._quantile(u, out=half)
+        flip = np.multiply(half, -gamma, out=u).view(np.int64)  # take the mirrored draws bit
+        bits = np.divide(half, gamma, out=half).view(np.int64)  # for bit, with no branch
+        bits ^= np.bitwise_and(np.bitwise_xor(flip, bits, out=flip), negative, out=flip)
+        return half
 
 
 class Contamination(AlternativeFamily):
@@ -478,14 +500,13 @@ class Contamination(AlternativeFamily):
         return _as_float(np.asarray(self.base.cdf(x - 1.0)) - np.asarray(self.base.cdf(x)))
 
     def sample(
-        self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None
+        self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None, out=None
     ) -> np.ndarray:
         theta = self._check_theta(theta)
-        picks, u = _uniforms(n, seed, rng, 2)
-        shifted = picks < theta
-        draws = np.asarray(self.base.quantile(u), dtype=float)
-        draws[shifted] += 1.0
-        return draws
+        picks, u, draws = _uniforms(n, seed, rng, 2, out)
+        shifted = np.less(picks, theta, out=picks)  # 1.0 or 0.0
+        self.base._quantile(u, out=draws)
+        return np.add(draws, shifted, out=draws)  # + 0.0 keeps a draw: no quantile is -0.0
 
 
 _NULLS = {"normal": Normal, "logistic": Logistic, "cauchy": Cauchy}

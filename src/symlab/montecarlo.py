@@ -13,9 +13,11 @@ read-only) keyed by (statistic, null, n, reps, seed), not by the level or the
 worker count, so consecutive calls on one key simulate it once (``symlab
 test`` runs :func:`p_value`, then :func:`critical_value`); results are
 byte-identical with or without it, and :func:`null_distribution` is uncached.
-On a 2-core x86-64 VM, ``power`` for ``NA_K_4`` at n = 100 took 0.21-0.28 s
-inline and 0.12-0.18 s on two workers with 10^4 replications; with 600 it took
-14-19 ms cold and 6-10 ms after another call on the same key.
+Each thread draws and evaluates its chunks in its reused arrays (see
+:mod:`symlab.stats`).  On a 2-core x86-64 VM, ``power`` for ``NA_K_4`` at
+n = 100 took 0.14-0.17 s inline and 0.10-0.13 s on two workers with 10^4
+replications, cold; with 600 it took 10-16 ms cold and 6-8 ms after another
+call on the same key.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from ._rng import check_seed, stream
 from .distributions import AlternativeFamily, SymmetricNull
-from .stats import SUPREMUM, StatisticSpec, evaluate, evaluate_many
+from .stats import SUPREMUM, StatisticSpec, _scratch, evaluate, evaluate_many
 
 __all__ = [
     "McConfig",
@@ -42,6 +44,7 @@ __all__ = [
 ]
 
 _CHUNK = 512
+_DRAWS = 5  # the working-set slot of a chunk's draws (stats uses 0-4)
 
 # stream purpose tags: calibration draws, evaluation draws, tie-break uniforms
 _CAL, _EVAL, _TIE = 0, 1, 2
@@ -96,7 +99,9 @@ def _simulate(
     params = () if theta is None else (theta,)  # a null model takes no theta
 
     def job(chunk_index: int, rows: int) -> np.ndarray:
-        draws = model.sample(*params, rows * cfg.n, 0, rng=stream(cfg.seed, purpose, chunk_index))
+        rng = stream(cfg.seed, purpose, chunk_index)
+        buffer = _scratch(_DRAWS, rows, cfg.n, shape=(3, rows * cfg.n))
+        draws = model.sample(*params, rows * cfg.n, 0, rng=rng, out=buffer)
         return evaluate_many(spec, draws.reshape(rows, cfg.n), t=t)
 
     return _run_chunked(cfg.reps, job)

@@ -25,6 +25,11 @@ That path has one centering and one moment block:
   block of axis-wise reductions; they need ``n >= 2`` and refuse a zero
   variance or (MGG) a zero mean absolute deviation.
 
+A chunk of several rows runs in arrays the calling thread reuses from call to
+call (:func:`_scratch`): one set per row length ``n``, each array grown to the
+largest chunk seen at that ``n``, dropped at the next ``n``.  A single row gets
+fresh memory, and no returned array is a view of the set.
+
 The independent reference is :func:`brute_force`, a literal enumeration of
 every subset and outer index, exactly as the statistics are defined.  It is
 guarded to ``n <= 14`` and is the oracle the kernel must match bit for bit.
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -209,11 +215,33 @@ def _band_counts(n: int, p: int, r_low: int, r_high: int) -> np.ndarray:
     return sum(cols[j] * cols[p - j, ::-1] for j in range(r_low, r_high))
 
 
+_pool = threading.local()  # the calling thread's working set: its row length n and arrays
+
+
+def _scratch(slot: int, rows: int, n: int, dtype=float, shape=None) -> np.ndarray:
+    """Working array ``slot`` of a ``(rows, n)`` chunk, uninitialised, as ``shape`` (or ``(rows, n)``).
+
+    No two live arrays share a slot: 0 holds the rows, then ``a``; 1 the trim
+    products, then the keys and ``z``; 2-4 flags and counts; 5 the Monte Carlo draws.
+    """
+    shape = (rows, n) if shape is None else shape
+    if getattr(_pool, "n", None) != n:
+        _pool.n, _pool.arrays = n, {}
+    if rows == 1:
+        return np.empty(shape, dtype)
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    block = _pool.arrays.get(slot)
+    if block is None or block.size < nbytes:
+        block = _pool.arrays[slot] = np.empty(nbytes, np.uint8)
+    return block[:nbytes].view(dtype).reshape(shape)
+
+
 def _magnitude_keys(ys: np.ndarray) -> np.ndarray:
     """Each row's keys ``(|y| bits << 1) | (y < 0)``, sorted; ``y >= 0`` first among equal ``|y|``."""
-    keys = np.abs(ys).view(np.uint64)  # a non-negative float64's bits are a monotone integer
+    # a non-negative float64's bits are a monotone integer
+    keys = np.abs(ys, out=_scratch(1, *ys.shape)).view(np.uint64)
     keys <<= 1
-    keys |= ys < 0.0
+    keys |= np.less(ys, 0.0, out=_scratch(2, *ys.shape, bool))
     keys.sort(axis=1)
     return keys
 
@@ -227,22 +255,25 @@ def _magnitude_counts(ys: np.ndarray):
     ``z = 0`` they are ``#{y < 0}`` and ``#{y >= 0}``.
     """
     rows, n = ys.shape
-    keys = _magnitude_keys(ys).ravel()
-    start = np.arange(keys.size)
-    new = np.empty(keys.size, dtype=bool)
-    np.greater(keys[1:] ^ keys[:-1], 1, out=new[1:])
-    new[::n] = True
-    start *= new
-    np.maximum.accumulate(start, out=start)
-    neg = np.zeros(keys.size + 1, dtype=np.int64)  # sign bits before each flat position
-    np.cumsum((keys & 1).view(np.int64), out=neg[1:])
-    a = neg[start].reshape(rows, n)
+    keys = _magnitude_keys(ys)
+    flat = keys.ravel()
+    step = _scratch(2, rows, n, np.uint64)
+    np.bitwise_xor(flat[1:], flat[:-1], out=step.ravel()[1:])
+    step >>= 1  # nonzero where a new magnitude starts (column 0 is multiplied by 0)
+    start = np.minimum(step, 1, out=step).view(np.int64)
+    start *= np.arange(n)
+    start += np.arange(0, keys.size, n)[:, None]
+    np.maximum.accumulate(start.ravel(), out=start.ravel())
+    neg = _scratch(3, rows, n, np.int64, (keys.size + 1,))  # sign bits before each key
+    neg[0] = 0
+    sign = np.bitwise_and(flat, 1, out=_scratch(0, rows, n, np.uint64).ravel())  # ys is dead
+    np.cumsum(sign.view(np.int64), out=neg[1:])
+    a = np.take(neg, start, mode="clip", out=_scratch(0, rows, n, np.int64))
     np.subtract(neg[n::n, None], a, out=a)
-    c = start.reshape(rows, n)
-    np.subtract(np.arange(n, keys.size + 1, n)[:, None], c, out=c)
+    c = np.subtract(np.arange(n, keys.size + 1, n)[:, None], start, out=start)
     c -= a
     keys >>= 1
-    return keys.view(float).reshape(rows, n), a, c
+    return keys.view(float), a, c
 
 
 def _sup(mag: np.ndarray, z: np.ndarray, zero=None):
@@ -282,52 +313,67 @@ def _count_rows(spec: StatisticSpec, ys: np.ndarray, t: float | None = None):
     Returns ``(values, sup_arguments)``; the arguments are the maximizing
     thresholds of a supremum and None otherwise.
     """
-    n = ys.shape[1]
+    rows, n = ys.shape
+
+    def count(compare, v):  # per row, #{compare(y, v)}
+        return np.count_nonzero(compare(ys, v, out=_scratch(1, rows, n, bool)), axis=1)
+
     if spec.kind == "S":
-        return np.sum(ys > 0.0, axis=1) / n - 0.5, None
+        return count(np.greater, 0.0) / n - 0.5, None
     if spec.kind == "W":
         # a pair sums above 0 exactly when its later key is positive, so each
-        # positive key adds its position in the row
+        # positive (even, nonzero) key adds its position in the row
         keys = _magnitude_keys(ys)
-        pairs = ((keys & 1 == 0) & (keys > 0)) @ np.arange(n)
+        positive = np.bitwise_and(keys, 1, out=_scratch(0, rows, n, np.uint64))
+        positive ^= 1
+        pairs = np.minimum(positive, keys, out=positive).view(np.int64) @ np.arange(n)
         return pairs / math.comb(n, 2) - 0.5, None
     if spec.kind == "KS" and t is not None:  # n (F_n(t) + F_n(-t) - 1)
-        counts = np.count_nonzero(ys <= t, axis=1) + np.count_nonzero(ys <= -t, axis=1)
-        return (counts - n) / n, None
+        return (count(np.less_equal, t) + count(np.less_equal, -t) - n) / n, None
     if spec.kind == "KS":
         # n (F_n(s) + F_n(-s) - 1) is a - c just below s = z > 0 and a - c' at
         # s, where c' = #{y > z} is the next key's c at the last key of each
         # run of equal z; the value just above s is the one just below the
         # next threshold, or 0 past the largest
         z, a, c = _magnitude_counts(ys)
-        keep = (np.diff(z, axis=1, append=np.inf) > 0.0) & (z > 0.0)
-        zeros = np.count_nonzero(z == 0.0, axis=1)
+        keep, positive = _scratch(3, rows, n, bool, (2, rows, n))
+        flat = z.ravel()  # flat operands: no buffered 2-D slices; row ends are set apart
+        np.greater(flat[1:], flat[:-1], out=keep.ravel()[:-1])  # the last key of each run
+        keep[:, -1] = True
+        keep &= np.greater(z, 0.0, out=positive)
+        zeros = n - np.count_nonzero(positive, axis=1)
         side0 = 2 * a[:, 0] + zeros - n  # beside t = 0; at t = 0 the zeros count twice
-        b_left, g_left = _sup(np.abs(a - c) * keep, z, side0)
-        c[:, :-1] = c[:, 1:]  # #{y > z} at the last key of each run
-        c[:, -1] = 0
-        b_at, g_at = _sup(np.abs(a - c) * keep, z, side0 + zeros)
+        gap = np.subtract(a, c, out=_scratch(4, rows, n, np.int64))
+        b_left, g_left = _sup(np.multiply(np.abs(gap, out=gap), keep, out=gap), z, side0)
+        # c' = #{y > z} is the next key's c at the last key of each run, 0 at a row's last
+        np.subtract(a.ravel()[:-1], c.ravel()[1:], out=gap.ravel()[:-1])
+        gap[:, -1] = a[:, -1]
+        b_at, g_at = _sup(np.multiply(np.abs(gap, out=gap), keep, out=gap), z, side0 + zeros)
         return np.maximum(b_at, b_left) / n, np.where(b_at >= b_left, g_at, g_left)
     band = _band_counts(n, spec.subset_size, *spec.order_pair)
+    exact = band.dtype == np.int64  # else Python ints, gathered into fresh object arrays
     if t is not None:  # a = #{y <= -t}, b = #{y < t}
-        a, b = np.count_nonzero(ys <= -t, axis=1), np.count_nonzero(ys < t, axis=1)
-        num = (band[b] - band[a]) * (t > 0.0)
+        num = (band[count(np.less, t)] - band[count(np.less_equal, -t)]) * (t > 0.0)
     else:  # b = n - c: a and b are equal at z = 0
         z, a, c = _magnitude_counts(ys)
-        num = band[np.subtract(n, c, out=c)]
-        num -= band[a]
+        num = np.take(band, np.subtract(n, c, out=c), mode="clip",
+                      out=_scratch(3, rows, n, np.int64) if exact else None)
+        num -= np.take(band, a, mode="clip", out=c if exact else None)
     # the half-weighted BH kernel is (N_1 + N_2)/2 - N_2 = (N_1 - N_2)/2
     if not spec.kind.startswith("BH"):
         num *= 2
     if t is not None:
         return _char_values(spec, n, num), None
     if spec.family == SUPREMUM:  # threshold 0 is no jump: its entries drop to -1
-        best, arg = _sup(np.abs(num) - (z == 0.0), z)
+        mag = np.abs(num, out=num)
+        mag -= np.equal(z, 0.0, out=_scratch(2, rows, n, bool))
+        best, arg = _sup(mag, z)
         return _char_values(spec, n, np.maximum(best, 0)), arg
-    if num.dtype == object:
+    if not exact:
         total = num.sum(axis=1)
     else:  # an int64 row sum can wrap: sum the high and low 32-bit halves apart
-        high, low = (num >> 32).sum(axis=1), (num & 0xFFFFFFFF).sum(axis=1)
+        high = np.right_shift(num, 32, out=c).sum(axis=1)
+        low = np.bitwise_and(num, 0xFFFFFFFF, out=num).sum(axis=1)
         total = high.astype(object) * 2**32 + low
     return _char_values(spec, n, total), None
 
@@ -375,16 +421,18 @@ def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = N
         raise ValueError("fixed thresholds apply to supremum-type statistics only")
     if t is not None and math.isnan(t := float(t)):
         raise ValueError("threshold t must not be NaN")
-    n = samples.shape[1]
+    rows, n = samples.shape
     _check_rows(spec, samples)
+    work = _scratch(0, rows, n)
+    np.copyto(work, samples)
     if spec.family != MOMENT:
-        xs = np.sort(samples, axis=1)
-        mu = (xs * trim_weights(n, spec.alpha)).sum(axis=1)
-        return _count_rows(spec, xs - mu[:, None], t)
+        work.sort(axis=1)
+        mu = np.multiply(work, trim_weights(n, spec.alpha), out=_scratch(1, rows, n)).sum(axis=1)
+        return _count_rows(spec, np.subtract(work, mu[:, None], out=work), t)
     xbar = samples.mean(axis=1)
-    med = np.median(samples, axis=1)
-    centered = samples - xbar[:, None]
-    var = np.mean(centered**2, axis=1)
+    med = np.median(work, axis=1, overwrite_input=True)
+    centered = np.subtract(samples, xbar[:, None], out=_scratch(1, rows, n))
+    var = np.mean(np.square(centered, out=work), axis=1)
     if np.any(var <= 0.0):
         raise DegenerateSampleError("sample variance is zero")
     s = np.sqrt(var)
@@ -393,11 +441,12 @@ def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = N
     if spec.kind == "GAMMA":
         return 2.0 * (xbar - med), None
     if spec.kind == "MGG":
-        j = math.sqrt(math.pi / 2.0) * np.mean(np.abs(samples - med[:, None]), axis=1)
+        deviation = np.abs(np.subtract(samples, med[:, None], out=work), out=work)
+        j = math.sqrt(math.pi / 2.0) * np.mean(deviation, axis=1)
         if np.any(j <= 0.0):
             raise DegenerateSampleError("mean absolute deviation is zero")
         return (xbar - med) / j, None
-    return np.mean(centered**3, axis=1) / s**3, None
+    return np.mean(np.power(centered, 3, out=work), axis=1) / s**3, None
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from symlab._rng import stream
 from symlab.distributions import get_alternative, get_null
 from symlab.errors import NotApplicableError
 
@@ -181,6 +183,38 @@ class TestNullModels:
         assert (normal.partial_first_moment(0.0, -b) == f0).all()
         assert (normal.partial_first_moment(-b, b) == 0.0).all()
 
+    @pytest.mark.parametrize("name", ["normal", "logistic", "cauchy"])
+    def test_partial_first_moment_full_precision_for_small_b(self, name):
+        # a primitive that is O(1) at 0 cancels to O(b^2) (0.0 for the normal
+        # at b = 1e-8, against 2.0e-17).  The reference closed forms cancel
+        # too, so mpmath carries 650 digits; where the true value underflows,
+        # the smallest normal float is the bound
+        null = get_null(name)
+        cut = null._series_cut
+        b = np.concatenate([
+            np.logspace(-300, math.log10(50.0), 61), [1e-8, 1e-4],
+            [np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0), 2.0 * cut],
+        ])
+        exact = {
+            "normal": lambda v: -mp.expm1(-v * v / 2) / mp.sqrt(2 * mp.pi),
+            "logistic": lambda v: v / (1 + mp.exp(-v)) - mp.log1p(mp.exp(v)) + mp.log(2),
+            "cauchy": lambda v: mp.log1p(v * v) / (2 * mp.pi),
+        }[name]
+        with mp.workdps(650):
+            want = np.array([float(exact(mp.mpf(float(v)))) for v in b])
+        got = null.partial_first_moment(0.0, b)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=np.finfo(float).tiny)
+        assert (got >= 0.0).all()
+        assert (null.partial_first_moment(0.0, -b) == got).all()
+        assert [null.partial_first_moment(0.0, float(v)) for v in b] == got.tolist()
+        # two limits near 0, and an infinite limit
+        lo, hi = 0.25 * cut, 0.75 * cut
+        with mp.workdps(50):
+            want = float(exact(mp.mpf(hi)) - exact(mp.mpf(lo)))
+        assert null.partial_first_moment(lo, hi) == pytest.approx(want, rel=1e-12, abs=0)
+        if name != "cauchy":
+            assert null.partial_first_moment(0.0, np.inf) == null.partial_first_moment(0.0, 1e300)
+
 
 class TestAlternativeFamilies:
     @pytest.mark.parametrize("alt_name", ["fs", "contam"])
@@ -296,8 +330,9 @@ class TestSamplers:
         u = np.array([top, 0.5, 0.9, 1.0 - 2.0**-52, 2.0**-53, top])
 
         class Uniforms:  # a generator stub: the same uniforms for the side and the size
-            def random(self, n):
-                return u[:n].copy()
+            def random(self, n, out):
+                out[:] = u[:n]
+                return out
 
         fs = get_alternative("fs", null_name)
         x = fs.sample(0.3, u.size, 0, rng=Uniforms())
@@ -308,6 +343,42 @@ class TestSamplers:
         mirrored = np.where(u[rest] < gamma**2 / (1.0 + gamma**2), -gamma * half, half / gamma)
         assert (x[rest] == mirrored).all()
         assert (x[~rest] == fs.base.quantile(top) / gamma).all()
+
+    @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+    @pytest.mark.parametrize("alt_name", [None, "fs", "contam"])
+    def test_drawing_into_a_buffer_keeps_every_bit(self, null_name, alt_name):
+        model = get_null(null_name) if alt_name is None else get_alternative(alt_name, null_name)
+        theta = () if alt_name is None else (0.3,)
+        n = 5000
+        fresh = model.sample(*theta, n, 17)
+        buf = np.full((3, n), np.nan)
+        drawn = model.sample(*theta, n, 17, out=buf)
+        assert drawn.view(np.uint64).tolist() == fresh.view(np.uint64).tolist()
+        assert np.shares_memory(drawn, buf) and not np.shares_memory(fresh, buf)
+        # a reused buffer holds no trace of the last draws; out=None allocates afresh
+        again = model.sample(*theta, n, 17, out=buf)
+        assert again.view(np.uint64).tolist() == fresh.view(np.uint64).tolist()
+        other = model.sample(*theta, n, 17)
+        assert not np.shares_memory(other, fresh) and (other == fresh).all()
+        with pytest.raises(ValueError):
+            model.sample(*theta, n, 17, out=np.empty((3, n - 1)))
+
+    @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+    @pytest.mark.parametrize("alt_name", [None, "fs", "contam"])
+    def test_a_repeated_draw_into_a_buffer_allocates_little(self, null_name, alt_name):
+        # a Monte Carlo chunk's 512 x 100 draws: the generator and numpy's cast
+        # buffers stay under a quarter of the chunk (102400 bytes)
+        model = get_null(null_name) if alt_name is None else get_alternative(alt_name, null_name)
+        theta = () if alt_name is None else (0.3,)
+        buf = np.empty((3, 51_200))
+        model.sample(*theta, 51_200, 0, rng=stream(5, 0, 0), out=buf)
+        tracemalloc.start()
+        try:
+            model.sample(*theta, 51_200, 0, rng=stream(5, 0, 1), out=buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 102_400
 
     def test_null_sample_mean(self, normal):
         x = normal.sample(100_000, 11)

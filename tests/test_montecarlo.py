@@ -7,7 +7,7 @@ import pytest
 import symlab.montecarlo
 from symlab._rng import stream
 from symlab.cli import main
-from symlab.distributions import get_alternative
+from symlab.distributions import get_alternative, get_null
 from symlab.montecarlo import (
     _CAL,
     _EVAL,
@@ -111,6 +111,25 @@ class TestChunkRunner:
         ties = at_most - np.searchsorted(calib, values, side="left")
         p_rand = (reps - at_most + u * (1.0 + ties)) / (reps + 1.0)
         assert power_pooled == float(np.mean(p_rand <= cfg.level))
+
+    @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+    def test_pooled_working_sets_equal_the_inline_one(self, monkeypatch, null_name):
+        # two worker threads draw and evaluate 2048 replications in their own
+        # reused arrays; the one inline thread runs every chunk in its arrays
+        null = get_null(null_name)
+        cfg = McConfig(n=40, reps=2048, seed=9)
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(symlab.montecarlo, "_usable_cpus", lambda: cpus)
+            run = []
+            for name in ("S", "W", "KS", "NA_K_2", "MO_I_2", "CM", "SQRT_B1"):
+                spec = parse_statistic(name, alpha=0.25)
+                symlab.montecarlo._sorted_null.cache_clear()
+                run.append(null_distribution(spec, null, cfg))
+                run += [power(spec, get_alternative(k, null), 0.2, cfg) for k in ("fs", "contam")]
+            runs.append(run)
+        for inline, pooled in zip(*runs):
+            np.testing.assert_array_equal(inline, pooled)
 
 
 class TestPValues:

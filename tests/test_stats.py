@@ -518,6 +518,51 @@ class TestMagnitudeCounts:
         assert peak <= mib * 2**20
 
 
+class TestWorkingSet:
+    """Chunks of several rows run in the calling thread's reused arrays; no output may see them."""
+
+    SHAPES = [(512, 100), (88, 100), (100, 2000), (1, 1000), (512, 100)]
+
+    def test_outputs_are_private_and_equal_fresh_rows(self, rng):
+        first_spec = parse_statistic("NA_K_2", alpha=0.25)
+        first = rng.normal(size=(512, 100))
+        values, args = _evaluate_rows(first_spec, first)
+        kept = values.copy(), args.copy()
+        for rows, n in self.SHAPES:
+            x = np.where(rng.random((rows, n)) < 0.5, rng.normal(size=(rows, n)),
+                         np.round(rng.normal(size=(rows, n))))
+            picks = sorted({0, rows // 3, rows - 1})
+            for name in ALL_IDS + MOMENT_IDS:
+                spec = parse_statistic(name, alpha=0.25)
+                thresholds = [None, 0.0, 0.7] if spec.family == "supremum" else [None]
+                for t in thresholds:
+                    got, got_args = _evaluate_rows(spec, x, t)
+                    for i in picks:  # one row alone is evaluated in fresh memory
+                        want, want_arg = _evaluate_rows(spec, x[i][None, :], t)
+                        assert repr(float(got[i])) == repr(float(want[0]))
+                        if got_args is not None:
+                            assert repr(float(got_args[i])) == repr(float(want_arg[0]))
+        np.testing.assert_array_equal(values, kept[0])
+        np.testing.assert_array_equal(args, kept[1])
+        np.testing.assert_array_equal(_evaluate_rows(first_spec, first)[0], kept[0])
+
+    @pytest.mark.parametrize("name", ["S", "W", "KS", "NA_K_2", "MO_I_2", "CM", "SQRT_B1"])
+    def test_a_repeated_chunk_allocates_under_a_quarter_chunk(self, name, rng):
+        # what a second same-shape chunk still allocates (small per-row
+        # results and numpy's own cast buffers) stays under a quarter of one
+        # 512 x 100 chunk of floats, 102400 bytes
+        spec = parse_statistic(name, alpha=0.25)
+        x = rng.normal(size=(512, 100))
+        evaluate_many(spec, x)
+        tracemalloc.start()
+        try:
+            evaluate_many(spec, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 102_400
+
+
 class TestBandCounts:
     @pytest.mark.parametrize(
         "n, p, dtype",
