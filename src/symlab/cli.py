@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -253,6 +254,7 @@ def _cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parsing leaves the parser unchanged, so each process builds it once
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symlab",

@@ -10,7 +10,7 @@ That path has one centering and one moment block:
 * counting statistics (S, W, KS, BH/NA/MO) sort each row and subtract its
   trimmed mean ``(xs * trim_weights(n, alpha)).sum(axis=1)``, the same sum
   :func:`symlab.location.trimmed_mean` takes.  The counting kernel
-  :func:`_count_rows` then sorts the keys ``(|y| bits << 1) | (y < 0)``
+  :func:`_magnitude_counts` then sorts the keys ``(|y| bits << 1) | (y < 0)``
   once for the whole chunk (by magnitude, ``y >= 0`` first among equal
   ones) and reads every count at each threshold ``z = |y|`` off that order
   with flat accumulations, with no loop over rows.  A characterization
@@ -28,7 +28,10 @@ That path has one centering and one moment block:
 A chunk of several rows runs in arrays the calling thread reuses from call to
 call (:func:`_scratch`): one set per row length ``n``, each array grown to the
 largest chunk seen at that ``n``, dropped at the next ``n``.  A single row gets
-fresh memory, and no returned array is a view of the set.
+fresh memory, and no returned array is a view of the set, but the thread
+keeps the counts of the last single row KS or BH/NA/MO evaluated, so a battery
+on one sample sorts it once (:func:`_magnitude_rows`): 32 bytes a value, about
+3 MB at ``n = 10**5``, resident until another row misses or the next ``n``.
 
 The independent reference is :func:`brute_force`, a literal enumeration of
 every subset and outer index, exactly as the statistics are defined.  It is
@@ -201,18 +204,22 @@ def _band_counts(n: int, p: int, r_low: int, r_high: int) -> np.ndarray:
     those with at least ``r`` elements below ``t`` less those with at least
     ``r`` at or below ``-t``, so with ``a = #{y <= -t}`` and ``b = #{y < t}``
     the count at rank ``r_low`` less that at ``r_high`` is ``D[b] - D[a]``.
-    Column ``i`` of ``C(m, i)`` is the running sum of column ``i - 1``.
-    Entries of ``D`` are at most ``C(n, p)``: int64 while ``2 C(n, p) <
-    2**63``, so doubled numerators fit, and Python ints beyond.  An int64
-    binomial past ``2**63`` only multiplies zeros: two nonzero factors
-    multiply to a term of ``C(n, p)``.
+    Column ``i`` of ``C(m, i)`` is the running sum of column ``i - 1``; only
+    the columns ``j`` and ``p - j`` of the band are kept.  Entries of ``D``
+    are at most ``C(n, p)``: int64 while ``2 C(n, p) < 2**63``, so doubled
+    numerators fit, and Python ints beyond.  An int64 binomial past ``2**63``
+    only multiplies zeros: two nonzero factors multiply to a term of ``C(n, p)``.
     """
     dtype = np.int64 if 2 * math.comb(n, p) < 2**63 else object
-    cols = np.zeros((p + 1, n + 1), dtype=dtype)
-    cols[0] = 1
-    for i in range(1, p + 1):
-        np.cumsum(cols[i - 1, :-1], out=cols[i, 1:])
-    return sum(cols[j] * cols[p - j, ::-1] for j in range(r_low, r_high))
+    need = {i for j in range(r_low, r_high) for i in (j, p - j)}
+    cols = {0: np.ones(n + 1, dtype)}
+    for i in range(1, max(need) + 1):
+        cols[i] = np.zeros(n + 1, dtype)
+        np.cumsum((cols[i - 1] if i - 1 in need else cols.pop(i - 1))[:-1], out=cols[i][1:])
+    band = np.zeros(n + 1, dtype)
+    for j in range(r_low, r_high):
+        band += cols[j] * cols[p - j][::-1]
+    return band
 
 
 _pool = threading.local()  # the calling thread's working set: its row length n and arrays
@@ -226,7 +233,7 @@ def _scratch(slot: int, rows: int, n: int, dtype=float, shape=None) -> np.ndarra
     """
     shape = (rows, n) if shape is None else shape
     if getattr(_pool, "n", None) != n:
-        _pool.n, _pool.arrays = n, {}
+        _pool.n, _pool.arrays, _pool.last = n, {}, None
     if rows == 1:
         return np.empty(shape, dtype)
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
@@ -236,10 +243,10 @@ def _scratch(slot: int, rows: int, n: int, dtype=float, shape=None) -> np.ndarra
     return block[:nbytes].view(dtype).reshape(shape)
 
 
-def _magnitude_keys(ys: np.ndarray) -> np.ndarray:
+def _magnitude_keys(ys: np.ndarray, out=None) -> np.ndarray:
     """Each row's keys ``(|y| bits << 1) | (y < 0)``, sorted; ``y >= 0`` first among equal ``|y|``."""
     # a non-negative float64's bits are a monotone integer
-    keys = np.abs(ys, out=_scratch(1, *ys.shape)).view(np.uint64)
+    keys = np.abs(ys, out=_scratch(1, *ys.shape) if out is None else out.view(float)).view(np.uint64)
     keys <<= 1
     keys |= np.less(ys, 0.0, out=_scratch(2, *ys.shape, bool))
     keys.sort(axis=1)
@@ -247,17 +254,21 @@ def _magnitude_keys(ys: np.ndarray) -> np.ndarray:
 
 
 def _magnitude_counts(ys: np.ndarray):
-    """Each row's magnitudes ``z`` ascending, with ``a = #{y <= -z}`` and ``c = #{y >= z}``.
+    """Each row's magnitudes ``z`` ascending, with ``a = #{y <= -z}`` and ``b = #{y < z}``.
 
     Both counts start at the first key of ``z``'s run of equal magnitudes,
     found by one flat ``maximum.accumulate`` over the chunk; ``a`` counts the
     sign bits from there to the row's end, read off one flat ``cumsum``.  At
-    ``z = 0`` they are ``#{y < 0}`` and ``#{y >= 0}``.
+    ``z = 0`` both are ``#{y < 0}``.
     """
     rows, n = ys.shape
-    keys = _magnitude_keys(ys)
+    # a single row's z, a and b are one fresh block, which :func:`_magnitude_rows` keeps; a
+    # freed block this large lifts glibc's trim threshold, so later tails reuse the heap
+    block = np.empty((3, 1, n), np.uint64) if rows == 1 else [
+        _scratch(slot, rows, n, np.uint64) for slot in (1, 0, 2)]
+    keys = _magnitude_keys(ys, block[0])
     flat = keys.ravel()
-    step = _scratch(2, rows, n, np.uint64)
+    step = block[2]
     np.bitwise_xor(flat[1:], flat[:-1], out=step.ravel()[1:])
     step >>= 1  # nonzero where a new magnitude starts (column 0 is multiplied by 0)
     start = np.minimum(step, 1, out=step).view(np.int64)
@@ -266,14 +277,14 @@ def _magnitude_counts(ys: np.ndarray):
     np.maximum.accumulate(start.ravel(), out=start.ravel())
     neg = _scratch(3, rows, n, np.int64, (keys.size + 1,))  # sign bits before each key
     neg[0] = 0
-    sign = np.bitwise_and(flat, 1, out=_scratch(0, rows, n, np.uint64).ravel())  # ys is dead
+    sign = np.bitwise_and(flat, 1, out=block[1].ravel())  # a chunk's ys is dead
     np.cumsum(sign.view(np.int64), out=neg[1:])
-    a = np.take(neg, start, mode="clip", out=_scratch(0, rows, n, np.int64))
+    a = np.take(neg, start, mode="clip", out=block[1].view(np.int64))
     np.subtract(neg[n::n, None], a, out=a)
-    c = np.subtract(np.arange(n, keys.size + 1, n)[:, None], start, out=start)
-    c -= a
+    b = np.subtract(start, np.arange(0, keys.size, n)[:, None], out=start)
+    b += a
     keys >>= 1
-    return keys.view(float), a, c
+    return keys.view(float), a, b
 
 
 def _sup(mag: np.ndarray, z: np.ndarray, zero=None):
@@ -303,16 +314,7 @@ def _char_values(spec: StatisticSpec, n: int, num: np.ndarray) -> np.ndarray:
 
 
 def _count_rows(spec: StatisticSpec, ys: np.ndarray, t: float | None = None):
-    """Values of a counting statistic on every row of ``ys`` at once.
-
-    ``ys`` is a ``(rows, n)`` matrix of sorted, centered samples.  Every
-    count is an integer array over all rows and thresholds (Python ints
-    where int64 would not hold them), and each value is one division of its
-    integer numerator: the integral sum, the supremum or, with ``t`` given
-    (supremum kinds), the family member at ``t``.
-    Returns ``(values, sup_arguments)``; the arguments are the maximizing
-    thresholds of a supremum and None otherwise.
-    """
+    """S, W or a supremum member at ``t`` on every row of sorted, centered ``ys``, and None."""
     rows, n = ys.shape
 
     def count(compare, v):  # per row, #{compare(y, v)}
@@ -328,14 +330,22 @@ def _count_rows(spec: StatisticSpec, ys: np.ndarray, t: float | None = None):
         positive ^= 1
         pairs = np.minimum(positive, keys, out=positive).view(np.int64) @ np.arange(n)
         return pairs / math.comb(n, 2) - 0.5, None
-    if spec.kind == "KS" and t is not None:  # n (F_n(t) + F_n(-t) - 1)
+    if spec.kind == "KS":  # n (F_n(t) + F_n(-t) - 1)
         return (count(np.less_equal, t) + count(np.less_equal, -t) - n) / n, None
+    band = _band_counts(n, spec.subset_size, *spec.order_pair)  # a = #{y <= -t}, b = #{y < t}
+    num = (band[count(np.less, t)] - band[count(np.less_equal, -t)]) * (t > 0.0)
+    # the half-weighted BH kernel is (N_1 + N_2)/2 - N_2 = (N_1 - N_2)/2
+    return _char_values(spec, n, num if spec.kind.startswith("BH") else 2 * num), None
+
+
+def _count_magnitudes(spec: StatisticSpec, z: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """KS or BH/NA/MO per row off :func:`_magnitude_counts` (only read): values, sup arguments."""
+    rows, n = z.shape
     if spec.kind == "KS":
-        # n (F_n(s) + F_n(-s) - 1) is a - c just below s = z > 0 and a - c' at
-        # s, where c' = #{y > z} is the next key's c at the last key of each
-        # run of equal z; the value just above s is the one just below the
-        # next threshold, or 0 past the largest
-        z, a, c = _magnitude_counts(ys)
+        # n (F_n(s) + F_n(-s) - 1) is a + b - n just below s = z > 0 and
+        # a + b' - n at s, where b' = #{y <= z} is the next key's b at the
+        # last key of each run of equal z; the value just above s is the one
+        # just below the next threshold, or 0 past the largest
         keep, positive = _scratch(3, rows, n, bool, (2, rows, n))
         flat = z.ravel()  # flat operands: no buffered 2-D slices; row ends are set apart
         np.greater(flat[1:], flat[:-1], out=keep.ravel()[:-1])  # the last key of each run
@@ -343,27 +353,20 @@ def _count_rows(spec: StatisticSpec, ys: np.ndarray, t: float | None = None):
         keep &= np.greater(z, 0.0, out=positive)
         zeros = n - np.count_nonzero(positive, axis=1)
         side0 = 2 * a[:, 0] + zeros - n  # beside t = 0; at t = 0 the zeros count twice
-        gap = np.subtract(a, c, out=_scratch(4, rows, n, np.int64))
+        gap = np.add(a, b, out=_scratch(4, rows, n, np.int64))
+        gap -= n
         b_left, g_left = _sup(np.multiply(np.abs(gap, out=gap), keep, out=gap), z, side0)
-        # c' = #{y > z} is the next key's c at the last key of each run, 0 at a row's last
-        np.subtract(a.ravel()[:-1], c.ravel()[1:], out=gap.ravel()[:-1])
-        gap[:, -1] = a[:, -1]
+        np.add(a.ravel()[:-1], b.ravel()[1:], out=gap.ravel()[:-1])
+        gap -= n
+        gap[:, -1] = a[:, -1]  # b' = n at a row's last key
         b_at, g_at = _sup(np.multiply(np.abs(gap, out=gap), keep, out=gap), z, side0 + zeros)
         return np.maximum(b_at, b_left) / n, np.where(b_at >= b_left, g_at, g_left)
     band = _band_counts(n, spec.subset_size, *spec.order_pair)
     exact = band.dtype == np.int64  # else Python ints, gathered into fresh object arrays
-    if t is not None:  # a = #{y <= -t}, b = #{y < t}
-        num = (band[count(np.less, t)] - band[count(np.less_equal, -t)]) * (t > 0.0)
-    else:  # b = n - c: a and b are equal at z = 0
-        z, a, c = _magnitude_counts(ys)
-        num = np.take(band, np.subtract(n, c, out=c), mode="clip",
-                      out=_scratch(3, rows, n, np.int64) if exact else None)
-        num -= np.take(band, a, mode="clip", out=c if exact else None)
-    # the half-weighted BH kernel is (N_1 + N_2)/2 - N_2 = (N_1 - N_2)/2
-    if not spec.kind.startswith("BH"):
+    num = np.take(band, b, mode="clip", out=_scratch(3, rows, n, np.int64) if exact else None)
+    num -= np.take(band, a, mode="clip", out=_scratch(4, rows, n, np.int64) if exact else None)
+    if not spec.kind.startswith("BH"):  # as in :func:`_count_rows`
         num *= 2
-    if t is not None:
-        return _char_values(spec, n, num), None
     if spec.family == SUPREMUM:  # threshold 0 is no jump: its entries drop to -1
         mag = np.abs(num, out=num)
         mag -= np.equal(z, 0.0, out=_scratch(2, rows, n, bool))
@@ -372,10 +375,42 @@ def _count_rows(spec: StatisticSpec, ys: np.ndarray, t: float | None = None):
     if not exact:
         total = num.sum(axis=1)
     else:  # an int64 row sum can wrap: sum the high and low 32-bit halves apart
-        high = np.right_shift(num, 32, out=c).sum(axis=1)
+        high = np.right_shift(num, 32, out=_scratch(4, rows, n, np.int64)).sum(axis=1)
         low = np.bitwise_and(num, 0xFFFFFFFF, out=num).sum(axis=1)
         total = high.astype(object) * 2**32 + low
     return _char_values(spec, n, total), None
+
+
+def _centered_rows(samples: np.ndarray, alpha: float) -> np.ndarray:
+    """Each row sorted and centered at its ``alpha``-trimmed mean, in working slot 0."""
+    rows, n = samples.shape
+    work = _scratch(0, rows, n)
+    np.copyto(work, samples)
+    work.sort(axis=1)
+    mu = np.multiply(work, trim_weights(n, alpha), out=_scratch(1, rows, n)).sum(axis=1)
+    return np.subtract(work, mu[:, None], out=work)
+
+
+def _magnitude_rows(spec: StatisticSpec, samples: np.ndarray):
+    """:func:`_count_magnitudes` of the centered rows; a single row's counts are kept.
+
+    The thread's entry is keyed by the row's bits (-0.0 is not 0.0) and
+    ``alpha``, and read-only.  A miss drops it before sorting and copies the
+    new key after the statistic, off the peak of its band tables.
+    """
+    rows = samples.shape[0]
+    last = getattr(_pool, "last", None) if rows == 1 else None
+    if last and last[0] == spec.alpha and np.array_equal(last[1], samples.view(np.uint64)):
+        return _count_magnitudes(spec, *last[2:])
+    if rows == 1:
+        _pool.last = last = None
+    counts = _magnitude_counts(_centered_rows(samples, spec.alpha))
+    values = _count_magnitudes(spec, *counts)
+    if rows == 1:
+        _pool.last = spec.alpha, samples.view(np.uint64).copy(), *counts
+        for array in _pool.last[1:]:
+            array.flags.writeable = False
+    return values
 
 
 def _check_rows(spec: StatisticSpec, samples: np.ndarray) -> None:
@@ -413,9 +448,9 @@ def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = N
     statistics sort each row, center it by its trimmed mean
     ``(xs * trim_weights(n, alpha)).sum(axis=1)`` (a row-wise sum, so one row
     alone and the same row inside any chunk get the same bits) and run
-    :func:`_count_rows`.  Moment statistics center with the row mean and
-    median instead.  Returns ``(values, sup_arguments)`` as
-    :func:`_count_rows` does.
+    :func:`_count_rows` (S, W, members at ``t``) or :func:`_magnitude_rows`.
+    Moment statistics center with the row mean and median instead.  Returns
+    ``(values, sup_arguments)``, the arguments None but for a supremum.
     """
     if t is not None and spec.family != SUPREMUM:
         raise ValueError("fixed thresholds apply to supremum-type statistics only")
@@ -423,12 +458,12 @@ def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = N
         raise ValueError("threshold t must not be NaN")
     rows, n = samples.shape
     _check_rows(spec, samples)
+    if spec.family != MOMENT:
+        if t is None and spec.kind not in ("S", "W"):
+            return _magnitude_rows(spec, samples)
+        return _count_rows(spec, _centered_rows(samples, spec.alpha), t)
     work = _scratch(0, rows, n)
     np.copyto(work, samples)
-    if spec.family != MOMENT:
-        work.sort(axis=1)
-        mu = np.multiply(work, trim_weights(n, spec.alpha), out=_scratch(1, rows, n)).sum(axis=1)
-        return _count_rows(spec, np.subtract(work, mu[:, None], out=work), t)
     xbar = samples.mean(axis=1)
     med = np.median(work, axis=1, overwrite_input=True)
     centered = np.subtract(samples, xbar[:, None], out=_scratch(1, rows, n))

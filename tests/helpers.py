@@ -90,19 +90,18 @@ def sup_argument(spec: StatisticSpec, sample) -> float:
 
 
 def searchsorted_counts(ys: np.ndarray):
-    """``(z, a, c)`` of ``stats._magnitude_counts`` by one ``np.searchsorted`` per sorted row.
+    """``(z, a, b)`` of ``stats._magnitude_counts`` by one ``np.searchsorted`` per sorted row.
 
     ``z`` is each row's ``|y|`` in ascending order, ``a = #{y <= -z}`` and
-    ``c = #{y >= z}``; at ``z = 0`` the kernel's counts are ``#{y < 0}`` and
-    ``#{y >= 0}``.
+    ``b = #{y < z}``; at ``z = 0`` both of the kernel's counts are ``#{y < 0}``.
     """
     z = np.sort(np.abs(ys), axis=1)
     a = np.empty(ys.shape, dtype=np.int64)
-    c = np.empty(ys.shape, dtype=np.int64)
-    for y, row_z, row_a, row_c in zip(ys, z, a, c):
+    b = np.empty(ys.shape, dtype=np.int64)
+    for y, row_z, row_a, row_b in zip(ys, z, a, b):
         row_a[:] = np.where(row_z > 0.0, y.searchsorted(-row_z, "right"), y.searchsorted(0.0))
-        row_c[:] = y.size - y.searchsorted(row_z, "left")
-    return z, a, c
+        row_b[:] = y.searchsorted(row_z, "left")
+    return z, a, b
 
 
 def mc_projection(

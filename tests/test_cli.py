@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import symlab.cli
 import symlab.montecarlo
 import symlab.validate
 from symlab import efficiency as eff
@@ -448,3 +449,26 @@ class TestCmdValidate:
             main([*command, "--seed", seed])
         assert exc.value.code == 2
         assert "argument --seed: invalid _seed value" in capsys.readouterr().err
+
+
+class TestParser:
+    """One parser per process: ``main`` parses every call with the same object."""
+
+    def test_a_usage_error_leaves_the_next_call_working(self, tmp_path, capsys):
+        data = write_lines(tmp_path / "d.txt", [-1, 2, 3, -4])
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["test", data, "--stat", "S", "--reps", "many"])
+            assert exc.value.code == 2
+            assert "argument --reps: invalid int value: 'many'" in capsys.readouterr().err
+            assert main(["test", data, "--stat", "S", "--reps", "400", "--json"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["value"] == 0.0 and out["reps"] == 400
+        assert symlab.cli._build_parser() is symlab.cli._build_parser()
+
+    def test_version_is_unchanged(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == f"symlab {symlab.cli._version()}\n"

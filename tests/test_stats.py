@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import exact_counting_value, searchsorted_counts, sup_argument
+from symlab import stats
 from symlab.efficiency import DEFAULT_TESTS
 from symlab.errors import DegenerateSampleError, InsufficientSampleError
 from symlab.stats import (
@@ -479,11 +482,11 @@ class TestMagnitudeCounts:
         ys = np.sort(tied_rows(rng, rows, n), axis=1)
         ys[0, :4] = [-1.0, -0.0, 0.0, 1.0]  # a run of both zeros next to a +-1 pair
         ys[0] = np.sort(ys[0])
-        z, a, c = _magnitude_counts(ys)
-        want_z, want_a, want_c = searchsorted_counts(ys)
+        z, a, b = _magnitude_counts(ys)
+        want_z, want_a, want_b = searchsorted_counts(ys)
         np.testing.assert_array_equal(z.view(np.int64), want_z.view(np.int64))
         np.testing.assert_array_equal(a, want_a)
-        np.testing.assert_array_equal(c, want_c)
+        np.testing.assert_array_equal(b, want_b)
 
     @pytest.mark.parametrize("name", list(DEFAULT_TESTS) + ["NA_I_5", "MO_K_3"])
     def test_batch_equals_enumeration_on_tied_rows(self, name, rng):
@@ -502,20 +505,24 @@ class TestMagnitudeCounts:
                 for row in tied_rows(rng, 8, n):
                     assert evaluate(spec, row).sup_argument == sup_argument(spec, row)
 
-    @pytest.mark.parametrize("name, mib", [("KS", 8.49), ("NA_I_4", 6.87)])
-    def test_peak_memory_at_a_long_row(self, name, mib):
-        # ceilings on the traced peaks of the one-sort kernel (numpy 2.4.6): KS at
-        # the peak of the per-row search kernel it replaced, NA_I_4 at its own
+    @pytest.mark.parametrize(
+        "name, miss_mib, hit_mib", [("KS", 3.82, 1.02), ("NA_I_4", 6.11, 3.82), ("MO_I_2", 4.59, 3.06)]
+    )
+    def test_peak_memory_at_a_long_row(self, name, miss_mib, hit_mib):
+        # the traced peaks of a fresh long row (numpy 2.4.6), once with another
+        # row's counts in the working set and once with its own
         spec = parse_statistic(name, alpha=0.25)
-        x = np.random.default_rng(1).normal(size=(1, 100_000))
-        _evaluate_rows(spec, x)
-        tracemalloc.start()
-        try:
-            _evaluate_rows(spec, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= mib * 2**20
+        rng = np.random.default_rng(1)
+        _evaluate_rows(spec, rng.normal(size=(1, 100_000)))
+        x = rng.normal(size=(1, 100_000))
+        for mib in (miss_mib, hit_mib):
+            tracemalloc.start()
+            try:
+                _evaluate_rows(spec, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= mib * 2**20
 
 
 class TestWorkingSet:
@@ -561,6 +568,132 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert peak < 102_400
+
+
+class TestLastSample:
+    """A single row's counts serve the next statistic on the same row bits and alpha, and nothing else."""
+
+    COUNTING = [name for name in ALL_IDS if name not in ("S", "W")]
+
+    @staticmethod
+    def fresh(spec, x, t=None):
+        """The row's value and argument in a two-row chunk, which the thread does not keep."""
+        values, args = _evaluate_rows(spec, np.stack([x, x]), t)
+        return float(values[0]), None if args is None else float(args[0])
+
+    @staticmethod
+    def single(spec, x, t=None):
+        values, args = _evaluate_rows(spec, np.asarray(x)[None, :], t)
+        return float(values[0]), None if args is None else float(args[0])
+
+    def test_an_array_changed_in_place_is_evaluated_anew(self, rng):
+        x = rng.normal(size=300)
+        for name in self.COUNTING:
+            spec = parse_statistic(name, alpha=0.25)
+            assert self.single(spec, x) == self.fresh(spec, x)
+            x[int(rng.integers(300))] = rng.normal() * 3.0
+            assert self.single(spec, x) == self.fresh(spec, x)
+
+    def test_only_the_same_bits_and_alpha_hit(self, rng):
+        x = np.round(rng.normal(size=40))
+        x[np.flatnonzero(x == 0.0)[0]] = 0.0
+        spec = parse_statistic("NA_K_3", alpha=0.25)
+        evaluate(spec, x)
+        entry = stats._pool.last
+        evaluate(parse_statistic("KS", alpha=0.25), x.copy())
+        assert stats._pool.last is entry  # equal bits in another array hit
+        flipped = x.copy()
+        flipped[np.flatnonzero(x == 0.0)[0]] = -0.0
+        changed = [(spec, flipped), (parse_statistic("NA_K_3", alpha=0.1), x), (spec, x[:-1])]
+        for other, row in changed:
+            evaluate(spec, x)
+            entry = stats._pool.last
+            assert evaluate(other, row) == StatisticValue(*self.fresh(other, row))
+            assert stats._pool.last is not entry and stats._pool.last[0] == other.alpha
+            np.testing.assert_array_equal(stats._pool.last[1], row.view(np.uint64)[None, :])
+        evaluate_many(spec, rng.normal(size=(3, 50)))
+        assert stats._pool.last is None  # dropped at the next n with the working set
+
+    def test_other_statistics_in_any_order_change_no_output(self, rng):
+        x = tied_rows(rng, 1, 500)[0]
+        calls = [(parse_statistic(name, alpha=0.25), None) for name in ALL_IDS + MOMENT_IDS]
+        calls += [(spec, t) for spec, _ in calls if spec.family == "supremum" for t in (0.0, 0.7)]
+        want = {i: self.fresh(spec, x, t) for i, (spec, t) in enumerate(calls)}
+        for _ in range(4):
+            for i in rng.permutation(len(calls)):
+                assert self.single(*calls[i][:1], x, calls[i][1]) == want[i]
+
+    def test_threads_keep_their_own_entries(self, rng):
+        samples = [rng.normal(size=2000) for _ in range(4)]
+        specs = [parse_statistic(name, alpha=0.25) for name in self.COUNTING]
+        want = [[self.fresh(spec, x) for spec in specs] for x in samples]
+        got, kept = [[] for _ in samples], [None] * len(samples)
+        done = threading.Barrier(len(samples), timeout=60)
+
+        def battery(i):
+            for _ in range(5):
+                got[i].append([self.single(spec, samples[i]) for spec in specs])
+            done.wait()  # every thread has stored its last entry
+            kept[i] = stats._pool.last[1]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=battery, args=(i,)) for i in range(len(samples))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        for i in range(len(samples)):
+            assert got[i] == [want[i]] * 5
+            np.testing.assert_array_equal(kept[i], samples[i].view(np.uint64)[None, :])
+
+    def test_a_repeated_sample_equals_enumeration(self, rng):
+        for alpha in (0.0, 0.25, 0.5):
+            for n in (6, 9, 14):
+                for x in tied_rows(rng, 3, n):
+                    for _ in range(2):
+                        for name in self.COUNTING + ["MO_K_3", "NA_I_5"]:
+                            spec = parse_statistic(name, alpha=alpha)
+                            if n < spec.kernel_order:
+                                continue
+                            got = evaluate(spec, x)
+                            assert got.value == brute_force(spec, x).value
+                            if spec.family == "supremum":
+                                assert got.sup_argument == sup_argument(spec, x)
+
+    def test_a_refused_sample_still_raises(self, rng):
+        ks = parse_statistic("KS")
+        x = rng.normal(size=1200)
+        evaluate(ks, x)
+        with pytest.raises(ValueError, match="subsets"):
+            evaluate(parse_statistic("MO_K_300"), x)
+        evaluate(ks, x[:3])
+        with pytest.raises(InsufficientSampleError):
+            evaluate(parse_statistic("NA_I_4"), x[:3])
+        evaluate(ks, x)
+        y = x.copy()
+        y[7] = np.nan
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            evaluate(ks, y)
+        y[7] = 1.7e308
+        with pytest.raises(ValueError, match="overflows"):
+            evaluate(ks, y)
+        x[7] = np.nan  # in place, under the entry's array
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            evaluate(ks, x)
+
+    def test_the_entry_is_read_only(self, rng):
+        x = rng.normal(size=100)
+        for name in self.COUNTING:
+            evaluate(parse_statistic(name, alpha=0.25), x)
+            for array in stats._pool.last[1:]:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 0
 
 
 class TestBandCounts:
