@@ -596,14 +596,15 @@ class TestLastSample:
 
     def test_only_the_same_bits_and_alpha_hit(self, rng):
         x = np.round(rng.normal(size=40))
-        x[np.flatnonzero(x == 0.0)[0]] = 0.0
+        zero = np.flatnonzero(x == 0.0)[0]
+        x[zero] = 0.0  # rounding may have left -0.0 there
         spec = parse_statistic("NA_K_3", alpha=0.25)
         evaluate(spec, x)
         entry = stats._pool.last
         evaluate(parse_statistic("KS", alpha=0.25), x.copy())
         assert stats._pool.last is entry  # equal bits in another array hit
         flipped = x.copy()
-        flipped[np.flatnonzero(x == 0.0)[0]] = -0.0
+        flipped[zero] = -0.0
         changed = [(spec, flipped), (parse_statistic("NA_K_3", alpha=0.1), x), (spec, x[:-1])]
         for other, row in changed:
             evaluate(spec, x)
@@ -621,7 +622,8 @@ class TestLastSample:
         want = {i: self.fresh(spec, x, t) for i, (spec, t) in enumerate(calls)}
         for _ in range(4):
             for i in rng.permutation(len(calls)):
-                assert self.single(*calls[i][:1], x, calls[i][1]) == want[i]
+                spec, t = calls[i]
+                assert self.single(spec, x, t) == want[i]
 
     def test_threads_keep_their_own_entries(self, rng):
         samples = [rng.normal(size=2000) for _ in range(4)]
@@ -682,7 +684,7 @@ class TestLastSample:
         y[7] = 1.7e308
         with pytest.raises(ValueError, match="overflows"):
             evaluate(ks, y)
-        x[7] = np.nan  # in place, under the entry's array
+        x[7] = np.nan  # the kept sample itself, changed in place
         with pytest.raises(ValueError, match="NaN or infinite"):
             evaluate(ks, x)
 
