@@ -32,6 +32,7 @@ fresh memory, and no returned array is a view of the set, but the thread
 keeps the counts of the last single row KS or BH/NA/MO evaluated, so a battery
 on one sample sorts it once (:func:`_magnitude_rows`): 32 bytes a value, about
 3 MB at ``n = 10**5``, resident until another row misses or the next ``n``.
+The next ``n`` also drops the key of the Monte Carlo draws in slot 5.
 
 The independent reference is :func:`brute_force`, a literal enumeration of
 every subset and outer index, exactly as the statistics are defined.  It is
@@ -229,11 +230,12 @@ def _scratch(slot: int, rows: int, n: int, dtype=float, shape=None) -> np.ndarra
     """Working array ``slot`` of a ``(rows, n)`` chunk, uninitialised, as ``shape`` (or ``(rows, n)``).
 
     No two live arrays share a slot: 0 holds the rows, then ``a``; 1 the trim
-    products, then the keys and ``z``; 2-4 flags and counts; 5 the Monte Carlo draws.
+    products, then the keys and ``z``; 2-4 flags and counts; 5 the Monte Carlo draws,
+    whose key ``_pool.drawn`` (with the read-only draws) :mod:`symlab.montecarlo` keeps.
     """
     shape = (rows, n) if shape is None else shape
     if getattr(_pool, "n", None) != n:
-        _pool.n, _pool.arrays, _pool.last = n, {}, None
+        _pool.n, _pool.arrays, _pool.last, _pool.drawn = n, {}, None, None
     if rows == 1:
         return np.empty(shape, dtype)
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize

@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import symlab.montecarlo
+from symlab import stats
 from symlab._rng import stream
 from symlab.cli import main
 from symlab.distributions import get_alternative, get_null
@@ -12,12 +15,13 @@ from symlab.montecarlo import (
     _CAL,
     _EVAL,
     McConfig,
+    _simulate,
     critical_value,
     null_distribution,
     p_value,
     power,
 )
-from symlab.stats import StatisticSpec, evaluate_many, parse_statistic
+from symlab.stats import StatisticSpec, evaluate, evaluate_many, parse_statistic
 
 
 class TestConfig:
@@ -44,12 +48,24 @@ class TestConfig:
 
 
 class TestNullDistribution:
-    def test_deterministic(self, normal):
+    def test_deterministic(self, normal, streams):
         cfg = McConfig(n=40, reps=600, seed=31)
         spec = StatisticSpec("W", alpha=0.1)
         a = null_distribution(spec, normal, cfg)
         b = null_distribution(spec, normal, cfg)
         np.testing.assert_array_equal(a, b)
+        # one chunk: the second call reuses the draws, the third redraws them
+        # after an evaluation at another n dropped the thread's working set
+        cfg = McConfig(n=40, reps=300, seed=31)
+        want = _fresh(spec, normal, _CAL, cfg)
+        streams.clear()
+        runs = [null_distribution(spec, normal, cfg) for _ in range(2)]
+        assert streams == [(31, _CAL, 0)]
+        evaluate(spec, np.arange(7.0))
+        runs.append(null_distribution(spec, normal, cfg))
+        assert streams == [(31, _CAL, 0)] * 2
+        for run in runs:
+            np.testing.assert_array_equal(run, want)
 
     def test_nan_threshold_refused(self, normal):
         cfg = McConfig(n=20, reps=600, seed=1)
@@ -69,6 +85,141 @@ def _chunk_by_chunk(reps, job):
     return np.concatenate(
         [job(i, min(512, reps - start)) for i, start in enumerate(range(0, reps, 512))]
     )
+
+
+def _fresh(spec, model, purpose, cfg, *theta):
+    # the reference simulation: every chunk drawn anew into fresh memory
+    def job(i, rows):
+        draws = model.sample(*theta, rows * cfg.n, 0, rng=stream(cfg.seed, purpose, i))
+        return evaluate_many(spec, draws.reshape(rows, cfg.n))
+
+    return _chunk_by_chunk(cfg.reps, job)
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """The ``(seed, purpose, chunk)`` of each stream the Monte Carlo harness opens."""
+    calls = []
+
+    def counted(seed, *key):
+        calls.append((seed, *key))
+        return stream(seed, *key)
+
+    monkeypatch.setattr(symlab.montecarlo, "stream", counted)
+    return calls
+
+
+class TestDrawSlot:
+    # a one-chunk simulation keeps its draws in the thread's working slot,
+    # keyed by (model, theta, seed, purpose, chunk, rows); the next one on
+    # the same key evaluates them again instead of drawing
+    SPECS = [parse_statistic(name, alpha=0.25) for name in ("W", "NA_K_2", "KS", "CM")]
+
+    @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+    def test_a_hit_equals_a_fresh_draw(self, streams, null_name):
+        null = get_null(null_name)
+        cfg = McConfig(n=30, reps=300, seed=61)
+        models = [(null, _CAL, ())] + [
+            (get_alternative(kind, null), _EVAL, (theta,))
+            for kind in ("fs", "contam") for theta in (0.0, 0.3)
+        ]
+        for model, purpose, theta in models:
+            want = [_fresh(spec, model, purpose, cfg, *theta) for spec in self.SPECS]
+            streams.clear()
+            for _ in range(2):
+                for spec, values in zip(self.SPECS, want):
+                    got = _simulate(spec, model, *(theta or (None,)), cfg, purpose)
+                    np.testing.assert_array_equal(got, values)
+            assert streams == [(cfg.seed, purpose, 0)]
+
+    def test_every_part_of_the_key_misses(self, streams, normal, logistic):
+        spec = parse_statistic("NA_K_2", alpha=0.25)
+        fs = get_alternative("fs", normal)
+        cfg = McConfig(n=30, reps=300, seed=62)
+        others = [
+            (fs, 0.3, dataclasses.replace(cfg, seed=63), _EVAL),
+            (fs, 0.2, cfg, _EVAL),
+            (get_alternative("contam", normal), 0.3, cfg, _EVAL),
+            (get_alternative("fs", logistic), 0.3, cfg, _EVAL),
+            (fs, 0.3, cfg, _CAL),
+            (fs, 0.3, dataclasses.replace(cfg, n=31), _EVAL),
+            (fs, 0.3, dataclasses.replace(cfg, reps=301), _EVAL),
+            (fs, 0.3, dataclasses.replace(cfg, reps=513), _EVAL),  # a 1-row tail chunk
+        ]
+        for other in others:
+            for model, theta, run, purpose in [(fs, 0.3, cfg, _EVAL), other] * 2:
+                streams.clear()
+                got = _simulate(spec, model, theta, run, purpose)
+                np.testing.assert_array_equal(got, _fresh(spec, model, purpose, run, theta))
+                assert len(streams) == -(-run.reps // 512)  # every chunk drawn
+
+    def test_null_distribution_and_power_draw_apart(self, streams, normal):
+        # a null model's calibration draws and its evaluation draws share
+        # everything but the stream purpose
+        spec = parse_statistic("W", alpha=0.1)
+        cfg = McConfig(n=40, reps=300, seed=64)
+        for purpose in (_CAL, _EVAL, _CAL):
+            got = _simulate(spec, normal, None, cfg, purpose)
+            np.testing.assert_array_equal(got, _fresh(spec, normal, purpose, cfg))
+        assert streams == [(64, _CAL, 0), (64, _EVAL, 0), (64, _CAL, 0)]
+
+    def test_an_evaluation_at_another_n_drops_the_key(self, normal):
+        cfg = McConfig(n=30, reps=300, seed=65)
+        null_distribution(StatisticSpec("S"), normal, cfg)
+        assert stats._pool.drawn[0][2:] == (65, _CAL, 0, 300)
+        evaluate(StatisticSpec("S"), np.arange(30.0))  # one row at the same n keeps it
+        assert stats._pool.drawn is not None
+        evaluate(StatisticSpec("S"), np.arange(31.0))
+        assert stats._pool.drawn is None
+
+    def test_a_refused_theta_leaves_the_next_call_correct(self, streams, normal):
+        spec = parse_statistic("KS", alpha=0.25)
+        cfg = McConfig(n=30, reps=300, seed=66)
+        fs, contam = get_alternative("fs", normal), get_alternative("contam", normal)
+        for model, bad in [(fs, -1.5), (contam, 1.5)]:
+            want = _fresh(spec, model, _EVAL, cfg, 0.3)
+            np.testing.assert_array_equal(_simulate(spec, model, 0.3, cfg, _EVAL), want)
+            with pytest.raises(ValueError):
+                _simulate(spec, model, bad, cfg, _EVAL)
+            assert stats._pool.drawn is None
+            np.testing.assert_array_equal(_simulate(spec, model, 0.3, cfg, _EVAL), want)
+
+    def test_the_kept_draws_are_read_only(self, contam_normal):
+        cfg = McConfig(n=30, reps=300, seed=67)
+        power(StatisticSpec("W"), contam_normal, 0.3, cfg)
+        draws = stats._pool.drawn[1]
+        assert draws.shape == (300, 30) and not draws.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            draws[0, 0] = 0.0
+
+    def test_threads_keep_their_own_slots(self, fs_normal):
+        spec = parse_statistic("NA_K_2", alpha=0.25)
+        cfgs = [McConfig(n=40, reps=300, seed=70 + i) for i in range(4)]
+        want = [_fresh(spec, fs_normal, _EVAL, cfg, 0.3) for cfg in cfgs]
+        got, kept = [[] for _ in cfgs], [None] * len(cfgs)
+        done = threading.Barrier(len(cfgs), timeout=60)
+
+        def simulate(i):
+            for _ in range(5):
+                got[i].append(_simulate(spec, fs_normal, 0.3, cfgs[i], _EVAL))
+            done.wait()  # every thread has kept its last draws
+            kept[i] = stats._pool.drawn[0]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=simulate, args=(i,)) for i in range(len(cfgs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, cfg in enumerate(cfgs):
+            for values in got[i]:
+                np.testing.assert_array_equal(values, want[i])
+            assert kept[i] == (fs_normal, (0.3,), cfg.seed, _EVAL, 0, 300)
 
 
 class TestChunkRunner:
