@@ -190,7 +190,7 @@ class Normal(SymmetricNull):
     def density_derivative(self, x):
         x = np.asarray(x, dtype=float)
         c = np.clip(x, -self._x_max, self._x_max)  # -0.5 x x overflows past it; exp is 0 there
-        return _as_float(-x * np.exp(-0.5 * c * c) / _SQRT_2PI)
+        return _as_float(-c * np.exp(-0.5 * c * c) / _SQRT_2PI)  # -c, not -x: -inf * 0 is NaN
 
     def cdf(self, x):
         return _as_float(special.ndtr(np.asarray(x, dtype=float)))

@@ -16,10 +16,12 @@ byte-identical with or without it.  Each thread draws and evaluates its
 chunks in its reused arrays (see :mod:`symlab.stats`) and keeps its last
 draws read-only, keyed by (model, theta, seed, purpose, chunk, rows), so
 consecutive one-chunk inline simulations (``reps <= 512``) of one model draw
-once across statistics; pooled calls start with empty worker threads.  On a
-2-core x86-64 VM, ``power`` for ``NA_K_4`` at n = 100 took 0.14-0.17 s inline
-and 0.10-0.13 s on two workers with 10^4 replications, cold; with 600 it took
-10-16 ms cold and 6-8 ms after another call on the same key.
+once across statistics, and center them once per trimming level until
+another statistic reuses the working rows; pooled calls start with empty
+worker threads.  On a 2-core x86-64 VM, ``power`` for ``NA_K_4`` at n = 100
+took 0.14-0.17 s inline and 0.10-0.13 s on two workers with 10^4
+replications, cold; with 600 it took 10-16 ms cold and 6-8 ms after another
+call on the same key.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def _simulate(
         buffer = _scratch(_DRAWS, rows, cfg.n, shape=(3, rows * cfg.n))  # drops the key at a new n
         key = (model, params, cfg.seed, purpose, chunk_index, rows)
         if _pool.drawn is None or _pool.drawn[0] != key:
-            _pool.drawn = None  # the slot is about to change; a refused theta leaves no key
+            _pool.drawn = _pool.centered = None  # the slot is about to change; a refused theta leaves no key
             rng = stream(cfg.seed, purpose, chunk_index)
             draws = model.sample(*params, rows * cfg.n, 0, rng=rng, out=buffer)
             draws.flags.writeable = False

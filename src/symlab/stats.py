@@ -29,10 +29,14 @@ A chunk of several rows runs in arrays the calling thread reuses from call to
 call (:func:`_scratch`): one set per row length ``n``, each array grown to the
 largest chunk seen at that ``n``, dropped at the next ``n``.  A single row gets
 fresh memory, and no returned array is a view of the set, but the thread
-keeps the counts of the last single row KS or BH/NA/MO evaluated, so a battery
-on one sample sorts it once (:func:`_magnitude_rows`): 32 bytes a value, about
-3 MB at ``n = 10**5``, resident until another row misses or the next ``n``.
-The next ``n`` also drops the key of the Monte Carlo draws in slot 5.
+keeps one entry for the last single row (:func:`_kept`): the sorted magnitudes
+and counts S, KS and BH/NA/MO read at one ``alpha``, and the mean, median and
+variance the moment kinds read, so a battery on one sample sorts it once (W
+sorts it again for the signs of its keys): 32 bytes a value, about 3 MB at
+``n = 10**5``, resident until another row misses or the next ``n``.  The next
+``n`` also drops the key of the Monte Carlo draws in slot 5 and the tag under
+which their centered rows stay in slot 0, so that the fixed-threshold members
+on one kept draw sort it once (:func:`_centered_rows`).
 
 The independent reference is :func:`brute_force`, a literal enumeration of
 every subset and outer index, exactly as the statistics are defined.  It is
@@ -232,12 +236,15 @@ def _scratch(slot: int, rows: int, n: int, dtype=float, shape=None) -> np.ndarra
     No two live arrays share a slot: 0 holds the rows, then ``a``; 1 the trim
     products, then the keys and ``z``; 2-4 flags and counts; 5 the Monte Carlo draws,
     whose key ``_pool.drawn`` (with the read-only draws) :mod:`symlab.montecarlo` keeps.
+    Handing out slot 0 drops the tag of the centered draws it holds (:func:`_centered_rows`).
     """
     shape = (rows, n) if shape is None else shape
     if getattr(_pool, "n", None) != n:
-        _pool.n, _pool.arrays, _pool.last, _pool.drawn = n, {}, None, None
+        _pool.n, _pool.arrays, _pool.last, _pool.drawn, _pool.centered = n, {}, None, None, None
     if rows == 1:
         return np.empty(shape, dtype)
+    if slot == 0:
+        _pool.centered = None
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     block = _pool.arrays.get(slot)
     if block is None or block.size < nbytes:
@@ -264,7 +271,7 @@ def _magnitude_counts(ys: np.ndarray):
     ``z = 0`` both are ``#{y < 0}``.
     """
     rows, n = ys.shape
-    # a single row's z, a and b are one fresh block, which :func:`_magnitude_rows` keeps; a
+    # a single row's z, a and b are one fresh block, which :func:`_kept` keeps; a
     # freed block this large lifts glibc's trim threshold, so later tails reuse the heap
     block = np.empty((3, 1, n), np.uint64) if rows == 1 else [
         _scratch(slot, rows, n, np.uint64) for slot in (1, 0, 2)]
@@ -341,8 +348,10 @@ def _count_rows(spec: StatisticSpec, ys: np.ndarray, t: float | None = None):
 
 
 def _count_magnitudes(spec: StatisticSpec, z: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """KS or BH/NA/MO per row off :func:`_magnitude_counts` (only read): values, sup arguments."""
+    """S, KS or BH/NA/MO per row off :func:`_magnitude_counts` (only read): values, sup arguments."""
     rows, n = z.shape
+    if spec.kind == "S":  # #{y > 0} = n - #{y < 0} - #{y == 0}
+        return (n - a[:, 0] - np.count_nonzero(z == 0.0, axis=1)) / n - 0.5, None
     if spec.kind == "KS":
         # n (F_n(s) + F_n(-s) - 1) is a + b - n just below s = z > 0 and
         # a + b' - n at s, where b' = #{y <= z} is the next key's b at the
@@ -384,35 +393,81 @@ def _count_magnitudes(spec: StatisticSpec, z: np.ndarray, a: np.ndarray, b: np.n
 
 
 def _centered_rows(samples: np.ndarray, alpha: float) -> np.ndarray:
-    """Each row sorted and centered at its ``alpha``-trimmed mean, in working slot 0."""
+    """Each row sorted and centered at its ``alpha``-trimmed mean, in working slot 0.
+
+    Centered kept draws (``_pool.drawn``) stay tagged ``(alpha, draws, rows)`` for the
+    next call on them at ``alpha``, until slot 0 is handed out, new draws or the next ``n``.
+    """
+    tag = getattr(_pool, "centered", None)
+    if tag is not None and tag[1] is samples and tag[0] == alpha:
+        return tag[2]
     rows, n = samples.shape
     work = _scratch(0, rows, n)
     np.copyto(work, samples)
     work.sort(axis=1)
     mu = np.multiply(work, trim_weights(n, alpha), out=_scratch(1, rows, n)).sum(axis=1)
-    return np.subtract(work, mu[:, None], out=work)
+    ys = np.subtract(work, mu[:, None], out=work)
+    if rows > 1 and _pool.drawn is not None and samples is _pool.drawn[1]:
+        _pool.centered = alpha, samples, ys
+    return ys
 
 
-def _magnitude_rows(spec: StatisticSpec, samples: np.ndarray):
-    """:func:`_count_magnitudes` of the centered rows; a single row's counts are kept.
+def _kept(samples: np.ndarray, part: int, tag, make, use):
+    """``use(make())``; a single row keeps ``make()`` read-only in the thread's one entry.
 
-    The thread's entry is keyed by the row's bits (-0.0 is not 0.0) and
-    ``alpha``, and read-only.  A miss drops it before sorting and copies the
-    new key after the statistic, off the peak of its band tables.
+    The entry ``[bits, counts, moments]`` is keyed by the row's bits (-0.0 is not 0.0); part
+    1 holds ``(alpha, (z, a, b))``, part 2 ``(None, (mean, median, variance))``.  A miss drops
+    the entry, or its part, before ``make``; the key is copied after ``use``, off its peak.
     """
-    rows = samples.shape[0]
-    last = getattr(_pool, "last", None) if rows == 1 else None
-    if last and last[0] == spec.alpha and np.array_equal(last[1], samples.view(np.uint64)):
-        return _count_magnitudes(spec, *last[2:])
-    if rows == 1:
+    if samples.shape[0] > 1:
+        return use(make())
+    last, bits = getattr(_pool, "last", None), samples.view(np.uint64)
+    if last is None or not np.array_equal(last[0], bits):
         _pool.last = last = None
-    counts = _magnitude_counts(_centered_rows(samples, spec.alpha))
-    values = _count_magnitudes(spec, *counts)
-    if rows == 1:
-        _pool.last = spec.alpha, samples.view(np.uint64).copy(), *counts
-        for array in _pool.last[1:]:
-            array.flags.writeable = False
+    elif last[part] is not None and last[part][0] == tag:
+        return use(last[part][1])
+    else:
+        last[part] = None
+    made = make()
+    values = use(made)  # np.take copies read-only indices
+    if last is None:
+        _pool.last = last = [bits.copy(), None, None]
+    last[part] = tag, made
+    for array in (last[0], *made):
+        array.flags.writeable = False
     return values
+
+
+def _moments(samples: np.ndarray):
+    """Each row's mean, median and mean squared deviation from the mean."""
+    rows, n = samples.shape
+    work = _scratch(0, rows, n)
+    np.copyto(work, samples)
+    xbar = samples.mean(axis=1)
+    med = np.median(work, axis=1, overwrite_input=True)
+    centered = np.subtract(samples, xbar[:, None], out=_scratch(1, rows, n))
+    return xbar, med, np.mean(np.square(centered, out=work), axis=1)
+
+
+def _moment_values(spec: StatisticSpec, samples: np.ndarray, moments) -> tuple:
+    """CM, GAMMA, MGG or SQRT_B1 per row off :func:`_moments`, and None."""
+    xbar, med, var = moments
+    if np.any(var <= 0.0):
+        raise DegenerateSampleError("sample variance is zero")
+    s = np.sqrt(var)
+    if spec.kind == "CM":
+        return (xbar - med) / s, None
+    if spec.kind == "GAMMA":
+        return 2.0 * (xbar - med), None
+    work = _scratch(1, *samples.shape)
+    if spec.kind == "MGG":
+        deviation = np.abs(np.subtract(samples, med[:, None], out=work), out=work)
+        j = math.sqrt(math.pi / 2.0) * np.mean(deviation, axis=1)
+        if np.any(j <= 0.0):
+            raise DegenerateSampleError("mean absolute deviation is zero")
+        return (xbar - med) / j, None
+    centered = np.subtract(samples, xbar[:, None], out=work)
+    return np.mean(np.power(centered, 3, out=centered), axis=1) / s**3, None
 
 
 def _check_rows(spec: StatisticSpec, samples: np.ndarray) -> None:
@@ -450,40 +505,22 @@ def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = N
     statistics sort each row, center it by its trimmed mean
     ``(xs * trim_weights(n, alpha)).sum(axis=1)`` (a row-wise sum, so one row
     alone and the same row inside any chunk get the same bits) and run
-    :func:`_count_rows` (S, W, members at ``t``) or :func:`_magnitude_rows`.
-    Moment statistics center with the row mean and median instead.  Returns
-    ``(values, sup_arguments)``, the arguments None but for a supremum.
+    :func:`_count_rows` (W, members at ``t``, S on a chunk) or :func:`_count_magnitudes`.
+    Moment statistics center with the row mean and median (:func:`_moments`) instead.
+    Returns ``(values, sup_arguments)``, the arguments None but for a supremum.
     """
     if t is not None and spec.family != SUPREMUM:
         raise ValueError("fixed thresholds apply to supremum-type statistics only")
     if t is not None and math.isnan(t := float(t)):
         raise ValueError("threshold t must not be NaN")
-    rows, n = samples.shape
     _check_rows(spec, samples)
-    if spec.family != MOMENT:
-        if t is None and spec.kind not in ("S", "W"):
-            return _magnitude_rows(spec, samples)
+    if spec.family == MOMENT:
+        return _kept(samples, 2, None, lambda: _moments(samples),
+                     lambda moments: _moment_values(spec, samples, moments))
+    if t is not None or spec.kind == "W" or (spec.kind == "S" and len(samples) > 1):
         return _count_rows(spec, _centered_rows(samples, spec.alpha), t)
-    work = _scratch(0, rows, n)
-    np.copyto(work, samples)
-    xbar = samples.mean(axis=1)
-    med = np.median(work, axis=1, overwrite_input=True)
-    centered = np.subtract(samples, xbar[:, None], out=_scratch(1, rows, n))
-    var = np.mean(np.square(centered, out=work), axis=1)
-    if np.any(var <= 0.0):
-        raise DegenerateSampleError("sample variance is zero")
-    s = np.sqrt(var)
-    if spec.kind == "CM":
-        return (xbar - med) / s, None
-    if spec.kind == "GAMMA":
-        return 2.0 * (xbar - med), None
-    if spec.kind == "MGG":
-        deviation = np.abs(np.subtract(samples, med[:, None], out=work), out=work)
-        j = math.sqrt(math.pi / 2.0) * np.mean(deviation, axis=1)
-        if np.any(j <= 0.0):
-            raise DegenerateSampleError("mean absolute deviation is zero")
-        return (xbar - med) / j, None
-    return np.mean(np.power(centered, 3, out=work), axis=1) / s**3, None
+    return _kept(samples, 1, spec.alpha, lambda: _magnitude_counts(_centered_rows(samples, spec.alpha)),
+                 lambda counts: _count_magnitudes(spec, *counts))
 
 
 # ---------------------------------------------------------------------------

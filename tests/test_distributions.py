@@ -174,6 +174,21 @@ class TestNullModels:
         with pytest.warns(RuntimeWarning, match="overflow"):
             closed(np.nextafter(cut, top))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_normal_density_derivative_at_infinity(self, normal):
+        # -x exp(-x x / 2) was -inf * 0 = NaN there, with a warning; the clipped
+        # argument gives the signed-zero limit and every finite argument its bits
+        top, cut = np.finfo(float).max, normal._x_max
+        x = np.array([0.0, 5e-324, 1e-8, 1.0, 37.0, np.nextafter(cut, 0.0), cut,
+                      np.nextafter(cut, top), 1e300, np.nextafter(top, 0.0), top])
+        x = np.concatenate([x, -x])
+        c = np.clip(x, -cut, cut)
+        before = -x * np.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
+        assert normal.density_derivative(x).view(np.int64).tolist() == before.view(np.int64).tolist()
+        limits = normal.density_derivative(np.array([np.inf, -np.inf]))
+        assert limits.tolist() == [0.0, 0.0] and np.signbit(limits).tolist() == [True, False]
+        assert [math.copysign(1.0, normal.density_derivative(v)) for v in (math.inf, -math.inf)] == [-1.0, 1.0]
+
     def test_normal_partial_first_moment_up_to_the_largest_float(self, normal):
         # -density(b) overflowed in -0.5 b b past _x_max; the moment is f(0) - f(b)
         top = np.finfo(float).max

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from symlab import stats
 from symlab._rng import stream
 from symlab.cli import main
 from symlab.distributions import get_alternative, get_null
+from symlab.efficiency import DEFAULT_TESTS
 from symlab.montecarlo import (
     _CAL,
     _EVAL,
@@ -87,11 +89,11 @@ def _chunk_by_chunk(reps, job):
     )
 
 
-def _fresh(spec, model, purpose, cfg, *theta):
+def _fresh(spec, model, purpose, cfg, *theta, t=None):
     # the reference simulation: every chunk drawn anew into fresh memory
     def job(i, rows):
         draws = model.sample(*theta, rows * cfg.n, 0, rng=stream(cfg.seed, purpose, i))
-        return evaluate_many(spec, draws.reshape(rows, cfg.n))
+        return evaluate_many(spec, draws.reshape(rows, cfg.n), t=t)
 
     return _chunk_by_chunk(cfg.reps, job)
 
@@ -109,11 +111,31 @@ def streams(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def centerings(monkeypatch):
+    """The ``(n, alpha)`` of each sort-and-center of a chunk or row the row path runs."""
+    calls = []
+    weights = stats.trim_weights
+
+    def counted(n, alpha):
+        calls.append((n, alpha))
+        return weights(n, alpha)
+
+    monkeypatch.setattr(stats, "trim_weights", counted)
+    return calls
+
+
 class TestDrawSlot:
     # a one-chunk simulation keeps its draws in the thread's working slot,
     # keyed by (model, theta, seed, purpose, chunk, rows); the next one on
     # the same key evaluates them again instead of drawing
     SPECS = [parse_statistic(name, alpha=0.25) for name in ("W", "NA_K_2", "KS", "CM")]
+    # the kept draws' sorted, centered rows stay in working slot 0, tagged
+    # (alpha, draws), for the next statistic on the same draws and alpha
+    MEMBERS = [parse_statistic(name, alpha=0.25) for name in DEFAULT_TESTS
+               if parse_statistic(name).family == "supremum"]
+    CHUNKS = [parse_statistic(name, alpha=0.25) for name in ("KS", "BH_I", "CM")]
+    T = 0.6
 
     @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
     def test_a_hit_equals_a_fresh_draw(self, streams, null_name):
@@ -220,6 +242,91 @@ class TestDrawSlot:
             for values in got[i]:
                 np.testing.assert_array_equal(values, want[i])
             assert kept[i] == (fs_normal, (0.3,), cfg.seed, _EVAL, 0, 300)
+
+    def test_members_in_any_order_equal_fresh_draws(self, centerings, normal, rng):
+        cfg = McConfig(n=60, reps=300, seed=81)
+        other = dataclasses.replace(self.MEMBERS[2], alpha=0.1)
+        calls = [(spec, self.T) for spec in self.MEMBERS + [other]]
+        calls += [(spec, None) for spec in self.CHUNKS]
+        want = [_fresh(spec, normal, _CAL, cfg, t=t) for spec, t in calls]
+        centerings.clear()
+        # all 7 members on one centering; then another alpha right after a member
+        # and a member right after each chunk, which overwrote slot 0
+        order = list(range(7)) + [7, 0, 8, 1, 9, 3, 10, 4]
+        for _ in range(4):
+            for i in order:
+                np.testing.assert_array_equal(null_distribution(calls[i][0], normal, cfg, t=calls[i][1]),
+                                              want[i])
+            order = rng.permutation(len(calls))
+        assert centerings[:2] == [(60, 0.25), (60, 0.1)]  # the first 7 members, then the other alpha
+        assert len(centerings) < 4 * len(calls)
+
+    def test_two_chunks_never_reuse(self, centerings, normal):
+        cfg = McConfig(n=40, reps=513, seed=82)  # a full chunk and a 1-row tail
+        want = [_fresh(spec, normal, _CAL, cfg, t=self.T) for spec in self.MEMBERS]
+        centerings.clear()
+        for _ in range(2):
+            for spec, values in zip(self.MEMBERS, want):
+                np.testing.assert_array_equal(null_distribution(spec, normal, cfg, t=self.T), values)
+        assert len(centerings) == 2 * 2 * len(self.MEMBERS)
+        assert stats._pool.centered is None  # the tail's draws replaced the tagged ones
+
+    def test_threads_keep_their_own_tags(self, fs_normal):
+        alphas = (0.1, 0.25, 0.4, 0.0)
+        cfgs = [McConfig(n=40, reps=300, seed=90 + i) for i in range(4)]
+        specs = [[dataclasses.replace(spec, alpha=alpha) for spec in self.MEMBERS] for alpha in alphas]
+        want = [[_fresh(spec, fs_normal, _EVAL, cfg, 0.3, t=self.T) for spec in row]
+                for row, cfg in zip(specs, cfgs)]
+        got, kept = [[] for _ in cfgs], [None] * len(cfgs)
+        done = threading.Barrier(len(cfgs), timeout=60)
+
+        def simulate(i):
+            for _ in range(3):
+                got[i].append([_simulate(spec, fs_normal, 0.3, cfgs[i], _EVAL, t=self.T)
+                               for spec in specs[i]])
+            done.wait()  # every thread has tagged its last centering
+            tag, drawn = stats._pool.centered, stats._pool.drawn
+            kept[i] = tag[0], tag[1] is drawn[1], drawn[0][2]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=simulate, args=(i,)) for i in range(len(cfgs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, cfg in enumerate(cfgs):
+            for run in got[i]:
+                for values, reference in zip(run, want[i]):
+                    np.testing.assert_array_equal(values, reference)
+            assert kept[i] == (alphas[i], True, cfg.seed)
+
+    def test_pooled_members_equal_the_inline_ones(self, monkeypatch, normal):
+        cfg = McConfig(n=40, reps=2048, seed=83)
+        calls = [(spec, self.T) for spec in self.MEMBERS] + [(self.CHUNKS[0], None), (self.MEMBERS[3], self.T)]
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(symlab.montecarlo, "_usable_cpus", lambda: cpus)
+            runs.append([null_distribution(spec, normal, cfg, t=t) for spec, t in calls])
+        for (spec, t), inline, pooled in zip(calls, *runs):
+            np.testing.assert_array_equal(inline, pooled)
+            np.testing.assert_array_equal(inline, _fresh(spec, normal, _CAL, cfg, t=t))
+
+    def test_a_reused_member_allocates_no_rows(self, centerings, normal):
+        cfg = McConfig(n=2000, reps=100, seed=84)
+        null_distribution(self.MEMBERS[0], normal, cfg, t=self.T)
+        centerings.clear()
+        tracemalloc.start()
+        try:
+            null_distribution(self.MEMBERS[3], normal, cfg, t=self.T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert centerings == [] and peak < cfg.reps * cfg.n * 8
 
 
 class TestChunkRunner:

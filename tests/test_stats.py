@@ -506,11 +506,13 @@ class TestMagnitudeCounts:
                     assert evaluate(spec, row).sup_argument == sup_argument(spec, row)
 
     @pytest.mark.parametrize(
-        "name, miss_mib, hit_mib", [("KS", 3.82, 1.02), ("NA_I_4", 6.11, 3.82), ("MO_I_2", 4.59, 3.06)]
+        "name, miss_mib, hit_mib",
+        [("KS", 3.82, 1.02), ("NA_I_4", 6.11, 3.82), ("MO_I_2", 4.59, 3.06), ("S", 3.82, 0.16),
+         ("CM", 1.53, 0.10), ("SQRT_B1", 1.53, 0.77)],
     )
     def test_peak_memory_at_a_long_row(self, name, miss_mib, hit_mib):
         # the traced peaks of a fresh long row (numpy 2.4.6), once with another
-        # row's counts in the working set and once with its own
+        # row's entry in the working set and once with its own
         spec = parse_statistic(name, alpha=0.25)
         rng = np.random.default_rng(1)
         _evaluate_rows(spec, rng.normal(size=(1, 100_000)))
@@ -571,7 +573,8 @@ class TestWorkingSet:
 
 
 class TestLastSample:
-    """A single row's counts serve the next statistic on the same row bits and alpha, and nothing else."""
+    """A single row's counts serve the next S, KS or BH/NA/MO statistic on the same row bits and
+    alpha, its moments the next moment kind on the same bits, and nothing else."""
 
     COUNTING = [name for name in ALL_IDS if name not in ("S", "W")]
 
@@ -600,18 +603,18 @@ class TestLastSample:
         x[zero] = 0.0  # rounding may have left -0.0 there
         spec = parse_statistic("NA_K_3", alpha=0.25)
         evaluate(spec, x)
-        entry = stats._pool.last
+        counts = stats._pool.last[1]
         evaluate(parse_statistic("KS", alpha=0.25), x.copy())
-        assert stats._pool.last is entry  # equal bits in another array hit
+        assert stats._pool.last[1] is counts  # equal bits in another array hit
         flipped = x.copy()
         flipped[zero] = -0.0
         changed = [(spec, flipped), (parse_statistic("NA_K_3", alpha=0.1), x), (spec, x[:-1])]
         for other, row in changed:
             evaluate(spec, x)
-            entry = stats._pool.last
+            counts = stats._pool.last[1]
             assert evaluate(other, row) == StatisticValue(*self.fresh(other, row))
-            assert stats._pool.last is not entry and stats._pool.last[0] == other.alpha
-            np.testing.assert_array_equal(stats._pool.last[1], row.view(np.uint64)[None, :])
+            assert stats._pool.last[1] is not counts and stats._pool.last[1][0] == other.alpha
+            np.testing.assert_array_equal(stats._pool.last[0], row.view(np.uint64)[None, :])
         evaluate_many(spec, rng.normal(size=(3, 50)))
         assert stats._pool.last is None  # dropped at the next n with the working set
 
@@ -625,6 +628,58 @@ class TestLastSample:
                 spec, t = calls[i]
                 assert self.single(spec, x, t) == want[i]
 
+    def test_the_default_battery_in_any_order_equals_fresh_rows(self, rng):
+        for x in (rng.normal(size=700), tied_rows(rng, 1, 301)[0]):
+            for alpha in (0.0, 0.25):
+                specs = [parse_statistic(name, alpha=alpha) for name in DEFAULT_TESTS]
+                want = [repr(self.fresh(spec, x)) for spec in specs]
+                for _ in range(4):
+                    for i in rng.permutation(len(specs)):
+                        assert repr(self.single(specs[i], x)) == want[i]
+
+    def test_s_equals_enumeration_at_zeros_and_one_value(self, rng):
+        # at n = 1, and at the median of integer rows, some centered values are exactly 0
+        samples = [rng.normal(size=1), np.zeros(1), np.array([-0.0]), np.array([-1.0, -0.0, 0.0, 1.0])]
+        samples += [row for n in (2, 6, 9, 14) for row in tied_rows(rng, 6, n)]
+        for x in samples:
+            for alpha in (0.0, 0.25, 0.5):
+                spec = parse_statistic("S", alpha=alpha)
+                want = brute_force(spec, x).value
+                stats._pool.last = None
+                assert evaluate(spec, x).value == want  # S makes the entry
+                assert evaluate(spec, x).value == want  # and reads it
+                evaluate(parse_statistic("KS", alpha=alpha), x.copy())  # another kind's entry
+                assert evaluate(spec, x).value == want
+
+    def test_moments_outlive_a_counting_kind_at_another_alpha(self, rng):
+        x = rng.normal(size=500)
+        evaluate(parse_statistic("CM"), x)
+        bits, _, moments = stats._pool.last
+        for name, alpha in [("KS", 0.1), ("NA_K_3", 0.25), ("S", 0.5)]:
+            evaluate(parse_statistic(name, alpha=alpha), x)
+            for kind in MOMENT_IDS:
+                spec = parse_statistic(kind, alpha=alpha)
+                assert self.single(spec, x) == self.fresh(spec, x)
+                assert stats._pool.last[0] is bits and stats._pool.last[2] is moments
+                assert stats._pool.last[1][0] == alpha
+
+    def test_a_changed_or_sign_flipped_row_misses(self, rng):
+        x = np.round(rng.normal(size=60) * 2.0) / 2.0
+        zero = np.flatnonzero(x == 0.0)[0]
+        x[zero] = 0.0
+        for name in ["S"] + MOMENT_IDS:
+            spec = parse_statistic(name, alpha=0.25)
+            flipped = x.copy()
+            flipped[zero] = -0.0
+            for row in (flipped, x):
+                evaluate(spec, x)
+                entry = stats._pool.last
+                if row is x:  # changed in place
+                    x[(zero + 1) % x.size] += 0.25
+                assert self.single(spec, row) == self.fresh(spec, row)
+                assert stats._pool.last is not entry
+                np.testing.assert_array_equal(stats._pool.last[0], row.view(np.uint64)[None, :])
+
     def test_threads_keep_their_own_entries(self, rng):
         samples = [rng.normal(size=2000) for _ in range(4)]
         specs = [parse_statistic(name, alpha=0.25) for name in self.COUNTING]
@@ -636,7 +691,7 @@ class TestLastSample:
             for _ in range(5):
                 got[i].append([self.single(spec, samples[i]) for spec in specs])
             done.wait()  # every thread has stored its last entry
-            kept[i] = stats._pool.last[1]
+            kept[i] = stats._pool.last[0]
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -690,12 +745,13 @@ class TestLastSample:
 
     def test_the_entry_is_read_only(self, rng):
         x = rng.normal(size=100)
-        for name in self.COUNTING:
+        for name in ["S"] + self.COUNTING + MOMENT_IDS:
             evaluate(parse_statistic(name, alpha=0.25), x)
-            for array in stats._pool.last[1:]:
+            bits, *parts = stats._pool.last
+            for array in [bits] + [array for part in parts if part for array in part[1]]:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
-                    array[0, 0] = 0
+                    array[..., 0] = 0
 
 
 class TestBandCounts:
