@@ -36,7 +36,9 @@ sorts it again for the signs of its keys): 32 bytes a value, about 3 MB at
 ``n = 10**5``, resident until another row misses or the next ``n``.  The next
 ``n`` also drops the key of the Monte Carlo draws in slot 5 and the tag under
 which their centered rows stay in slot 0, so that the fixed-threshold members
-on one kept draw sort it once (:func:`_centered_rows`).
+on one kept draw sort it once (:func:`_centered_rows`).  Band tables outlive
+both: every thread reads one read-only copy per ``(n, p, r_low, r_high)``,
+kept within 8 MiB for the process (:func:`_band_counts`).
 
 The independent reference is :func:`brute_force`, a literal enumeration of
 every subset and outer index, exactly as the statistics are defined.  It is
@@ -203,7 +205,7 @@ class StatisticValue:
 
 
 def _band_counts(n: int, p: int, r_low: int, r_high: int) -> np.ndarray:
-    """``D[m] = sum_{r_low <= j < r_high} C(m, j) C(n - m, p - j)`` for ``m = 0..n``.
+    """``D[m] = sum_{r_low <= j < r_high} C(m, j) C(n - m, p - j)`` for ``m = 0..n``, read-only.
 
     The ``p``-subsets whose ``r``-th order statistic lies in ``(-t, t)`` are
     those with at least ``r`` elements below ``t`` less those with at least
@@ -214,7 +216,17 @@ def _band_counts(n: int, p: int, r_low: int, r_high: int) -> np.ndarray:
     are at most ``C(n, p)``: int64 while ``2 C(n, p) < 2**63``, so doubled
     numerators fit, and Python ints beyond.  An int64 binomial past ``2**63``
     only multiplies zeros: two nonzero factors multiply to a term of ``C(n, p)``.
+
+    The process keeps each table read-only, keyed by the four arguments: they are
+    all it depends on, so none is ever invalidated.  Past ``_BAND_BYTES`` (8 MiB,
+    an object table's Python ints counted) the least recently used go, and a larger
+    table is built per call: 8 MiB resident at worst, plus tables callers hold.
     """
+    key = n, p, r_low, r_high
+    with _bands_lock:
+        if key in _bands:
+            _bands[key] = _bands.pop(key)  # now the most recently used
+            return _bands[key][0]
     dtype = np.int64 if 2 * math.comb(n, p) < 2**63 else object
     need = {i for j in range(r_low, r_high) for i in (j, p - j)}
     cols = {0: np.ones(n + 1, dtype)}
@@ -224,9 +236,19 @@ def _band_counts(n: int, p: int, r_low: int, r_high: int) -> np.ndarray:
     band = np.zeros(n + 1, dtype)
     for j in range(r_low, r_high):
         band += cols[j] * cols[p - j][::-1]
+    band.flags.writeable = False
+    size = band.nbytes + (sum(v.__sizeof__() for v in band) if dtype is object else 0)
+    with _bands_lock:
+        if size <= _BAND_BYTES:
+            _bands[key] = band, size
+        while sum(kept for _, kept in _bands.values()) > _BAND_BYTES:
+            del _bands[next(iter(_bands))]
     return band
 
 
+_BAND_BYTES = 2**23  # budget of the band tables every thread shares
+_bands: dict = {}  # (n, p, r_low, r_high) -> (read-only table, bytes), least recently used first
+_bands_lock = threading.Lock()
 _pool = threading.local()  # the calling thread's working set: its row length n and arrays
 
 
@@ -374,8 +396,12 @@ def _count_magnitudes(spec: StatisticSpec, z: np.ndarray, a: np.ndarray, b: np.n
         return np.maximum(b_at, b_left) / n, np.where(b_at >= b_left, g_at, g_left)
     band = _band_counts(n, spec.subset_size, *spec.order_pair)
     exact = band.dtype == np.int64  # else Python ints, gathered into fresh object arrays
-    num = np.take(band, b, mode="clip", out=_scratch(3, rows, n, np.int64) if exact else None)
-    num -= np.take(band, a, mode="clip", out=_scratch(4, rows, n, np.int64) if exact else None)
+    if rows == 1 or not exact:  # indexing, unlike np.take, gathers at read-only a and b without a copy
+        num = band[b]
+        num -= band[a]
+    else:
+        num = np.take(band, b, mode="clip", out=_scratch(3, rows, n, np.int64))
+        num -= np.take(band, a, mode="clip", out=_scratch(4, rows, n, np.int64))
     if not spec.kind.startswith("BH"):  # as in :func:`_count_rows`
         num *= 2
     if spec.family == SUPREMUM:  # threshold 0 is no jump: its entries drop to -1
@@ -429,7 +455,7 @@ def _kept(samples: np.ndarray, part: int, tag, make, use):
     else:
         last[part] = None
     made = make()
-    values = use(made)  # np.take copies read-only indices
+    values = use(made)
     if last is None:
         _pool.last = last = [bits.copy(), None, None]
     last[part] = tag, made

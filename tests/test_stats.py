@@ -506,16 +506,19 @@ class TestMagnitudeCounts:
                     assert evaluate(spec, row).sup_argument == sup_argument(spec, row)
 
     @pytest.mark.parametrize(
-        "name, miss_mib, hit_mib",
-        [("KS", 3.82, 1.02), ("NA_I_4", 6.11, 3.82), ("MO_I_2", 4.59, 3.06), ("S", 3.82, 0.16),
-         ("CM", 1.53, 0.10), ("SQRT_B1", 1.53, 0.77)],
+        "name, cold, miss_mib, hit_mib",
+        [("KS", False, 3.82, 1.02), ("NA_I_4", False, 3.82, 1.53), ("NA_I_4", True, 6.11, 1.53),
+         ("MO_I_2", False, 3.82, 1.53), ("MO_I_2", True, 4.59, 1.53), ("S", False, 3.82, 0.16),
+         ("CM", False, 1.53, 0.10), ("SQRT_B1", False, 1.53, 0.77)],
     )
-    def test_peak_memory_at_a_long_row(self, name, miss_mib, hit_mib):
+    def test_peak_memory_at_a_long_row(self, name, cold, miss_mib, hit_mib):
         # the traced peaks of a fresh long row (numpy 2.4.6), once with another
-        # row's entry in the working set and once with its own
+        # row's entry in the working set (and, if cold, no kept band table) and once with its own
         spec = parse_statistic(name, alpha=0.25)
         rng = np.random.default_rng(1)
         _evaluate_rows(spec, rng.normal(size=(1, 100_000)))
+        if cold:
+            stats._bands.clear()
         x = rng.normal(size=(1, 100_000))
         for mib in (miss_mib, hit_mib):
             tracemalloc.start()
@@ -758,15 +761,108 @@ class TestBandCounts:
     @pytest.mark.parametrize(
         "n, p, dtype",
         # an int64 table, an int64 table whose integral sums pass 2**63, Python ints
-        [(200, 6, np.int64), (100_000, 4, np.int64), (500, 10, object)],
+        # and the last int64 and first object tables of p = 4
+        [(200, 6, np.int64), (100_000, 4, np.int64), (500, 10, object), (102_570, 4, np.int64),
+         (102_571, 4, object)],
     )
     def test_matches_binomial_sums(self, n, p, dtype):
-        # the order pairs of NA_K_p and MO_K_(p/2)
+        # the order pairs of NA_K_p and MO_K_(p/2), built and then kept
         for r_low, r_high in [(1, p), (p // 2, p // 2 + 1)]:
+            stats._bands.pop((n, p, r_low, r_high), None)
             band = _band_counts(n, p, r_low, r_high)
             assert band.dtype == dtype
+            assert _band_counts(n, p, r_low, r_high) is band
             want = [
                 sum(math.comb(m, j) * math.comb(n - m, p - j) for j in range(r_low, r_high))
                 for m in range(n + 1)
             ]
             assert [int(d) for d in band] == want
+
+    @staticmethod
+    def kept_bytes():
+        return sum(size for _, size in stats._bands.values())
+
+    def test_a_kept_table_is_read_only_and_shared(self):
+        for p, args in [(4, (1, 4)), (10, (5, 6))]:  # an int64 and an object table at n = 500
+            band = _band_counts(500, p, *args)
+            assert not band.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                band[1] = 0
+            assert _band_counts(500, p, *args) is band
+            size = band.nbytes
+            if band.dtype == object:  # its Python ints count too
+                size += sum(sys.getsizeof(v) for v in band)
+            assert stats._bands[(500, p, *args)][1] == size
+
+    def test_the_budget_bounds_the_kept_bytes(self, monkeypatch):
+        stats._bands.clear()
+        over = (stats._BAND_BYTES // 8, 2, 1, 2)  # n + 1 int64 entries pass the budget
+        kept = _band_counts(1000, 2, 1, 2)
+        band = _band_counts(*over)
+        assert over not in stats._bands and _band_counts(*over) is not band
+        assert _band_counts(1000, 2, 1, 2) is kept  # and push out no kept table
+        for n in (1000, 10_000, 100_000, 2000):  # eval-long-rows: its 16 tables fit
+            x = np.random.default_rng(n).normal(size=n)
+            for name in DEFAULT_TESTS:
+                evaluate(parse_statistic(name, alpha=0.25), x)
+            evaluate_many(parse_statistic("NA_K_4", alpha=0.25), x[None, :], 0.7)
+        assert len(stats._bands) == 16 and self.kept_bytes() <= stats._BAND_BYTES
+        monkeypatch.setattr(stats, "_BAND_BYTES", 3 * 8 * 1001)  # three tables at n = 1000
+        for p, r in [(2, 1), (3, 1), (4, 1), (3, 1), (4, 2)]:  # (3, 1) is used again, (2, 1) goes
+            _band_counts(1000, p, r, r + 1)
+        assert list(stats._bands) == [(1000, 4, 1, 2), (1000, 3, 1, 2), (1000, 4, 2, 3)]
+
+    @pytest.mark.parametrize("n, k", [(300, 4), (500, 10)])  # int64, then object NA and MO tables
+    def test_no_reader_writes_into_a_kept_table(self, n, k, rng):
+        stats._bands.clear()
+        x = tied_rows(rng, 3, n)
+        for name in ["BH_I", "BH_K", f"NA_I_{k}", f"NA_K_{k}", f"MO_I_{k // 2}", f"MO_K_{k // 2}"]:
+            spec = parse_statistic(name)
+            for t in [None, 0.0, 0.7] if spec.family == "supremum" else [None]:
+                evaluate_many(spec, x, t)
+                _evaluate_rows(spec, x[:1], t)
+                _evaluate_rows(spec, x[:1], t)  # a hit on the kept counts
+        kept = {key: band for key, (band, _) in stats._bands.items()}
+        assert len(kept) == 3
+        dtypes = {band.dtype for (_, p, *_), band in kept.items() if p == k}
+        assert dtypes == {np.dtype(np.int64 if k == 4 else object)}
+        stats._bands.clear()
+        for key, band in kept.items():
+            assert [int(v) for v in band] == [int(v) for v in _band_counts(*key)]
+
+    def test_threads_at_different_n_equal_their_single_thread_results(self, rng, monkeypatch):
+        specs = [parse_statistic(name, alpha=0.25) for name in DEFAULT_TESTS]
+        samples = [rng.normal(size=n) for n in (400, 700, 1000, 1300)]
+        keys = [(2, 1, 2), (3, 1, 3), (4, 1, 4), (4, 2, 3)]  # the default battery's tables
+
+        def middles_of(n):
+            return [int(_band_counts(n, *key)[n // 2]) for key in keys]
+
+        want = [[evaluate(spec, x) for spec in specs] for x in samples]
+        want_middles = [middles_of(x.size) for x in samples]
+        monkeypatch.setattr(stats, "_BAND_BYTES", 6 * 8 * 1301)  # the threads evict each other
+        stats._bands.clear()
+        got, middles = [[] for _ in samples], [[] for _ in samples]
+        start = threading.Barrier(len(samples), timeout=60)
+
+        def battery(i):
+            start.wait()
+            for _ in range(1000):
+                middles[i].append(middles_of(samples[i].size))
+            for _ in range(3):
+                got[i].append([evaluate(spec, samples[i]) for spec in specs])
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=battery, args=(i,)) for i in range(len(samples))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[row] * 3 for row in want]
+        assert middles == [[row] * 1000 for row in want_middles]
+        assert self.kept_bytes() <= stats._BAND_BYTES
