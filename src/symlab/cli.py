@@ -42,6 +42,7 @@ EXIT_INPUT = 2
 EXIT_NOT_APPLICABLE = 3
 
 
+@functools.cache  # the installed version does not change within a process
 def _version() -> str:
     try:
         return metadata.version("symlab")

@@ -103,7 +103,7 @@ def trim_weights(n: int, alpha: float) -> np.ndarray:
         else:
             w[n // 2 - 1 : n // 2 + 1] = 0.5
         return w
-    grid = np.arange(n + 1) / n
+    grid = np.arange(n + 1, dtype=float) / n
     cut = np.clip(grid, alpha, 1.0 - alpha)
     # normalize by the realized span so the weights telescope to one exactly,
     # even when alpha sits within rounding distance of 1/2

@@ -15,24 +15,25 @@ That path has one centering and one moment block:
   ones) and reads every count at each threshold ``z = |y|`` off that order
   with flat accumulations, with no loop over rows.  A characterization
   statistic counts ``D[#{y < z}] - D[#{y <= -z}]`` subsets for one band
-  table ``D`` (:func:`_band_counts`), KS its one-sided limits, W sorted
-  positions.  Each row reduces to an integer numerator (the integral sum,
+  table ``D`` (:func:`_band_counts`), KS its one-sided limits, W the
+  positive values at each magnitude, paired with the smaller magnitudes and
+  one another.  Each row reduces to an integer numerator (the integral sum,
   the supremum with its maximizing threshold, or a family member at fixed
   ``t``), exact for every ``n`` and ``k``: int64 where it fits, Python ints
   beyond.
 * the moment statistics (CM, GAMMA, MGG, SQRT_B1) ignore the trimming
-  coefficient and center each unsorted row by its mean and median in one
-  block of axis-wise reductions; they need ``n >= 2`` and refuse a zero
-  variance or (MGG) a zero mean absolute deviation.
+  coefficient and center each row by its mean and median (the middle of a
+  sorted copy) in one block of axis-wise reductions; they need ``n >= 2``
+  and refuse a zero variance or (MGG) a zero mean absolute deviation.
 
 A chunk of several rows runs in arrays the calling thread reuses from call to
 call (:func:`_scratch`): one set per row length ``n``, each array grown to the
 largest chunk seen at that ``n``, dropped at the next ``n``.  A single row gets
 fresh memory, and no returned array is a view of the set, but the thread
 keeps one entry for the last single row (:func:`_kept`): the sorted magnitudes
-and counts S, KS and BH/NA/MO read at one ``alpha``, and the mean, median and
-variance the moment kinds read, so a battery on one sample sorts it once (W
-sorts it again for the signs of its keys): 32 bytes a value, about 3 MB at
+and counts S, W, KS and BH/NA/MO read at one ``alpha``, and the mean, median
+and variance the moment kinds read, so a battery on one sample sorts it once
+for its counts and once for its median: 32 bytes a value, about 3 MB at
 ``n = 10**5``, resident until another row misses or the next ``n``.  The next
 ``n`` also drops the key of the Monte Carlo draws in slot 5 and the tag under
 which their centered rows stay in slot 0, so that the fixed-threshold members
@@ -287,10 +288,11 @@ def _magnitude_keys(ys: np.ndarray, out=None) -> np.ndarray:
 def _magnitude_counts(ys: np.ndarray):
     """Each row's magnitudes ``z`` ascending, with ``a = #{y <= -z}`` and ``b = #{y < z}``.
 
-    Both counts start at the first key of ``z``'s run of equal magnitudes,
-    found by one flat ``maximum.accumulate`` over the chunk; ``a`` counts the
-    sign bits from there to the row's end, read off one flat ``cumsum``.  At
-    ``z = 0`` both are ``#{y < 0}``.
+    Both counts start at the first key of ``z``'s run of equal magnitudes:
+    ``a`` counts the sign bits from there to the row's end, read off one flat
+    ``cumsum``.  Each key starts its own run unless a row of the chunk repeats
+    a magnitude; then one flat ``maximum.accumulate`` carries each run's first
+    index and the counts are gathered there.  At ``z = 0`` both are ``#{y < 0}``.
     """
     rows, n = ys.shape
     # a single row's z, a and b are one fresh block, which :func:`_kept` keeps; a
@@ -302,18 +304,22 @@ def _magnitude_counts(ys: np.ndarray):
     step = block[2]
     np.bitwise_xor(flat[1:], flat[:-1], out=step.ravel()[1:])
     step >>= 1  # nonzero where a new magnitude starts (column 0 is multiplied by 0)
-    start = np.minimum(step, 1, out=step).view(np.int64)
-    start *= np.arange(n)
-    start += np.arange(0, keys.size, n)[:, None]
-    np.maximum.accumulate(start.ravel(), out=start.ravel())
+    tied = not step[:, 1:].all()  # every row's flags, before any becomes an index
+    if tied:  # carry each run's first index over its repeated magnitudes
+        start = np.minimum(step, 1, out=step).view(np.int64)
+        start *= np.arange(n)
+        start += np.arange(0, keys.size, n)[:, None]
+        np.maximum.accumulate(start.ravel(), out=start.ravel())
     neg = _scratch(3, rows, n, np.int64, (keys.size + 1,))  # sign bits before each key
     neg[0] = 0
     sign = np.bitwise_and(flat, 1, out=block[1].ravel())  # a chunk's ys is dead
     np.cumsum(sign.view(np.int64), out=neg[1:])
-    a = np.take(neg, start, mode="clip", out=block[1].view(np.int64))
-    np.subtract(neg[n::n, None], a, out=a)
-    b = np.subtract(start, np.arange(0, keys.size, n)[:, None], out=start)
-    b += a
+    a = block[1].view(np.int64)
+    first = np.take(neg, start, mode="clip", out=a) if tied else neg[:-1].reshape(rows, n)
+    np.subtract(neg[n::n, None], first, out=a)
+    del neg, first  # a single row's own memory, freed before its positions: its peak stays
+    b = np.subtract(start, np.arange(0, keys.size, n)[:, None], out=start) if tied else np.arange(n)
+    b = np.add(b, a, out=block[2].view(np.int64))
     keys >>= 1
     return keys.view(float), a, b
 
@@ -370,10 +376,15 @@ def _count_rows(spec: StatisticSpec, ys: np.ndarray, t: float | None = None):
 
 
 def _count_magnitudes(spec: StatisticSpec, z: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """S, KS or BH/NA/MO per row off :func:`_magnitude_counts` (only read): values, sup arguments."""
+    """S, W, KS or BH/NA/MO per row off :func:`_magnitude_counts` (only read): values, sup arguments."""
     rows, n = z.shape
     if spec.kind == "S":  # #{y > 0} = n - #{y < 0} - #{y == 0}
         return (n - a[:, 0] - np.count_nonzero(z == 0.0, axis=1)) / n - 0.5, None
+    if spec.kind == "W":  # a pair sums above 0 when its larger magnitude is positive: the
+        # m = #{y = z > 0} positives (at the last key of z's run, else 0) pair with the b - a
+        # smaller magnitudes and with one another, m (b - a) + m (m - 1) / 2 pairs
+        m = np.diff(b, append=n) * (z > 0.0)
+        return (m * (2 * (b - a) + m - 1)).sum(axis=1) // 2 / math.comb(n, 2) - 0.5, None
     if spec.kind == "KS":
         # n (F_n(s) + F_n(-s) - 1) is a + b - n just below s = z > 0 and
         # a + b' - n at s, where b' = #{y <= z} is the next key's b at the
@@ -470,7 +481,8 @@ def _moments(samples: np.ndarray):
     work = _scratch(0, rows, n)
     np.copyto(work, samples)
     xbar = samples.mean(axis=1)
-    med = np.median(work, axis=1, overwrite_input=True)
+    work.sort(axis=1)  # np.median's mean of the middle, bar a zero's sign (TestMedianBySort)
+    med = work[:, (n - 1) // 2 : n // 2 + 1].mean(axis=1)
     centered = np.subtract(samples, xbar[:, None], out=_scratch(1, rows, n))
     return xbar, med, np.mean(np.square(centered, out=work), axis=1)
 
@@ -531,7 +543,7 @@ def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = N
     statistics sort each row, center it by its trimmed mean
     ``(xs * trim_weights(n, alpha)).sum(axis=1)`` (a row-wise sum, so one row
     alone and the same row inside any chunk get the same bits) and run
-    :func:`_count_rows` (W, members at ``t``, S on a chunk) or :func:`_count_magnitudes`.
+    :func:`_count_rows` (members at ``t``, S and W on a chunk) or :func:`_count_magnitudes`.
     Moment statistics center with the row mean and median (:func:`_moments`) instead.
     Returns ``(values, sup_arguments)``, the arguments None but for a supremum.
     """
@@ -543,7 +555,7 @@ def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = N
     if spec.family == MOMENT:
         return _kept(samples, 2, None, lambda: _moments(samples),
                      lambda moments: _moment_values(spec, samples, moments))
-    if t is not None or spec.kind == "W" or (spec.kind == "S" and len(samples) > 1):
+    if t is not None or (spec.kind in ("S", "W") and len(samples) > 1):
         return _count_rows(spec, _centered_rows(samples, spec.alpha), t)
     return _kept(samples, 1, spec.alpha, lambda: _magnitude_counts(_centered_rows(samples, spec.alpha)),
                  lambda counts: _count_magnitudes(spec, *counts))

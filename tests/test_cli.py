@@ -466,6 +466,28 @@ class TestParser:
             assert out["value"] == 0.0 and out["reps"] == 400
         assert symlab.cli._build_parser() is symlab.cli._build_parser()
 
+    def test_the_version_is_looked_up_once_and_the_manifest_keeps_it(self, tmp_path, monkeypatch):
+        looked_up = []
+
+        def version(name):
+            looked_up.append(name)
+            return "9.8.7"
+
+        monkeypatch.setattr(symlab.cli.metadata, "version", version)
+        symlab.cli._version.cache_clear()
+        symlab.cli._build_parser.cache_clear()
+        try:
+            for name in ("a.csv", "b.csv"):  # the parser's --version string, then each manifest
+                out = tmp_path / name
+                args = ["index", "--null", "normal", "--alt", "contam", "--tests", "S", "--grid", "3"]
+                assert main([*args, "-o", str(out)]) == 0
+                manifest = json.loads(out.with_name(name + ".manifest.json").read_text())
+                assert manifest["tool_version"] == "9.8.7"
+        finally:
+            symlab.cli._version.cache_clear()
+            symlab.cli._build_parser.cache_clear()
+        assert looked_up == ["symlab"]
+
     def test_version_is_unchanged(self, capsys):
         for _ in range(2):
             with pytest.raises(SystemExit) as exc:

@@ -51,6 +51,21 @@ class TestTrimmedMean:
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) < 1e-12
 
+    def test_weights_equal_the_integer_grid_formula(self):
+        # the breakpoints i / n are taken from a float grid; i and n convert to float64
+        # exactly, so each quotient is the one the integer grid's divide rounds to
+        def integer_grid(n, alpha):
+            cut = np.clip(np.arange(n + 1) / n, alpha, 1.0 - alpha)
+            return np.diff(cut) / (cut[-1] - cut[0])
+
+        alphas = [0.0, 2.0**-54, 1e-9, 0.1, 0.25, 1 / 3, 0.49, 0.5 - 2.0**-53]
+        for n in [*range(1, 3001), 10**4, 10**5, 10**6]:
+            for alpha in alphas:
+                assert trim_weights(n, alpha).tobytes() == integer_grid(n, alpha).tobytes()
+            median = np.zeros(n)  # alpha = 1/2 takes the middle one or two order statistics
+            median[(n - 1) // 2 : n // 2 + 1] = 1.0 if n % 2 else 0.5
+            assert trim_weights(n, 0.5).tobytes() == median.tobytes()
+
     @given(
         data=st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=25),
         shift=st.floats(min_value=-20, max_value=20),

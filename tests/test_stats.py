@@ -505,11 +505,50 @@ class TestMagnitudeCounts:
                 for row in tied_rows(rng, 8, n):
                     assert evaluate(spec, row).sup_argument == sup_argument(spec, row)
 
+    @staticmethod
+    def ties_in(rng, rows: int, n: int, tied) -> np.ndarray:
+        """Normal rows, with no repeated value or magnitude but in the rows ``tied``: there a value
+        repeats (odd rows) or comes back negated (even rows)."""
+        x = rng.normal(size=(rows, n))
+        for r in tied:
+            i, j = rng.choice(n, size=2, replace=False)
+            x[r, j] = x[r, i] if r % 2 else -x[r, i]
+        return x
+
+    @pytest.mark.parametrize("where", ["nowhere", "after row 0", "in the last row"])
+    def test_ties_off_row_0_are_carried(self, where, rng):
+        # the carry of each run's first index is skipped only when no row of the
+        # chunk repeats a magnitude, which the flags of every row must decide (at
+        # alpha = 1/2 centering also makes the middle pair of an even row a +-pair)
+        for rows, n in [(2, 6), (5, 9), (8, 14), (512, 100)]:
+            tied = {"nowhere": [], "after row 0": range(1, rows), "in the last row": [rows - 1]}[where]
+            ys = np.sort(self.ties_in(rng, rows, n, tied), axis=1)
+            z, a, b = _magnitude_counts(ys)
+            want_z, want_a, want_b = searchsorted_counts(ys)
+            np.testing.assert_array_equal(z.view(np.int64), want_z.view(np.int64))
+            np.testing.assert_array_equal(a, want_a)
+            np.testing.assert_array_equal(b, want_b)
+            x = self.ties_in(rng, rows, n, tied)
+            x[list(tied), -1] = x[list(tied), 0]  # a value tie stays a magnitude tie after centering
+            for name in list(DEFAULT_TESTS[:15]) + ["NA_I_5", "MO_K_3"]:
+                for alpha in (0.0, 0.25, 0.5):
+                    spec = parse_statistic(name, alpha=alpha)
+                    if n < spec.kernel_order:
+                        continue
+                    values, args = _evaluate_rows(spec, x)
+                    for i in range(rows) if rows < 10 else (0, 1, rows - 2, rows - 1):
+                        want = evaluate(spec, x[i])
+                        assert repr(float(values[i])) == repr(want.value)
+                        if n <= 14:
+                            assert want.value == brute_force(spec, x[i]).value
+                        if args is not None:
+                            assert repr(float(args[i])) == repr(want.sup_argument)
+
     @pytest.mark.parametrize(
         "name, cold, miss_mib, hit_mib",
         [("KS", False, 3.82, 1.02), ("NA_I_4", False, 3.82, 1.53), ("NA_I_4", True, 6.11, 1.53),
          ("MO_I_2", False, 3.82, 1.53), ("MO_I_2", True, 4.59, 1.53), ("S", False, 3.82, 0.16),
-         ("CM", False, 1.53, 0.10), ("SQRT_B1", False, 1.53, 0.77)],
+         ("W", False, 3.82, 1.53), ("CM", False, 1.53, 0.10), ("SQRT_B1", False, 1.53, 0.77)],
     )
     def test_peak_memory_at_a_long_row(self, name, cold, miss_mib, hit_mib):
         # the traced peaks of a fresh long row (numpy 2.4.6), once with another
@@ -528,6 +567,60 @@ class TestMagnitudeCounts:
             finally:
                 tracemalloc.stop()
             assert peak <= mib * 2**20
+
+
+class TestMedianBySort:
+    """The moment kinds take the median as the mean of a sorted copy's middle one or two values,
+    the arithmetic of ``np.median``, which partitions instead.
+
+    Sorting and partitioning may leave 0.0 and -0.0 in different places, so the median could
+    come out as the other zero: the same value.  ``|x - med|`` is then equal either way, and
+    ``xbar - med`` differs only when ``xbar`` is -0.0: a row of -0.0 alone (zero variance,
+    refused) or a negative sum that the division by ``n`` rounds to -0.0, as in the subnormal
+    rows below, where only the sign of a zero CM, GAMMA or MGG could move.  numpy's sort and
+    partition place the zeros alike on every row here, so the tests pin every bit.
+    """
+
+    @staticmethod
+    def chunks(rng):
+        for n in (2, 3, 4, 7, 8, 14, 100, 101):
+            below, zeros = (n - 1) // 2, min(3, n - (n - 1) // 2)  # the middle holds zeros
+            middle = np.concatenate([-rng.random((6, below)) - 0.5, np.zeros((6, zeros)),
+                                     rng.random((6, n - below - zeros)) + 0.5], axis=1)
+            middle = rng.permuted(middle, axis=1)
+            k = max((n - 4) // 2, 0)  # +-v pairs, zeros, then -5e-324 last: a mean rounded to -0.0
+            v = rng.integers(1, 5, size=(6, k)) / 2.0
+            subnormal = np.concatenate([np.stack([v, -v], axis=2).reshape(6, 2 * k),
+                                        np.zeros((6, n - 1 - 2 * k)), np.full((6, 1), -5e-324)], axis=1)
+            for x in (rng.normal(size=(6, n)), tied_rows(rng, 6, n), middle, subnormal):
+                zero = x == 0.0
+                x[zero] = rng.choice([0.0, -0.0], size=np.count_nonzero(zero))  # of both signs
+                x = x[np.mean(np.square(x - x.mean(axis=1)[:, None]), axis=1) > 0.0]  # else refused
+                if len(x):
+                    yield x
+
+    def test_the_median_equals_np_median(self, rng):
+        for x in self.chunks(rng):
+            want = [repr(float(m)) for m in np.median(x, axis=1)]
+            assert [repr(float(m)) for m in stats._moments(x)[1]] == want
+            assert [repr(float(stats._moments(row[None, :])[1][0])) for row in x] == want
+
+    def test_the_median_kinds_equal_an_np_median_computation(self, rng):
+        seen_negative_zero_mean = False
+        for x in self.chunks(rng):
+            xbar = x.mean(axis=1)
+            seen_negative_zero_mean |= bool(np.any(np.signbit(xbar) & (xbar == 0.0)))
+            med = np.median(x, axis=1)
+            gap = xbar - med
+            mad = math.sqrt(math.pi / 2.0) * np.mean(np.abs(x - med[:, None]), axis=1)
+            want = {"CM": gap / np.sqrt(np.mean(np.square(x - xbar[:, None]), axis=1)),
+                    "GAMMA": 2.0 * gap, "MGG": gap / mad}
+            for name, values in want.items():
+                spec = parse_statistic(name)
+                expected = [repr(float(v)) for v in values]
+                assert [repr(float(v)) for v in evaluate_many(spec, x)] == expected
+                assert [repr(evaluate(spec, row).value) for row in x] == expected
+        assert seen_negative_zero_mean
 
 
 class TestWorkingSet:
@@ -576,10 +669,10 @@ class TestWorkingSet:
 
 
 class TestLastSample:
-    """A single row's counts serve the next S, KS or BH/NA/MO statistic on the same row bits and
+    """A single row's counts serve the next S, W, KS or BH/NA/MO statistic on the same row bits and
     alpha, its moments the next moment kind on the same bits, and nothing else."""
 
-    COUNTING = [name for name in ALL_IDS if name not in ("S", "W")]
+    COUNTING = [name for name in ALL_IDS if name != "S"]
 
     @staticmethod
     def fresh(spec, x, t=None):
@@ -640,19 +733,34 @@ class TestLastSample:
                     for i in rng.permutation(len(specs)):
                         assert repr(self.single(specs[i], x)) == want[i]
 
-    def test_s_equals_enumeration_at_zeros_and_one_value(self, rng):
+    @staticmethod
+    def check_enumeration_at_zeros(name, rng):
         # at n = 1, and at the median of integer rows, some centered values are exactly 0
-        samples = [rng.normal(size=1), np.zeros(1), np.array([-0.0]), np.array([-1.0, -0.0, 0.0, 1.0])]
+        samples = [rng.normal(size=1), np.zeros(1), np.array([-0.0]), np.array([0.0, -0.0]),
+                   np.array([-1.0, -0.0, 0.0, 1.0])]
         samples += [row for n in (2, 6, 9, 14) for row in tied_rows(rng, 6, n)]
         for x in samples:
             for alpha in (0.0, 0.25, 0.5):
-                spec = parse_statistic("S", alpha=alpha)
+                spec = parse_statistic(name, alpha=alpha)
+                if x.size < spec.kernel_order:  # W at n = 1: both refuse
+                    for path in (brute_force, evaluate):
+                        with pytest.raises(InsufficientSampleError):
+                            path(spec, x)
+                    continue
                 want = brute_force(spec, x).value
                 stats._pool.last = None
-                assert evaluate(spec, x).value == want  # S makes the entry
+                assert evaluate(spec, x).value == want  # it makes the entry
                 assert evaluate(spec, x).value == want  # and reads it
                 evaluate(parse_statistic("KS", alpha=alpha), x.copy())  # another kind's entry
                 assert evaluate(spec, x).value == want
+
+    def test_s_equals_enumeration_at_zeros_and_one_value(self, rng):
+        self.check_enumeration_at_zeros("S", rng)
+
+    def test_w_equals_enumeration_at_zeros_and_one_value(self, rng):
+        # W counts the positives at each magnitude, paired with the smaller magnitudes and one
+        # another, off the kept counts; a zero of either sign is no positive
+        self.check_enumeration_at_zeros("W", rng)
 
     def test_moments_outlive_a_counting_kind_at_another_alpha(self, rng):
         x = rng.normal(size=500)
