@@ -168,7 +168,7 @@ class SymmetricNull:
 
         With ``out``, a float64 ``(3, n)`` array (two rows suffice here), the
         uniforms and the draws are made in its rows, bit for bit as without;
-        the draws' row is returned.
+        the draws' row, never the first, is returned.
         """
         u, draws = _uniforms(n, seed, rng, 1, out)[:2]
         return self._quantile(u, out=draws)

@@ -13,15 +13,13 @@ read-only) keyed by (statistic, null, n, reps, seed), not by the level or the
 worker count, so consecutive calls on one key simulate it once (``symlab
 test`` runs :func:`p_value`, then :func:`critical_value`); results are
 byte-identical with or without it.  Each thread draws and evaluates its
-chunks in its reused arrays (see :mod:`symlab.stats`) and keeps its last
-draws read-only, keyed by (model, theta, seed, purpose, chunk, rows), so
-consecutive one-chunk inline simulations (``reps <= 512``) of one model draw
-once across statistics, and center them once per trimming level until
-another statistic reuses the working rows; pooled calls start with empty
-worker threads.  On a 2-core x86-64 VM, ``power`` for ``NA_K_4`` at n = 100
-took 0.14-0.17 s inline and 0.10-0.13 s on two workers with 10^4
-replications, cold; with 600 it took 10-16 ms cold and 6-8 ms after another
-call on the same key.
+chunks in its reused arrays, and keeps a chunk's draws as the sample of its
+one kept entry (see :mod:`symlab.stats`), so consecutive one-chunk inline
+simulations (``reps <= 512``) of one model draw once across statistics;
+pooled calls start with empty worker threads.  On a 2-core x86-64 VM,
+``power`` for ``NA_K_4`` at n = 100 took 0.14-0.17 s inline and 0.10-0.13 s
+on two workers with 10^4 replications, cold; with 600 it took 10-16 ms cold
+and 6-8 ms after another call on the same key.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ import numpy as np
 
 from ._rng import check_seed, stream
 from .distributions import AlternativeFamily, SymmetricNull
-from .stats import SUPREMUM, StatisticSpec, _pool, _scratch, evaluate, evaluate_many
+from .stats import SUPREMUM, StatisticSpec, _drawn, evaluate, evaluate_many
 
 __all__ = [
     "McConfig",
@@ -48,7 +46,6 @@ __all__ = [
 ]
 
 _CHUNK = 512
-_DRAWS = 5  # the working-set slot of a chunk's draws (stats uses 0-4)
 
 # stream purpose tags: calibration draws, evaluation draws, tie-break uniforms
 _CAL, _EVAL, _TIE = 0, 1, 2
@@ -103,15 +100,9 @@ def _simulate(
     params = () if theta is None else (theta,)  # a null model takes no theta
 
     def job(chunk_index: int, rows: int) -> np.ndarray:
-        buffer = _scratch(_DRAWS, rows, cfg.n, shape=(3, rows * cfg.n))  # drops the key at a new n
-        key = (model, params, cfg.seed, purpose, chunk_index, rows)
-        if _pool.drawn is None or _pool.drawn[0] != key:
-            _pool.drawn = _pool.centered = None  # the slot is about to change; a refused theta leaves no key
-            rng = stream(cfg.seed, purpose, chunk_index)
-            draws = model.sample(*params, rows * cfg.n, 0, rng=rng, out=buffer)
-            draws.flags.writeable = False
-            _pool.drawn = key, draws.reshape(rows, cfg.n)
-        return evaluate_many(spec, _pool.drawn[1], t=t)
+        key = model, params, cfg.seed, purpose, chunk_index, rows
+        return evaluate_many(spec, _drawn(key, rows, cfg.n, lambda out: model.sample(
+            *params, rows * cfg.n, 0, rng=stream(cfg.seed, purpose, chunk_index), out=out)), t=t)
 
     return _run_chunked(cfg.reps, job)
 

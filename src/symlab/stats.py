@@ -29,16 +29,16 @@ That path has one centering and one moment block:
 A chunk of several rows runs in arrays the calling thread reuses from call to
 call (:func:`_scratch`): one set per row length ``n``, each array grown to the
 largest chunk seen at that ``n``, dropped at the next ``n``.  A single row gets
-fresh memory, and no returned array is a view of the set, but the thread
-keeps one entry for the last single row (:func:`_kept`): the sorted magnitudes
-and counts S, W, KS and BH/NA/MO read at one ``alpha``, and the mean, median
-and variance the moment kinds read, so a battery on one sample sorts it once
-for its counts and once for its median: 32 bytes a value, about 3 MB at
-``n = 10**5``, resident until another row misses or the next ``n``.  The next
-``n`` also drops the key of the Monte Carlo draws in slot 5 and the tag under
-which their centered rows stay in slot 0, so that the fixed-threshold members
-on one kept draw sort it once (:func:`_centered_rows`).  Band tables outlive
-both: every thread reads one read-only copy per ``(n, p, r_low, r_high)``,
+fresh memory, and no returned array is a view of the set.  Each thread keeps
+one read-only entry for the last sample (:func:`_entry`): a single row, named
+by its bits (-0.0 is not 0.0), with the counts ``(z, a, b)`` S, W, KS and
+BH/NA/MO read at one ``alpha`` and the moments (mean, median, variance) of the
+moment kinds, 32 bytes a value; or a Monte Carlo chunk, named by its draw key,
+with its draws and their centered rows at one ``alpha`` (:func:`_drawn`).
+Another sample or ``n`` drops the entry, another ``alpha`` the part
+(:func:`_kept`), so a battery sorts its sample once for its counts and once for
+its median, and members on kept draws center them once.  Band tables outlive
+the entry: every thread reads one read-only copy per ``(n, p, r_low, r_high)``,
 kept within 8 MiB for the process (:func:`_band_counts`).
 
 The independent reference is :func:`brute_force`, a literal enumeration of
@@ -250,24 +250,21 @@ def _band_counts(n: int, p: int, r_low: int, r_high: int) -> np.ndarray:
 _BAND_BYTES = 2**23  # budget of the band tables every thread shares
 _bands: dict = {}  # (n, p, r_low, r_high) -> (read-only table, bytes), least recently used first
 _bands_lock = threading.Lock()
-_pool = threading.local()  # the calling thread's working set: its row length n and arrays
+_pool = threading.local()  # the calling thread's working set (row length n, arrays) and kept entry
 
 
 def _scratch(slot: int, rows: int, n: int, dtype=float, shape=None) -> np.ndarray:
     """Working array ``slot`` of a ``(rows, n)`` chunk, uninitialised, as ``shape`` (or ``(rows, n)``).
 
-    No two live arrays share a slot: 0 holds the rows, then ``a``; 1 the trim
-    products, then the keys and ``z``; 2-4 flags and counts; 5 the Monte Carlo draws,
-    whose key ``_pool.drawn`` (with the read-only draws) :mod:`symlab.montecarlo` keeps.
-    Handing out slot 0 drops the tag of the centered draws it holds (:func:`_centered_rows`).
+    No two live arrays share a slot: 0 holds the rows, then ``a``; 1 the trim products, then
+    the keys and ``z``; 2-4 flags and counts; 5 the kept draws and their centered rows.
     """
     shape = (rows, n) if shape is None else shape
     if getattr(_pool, "n", None) != n:
-        _pool.n, _pool.arrays, _pool.last, _pool.drawn, _pool.centered = n, {}, None, None, None
+        _pool.n, _pool.arrays = n, {}
+        _entry(None, n)  # a new n drops the kept entry too, unless it is being made at n
     if rows == 1:
         return np.empty(shape, dtype)
-    if slot == 0:
-        _pool.centered = None
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     block = _pool.arrays.get(slot)
     if block is None or block.size < nbytes:
@@ -429,50 +426,61 @@ def _count_magnitudes(spec: StatisticSpec, z: np.ndarray, a: np.ndarray, b: np.n
     return _char_values(spec, n, total), None
 
 
-def _centered_rows(samples: np.ndarray, alpha: float) -> np.ndarray:
-    """Each row sorted and centered at its ``alpha``-trimmed mean, in working slot 0.
-
-    Centered kept draws (``_pool.drawn``) stay tagged ``(alpha, draws, rows)`` for the
-    next call on them at ``alpha``, until slot 0 is handed out, new draws or the next ``n``.
-    """
-    tag = getattr(_pool, "centered", None)
-    if tag is not None and tag[1] is samples and tag[0] == alpha:
-        return tag[2]
-    rows, n = samples.shape
-    work = _scratch(0, rows, n)
-    np.copyto(work, samples)
-    work.sort(axis=1)
-    mu = np.multiply(work, trim_weights(n, alpha), out=_scratch(1, rows, n)).sum(axis=1)
-    ys = np.subtract(work, mu[:, None], out=work)
-    if rows > 1 and _pool.drawn is not None and samples is _pool.drawn[1]:
-        _pool.centered = alpha, samples, ys
-    return ys
+def _entry(key, n: int) -> dict:
+    """The thread's kept entry if its sample is ``key`` at row length ``n``, else a new empty one."""
+    entry = getattr(_pool, "entry", None) or {"key": None, "n": None}
+    if not (type(entry["key"]) is type(key) and entry["n"] == n and (
+            np.array_equal(entry["key"], key) if isinstance(key, np.ndarray) else entry["key"] == key)):
+        entry = _pool.entry = {"key": None, "n": n}  # the one rule that drops the entry
+    return entry
 
 
-def _kept(samples: np.ndarray, part: int, tag, make, use):
-    """``use(make())``; a single row keeps ``make()`` read-only in the thread's one entry.
+def _drawn(key, rows: int, n: int, draw) -> np.ndarray:
+    """The kept read-only draws of the Monte Carlo chunk ``key``: on a miss, the row ``draw(out)``
+    returns of a ``(3, rows * n)`` block of working slot 5, never its first row."""
+    entry = _entry(key, n)
+    if "draws" not in entry:  # a refused draw stores no key
+        draws = draw(_scratch(5, rows, n, shape=(3, rows * n))).reshape(rows, n)
+        draws.flags.writeable = False
+        entry.update(key=key, draws=draws)
+    return entry["draws"]
 
-    The entry ``[bits, counts, moments]`` is keyed by the row's bits (-0.0 is not 0.0); part
-    1 holds ``(alpha, (z, a, b))``, part 2 ``(None, (mean, median, variance))``.  A miss drops
-    the entry, or its part, before ``make``; the key is copied after ``use``, off its peak.
-    """
-    if samples.shape[0] > 1:
+
+def _kept(samples: np.ndarray, part: str, tag, make, use):
+    """``use(make())``, with ``make()`` kept read-only as the entry's ``part`` at ``tag``: another tag
+    drops the part before ``make``, and a new row's bits are copied after ``use``, off its peak."""
+    if len(samples) > 1 and part != "centered":  # a chunk's counts and moments are in the working set
         return use(make())
-    last, bits = getattr(_pool, "last", None), samples.view(np.uint64)
-    if last is None or not np.array_equal(last[0], bits):
-        _pool.last = last = None
-    elif last[part] is not None and last[part][0] == tag:
-        return use(last[part][1])
-    else:
-        last[part] = None
+    entry = getattr(_pool, "entry", None) or {}
+    if samples is not entry.get("draws"):
+        entry = _entry(samples.view(np.uint64)[0], samples.shape[1])
+    if part in entry and entry[part][0] == tag:
+        return use(entry[part][1])
+    entry.pop(part, None)
     made = make()
     values = use(made)
-    if last is None:
-        _pool.last = last = [bits.copy(), None, None]
-    last[part] = tag, made
-    for array in (last[0], *made):
+    if entry["key"] is None:
+        entry["key"] = np.frombuffer(samples.tobytes(), np.uint64)  # read-only
+    entry[part] = tag, made
+    for array in made:
         array.flags.writeable = False
     return values
+
+
+def _centered_rows(samples: np.ndarray, alpha: float) -> np.ndarray:
+    """Each row sorted and centered at its ``alpha``-trimmed mean, in working slot 0; the kept
+    draws in the first row of their block instead, kept there at ``alpha``."""
+    rows, n = samples.shape
+    drawn = samples is (getattr(_pool, "entry", None) or {}).get("draws")
+
+    def center():
+        work = _scratch(5, rows, n, shape=(3, rows, n))[0] if drawn else _scratch(0, rows, n)
+        np.copyto(work, samples)
+        work.sort(axis=1)
+        mu = np.multiply(work, trim_weights(n, alpha), out=_scratch(1, rows, n)).sum(axis=1)
+        return (np.subtract(work, mu[:, None], out=work),)
+
+    return _kept(samples, "centered", alpha, center, lambda made: made[0]) if drawn else center()[0]
 
 
 def _moments(samples: np.ndarray):
@@ -553,11 +561,11 @@ def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = N
         raise ValueError("threshold t must not be NaN")
     _check_rows(spec, samples)
     if spec.family == MOMENT:
-        return _kept(samples, 2, None, lambda: _moments(samples),
+        return _kept(samples, "moments", None, lambda: _moments(samples),
                      lambda moments: _moment_values(spec, samples, moments))
     if t is not None or (spec.kind in ("S", "W") and len(samples) > 1):
         return _count_rows(spec, _centered_rows(samples, spec.alpha), t)
-    return _kept(samples, 1, spec.alpha, lambda: _magnitude_counts(_centered_rows(samples, spec.alpha)),
+    return _kept(samples, "counts", spec.alpha, lambda: _magnitude_counts(_centered_rows(samples, spec.alpha)),
                  lambda counts: _count_magnitudes(spec, *counts))
 
 

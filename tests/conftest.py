@@ -2,13 +2,43 @@ import numpy as np
 import pytest
 
 import symlab.montecarlo
+from symlab import stats
+from symlab._rng import stream
 from symlab.distributions import get_alternative, get_null
 
 
 @pytest.fixture(autouse=True)
 def cold_null_cache():
-    """Start every test without cached null simulations, whatever ran before it."""
+    """Start every test without cached null simulations or a kept sample, whatever ran before it."""
     symlab.montecarlo._sorted_null.cache_clear()
+    stats._pool.entry = None  # the calling thread's; other threads start without one
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """The ``(seed, purpose, chunk)`` of each stream the Monte Carlo harness opens."""
+    calls = []
+
+    def counted(seed, *key):
+        calls.append((seed, *key))
+        return stream(seed, *key)
+
+    monkeypatch.setattr(symlab.montecarlo, "stream", counted)
+    return calls
+
+
+@pytest.fixture
+def centerings(monkeypatch):
+    """The ``(n, alpha)`` of each sort-and-center of a chunk or row the row path runs."""
+    calls = []
+    weights = stats.trim_weights
+
+    def counted(n, alpha):
+        calls.append((n, alpha))
+        return weights(n, alpha)
+
+    monkeypatch.setattr(stats, "trim_weights", counted)
+    return calls
 
 
 @pytest.fixture

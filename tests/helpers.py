@@ -12,6 +12,8 @@ sort of sign-tagged magnitudes per chunk.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -102,6 +104,38 @@ def searchsorted_counts(ys: np.ndarray):
         row_a[:] = np.where(row_z > 0.0, y.searchsorted(-row_z, "right"), y.searchsorted(0.0))
         row_b[:] = y.searchsorted(row_z, "left")
     return z, a, b
+
+
+def run_in_threads(target, count: int) -> list:
+    """``[target(i) for i in range(count)]``, each call in its own thread under a 1 us switch interval.
+
+    The threads start their calls together at a barrier and are joined within a minute each;
+    an exception a call raised is raised here.
+    """
+    results, errors = [None] * count, []
+    start = threading.Barrier(count, timeout=60)
+
+    def run(i):
+        try:
+            start.wait()
+            results[i] = target(i)
+        except Exception as error:  # raised again in the calling thread
+            errors.append(error)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    if errors:
+        raise errors[0]
+    return results
 
 
 def mc_projection(

@@ -370,6 +370,7 @@ class TestSamplers:
         drawn = model.sample(*theta, n, 17, out=buf)
         assert drawn.view(np.uint64).tolist() == fresh.view(np.uint64).tolist()
         assert np.shares_memory(drawn, buf) and not np.shares_memory(fresh, buf)
+        assert not np.shares_memory(drawn, buf[0])  # the first row is free for the centered draws
         # a reused buffer holds no trace of the last draws; out=None allocates afresh
         again = model.sample(*theta, n, 17, out=buf)
         assert again.view(np.uint64).tolist() == fresh.view(np.uint64).tolist()

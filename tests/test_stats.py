@@ -1,16 +1,18 @@
 import math
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, rule, run_state_machine_as_test
 
-from helpers import exact_counting_value, searchsorted_counts, sup_argument
-from symlab import stats
+from helpers import exact_counting_value, run_in_threads, searchsorted_counts, sup_argument
+from symlab import montecarlo, stats
+from symlab.distributions import get_alternative, get_null
 from symlab.efficiency import DEFAULT_TESTS
+from symlab.montecarlo import _CAL, _EVAL, McConfig, _simulate, null_distribution, power
 from symlab.errors import DegenerateSampleError, InsufficientSampleError
 from symlab.stats import (
     _band_counts,
@@ -670,7 +672,8 @@ class TestWorkingSet:
 
 class TestLastSample:
     """A single row's counts serve the next S, W, KS or BH/NA/MO statistic on the same row bits and
-    alpha, its moments the next moment kind on the same bits, and nothing else."""
+    alpha, its moments the next moment kind on the same bits; the kept-state machine below checks
+    the values of any order of calls."""
 
     COUNTING = [name for name in ALL_IDS if name != "S"]
 
@@ -684,54 +687,6 @@ class TestLastSample:
     def single(spec, x, t=None):
         values, args = _evaluate_rows(spec, np.asarray(x)[None, :], t)
         return float(values[0]), None if args is None else float(args[0])
-
-    def test_an_array_changed_in_place_is_evaluated_anew(self, rng):
-        x = rng.normal(size=300)
-        for name in self.COUNTING:
-            spec = parse_statistic(name, alpha=0.25)
-            assert self.single(spec, x) == self.fresh(spec, x)
-            x[int(rng.integers(300))] = rng.normal() * 3.0
-            assert self.single(spec, x) == self.fresh(spec, x)
-
-    def test_only_the_same_bits_and_alpha_hit(self, rng):
-        x = np.round(rng.normal(size=40))
-        zero = np.flatnonzero(x == 0.0)[0]
-        x[zero] = 0.0  # rounding may have left -0.0 there
-        spec = parse_statistic("NA_K_3", alpha=0.25)
-        evaluate(spec, x)
-        counts = stats._pool.last[1]
-        evaluate(parse_statistic("KS", alpha=0.25), x.copy())
-        assert stats._pool.last[1] is counts  # equal bits in another array hit
-        flipped = x.copy()
-        flipped[zero] = -0.0
-        changed = [(spec, flipped), (parse_statistic("NA_K_3", alpha=0.1), x), (spec, x[:-1])]
-        for other, row in changed:
-            evaluate(spec, x)
-            counts = stats._pool.last[1]
-            assert evaluate(other, row) == StatisticValue(*self.fresh(other, row))
-            assert stats._pool.last[1] is not counts and stats._pool.last[1][0] == other.alpha
-            np.testing.assert_array_equal(stats._pool.last[0], row.view(np.uint64)[None, :])
-        evaluate_many(spec, rng.normal(size=(3, 50)))
-        assert stats._pool.last is None  # dropped at the next n with the working set
-
-    def test_other_statistics_in_any_order_change_no_output(self, rng):
-        x = tied_rows(rng, 1, 500)[0]
-        calls = [(parse_statistic(name, alpha=0.25), None) for name in ALL_IDS + MOMENT_IDS]
-        calls += [(spec, t) for spec, _ in calls if spec.family == "supremum" for t in (0.0, 0.7)]
-        want = {i: self.fresh(spec, x, t) for i, (spec, t) in enumerate(calls)}
-        for _ in range(4):
-            for i in rng.permutation(len(calls)):
-                spec, t = calls[i]
-                assert self.single(spec, x, t) == want[i]
-
-    def test_the_default_battery_in_any_order_equals_fresh_rows(self, rng):
-        for x in (rng.normal(size=700), tied_rows(rng, 1, 301)[0]):
-            for alpha in (0.0, 0.25):
-                specs = [parse_statistic(name, alpha=alpha) for name in DEFAULT_TESTS]
-                want = [repr(self.fresh(spec, x)) for spec in specs]
-                for _ in range(4):
-                    for i in rng.permutation(len(specs)):
-                        assert repr(self.single(specs[i], x)) == want[i]
 
     @staticmethod
     def check_enumeration_at_zeros(name, rng):
@@ -748,7 +703,6 @@ class TestLastSample:
                             path(spec, x)
                     continue
                 want = brute_force(spec, x).value
-                stats._pool.last = None
                 assert evaluate(spec, x).value == want  # it makes the entry
                 assert evaluate(spec, x).value == want  # and reads it
                 evaluate(parse_statistic("KS", alpha=alpha), x.copy())  # another kind's entry
@@ -762,62 +716,18 @@ class TestLastSample:
         # another, off the kept counts; a zero of either sign is no positive
         self.check_enumeration_at_zeros("W", rng)
 
-    def test_moments_outlive_a_counting_kind_at_another_alpha(self, rng):
-        x = rng.normal(size=500)
-        evaluate(parse_statistic("CM"), x)
-        bits, _, moments = stats._pool.last
-        for name, alpha in [("KS", 0.1), ("NA_K_3", 0.25), ("S", 0.5)]:
-            evaluate(parse_statistic(name, alpha=alpha), x)
-            for kind in MOMENT_IDS:
-                spec = parse_statistic(kind, alpha=alpha)
-                assert self.single(spec, x) == self.fresh(spec, x)
-                assert stats._pool.last[0] is bits and stats._pool.last[2] is moments
-                assert stats._pool.last[1][0] == alpha
-
-    def test_a_changed_or_sign_flipped_row_misses(self, rng):
-        x = np.round(rng.normal(size=60) * 2.0) / 2.0
-        zero = np.flatnonzero(x == 0.0)[0]
-        x[zero] = 0.0
-        for name in ["S"] + MOMENT_IDS:
-            spec = parse_statistic(name, alpha=0.25)
-            flipped = x.copy()
-            flipped[zero] = -0.0
-            for row in (flipped, x):
-                evaluate(spec, x)
-                entry = stats._pool.last
-                if row is x:  # changed in place
-                    x[(zero + 1) % x.size] += 0.25
-                assert self.single(spec, row) == self.fresh(spec, row)
-                assert stats._pool.last is not entry
-                np.testing.assert_array_equal(stats._pool.last[0], row.view(np.uint64)[None, :])
-
     def test_threads_keep_their_own_entries(self, rng):
         samples = [rng.normal(size=2000) for _ in range(4)]
         specs = [parse_statistic(name, alpha=0.25) for name in self.COUNTING]
         want = [[self.fresh(spec, x) for spec in specs] for x in samples]
-        got, kept = [[] for _ in samples], [None] * len(samples)
-        done = threading.Barrier(len(samples), timeout=60)
 
         def battery(i):
-            for _ in range(5):
-                got[i].append([self.single(spec, samples[i]) for spec in specs])
-            done.wait()  # every thread has stored its last entry
-            kept[i] = stats._pool.last[0]
+            got = [[self.single(spec, samples[i]) for spec in specs] for _ in range(5)]
+            return got, stats._pool.entry["key"]
 
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=battery, args=(i,)) for i in range(len(samples))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(thread.is_alive() for thread in threads)
-        for i in range(len(samples)):
-            assert got[i] == [want[i]] * 5
-            np.testing.assert_array_equal(kept[i], samples[i].view(np.uint64)[None, :])
+        for i, (got, key) in enumerate(run_in_threads(battery, len(samples))):
+            assert got == [want[i]] * 5
+            np.testing.assert_array_equal(key, samples[i].view(np.uint64))
 
     def test_a_repeated_sample_equals_enumeration(self, rng):
         for alpha in (0.0, 0.25, 0.5):
@@ -858,11 +768,167 @@ class TestLastSample:
         x = rng.normal(size=100)
         for name in ["S"] + self.COUNTING + MOMENT_IDS:
             evaluate(parse_statistic(name, alpha=0.25), x)
-            bits, *parts = stats._pool.last
-            for array in [bits] + [array for part in parts if part for array in part[1]]:
+            entry = stats._pool.entry
+            for array in [entry["key"]] + [array for part in ("counts", "moments") if part in entry
+                                           for array in entry[part][1]]:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     array[..., 0] = 0
+
+
+@st.composite
+def machine_rows(draw):
+    """A sample of 1, 2, 7 or 20 values: floats (subnormals and zeros of both signs among them),
+    ties, or at n = 7 a row of +-v pairs, two zeros and -5e-324, whose mean rounds to -0.0 and
+    whose median is a zero (as in TestMedianBySort)."""
+    n = draw(st.sampled_from([1, 2, 7, 20]))
+    if n == 7 and draw(st.booleans()):
+        v = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=2, max_size=2))
+        zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=2, max_size=2))
+        return np.array([v[0], -v[0], v[1], -v[1], *zeros, -5e-324])
+    ties = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 5e-324, -5e-324])
+    return np.array(draw(st.lists(ties | st.floats(-4.0, 4.0), min_size=n, max_size=n)))
+
+
+MACHINE_SPECS = st.builds(parse_statistic, st.sampled_from(list(DEFAULT_TESTS) + ["NA_I_5", "MO_K_3"]),
+                          st.sampled_from([0.0, 0.25, 0.5]))
+BATTERIES = st.lists(MACHINE_SPECS, min_size=1, max_size=3)  # statistics on one sample in turn
+THRESHOLDS = st.sampled_from([0.0, 0.5, 0.7, 1.5])
+THETAS = st.sampled_from([0.0, 0.3, 0.6, 1.5, -1.5])  # contam refuses 1.5, both -1.5
+# a simulation changes at most one part of the last one, so that consecutive simulations
+# often differ in one part of the draw key, or in the statistic or alpha alone
+SIMULATION_PARTS = st.one_of(*(st.tuples(st.just(part), values) for part, values in {
+    "null": st.sampled_from(["normal", "logistic", "cauchy"]),
+    "kind": st.sampled_from([None, "fs", "contam"]),
+    "theta": THETAS,
+    "seed": st.integers(0, 2),
+    "reps": st.sampled_from([300, 513]),  # one chunk; a full chunk and a 1-row tail
+    "n": st.sampled_from([1, 2, 7, 20]),
+}.items()))
+
+
+def outcome(call):
+    """What ``call()`` gives, comparable repr for repr and byte for byte: its result or its refusal."""
+    try:
+        value = call()
+    except ValueError as error:
+        return "refused", type(error), str(error)
+    if isinstance(value, np.ndarray):
+        return "array", value.dtype, value.shape, value.tobytes()
+    return "value", repr(value)
+
+
+class KeptState(RuleBasedStateMachine):
+    """Evaluations and simulations in any order give what each gives alone in a fresh thread.
+
+    A sample is evaluated again after one of its values changes in place or its zeros flip
+    between 0.0 and -0.0, and a simulation differs from the last one in one part at a time,
+    so the kept entry meets every near miss.
+    """
+
+    samples = Bundle("samples")
+
+    def __init__(self):
+        super().__init__()
+        vars(stats._pool).clear()  # each run starts as a fresh thread does, so a failure replays
+        montecarlo._sorted_null.cache_clear()
+        self.last = {"null": "normal", "kind": None, "theta": 0.3, "seed": 0, "reps": 300, "n": 7}
+
+    @staticmethod
+    def check(call, row=None):
+        got = outcome(call)
+        if row is not None and got[0] != "refused":
+            # no value depends on the sign of a zero in the data (numpy's sums start at +0.0), so
+            # only the entry's key shows that a row with its zeros flipped missed
+            assert stats._pool.entry["key"].tobytes() == row.tobytes()
+        montecarlo._sorted_null.cache_clear()
+        assert got == run_in_threads(lambda i: outcome(call), 1)[0]
+
+    def simulation(self, change=None):
+        self.last.update([change] if change else [])
+        sim = self.last
+        null = get_null(sim["null"])
+        cfg = McConfig(n=sim["n"], reps=sim["reps"], seed=sim["seed"])
+        return null, cfg, sim["kind"], sim["theta"]
+
+    @rule(target=samples, x=machine_rows())
+    def new_sample(self, x):
+        return x
+
+    @rule(x=samples, battery=BATTERIES, change=st.none() | st.just("flip") | st.tuples(
+        st.integers(0, 19), st.floats(-4.0, 4.0)))
+    def evaluate(self, x, battery, change):
+        for spec in battery:
+            self.check(lambda: evaluate(spec, x), row=x)
+        if change == "flip":  # the zeros' signs flipped in place
+            x[x == 0.0] *= -1.0
+        elif change is not None:  # one value changed in place
+            x[change[0] % x.size] = change[1]
+        if change is not None:
+            for spec in battery:
+                self.check(lambda: evaluate(spec, x), row=x)
+
+    @rule(x=samples, rows=st.integers(1, 3), battery=BATTERIES, t=st.none() | THRESHOLDS)
+    def evaluate_many(self, x, rows, battery, t):
+        chunk = np.stack([x, -x, x[::-1]])[:rows]
+        for spec in battery:
+            member = t if spec.family == "supremum" else None
+            row = x if rows == 1 and member is None else None  # a row the entry keeps
+            self.check(lambda: evaluate_many(spec, chunk, member), row=row)
+
+    @rule(battery=BATTERIES, t=st.none() | THRESHOLDS, steps=st.lists(
+        st.tuples(st.none() | SIMULATION_PARTS, st.booleans()), min_size=3, max_size=3))
+    def null_distribution(self, battery, t, steps):
+        for spec, (change, evaluation) in zip(battery, steps):
+            null, cfg, kind, theta = self.simulation(change)
+            member = t if spec.family == "supremum" else None
+            if not evaluation:
+                self.check(lambda: null_distribution(spec, null, cfg, member))
+            elif kind is None:  # the null's evaluation draws: its calibration key but for the purpose
+                self.check(lambda: _simulate(spec, null, None, cfg, _EVAL, member))
+            else:  # the alternative draws of power
+                alt = get_alternative(kind, null)
+                self.check(lambda: _simulate(spec, alt, theta, cfg, _EVAL, member))
+
+    @rule(spec=MACHINE_SPECS, change=SIMULATION_PARTS, curve=st.lists(THETAS, max_size=2))
+    def power(self, spec, change, curve):
+        null, cfg, kind, theta = self.simulation(change)
+        alt = get_alternative(kind or "fs", null)
+        for theta in [theta, *curve]:  # a power curve: its calibration is cached after the first
+            self.check(lambda: power(spec, alt, theta, cfg))
+
+
+def test_kept_state_changes_no_result():
+    run_state_machine_as_test(KeptState, settings=settings(max_examples=60, stateful_step_count=25,
+                                                           deadline=None))
+
+
+@pytest.mark.full
+def test_kept_state_changes_no_result_at_length():
+    run_state_machine_as_test(KeptState, settings=settings(max_examples=600, stateful_step_count=25,
+                                                           deadline=None))
+
+
+@pytest.mark.parametrize("reuse", ["battery", "members", "draws"])
+def test_each_kept_reuse_fires(reuse, streams, centerings, normal):
+    """The reuses the benchmark runs on: one centering of a sample for the counting kinds of the
+    default battery; one draw and one centering for the 7 members of the default battery at
+    n = 2000 with 100 replications; one draw for a 300-rep simulation across statistics."""
+    if reuse == "battery":
+        x = np.random.default_rng(5).normal(size=10_000)
+        for name in DEFAULT_TESTS:
+            evaluate(parse_statistic(name, alpha=0.25), x)
+        assert (streams, centerings) == ([], [(10_000, 0.25)])
+    elif reuse == "members":
+        cfg = McConfig(n=2000, reps=100, seed=84)
+        for name in SUP_IDS:
+            null_distribution(parse_statistic(name, alpha=0.25), normal, cfg, t=0.6)
+        assert (streams, centerings) == ([(84, _CAL, 0)], [(2000, 0.25)])
+    else:
+        cfg = McConfig(n=40, reps=300, seed=61)
+        for name in ("W", "NA_K_2", "KS", "CM", "S", "SQRT_B1"):
+            null_distribution(parse_statistic(name, alpha=0.25), normal, cfg)
+        assert (streams, centerings) == ([(61, _CAL, 0)], [(40, 0.25)])
 
 
 class TestBandCounts:
@@ -950,27 +1016,12 @@ class TestBandCounts:
         want_middles = [middles_of(x.size) for x in samples]
         monkeypatch.setattr(stats, "_BAND_BYTES", 6 * 8 * 1301)  # the threads evict each other
         stats._bands.clear()
-        got, middles = [[] for _ in samples], [[] for _ in samples]
-        start = threading.Barrier(len(samples), timeout=60)
 
         def battery(i):
-            start.wait()
-            for _ in range(1000):
-                middles[i].append(middles_of(samples[i].size))
-            for _ in range(3):
-                got[i].append([evaluate(spec, samples[i]) for spec in specs])
+            middles = [middles_of(samples[i].size) for _ in range(1000)]
+            return [[evaluate(spec, samples[i]) for spec in specs] for _ in range(3)], middles
 
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=battery, args=(i,)) for i in range(len(samples))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(thread.is_alive() for thread in threads)
-        assert got == [[row] * 3 for row in want]
-        assert middles == [[row] * 1000 for row in want_middles]
+        runs = run_in_threads(battery, len(samples))
+        assert [got for got, _ in runs] == [[row] * 3 for row in want]
+        assert [middles for _, middles in runs] == [[row] * 1000 for row in want_middles]
         assert self.kept_bytes() <= stats._BAND_BYTES
