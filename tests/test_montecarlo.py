@@ -101,9 +101,106 @@ class TestDrawSlot:
     # a one-chunk simulation keeps its read-only draws in the thread's entry, keyed by
     # (model, theta, seed, purpose, chunk, rows) at n, with their sorted, centered rows at
     # one alpha; the kept-state machine in test_stats.py checks the values of any order of calls
+    SPECS = [parse_statistic(name, alpha=0.25) for name in ("W", "NA_K_2", "KS", "CM")]
     MEMBERS = [parse_statistic(name, alpha=0.25) for name in DEFAULT_TESTS
                if parse_statistic(name).family == "supremum"]
+    CHUNKS = [parse_statistic(name, alpha=0.25) for name in ("KS", "BH_I", "CM")]
     T = 0.6
+
+    @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+    def test_a_hit_equals_a_fresh_draw(self, streams, null_name):
+        null = get_null(null_name)
+        cfg = McConfig(n=30, reps=300, seed=61)
+        models = [(null, _CAL, ())] + [
+            (get_alternative(kind, null), _EVAL, (theta,))
+            for kind in ("fs", "contam") for theta in (0.0, 0.3)
+        ]
+        for model, purpose, theta in models:
+            want = [_fresh(spec, model, purpose, cfg, *theta) for spec in self.SPECS]
+            streams.clear()
+            for _ in range(2):
+                for spec, values in zip(self.SPECS, want):
+                    got = _simulate(spec, model, *(theta or (None,)), cfg, purpose)
+                    np.testing.assert_array_equal(got, values)
+            assert streams == [(cfg.seed, purpose, 0)]
+
+    def test_every_part_of_the_key_misses(self, streams, normal, logistic):
+        spec = parse_statistic("NA_K_2", alpha=0.25)
+        fs = get_alternative("fs", normal)
+        cfg = McConfig(n=30, reps=300, seed=62)
+        others = [
+            (fs, 0.3, dataclasses.replace(cfg, seed=63), _EVAL),
+            (fs, 0.2, cfg, _EVAL),
+            (get_alternative("contam", normal), 0.3, cfg, _EVAL),
+            (get_alternative("fs", logistic), 0.3, cfg, _EVAL),
+            (fs, 0.3, cfg, _CAL),
+            (fs, 0.3, dataclasses.replace(cfg, n=31), _EVAL),
+            (fs, 0.3, dataclasses.replace(cfg, reps=301), _EVAL),
+            (fs, 0.3, dataclasses.replace(cfg, reps=513), _EVAL),  # a 1-row tail chunk
+        ]
+        for other in others:
+            for model, theta, run, purpose in [(fs, 0.3, cfg, _EVAL), other] * 2:
+                streams.clear()
+                got = _simulate(spec, model, theta, run, purpose)
+                np.testing.assert_array_equal(got, _fresh(spec, model, purpose, run, theta))
+                assert len(streams) == -(-run.reps // 512)  # every chunk drawn
+
+    def test_null_distribution_and_power_draw_apart(self, streams, normal):
+        # a null model's calibration draws and its evaluation draws share
+        # everything but the stream purpose
+        spec = parse_statistic("W", alpha=0.1)
+        cfg = McConfig(n=40, reps=300, seed=64)
+        for purpose in (_CAL, _EVAL, _CAL):
+            got = _simulate(spec, normal, None, cfg, purpose)
+            np.testing.assert_array_equal(got, _fresh(spec, normal, purpose, cfg))
+        assert streams == [(64, _CAL, 0), (64, _EVAL, 0), (64, _CAL, 0)]
+
+    def test_an_evaluation_at_another_n_drops_the_key(self, normal):
+        cfg = McConfig(n=30, reps=300, seed=65)
+        null_distribution(StatisticSpec("S"), normal, cfg)
+        assert stats._pool.entry["key"][2:] == (65, _CAL, 0, 300)
+        evaluate(StatisticSpec("S"), np.arange(31.0))
+        assert "draws" not in stats._pool.entry and stats._pool.entry["n"] == 31
+
+    def test_a_refused_theta_leaves_the_next_call_correct(self, streams, normal):
+        spec = parse_statistic("KS", alpha=0.25)
+        cfg = McConfig(n=30, reps=300, seed=66)
+        fs, contam = get_alternative("fs", normal), get_alternative("contam", normal)
+        for model, bad in [(fs, -1.5), (contam, 1.5)]:
+            want = _fresh(spec, model, _EVAL, cfg, 0.3)
+            np.testing.assert_array_equal(_simulate(spec, model, 0.3, cfg, _EVAL), want)
+            with pytest.raises(ValueError):
+                _simulate(spec, model, bad, cfg, _EVAL)
+            assert "draws" not in stats._pool.entry and stats._pool.entry["key"] is None
+            np.testing.assert_array_equal(_simulate(spec, model, 0.3, cfg, _EVAL), want)
+
+    def test_members_in_any_order_equal_fresh_draws(self, centerings, normal, rng):
+        cfg = McConfig(n=60, reps=300, seed=81)
+        other = dataclasses.replace(self.MEMBERS[2], alpha=0.1)
+        calls = [(spec, self.T) for spec in self.MEMBERS + [other]]
+        calls += [(spec, None) for spec in self.CHUNKS]
+        want = [_fresh(spec, normal, _CAL, cfg, t=t) for spec, t in calls]
+        centerings.clear()
+        # all 7 members on one centering; then another alpha right after a member
+        # and a member right after each chunk
+        order = list(range(7)) + [7, 0, 8, 1, 9, 3, 10, 4]
+        for _ in range(4):
+            for i in order:
+                np.testing.assert_array_equal(null_distribution(calls[i][0], normal, cfg, t=calls[i][1]),
+                                              want[i])
+            order = rng.permutation(len(calls))
+        assert centerings[:2] == [(60, 0.25), (60, 0.1)]  # the first 7 members, then the other alpha
+        assert len(centerings) < 4 * len(calls)
+
+    def test_two_chunks_never_reuse(self, centerings, normal):
+        cfg = McConfig(n=40, reps=513, seed=82)  # a full chunk and a 1-row tail
+        want = [_fresh(spec, normal, _CAL, cfg, t=self.T) for spec in self.MEMBERS]
+        centerings.clear()
+        for _ in range(2):
+            for spec, values in zip(self.MEMBERS, want):
+                np.testing.assert_array_equal(null_distribution(spec, normal, cfg, t=self.T), values)
+        assert len(centerings) == 2 * 2 * len(self.MEMBERS)
+        assert stats._pool.entry["key"][4:] == (1, 1)  # the tail's draws replaced the full chunk's
 
     def test_the_kept_draws_are_read_only(self, contam_normal):
         cfg = McConfig(n=30, reps=300, seed=67)
@@ -149,8 +246,7 @@ class TestDrawSlot:
 
     def test_pooled_members_equal_the_inline_ones(self, monkeypatch, normal):
         cfg = McConfig(n=40, reps=2048, seed=83)
-        ks = parse_statistic("KS", alpha=0.25)
-        calls = [(spec, self.T) for spec in self.MEMBERS] + [(ks, None), (self.MEMBERS[3], self.T)]
+        calls = [(spec, self.T) for spec in self.MEMBERS] + [(self.CHUNKS[0], None), (self.MEMBERS[3], self.T)]
         runs = []
         for cpus in (1, 2):
             monkeypatch.setattr(symlab.montecarlo, "_usable_cpus", lambda: cpus)

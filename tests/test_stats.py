@@ -688,6 +688,85 @@ class TestLastSample:
         values, args = _evaluate_rows(spec, np.asarray(x)[None, :], t)
         return float(values[0]), None if args is None else float(args[0])
 
+    def test_an_array_changed_in_place_is_evaluated_anew(self, rng):
+        x = rng.normal(size=300)
+        for name in self.COUNTING:
+            spec = parse_statistic(name, alpha=0.25)
+            assert self.single(spec, x) == self.fresh(spec, x)
+            x[int(rng.integers(300))] = rng.normal() * 3.0
+            assert self.single(spec, x) == self.fresh(spec, x)
+
+    def test_only_the_same_bits_and_alpha_hit(self, rng):
+        x = np.round(rng.normal(size=40))
+        zero = np.flatnonzero(x == 0.0)[0]
+        x[zero] = 0.0  # rounding may have left -0.0 there
+        spec = parse_statistic("NA_K_3", alpha=0.25)
+        evaluate(spec, x)
+        counts = stats._pool.entry["counts"]
+        evaluate(parse_statistic("KS", alpha=0.25), x.copy())
+        assert stats._pool.entry["counts"] is counts  # equal bits in another array hit
+        flipped = x.copy()
+        flipped[zero] = -0.0
+        changed = [(spec, flipped), (parse_statistic("NA_K_3", alpha=0.1), x), (spec, x[:-1])]
+        for other, row in changed:
+            evaluate(spec, x)
+            counts = stats._pool.entry["counts"]
+            assert evaluate(other, row) == StatisticValue(*self.fresh(other, row))
+            entry = stats._pool.entry
+            assert entry["counts"] is not counts and entry["counts"][0] == other.alpha
+            np.testing.assert_array_equal(entry["key"], row.view(np.uint64))
+        evaluate_many(spec, rng.normal(size=(3, 50)))
+        assert stats._pool.entry == {"key": None, "n": 50}  # dropped at the next n with the working set
+
+    def test_other_statistics_in_any_order_change_no_output(self, rng):
+        x = tied_rows(rng, 1, 500)[0]
+        calls = [(parse_statistic(name, alpha=0.25), None) for name in ALL_IDS + MOMENT_IDS]
+        calls += [(spec, t) for spec, _ in calls if spec.family == "supremum" for t in (0.0, 0.7)]
+        want = {i: self.fresh(spec, x, t) for i, (spec, t) in enumerate(calls)}
+        for _ in range(4):
+            for i in rng.permutation(len(calls)):
+                spec, t = calls[i]
+                assert self.single(spec, x, t) == want[i]
+
+    def test_the_default_battery_in_any_order_equals_fresh_rows(self, rng):
+        for x in (rng.normal(size=700), tied_rows(rng, 1, 301)[0]):
+            for alpha in (0.0, 0.25):
+                specs = [parse_statistic(name, alpha=alpha) for name in DEFAULT_TESTS]
+                want = [repr(self.fresh(spec, x)) for spec in specs]
+                for _ in range(4):
+                    for i in rng.permutation(len(specs)):
+                        assert repr(self.single(specs[i], x)) == want[i]
+
+    def test_moments_outlive_a_counting_kind_at_another_alpha(self, rng):
+        x = rng.normal(size=500)
+        evaluate(parse_statistic("CM"), x)
+        entry = stats._pool.entry
+        key, moments = entry["key"], entry["moments"]
+        for name, alpha in [("KS", 0.1), ("NA_K_3", 0.25), ("S", 0.5)]:
+            evaluate(parse_statistic(name, alpha=alpha), x)
+            for kind in MOMENT_IDS:
+                spec = parse_statistic(kind, alpha=alpha)
+                assert self.single(spec, x) == self.fresh(spec, x)
+                assert stats._pool.entry["key"] is key and stats._pool.entry["moments"] is moments
+                assert stats._pool.entry["counts"][0] == alpha
+
+    def test_a_changed_or_sign_flipped_row_misses(self, rng):
+        x = np.round(rng.normal(size=60) * 2.0) / 2.0
+        zero = np.flatnonzero(x == 0.0)[0]
+        x[zero] = 0.0
+        for name in ["S"] + MOMENT_IDS:
+            spec = parse_statistic(name, alpha=0.25)
+            flipped = x.copy()
+            flipped[zero] = -0.0
+            for row in (flipped, x):
+                evaluate(spec, x)
+                entry = stats._pool.entry
+                if row is x:  # changed in place
+                    x[(zero + 1) % x.size] += 0.25
+                assert self.single(spec, row) == self.fresh(spec, row)
+                assert stats._pool.entry is not entry
+                np.testing.assert_array_equal(stats._pool.entry["key"], row.view(np.uint64))
+
     @staticmethod
     def check_enumeration_at_zeros(name, rng):
         # at n = 1, and at the median of integer rows, some centered values are exactly 0
