@@ -47,14 +47,19 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+def _mass(square: float) -> float:
+    """``square / (1 + square)``, or its limit 1 where ``square`` overflowed (inf/inf is NaN)."""
+    return square / (1.0 + square) if square < math.inf else 1.0
+
+
 def _as_float(x):
     """Return a float for scalar input, an ndarray otherwise."""
     arr = np.asarray(x, dtype=float)
     return float(arr) if arr.ndim == 0 else arr
 
 
-def _uniforms(n: int, seed: int, rng: np.random.Generator | None, count: int, out=None):
-    """The rows of ``out`` (or ``count + 1`` fresh arrays), the first ``count`` drawn from ``rng``.
+def _uniforms(n: int, seed: int, rng: np.random.Generator | None, count: int):
+    """``count + 1`` fresh arrays of ``n``, the first ``count`` drawn from ``rng``, the last for the draws.
 
     The sampling preamble of every model (``rng`` is ``stream(seed, 0)`` if None):
     the last uniforms feed an inverse CDF, so they are clipped into ``[2^-53, 1 - 2^-53]``.
@@ -63,11 +68,9 @@ def _uniforms(n: int, seed: int, rng: np.random.Generator | None, count: int, ou
         raise ValueError("sample size must be at least 1")
     if rng is None:
         rng = stream(seed, 0)
-    rows = [np.empty(n) for _ in range(count + 1)] if out is None else out
-    for row in rows[:count]:
-        rng.random(n, out=row)
-    np.clip(rows[count - 1], 2.0**-53, 1.0 - 2.0**-53, out=rows[count - 1])
-    return rows
+    rows = [rng.random(n, out=np.empty(n)) for _ in range(count)]
+    np.clip(rows[-1], 2.0**-53, 1.0 - 2.0**-53, out=rows[-1])
+    return rows + [np.empty(n)]
 
 
 class SymmetricNull:
@@ -163,14 +166,13 @@ class SymmetricNull:
         raise NotImplementedError
 
     # -- sampling ---------------------------------------------------------
-    def sample(self, n: int, seed: int, rng: np.random.Generator | None = None, out=None):
-        """``n`` i.i.d. draws by inverse CDF; deterministic given ``seed``.
+    def sample(self, n: int, seed: int, rng: np.random.Generator | None = None):
+        """``n`` i.i.d. draws by inverse CDF, in a fresh array; deterministic given ``seed``.
 
-        With ``out``, a float64 ``(3, n)`` array (two rows suffice here), the
-        uniforms and the draws are made in its rows, bit for bit as without;
-        the draws' row, never the first, is returned.
+        ``rng``, if given, replaces ``stream(seed, 0)``.  The sampler allocates
+        the uniforms and the draws and nothing else of their size.
         """
-        u, draws = _uniforms(n, seed, rng, 1, out)[:2]
+        u, draws = _uniforms(n, seed, rng, 1)
         return self._quantile(u, out=draws)
 
     def __repr__(self) -> str:
@@ -388,9 +390,9 @@ class AlternativeFamily:
         raise NotImplementedError
 
     def sample(
-        self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None, out=None
+        self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None
     ) -> np.ndarray:
-        """``n`` draws at ``theta``, with ``out`` as in :meth:`SymmetricNull.sample`."""
+        """``n`` draws at ``theta`` in a fresh array, as in :meth:`SymmetricNull.sample`."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -426,7 +428,7 @@ class FernandezSteel(AlternativeFamily):
     def cdf(self, x, theta: float):
         theta = self._check_theta(theta)
         gamma = 1.0 + theta
-        mass_neg = gamma * gamma / (1.0 + gamma * gamma)
+        mass_neg = _mass(gamma * gamma)
         x = np.asarray(x, dtype=float)
         neg = 2.0 * mass_neg * np.asarray(self.base.cdf(x / gamma))
         pos = mass_neg + (2.0 / (1.0 + gamma * gamma)) * (
@@ -445,13 +447,13 @@ class FernandezSteel(AlternativeFamily):
         return _as_float(np.where(x <= 0.0, F - xf, 1.0 - F + xf))
 
     def sample(
-        self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None, out=None
+        self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None
     ) -> np.ndarray:
         theta = self._check_theta(theta)
-        side, u, half = _uniforms(n, seed, rng, 2, out)
+        side, u, half = _uniforms(n, seed, rng, 2)
         gamma = 1.0 + theta
         # every bit set (the sign bit shifted through) where side < mass_neg: the draws mirrored
-        negative = np.subtract(side, gamma * gamma / (1.0 + gamma * gamma), out=side).view(np.int64)
+        negative = np.subtract(side, _mass(gamma * gamma), out=side).view(np.int64)
         negative >>= 63  # onto x < 0
         # 0.5 + 0.5 u rounds to 1 at the top uniform 1 - 2^-53 alone; the cap moves no other draw
         np.minimum(np.add(np.multiply(u, 0.5, out=u), 0.5, out=u), 1.0 - 2.0**-53, out=u)
@@ -500,10 +502,10 @@ class Contamination(AlternativeFamily):
         return _as_float(np.asarray(self.base.cdf(x - 1.0)) - np.asarray(self.base.cdf(x)))
 
     def sample(
-        self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None, out=None
+        self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None
     ) -> np.ndarray:
         theta = self._check_theta(theta)
-        picks, u, draws = _uniforms(n, seed, rng, 2, out)
+        picks, u, draws = _uniforms(n, seed, rng, 2)
         shifted = np.less(picks, theta, out=picks)  # 1.0 or 0.0
         self.base._quantile(u, out=draws)
         return np.add(draws, shifted, out=draws)  # + 0.0 keeps a draw: no quantile is -0.0

@@ -12,11 +12,10 @@ calibrations go through a cache of the last sorted null (reps float64 values,
 read-only) keyed by (statistic, null, n, reps, seed), not by the level or the
 worker count, so consecutive calls on one key simulate it once (``symlab
 test`` runs :func:`p_value`, then :func:`critical_value`); results are
-byte-identical with or without it.  Each thread draws and evaluates its
-chunks in its reused arrays, and keeps a chunk's draws as the sample of its
-one kept entry (see :mod:`symlab.stats`), so consecutive one-chunk inline
-simulations (``reps <= 512``) of one model draw once across statistics;
-pooled calls start with empty worker threads.  On a 2-core x86-64 VM,
+byte-identical with or without it.  Each thread evaluates its chunks in its
+reused arrays and keeps a chunk's fresh draws as its one kept entry (see
+:mod:`symlab.stats`), so consecutive one-chunk inline simulations (``reps <=
+512``) of one model draw once across statistics.  On a 2-core x86-64 VM,
 ``power`` for ``NA_K_4`` at n = 100 took 0.14-0.17 s inline and 0.10-0.13 s
 on two workers with 10^4 replications, cold; with 600 it took 10-16 ms cold
 and 6-8 ms after another call on the same key.
@@ -100,9 +99,9 @@ def _simulate(
     params = () if theta is None else (theta,)  # a null model takes no theta
 
     def job(chunk_index: int, rows: int) -> np.ndarray:
-        key = model, params, cfg.seed, purpose, chunk_index, rows
-        return evaluate_many(spec, _drawn(key, rows, cfg.n, lambda out: model.sample(
-            *params, rows * cfg.n, 0, rng=stream(cfg.seed, purpose, chunk_index), out=out)), t=t)
+        key = model, params, cfg.seed, purpose, chunk_index, rows, cfg.n
+        return evaluate_many(spec, _drawn(key, lambda: model.sample(
+            *params, rows * cfg.n, 0, rng=stream(cfg.seed, purpose, chunk_index)).reshape(rows, cfg.n)), t=t)
 
     return _run_chunked(cfg.reps, job)
 

@@ -29,17 +29,17 @@ That path has one centering and one moment block:
 A chunk of several rows runs in arrays the calling thread reuses from call to
 call (:func:`_scratch`): one set per row length ``n``, each array grown to the
 largest chunk seen at that ``n``, dropped at the next ``n``.  A single row gets
-fresh memory, and no returned array is a view of the set.  Each thread keeps
-one read-only entry for the last sample (:func:`_entry`): a single row, named
-by its bits (-0.0 is not 0.0), with the counts ``(z, a, b)`` S, W, KS and
-BH/NA/MO read at one ``alpha`` and the moments (mean, median, variance) of the
-moment kinds, 32 bytes a value; or a Monte Carlo chunk, named by its draw key,
-with its draws and their centered rows at one ``alpha`` (:func:`_drawn`).
-Another sample or ``n`` drops the entry, another ``alpha`` the part
-(:func:`_kept`), so a battery sorts its sample once for its counts and once for
-its median, and members on kept draws center them once.  Band tables outlive
-the entry: every thread reads one read-only copy per ``(n, p, r_low, r_high)``,
-kept within 8 MiB for the process (:func:`_band_counts`).
+fresh memory, and no returned array is a view of the set.  Each thread keeps one
+read-only entry for the last sample, in arrays of its own (:func:`_entry`): a
+single row, named by its bits (-0.0 is not 0.0), with the counts ``(z, a, b)``
+S, W, KS and BH/NA/MO read at one ``alpha`` and the moments of the moment kinds,
+32 bytes a value; or a Monte Carlo chunk, named by its draw key, with its draws
+and their centered rows at one ``alpha`` (:func:`_drawn`).  Another sample (a
+single row too, as ``p_value``'s; a chunk of rows neither reads nor drops it)
+drops the entry, another ``alpha`` the part (:func:`_kept`), so a battery sorts
+its sample once for its counts and once for its median, and members on kept
+draws center them once.  Band tables outlive the entry: each thread reads one
+read-only copy per ``(n, p, r_low, r_high)``, kept within 8 MiB for the process.
 
 The independent reference is :func:`brute_force`, a literal enumeration of
 every subset and outer index, exactly as the statistics are defined.  It is
@@ -257,12 +257,11 @@ def _scratch(slot: int, rows: int, n: int, dtype=float, shape=None) -> np.ndarra
     """Working array ``slot`` of a ``(rows, n)`` chunk, uninitialised, as ``shape`` (or ``(rows, n)``).
 
     No two live arrays share a slot: 0 holds the rows, then ``a``; 1 the trim products, then
-    the keys and ``z``; 2-4 flags and counts; 5 the kept draws and their centered rows.
+    the keys and ``z``; 2-4 flags and counts.  The set is the kernel's alone.
     """
     shape = (rows, n) if shape is None else shape
     if getattr(_pool, "n", None) != n:
         _pool.n, _pool.arrays = n, {}
-        _entry(None, n)  # a new n drops the kept entry too, unless it is being made at n
     if rows == 1:
         return np.empty(shape, dtype)
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
@@ -426,21 +425,20 @@ def _count_magnitudes(spec: StatisticSpec, z: np.ndarray, a: np.ndarray, b: np.n
     return _char_values(spec, n, total), None
 
 
-def _entry(key, n: int) -> dict:
-    """The thread's kept entry if its sample is ``key`` at row length ``n``, else a new empty one."""
-    entry = getattr(_pool, "entry", None) or {"key": None, "n": None}
-    if not (type(entry["key"]) is type(key) and entry["n"] == n and (
+def _entry(key) -> dict:
+    """The thread's kept entry if its sample is ``key`` (a row's bits or a draw key), else a new empty one."""
+    entry = getattr(_pool, "entry", None) or {"key": None}
+    if not (type(entry["key"]) is type(key) and (
             np.array_equal(entry["key"], key) if isinstance(key, np.ndarray) else entry["key"] == key)):
-        entry = _pool.entry = {"key": None, "n": n}  # the one rule that drops the entry
+        entry = _pool.entry = {"key": None}  # the one rule that drops the entry
     return entry
 
 
-def _drawn(key, rows: int, n: int, draw) -> np.ndarray:
-    """The kept read-only draws of the Monte Carlo chunk ``key``: on a miss, the row ``draw(out)``
-    returns of a ``(3, rows * n)`` block of working slot 5, never its first row."""
-    entry = _entry(key, n)
+def _drawn(key, draw) -> np.ndarray:
+    """The kept draws of the Monte Carlo chunk ``key``: on a miss, the fresh array ``draw()``, read-only."""
+    entry = _entry(key)
     if "draws" not in entry:  # a refused draw stores no key
-        draws = draw(_scratch(5, rows, n, shape=(3, rows * n))).reshape(rows, n)
+        draws = draw()
         draws.flags.writeable = False
         entry.update(key=key, draws=draws)
     return entry["draws"]
@@ -453,7 +451,7 @@ def _kept(samples: np.ndarray, part: str, tag, make, use):
         return use(make())
     entry = getattr(_pool, "entry", None) or {}
     if samples is not entry.get("draws"):
-        entry = _entry(samples.view(np.uint64)[0], samples.shape[1])
+        entry = _entry(samples.view(np.uint64)[0])
     if part in entry and entry[part][0] == tag:
         return use(entry[part][1])
     entry.pop(part, None)
@@ -468,13 +466,12 @@ def _kept(samples: np.ndarray, part: str, tag, make, use):
 
 
 def _centered_rows(samples: np.ndarray, alpha: float) -> np.ndarray:
-    """Each row sorted and centered at its ``alpha``-trimmed mean, in working slot 0; the kept
-    draws in the first row of their block instead, kept there at ``alpha``."""
+    """Each row sorted and centered at its ``alpha``-trimmed mean, in working slot 0 or kept with the draws."""
     rows, n = samples.shape
     drawn = samples is (getattr(_pool, "entry", None) or {}).get("draws")
 
     def center():
-        work = _scratch(5, rows, n, shape=(3, rows, n))[0] if drawn else _scratch(0, rows, n)
+        work = np.empty((rows, n)) if drawn else _scratch(0, rows, n)
         np.copyto(work, samples)
         work.sort(axis=1)
         mu = np.multiply(work, trim_weights(n, alpha), out=_scratch(1, rows, n)).sum(axis=1)

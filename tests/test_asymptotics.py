@@ -230,20 +230,19 @@ class TestMomentStatistics:
         # theta (m3/s^3 = theta - 4.5 theta^2 + ...), so the simulated means
         # are checked against the population limit and the local slope is
         # Richardson-extrapolated from two mixture weights.  Each block of
-        # 500 samples draws from its own stream into one reused buffer, which
-        # keeps the test's peak memory near 225 MB
+        # 500 samples draws from its own stream, which keeps the test's peak
+        # memory to a few blocks
         from symlab._oracles import population_limit
 
         idx = eff.bahadur_index("SQRT_B1", contam_normal)
         assert idx == pytest.approx(1.0 / 6.0, rel=1e-9)
         n, reps, block = 5000, 10_000, 500
-        buffer = np.empty((3, block * n))
         means = {}
         for i, theta in enumerate((0.025, 0.05)):
             skew = np.empty(reps)
             for j in range(reps // block):
                 rng = stream(seed, i, j)
-                draws = contam_normal.sample(theta, block * n, 0, rng=rng, out=buffer)
+                draws = contam_normal.sample(theta, block * n, 0, rng=rng)
                 draws = draws.reshape(block, n)
                 centered = draws - draws.mean(axis=1, keepdims=True)
                 square = centered * centered

@@ -360,41 +360,74 @@ class TestSamplers:
         assert (x[~rest] == fs.base.quantile(top) / gamma).all()
 
     @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
-    @pytest.mark.parametrize("alt_name", [None, "fs", "contam"])
-    def test_drawing_into_a_buffer_keeps_every_bit(self, null_name, alt_name):
-        model = get_null(null_name) if alt_name is None else get_alternative(alt_name, null_name)
-        theta = () if alt_name is None else (0.3,)
-        n = 5000
-        fresh = model.sample(*theta, n, 17)
-        buf = np.full((3, n), np.nan)
-        drawn = model.sample(*theta, n, 17, out=buf)
-        assert drawn.view(np.uint64).tolist() == fresh.view(np.uint64).tolist()
-        assert np.shares_memory(drawn, buf) and not np.shares_memory(fresh, buf)
-        assert not np.shares_memory(drawn, buf[0])  # the first row is free for the centered draws
-        # a reused buffer holds no trace of the last draws; out=None allocates afresh
-        again = model.sample(*theta, n, 17, out=buf)
-        assert again.view(np.uint64).tolist() == fresh.view(np.uint64).tolist()
-        other = model.sample(*theta, n, 17)
-        assert not np.shares_memory(other, fresh) and (other == fresh).all()
-        with pytest.raises(ValueError):
-            model.sample(*theta, n, 17, out=np.empty((3, n - 1)))
+    @pytest.mark.parametrize("theta", [1e200, "largest"])
+    def test_fernandez_steel_where_the_square_of_gamma_overflows(self, null_name, theta):
+        # the negative piece's mass gamma^2 / (1 + gamma^2) was inf / inf = NaN past
+        # gamma = 1.34e154; it is its limit 1 there, and 1 already at the largest gamma
+        # whose square is finite, so the cdf and the draws agree on both sides
+        largest = math.sqrt(np.finfo(float).max)  # v * v is inf past the range (v**2 raises)
+        while (up := math.nextafter(largest, math.inf)) * up < math.inf:
+            largest = up
+        while largest * largest == math.inf:
+            largest = math.nextafter(largest, 0.0)
+        gamma = largest if theta == "largest" else 1.0 + theta
+        fs = get_alternative("fs", null_name)
+        x = np.array([-1e100, -3.0, -1e-100, -0.0, 0.0, 1e-100, 2.0, 1e100])  # gamma x stays finite
+        want = np.where(x < 0.0, 2.0 * fs.base.cdf(x / gamma), 1.0)
+        assert fs.cdf(x, gamma - 1.0).tolist() == want.tolist()
+        # every draw is mirrored onto x < 0
+        rng = stream(3, 0)
+        rng.random(1000)  # the sides
+        u = np.clip(rng.random(1000), 2.0**-53, 1.0 - 2.0**-53)
+        half = fs.base.quantile(np.minimum(0.5 + 0.5 * u, 1.0 - 2.0**-53))
+        draws = fs.sample(gamma - 1.0, 1000, 3)
+        assert draws.tolist() == (-gamma * half).tolist() and np.signbit(draws).all()
 
     @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
     @pytest.mark.parametrize("alt_name", [None, "fs", "contam"])
-    def test_a_repeated_draw_into_a_buffer_allocates_little(self, null_name, alt_name):
-        # a Monte Carlo chunk's 512 x 100 draws: the generator and numpy's cast
-        # buffers stay under a quarter of the chunk (102400 bytes)
+    def test_each_draw_owns_fresh_memory_and_keeps_every_bit(self, null_name, alt_name):
+        # the draws are the inverse CDF at the seeded stream's uniforms, bit for bit (the
+        # alternatives first draw the side or the pick), and each call returns its own array
         model = get_null(null_name) if alt_name is None else get_alternative(alt_name, null_name)
         theta = () if alt_name is None else (0.3,)
-        buf = np.empty((3, 51_200))
-        model.sample(*theta, 51_200, 0, rng=stream(5, 0, 0), out=buf)
+        n = 5000
+        rng = stream(17, 0)
+        first = None if alt_name is None else rng.random(n)
+        u = np.clip(rng.random(n), 2.0**-53, 1.0 - 2.0**-53)
+        if alt_name is None:
+            want = model.quantile(u)
+        elif alt_name == "fs":
+            gamma = 1.3
+            half = model.base.quantile(np.minimum(0.5 + 0.5 * u, 1.0 - 2.0**-53))
+            want = np.where(first < gamma * gamma / (1.0 + gamma * gamma), -gamma * half, half / gamma)
+        else:
+            want = model.base.quantile(u) + (first < 0.3)
+        draws = [model.sample(*theta, n, 17) for _ in range(2)]
+        for drawn in draws:
+            assert drawn.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+            assert drawn.flags.owndata and drawn.flags.writeable
+        assert not np.shares_memory(*draws)
+        with pytest.raises(TypeError):  # no caller's buffer is taken
+            model.sample(*theta, n, 17, out=np.empty((3, n)))
+
+    @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+    @pytest.mark.parametrize("alt_name", [None, "fs", "contam"])
+    def test_a_draw_allocates_only_its_own_arrays(self, null_name, alt_name):
+        # a Monte Carlo chunk's 512 x 100 draws: past the sampler's own arrays (its uniforms
+        # and the draws), the generator and numpy's cast buffers stay under a quarter of the
+        # chunk (102400 bytes); a mirror or a shift by np.where would hold two more arrays
+        model = get_null(null_name) if alt_name is None else get_alternative(alt_name, null_name)
+        theta = () if alt_name is None else (0.3,)
+        n = 51_200
+        own = (2 if alt_name is None else 3) * n * 8
+        model.sample(*theta, n, 0, rng=stream(5, 0, 0))
         tracemalloc.start()
         try:
-            model.sample(*theta, 51_200, 0, rng=stream(5, 0, 1), out=buf)
+            model.sample(*theta, n, 0, rng=stream(5, 0, 1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 102_400
+        assert peak < own + 102_400
 
     def test_null_sample_mean(self, normal):
         x = normal.sample(100_000, 11)

@@ -156,11 +156,22 @@ class TestDrawSlot:
         assert streams == [(64, _CAL, 0), (64, _EVAL, 0), (64, _CAL, 0)]
 
     def test_an_evaluation_at_another_n_drops_the_key(self, normal):
+        # a single row is a sample of its own: it replaces the kept draws (as p_value's does)
         cfg = McConfig(n=30, reps=300, seed=65)
         null_distribution(StatisticSpec("S"), normal, cfg)
-        assert stats._pool.entry["key"][2:] == (65, _CAL, 0, 300)
-        evaluate(StatisticSpec("S"), np.arange(31.0))
-        assert "draws" not in stats._pool.entry and stats._pool.entry["n"] == 31
+        assert stats._pool.entry["key"][2:] == (65, _CAL, 0, 300, 30)
+        row = np.arange(31.0)
+        evaluate(StatisticSpec("S"), row)
+        assert "draws" not in stats._pool.entry and stats._pool.entry["key"].tobytes() == row.tobytes()
+
+    def test_kept_draws_outlive_a_chunk_at_another_n(self, streams, normal):
+        spec = parse_statistic("NA_K_2", alpha=0.25)
+        cfg = McConfig(n=30, reps=300, seed=68)
+        want = null_distribution(spec, normal, cfg)
+        streams.clear()
+        evaluate_many(spec, np.random.default_rng(68).normal(size=(4, 31)))
+        np.testing.assert_array_equal(null_distribution(spec, normal, cfg), want)
+        assert streams == []
 
     def test_a_refused_theta_leaves_the_next_call_correct(self, streams, normal):
         spec = parse_statistic("KS", alpha=0.25)
@@ -200,7 +211,7 @@ class TestDrawSlot:
             for spec, values in zip(self.MEMBERS, want):
                 np.testing.assert_array_equal(null_distribution(spec, normal, cfg, t=self.T), values)
         assert len(centerings) == 2 * 2 * len(self.MEMBERS)
-        assert stats._pool.entry["key"][4:] == (1, 1)  # the tail's draws replaced the full chunk's
+        assert stats._pool.entry["key"][4:] == (1, 1, 40)  # the tail's draws replaced the full chunk's
 
     def test_the_kept_draws_are_read_only(self, contam_normal):
         cfg = McConfig(n=30, reps=300, seed=67)
@@ -223,7 +234,7 @@ class TestDrawSlot:
         for i, (got, key) in enumerate(run_in_threads(simulate, len(cfgs))):
             for values in got:
                 np.testing.assert_array_equal(values, want[i])
-            assert key == (fs_normal, (0.3,), cfgs[i].seed, _EVAL, 0, 300)
+            assert key == (fs_normal, (0.3,), cfgs[i].seed, _EVAL, 0, 300, 40)
 
     def test_threads_keep_their_own_centerings(self, fs_normal):
         alphas = (0.1, 0.25, 0.4, 0.0)

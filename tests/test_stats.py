@@ -715,8 +715,11 @@ class TestLastSample:
             entry = stats._pool.entry
             assert entry["counts"] is not counts and entry["counts"][0] == other.alpha
             np.testing.assert_array_equal(entry["key"], row.view(np.uint64))
-        evaluate_many(spec, rng.normal(size=(3, 50)))
-        assert stats._pool.entry == {"key": None, "n": 50}  # dropped at the next n with the working set
+        evaluate(spec, x)
+        entry = stats._pool.entry
+        evaluate_many(spec, rng.normal(size=(3, 50)))  # a chunk at another n neither reads nor drops it
+        assert stats._pool.entry is entry and entry["key"].tobytes() == x.tobytes()
+        assert evaluate(spec, x) == StatisticValue(*self.fresh(spec, x)) and stats._pool.entry is entry
 
     def test_other_statistics_in_any_order_change_no_output(self, rng):
         x = tied_rows(rng, 1, 500)[0]
