@@ -1,8 +1,10 @@
-"""Golden digests of the samplers and the Monte Carlo drivers.
+"""Golden digests of the samplers, ``evaluate`` and the Monte Carlo drivers.
 
-Each group is one call with fixed arguments: a sampler's draws, or
-``null_distribution``, ``p_value``, ``critical_value`` and ``power`` for one
-statistic, run inline (one kept chunk) and on two worker threads.  Its
+Each group is one call with fixed arguments: a sampler's draws, ``evaluate``
+over a battery of statistics on one sample at one trimming level (refusals
+recorded as the error's type and message), or ``null_distribution``,
+``p_value``, ``critical_value`` and ``power`` for one statistic, run inline
+(one kept chunk) and on two worker threads.  Its
 digest is the sha256 of the output's dtype, shape and bytes (a float's
 ``repr``); ``digests.json`` keeps it with the output's count and first
 values, and with the numpy and scipy versions the file was recorded under,
@@ -27,8 +29,9 @@ import numpy as np
 import scipy
 
 import symlab.montecarlo as montecarlo
-from symlab import critical_value, get_alternative, get_null, null_distribution, p_value, power
+from symlab import critical_value, evaluate, get_alternative, get_null, null_distribution, p_value, power
 from symlab._rng import stream
+from symlab.efficiency import DEFAULT_TESTS
 from symlab.stats import SUPREMUM, parse_statistic
 
 DIGESTS = Path(__file__).with_name("digests.json")
@@ -39,10 +42,45 @@ STATISTICS = ("S", "W", "KS", "BH_K", "NA_I_3", "NA_K_2", "MO_I_2", "MO_K_2", "C
 RUNS = {"inline": (1, 300), "pooled": (2, 1100)}
 NULLS = ("normal", "logistic", "cauchy")
 N, ALPHA, T = 20, 0.25, 0.7
+#: ``evaluate`` groups: one battery per data kind, size and level, in this order, so that the
+#: statistics after the first read the sample's kept entry
+BATTERY = (*DEFAULT_TESTS, "NA_K_10", "MO_K_3", "NA_I_5")
+EVALUATE_DATA = ("normal", "tied", "signed-zero")
+EVALUATE_SIZES = (7, 14, 100, 1000, 20000)
+EVALUATE_ALPHAS = (0.0, 0.25, 0.5)
+#: values put at one place of a normal sample of 100: refused by every statistic, then by the
+#: counting ones, by the moment ones, and by SQRT_B1 alone
+REFUSED_VALUES = (np.nan, np.inf, -np.inf, 1e308, 1e153, 1e102)
 
 
 def versions() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def evaluate_data(kind: str, n: int) -> np.ndarray:
+    """A sample of ``n``: normal, small integers, or halves in exact +-v pairs with zeros of both signs."""
+    rng = np.random.default_rng([n, EVALUATE_DATA.index(kind)])
+    if kind == "normal":
+        return rng.standard_normal(n)
+    if kind == "tied":
+        return rng.integers(-3, 4, size=n).astype(float)
+    v = rng.integers(-4, 5, size=n // 2) / 2.0
+    x = rng.permutation(np.concatenate([v, -v, np.zeros(n % 2)]))
+    zero = x == 0.0
+    x[zero] = rng.choice([0.0, -0.0], size=np.count_nonzero(zero))
+    return x
+
+
+def _outcome(call) -> str:
+    try:
+        value = call()
+    except ValueError as error:
+        return f"{type(error).__name__}: {error}"
+    return f"{value.value!r} {value.sup_argument!r}"
+
+
+def _battery(x: np.ndarray, alpha: float) -> list[str]:
+    return [_outcome(lambda: evaluate(parse_statistic(name, alpha=alpha), x)) for name in BATTERY]
 
 
 def _groups():
@@ -55,6 +93,14 @@ def _groups():
         for theta in (0.3, -0.5):
             yield f"sample/fs/{name}/{theta}", lambda: fs.sample(theta, 1000, 11)
         yield f"sample/contam/{name}/0.3", lambda: contam.sample(0.3, 1000, 11)
+    for kind, n in itertools.product(EVALUATE_DATA, EVALUATE_SIZES):
+        sample = evaluate_data(kind, n)
+        for alpha in EVALUATE_ALPHAS:
+            yield f"evaluate/{kind}/{n}/{alpha}", lambda: _battery(sample, alpha)
+    for bad in REFUSED_VALUES:
+        sample = evaluate_data("normal", 100)
+        sample[37] = bad
+        yield f"evaluate/refused/{bad!r}", lambda: _battery(sample, ALPHA)
     x = np.random.default_rng(5).standard_t(5, size=N)
     for (run, (_, reps)), null_name in itertools.product(RUNS.items(), NULLS):
         null = get_null(null_name)
@@ -77,6 +123,9 @@ def _record(value) -> dict:
         data = f"{value.dtype}{value.shape}".encode() + np.ascontiguousarray(value).tobytes()
         return {"sha256": hashlib.sha256(data).hexdigest(), "count": int(value.size),
                 "head": [repr(float(v)) for v in value.ravel()[:3]]}
+    if isinstance(value, list):
+        return {"sha256": hashlib.sha256(repr(value).encode()).hexdigest(), "count": len(value),
+                "head": value[:3]}
     return {"sha256": hashlib.sha256(repr(value).encode()).hexdigest(), "count": 1, "head": [repr(value)]}
 
 
