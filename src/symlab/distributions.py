@@ -421,20 +421,22 @@ class FernandezSteel(AlternativeFamily):
         gamma = 1.0 + theta
         c = 2.0 / (gamma + 1.0 / gamma)
         x = np.asarray(x, dtype=float)
-        neg = self.base.density(x / gamma)
-        pos = self.base.density(gamma * x)
-        return _as_float(c * np.where(x < 0.0, neg, pos))
+        return _as_float(c * np.asarray(self.base.density(self._piece_argument(x, gamma))))
 
     def cdf(self, x, theta: float):
         theta = self._check_theta(theta)
         gamma = 1.0 + theta
         mass_neg = _mass(gamma * gamma)
         x = np.asarray(x, dtype=float)
-        neg = 2.0 * mass_neg * np.asarray(self.base.cdf(x / gamma))
-        pos = mass_neg + (2.0 / (1.0 + gamma * gamma)) * (
-            np.asarray(self.base.cdf(gamma * x)) - 0.5
-        )
-        return _as_float(np.where(x < 0.0, neg, pos))
+        base = np.asarray(self.base.cdf(self._piece_argument(x, gamma)))
+        pos = mass_neg + (2.0 / (1.0 + gamma * gamma)) * (base - 0.5)
+        return _as_float(np.where(x < 0.0, 2.0 * mass_neg * base, pos))
+
+    @staticmethod
+    def _piece_argument(x: np.ndarray, gamma: float) -> np.ndarray:
+        """The base argument of ``x``'s own piece alone, ``+-inf`` (its limit) past float64."""
+        with np.errstate(over="ignore"):
+            return np.where(x < 0.0, x / gamma, gamma * x)
 
     def score(self, x):
         x = np.asarray(x, dtype=float)

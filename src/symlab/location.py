@@ -72,16 +72,16 @@ def check_centering(null: SymmetricNull, alpha) -> None:
         )
 
 
-def check_sample(sample, ndim: int = 1) -> np.ndarray:
+def check_sample(sample, ndim: int = 1, finite: bool = True) -> np.ndarray:
     """The one input rule for data: a nonempty ``ndim``-D array of finite floats.
 
     An infinite value is refused even in a tail that trimming drops, where
-    ``0 * inf`` would make the weighted sum NaN.
+    ``0 * inf`` would make the weighted sum NaN.  ``finite=False`` skips that pass.
     """
     x = np.asarray(sample, dtype=float)
     if x.ndim != ndim or x.size == 0:
         raise ValueError(f"sample must be a nonempty {ndim}-D array")
-    if not np.isfinite(x).all():
+    if finite and not np.isfinite(x).all():
         raise ValueError("sample contains NaN or infinite values")
     return x
 

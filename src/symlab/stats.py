@@ -31,15 +31,17 @@ call (:func:`_scratch`): one set per row length ``n``, each array grown to the
 largest chunk seen at that ``n``, dropped at the next ``n``.  A single row gets
 fresh memory, and no returned array is a view of the set.  Each thread keeps one
 read-only entry for the last sample, in arrays of its own (:func:`_entry`): a
-single row, named by its bits (-0.0 is not 0.0), with the counts ``(z, a, b)``
-S, W, KS and BH/NA/MO read at one ``alpha`` and the moments of the moment kinds,
-32 bytes a value; or a Monte Carlo chunk, named by its draw key, with its draws
-and their centered rows at one ``alpha`` (:func:`_drawn`).  Another sample (a
-single row too, as ``p_value``'s; a chunk of rows neither reads nor drops it)
-drops the entry, another ``alpha`` the part (:func:`_kept`), so a battery sorts
-its sample once for its counts and once for its median, and members on kept
-draws center them once.  Band tables outlive the entry: each thread reads one
-read-only copy per ``(n, p, r_low, r_high)``, kept within 8 MiB for the process.
+single row, named by its bits (-0.0 is not 0.0), or a Monte Carlo chunk, named by
+its draw key, with its draws (:func:`_drawn`).  Its parts: the peak magnitude of
+its bits once they pass the finite check; a row's counts ``(z, a, b)`` S, W, KS
+and BH/NA/MO read at one ``alpha`` and its moments, 32 bytes a value; the draws'
+centered rows at one ``alpha``; the per-row ``#{y < t}``, ``#{y <= t}`` and
+``#{y <= -t}`` every member at ``(alpha, t)`` reads.  Another sample (a single row
+too, as ``p_value``'s; a chunk of rows neither reads nor drops it) drops the entry,
+another tag the part (:func:`_kept`), so a battery checks and sorts its sample
+once, and members on kept draws center and count them once.  Band tables and
+trimming weights outlive the entry: the process keeps one read-only copy per
+``(n, p, r_low, r_high)`` or ``(n, alpha)``, within 8 MiB (:func:`_stored`).
 
 The independent reference is :func:`brute_force`, a literal enumeration of
 every subset and outer index, exactly as the statistics are defined.  It is
@@ -217,38 +219,58 @@ def _band_counts(n: int, p: int, r_low: int, r_high: int) -> np.ndarray:
     are at most ``C(n, p)``: int64 while ``2 C(n, p) < 2**63``, so doubled
     numerators fit, and Python ints beyond.  An int64 binomial past ``2**63``
     only multiplies zeros: two nonzero factors multiply to a term of ``C(n, p)``.
-
-    The process keeps each table read-only, keyed by the four arguments: they are
-    all it depends on, so none is ever invalidated.  Past ``_BAND_BYTES`` (8 MiB,
-    an object table's Python ints counted) the least recently used go, and a larger
-    table is built per call: 8 MiB resident at worst, plus tables callers hold.
+    Term ``p - j`` is term ``j`` reversed: one product per pair.  Kept by :func:`_stored`.
     """
-    key = n, p, r_low, r_high
+
+    def build():
+        dtype = np.int64 if 2 * math.comb(n, p) < 2**63 else object
+        need = {i for j in range(r_low, r_high) for i in (j, p - j)}
+        cols = {0: np.ones(n + 1, dtype)}
+        for i in range(1, max(need) + 1):
+            cols[i] = np.zeros(n + 1, dtype)
+            np.cumsum((cols[i - 1] if i - 1 in need else cols.pop(i - 1))[:-1], out=cols[i][1:])
+        band = np.zeros(n + 1, dtype)  # made after the columns, the kept table splits no freed space
+        for j in (j for j in range(r_low, r_high) if not r_low <= p - j < j):  # p - j: with j
+            col = cols.pop(j)  # columns j and p - j serve terms j and p - j alone
+            if p - j == j == r_low:  # the first term, made in band itself (still zeros)
+                np.multiply(col, col[::-1], out=band)
+                continue
+            band += col * col[::-1] if p - j == j else np.multiply(col, cols.pop(p - j)[::-1], out=col)
+            if j < p - j < r_high:
+                band += col[::-1]
+        return band
+
+    return _stored((n, p, r_low, r_high), build)
+
+
+def _weights(n: int, alpha: float) -> np.ndarray:
+    """:func:`trim_weights`, read-only, kept by the process (:func:`_stored`) as ``(n, alpha)``."""
+    return _stored((n, alpha), lambda: trim_weights(n, alpha))
+
+
+def _stored(key: tuple, build) -> np.ndarray:
+    """The process's read-only table ``key`` (all it depends on), made by ``build()`` on a miss.
+
+    Past ``_BAND_BYTES`` (8 MiB, an object table's Python ints counted) the least recently used
+    go, and a larger table is built per call: 8 MiB resident at worst, plus tables callers hold.
+    """
     with _bands_lock:
         if key in _bands:
             _bands[key] = _bands.pop(key)  # now the most recently used
             return _bands[key][0]
-    dtype = np.int64 if 2 * math.comb(n, p) < 2**63 else object
-    need = {i for j in range(r_low, r_high) for i in (j, p - j)}
-    cols = {0: np.ones(n + 1, dtype)}
-    for i in range(1, max(need) + 1):
-        cols[i] = np.zeros(n + 1, dtype)
-        np.cumsum((cols[i - 1] if i - 1 in need else cols.pop(i - 1))[:-1], out=cols[i][1:])
-    band = np.zeros(n + 1, dtype)
-    for j in range(r_low, r_high):
-        band += cols[j] * cols[p - j][::-1]
-    band.flags.writeable = False
-    size = band.nbytes + (sum(v.__sizeof__() for v in band) if dtype is object else 0)
+    table = build()
+    table.flags.writeable = False
+    size = table.nbytes + (sum(v.__sizeof__() for v in table) if table.dtype == object else 0)
     with _bands_lock:
         if size <= _BAND_BYTES:
-            _bands[key] = band, size
+            _bands[key] = table, size
         while sum(kept for _, kept in _bands.values()) > _BAND_BYTES:
             del _bands[next(iter(_bands))]
-    return band
+    return table
 
 
-_BAND_BYTES = 2**23  # budget of the band tables every thread shares
-_bands: dict = {}  # (n, p, r_low, r_high) -> (read-only table, bytes), least recently used first
+_BAND_BYTES = 2**23  # budget of the tables every thread shares
+_bands: dict = {}  # (n, p, r_low, r_high) or (n, alpha) -> (read-only table, bytes), least recently used first
 _bands_lock = threading.Lock()
 _pool = threading.local()  # the calling thread's working set (row length n, arrays) and kept entry
 
@@ -346,27 +368,33 @@ def _char_values(spec: StatisticSpec, n: int, num: np.ndarray) -> np.ndarray:
     return np.asarray(num / _char_divisor(spec, n), dtype=float)
 
 
-def _count_rows(spec: StatisticSpec, ys: np.ndarray, t: float | None = None):
-    """S, W or a supremum member at ``t`` on every row of sorted, centered ``ys``, and None."""
+def _count_rows(spec: StatisticSpec, ys: np.ndarray):
+    """S or W on every row of sorted, centered ``ys``, and None."""
     rows, n = ys.shape
-
-    def count(compare, v):  # per row, #{compare(y, v)}
-        return np.count_nonzero(compare(ys, v, out=_scratch(1, rows, n, bool)), axis=1)
-
     if spec.kind == "S":
-        return count(np.greater, 0.0) / n - 0.5, None
-    if spec.kind == "W":
-        # a pair sums above 0 exactly when its later key is positive, so each
-        # positive (even, nonzero) key adds its position in the row
-        keys = _magnitude_keys(ys)
-        positive = np.bitwise_and(keys, 1, out=_scratch(0, rows, n, np.uint64))
-        positive ^= 1
-        pairs = np.minimum(positive, keys, out=positive).view(np.int64) @ np.arange(n)
-        return pairs / math.comb(n, 2) - 0.5, None
+        return np.count_nonzero(np.greater(ys, 0.0, out=_scratch(1, rows, n, bool)), axis=1) / n - 0.5, None
+    # a pair sums above 0 exactly when its later key is positive, so each
+    # positive (even, nonzero) key adds its position in the row
+    keys = _magnitude_keys(ys)
+    positive = np.bitwise_and(keys, 1, out=_scratch(0, rows, n, np.uint64))
+    positive ^= 1
+    pairs = np.minimum(positive, keys, out=positive).view(np.int64) @ np.arange(n)
+    return pairs / math.comb(n, 2) - 0.5, None
+
+
+def _threshold_counts(ys: np.ndarray, t: float) -> tuple:
+    """Per row of centered ``ys``: ``#{y < t}``, ``#{y <= t}``, ``#{y <= -t}``, all a member at ``t`` reads."""
+    flags = _scratch(1, *ys.shape, bool)
+    return tuple(np.count_nonzero(compare(ys, v, out=flags), axis=1)
+                 for compare, v in ((np.less, t), (np.less_equal, t), (np.less_equal, -t)))
+
+
+def _count_members(spec: StatisticSpec, n: int, t: float, below, at_most, at_most_neg):
+    """A supremum family's member at ``t`` per row off :func:`_threshold_counts` (only read), and None."""
     if spec.kind == "KS":  # n (F_n(t) + F_n(-t) - 1)
-        return (count(np.less_equal, t) + count(np.less_equal, -t) - n) / n, None
+        return (at_most + at_most_neg - n) / n, None
     band = _band_counts(n, spec.subset_size, *spec.order_pair)  # a = #{y <= -t}, b = #{y < t}
-    num = (band[count(np.less, t)] - band[count(np.less_equal, -t)]) * (t > 0.0)
+    num = (band[below] - band[at_most_neg]) * (t > 0.0)
     # the half-weighted BH kernel is (N_1 + N_2)/2 - N_2 = (N_1 - N_2)/2
     return _char_values(spec, n, num if spec.kind.startswith("BH") else 2 * num), None
 
@@ -403,26 +431,27 @@ def _count_magnitudes(spec: StatisticSpec, z: np.ndarray, a: np.ndarray, b: np.n
         return np.maximum(b_at, b_left) / n, np.where(b_at >= b_left, g_at, g_left)
     band = _band_counts(n, spec.subset_size, *spec.order_pair)
     exact = band.dtype == np.int64  # else Python ints, gathered into fresh object arrays
-    if rows == 1 or not exact:  # indexing, unlike np.take, gathers at read-only a and b without a copy
-        num = band[b]
-        num -= band[a]
-    else:
-        num = np.take(band, b, mode="clip", out=_scratch(3, rows, n, np.int64))
-        num -= np.take(band, a, mode="clip", out=_scratch(4, rows, n, np.int64))
-    if not spec.kind.startswith("BH"):  # as in :func:`_count_rows`
-        num *= 2
-    if spec.family == SUPREMUM:  # threshold 0 is no jump: its entries drop to -1
-        mag = np.abs(num, out=num)
-        mag -= np.equal(z, 0.0, out=_scratch(2, rows, n, bool))
-        best, arg = _sup(mag, z)
-        return _char_values(spec, n, np.maximum(best, 0)), arg
-    if not exact:
-        total = num.sum(axis=1)
-    else:  # an int64 row sum can wrap: sum the high and low 32-bit halves apart
-        high = np.right_shift(num, 32, out=_scratch(4, rows, n, np.int64)).sum(axis=1)
-        low = np.bitwise_and(num, 0xFFFFFFFF, out=num).sum(axis=1)
-        total = high.astype(object) * 2**32 + low
-    return _char_values(spec, n, total), None
+
+    def gather(index, slot):  # indexing, unlike np.take, gathers at read-only a and b without a copy
+        return band[index] if rows == 1 or not exact else np.take(
+            band, index, mode="clip", out=_scratch(slot, rows, n, np.int64))
+
+    def row_sums(num):  # exact, in Python ints; an int64 row sum can wrap, but not the sums of the
+        wrapped = num.sum(axis=1)  # high 32-bit halves and of the low ones, the wrapped sum less the high ones
+        high = np.right_shift(num, 32, out=num).sum(axis=1)
+        return high.astype(object) * 2**32 + (wrapped - (high << 32))
+
+    if spec.family == INTEGRAL:  # the sums over b and over a apart: one gathered row at a time
+        num = row_sums(gather(b, 3)) - row_sums(gather(a, 3))
+        return _char_values(spec, n, num if spec.kind.startswith("BH") else 2 * num), None
+    num = gather(b, 3)
+    num -= gather(a, 4)
+    mag = np.abs(num, out=num)  # threshold 0 is no jump: its entries drop to -1
+    if not spec.kind.startswith("BH"):  # as in :func:`_count_members`
+        mag *= 2
+    mag -= np.equal(z, 0.0, out=_scratch(2, rows, n, bool))
+    best, arg = _sup(mag, z)
+    return _char_values(spec, n, np.maximum(best, 0)), arg
 
 
 def _entry(key) -> dict:
@@ -444,14 +473,11 @@ def _drawn(key, draw) -> np.ndarray:
     return entry["draws"]
 
 
-def _kept(samples: np.ndarray, part: str, tag, make, use):
-    """``use(make())``, with ``make()`` kept read-only as the entry's ``part`` at ``tag``: another tag
+def _kept(samples: np.ndarray, entry, part: str, tag, make, use):
+    """``use(make())``, with ``make()`` kept read-only as ``entry``'s ``part`` at ``tag``: another tag
     drops the part before ``make``, and a new row's bits are copied after ``use``, off its peak."""
-    if len(samples) > 1 and part != "centered":  # a chunk's counts and moments are in the working set
-        return use(make())
-    entry = getattr(_pool, "entry", None) or {}
-    if samples is not entry.get("draws"):
-        entry = _entry(samples.view(np.uint64)[0])
+    if "key" not in entry or (len(samples) > 1 and part in ("counts", "moments")):  # a throwaway
+        return use(make())  # keeps nothing, and a chunk's counts and moments are in the working set
     if part in entry and entry[part][0] == tag:
         return use(entry[part][1])
     entry.pop(part, None)
@@ -465,19 +491,19 @@ def _kept(samples: np.ndarray, part: str, tag, make, use):
     return values
 
 
-def _centered_rows(samples: np.ndarray, alpha: float) -> np.ndarray:
+def _centered_rows(samples: np.ndarray, alpha: float, entry) -> np.ndarray:
     """Each row sorted and centered at its ``alpha``-trimmed mean, in working slot 0 or kept with the draws."""
     rows, n = samples.shape
-    drawn = samples is (getattr(_pool, "entry", None) or {}).get("draws")
+    drawn = samples is entry.get("draws")
 
     def center():
         work = np.empty((rows, n)) if drawn else _scratch(0, rows, n)
         np.copyto(work, samples)
         work.sort(axis=1)
-        mu = np.multiply(work, trim_weights(n, alpha), out=_scratch(1, rows, n)).sum(axis=1)
+        mu = np.multiply(work, _weights(n, alpha), out=_scratch(1, rows, n)).sum(axis=1)
         return (np.subtract(work, mu[:, None], out=work),)
 
-    return _kept(samples, "centered", alpha, center, lambda made: made[0]) if drawn else center()[0]
+    return _kept(samples, entry, "centered", alpha, center, lambda made: made[0]) if drawn else center()[0]
 
 
 def _moments(samples: np.ndarray):
@@ -513,8 +539,8 @@ def _moment_values(spec: StatisticSpec, samples: np.ndarray, moments) -> tuple:
     return np.mean(np.power(centered, 3, out=centered), axis=1) / s**3, None
 
 
-def _check_rows(spec: StatisticSpec, samples: np.ndarray) -> None:
-    """The size and magnitude rules for a finite ``(rows, n)`` sample matrix.
+def _check_rows(spec: StatisticSpec, samples: np.ndarray, peak: float | None = None) -> None:
+    """The size and magnitude rules for a finite ``(rows, n)`` sample matrix of largest magnitude ``peak``.
 
     Centering at most doubles a magnitude; the moment statistics then sum
     ``n`` squares (SQRT_B1 cubes).  Below the limit nothing overflows in any
@@ -535,34 +561,45 @@ def _check_rows(spec: StatisticSpec, samples: np.ndarray) -> None:
     elif spec.kind not in ("S", "W", "KS") and math.isinf(_char_divisor(spec, n)):
         raise ValueError(f"{spec.label} counts more subsets of {n} than float64 can hold")
     limit = (np.finfo(float).max / (2.0 * terms)) ** (1.0 / power) / 2.0
-    if max(samples.max(), -samples.min()) > limit:
+    if (max(samples.max(), -samples.min()) if peak is None else peak) > limit:
         raise ValueError(
             f"{spec.label} overflows float64 on values beyond {limit:.3g} in magnitude"
         )
 
 
 def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = None):
-    """Values of ``spec`` on every row of a finite ``(rows, n)`` sample matrix.
+    """Values of ``spec`` on every row of a ``(rows, n)`` sample matrix, refused unless finite.
 
     The one evaluation path behind every public entry point.  Counting
     statistics sort each row, center it by its trimmed mean
     ``(xs * trim_weights(n, alpha)).sum(axis=1)`` (a row-wise sum, so one row
-    alone and the same row inside any chunk get the same bits) and run
-    :func:`_count_rows` (members at ``t``, S and W on a chunk) or :func:`_count_magnitudes`.
+    alone and the same row inside any chunk get the same bits) and run :func:`_count_rows`
+    (S and W on a chunk), :func:`_count_members` (at ``t``) or :func:`_count_magnitudes`.
     Moment statistics center with the row mean and median (:func:`_moments`) instead.
     Returns ``(values, sup_arguments)``, the arguments None but for a supremum.
     """
+    entry = getattr(_pool, "entry", None) or {}  # the kept draws', a single row's (:func:`_entry`),
+    if samples is not entry.get("draws"):  # or a throwaway for another chunk
+        entry = _entry(samples.view(np.uint64)[0]) if len(samples) == 1 else {}
+    if "peak" not in entry:  # the finite pass and the peak run once for the bits an entry keeps
+        check_sample(samples, ndim=2)
+        entry["peak"] = max(samples.max(), -samples.min())
     if t is not None and spec.family != SUPREMUM:
         raise ValueError("fixed thresholds apply to supremum-type statistics only")
     if t is not None and math.isnan(t := float(t)):
         raise ValueError("threshold t must not be NaN")
-    _check_rows(spec, samples)
+    _check_rows(spec, samples, entry["peak"])
     if spec.family == MOMENT:
-        return _kept(samples, "moments", None, lambda: _moments(samples),
+        return _kept(samples, entry, "moments", None, lambda: _moments(samples),
                      lambda moments: _moment_values(spec, samples, moments))
-    if t is not None or (spec.kind in ("S", "W") and len(samples) > 1):
-        return _count_rows(spec, _centered_rows(samples, spec.alpha), t)
-    return _kept(samples, "counts", spec.alpha, lambda: _magnitude_counts(_centered_rows(samples, spec.alpha)),
+    if t is not None:
+        return _kept(samples, entry, "members", (spec.alpha, t),
+                     lambda: _threshold_counts(_centered_rows(samples, spec.alpha, entry), t),
+                     lambda counts: _count_members(spec, samples.shape[1], t, *counts))
+    if spec.kind in ("S", "W") and len(samples) > 1:
+        return _count_rows(spec, _centered_rows(samples, spec.alpha, entry))
+    return _kept(samples, entry, "counts", spec.alpha,
+                 lambda: _magnitude_counts(_centered_rows(samples, spec.alpha, entry)),
                  lambda counts: _count_magnitudes(spec, *counts))
 
 
@@ -573,7 +610,7 @@ def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = N
 
 def evaluate(spec: StatisticSpec, sample) -> StatisticValue:
     """Evaluate one statistic on a data vector (the row path on one row)."""
-    values, args = _evaluate_rows(spec, check_sample(sample)[None, :])
+    values, args = _evaluate_rows(spec, check_sample(sample, finite=False)[None, :])
     return StatisticValue(float(values[0]), None if args is None else float(args[0]))
 
 
@@ -586,7 +623,7 @@ def evaluate_many(spec: StatisticSpec, samples: np.ndarray, t: float | None = No
     families the subset-count difference at ``t``; one sample ``x`` is the
     row ``x[None, :]``.  Equals :func:`evaluate` row for row, bit for bit.
     """
-    return _evaluate_rows(spec, check_sample(samples, ndim=2), t)[0]
+    return _evaluate_rows(spec, check_sample(samples, ndim=2, finite=False), t)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,13 @@ def streams(monkeypatch):
 def centerings(monkeypatch):
     """The ``(n, alpha)`` of each sort-and-center of a chunk or row the row path runs."""
     calls = []
-    weights = stats.trim_weights
+    weights = stats._weights
 
     def counted(n, alpha):
         calls.append((n, alpha))
         return weights(n, alpha)
 
-    monkeypatch.setattr(stats, "trim_weights", counted)
+    monkeypatch.setattr(stats, "_weights", counted)
     return calls
 
 

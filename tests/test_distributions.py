@@ -320,6 +320,26 @@ class TestAlternativeFamilies:
             assert val == pytest.approx(expected, abs=1e-10)
             assert fs.cdf(0.0, theta) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+    def test_two_piece_forms_only_its_own_piece(self, null_name):
+        # the other piece's argument may overflow where the value is finite (RuntimeWarnings are
+        # errors in this suite); an own argument past float64 is the piece's limit
+        fs = get_alternative("fs", null_name)
+        assert (fs.cdf(1e308, 1.0), fs.cdf(-1e308, -0.5)) == (1.0, 0.0)
+        assert (fs.density(1e308, 1.0), fs.density(-1e308, -0.5)) == (0.0, 0.0)
+        base = fs.base
+        x = np.concatenate([np.linspace(-9.0, 9.0, 181), [-0.0, 5e-324, -5e-324]])
+        for theta in (0.3, -0.5, 1.0):
+            gamma = 1.0 + theta
+            mass_neg = gamma * gamma / (1.0 + gamma * gamma)
+            # both pieces at every x, where both are finite: the same bits
+            neg = 2.0 * mass_neg * base.cdf(x / gamma)
+            pos = mass_neg + (2.0 / (1.0 + gamma * gamma)) * (base.cdf(gamma * x) - 0.5)
+            np.testing.assert_array_equal(fs.cdf(x, theta), np.where(x < 0.0, neg, pos))
+            c = 2.0 / (gamma + 1.0 / gamma)
+            density = c * np.where(x < 0.0, base.density(x / gamma), base.density(gamma * x))
+            np.testing.assert_array_equal(fs.density(x, theta), density)
+
 
 class TestSamplers:
     def test_deterministic(self, normal):

@@ -846,12 +846,32 @@ class TestLastSample:
         with pytest.raises(ValueError, match="NaN or infinite"):
             evaluate(ks, x)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e102])
+    def test_a_kept_row_changed_to_a_refused_value_is_refused(self, bad, rng):
+        # the entry's facts (its bits checked finite, their peak) are the kept bits' alone: a row
+        # changed in place misses and is refused as on a fresh thread (1e102 by SQRT_B1 alone)
+        x = rng.normal(size=200)
+        specs = [parse_statistic(name, alpha=0.25) for name in DEFAULT_TESTS]
+        calls = [lambda spec=spec: evaluate(spec, x) for spec in specs]
+        calls += [lambda spec=spec: evaluate_many(spec, x[None, :], 0.7) for spec in specs
+                  if spec.family == "supremum"]
+        for call in calls:
+            call()
+        x[17] = bad
+        refused = set()
+        for i, call in enumerate(calls):
+            got = outcome(call)
+            assert got == run_in_threads(lambda _: outcome(call), 1)[0]
+            if got[0] == "refused":
+                refused.add(i)
+        assert refused == ({DEFAULT_TESTS.index("SQRT_B1")} if bad == 1e102 else set(range(len(calls))))
+
     def test_the_entry_is_read_only(self, rng):
         x = rng.normal(size=100)
         for name in ["S"] + self.COUNTING + MOMENT_IDS:
             evaluate(parse_statistic(name, alpha=0.25), x)
             entry = stats._pool.entry
-            for array in [entry["key"]] + [array for part in ("counts", "moments") if part in entry
+            for array in [entry["key"]] + [array for part in ("counts", "moments", "members") if part in entry
                                            for array in entry[part][1]]:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
@@ -876,6 +896,7 @@ MACHINE_SPECS = st.builds(parse_statistic, st.sampled_from(list(DEFAULT_TESTS) +
                           st.sampled_from([0.0, 0.25, 0.5]))
 BATTERIES = st.lists(MACHINE_SPECS, min_size=1, max_size=3)  # statistics on one sample in turn
 THRESHOLDS = st.sampled_from([0.0, 0.5, 0.7, 1.5])
+MEMBER_SPECS = st.builds(parse_statistic, st.sampled_from(SUP_IDS + ["MO_K_3"]), st.sampled_from([0.0, 0.25, 0.5]))
 THETAS = st.sampled_from([0.0, 0.3, 0.6, 1.5, -1.5])  # contam refuses 1.5, both -1.5
 # a simulation changes at most one part of the last one, so that consecutive simulations
 # often differ in one part of the draw key, or in the statistic or alpha alone
@@ -955,7 +976,7 @@ class KeptState(RuleBasedStateMachine):
         chunk = np.stack([x, -x, x[::-1]])[:rows]
         for spec in battery:
             member = t if spec.family == "supremum" else None
-            row = x if rows == 1 and member is None else None  # a row the entry keeps
+            row = x if rows == 1 else None  # a row the entry keeps
             self.check(lambda: evaluate_many(spec, chunk, member), row=row)
 
     @rule(battery=BATTERIES, t=st.none() | THRESHOLDS, steps=st.lists(
@@ -971,6 +992,18 @@ class KeptState(RuleBasedStateMachine):
             else:  # the alternative draws of power
                 alt = get_alternative(kind, null)
                 self.check(lambda: _simulate(spec, alt, theta, cfg, _EVAL, member))
+
+    @rule(x=samples, specs=st.lists(MEMBER_SPECS, min_size=1, max_size=3), change=st.none() | SIMULATION_PARTS,
+          ts=st.lists(st.sampled_from([0.0, -0.0, 0.5, 0.7, 1.5]), min_size=2, max_size=2, unique_by=repr))
+    def members(self, x, specs, change, ts):
+        """Members at one threshold, then another, then the first again, on kept draws and on one row."""
+        null, cfg, _, _ = self.simulation(change)
+        for t in (*ts, ts[0]):
+            for spec in specs:
+                self.check(lambda: null_distribution(spec, null, cfg, t))
+        for t in (*ts, ts[0]):
+            for spec in specs:
+                self.check(lambda: evaluate_many(spec, x[None, :], t), row=x)
 
     @rule(spec=MACHINE_SPECS, change=SIMULATION_PARTS, curve=st.lists(THETAS, max_size=2))
     def power(self, spec, change, curve):
@@ -992,25 +1025,36 @@ def test_kept_state_changes_no_result_at_length():
 
 
 @pytest.mark.parametrize("reuse", ["battery", "members", "draws"])
-def test_each_kept_reuse_fires(reuse, streams, centerings, normal):
-    """The reuses the benchmark runs on: one centering of a sample for the counting kinds of the
-    default battery; one draw and one centering for the 7 members of the default battery at
-    n = 2000 with 100 replications; one draw for a 300-rep simulation across statistics."""
+def test_each_kept_reuse_fires(reuse, streams, centerings, normal, monkeypatch):
+    """The reuses the benchmark runs on: one finite pass and one centering of a sample for the
+    default battery; one draw, one finite pass, one centering and one counting pass for the 7
+    members of the default battery at n = 2000 with 100 replications; one draw and one finite
+    pass for a 300-rep simulation across statistics."""
+    passes, counted = [], []  # the shapes the finite pass reads, the thresholds counted at
+    check, count = stats.check_sample, stats._threshold_counts
+
+    def checked(sample, ndim=1, finite=True):
+        if finite:
+            passes.append(np.shape(sample))
+        return check(sample, ndim, finite)
+
+    monkeypatch.setattr(stats, "check_sample", checked)
+    monkeypatch.setattr(stats, "_threshold_counts", lambda ys, t: counted.append(t) or count(ys, t))
     if reuse == "battery":
         x = np.random.default_rng(5).normal(size=10_000)
         for name in DEFAULT_TESTS:
             evaluate(parse_statistic(name, alpha=0.25), x)
-        assert (streams, centerings) == ([], [(10_000, 0.25)])
+        assert (streams, centerings, passes) == ([], [(10_000, 0.25)], [(1, 10_000)])
     elif reuse == "members":
         cfg = McConfig(n=2000, reps=100, seed=84)
         for name in SUP_IDS:
             null_distribution(parse_statistic(name, alpha=0.25), normal, cfg, t=0.6)
-        assert (streams, centerings) == ([(84, _CAL, 0)], [(2000, 0.25)])
+        assert (streams, centerings, passes, counted) == ([(84, _CAL, 0)], [(2000, 0.25)], [(100, 2000)], [0.6])
     else:
         cfg = McConfig(n=40, reps=300, seed=61)
         for name in ("W", "NA_K_2", "KS", "CM", "S", "SQRT_B1"):
             null_distribution(parse_statistic(name, alpha=0.25), normal, cfg)
-        assert (streams, centerings) == ([(61, _CAL, 0)], [(40, 0.25)])
+        assert (streams, centerings, passes) == ([(61, _CAL, 0)], [(40, 0.25)], [(300, 40)])
 
 
 class TestBandCounts:
@@ -1050,6 +1094,20 @@ class TestBandCounts:
                 size += sum(sys.getsizeof(v) for v in band)
             assert stats._bands[(500, p, *args)][1] == size
 
+    def test_kept_weights_are_read_only_and_trim_weights_stays_fresh(self, rng):
+        x = rng.normal(size=300)
+        spec = parse_statistic("NA_I_2", alpha=0.25)
+        want = evaluate(spec, x)
+        kept = stats._weights(300, 0.25)
+        assert stats._weights(300, 0.25) is kept and not kept.flags.writeable
+        public = stats.trim_weights(300, 0.25)
+        assert public is not kept and public.flags.writeable
+        np.testing.assert_array_equal(public, kept)
+        public[:] = 7.0  # the caller's array alone
+        np.testing.assert_array_equal(stats.trim_weights(300, 0.25), kept)
+        stats._pool.entry = None  # the next call centers x again
+        assert evaluate(spec, x) == want
+
     def test_the_budget_bounds_the_kept_bytes(self, monkeypatch):
         stats._bands.clear()
         over = (stats._BAND_BYTES // 8, 2, 1, 2)  # n + 1 int64 entries pass the budget
@@ -1057,12 +1115,13 @@ class TestBandCounts:
         band = _band_counts(*over)
         assert over not in stats._bands and _band_counts(*over) is not band
         assert _band_counts(1000, 2, 1, 2) is kept  # and push out no kept table
-        for n in (1000, 10_000, 100_000, 2000):  # eval-long-rows: its 16 tables fit
+        for n in (1000, 10_000, 100_000, 2000):  # eval-long-rows: its 16 tables and 4 weights fit
             x = np.random.default_rng(n).normal(size=n)
             for name in DEFAULT_TESTS:
                 evaluate(parse_statistic(name, alpha=0.25), x)
             evaluate_many(parse_statistic("NA_K_4", alpha=0.25), x[None, :], 0.7)
-        assert len(stats._bands) == 16 and self.kept_bytes() <= stats._BAND_BYTES
+        assert sorted(map(len, stats._bands)) == [2] * 4 + [4] * 16
+        assert self.kept_bytes() <= stats._BAND_BYTES
         monkeypatch.setattr(stats, "_BAND_BYTES", 3 * 8 * 1001)  # three tables at n = 1000
         for p, r in [(2, 1), (3, 1), (4, 1), (3, 1), (4, 2)]:  # (3, 1) is used again, (2, 1) goes
             _band_counts(1000, p, r, r + 1)
@@ -1078,7 +1137,7 @@ class TestBandCounts:
                 evaluate_many(spec, x, t)
                 _evaluate_rows(spec, x[:1], t)
                 _evaluate_rows(spec, x[:1], t)  # a hit on the kept counts
-        kept = {key: band for key, (band, _) in stats._bands.items()}
+        kept = {key: band for key, (band, _) in stats._bands.items() if len(key) == 4}
         assert len(kept) == 3
         dtypes = {band.dtype for (_, p, *_), band in kept.items() if p == k}
         assert dtypes == {np.dtype(np.int64 if k == 4 else object)}
