@@ -2,9 +2,11 @@
 
 Each group is one call with fixed arguments: a sampler's draws, ``evaluate``
 over a battery of statistics on one sample at one trimming level (refusals
-recorded as the error's type and message), or ``null_distribution``,
-``p_value``, ``critical_value`` and ``power`` for one statistic, run inline
-(one kept chunk) and on two worker threads.  Its
+recorded as the error's type and message), ``evaluate_many`` over the
+counting battery and its supremum members at ``t`` on one chunk of rows (the
+values of every statistic the row length admits, one after another), or
+``null_distribution``, ``p_value``, ``critical_value`` and ``power`` for one
+statistic, run inline (one kept chunk) and on two worker threads.  Its
 digest is the sha256 of the output's dtype, shape and bytes (a float's
 ``repr``); ``digests.json`` keeps it with the output's count and first
 values, and with the numpy and scipy versions the file was recorded under,
@@ -29,10 +31,11 @@ import numpy as np
 import scipy
 
 import symlab.montecarlo as montecarlo
-from symlab import critical_value, evaluate, get_alternative, get_null, null_distribution, p_value, power
+from symlab import (critical_value, evaluate, evaluate_many, get_alternative, get_null, null_distribution,
+                    p_value, power)
 from symlab._rng import stream
 from symlab.efficiency import DEFAULT_TESTS
-from symlab.stats import SUPREMUM, parse_statistic
+from symlab.stats import MOMENT, SUPREMUM, parse_statistic
 
 DIGESTS = Path(__file__).with_name("digests.json")
 
@@ -48,6 +51,11 @@ BATTERY = (*DEFAULT_TESTS, "NA_K_10", "MO_K_3", "NA_I_5")
 EVALUATE_DATA = ("normal", "tied", "signed-zero")
 EVALUATE_SIZES = (7, 14, 100, 1000, 20000)
 EVALUATE_ALPHAS = (0.0, 0.25, 0.5)
+#: ``evaluate_many`` groups: the counting statistics of ``BATTERY`` on chunks of ``(rows, n)``, then
+#: every supremum kind's member at ``T``
+CHUNK_BATTERY = tuple(name for name in (*DEFAULT_TESTS, "NA_K_10", "MO_K_3")
+                      if parse_statistic(name).family != MOMENT)
+CHUNK_SHAPES = ((88, 7), (88, 14), (88, 100), (512, 7), (512, 14), (512, 100), (100, 2000))
 #: values put at one place of a normal sample of 100: refused by every statistic, then by the
 #: counting ones, by the moment ones, and by SQRT_B1 alone
 REFUSED_VALUES = (np.nan, np.inf, -np.inf, 1e308, 1e153, 1e102)
@@ -83,6 +91,12 @@ def _battery(x: np.ndarray, alpha: float) -> list[str]:
     return [_outcome(lambda: evaluate(parse_statistic(name, alpha=alpha), x)) for name in BATTERY]
 
 
+def _chunk(x: np.ndarray, alpha: float) -> np.ndarray:
+    specs = [parse_statistic(name, alpha=alpha) for name in CHUNK_BATTERY]
+    calls = [(spec, None) for spec in specs] + [(spec, T) for spec in specs if spec.family == SUPREMUM]
+    return np.concatenate([evaluate_many(spec, x, t) for spec, t in calls if spec.kernel_order <= x.shape[1]])
+
+
 def _groups():
     """``(name, call)`` for every group, in the order they run."""
     for name in NULLS:
@@ -97,6 +111,10 @@ def _groups():
         sample = evaluate_data(kind, n)
         for alpha in EVALUATE_ALPHAS:
             yield f"evaluate/{kind}/{n}/{alpha}", lambda: _battery(sample, alpha)
+    for kind, (rows, n) in itertools.product(EVALUATE_DATA, CHUNK_SHAPES):
+        chunk = evaluate_data(kind, rows * n).reshape(rows, n)
+        for alpha in EVALUATE_ALPHAS:
+            yield f"evaluate_many/{kind}/{rows}x{n}/{alpha}", lambda: _chunk(chunk, alpha)
     for bad in REFUSED_VALUES:
         sample = evaluate_data("normal", 100)
         sample[37] = bad
