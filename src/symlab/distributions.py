@@ -186,8 +186,8 @@ class Normal(SymmetricNull):
     _x_max = math.sqrt(2.0) * math.sqrt(np.finfo(float).max)  # -0.5 x x
 
     def density(self, x):
-        x = np.asarray(x, dtype=float)
-        return _as_float(np.exp(-0.5 * x * x) / _SQRT_2PI)
+        c = np.clip(np.asarray(x, dtype=float), -self._x_max, self._x_max)  # exp is 0 past it
+        return _as_float(np.exp(-0.5 * c * c) / _SQRT_2PI)
 
     def density_derivative(self, x):
         x = np.asarray(x, dtype=float)
@@ -315,8 +315,14 @@ class Cauchy(SymmetricNull):
     _d_max = math.sqrt(_x_max)  # pi (1 + x x)^2, of the density derivative
 
     def density(self, x):
+        # past _x_max, pi (1 + x x) overflows: 1/(pi x^2), divided out in turn
         x = np.asarray(x, dtype=float)
-        return _as_float(1.0 / (math.pi * (1.0 + x * x)))
+        far = np.abs(x) > self._x_max
+        if not far.any():
+            return _as_float(1.0 / (math.pi * (1.0 + x * x)))
+        near = np.where(far, 0.0, x)
+        big = np.where(far, x, 1.0)
+        return _as_float(np.where(far, 1.0 / math.pi / big / big, 1.0 / (math.pi * (1.0 + near * near))))
 
     def density_derivative(self, x):
         # past _d_max, 1 + x x is x x: -2/(pi x^3), divided out in turn so nothing overflows

@@ -62,7 +62,8 @@ class McConfig:
     level: float = 0.05
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral) for v in (self.n, self.reps)):
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in (self.n, self.reps)):
             raise ValueError("sample size and replications must be integers")
         check_seed(self.seed)  # refused here already, not first inside a worker
         if self.n < 1:

@@ -13,14 +13,15 @@ That path has one centering and one moment block:
   :func:`_magnitude_counts` then sorts the keys ``(|y| bits << 1) | (y < 0)``
   once for the whole chunk (by magnitude, ``y >= 0`` first among equal
   ones) and reads every count at each threshold ``z = |y|`` off that order
-  with flat accumulations, with no loop over rows.  A characterization
-  statistic counts ``D[#{y < z}] - D[#{y <= -z}]`` subsets for one band
-  table ``D`` (:func:`_band_counts`), KS its one-sided limits, W the
-  positive values at each magnitude, paired with the smaller magnitudes and
-  one another.  Each row reduces to an integer numerator (the integral sum,
-  the supremum with its maximizing threshold, or a family member at fixed
-  ``t``), exact for every ``n`` and ``k``: int64 where it fits, Python ints
-  beyond.
+  with flat accumulations, with no loop over rows.  Every counting
+  statistic reads these counts, on a chunk as on one row: S the negative
+  values and the zeros, W the positive values at each magnitude, paired with
+  the smaller magnitudes and one another, KS its one-sided limits, and a
+  characterization statistic ``D[#{y < z}] - D[#{y <= -z}]`` subsets for one
+  band table ``D`` (:func:`_band_counts`).  Each row reduces to an integer
+  numerator (the integral sum, the supremum with its maximizing threshold, or
+  a family member at fixed ``t``), exact for every ``n`` and ``k``: int64
+  where it fits, Python ints beyond.
 * the moment statistics (CM, GAMMA, MGG, SQRT_B1) ignore the trimming
   coefficient and center each row by its mean and median (the middle of a
   sorted copy) in one block of axis-wise reductions; they need ``n >= 2``
@@ -279,7 +280,8 @@ def _scratch(slot: int, rows: int, n: int, dtype=float, shape=None) -> np.ndarra
     """Working array ``slot`` of a ``(rows, n)`` chunk, uninitialised, as ``shape`` (or ``(rows, n)``).
 
     No two live arrays share a slot: 0 holds the rows, then ``a``; 1 the trim products, then
-    the keys and ``z``; 2-4 flags and counts.  The set is the kernel's alone.
+    the keys and ``z``; 2 flags, then ``b``, then flags; 3 the sign counts, then with 4 what
+    each counting statistic makes off ``(z, a, b)``, S and W too.  The set is the kernel's alone.
     """
     shape = (rows, n) if shape is None else shape
     if getattr(_pool, "n", None) != n:
@@ -293,31 +295,25 @@ def _scratch(slot: int, rows: int, n: int, dtype=float, shape=None) -> np.ndarra
     return block[:nbytes].view(dtype).reshape(shape)
 
 
-def _magnitude_keys(ys: np.ndarray, out=None) -> np.ndarray:
-    """Each row's keys ``(|y| bits << 1) | (y < 0)``, sorted; ``y >= 0`` first among equal ``|y|``."""
-    # a non-negative float64's bits are a monotone integer
-    keys = np.abs(ys, out=_scratch(1, *ys.shape) if out is None else out.view(float)).view(np.uint64)
-    keys <<= 1
-    keys |= np.less(ys, 0.0, out=_scratch(2, *ys.shape, bool))
-    keys.sort(axis=1)
-    return keys
-
-
 def _magnitude_counts(ys: np.ndarray):
     """Each row's magnitudes ``z`` ascending, with ``a = #{y <= -z}`` and ``b = #{y < z}``.
 
-    Both counts start at the first key of ``z``'s run of equal magnitudes:
-    ``a`` counts the sign bits from there to the row's end, read off one flat
-    ``cumsum``.  Each key starts its own run unless a row of the chunk repeats
-    a magnitude; then one flat ``maximum.accumulate`` carries each run's first
-    index and the counts are gathered there.  At ``z = 0`` both are ``#{y < 0}``.
+    The keys ``(|y| bits << 1) | (y < 0)`` sort by magnitude (a non-negative float64's bits are
+    a monotone integer), ``y >= 0`` first among equal ones.  Both counts start at the first key
+    of ``z``'s run of equal magnitudes: ``a`` counts the sign bits from there to the row's end,
+    read off one flat ``cumsum``.  Each key starts its own run unless a row of the chunk repeats
+    a magnitude; then one flat ``maximum.accumulate`` carries each run's first index and the
+    counts are gathered there.  At ``z = 0`` both are ``#{y < 0}``.
     """
     rows, n = ys.shape
     # a single row's z, a and b are one fresh block, which :func:`_kept` keeps; a
     # freed block this large lifts glibc's trim threshold, so later tails reuse the heap
     block = np.empty((3, 1, n), np.uint64) if rows == 1 else [
         _scratch(slot, rows, n, np.uint64) for slot in (1, 0, 2)]
-    keys = _magnitude_keys(ys, block[0])
+    keys = np.abs(ys, out=block[0].view(float)).view(np.uint64)
+    keys <<= 1
+    keys |= np.less(ys, 0.0, out=_scratch(2, rows, n, bool))
+    keys.sort(axis=1)
     flat = keys.ravel()
     step = block[2]
     np.bitwise_xor(flat[1:], flat[:-1], out=step.ravel()[1:])
@@ -364,22 +360,11 @@ def _char_divisor(spec: StatisticSpec, n: int) -> float:
 
 
 def _char_values(spec: StatisticSpec, n: int, num: np.ndarray) -> np.ndarray:
-    """``num`` over :func:`_char_divisor` in float64, for int64 and Python-int numerators alike."""
-    return np.asarray(num / _char_divisor(spec, n), dtype=float)
+    """Subset count differences ``num`` (int64 or Python ints), doubled, over :func:`_char_divisor`.
 
-
-def _count_rows(spec: StatisticSpec, ys: np.ndarray):
-    """S or W on every row of sorted, centered ``ys``, and None."""
-    rows, n = ys.shape
-    if spec.kind == "S":
-        return np.count_nonzero(np.greater(ys, 0.0, out=_scratch(1, rows, n, bool)), axis=1) / n - 0.5, None
-    # a pair sums above 0 exactly when its later key is positive, so each
-    # positive (even, nonzero) key adds its position in the row
-    keys = _magnitude_keys(ys)
-    positive = np.bitwise_and(keys, 1, out=_scratch(0, rows, n, np.uint64))
-    positive ^= 1
-    pairs = np.minimum(positive, keys, out=positive).view(np.int64) @ np.arange(n)
-    return pairs / math.comb(n, 2) - 0.5, None
+    The half-weighted BH kernel is ``(N_1 + N_2)/2 - N_2 = (N_1 - N_2)/2``: its ``num`` stays single.
+    """
+    return np.asarray((num if spec.kind.startswith("BH") else 2 * num) / _char_divisor(spec, n), dtype=float)
 
 
 def _threshold_counts(ys: np.ndarray, t: float) -> tuple:
@@ -394,21 +379,28 @@ def _count_members(spec: StatisticSpec, n: int, t: float, below, at_most, at_mos
     if spec.kind == "KS":  # n (F_n(t) + F_n(-t) - 1)
         return (at_most + at_most_neg - n) / n, None
     band = _band_counts(n, spec.subset_size, *spec.order_pair)  # a = #{y <= -t}, b = #{y < t}
-    num = (band[below] - band[at_most_neg]) * (t > 0.0)
-    # the half-weighted BH kernel is (N_1 + N_2)/2 - N_2 = (N_1 - N_2)/2
-    return _char_values(spec, n, num if spec.kind.startswith("BH") else 2 * num), None
+    return _char_values(spec, n, (band[below] - band[at_most_neg]) * (t > 0.0)), None
 
 
 def _count_magnitudes(spec: StatisticSpec, z: np.ndarray, a: np.ndarray, b: np.ndarray):
     """S, W, KS or BH/NA/MO per row off :func:`_magnitude_counts` (only read): values, sup arguments."""
     rows, n = z.shape
     if spec.kind == "S":  # #{y > 0} = n - #{y < 0} - #{y == 0}
-        return (n - a[:, 0] - np.count_nonzero(z == 0.0, axis=1)) / n - 0.5, None
+        zeros = np.count_nonzero(np.equal(z, 0.0, out=_scratch(3, rows, n, bool)), axis=1)
+        return (n - a[:, 0] - zeros) / n - 0.5, None
     if spec.kind == "W":  # a pair sums above 0 when its larger magnitude is positive: the
         # m = #{y = z > 0} positives (at the last key of z's run, else 0) pair with the b - a
         # smaller magnitudes and with one another, m (b - a) + m (m - 1) / 2 pairs
-        m = np.diff(b, append=n) * (z > 0.0)
-        return (m * (2 * (b - a) + m - 1)).sum(axis=1) // 2 / math.comb(n, 2) - 0.5, None
+        m = _scratch(3, rows, n, np.int64)
+        np.subtract(b.ravel()[1:], b.ravel()[:-1], out=m.ravel()[:-1])  # flat: row ends set apart
+        np.subtract(n, b[:, -1], out=m[:, -1])
+        m *= np.greater(z, 0.0, out=_scratch(4, rows, n, bool))
+        pairs = np.subtract(b, a, out=_scratch(4, rows, n, np.int64))
+        pairs *= 2
+        pairs += m
+        pairs -= 1
+        pairs *= m
+        return pairs.sum(axis=1) // 2 / math.comb(n, 2) - 0.5, None
     if spec.kind == "KS":
         # n (F_n(s) + F_n(-s) - 1) is a + b - n just below s = z > 0 and
         # a + b' - n at s, where b' = #{y <= z} is the next key's b at the
@@ -442,13 +434,10 @@ def _count_magnitudes(spec: StatisticSpec, z: np.ndarray, a: np.ndarray, b: np.n
         return high.astype(object) * 2**32 + (wrapped - (high << 32))
 
     if spec.family == INTEGRAL:  # the sums over b and over a apart: one gathered row at a time
-        num = row_sums(gather(b, 3)) - row_sums(gather(a, 3))
-        return _char_values(spec, n, num if spec.kind.startswith("BH") else 2 * num), None
+        return _char_values(spec, n, row_sums(gather(b, 3)) - row_sums(gather(a, 3))), None
     num = gather(b, 3)
     num -= gather(a, 4)
     mag = np.abs(num, out=num)  # threshold 0 is no jump: its entries drop to -1
-    if not spec.kind.startswith("BH"):  # as in :func:`_count_members`
-        mag *= 2
     mag -= np.equal(z, 0.0, out=_scratch(2, rows, n, bool))
     best, arg = _sup(mag, z)
     return _char_values(spec, n, np.maximum(best, 0)), arg
@@ -573,8 +562,8 @@ def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = N
     The one evaluation path behind every public entry point.  Counting
     statistics sort each row, center it by its trimmed mean
     ``(xs * trim_weights(n, alpha)).sum(axis=1)`` (a row-wise sum, so one row
-    alone and the same row inside any chunk get the same bits) and run :func:`_count_rows`
-    (S and W on a chunk), :func:`_count_members` (at ``t``) or :func:`_count_magnitudes`.
+    alone and the same row inside any chunk get the same bits) and run :func:`_count_members`
+    (at ``t``) or, for any number of rows, :func:`_count_magnitudes` off :func:`_magnitude_counts`.
     Moment statistics center with the row mean and median (:func:`_moments`) instead.
     Returns ``(values, sup_arguments)``, the arguments None but for a supremum.
     """
@@ -596,8 +585,6 @@ def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = N
         return _kept(samples, entry, "members", (spec.alpha, t),
                      lambda: _threshold_counts(_centered_rows(samples, spec.alpha, entry), t),
                      lambda counts: _count_members(spec, samples.shape[1], t, *counts))
-    if spec.kind in ("S", "W") and len(samples) > 1:
-        return _count_rows(spec, _centered_rows(samples, spec.alpha, entry))
     return _kept(samples, entry, "counts", spec.alpha,
                  lambda: _magnitude_counts(_centered_rows(samples, spec.alpha, entry)),
                  lambda counts: _count_magnitudes(spec, *counts))

@@ -174,6 +174,31 @@ class TestNullModels:
         with pytest.warns(RuntimeWarning, match="overflow"):
             closed(np.nextafter(cut, top))
 
+    @pytest.mark.parametrize("name", ["normal", "cauchy"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_density_up_to_infinity(self, name):
+        # x x overflowed past about 1.34e154 and raised; the normal clips its argument at
+        # _x_max, the Cauchy divides 1/pi by x twice past it, and below the cut both keep
+        # the closed form's bits
+        null = get_null(name)
+        top, cut = np.finfo(float).max, null._x_max
+        far = np.array([np.nextafter(cut, top), 1e155, 1e300, top, np.inf])
+        exact = {"normal": mp.npdf, "cauchy": lambda v: 1 / (mp.pi * (1 + v * v))}[name]
+        with mp.workdps(30):
+            want = np.array([float(exact(mp.mpf(float(v)))) if np.isfinite(v) else 0.0 for v in far])
+        for x in (far, -far):
+            got = null.density(x)
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-323)
+            assert [null.density(float(v)) for v in x] == got.tolist()
+        near = np.array([0.0, 5e-324, 1e-8, 1.0, 37.0, 1e100, np.nextafter(cut, 0.0), cut])
+        near = np.concatenate([near, -near])
+        closed = {
+            "normal": lambda v: np.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi),
+            "cauchy": lambda v: 1.0 / (math.pi * (1.0 + v * v)),
+        }[name]
+        assert null.density(near).view(np.int64).tolist() == closed(near).view(np.int64).tolist()
+        assert null.density(np.concatenate([near, far])).tolist() == [*closed(near), *null.density(far)]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_normal_density_derivative_at_infinity(self, normal):
         # -x exp(-x x / 2) was -inf * 0 = NaN there, with a warning; the clipped

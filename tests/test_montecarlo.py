@@ -45,6 +45,11 @@ class TestConfig:
             McConfig(n=50, reps=1000, seed=True)
         with pytest.raises(ValueError, match="non-negative integer"):
             McConfig(n=50, reps=1000, seed=-1)
+        # a bool is an Integral, but not a count
+        with pytest.raises(ValueError, match="integers"):
+            McConfig(n=True, reps=100, seed=1)
+        with pytest.raises(ValueError, match="integers"):
+            McConfig(n=50, reps=True, seed=1)
         assert McConfig(n=np.int64(50), reps=np.int64(1000), seed=np.int64(1)).reps == 1000
 
 
