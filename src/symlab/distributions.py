@@ -221,7 +221,7 @@ class Normal(SymmetricNull):
     _series_cut = 0.5
 
     def _closed_second_moment(self, b):
-        return special.ndtr(b) - 0.5 - b * self.density(np.minimum(b, self._x_max))
+        return special.ndtr(b) - 0.5 - b * self.density(b)
 
 
 def _logistic_density_series(terms: int) -> list[Fraction]:
@@ -318,11 +318,10 @@ class Cauchy(SymmetricNull):
         # past _x_max, pi (1 + x x) overflows: 1/(pi x^2), divided out in turn
         x = np.asarray(x, dtype=float)
         far = np.abs(x) > self._x_max
-        if not far.any():
-            return _as_float(1.0 / (math.pi * (1.0 + x * x)))
-        near = np.where(far, 0.0, x)
-        big = np.where(far, x, 1.0)
-        return _as_float(np.where(far, 1.0 / math.pi / big / big, 1.0 / (math.pi * (1.0 + near * near))))
+        if far.any():
+            big = np.where(far, x, 1.0)
+            return _as_float(np.where(far, 1.0 / math.pi / big / big, self.density(np.where(far, 0.0, x))))
+        return _as_float(1.0 / (math.pi * (1.0 + x * x)))
 
     def density_derivative(self, x):
         # past _d_max, 1 + x x is x x: -2/(pi x^3), divided out in turn so nothing overflows
