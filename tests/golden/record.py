@@ -54,6 +54,8 @@ BATTERY = (*DEFAULT_TESTS, "NA_K_10", "MO_K_3", "NA_I_5")
 EVALUATE_DATA = ("normal", "tied", "signed-zero")
 EVALUATE_SIZES = (7, 14, 100, 1000, 20000)
 EVALUATE_ALPHAS = (0.0, 0.25, 0.5)
+#: ``evaluate`` groups past the int64 tables: at this n the p = 4 band tables hold Python ints
+LONG_N, LONG_BATTERY = 102_572, (*DEFAULT_TESTS, "NA_K_10", "MO_K_3")
 #: ``evaluate_many`` groups: the counting statistics of ``BATTERY`` on chunks of ``(rows, n)``, then
 #: every supremum kind's member at ``T``
 CHUNK_BATTERY = tuple(name for name in (*DEFAULT_TESTS, "NA_K_10", "MO_K_3")
@@ -90,8 +92,8 @@ def _outcome(call) -> str:
     return f"{value.value!r} {value.sup_argument!r}"
 
 
-def _battery(x: np.ndarray, alpha: float) -> list[str]:
-    return [_outcome(lambda: evaluate(parse_statistic(name, alpha=alpha), x)) for name in BATTERY]
+def _battery(x: np.ndarray, alpha: float, names=BATTERY) -> list[str]:
+    return [_outcome(lambda: evaluate(parse_statistic(name, alpha=alpha), x)) for name in names]
 
 
 def _chunk(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -122,6 +124,9 @@ def _groups():
         sample = evaluate_data("normal", 100)
         sample[37] = bad
         yield f"evaluate/refused/{bad!r}", lambda: _battery(sample, ALPHA)
+    for kind in EVALUATE_DATA[:2]:
+        sample = evaluate_data(kind, LONG_N)
+        yield f"evaluate/{kind}/{LONG_N}/{ALPHA}", lambda: _battery(sample, ALPHA, LONG_BATTERY)
     x = np.random.default_rng(5).standard_t(5, size=N)
     for (run, (_, reps)), null_name in itertools.product(RUNS.items(), NULLS):
         null = get_null(null_name)
