@@ -42,7 +42,7 @@ too, as ``p_value``'s; a chunk of rows neither reads nor drops it) drops the ent
 another tag the part (:func:`_kept`), so a battery checks and sorts its sample
 once, and members on kept draws center and count them once.  Band tables and
 trimming weights outlive the entry: the process keeps one read-only copy per
-``(n, p, r_low, r_high)`` or ``(n, alpha)``, within 8 MiB (:func:`_stored`).
+``(n, p, r)`` or ``(n, alpha)``, within 8 MiB (:func:`_stored`).
 
 The independent reference is :func:`brute_force`, a literal enumeration of
 every subset and outer index, exactly as the statistics are defined.  It is
@@ -208,40 +208,39 @@ class StatisticValue:
 # ---------------------------------------------------------------------------
 
 
-def _band_counts(n: int, p: int, r_low: int, r_high: int) -> np.ndarray:
-    """``D[m] = sum_{r_low <= j < r_high} C(m, j) C(n - m, p - j)`` for ``m = 0..n``, read-only.
+def _band_counts(n: int, p: int, r: int) -> np.ndarray:
+    """``D[m] = sum_{r <= j <= p - r} C(m, j) C(n - m, p - j)`` for ``m = 0..n``, read-only.
 
     The ``p``-subsets whose ``r``-th order statistic lies in ``(-t, t)`` are
     those with at least ``r`` elements below ``t`` less those with at least
     ``r`` at or below ``-t``, so with ``a = #{y <= -t}`` and ``b = #{y < t}``
-    the count at rank ``r_low`` less that at ``r_high`` is ``D[b] - D[a]``.
-    Column ``i`` of ``C(m, i)`` is the running sum of column ``i - 1``; only
-    the columns ``j`` and ``p - j`` of the band are kept.  Entries of ``D``
-    are at most ``C(n, p)``: int64 while ``2 C(n, p) < 2**63``, so doubled
-    numerators fit, and Python ints beyond.  An int64 binomial past ``2**63``
-    only multiplies zeros: two nonzero factors multiply to a term of ``C(n, p)``.
-    Term ``p - j`` is term ``j`` reversed: one product per pair.  Kept by :func:`_stored`.
+    the count at rank ``r`` less that at rank ``p + 1 - r`` is ``D[b] - D[a]``.
+    ``w[i] = C(i, r - 1) C(n - 1 - i, p - r)`` subsets have their ``r``-th smallest rank at
+    ``i`` and ``w[n - 1 - i]`` their ``(p + 1 - r)``-th, so ``D[m + 1] - D[m] = w[m] - w[n - 1 - m]``.
+    ``w`` is formed where nonzero, ``i = r - 1 .. n - p + r - 1``, off running sums of ones.
+    Every entry is at most ``C(n, p)``: int64 while ``2 C(n, p) < 2**63``, so doubled
+    numerators fit, and Python ints beyond.  The table is made once the last column is
+    freed, while ``w`` is held: made after ``w`` moved to a fresh block, it left long rows
+    page-faulting in every call (glibc; about 2,300 minor faults a round of eval-long-rows).
+    Kept by :func:`_stored`.
     """
 
     def build():
         dtype = np.int64 if 2 * math.comb(n, p) < 2**63 else object
-        need = {i for j in range(r_low, r_high) for i in (j, p - j)}
-        cols = {0: np.ones(n + 1, dtype)}
-        for i in range(1, max(need) + 1):
-            cols[i] = np.zeros(n + 1, dtype)
-            np.cumsum((cols[i - 1] if i - 1 in need else cols.pop(i - 1))[:-1], out=cols[i][1:])
-        band = np.zeros(n + 1, dtype)  # made after the columns, the kept table splits no freed space
-        for j in (j for j in range(r_low, r_high) if not r_low <= p - j < j):  # p - j: with j
-            col = cols.pop(j)  # columns j and p - j serve terms j and p - j alone
-            if p - j == j == r_low:  # the first term, made in band itself (still zeros)
-                np.multiply(col, col[::-1], out=band)
-                continue
-            band += col * col[::-1] if p - j == j else np.multiply(col, cols.pop(p - j)[::-1], out=col)
-            if j < p - j < r_high:
-                band += col[::-1]
-        return band
+        size = max(n - p + 1, 0)
+        col = np.ones(size, dtype)
+        for j in range(p - r):  # column j + 1 off column j; r - 1 < p - r
+            if j == r - 1:
+                w = col.copy()  # C(s + r - 1, r - 1)
+            np.cumsum(col, out=col)
+        np.multiply(w, col[::-1], out=w)  # times C(n - r - s, p - r): w[r - 1 + s] at s
+        del col
+        band = np.zeros(n + 1, dtype)
+        band[r : r + size] = w
+        band[p - r + 1 : p - r + 1 + size] -= w[::-1]
+        return np.cumsum(band, out=band)
 
-    return _stored((n, p, r_low, r_high), build)
+    return _stored((n, p, r), build)
 
 
 def _weights(n: int, alpha: float) -> np.ndarray:
@@ -271,7 +270,7 @@ def _stored(key: tuple, build) -> np.ndarray:
 
 
 _BAND_BYTES = 2**23  # budget of the tables every thread shares
-_bands: dict = {}  # (n, p, r_low, r_high) or (n, alpha) -> (read-only table, bytes), least recently used first
+_bands: dict = {}  # (n, p, r) or (n, alpha) -> (read-only table, bytes), least recently used first
 _bands_lock = threading.Lock()
 _pool = threading.local()  # the calling thread's working set (row length n, arrays) and kept entry
 
@@ -378,7 +377,7 @@ def _count_members(spec: StatisticSpec, n: int, t: float, below, at_most, at_mos
     """A supremum family's member at ``t`` per row off :func:`_threshold_counts` (only read), and None."""
     if spec.kind == "KS":  # n (F_n(t) + F_n(-t) - 1)
         return (at_most + at_most_neg - n) / n, None
-    band = _band_counts(n, spec.subset_size, *spec.order_pair)  # a = #{y <= -t}, b = #{y < t}
+    band = _band_counts(n, spec.subset_size, spec.order_pair[0])  # a = #{y <= -t}, b = #{y < t}
     return _char_values(spec, n, (band[below] - band[at_most_neg]) * (t > 0.0)), None
 
 
@@ -421,7 +420,7 @@ def _count_magnitudes(spec: StatisticSpec, z: np.ndarray, a: np.ndarray, b: np.n
         gap[:, -1] = a[:, -1]  # b' = n at a row's last key
         b_at, g_at = _sup(np.multiply(np.abs(gap, out=gap), keep, out=gap), z, side0 + zeros)
         return np.maximum(b_at, b_left) / n, np.where(b_at >= b_left, g_at, g_left)
-    band = _band_counts(n, spec.subset_size, *spec.order_pair)
+    band = _band_counts(n, spec.subset_size, spec.order_pair[0])
     exact = band.dtype == np.int64  # else Python ints, gathered into fresh object arrays
 
     def gather(index, slot):  # indexing, unlike np.take, gathers at read-only a and b without a copy

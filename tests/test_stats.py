@@ -1058,6 +1058,14 @@ def test_each_kept_reuse_fires(reuse, streams, centerings, normal, monkeypatch):
 
 
 class TestBandCounts:
+    #: every family's (p, r): BH, NA_2 to NA_10 and MO_1 to MO_5, each comparing ranks r and p + 1 - r
+    FAMILIES = [(2, 1)] + [(k, 1) for k in range(2, 11)] + [(2 * k, k) for k in range(1, 6)]
+
+    @staticmethod
+    def binomial_sums(n, p, r):
+        return [sum(math.comb(m, j) * math.comb(n - m, p - j) for j in range(r, p + 1 - r))
+                for m in range(n + 1)]
+
     @pytest.mark.parametrize(
         "n, p, dtype",
         # an int64 table, an int64 table whose integral sums pass 2**63, Python ints
@@ -1067,32 +1075,34 @@ class TestBandCounts:
     )
     def test_matches_binomial_sums(self, n, p, dtype):
         # the order pairs of NA_K_p and MO_K_(p/2), built and then kept
-        for r_low, r_high in [(1, p), (p // 2, p // 2 + 1)]:
-            stats._bands.pop((n, p, r_low, r_high), None)
-            band = _band_counts(n, p, r_low, r_high)
+        for r in (1, p // 2):
+            stats._bands.pop((n, p, r), None)
+            band = _band_counts(n, p, r)
             assert band.dtype == dtype
-            assert _band_counts(n, p, r_low, r_high) is band
-            want = [
-                sum(math.comb(m, j) * math.comb(n - m, p - j) for j in range(r_low, r_high))
-                for m in range(n + 1)
-            ]
-            assert [int(d) for d in band] == want
+            assert _band_counts(n, p, r) is band
+            assert [int(d) for d in band] == self.binomial_sums(n, p, r)
+
+    @pytest.mark.parametrize("p, r", FAMILIES)
+    def test_every_family_matches_binomial_sums_at_small_n(self, p, r):
+        for n in range(1, 2 * p + 3):  # n < p: no subset, all zeros
+            stats._bands.pop((n, p, r), None)
+            assert [int(d) for d in _band_counts(n, p, r)] == self.binomial_sums(n, p, r)
 
     @staticmethod
     def kept_bytes():
         return sum(size for _, size in stats._bands.values())
 
     def test_a_kept_table_is_read_only_and_shared(self):
-        for p, args in [(4, (1, 4)), (10, (5, 6))]:  # an int64 and an object table at n = 500
-            band = _band_counts(500, p, *args)
+        for p, r in [(4, 1), (10, 5)]:  # an int64 and an object table at n = 500
+            band = _band_counts(500, p, r)
             assert not band.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 band[1] = 0
-            assert _band_counts(500, p, *args) is band
+            assert _band_counts(500, p, r) is band
             size = band.nbytes
             if band.dtype == object:  # its Python ints count too
                 size += sum(sys.getsizeof(v) for v in band)
-            assert stats._bands[(500, p, *args)][1] == size
+            assert stats._bands[(500, p, r)][1] == size
 
     def test_kept_weights_are_read_only_and_trim_weights_stays_fresh(self, rng):
         x = rng.normal(size=300)
@@ -1110,22 +1120,24 @@ class TestBandCounts:
 
     def test_the_budget_bounds_the_kept_bytes(self, monkeypatch):
         stats._bands.clear()
-        over = (stats._BAND_BYTES // 8, 2, 1, 2)  # n + 1 int64 entries pass the budget
-        kept = _band_counts(1000, 2, 1, 2)
+        over = (stats._BAND_BYTES // 8, 2, 1)  # n + 1 int64 entries pass the budget
+        kept = _band_counts(1000, 2, 1)
         band = _band_counts(*over)
         assert over not in stats._bands and _band_counts(*over) is not band
-        assert _band_counts(1000, 2, 1, 2) is kept  # and push out no kept table
+        assert _band_counts(1000, 2, 1) is kept  # and push out no kept table
         for n in (1000, 10_000, 100_000, 2000):  # eval-long-rows: its 16 tables and 4 weights fit
             x = np.random.default_rng(n).normal(size=n)
             for name in DEFAULT_TESTS:
                 evaluate(parse_statistic(name, alpha=0.25), x)
             evaluate_many(parse_statistic("NA_K_4", alpha=0.25), x[None, :], 0.7)
-        assert sorted(map(len, stats._bands)) == [2] * 4 + [4] * 16
+        assert sorted(map(len, stats._bands)) == [2] * 4 + [3] * 16
         assert self.kept_bytes() <= stats._BAND_BYTES
         monkeypatch.setattr(stats, "_BAND_BYTES", 3 * 8 * 1001)  # three tables at n = 1000
+        for key in [(1000, 3, 1), (1000, 4, 1), (1000, 4, 2)]:  # BH's (1000, 2, 1) alone is a hit below
+            del stats._bands[key]
         for p, r in [(2, 1), (3, 1), (4, 1), (3, 1), (4, 2)]:  # (3, 1) is used again, (2, 1) goes
-            _band_counts(1000, p, r, r + 1)
-        assert list(stats._bands) == [(1000, 4, 1, 2), (1000, 3, 1, 2), (1000, 4, 2, 3)]
+            _band_counts(1000, p, r)
+        assert list(stats._bands) == [(1000, 4, 1), (1000, 3, 1), (1000, 4, 2)]
 
     @pytest.mark.parametrize("n, k", [(300, 4), (500, 10)])  # int64, then object NA and MO tables
     def test_no_reader_writes_into_a_kept_table(self, n, k, rng):
@@ -1137,7 +1149,7 @@ class TestBandCounts:
                 evaluate_many(spec, x, t)
                 _evaluate_rows(spec, x[:1], t)
                 _evaluate_rows(spec, x[:1], t)  # a hit on the kept counts
-        kept = {key: band for key, (band, _) in stats._bands.items() if len(key) == 4}
+        kept = {key: band for key, (band, _) in stats._bands.items() if len(key) == 3}
         assert len(kept) == 3
         dtypes = {band.dtype for (_, p, *_), band in kept.items() if p == k}
         assert dtypes == {np.dtype(np.int64 if k == 4 else object)}
@@ -1148,7 +1160,7 @@ class TestBandCounts:
     def test_threads_at_different_n_equal_their_single_thread_results(self, rng, monkeypatch):
         specs = [parse_statistic(name, alpha=0.25) for name in DEFAULT_TESTS]
         samples = [rng.normal(size=n) for n in (400, 700, 1000, 1300)]
-        keys = [(2, 1, 2), (3, 1, 3), (4, 1, 4), (4, 2, 3)]  # the default battery's tables
+        keys = [(2, 1), (3, 1), (4, 1), (4, 2)]  # the default battery's tables
 
         def middles_of(n):
             return [int(_band_counts(n, *key)[n // 2]) for key in keys]
