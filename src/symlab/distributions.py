@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_MAX = float(np.finfo(float).max)
 
 
 def _mass(square: float) -> float:
@@ -78,7 +79,7 @@ class SymmetricNull:
 
     name: str = ""
     #: largest ``|x|`` at which the density's arithmetic stays finite
-    _x_max: float = float(np.finfo(float).max)
+    _x_max: float = _MAX
 
     def __eq__(self, other) -> bool:
         return type(self) is type(other)
@@ -186,8 +187,9 @@ class Normal(SymmetricNull):
     _x_max = math.sqrt(2.0) * math.sqrt(np.finfo(float).max)  # -0.5 x x
 
     def density(self, x):
-        c = np.clip(np.asarray(x, dtype=float), -self._x_max, self._x_max)  # exp is 0 past it
-        return _as_float(np.exp(-0.5 * c * c) / _SQRT_2PI)
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore"):  # past _x_max, -0.5 x x is -inf and exp its limit 0
+            return _as_float(np.exp(-0.5 * x * x) / _SQRT_2PI)
 
     def density_derivative(self, x):
         x = np.asarray(x, dtype=float)
@@ -211,8 +213,9 @@ class Normal(SymmetricNull):
         return math.sqrt(2.0 / math.pi)
 
     def _first_moment_primitive(self, x):
-        c = np.clip(x, -self._x_max, self._x_max)  # -0.5 x x overflows past it
-        return _as_float(-np.expm1(-0.5 * c * c) / _SQRT_2PI)  # f(0) - f(x)
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore"):  # past _x_max, -0.5 x x is -inf and expm1 its limit -1
+            return _as_float(-np.expm1(-0.5 * x * x) / _SQRT_2PI)  # f(0) - f(x)
 
     # f(x) = sum_k (-1/2)^k x^(2k) / (k! sqrt(2 pi))
     _moment_series = np.array(
@@ -445,12 +448,13 @@ class FernandezSteel(AlternativeFamily):
 
     def score(self, x):
         x = np.asarray(x, dtype=float)
-        return _as_float(np.abs(x) * np.asarray(self.base.density_derivative(x)))
+        size = np.minimum(np.abs(x), _MAX)  # at +-inf, inf * 0 is NaN: the limit is 0
+        return _as_float(size * np.asarray(self.base.density_derivative(x)))
 
     def score_cumulative(self, x):
         x = np.asarray(x, dtype=float)
         F = np.asarray(self.base.cdf(x))
-        xf = x * np.asarray(self.base.density(x))
+        xf = np.clip(x, -_MAX, _MAX) * np.asarray(self.base.density(x))  # x f(x), 0 at +-inf too
         return _as_float(np.where(x <= 0.0, F - xf, 1.0 - F + xf))
 
     def sample(

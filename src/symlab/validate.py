@@ -49,6 +49,11 @@ def _timed(name: str, fn):
     return wrapper
 
 
+def _verdict(failures: list[str], detail: str) -> tuple[bool, str]:
+    """Passed if nothing failed; the first five failures follow ``detail``."""
+    return not failures, detail + ("; failures: " + ", ".join(failures[:5]) if failures else "")
+
+
 # --------------------------------------------------------------------------
 # 1. counting fast path equals literal enumeration
 # --------------------------------------------------------------------------
@@ -119,9 +124,7 @@ def _check_equivalence_classes(seed: int, full: bool) -> tuple[bool, str]:
                     if diff > tol:
                         failures.append(f"KS-vs-S {null_name}/{alt_name} a={a:.3f}")
     detail = f"worst in-class spread {worst:.2e} (tol {tol:g})"
-    if failures:
-        detail += "; failures: " + ", ".join(failures[:5])
-    return not failures, detail
+    return _verdict(failures, detail)
 
 
 # --------------------------------------------------------------------------
@@ -198,9 +201,7 @@ def _check_variance_mc(seed: int, full: bool) -> tuple[bool, str]:
         if rel > 0.05:
             failures.append(f"{label}: rel {rel:.3f}")
     detail = f"{len(cells)} cells, worst relative error {worst:.3f} (tol 0.05)"
-    if failures:
-        detail += "; failures: " + ", ".join(failures[:5])
-    return not failures, detail
+    return _verdict(failures, detail)
 
 
 # --------------------------------------------------------------------------
@@ -268,9 +269,7 @@ def _check_slope_fd(seed: int, full: bool) -> tuple[bool, str]:
     if denom != 6.0:
         failures.append(f"normal skewness denominator {denom!r} != 6")
     detail = f"{checked} slopes, worst |analytic - fd| {worst:.2e} (tol {tol:g})"
-    if failures:
-        detail += "; failures: " + ", ".join(failures[:5])
-    return not failures, detail
+    return _verdict(failures, detail)
 
 
 # --------------------------------------------------------------------------
@@ -347,9 +346,7 @@ def _check_zero_roots(seed: int, full: bool) -> tuple[bool, str]:
         f"{found_roots} interior roots with |index| < 1e-10; "
         f"sign-changeless pairs (zero at the boundary or none): {', '.join(excluded)}"
     )
-    if failures:
-        detail += "; failures: " + ", ".join(failures[:5])
-    return not failures, detail
+    return _verdict(failures, detail)
 
 
 # --------------------------------------------------------------------------
@@ -440,9 +437,7 @@ def _check_size_calibration(seed: int, full: bool) -> tuple[bool, str]:
             failures.append(f"{kind}/{null_name}: size {size:.4f}")
     se = math.sqrt(cfg.level * (1.0 - cfg.level) / cfg.reps)  # Monte Carlo error of a size
     detail = f"{len(cells)} tests, worst |size - 0.05| = {worst:.4f} (MC s.e. {se:.4f}, tol 0.01)"
-    if failures:
-        detail += "; failures: " + ", ".join(failures[:5])
-    return not failures, detail
+    return _verdict(failures, detail)
 
 
 _CHECK_FNS = {

@@ -334,6 +334,20 @@ class TestAlternativeFamilies:
             val, _ = quad(alt.score, -np.inf, x, epsabs=1e-12, limit=200)
             assert alt.score_cumulative(x) == pytest.approx(val, abs=1e-9)
 
+    @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+    def test_fernandez_steel_score_tails(self, null_name):
+        # |x| f'(x) and x f(x) were inf * 0 = NaN at +-inf, with a warning; there they are the limit
+        # 0, the sign of the score's side, and the largest floats are as close to it
+        fs = get_alternative("fs", null_name)
+        top = np.finfo(float).max
+        for x in (np.inf, -np.inf):
+            assert (fs.score(x), fs.score_cumulative(x)) == (0.0, 0.0)
+            assert math.copysign(1.0, fs.score(x)) == -math.copysign(1.0, x)
+        np.testing.assert_array_equal(fs.score(np.array([np.inf, -np.inf])), [-0.0, 0.0])
+        far = np.array([top, -top])
+        assert np.all(np.abs(fs.score(far)) <= 1e-300)
+        assert np.all(np.abs(fs.score_cumulative(far)) <= 1e-300)
+
     def test_two_piece_mass_split(self, normal):
         # negative piece carries (1+theta)^2 / (1 + (1+theta)^2); checked by
         # quadrature of the density itself
