@@ -6,13 +6,25 @@ recorded as the error's type and message), ``evaluate_many`` over the
 counting battery and its supremum members at ``t`` on one chunk of rows (the
 values of every statistic the row length admits, one after another), or
 ``null_distribution``, ``p_value``, ``critical_value`` and ``power`` for one
-statistic, run inline (one kept chunk) and on two worker threads.  Its
-digest is the sha256 of the output's dtype, shape and bytes (a float's
-``repr``); ``digests.json`` keeps it with the output's count and first
-values, and with the numpy and scipy versions the file was recorded under,
-since another version may move a quantile by an ulp.  Under other versions
-each group's count and first values are compared instead: numbers to 1e-12
-relative, any other token exactly.
+statistic, run inline (one kept chunk) and on two worker threads.  The
+asymptotic layer adds every array field of the ``IndexCurve`` of each of the
+19 defaults on each model pair, and ``variance_function`` and
+``slope_function`` of each supremum default on a fixed ``t`` grid; the
+command line adds the bytes ``symlab index``, ``symlab variance`` and
+``symlab test --json`` print and write (one group per stream or file, as
+lines with their ends, the output directory and the tool version
+normalised).  Its digest is the sha256 of the
+output's dtype, shape and bytes (a float's ``repr``); ``digests.json`` keeps
+it with the output's count and first values, and with the numpy and scipy
+versions the file was recorded under, since another version may move a
+quantile by an ulp.  Under other versions each group's count and first
+values are compared instead: numbers to 1e-12 relative, any other token
+exactly.
+
+``digests.json`` also keeps the detail string of each ``symlab validate
+--suite quick`` check.  ``tests/test_acceptance.py`` runs those checks anyway
+and compares each detail with :func:`detail_alike`; this script reruns the
+suite (about 8 s) to name the checks whose detail moved.
 
     PYTHONPATH=src python tests/golden/record.py          # name every group that moved
     PYTHONPATH=src python tests/golden/record.py --write  # record the file anew
@@ -23,11 +35,15 @@ and why.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
+import io
 import itertools
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +52,10 @@ import scipy
 import symlab.montecarlo as montecarlo
 from symlab import (critical_value, evaluate, evaluate_many, get_alternative, get_null, null_distribution,
                     p_value, power)
+from symlab import cli
 from symlab._rng import stream
-from symlab.efficiency import DEFAULT_TESTS
+from symlab.asymptotics import slope_function, variance_function
+from symlab.efficiency import DEFAULT_TESTS, index_curves
 from symlab.stats import MOMENT, SUPREMUM, parse_statistic
 
 DIGESTS = Path(__file__).with_name("digests.json")
@@ -64,6 +82,26 @@ CHUNK_SHAPES = ((88, 7), (88, 14), (88, 100), (512, 7), (512, 14), (512, 100), (
 #: values put at one place of a normal sample of 100: refused by every statistic, then by the
 #: counting ones, by the moment ones, and by SQRT_B1 alone
 REFUSED_VALUES = (np.nan, np.inf, -np.inf, 1e308, 1e153, 1e102)
+ALTERNATIVES = ("contam", "fs")
+#: the array fields of an ``IndexCurve`` past its grid, one group each per test and model pair
+CURVE_FIELDS = ("index", "degenerate", "not_applicable", "sigma2", "slope", "var_argmax", "slope_argmax",
+                "quad_err")
+#: ``variance_function`` and ``slope_function`` groups: each supremum default at ``ALPHA`` on this grid
+MEMBER_TESTS = tuple(name for name in DEFAULT_TESTS if parse_statistic(name).family == SUPREMUM)
+MEMBER_T = np.linspace(0.0, 6.0, 61)
+#: command-line groups: ``(tag, argv, files)``, ``{dir}`` the output directory; each run's exit code
+#: and console output make one group, and each of ``files`` one more
+CLI_RUNS = (
+    *((f"index/{null}/{alt}", ["index", "--null", null, "--alt", alt, "-o", "{dir}/idx.csv"],
+       ("idx.csv", "idx_NA_I_3.csv", "idx.csv.manifest.json"))
+      for null, alt in (("normal", "contam"), ("cauchy", "fs"))),
+    ("variance/grid", ["variance", "--null", ",".join(NULLS), "--stat", "NA_I_4", "-o", "{dir}/var.csv"],
+     ("var.csv", "var.csv.manifest.json")),
+    ("variance/over_t", ["variance", "--null", ",".join(NULLS), "--stat", "KS", "--over-t", "--alpha",
+                         str(ALPHA), "-o", "{dir}/var.csv"], ("var.csv", "var.csv.manifest.json")),
+    *((f"test/{name}", ["test", "{dir}/data.txt", "--stat", name, "--alpha", str(ALPHA), "--reps", "600",
+                        "--json"], ()) for name in ("W", "NA_I_3", "KS")),
+)
 
 
 def versions() -> dict:
@@ -100,6 +138,22 @@ def _chunk(x: np.ndarray, alpha: float) -> np.ndarray:
     specs = [parse_statistic(name, alpha=alpha) for name in CHUNK_BATTERY]
     calls = [(spec, None) for spec in specs] + [(spec, T) for spec in specs if spec.family == SUPREMUM]
     return np.concatenate([evaluate_many(spec, x, t) for spec, t in calls if spec.kernel_order <= x.shape[1]])
+
+
+def _cli(argv: list[str]) -> dict[str, list[str]]:
+    """``symlab argv`` in a fresh directory holding a sample of 40: its exit code, stdout and stderr
+    under ``"console"``, and every file it wrote, as lines with their ends, ``{dir}`` and the version
+    normalised."""
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "data.txt").write_text("\n".join(map(repr, evaluate_data("normal", 40).tolist())) + "\n")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([arg.replace("{dir}", tmp) for arg in argv])
+        texts = {"console": f"exit {code}\n{stdout.getvalue()}{stderr.getvalue()}"}
+        texts |= {path.name: path.read_bytes().decode() for path in Path(tmp).iterdir() if path.name != "data.txt"}
+    version = f'"tool_version": {json.dumps(cli._version())}'
+    return {name: text.replace(tmp, "{dir}").replace(version, '"tool_version": "{version}"').splitlines(True)
+            for name, text in texts.items()}
 
 
 def _groups():
@@ -142,6 +196,22 @@ def _groups():
             yield f"critical_value/{tag}", lambda: critical_value(spec, null, cfg)
             yield f"power/fs/{tag}", lambda: power(spec, fs, 0.4, cfg)
             yield f"power/contam/{tag}", lambda: power(spec, contam, 0.3, cfg)
+    for null_name, alt_name in itertools.product(NULLS, ALTERNATIVES):
+        alt = get_alternative(alt_name, get_null(null_name))
+        curves = functools.cache(lambda: index_curves(DEFAULT_TESTS, alt))
+        for i, field in itertools.product(range(len(DEFAULT_TESTS)), CURVE_FIELDS):
+            yield (f"index_curve/{null_name}/{alt_name}/{DEFAULT_TESTS[i]}/{field}",
+                   lambda: getattr(curves()[i], field))
+    for null_name, name in itertools.product(NULLS, MEMBER_TESTS):
+        null, spec = get_null(null_name), parse_statistic(name, alpha=ALPHA)
+        yield f"variance_function/{null_name}/{name}", lambda: variance_function(spec, null, MEMBER_T)
+        for alt_name in ALTERNATIVES:
+            alt = get_alternative(alt_name, null)
+            yield f"slope_function/{null_name}/{alt_name}/{name}", lambda: slope_function(spec, alt, MEMBER_T)
+    for tag, argv, files in CLI_RUNS:
+        run = functools.cache(lambda: _cli(argv))
+        for part in ("console", *files):
+            yield f"cli/{tag}/{part}", lambda: run()[part]
 
 
 def _record(value) -> dict:
@@ -195,6 +265,22 @@ def drifted(recorded: dict, current: dict) -> list[str]:
                   if not alike(recorded.get(name), current.get(name)))
 
 
+def validate_details() -> dict:
+    """The detail string of each ``symlab validate --suite quick`` check, by name."""
+    from symlab.validate import DEFAULT_SEED, run_suite
+
+    return {result.name: result.detail for result in run_suite("quick", DEFAULT_SEED)}
+
+
+def detail_alike(recorded: dict, name: str, detail: str) -> bool:
+    """Whether check ``name`` printed its recorded detail: exactly under the recorded numpy and scipy,
+    else by :func:`_near`."""
+    old = recorded["validate"].get(name)
+    if recorded["versions"] == versions():
+        return old == detail
+    return old is not None and detail is not None and _near(old, detail)
+
+
 def changed(recorded: dict, current: dict) -> list[str]:
     """The groups that moved: by digest under the recorded numpy and scipy, else by :func:`drifted`."""
     if recorded["versions"] == versions():
@@ -202,21 +288,27 @@ def changed(recorded: dict, current: dict) -> list[str]:
     return drifted(recorded["groups"], current)
 
 
+def _rows(mapping: dict) -> str:
+    return ",\n".join(f"  {json.dumps(name)}: {json.dumps(value)}" for name, value in mapping.items())
+
+
 def main(argv: list[str]) -> int:
-    current = digests()
+    current, details = digests(), validate_details()
     if "--write" in argv:
-        rows = ",\n".join(f"  {json.dumps(name)}: {json.dumps(record)}" for name, record in current.items())
-        DIGESTS.write_text(f'{{"versions": {json.dumps(versions())},\n "groups": {{\n{rows}\n}}}}\n')
-        print(f"recorded {len(current)} groups under {versions()}")
+        DIGESTS.write_text(f'{{"versions": {json.dumps(versions())},\n "validate": {{\n{_rows(details)}\n}},\n'
+                           f' "groups": {{\n{_rows(current)}\n}}}}\n')
+        print(f"recorded {len(current)} groups and {len(details)} validate details under {versions()}")
         return 0
     recorded = json.loads(DIGESTS.read_text())
     if recorded["versions"] != versions():
         print(f"recorded under {recorded['versions']}, running {versions()}: "
               "comparing counts and first values")
-    names = changed(recorded, current)
+    names = changed(recorded, current) + sorted(
+        f"validate/{name}" for name in recorded["validate"].keys() | details.keys()
+        if not detail_alike(recorded, name, details.get(name)))
     for name in names:
         print(f"moved: {name}")
-    print(f"{len(names)} of {len(current)} groups moved")
+    print(f"{len(names)} of {len(current) + len(details)} groups moved")
     return 1 if names else 0
 
 

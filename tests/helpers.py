@@ -11,16 +11,28 @@ sort of sign-tagged magnitudes per chunk.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
 import sys
 import threading
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from symlab.location import trimmed_mean
 from symlab.stats import INTEGRAL, StatisticSpec
+
+
+@functools.cache
+def golden_record():
+    """``golden/record.py``, the golden digests' script, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("record", Path(__file__).with_name("golden") / "record.py")
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+    return record
 
 
 def exact_counting_value(spec: StatisticSpec, sample, t: float | None = None) -> float:

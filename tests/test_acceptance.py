@@ -3,11 +3,20 @@
 The quick variants run by default and already enforce the stated tolerances;
 the ``full``-marked variants rerun the simulation-heavy checks on their
 complete grids (tens of minutes) and are selected with ``pytest -m full``.
+Each quick check also prints the detail string recorded in
+``golden/digests.json`` (numbers to 1e-12 relative on another numpy or
+scipy).
 """
+
+import json
 
 import pytest
 
+from helpers import golden_record
 from symlab.validate import CHECKS, DEFAULT_SEED
+
+record = golden_record()
+RECORDED = json.loads(record.DIGESTS.read_text())
 
 CRITERIA = [
     "oracle-equivalence",
@@ -35,6 +44,9 @@ def _run(name: str, full: bool):
     suite = "full" if full else "quick"
     print(f"[{status}] {name} ({suite}, {result.seconds:.1f}s): {result.detail}")
     assert result.passed, f"{name}: {result.detail}"
+    if not full:
+        assert record.detail_alike(RECORDED, name, result.detail), (
+            f"{name}: {result.detail!r}, recorded {RECORDED['validate'].get(name)!r}")
 
 
 @pytest.mark.parametrize("name", CRITERIA)

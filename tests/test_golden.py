@@ -6,15 +6,13 @@ instead; ``golden/record.py`` names the groups that moved and records the file
 anew.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location("record", Path(__file__).with_name("golden") / "record.py")
-record = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(record)
+from helpers import golden_record
+
+record = golden_record()
 
 
 @pytest.fixture(scope="module")
