@@ -10,8 +10,12 @@ Subcommands
 ``symlab validate``  run the validation suite and report pass/fail
 
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 not-applicable
-request.  Every output file is accompanied by ``<file>.manifest.json``
-recording the command, parameters, seed and tool version.  Numbers are
+request.  :func:`main` alone turns an exception into an exit code: an
+unreadable input, an ``-o`` that cannot be written, a bad option and an
+unusable sample all exit 2 (``error: ...``), and a request the theory does not
+cover exits 3 (``not applicable: ...``).  One writer makes ``-o``'s directory
+before any work, then writes every output file and ``<file>.manifest.json``
+with the command, parameters, seed, tool version and files.  Numbers are
 written with 12 significant digits so CSV outputs round-trip.
 """
 
@@ -60,16 +64,27 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _write_manifest(out_path: Path, command: str, params: dict, seed: int | None, outputs):
-    manifest = {
-        "command": command,
-        "parameters": params,
-        "seed": seed,
-        "tool_version": _version(),
-        "outputs": [str(p) for p in outputs],
-    }
-    path = out_path.with_name(out_path.name + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+class _Writer:
+    """Every command's way to disk: ``-o``'s directory is made when the writer is, so an ``-o``
+    that cannot be written is refused before any work; :meth:`write` writes the outputs."""
+
+    def __init__(self, output: str, command: str, seed: int | None):
+        self.out = Path(output)
+        self.out.parent.mkdir(parents=True, exist_ok=True)
+        self.command, self.seed = command, seed
+
+    def write(self, params: dict, files: list) -> list[Path]:
+        """Write each ``(path, content)``, CSV rows or text, then the manifest naming them."""
+        for path, content in files:
+            if isinstance(content, str):
+                path.write_text(content)
+            else:
+                with open(path, "w", newline="") as fh:
+                    csv.writer(fh).writerows(content)
+        manifest = {"command": self.command, "parameters": params, "seed": self.seed,
+                    "tool_version": _version(), "outputs": [str(path) for path, _ in files]}
+        self.out.with_name(self.out.name + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        return [path for path, _ in files]
 
 
 def _read_data(path: str, col: str | None) -> np.ndarray:
@@ -103,37 +118,19 @@ def _read_data(path: str, col: str | None) -> np.ndarray:
 
 
 def _cmd_test(args) -> int:
-    try:
-        data = _read_data(args.data, args.col)
-        null = get_null(args.null)
-        spec = parse_statistic(args.stat, alpha=args.alpha)
-        asy.applicability(spec, null)
-        cfg = mc.McConfig(n=data.size, reps=args.reps, seed=args.seed, level=args.level)
-        result = evaluate(spec, data)
-        pval = mc.p_value(spec, null, data, cfg)
-        crit = mc.critical_value(spec, null, cfg)  # reads the null p_value simulated
-    except NotApplicableError as exc:
-        print(f"not applicable: {exc}", file=sys.stderr)
-        return EXIT_NOT_APPLICABLE
-    except (OSError, ValueError) as exc:  # unreadable data, bad options, unusable sample
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    data = _read_data(args.data, args.col)
+    null = get_null(args.null)
+    spec = parse_statistic(args.stat, alpha=args.alpha)
+    asy.applicability(spec, null)
+    cfg = mc.McConfig(n=data.size, reps=args.reps, seed=args.seed, level=args.level)
+    result = evaluate(spec, data)
+    pval = mc.p_value(spec, null, data, cfg)
+    crit = mc.critical_value(spec, null, cfg)  # reads the null p_value simulated
     pval_se = math.sqrt(pval * (1.0 - pval) / args.reps)  # Monte Carlo standard error
-    report = {
-        "statistic": spec.label,
-        "alpha": spec.alpha,
-        "null": null.name,
-        "n": int(data.size),
-        "value": result.value,
-        "sup_argument": result.sup_argument,
-        "p_value": pval,
-        "p_value_se": pval_se,
-        "critical_value": crit,
-        "level": args.level,
-        "reps": args.reps,
-        "seed": args.seed,
-    }
+    report = {"statistic": spec.label, "alpha": spec.alpha, "null": null.name, "n": int(data.size),
+              "value": result.value, "sup_argument": result.sup_argument, "p_value": pval,
+              "p_value_se": pval_se, "critical_value": crit, "level": args.level, "reps": args.reps,
+              "seed": args.seed}
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -148,99 +145,68 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    try:
-        null = get_null(args.null)
-        alt = get_alternative(args.alt, null)
-        tests = [t.strip() for t in args.tests.split(",") if t.strip()]
-        if not tests:
-            raise ValueError("no tests requested")
-        specs = [parse_statistic(name) for name in tests]
-        grid = eff.default_grid(args.grid)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    null = get_null(args.null)
+    alt = get_alternative(args.alt, null)
+    tests = [t.strip() for t in args.tests.split(",") if t.strip()]
+    if not tests:
+        raise ValueError("no tests requested")
+    specs = [parse_statistic(name) for name in tests]
+    grid = eff.default_grid(args.grid)
+    writer = _Writer(args.output, "index", args.seed)
+    out = writer.out
     curves = eff.index_curves(specs, alt, grid)
     not_applicable = [c.test for c in curves if c.not_applicable.all()]
-
-    outputs = []
-    for curve in curves:
-        per_test = out.with_name(f"{out.stem}_{curve.test}{out.suffix or '.csv'}")
-        with open(per_test, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "index", "degenerate"])
-            for a, v, degen, na in curve.rows():
-                writer.writerow([_fmt(a), _fmt(v), str(degen or na).lower()])
-        outputs.append(per_test)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["test", "alpha", "index", "degenerate"])
-        for curve in curves:
-            for a, v, degen, na in curve.rows():
-                writer.writerow([curve.test, _fmt(a), _fmt(v), str(degen or na).lower()])
-    outputs.append(out)
+    rows = {c.test: [[_fmt(a), _fmt(v), str(degen or na).lower()] for a, v, degen, na in c.rows()]
+            for c in curves}
+    files = [(out.with_name(f"{out.stem}_{c.test}{out.suffix or '.csv'}"),
+              [["alpha", "index", "degenerate"], *rows[c.test]]) for c in curves]
+    files.append((out, [["test", "alpha", "index", "degenerate"],
+                        *([c.test, *row] for c in curves for row in rows[c.test])]))
     params = {"null": null.name, "alt": alt.kind, "tests": tests, "grid_points": args.grid}
     results = {"not_applicable": not_applicable,
                "quad_err_max": max(float(c.quad_err.max()) for c in curves)}
-    _write_manifest(out, "index", params | results, args.seed, outputs)
-    for path in outputs:
+    for path in writer.write(params | results, files):
         print(f"wrote {path}")
     return EXIT_NOT_APPLICABLE if len(not_applicable) == len(curves) else EXIT_OK
 
 
 def _cmd_variance(args) -> int:
-    try:
-        nulls = [get_null(name.strip()) for name in args.null.split(",") if name.strip()]
-        if not nulls:
-            raise ValueError("no null models requested")
-        spec0 = parse_statistic(args.stat, alpha=args.alpha if args.over_t else 0.0)
-        grid = eff.default_grid(args.grid)
-        if args.over_t:
-            axis = "t"
-            xs = np.linspace(0.0, max(float(null.quantile(0.999)) for null in nulls), args.grid)
-            columns = [asy.variance_function(spec0, null, xs) for null in nulls]
-            # the member variance is closed-form: nothing is integrated
-            params = {"stat": spec0.label, "alpha": args.alpha, "over_t": True, "quad_err_max": 0.0}
-        else:
-            axis, xs = "alpha", grid
-            curves = [asy.variance_curve(spec0, null, grid) for null in nulls]
-            columns = [value for value, _, _ in curves]
-            params = {"stat": spec0.label, "grid_points": args.grid, "over_t": False,
-                      "quad_err_max": max(float(err.max()) for _, _, err in curves)}
-    except NotApplicableError as exc:
-        print(f"not applicable: {exc}", file=sys.stderr)
-        return EXIT_NOT_APPLICABLE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    nulls = [get_null(name.strip()) for name in args.null.split(",") if name.strip()]
+    if not nulls:
+        raise ValueError("no null models requested")
+    spec0 = parse_statistic(args.stat, alpha=args.alpha if args.over_t else 0.0)
+    grid = eff.default_grid(args.grid)
+    if args.over_t:
+        axis = "t"
+        xs = np.linspace(0.0, max(float(null.quantile(0.999)) for null in nulls), args.grid)
+        columns = [asy.variance_function(spec0, null, xs) for null in nulls]
+        # the member variance is closed-form: nothing is integrated
+        params = {"stat": spec0.label, "alpha": args.alpha, "over_t": True, "quad_err_max": 0.0}
+    else:
+        axis, xs = "alpha", grid
+        curves = [asy.variance_curve(spec0, null, grid) for null in nulls]
+        columns = [value for value, _, _ in curves]
+        params = {"stat": spec0.label, "grid_points": args.grid, "over_t": False,
+                  "quad_err_max": max(float(err.max()) for _, _, err in curves)}
 
-    out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([axis] + [f"sigma2_{null.name}" for null in nulls])
-        for row in np.column_stack([xs, *columns]).tolist():
-            writer.writerow([_fmt(v) for v in row])
-    _write_manifest(out, "variance", params | {"nulls": [n.name for n in nulls]}, None, [out])
-    print(f"wrote {out}")
+    # every refusal above comes before the writer, which leaves no directory behind
+    writer = _Writer(args.output, "variance", None)
+    table = [[axis] + [f"sigma2_{null.name}" for null in nulls]]
+    table += [[_fmt(v) for v in row] for row in np.column_stack([xs, *columns]).tolist()]
+    for path in writer.write(params | {"nulls": [n.name for n in nulls]}, [(writer.out, table)]):
+        print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
     from .validate import run_suite
 
+    writer = _Writer(args.output, "validate", args.seed) if args.output else None
     results = run_suite(args.suite, seed=args.seed)
-    payload = [
-        {"check": r.name, "passed": r.passed, "detail": r.detail, "seconds": round(r.seconds, 2)}
-        for r in results
-    ]
-    if args.output:
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2) + "\n")
-        _write_manifest(out, "validate", {"suite": args.suite}, args.seed, [out])
+    if writer:
+        payload = [{"check": r.name, "passed": r.passed, "detail": r.detail, "seconds": round(r.seconds, 2)}
+                   for r in results]
+        writer.write({"suite": args.suite}, [(writer.out, json.dumps(payload, indent=2) + "\n")])
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -309,6 +275,9 @@ def main(argv=None) -> int:
     except NotApplicableError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE
+    except (OSError, ValueError) as exc:  # unreadable data, unwritable -o, bad options, unusable sample
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -451,6 +451,25 @@ class TestCmdValidate:
         assert "argument --seed: invalid _seed value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["index", "--null", "normal", "--alt", "contam", "--tests", "S", "--grid", "3"],
+     ["variance", "--null", "normal", "--stat", "S", "--grid", "3"],
+     ["validate"]],
+)
+def test_output_under_a_file_exits_two_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # one error line, no traceback, and validate runs no check
+    ran = []
+    monkeypatch.setattr(symlab.validate, "CHECKS", {"recording": lambda seed, full: ran.append(seed)})
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([*command, "-o", str(blocker / "x.csv")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(blocker) in lines[0]
+    assert ran == []
+    assert blocker.read_text() == ""
+
+
 class TestParser:
     """One parser per process: ``main`` parses every call with the same object."""
 
