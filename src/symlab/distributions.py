@@ -452,10 +452,9 @@ class FernandezSteel(AlternativeFamily):
         return _as_float(size * np.asarray(self.base.density_derivative(x)))
 
     def score_cumulative(self, x):
-        x = np.asarray(x, dtype=float)
-        F = np.asarray(self.base.cdf(x))
-        xf = np.clip(x, -_MAX, _MAX) * np.asarray(self.base.density(x))  # x f(x), 0 at +-inf too
-        return _as_float(np.where(x <= 0.0, F - xf, 1.0 - F + xf))
+        # F(x) - x f(x) for x <= 0; the score is odd, so this is even and 1 - F never cancels
+        size = np.abs(np.asarray(x, dtype=float))
+        return _as_float(self.base.cdf(-size) + np.minimum(size, _MAX) * self.base.density(size))
 
     def sample(
         self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None
