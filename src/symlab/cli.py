@@ -59,9 +59,7 @@ def _seed(text: str) -> int:
 
 
 def _fmt(x: float) -> str:
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return "nan"
-    return format(float(x), ".12g")
+    return format(float(x), ".12g")  # a NaN of either sign prints as nan
 
 
 class _Writer:
