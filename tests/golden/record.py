@@ -13,13 +13,12 @@ asymptotic layer adds every array field of the ``IndexCurve`` of each of the
 command line adds the bytes ``symlab index``, ``symlab variance`` and
 ``symlab test --json`` print and write (one group per stream or file, as
 lines with their ends, the output directory and the tool version
-normalised).  Its digest is the sha256 of the
-output's dtype, shape and bytes (a float's ``repr``); ``digests.json`` keeps
-it with the output's count and first values, and with the numpy and scipy
-versions the file was recorded under, since another version may move a
-quantile by an ulp.  Under other versions each group's count and first
-values are compared instead: numbers to 1e-12 relative, any other token
-exactly.
+normalised).  Its digest is the sha256 of the output's dtype, shape and
+bytes (a float's ``repr``); ``digests.json`` keeps it with the output's count
+and first values, and with the numpy and scipy versions the file was
+recorded under, since another version may move a quantile by an ulp.  Under
+other versions each group's count and first values are compared instead:
+numbers to 1e-12 relative, any other token exactly.
 
 ``digests.json`` also keeps the detail string of each ``symlab validate
 --suite quick`` check.  ``tests/test_acceptance.py`` runs those checks anyway

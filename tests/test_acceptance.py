@@ -3,7 +3,7 @@
 The quick variants run by default and already enforce the stated tolerances;
 the ``full``-marked variants rerun the simulation-heavy checks on their
 complete grids (tens of minutes) and are selected with ``pytest -m full``.
-Each quick check also prints the detail string recorded in
+Each quick check must also print the detail string recorded in
 ``golden/digests.json`` (numbers to 1e-12 relative on another numpy or
 scipy).
 """
