@@ -8,8 +8,11 @@ values of every statistic the row length admits, one after another), or
 ``null_distribution``, ``p_value``, ``critical_value`` and ``power`` for one
 statistic, run inline (one kept chunk) and on two worker threads.  The
 asymptotic layer adds every array field of the ``IndexCurve`` of each of the
-19 defaults on each model pair, and ``variance_function`` and
-``slope_function`` of each supremum default on a fixed ``t`` grid; the
+19 defaults on each model pair, ``variance_curve`` of each non-moment
+default on each null and ``slope_curve`` on each model pair on their own
+trimming grid (value, argmax and error estimate in one group), and
+``variance_function`` and ``slope_function`` of each supremum default on a
+fixed ``t`` grid; the
 command line adds the bytes ``symlab index``, ``symlab variance`` and
 ``symlab test --json`` print and write (one group per stream or file, as
 lines with their ends, the output directory and the tool version
@@ -53,7 +56,7 @@ from symlab import (critical_value, evaluate, evaluate_many, get_alternative, ge
                     p_value, power)
 from symlab import cli
 from symlab._rng import stream
-from symlab.asymptotics import slope_function, variance_function
+from symlab.asymptotics import slope_curve, slope_function, variance_curve, variance_function
 from symlab.efficiency import DEFAULT_TESTS, index_curves
 from symlab.stats import MOMENT, SUPREMUM, parse_statistic
 
@@ -85,6 +88,10 @@ ALTERNATIVES = ("contam", "fs")
 #: the array fields of an ``IndexCurve`` past its grid, one group each per test and model pair
 CURVE_FIELDS = ("index", "degenerate", "not_applicable", "sigma2", "slope", "var_argmax", "slope_argmax",
                 "quad_err")
+#: ``variance_curve`` and ``slope_curve`` groups: each non-moment default on this grid, whose
+#: interior levels are off the ``IndexCurve`` groups' 101-point grid
+CURVE_TESTS = tuple(name for name in DEFAULT_TESTS if parse_statistic(name).family != MOMENT)
+CURVE_LEVELS = np.linspace(0.0, 0.5, 22)
 #: ``variance_function`` and ``slope_function`` groups: each supremum default at ``ALPHA`` on this grid
 MEMBER_TESTS = tuple(name for name in DEFAULT_TESTS if parse_statistic(name).family == SUPREMUM)
 MEMBER_T = np.linspace(0.0, 6.0, 61)
@@ -201,6 +208,13 @@ def _groups():
         for i, field in itertools.product(range(len(DEFAULT_TESTS)), CURVE_FIELDS):
             yield (f"index_curve/{null_name}/{alt_name}/{DEFAULT_TESTS[i]}/{field}",
                    lambda: getattr(curves()[i], field))
+    for null_name, name in itertools.product(NULLS, CURVE_TESTS):
+        null, spec = get_null(null_name), parse_statistic(name)
+        yield f"variance_curve/{null_name}/{name}", lambda: np.stack(variance_curve(spec, null, CURVE_LEVELS))
+        for alt_name in ALTERNATIVES:
+            alt = get_alternative(alt_name, null)
+            yield (f"slope_curve/{null_name}/{alt_name}/{name}",
+                   lambda: np.stack(slope_curve(spec, alt, CURVE_LEVELS)))
     for null_name, name in itertools.product(NULLS, MEMBER_TESTS):
         null, spec = get_null(null_name), parse_statistic(name, alpha=ALPHA)
         yield f"variance_function/{null_name}/{name}", lambda: variance_function(spec, null, MEMBER_T)
