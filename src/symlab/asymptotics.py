@@ -28,8 +28,8 @@ test, then refines together with the rows of every other test and curve it
 is given (:func:`_report_curves`).  For integral-type ones ``Int_Q^inf phi
 f`` integrates a polynomial in ``u = F(x)``, exact under a fixed
 Gauss-Legendre rule, and ``Int_0^Q phi x f`` uses a fixed composite rule
-(:func:`_t3`).  A moment-based index does not depend on ``a`` and is
-computed once.
+(:func:`_t3`).  A moment statistic's variance and slope do not depend on
+``a`` and are computed once (:func:`_moment_limits`).
 
 The other integrals use the fixed rules of :mod:`symlab._quad` too (the
 whole-line ones folded onto ``[0, inf)``), and the curves carry the largest
@@ -556,43 +556,46 @@ def slope_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas):
 # ---------------------------------------------------------------------------
 
 
-def cm_family_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
-    """Local index shared by the mean-median statistics (CM, GAMMA, MGG).
-
-    ``(mu'(0) - mu'(1/2))^2 / (sigma^2 + 1/(4 f(0)^2) - tau/f(0))``: the
-    numerator is the drift of mean minus median, ``Int x h + H(0)/f(0)``,
-    from the estimand derivatives, and ``tau = E|X|`` under the null;
-    requires a finite second moment.
-    """
-    applicability(StatisticSpec("CM"), null)
-    if alt.base != null:
-        raise ValueError("alternative family must perturb the same null")
-    f0 = float(null.density(0.0))
-    num = (_mu_prime(alt, (0.0,))[0][0] - _mu_prime(alt, (0.5,))[0][0]) ** 2
-    den = null.moment(2) + 1.0 / (4.0 * f0 * f0) - null.abs_mean() / f0
-    return num / den
-
-
 @cache
 def _int_x3_score(alt: AlternativeFamily) -> tuple[float, float]:
     return half_line(lambda x: x**3 * (alt.score(x) - alt.score(-x)), alt.base)
 
 
-def sqrtb1_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
-    """Local index of the skewness-coefficient test.
+def cm_family_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
+    """Local slope ``mu'(0) - mu'(1/2)`` of mean minus median along ``alt``, a family on ``null``.
 
-    ``(Int x^3 h - 3 sigma^2 Int x h)^2 / (m6 - 6 sigma^2 m4 + 9 sigma^6)``,
-    with the mean shift rate ``Int x h = mu'(0)``; requires a finite sixth
-    moment.
+    CM, GAMMA and MGG divide it by their scale (:func:`_moment_limits`).
     """
-    applicability(StatisticSpec("SQRT_B1"), null)
     if alt.base != null:
         raise ValueError("alternative family must perturb the same null")
-    sigma2 = null.moment(2)
-    xh = _mu_prime(alt, (0.0,))[0][0]
-    num = (_int_x3_score(alt)[0] - 3.0 * sigma2 * xh) ** 2
-    den = null.moment(6) - 6.0 * sigma2 * null.moment(4) + 9.0 * sigma2**3
-    return num / den
+    return _mu_prime(alt, (0.0,))[0][0] - _mu_prime(alt, (0.5,))[0][0]
+
+
+def sqrtb1_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
+    """Local slope ``(Int x^3 h - 3 sigma^2 mu'(0)) / sigma^3`` of the skewness coefficient."""
+    if alt.base != null:
+        raise ValueError("alternative family must perturb the same null")
+    m2 = null.moment(2)
+    return (_int_x3_score(alt)[0] - 3.0 * m2 * _mu_prime(alt, (0.0,))[0][0]) / m2**1.5
+
+
+def _moment_limits(spec: StatisticSpec, alt: AlternativeFamily) -> tuple[float, float, float]:
+    """Limiting variance, local slope and error estimate of a moment statistic (no ``a``).
+
+    The mean-median statistics are ``(xbar - med) / s``, with ``s = sigma``
+    (CM), ``1/2`` (GAMMA) and ``sqrt(pi/2) tau`` (MGG), ``tau = E|X|``
+    under the null: their variance is ``(sigma^2 + 1/(4 f(0)^2) - tau/f(0))
+    / s^2``.  SQRT_B1's is ``(m6 - 6 sigma^2 m4 + 9 sigma^6) / sigma^6``.
+    :func:`applicability` is the caller's.
+    """
+    null = alt.base
+    m2, err = null.moment(2), _mu_prime(alt, (0.0,))[1][0]
+    if spec.kind == "SQRT_B1":
+        sigma2 = (null.moment(6) - 6.0 * m2 * null.moment(4) + 9.0 * m2**3) / m2**3
+        return sigma2, sqrtb1_slope(null, alt), max(err, _int_x3_score(alt)[1])
+    f0, tau = float(null.density(0.0)), null.abs_mean()
+    s = {"CM": math.sqrt(m2), "GAMMA": 0.5, "MGG": math.sqrt(math.pi / 2.0) * tau}[spec.kind]
+    return (m2 + 1.0 / (4.0 * f0 * f0) - tau / f0) / (s * s), cm_family_slope(null, alt) / s, err
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +609,8 @@ class IndexCurve:
 
     ``degenerate`` marks 0/0 points and ``not_applicable`` points the theory
     excludes; ``index`` is NaN at both, so they plot as missing values
-    rather than zeros.  ``sigma2`` and ``slope`` are NaN for the
-    moment-based tests, and the argmaxes NaN but for supremum-type ones.
+    rather than zeros; ``sigma2`` and ``slope`` are NaN only at
+    not-applicable points, and the argmaxes NaN but for supremum-type ones.
     ``quad_err`` is the largest quadrature error estimate behind each point
     (0 where nothing was integrated).
     """
@@ -673,24 +676,20 @@ def _report_curves(specs, alt: AlternativeFamily, alphas) -> list[IndexCurve]:
     for spec in specs:
         na = _refused(spec, null, alphas)
         if spec.family == MOMENT:
-            index, sigma2, slope, var_arg, slope_arg = np.full((5, alphas.size), math.nan)
+            sigma2, slope, var_arg, slope_arg = np.full((4, alphas.size), math.nan)
             err = np.zeros(alphas.size)
             if not na.all():
-                sqrtb1 = spec.kind == "SQRT_B1"
-                index[~na] = (sqrtb1_slope if sqrtb1 else cm_family_slope)(null, alt)
-                x3_err = _int_x3_score(alt)[1] if sqrtb1 else 0.0
-                err[~na] = max(_mu_prime(alt, (0.0,))[1][0], x3_err)
-            flagged = np.zeros(alphas.size, dtype=bool)
+                sigma2[~na], slope[~na], err[~na] = _moment_limits(spec, alt)
         else:
             (sigma2, var_arg, var_err), (slope, slope_arg, slope_err) = next(curves)
             err = np.maximum(var_err, slope_err)
-            # Median centering pins the empirical process at the origin, so the
-            # sign-test member that defines the KS family is an exact 0/0 there;
-            # the comparison study treats the classical median-centered KS as
-            # inefficient at this endpoint and flags it.
-            flagged = ~na & ((sigma2 < DEGENERACY_TOL) | ((spec.kind == "KS") & (alphas == 0.5)))
-            index = np.full(alphas.size, math.nan)
-            np.divide(slope * slope, sigma2, out=index, where=~(flagged | na))
+        # Median centering pins the empirical process at the origin, so the
+        # sign-test member that defines the KS family is an exact 0/0 there;
+        # the comparison study treats the classical median-centered KS as
+        # inefficient at this endpoint and flags it.
+        flagged = ~na & ((sigma2 < DEGENERACY_TOL) | ((spec.kind == "KS") & (alphas == 0.5)))
+        index = np.full(alphas.size, math.nan)
+        np.divide(slope * slope, sigma2, out=index, where=~(flagged | na))
         reports.append(IndexCurve(spec.label, null.name, alt.kind, alphas, index, flagged, na,
                                   sigma2, slope, var_arg, slope_arg, err))
     return reports

@@ -209,21 +209,6 @@ def _check_variance_mc(seed: int, full: bool) -> tuple[bool, str]:
 # --------------------------------------------------------------------------
 
 
-def _moment_slope(kind: str, alt) -> float:
-    null = alt.base
-    f0 = float(null.density(0.0))
-    xh = quad_split(lambda x: x * alt.score(x), -np.inf, np.inf, points=[0.0, 1.0])
-    drift = xh + float(alt.score_cumulative(0.0)) / f0
-    if kind == "CM":
-        return drift / math.sqrt(null.moment(2))
-    if kind == "GAMMA":
-        return 2.0 * drift
-    if kind == "MGG":
-        return drift / (math.sqrt(math.pi / 2.0) * null.abs_mean())
-    x3h = quad_split(lambda x: x**3 * alt.score(x), -np.inf, np.inf, points=[0.0, 1.0])
-    return (x3h - 3.0 * null.moment(2) * xh) / null.moment(2) ** 1.5
-
-
 def _check_slope_fd(seed: int, full: bool) -> tuple[bool, str]:
     tol = 1e-4
     alphas = (0.0, 0.25, 0.5) if full else (0.25,)
@@ -260,14 +245,11 @@ def _check_slope_fd(seed: int, full: bool) -> tuple[bool, str]:
             fd = population_slope_fd(spec, alt, absolute=True)
             sup = asy.slope_curve(spec, alt, [spec.alpha])[0][0]
             record(f"{name} sup {alt_name}", sup, fd)
-        for name in moment_tests:
+        for name, curve in zip(moment_tests, eff.index_curves(moment_tests, alt, [0.0])):
             fd = population_slope_fd(parse_statistic(name), alt)
-            record(f"{name} {alt_name}", _moment_slope(name, alt), fd)
-    # skewness-statistic variance denominator for the normal null (exact)
-    normal = get_null("normal")
-    denom = normal.moment(6) - 6.0 * normal.moment(2) * normal.moment(4) + 9.0 * normal.moment(2) ** 3
-    if denom != 6.0:
-        failures.append(f"normal skewness denominator {denom!r} != 6")
+            record(f"{name} {alt_name}", curve.slope[0], fd)
+            if name == "SQRT_B1" and curve.sigma2[0] != 6.0:  # exact under the normal null
+                failures.append(f"normal skewness variance {curve.sigma2[0]!r} != 6")
     detail = f"{checked} slopes, worst |analytic - fd| {worst:.2e} (tol {tol:g})"
     return _verdict(failures, detail)
 

@@ -203,6 +203,23 @@ class TestMomentStatistics:
         # gamma = 2(mean - median): index = (fd/2)^2 / den
         assert idx == pytest.approx((fd / 2.0) ** 2 / den, rel=1e-6)
 
+    def test_closed_forms_normal_contamination(self, contam_normal):
+        # the variance and slope behind each index: sigma = sqrt(pi/2) E|X| = 1
+        # on the normal, so MGG's slope is CM's, and GAMMA = 2(mean - median)
+        tests = ("CM", "GAMMA", "MGG", "SQRT_B1")
+        curves = {c.test: c for c in eff.index_curves(tests, contam_normal, [0.0, 0.25])}
+        sigma2 = {name: c.sigma2[0] for name, c in curves.items()}
+        slope = {name: c.slope[0] for name, c in curves.items()}
+        for c in curves.values():  # neither depends on the trimming level
+            assert c.sigma2[1] == c.sigma2[0] and c.slope[1] == c.slope[0]
+        rel = 1e-12
+        assert sigma2["CM"] == pytest.approx(math.pi / 2.0 - 1.0, rel=rel)
+        assert sigma2["GAMMA"] == pytest.approx(4.0 * (math.pi / 2.0 - 1.0), rel=rel)
+        assert sigma2["SQRT_B1"] == pytest.approx(6.0, rel=rel)
+        assert slope["SQRT_B1"] == pytest.approx(1.0, rel=rel)
+        assert slope["MGG"] == pytest.approx(slope["CM"], rel=rel)
+        assert slope["GAMMA"] == pytest.approx(2.0 * slope["CM"], rel=rel)
+
     def test_sqrtb1_denominator_normal_exact(self, normal):
         sigma2 = normal.moment(2)
         den = normal.moment(6) - 6.0 * sigma2 * normal.moment(4) + 9.0 * sigma2**3

@@ -171,6 +171,21 @@ def test_report_is_the_one_index(name, null_name, alt_name):
             np.testing.assert_array_equal(argmaxes.view(np.int64), want[:, 1].view(np.int64))
 
 
+@pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+@pytest.mark.parametrize("alt_name", ["contam", "fs"])
+def test_every_index_is_slope_squared_over_variance(null_name, alt_name):
+    # one assembly for every test, moment ones included: the variance and
+    # slope are NaN exactly where the test is not applicable, and the index
+    # is their ratio, bit for bit, wherever the point is not flagged either
+    alt = get_alternative(alt_name, null_name)
+    for curve in eff.index_curves(eff.DEFAULT_TESTS, alt, eff.default_grid()):
+        na, ok = curve.not_applicable, ~(curve.not_applicable | curve.degenerate)
+        assert (np.isnan(curve.sigma2) == na).all() and (np.isnan(curve.slope) == na).all(), curve.test
+        assert np.isnan(curve.index[~ok]).all(), curve.test
+        want = curve.slope[ok] * curve.slope[ok] / curve.sigma2[ok]
+        np.testing.assert_array_equal(curve.index[ok].view(np.int64), want.view(np.int64), curve.test)
+
+
 _CURVE_FIELDS = (
     "index", "degenerate", "not_applicable", "sigma2", "slope", "var_argmax", "slope_argmax",
     "quad_err",

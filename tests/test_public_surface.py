@@ -76,8 +76,8 @@ def test_retired_readers_are_gone(module):
         assert hasattr(module, name), name
 
 
-def test_moment_index_formulas_are_not_exported():
-    # bahadur_index("CM" | "SQRT_B1", alt) reads them
+def test_moment_slopes_are_not_exported():
+    # the moment tests' variance and slope are read from their IndexCurve, like every other test's
     for name in ("cm_family_slope", "sqrtb1_slope"):
         assert name not in asymptotics.__all__
         assert not hasattr(symlab, name)
