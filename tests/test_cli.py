@@ -239,6 +239,16 @@ class TestCmdIndex:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tests", ["W,W,KS", "na_i_4,NA_I_4", "KS,S,ks"])
+    def test_repeated_test_exits_two_before_any_output(self, tmp_path, capsys, tests):
+        # each test writes its own file, so a repeat is refused, by its parsed label
+        out = tmp_path / "sub" / "i.csv"
+        code = main(["index", "--null", "normal", "--alt", "contam", "--tests", tests,
+                     "--grid", "5", "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: test requested more than once: ")
+        assert not out.parent.exists()
+
     def test_mixed_applicability_exits_zero(self, tmp_path):
         out = tmp_path / "mix.csv"
         code = main(
