@@ -556,27 +556,36 @@ def slope_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas):
 # ---------------------------------------------------------------------------
 
 
-@cache
-def _int_x3_score(alt: AlternativeFamily) -> tuple[float, float]:
-    return half_line(lambda x: x**3 * (alt.score(x) - alt.score(-x)), alt.base)
-
-
 def cm_family_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
-    """Local slope ``mu'(0) - mu'(1/2)`` of mean minus median along ``alt``, a family on ``null``.
+    """Local slope of mean minus median, shared by the mean-median statistics (CM, GAMMA, MGG).
 
-    CM, GAMMA and MGG divide it by their scale (:func:`_moment_limits`).
+    ``mu'(0) - mu'(1/2)``, the drift ``Int x h + H(0)/f(0)`` from the
+    estimand derivatives, before each statistic's scale
+    (:func:`_moment_limits`); requires a finite second moment.
     """
+    applicability(StatisticSpec("CM"), null)
     if alt.base != null:
         raise ValueError("alternative family must perturb the same null")
     return _mu_prime(alt, (0.0,))[0][0] - _mu_prime(alt, (0.5,))[0][0]
 
 
+@cache
+def _int_x3_score(alt: AlternativeFamily) -> tuple[float, float]:
+    return half_line(lambda x: x**3 * (alt.score(x) - alt.score(-x)), alt.base)
+
+
 def sqrtb1_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
-    """Local slope ``(Int x^3 h - 3 sigma^2 mu'(0)) / sigma^3`` of the skewness coefficient."""
+    """Local slope of the skewness-coefficient test.
+
+    ``(Int x^3 h - 3 sigma^2 Int x h) / sigma^3``, with the mean shift rate
+    ``Int x h = mu'(0)``; requires a finite sixth moment.
+    """
+    applicability(StatisticSpec("SQRT_B1"), null)
     if alt.base != null:
         raise ValueError("alternative family must perturb the same null")
-    m2 = null.moment(2)
-    return (_int_x3_score(alt)[0] - 3.0 * m2 * _mu_prime(alt, (0.0,))[0][0]) / m2**1.5
+    sigma2 = null.moment(2)
+    xh = _mu_prime(alt, (0.0,))[0][0]
+    return (_int_x3_score(alt)[0] - 3.0 * sigma2 * xh) / sigma2**1.5
 
 
 def _moment_limits(spec: StatisticSpec, alt: AlternativeFamily) -> tuple[float, float, float]:
@@ -586,7 +595,6 @@ def _moment_limits(spec: StatisticSpec, alt: AlternativeFamily) -> tuple[float, 
     (CM), ``1/2`` (GAMMA) and ``sqrt(pi/2) tau`` (MGG), ``tau = E|X|``
     under the null: their variance is ``(sigma^2 + 1/(4 f(0)^2) - tau/f(0))
     / s^2``.  SQRT_B1's is ``(m6 - 6 sigma^2 m4 + 9 sigma^6) / sigma^6``.
-    :func:`applicability` is the caller's.
     """
     null = alt.base
     m2, err = null.moment(2), _mu_prime(alt, (0.0,))[1][0]

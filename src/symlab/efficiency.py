@@ -4,11 +4,10 @@ The local index of a test is the quadratic coefficient of its approximate
 slope: inverse limiting variance times squared slope of the limit in
 probability.  Integral-type statistics use the plain ratio, supremum-type
 statistics the ratio of the suprema over the threshold, and the moment-based
-statistics the same ratio of a variance and a slope that do not depend on the
-trimming level.  The module assembles index
-curves over trimming grids, finds zero-efficiency trimming levels, detects
-equivalence classes, and locates the trimming level below which the KS and
-sign tests coincide.
+statistics the ratio of a variance and a slope that do not depend on the
+trimming level.  The module assembles index curves over trimming grids, finds
+zero-efficiency trimming levels, detects equivalence classes, and locates the
+trimming level below which the KS and sign tests coincide.
 """
 
 from __future__ import annotations
