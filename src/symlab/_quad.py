@@ -3,7 +3,8 @@
 Every integral behind a variance, slope or index uses the fixed composite
 Gauss-Legendre rules :func:`graded` and :func:`half_line`, each level from
 its own limit alone, with the distance to the rule with half the nodes as
-the error estimate.  :func:`quad` and :func:`quad_split` wrap
+the error estimate.  :func:`half_line` reads each model at its nodes once
+per process (:func:`_half_line_nodes`).  :func:`quad` and :func:`quad_split` wrap
 ``scipy.integrate.quad``, imported on first call, for the independent
 references only: the oracles, ``validate``, the influence curve and the
 population trimmed mean.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -54,20 +56,35 @@ def graded(g: Callable, q, nodes: int = 32):
     return value, np.abs(value - apply(nodes // 2))
 
 
-def half_line(g: Callable, null) -> tuple[float, float]:
-    """``Integral_0^inf g(x) dx`` and its error estimate, for ``g`` that decays like ``null``.
+@cache
+def _half_line_nodes(model, nodes: int) -> SimpleNamespace:
+    """:func:`half_line`'s nodes ``x = -Q(s/2)`` of the ``nodes``-point rule, and the null's ``cdf``,
+    ``density`` and ``density_derivative`` there; an alternative family adds ``odd_score``,
+    ``h(x) - h(-x)``."""
+    null = getattr(model, "base", model)
+    if model is not null:
+        v = _half_line_nodes(null, nodes)
+        return SimpleNamespace(**vars(v), odd_score=model.score(v.x) - model.score(-v.x))
+    x = -null.quantile(0.5 * _graded_rule(nodes)[0])
+    return SimpleNamespace(x=x, cdf=null.cdf(x), density=null.density(x),
+                           density_derivative=null.density_derivative(x))
 
-    With ``x = -Q(s/2)``, ``Q`` the null quantile, the integral is
-    ``1/2 Integral_0^1 g(x)/f(x) ds``; :func:`graded` in ``s`` resolves the
-    tail at ``s -> 0``.
+
+def half_line(g: Callable, model) -> tuple[float, float]:
+    """``Integral_0^inf g dx`` and its error estimate, for ``g`` that decays like the null.
+
+    ``g`` maps the :func:`_half_line_nodes` of ``model`` (a null, or an
+    alternative family over it) to the integrand there.  With ``x =
+    -Q(s/2)``, ``Q`` the null quantile, the integral is ``1/2 Integral_0^1
+    g(x)/f(x) ds``; the graded rule in ``s`` resolves the tail at ``s -> 0``.
     """
 
-    def mapped(s):
-        x = -null.quantile(0.5 * s)
-        return 0.5 * g(x) / null.density(x)
+    def apply(nodes):
+        v = _half_line_nodes(model, nodes)
+        return np.sum(_graded_rule(nodes)[1] * (0.5 * g(v) / v.density))
 
-    value, err = graded(mapped, 1.0)
-    return float(value), float(err)
+    value = apply(32)
+    return float(value), float(np.abs(value - apply(16)))
 
 
 def quad(f: Callable[[float], float], a: float, b: float, abs_tol: float = ABS_TOL) -> float:

@@ -33,11 +33,16 @@ Gauss-Legendre rule, and ``Int_0^Q phi x f`` uses a fixed composite rule
 
 The other integrals use the fixed rules of :mod:`symlab._quad` too (the
 whole-line ones folded onto ``[0, inf)``), and the curves carry the largest
-error estimate behind each level.  :func:`functools.cache` holds the
+error estimate behind each level.  Each model method runs once per point
+set (but ``F`` and ``f`` on the scan grid, once per part).  Per process,
+:func:`functools.cache` keeps what depends only on the model and the rule:
+the model at the half-line nodes and on the scan grid (:func:`_scan`), the
 alpha-free integrals ``Int phi^2``, ``Int phi f'``, ``Int_0^inf phi x f``,
-``Int phi h`` and ``Int x^3 h`` per ``(kind, k)`` statistic and model, with
-their estimates, and ``mu'`` per alternative and grid of levels; models
-compare by value, so every lookup of one model shares an entry.
+``Int phi h`` and ``Int x^3 h`` per ``(kind, k)`` statistic and model with
+their estimates, and ``mu'`` on one level; models compare by value, so
+every lookup of one model shares an entry.  What
+depends on the grid (:func:`_levels`, the null on :func:`_t3`'s nodes, ``mu'``)
+lives for one :func:`_curves` call, for all its tests, parts and rounds.
 
 Projections are analytic.  Every characterization statistic compares the
 ``r``-th and ``(p+1-r)``-th order statistics of a ``p``-subsample in absolute
@@ -71,7 +76,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -227,24 +232,29 @@ def _phi_sq(spec: StatisticSpec) -> float:
 
 @cache
 def _int_phi_fprime(spec: StatisticSpec, null: SymmetricNull) -> tuple[float, float]:
-    phi = Projection(spec, null).phi
-    return half_line(lambda x: 2.0 * phi(x) * null.density_derivative(x), null)  # even
+    phi_u = _profile(spec)
+    return half_line(lambda v: 2.0 * phi_u(v.cdf) * v.density_derivative, null)  # even
 
 
 @cache
 def _int_phi_x(spec: StatisticSpec, null: SymmetricNull) -> tuple[float, float]:
     """``Integral_0^inf phi(x) x f(x) dx``, the untrimmed case of :func:`_t3`."""
-    phi = Projection(spec, null).phi
-    return half_line(lambda x: phi(x) * x * null.density(x), null)
+    phi_u = _profile(spec)
+    return half_line(lambda v: phi_u(v.cdf) * v.x * v.density, null)
 
 
-def _t3(spec: StatisticSpec, null: SymmetricNull, q):
-    """``Integral_0^q phi(x) x f(x) dx`` for each ``q``, with an error estimate.
+def _t3(specs, null: SymmetricNull, q):
+    """``Integral_0^q phi(x) x f(x) dx`` of each of ``specs`` (rows) on each ``q``, and error estimates.
 
-    The 24-point graded rule (12 points for the estimate) suffices here.
+    The null is evaluated once on the nodes for all ``specs``.  The 24-point
+    graded rule (12 points for the estimate) suffices here.
     """
-    phi = Projection(spec, null).phi
-    return graded(lambda x: phi(x) * x * null.density(x), q, nodes=24)
+
+    def g(x):
+        u, f = null.cdf(x), null.density(x)
+        return np.array([_profile(spec)(u) * x * f for spec in specs])
+
+    return graded(g, q, nodes=24)
 
 
 def applicability(spec: StatisticSpec, null: SymmetricNull) -> None:
@@ -273,62 +283,58 @@ def _refused(spec: StatisticSpec, null: SymmetricNull, alphas) -> np.ndarray:
     return _uncentered(null, alphas)
 
 
-def _assemble_variance(null, m, alphas, t1, a_coef, mean_cross, median_cross, trim_cross):
-    """``m^2 [t1 + c(a) A^2 + A J(a)]`` on each level ``a``, shared by the two families.
+def _levels(null: SymmetricNull, alphas) -> tuple[np.ndarray, float]:
+    """Rows ``(a, c(a), factor of J, Q, Int_0^Q x f)`` of :func:`_assemble_variance`, and error 0.
 
-    ``alphas`` broadcasts against ``t1`` and ``A = a_coef`` (scalars, or
-    supremum-member thresholds).  ``J`` is ``4 mean_cross()`` at ``a = 0``,
-    ``(2/f(0)) median_cross()`` at ``a = 1/2`` and ``4/(1-2a) trim_cross(Q,
-    a)`` between, with ``Q`` the ``(1-a)`` quantile; a branch runs only when
-    some level needs it, and no level reads another.  ``mean_cross`` and
-    ``trim_cross`` return ``(value, error estimate)``; the second result is
-    the estimate of the branch each level took.
+    ``Q`` is the ``(1-a)`` quantile; between the boundaries ``c = 2 (Int_0^Q
+    x^2 f + a Q^2) / (1-2a)^2`` and the factor is ``4/(1-2a)``, at ``a = 0``
+    ``sigma^2`` and 4, at ``a = 1/2`` ``1/(4 f(0)^2)`` and ``2/f(0)``.  A
+    boundary level carries the 0.75 quantile, which it never reads.
     """
     zero, half = alphas == 0.0, alphas == 0.5
-    inner = ~(zero | half)
-    c2, err = np.zeros((2, *alphas.shape))
-    cross = np.zeros(np.broadcast_shapes(alphas.shape, np.shape(a_coef)))
+    a = np.where(zero | half, 0.25, alphas)
+    q, scale = null.quantile(1.0 - a), 1.0 - 2.0 * a
+    c2, factor = 2.0 * (null.partial_second_moment(q) + a * q * q) / (scale * scale), 4.0 / scale
     if zero.any():
-        value, e = mean_cross()
-        c2 = np.where(zero, null.moment(2), c2)
-        cross, err = np.where(zero, 4.0 * value, cross), np.where(zero, e, err)
+        c2, factor = np.where(zero, null.moment(2), c2), np.where(zero, 4.0, factor)
     if half.any():
         f0 = float(null.density(0.0))
-        c2 = np.where(half, 1.0 / (4.0 * f0 * f0), c2)
-        cross = np.where(half, (2.0 / f0) * median_cross(), cross)
-    if inner.any():
-        a = np.where(inner, alphas, 0.25)  # a stand-in level on the boundary rows, discarded
-        q = null.quantile(1.0 - a)
-        scale = 1.0 - 2.0 * a
-        kappa = null.partial_second_moment(q) + a * q * q
-        value, e = trim_cross(q, a)
-        c2 = np.where(inner, 2.0 * kappa / (scale * scale), c2)
-        cross, err = np.where(inner, (4.0 / scale) * value, cross), np.where(inner, e, err)
+        c2, factor = np.where(half, 1.0 / (4.0 * f0 * f0), c2), np.where(half, 2.0 / f0, factor)
+    return np.stack([alphas, c2, factor, q, null.partial_first_moment(0.0, q)], axis=1), 0.0
+
+
+def _assemble_variance(m, levels, t1, a_coef, mean_cross, median_cross, trim_cross):
+    """``m^2 [t1 + c(a) A^2 + A J(a)]`` on each level ``a``, shared by the two families.
+
+    ``levels`` holds the :func:`_levels` columns ``a``, ``c(a)`` and the factor of ``J``; they
+    broadcast against ``t1`` and ``A = a_coef`` (scalars, or supremum-member thresholds).  ``J``
+    is the factor times ``mean_cross()`` at ``a = 0``, ``median_cross()`` at ``a = 1/2`` and
+    ``trim_cross()`` between, each ``(value, error estimate)`` and run only when some level
+    needs it; the second result is the estimate of the branch each level took.
+    """
+    a, c2, factor = levels
+    zero, half = a == 0.0, a == 0.5
+    cross = np.zeros(np.broadcast_shapes(a.shape, np.shape(a_coef)))
+    err = np.zeros(a.shape)
+    for mask, part in ((zero, mean_cross), (half, median_cross), (~(zero | half), trim_cross)):
+        if mask.any():
+            value, e = part()
+            cross, err = np.where(mask, factor * value, cross), np.where(mask, e, err)
     return m * m * (t1 + c2 * (a_coef * a_coef) + a_coef * cross), err
 
 
-def _integral_variance(spec: StatisticSpec, null: SymmetricNull, alphas):
-    """Variance on each level, and the largest error estimate of its integrals."""
-    kernel = _kernel(spec)
-    phi_u = _profile(spec)
-    fprime, fprime_err = _int_phi_fprime(kernel, null)
-
-    def trim_cross(q, a):
+def _integral_variance(specs, null: SymmetricNull, levels):
+    """Variance of each of ``specs`` on the :func:`_levels` rows, and its largest error estimate."""
+    a, c2, factor, q, _ = levels.T
+    for spec, inner, inner_err in zip(specs, *_t3(specs, null, q)):
+        kernel, phi_u = _kernel(spec), _profile(spec)
+        fprime, fprime_err = _int_phi_fprime(kernel, null)
         # Int_Q^inf phi f is Int_{1-a}^1 phi(u) du: a polynomial in u there
-        value, err = _t3(spec, null, q)
-        return value + q * _u_integral(phi_u, 1.0 - a), err
-
-    value, err = _assemble_variance(
-        null,
-        spec.kernel_order,
-        alphas,
-        _phi_sq(kernel),
-        fprime,
-        lambda: _int_phi_x(kernel, null),
-        lambda: _u_integral(phi_u, 0.5),
-        trim_cross,
-    )
-    return value, np.maximum(err, fprime_err)
+        value, err = _assemble_variance(
+            spec.kernel_order, (a, c2, factor), _phi_sq(kernel), fprime,
+            lambda: _int_phi_x(kernel, null), lambda: (_u_integral(phi_u, 0.5), 0.0),
+            lambda: (inner + q * _u_integral(phi_u, 1.0 - a), inner_err))
+        yield value, np.maximum(err, fprime_err)
 
 
 def _by_test(groups, q):
@@ -346,29 +352,31 @@ def _by_test(groups, q):
     return column(lambda s: s.kernel_order), column(lambda s: _SUP_SIGN.get(s.kind, 1.0)), w
 
 
-def _member_variance(null: SymmetricNull, groups, t):
-    """``sigma^2(a; t)`` on the rows of ``(spec, a)`` blocks, ``t`` as :func:`_by_test`'s ``q``."""
+def _thresholds(model, t):
+    """``|t|`` and the null's ``F``, ``f`` and ``Int_0^t x f`` there; an alternative family's
+    score pairing ``-(H(t) + H(-t))`` replaces the last."""
+    null = getattr(model, "base", model)
     t = np.abs(np.asarray(t, dtype=float))
-    q = null.cdf(t)
-    m, _, w = _by_test(groups, q)
-    alphas = np.concatenate([lv for _, lv in groups])[:, None]
-    a_coef = w * (-2.0) * null.density(t)  # sign of the member cancels in every product
-    below = null.partial_first_moment(0.0, t)
+    if model is null:
+        return t, null.cdf(t), null.density(t), null.partial_first_moment(0.0, t)
+    return t, null.cdf(t), null.density(t), -(model.score_cumulative(t) + model.score_cumulative(-t))
 
-    def trim_cross(Q, a):
+
+def _member_variance(null: SymmetricNull, groups, v):
+    """``sigma^2(a; t)`` on the rows of ``(spec, levels)`` blocks at the :func:`_thresholds` ``v``."""
+    t, q, f, below = v
+    m, _, w = _by_test(groups, q)
+    a, c2, factor, Q, Q_moment = np.concatenate([lv for _, lv in groups]).T[..., None]
+    a_coef = w * (-2.0) * f  # sign of the member cancels in every product
+
+    def trim_cross():
         # the partial moment over (t, Q), empty (exactly 0.0) once t >= Q
-        inside = np.where(t < Q, null.partial_first_moment(0.0, Q) - below, 0.0)
+        inside = np.where(t < Q, Q_moment - below, 0.0)
         return w * (inside + Q * np.minimum(a, 1.0 - q)), 0.0
 
     return _assemble_variance(
-        null,
-        m,
-        alphas,
-        w * w * 2.0 * (1.0 - q),
-        a_coef,
-        lambda: (w * (null.abs_mean() / 2.0 - below), 0.0),
-        lambda: w * (1.0 - q),
-        trim_cross,
+        m, (a, c2, factor), w * w * 2.0 * (1.0 - q), a_coef,
+        lambda: (w * (null.abs_mean() / 2.0 - below), 0.0), lambda: (w * (1.0 - q), 0.0), trim_cross,
     )[0]
 
 
@@ -386,17 +394,20 @@ def variance_function(spec: StatisticSpec, null: SymmetricNull, t):
     if spec.family != SUPREMUM:
         raise ValueError("variance_function applies to supremum-type statistics")
     applicability(spec, null)
-    alpha = check_level([spec.alpha])
-    return _at_thresholds(lambda t: _member_variance(null, [(spec, alpha)], t), null, t)
+    levels = _levels(null, check_level([spec.alpha]))[0]
+    return _at_thresholds(lambda v: _member_variance(null, [(spec, levels)], v), null, t)
 
 
-def _at_thresholds(member, null: SymmetricNull, t):
-    """One-row ``member(|t|)`` in the shape of ``t``, refused if NaN, 0.0 past ``null._x_max``."""
+def _at_thresholds(member, model, t):
+    """One-row ``member`` of ``model``'s :func:`_thresholds` at ``|t|``, in the shape of ``t``;
+    refused if NaN, 0.0 past the null's ``_x_max``."""
+    null = getattr(model, "base", model)
     t = np.abs(np.asarray(t, dtype=float))
     if np.isnan(t).any():
         raise ValueError("threshold t must not be NaN")
     far = t > null._x_max
-    return _as_float(np.where(far, 0.0, np.reshape(member(np.where(far, 0.0, t)), t.shape)))
+    values = member(_thresholds(model, np.where(far, 0.0, t)))
+    return _as_float(np.where(far, 0.0, np.reshape(values, t.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -406,30 +417,26 @@ def _at_thresholds(member, null: SymmetricNull, t):
 
 @cache
 def _int_phi_score(spec: StatisticSpec, alt: AlternativeFamily) -> tuple[float, float]:
-    phi = Projection(spec, alt.base).phi
-    return half_line(lambda x: phi(x) * (alt.score(x) - alt.score(-x)), alt.base)  # phi odd
+    phi_u = _profile(spec)
+    return half_line(lambda v: phi_u(v.cdf) * v.odd_score, alt)  # phi odd
 
 
-def _integral_slope(spec: StatisticSpec, alt: AlternativeFamily, alphas):
-    """Slope on each level, and the largest error estimate of its integrals."""
-    mu_p, mu_err = _mu_prime(alt, tuple(alphas.tolist()))
-    kernel = _kernel(spec)
-    score, score_err = _int_phi_score(kernel, alt)
-    fprime, fprime_err = _int_phi_fprime(kernel, alt.base)
-    value = spec.kernel_order * (score + mu_p * fprime)
-    return value, np.maximum(mu_err, max(score_err, fprime_err))
+def _integral_slope(specs, alt: AlternativeFamily, mu_p):
+    """Slope of each of ``specs`` on the levels of estimand derivatives ``mu_p``, and the largest
+    error estimate of its own integrals (``mu_p``'s is the caller's)."""
+    for spec in specs:
+        kernel = _kernel(spec)
+        score, score_err = _int_phi_score(kernel, alt)
+        fprime, fprime_err = _int_phi_fprime(kernel, alt.base)
+        yield spec.kernel_order * (score + mu_p * fprime), max(score_err, fprime_err)
 
 
-def _member_slope(alt: AlternativeFamily, groups, t):
-    """Signed member slope on the rows of ``(spec, mu'(a))`` blocks, ``t`` as for the variance."""
-    null = alt.base
-    t = np.abs(np.asarray(t, dtype=float))
-    q = null.cdf(t)
+def _member_slope(alt: AlternativeFamily, groups, v):
+    """Signed member slope on the rows of ``(spec, mu'(a))`` blocks, ``v`` as for the variance."""
+    t, q, f, chi_score = v
     m, sign, w = _by_test(groups, q)
     mu_p = np.concatenate([lv for _, lv in groups])[:, None]
-    chi_score = -(alt.score_cumulative(t) + alt.score_cumulative(-t))
-    chi_fprime = -2.0 * null.density(t)
-    return m * sign * w * (chi_score + mu_p * chi_fprime)
+    return m * sign * w * (chi_score + mu_p * (-2.0 * f))
 
 
 def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t):
@@ -438,7 +445,7 @@ def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t):
         raise ValueError("slope_function applies to supremum-type statistics")
     applicability(spec, alt.base)
     mu_p = _mu_prime(alt, (spec.alpha,))[0]
-    return _at_thresholds(lambda t: _member_slope(alt, [(spec, mu_p)], t), alt.base, t)
+    return _at_thresholds(lambda v: _member_slope(alt, [(spec, mu_p)], v), alt, t)
 
 
 # ---------------------------------------------------------------------------
@@ -448,35 +455,46 @@ def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t):
 _REFINE_POINTS = 17
 
 
-def _sup_over_t(searches, null: SymmetricNull, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+@cache
+def _scan(model) -> tuple:
+    """:func:`_thresholds` of ``model`` at ``t = 0`` and 512 log-spaced points up to the 0.999
+    null quantile, the scan of :func:`_sup_over_t`; once per model in a process."""
+    q999 = float(getattr(model, "base", model).quantile(0.999))
+    table = _thresholds(model, np.concatenate([[0.0], np.geomspace(q999 * 1e-5, q999, 512)]))
+    for array in table:
+        array.flags.writeable = False  # every search shares the cached arrays
+    return table
+
+
+def _sup_over_t(searches, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
     """Row maxima and argmaxes of smooth-between-kinks functions of the threshold ``t >= 0``.
 
-    ``searches`` lists ``(member, groups)``; ``member(groups, t)`` maps
-    thresholds (one row for all, or one row each) to the values of the rows
-    of ``groups`` (:func:`_by_test`).  Each test's block is scanned on its
-    own at ``t = 0`` plus 512 log-spaced points up to the 0.999 null
-    quantile.  Then each round of one refinement loop makes one call per
-    search on a 17-point grid over each row's bracket, and narrows those
-    wider than ``tol`` to the neighbours of their best point, so no row
-    depends on another.  Only a strictly larger value replaces the best:
-    grid points win ties, and an argmax of exactly 0.0 stays exact.
+    ``searches`` lists ``(model, member, groups)``; ``member(model, groups,
+    v)`` maps the :func:`_thresholds` ``v`` of ``model`` (one row for all, or
+    one row each) to the values of the rows of ``groups`` (:func:`_by_test`).
+    Each test's block is scanned on its own on the :func:`_scan` grid.  Then
+    each round of one refinement loop makes one call per search on a
+    17-point grid over each row's bracket, and narrows those wider than
+    ``tol`` to the neighbours of their best point, so no row depends on
+    another.  Only a strictly larger value replaces the best: grid points
+    win ties, and an argmax of exactly 0.0 stays exact.
     """
-    q999 = float(null.quantile(0.999))
-    ts = np.concatenate([[0.0], np.geomspace(q999 * 1e-5, q999, 512)])
 
-    def scan(member, group):  # reduced to its argmax before the next test's scan
-        vals = member([group], ts)
+    def scan(model, member, group):  # reduced to its argmax before the next test's scan
+        vals = member(model, [group], _scan(model))
         i = np.argmax(vals, axis=1)
         return i, vals[np.arange(i.size), i]
 
-    i, best = (np.concatenate(a) for a in zip(*[scan(f, g) for f, gs in searches for g in gs]))
+    i, best = (np.concatenate(a) for a in zip(*[scan(m, f, g) for m, f, gs in searches for g in gs]))
+    ts = _scan(searches[0][0])[0]
     rows, arg = np.arange(i.size), ts[i]
     lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, ts.size - 1)]
     steps = np.linspace(0.0, 1.0, _REFINE_POINTS)
-    cuts = np.cumsum([sum(len(lv) for _, lv in groups) for _, groups in searches])[:-1]
+    cuts = np.cumsum([sum(len(lv) for _, lv in groups) for *_, groups in searches])[:-1]
     while (live := hi - lo > tol).any():
         grid = lo[:, None] + (hi - lo)[:, None] * steps
-        vals = np.concatenate([f(g, part) for (f, g), part in zip(searches, np.split(grid, cuts))])
+        vals = np.concatenate([f(model, g, _thresholds(model, part))
+                               for (model, f, g), part in zip(searches, np.split(grid, cuts))])
         j = np.argmax(vals, axis=1)
         top = vals[rows, j]
         better = live & (top > best)
@@ -487,47 +505,50 @@ def _sup_over_t(searches, null: SymmetricNull, tol: float = 1e-6) -> tuple[np.nd
 
 
 # (integral, column, member) of a curve, for :func:`_curves`; a slope's supremum is of |member|
-_VARIANCE = (_integral_variance, lambda null, a: (a, 0.0), _member_variance)
-_SLOPE = (_integral_slope, lambda alt, a: _mu_prime(alt, tuple(a.tolist())),
-          lambda alt, groups, t: np.abs(_member_slope(alt, groups, t)))
+_VARIANCE = (_integral_variance, _levels, _member_variance)
+_SLOPE = (_integral_slope, _derivative_curve,
+          lambda alt, groups, v: np.abs(_member_slope(alt, groups, v)))
 
 
 def _curves(specs, null: SymmetricNull, alphas, parts):
     """``(value, argmax, error)`` of each test in ``specs`` on each level, one list per part.
 
     A part is ``(model, (integral, column, member))``.  On the accepted
-    levels ``a``, ``integral(spec, model, a)`` is an integral-type test's
-    ``(value, error)``; a supremum-type test's rows ``(spec, levels)``, with
-    ``(levels, error) = column(model, a)``, are searched over ``member`` by
-    one :func:`_sup_over_t` for all parts and tests.  Refused levels
-    (:func:`_refused`) read NaN with error 0, integral-type argmaxes NaN.
+    levels ``a``, ``(levels, error) = column(model, a)`` is computed once for
+    every test; ``integral(specs, model, levels)`` yields each integral-type
+    test's ``(value, error)``, and a supremum-type test's rows ``(spec,
+    levels)`` are searched over ``member`` by one :func:`_sup_over_t` for all
+    parts and tests.  Refused levels (:func:`_refused`) read NaN with error
+    0, integral-type argmaxes NaN.
     """
     if moment := [spec.kind for spec in specs if spec.family == MOMENT]:
         raise ValueError(f"{moment[0]} is moment-based; it has no trimming curve")
     alphas = check_level(np.asarray(alphas, dtype=float).ravel())
+    ok = ~_uncentered(null, alphas)  # :func:`_refused` of every test here
     curves, searches, pending = [], [], []
     for model, (integral, column, member) in parts:
+        block = [(*np.full((2, alphas.size), math.nan), np.zeros(alphas.size)) for _ in specs]
+        curves.append(block)
+        if not ok.any():
+            continue
+        levels, level_err = column(model, alphas[ok])
+        sums = integral([spec for spec in specs if spec.family == INTEGRAL], model, levels)
         groups = []
-        for spec in specs:
-            ok = ~_refused(spec, null, alphas)
-            value, arg, err = *np.full((2, alphas.size), math.nan), np.zeros(alphas.size)
-            curves.append((value, arg, err))
-            if not ok.any():
-                continue
+        for spec, (value, arg, err) in zip(specs, block):
             if spec.family == INTEGRAL:
-                value[ok], err[ok] = integral(spec, model, alphas[ok])
+                value[ok], e = next(sums)
+                err[ok] = np.maximum(level_err, e)
             else:
-                levels, err[ok] = column(model, alphas[ok])
+                err[ok] = level_err
                 groups.append((spec, levels))
-                pending.append((value, arg, ok))
+                pending.append((value, arg))
         if groups:
-            searches.append((partial(member, model), groups))
+            searches.append((model, member, groups))
     if pending:
-        best, where = _sup_over_t(searches, null)
-        cuts = np.cumsum([ok.sum() for *_, ok in pending])[:-1]
-        for (value, arg, ok), b, w in zip(pending, np.split(best, cuts), np.split(where, cuts)):
+        best, where = (np.split(r, len(pending)) for r in _sup_over_t(searches))
+        for (value, arg), b, w in zip(pending, best, where):
             value[ok], arg[ok] = b, w
-    return [curves[i * len(specs) : (i + 1) * len(specs)] for i in range(len(parts))]
+    return curves
 
 
 def variance_curve(spec: StatisticSpec, null: SymmetricNull, alphas):
@@ -571,7 +592,7 @@ def cm_family_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
 
 @cache
 def _int_x3_score(alt: AlternativeFamily) -> tuple[float, float]:
-    return half_line(lambda x: x**3 * (alt.score(x) - alt.score(-x)), alt.base)
+    return half_line(lambda v: v.x**3 * v.odd_score, alt)
 
 
 def sqrtb1_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:

@@ -183,7 +183,7 @@ def _derivative_curve(alt: AlternativeFamily, alphas) -> tuple[np.ndarray, np.nd
     value[inner], err[inner] = (edge + integral) / scale, e / scale
     value[alphas == 0.5] = -alt.score_cumulative(0.0) / null.density(0.0)
     if (alphas == 0.0).any():
-        value[alphas == 0.0], err[alphas == 0.0] = half_line(xh, null)
+        value[alphas == 0.0], err[alphas == 0.0] = half_line(lambda v: v.x * v.odd_score, alt)
     return value, err
 
 

@@ -12,6 +12,7 @@ sort of sign-tagged magnitudes per chunk.
 from __future__ import annotations
 
 import functools
+import hashlib
 import importlib.util
 import math
 import sys
@@ -24,6 +25,22 @@ import numpy as np
 
 from symlab.location import trimmed_mean
 from symlab.stats import INTEGRAL, StatisticSpec
+
+
+#: the array fields of an ``IndexCurve`` besides its grid
+CURVE_FIELDS = (
+    "index", "degenerate", "not_applicable", "sigma2", "slope", "var_argmax", "slope_argmax",
+    "quad_err",
+)
+
+
+def curve_digest(curves) -> str:
+    """sha256 of the bytes of every :data:`CURVE_FIELDS` array of each curve, in order."""
+    h = hashlib.sha256()
+    for curve in curves:
+        for field in CURVE_FIELDS:
+            h.update(np.asarray(getattr(curve, field)).tobytes())
+    return h.hexdigest()
 
 
 @functools.cache

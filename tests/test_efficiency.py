@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import CURVE_FIELDS, curve_digest
 from symlab import efficiency as eff
 from symlab import asymptotics as asy
 from symlab._quad import ABS_TOL
@@ -186,16 +191,10 @@ def test_every_index_is_slope_squared_over_variance(null_name, alt_name):
         np.testing.assert_array_equal(curve.index[ok].view(np.int64), want.view(np.int64), curve.test)
 
 
-_CURVE_FIELDS = (
-    "index", "degenerate", "not_applicable", "sigma2", "slope", "var_argmax", "slope_argmax",
-    "quad_err",
-)
-
-
 def assert_same_curve(got, want):
     """Equal test, grid and all eight array fields, bit for bit (NaNs by their bits)."""
     assert (got.test, got.null, got.alternative) == (want.test, want.null, want.alternative)
-    for field in ("grid", *_CURVE_FIELDS):
+    for field in ("grid", *CURVE_FIELDS):
         a, b = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
@@ -230,6 +229,71 @@ class TestIndexCurves:
         for name, curve in zip(tests, eff.index_curves(tests, alt, grid)):
             assert_same_curve(curve, eff.index_curves([name], alt, grid)[0])
         assert eff.index_curves([], alt, grid) == []
+
+
+_SHARED_PAIRS = (("normal", "contam"), ("cauchy", "fs"))
+
+# A fresh interpreter counts the points passed to the outermost model-method
+# calls of one index run per pair, and those on an input already seen (by
+# bytes), and prints both with the digest of the curves.
+_COUNT_REPEATS = f"""
+import numpy as np
+from helpers import curve_digest
+from symlab import distributions as dist, efficiency as eff
+
+METHODS = ("cdf", "density", "density_derivative", "quantile", "partial_first_moment",
+           "partial_second_moment", "score", "score_cumulative")
+depth, seen, count = [0], set(), {{"all": 0, "seen": 0}}
+
+def counted(name, method):
+    def outer(self, *args):
+        if not depth[0]:
+            arrays = [np.asarray(a, dtype=float) for a in args]
+            key = (self, name, tuple((a.shape, a.tobytes()) for a in arrays))
+            size = np.broadcast(*arrays).size
+            count["all"] += size
+            count["seen"] += size if key in seen else 0
+            seen.add(key)
+        depth[0] += 1
+        try:
+            return method(self, *args)
+        finally:
+            depth[0] -= 1
+    return outer
+
+for cls in vars(dist).values():
+    if isinstance(cls, type) and issubclass(cls, (dist.SymmetricNull, dist.AlternativeFamily)):
+        for name in METHODS:
+            if name in vars(cls):
+                setattr(cls, name, counted(name, vars(cls)[name]))
+
+for null, alt in {list(_SHARED_PAIRS)!r}:
+    seen.clear()
+    count.update(all=0, seen=0)
+    curves = eff.index_curves(eff.DEFAULT_TESTS, dist.get_alternative(alt, null), eff.default_grid(11))
+    print(null, alt, count["seen"], count["all"], curve_digest(curves))
+"""
+
+
+def test_cold_index_evaluates_each_model_point_once():
+    # the asymptotic layer shares the null and alternative values on each
+    # point set across tests, parts and refinement rounds; and a process
+    # whose shared tables other grids filled first gives the same bits
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"), str(Path(__file__).resolve().parent)]))
+    result = subprocess.run([sys.executable, "-c", _COUNT_REPEATS], env=env, capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+    lines = [line.split() for line in result.stdout.splitlines()]
+    assert [tuple(line[:2]) for line in lines] == list(_SHARED_PAIRS)
+    other = np.linspace(0.03, 0.47, 5)
+    for (null_name, alt_name), (*_, seen, points, cold) in zip(_SHARED_PAIRS, lines):
+        assert int(seen) <= 0.1 * int(points), (null_name, alt_name, seen, points)
+        alt = get_alternative(alt_name, null_name)
+        for name in ("W", "KS"):
+            asy.variance_curve(parse_statistic(name), alt.base, other)
+            asy.slope_curve(parse_statistic(name), alt, other)
+        assert curve_digest(eff.index_curves(eff.DEFAULT_TESTS, alt, eff.default_grid(11))) == cold
 
 
 class TestZeroEfficiency:
