@@ -299,9 +299,13 @@ class TestInvariances:
             flipped = evaluate(spec, -x).value
             if spec.family == "supremum":
                 assert flipped == direct
+            elif name in ("CM", "GAMMA", "MGG"):
+                assert flipped == -direct
             else:
                 # counts complement under the flip, so the negation holds up
-                # to one rounding of the final division
+                # to one rounding of the final division; SQRT_B1 cubes by
+                # np.power(centered, 3), which is not odd: pow(-v, 3) and
+                # -pow(v, 3) differ in the last bit for about 5% of v
                 assert flipped == pytest.approx(-direct, abs=1e-12)
 
     @pytest.mark.parametrize("name", ALL_IDS)
