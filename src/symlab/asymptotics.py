@@ -80,7 +80,7 @@ from functools import cache
 
 import numpy as np
 
-from ._quad import _gauss01, graded, half_line
+from ._quad import _gauss01, _graded_rule, half_line
 from .distributions import AlternativeFamily, SymmetricNull, _as_float
 from .errors import NotApplicableError
 from .location import _derivative_curve, _uncentered, check_centering, check_level
@@ -244,17 +244,19 @@ def _int_phi_x(spec: StatisticSpec, null: SymmetricNull) -> tuple[float, float]:
 
 
 def _t3(specs, null: SymmetricNull, q):
-    """``Integral_0^q phi(x) x f(x) dx`` of each of ``specs`` (rows) on each ``q``, and error estimates.
+    """``Integral_0^q phi(x) x f(x) dx`` of each of ``specs`` on each ``q``, and its error estimate.
 
-    The null is evaluated once on the nodes for all ``specs``.  The 24-point
-    graded rule (12 points for the estimate) suffices here.
+    The 24-point :func:`symlab._quad.graded` rule (12 points for the
+    estimate) suffices here.  The null is evaluated on a rule's nodes once
+    for all ``specs``, one rule at a time.
     """
-
-    def g(x):
+    q = np.asarray(q, dtype=float)[..., None]
+    sums = []
+    for s, w in (_graded_rule(24), _graded_rule(12)):
+        x = q * s
         u, f = null.cdf(x), null.density(x)
-        return np.array([_profile(spec)(u) * x * f for spec in specs])
-
-    return graded(g, q, nodes=24)
+        sums.append([q[..., 0] * np.sum(w * (_profile(spec)(u) * x * f), axis=-1) for spec in specs])
+    return [(value, np.abs(value - half)) for value, half in zip(*sums)]
 
 
 def applicability(spec: StatisticSpec, null: SymmetricNull) -> None:
@@ -326,7 +328,7 @@ def _assemble_variance(m, levels, t1, a_coef, mean_cross, median_cross, trim_cro
 def _integral_variance(specs, null: SymmetricNull, levels):
     """Variance of each of ``specs`` on the :func:`_levels` rows, and its largest error estimate."""
     a, c2, factor, q, _ = levels.T
-    for spec, inner, inner_err in zip(specs, *_t3(specs, null, q)):
+    for spec, (inner, inner_err) in zip(specs, _t3(specs, null, q)):
         kernel, phi_u = _kernel(spec), _profile(spec)
         fprime, fprime_err = _int_phi_fprime(kernel, null)
         # Int_Q^inf phi f is Int_{1-a}^1 phi(u) du: a polynomial in u there

@@ -452,7 +452,7 @@ class TestQuadratureBudget:
         for name in INTEGRAL_KINDS:
             spec = parse_statistic(name)
             phi = asy.projection(spec, null).phi
-            (value,), (abserr,) = asy._t3([spec], null, q)
+            ((value, abserr),) = asy._t3([spec], null, q)
             tail = asy._u_integral(asy._profile(spec), 1.0 - alphas)
             assert abserr.max() <= ABS_TOL
             for i, qi in enumerate(q):
