@@ -45,7 +45,7 @@ with open(out, "w", newline="") as fh:
             writer.writerow([name, f"{a:.12g}", f"{value:.12g}", str(degen or na).lower()])
 print(f"\nwrote {out}")
 
-print("\nequivalence classes at alpha = 0 (indices agreeing within 1e-6):")
+print("\nequivalence classes at alpha = 0 (proportional first projections):")
 for group in equivalence_report(alt, 0.0).groups:
     if len(group) > 1:
         print("  ~ ".join(group))

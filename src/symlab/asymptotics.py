@@ -55,11 +55,12 @@ the integral forms, the odd profile
 with an explicit polynomial ``Omega`` per family, while the supremum-family
 members factor as ``w(q) * chi(u; q)`` where ``chi(u; q) = 1{u >= q} -
 1{u < 1-q}`` and ``q = F(t)``.  These closed forms are certified against
-Monte Carlo conditional expectations in the test suite.
+Monte Carlo conditional expectations and their exact coefficients
+(:func:`_shape`) in the test suite.
 
 :func:`_report_curves` is the single place the local index, slope squared
 over variance, is assembled from the two curves, including its degenerate
-cases (a vanishing variance, and KS at ``a = 1/2``); every index function of
+points (S and KS at ``a = 1/2``); every index function of
 :mod:`symlab.efficiency` reads its values from it through
 :func:`symlab.efficiency.index_curves`.
 :func:`applicability` is the single rule for which (test, null) pairs the
@@ -76,6 +77,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -95,10 +97,7 @@ __all__ = [
     "slope_function",
     "applicability",
     "IndexCurve",
-    "DEGENERACY_TOL",
 ]
-
-DEGENERACY_TOL = 1e-10
 
 
 @cache
@@ -151,6 +150,28 @@ def _weight(spec: StatisticSpec):
     if spec.kind.startswith("BH"):
         return lambda q: 0.5 * (2.0 * q - 1.0)
     raise ValueError(f"{spec.kind} is not supremum-type")
+
+
+def _shape(spec: StatisticSpec) -> tuple:
+    """Exact shape of the first projection: two tests of one shape have proportional projections.
+
+    A BH/NA/MO kind's is its family and the ``(power, coefficient)`` terms of
+    :func:`_weight` in ``y = q - 1/2`` (supremum) or of :func:`_omega`, its
+    integral, in ``x = v - 1/2`` (integral), as ``Fraction``s divided by the first.
+    """
+    if not spec.kind.startswith(("BH", "NA", "MO")):  # CM, GAMMA and MGG are (xbar - med) / const
+        return ("mean-median",) if spec.kind in ("CM", "GAMMA", "MGG") else (spec.kind,)
+    k, half = spec.k, Fraction(1, 2)
+    if spec.kind.startswith("NA"):  # (1/2 + y)^(k-1) - (1/2 - y)^(k-1)
+        w = {j: math.comb(k - 1, j) * half ** (k - 1 - j) * (1 - (-1) ** j) for j in range(k)}
+    elif spec.kind.startswith("MO"):  # (1/4 - y^2)^(k-1) y, up to the factor 2 C(2k-1, k)
+        w = {2 * j + 1: math.comb(k - 1, j) * (half * half) ** (k - 1 - j) * (-1) ** j for j in range(k)}
+    else:  # y, up to the factor 1
+        w = {1: Fraction(1)}
+    if spec.family == INTEGRAL:  # Omega(1/2 + x) is the integral of w over (0, x)
+        w = {j + 1: c / (j + 1) for j, c in w.items()}
+    terms = sorted((j, c) for j, c in w.items() if c)
+    return (spec.family, *((j, c / terms[0][1]) for j, c in terms))
 
 
 def _chi(u, q):
@@ -638,10 +659,11 @@ def _moment_limits(spec: StatisticSpec, alt: AlternativeFamily) -> tuple[float, 
 class IndexCurve:
     """Variance, slope and local index of one test on each level of a trimming grid.
 
-    ``degenerate`` marks 0/0 points and ``not_applicable`` points the theory
-    excludes; ``index`` is NaN at both, so they plot as missing values
-    rather than zeros; ``sigma2`` and ``slope`` are NaN only at
-    not-applicable points, and the argmaxes NaN but for supremum-type ones.
+    ``degenerate`` marks the theory's 0/0 points (S and KS at ``a = 1/2``)
+    and ``not_applicable`` points the theory excludes; ``index`` is NaN at
+    both, so they plot as missing values rather than zeros; ``sigma2`` and
+    ``slope`` are NaN only at not-applicable points, and the argmaxes NaN but
+    for supremum-type ones.
     ``quad_err`` is the largest quadrature error estimate behind each point
     (0 where nothing was integrated).
     """
@@ -695,7 +717,8 @@ def _report_curves(specs, alt: AlternativeFamily, alphas) -> list[IndexCurve]:
     gives (:func:`symlab.efficiency.bahadur_index`, index curves,
     equivalence reports) is one of these curves.  All supremum searches
     share one refinement loop; a curve is the bits of its test's curve
-    computed alone.  ``spec.alpha`` is ignored; levels
+    computed alone.  ``spec.alpha`` is ignored; S and KS at ``a = 1/2`` are
+    flagged degenerate by the theorem, never by a variance's size; levels
     :func:`applicability` refuses are flagged, and a level that breaks
     :func:`symlab.location.check_level` raises ``ValueError``.
     """
@@ -714,11 +737,11 @@ def _report_curves(specs, alt: AlternativeFamily, alphas) -> list[IndexCurve]:
         else:
             (sigma2, var_arg, var_err), (slope, slope_arg, slope_err) = next(curves)
             err = np.maximum(var_err, slope_err)
-        # Median centering pins the empirical process at the origin, so the
-        # sign-test member that defines the KS family is an exact 0/0 there;
-        # the comparison study treats the classical median-centered KS as
-        # inefficient at this endpoint and flags it.
-        flagged = ~na & ((sigma2 < DEGENERACY_TOL) | ((spec.kind == "KS") & (alphas == 0.5)))
+        # Median centering pins the empirical process at the origin: at a = 1/2
+        # the sign test, and the t = 0 member that defines the KS family, are
+        # an exact 0/0, the theorem's only one (the comparison study treats
+        # the median-centered KS as inefficient there).
+        flagged = ~na & (alphas == 0.5) & (spec.kind in ("S", "KS"))
         index = np.full(alphas.size, math.nan)
         np.divide(slope * slope, sigma2, out=index, where=~(flagged | na))
         reports.append(IndexCurve(spec.label, null.name, alt.kind, alphas, index, flagged, na,

@@ -148,10 +148,7 @@ def _cmd_index(args) -> int:
     tests = [t.strip() for t in args.tests.split(",") if t.strip()]
     if not tests:
         raise ValueError("no tests requested")
-    specs = [parse_statistic(name) for name in tests]
-    labels = [spec.label for spec in specs]
-    if repeated := sorted({label for label in labels if labels.count(label) > 1}):
-        raise ValueError(f"test requested more than once: {', '.join(repeated)}")  # one file per test
+    specs = eff._distinct(tests)  # one file per test
     grid = eff.default_grid(args.grid)
     writer = _Writer(args.output, "index", args.seed)
     out = writer.out

@@ -102,7 +102,8 @@ class SymmetricNull:
         u_arr = np.asarray(u, dtype=float)
         if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
             raise ValueError("quantile argument must lie in (0, 1)")
-        return self._quantile(u_arr if u_arr.ndim else float(u_arr))
+        with np.errstate(over="ignore"):  # a quantile past max float is its exact limit, +-inf
+            return self._quantile(u_arr if u_arr.ndim else float(u_arr))
 
     def _quantile(self, u, out=None):
         """The inverse CDF without the domain check; with ``out``, into it (``u`` is scratch then)."""
@@ -224,6 +225,7 @@ class Normal(SymmetricNull):
     _series_cut = 0.5
 
     def _closed_second_moment(self, b):
+        b = np.minimum(b, _MAX)  # at inf, inf * 0 is NaN: the limit is 1/2
         return special.ndtr(b) - 0.5 - b * self.density(b)
 
 
@@ -296,6 +298,7 @@ class Logistic(SymmetricNull):
     def _closed_second_moment(self, b):
         # x^2 F - 2 [x log(1+e^x) + Li2(-e^x)] primitive, via the dilogarithm; past
         # the cut, pi^2/6 less the tail e^-b (b^2 + 2b + 2), as f(x) = e^-x (1 + O(e^-x))
+        b = np.minimum(b, _MAX)  # at inf, inf * 0 is NaN: the limit is pi^2/6
         far = b > self._tail_cut
         near = np.where(far, self._tail_cut, b)
         head = self._second_moment_primitive(near) - self._second_moment_primitive(0.0)

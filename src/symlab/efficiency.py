@@ -32,10 +32,7 @@ __all__ = [
     "EquivalenceReport",
     "equivalence_report",
     "DEFAULT_TESTS",
-    "EQUIVALENCE_TOL",
 ]
-
-EQUIVALENCE_TOL = 1e-6
 
 #: tests shown in the comparison study, plus the equivalence-class members
 DEFAULT_TESTS = (
@@ -65,6 +62,15 @@ def _resolve(test, alpha: float | None) -> StatisticSpec:
     if isinstance(test, StatisticSpec):
         return test if alpha is None else StatisticSpec(test.kind, test.k, alpha)
     return parse_statistic(str(test), alpha=0.0 if alpha is None else alpha)
+
+
+def _distinct(tests) -> list[StatisticSpec]:
+    """``tests`` resolved, refused with ``ValueError`` if a label repeats (one result per test)."""
+    specs = [_resolve(test, None) for test in tests]
+    labels = [spec.label for spec in specs]
+    if repeated := sorted({label for label in labels if labels.count(label) > 1}):
+        raise ValueError(f"test requested more than once: {', '.join(repeated)}")
+    return specs
 
 
 def bahadur_index(test, alt: AlternativeFamily, alpha: float | None = None) -> float:
@@ -139,67 +145,63 @@ def zero_efficiency_alpha(test, alt: AlternativeFamily, scan_points: int = 64) -
     return ZeroEfficiencyResult(False, None)
 
 
+def _ks_is_s(curve: IndexCurve) -> np.ndarray:
+    """Levels of a KS curve where both suprema over ``t`` sit at exactly 0: there KS is the sign
+    test, since its family member at threshold zero is (twice) the sign statistic."""
+    return (curve.var_argmax == 0.0) & (curve.slope_argmax == 0.0)
+
+
 def ks_s_equivalence_crossover(alt: AlternativeFamily, grid=None) -> float:
     """Largest trimming level below which the KS and sign indices coincide.
 
-    The KS family member at threshold zero is (twice) the sign statistic, so
-    the two tests share their index as long as both the variance supremum and
-    the slope supremum over the threshold are attained at zero.  The grid is
-    scanned from zero and the last trimming level before either supremum
-    moves off the origin is returned (0.0 when it moves immediately).
+    The grid is scanned from zero and the last trimming level before either
+    supremum of KS moves off the origin (:func:`_ks_is_s`) is returned (0.0
+    when it moves immediately).
     """
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    past = np.flatnonzero(grid >= 0.5)
-    grid = grid[: past[0]] if past.size else grid
+    grid = grid[grid < 0.5]
     curve = index_curves(["KS"], alt, grid)[0]
-    crossover = 0.0
-    for a, na, var_arg, slope_arg in zip(
-        grid, curve.not_applicable, curve.var_argmax, curve.slope_argmax
-    ):
-        if na:
-            continue
-        if var_arg != 0.0 or slope_arg != 0.0:
-            break
-        crossover = float(a)
-    return crossover
+    na = curve.not_applicable
+    same = np.logical_and.accumulate(_ks_is_s(curve) | na) & ~na
+    return float(grid[same][-1]) if same.any() else 0.0
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Partition of test ids by index agreement at one (null, alt, alpha)."""
+    """Classes of equivalent test ids at one (null, alt, alpha), and each class's index spread."""
 
     alpha: float
     groups: tuple[tuple[str, ...], ...]
+    spread: tuple[float, ...]
     degenerate: tuple[str, ...]
     not_applicable: tuple[str, ...]
 
 
-def equivalence_report(
-    alt: AlternativeFamily, alpha: float, tests=DEFAULT_TESTS, tol: float = EQUIVALENCE_TOL
-) -> EquivalenceReport:
-    """Group tests whose indices agree within ``tol`` at one trimming level."""
-    values: list[tuple[str, float]] = []
-    degenerate: list[str] = []
-    not_applicable: list[str] = []
-    for curve in index_curves(tests, alt, [alpha]):
-        if curve.not_applicable[0]:
-            not_applicable.append(curve.test)
-        elif curve.degenerate[0]:
-            degenerate.append(curve.test)
-        else:
-            values.append((curve.test, float(curve.index[0])))
-    values.sort(key=lambda kv: kv[1])
-    groups: list[list[str]] = []
-    last = None
-    for name, value in values:
-        if last is None or value - last > tol:
-            groups.append([name])
-        else:
-            groups[-1].append(name)
-        last = value
+def equivalence_report(alt: AlternativeFamily, alpha: float, tests=DEFAULT_TESTS) -> EquivalenceReport:
+    """Partition the applicable, non-degenerate ``tests`` into the classes of one index at ``alpha``.
+
+    Tests are equivalent where their first projections are proportional,
+    which the theory decides and no index value does: the tests of one exact
+    projection shape (:func:`symlab.asymptotics._shape`), KS with S where
+    :func:`_ks_is_s`, and at ``alpha = 0`` S with the mean-median tests.
+    Each group (names sorted, groups by their smallest index) carries the
+    largest relative spread of its indices, the budget of the numerics
+    behind them.  A test named twice is refused with ``ValueError``.
+    """
+    specs = _distinct(tests)
+    curves = index_curves(specs, alt, [alpha])
+    sign, mean_median = asy._shape(StatisticSpec("S")), asy._shape(StatisticSpec("CM"))
+    classes: dict[tuple, list[IndexCurve]] = {}
+    for spec, curve in zip(specs, curves):
+        if not (curve.not_applicable[0] or curve.degenerate[0]):
+            shape = sign if spec.kind == "KS" and _ks_is_s(curve)[0] else asy._shape(spec)
+            classes.setdefault(mean_median if shape == sign and alpha == 0.0 else shape, []).append(curve)
+    groups = sorted(((sorted(c.test for c in members), np.array([c.index[0] for c in members]))
+                     for members in classes.values()), key=lambda group: group[1].min())
     return EquivalenceReport(
         float(alpha),
-        tuple(tuple(sorted(g)) for g in groups),
-        tuple(sorted(degenerate)),
-        tuple(sorted(not_applicable)),
+        tuple(tuple(names) for names, _ in groups),
+        tuple(float(np.ptp(v) / v.max()) if v.max() > 0.0 else 0.0 for _, v in groups),
+        tuple(sorted(c.test for c in curves if c.degenerate[0])),
+        tuple(sorted(c.test for c in curves if c.not_applicable[0])),
     )

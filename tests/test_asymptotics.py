@@ -1,5 +1,6 @@
 import math
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ from symlab._rng import stream
 INTEGRAL_IDS = ["S", "W", "BH_I", "NA_I_2", "NA_I_4", "MO_I_2"]
 SUP_IDS = ["KS", "BH_K", "NA_K_2", "NA_K_4", "MO_K_2"]
 ALL_SUP_IDS = [name for name in DEFAULT_TESTS if parse_statistic(name).family == "supremum"]
+#: BH, NA_2-10 and MO_1-5, each as its integral and its supremum kind
+SHAPED_IDS = ["BH_I", "BH_K", *(f"{kind}_{f}_{k}" for kind, ks in (("NA", range(2, 11)), ("MO", range(1, 6)))
+                               for k in ks for f in "IK")]
 
 
 class TestProjections:
@@ -77,6 +81,22 @@ class TestProjections:
             )
             analytic = proj.phi(x_grid, t)
             assert np.all(np.abs(analytic - est) <= 3.0 * se + 1e-12)
+
+    @pytest.mark.parametrize("name", SHAPED_IDS)
+    def test_closed_form_is_its_exact_shape(self, name):
+        # Omega(v) of an integral kind and w(q) of a supremum kind, on [1/2, 1] where the
+        # projections read them, are a constant times the exact polynomial of their shape in
+        # v - 1/2 (q - 1/2), to a few ulps of their largest value
+        spec = parse_statistic(name)
+        family, *terms = asy._shape(spec)
+        assert family == spec.family
+        closed = (asy._omega if family == "integral" else asy._weight)(spec)
+        points = np.linspace(0.5, 1.0, 1001)
+        x = [Fraction(float(p)) - Fraction(1, 2) for p in points]
+        exact = np.array([float(sum(c * xi**j for j, c in terms)) for xi in x])
+        got = closed(points)
+        top = np.argmax(np.abs(exact))
+        assert np.abs(got - got[top] / exact[top] * exact).max() <= 8 * np.spacing(np.abs(got).max())
 
     def test_moment_kinds_have_no_projection(self, normal):
         with pytest.raises(ValueError):

@@ -214,6 +214,22 @@ class TestNullModels:
         assert limits.tolist() == [0.0, 0.0] and np.signbit(limits).tolist() == [True, False]
         assert [math.copysign(1.0, normal.density_derivative(v)) for v in (math.inf, -math.inf)] == [-1.0, 1.0]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tail_limits_at_infinity_without_a_warning(self, cauchy):
+        # inf * 0 made the normal and logistic partial second moments NaN at inf, and the
+        # Cauchy lower-tail quantile reached its exact -inf through an overflowing divide
+        top = np.finfo(float).max
+        for name in ("normal", "logistic"):
+            null = get_null(name)
+            half = null.moment(2) / 2.0
+            assert null.partial_second_moment(np.array([1e300, top, np.inf])).tolist() == [half] * 3
+            assert null.partial_second_moment(math.inf) == half
+        assert cauchy.quantile(5e-324) == -math.inf
+        assert cauchy.quantile(np.array([5e-324, 0.5, 1.0 - 2.0**-53])).tolist() == [
+            -math.inf, 0.0, float(cauchy.quantile(1.0 - 2.0**-53))]
+        with pytest.warns(RuntimeWarning, match="overflow"):  # the sampler's path stays unguarded
+            cauchy._quantile(np.array([5e-324]))
+
     def test_normal_partial_first_moment_up_to_the_largest_float(self, normal):
         # -density(b) overflowed in -0.5 b b past _x_max; the moment is f(0) - f(b)
         top = np.finfo(float).max

@@ -16,6 +16,8 @@ from symlab.distributions import AlternativeFamily, get_alternative
 from symlab.errors import NotApplicableError
 from symlab.montecarlo import McConfig, power
 from symlab.stats import parse_statistic
+from symlab.validate import _CLASS_INTEGRAL, _CLASS_MOMENT, _CLASS_SUP
+from symlab.validate import _SPREAD_BOUND as SPREAD_BOUND
 
 
 class ScaledScore(AlternativeFamily):
@@ -321,7 +323,8 @@ class TestCrossover:
         for a in below:
             ks = eff.bahadur_index("KS", contam_normal, float(a))
             s = eff.bahadur_index("S", contam_normal, float(a))
-            assert abs(ks - s) < 1e-6
+            assert abs(ks - s) <= SPREAD_BOUND * max(ks, s)
+            assert eff.equivalence_report(contam_normal, float(a), ("KS", "S")).groups == (("KS", "S"),)
 
     def test_indices_depart_above_crossover(self, contam_normal):
         crossover = eff.ks_s_equivalence_crossover(contam_normal, np.linspace(0.0, 0.5, 51))
@@ -332,20 +335,81 @@ class TestCrossover:
 
 
 class TestEquivalenceReport:
-    def test_reproduces_listed_classes_at_zero_trimming(self, contam_normal):
+    def test_classes_at_zero_trimming(self, contam_normal):
         report = eff.equivalence_report(contam_normal, 0.0)
-        groups = [set(g) for g in report.groups]
-        assert any({"BH_I", "MO_I_1", "NA_I_2", "NA_I_3"} <= g for g in groups)
-        assert any({"BH_K", "MO_K_1", "NA_K_2", "NA_K_3"} <= g for g in groups)
-        assert any({"CM", "GAMMA", "MGG", "S"} <= g for g in groups)
+        assert report.groups == (
+            ("NA_I_4",), ("BH_I", "MO_I_1", "NA_I_2", "NA_I_3"), ("CM", "GAMMA", "KS", "MGG", "S"),
+            ("BH_K", "MO_K_1", "NA_K_2", "NA_K_3"), ("NA_K_4",), ("MO_K_2",), ("MO_I_2",), ("W",),
+            ("SQRT_B1",),
+        )
+        assert report.degenerate == report.not_applicable == ()
+        assert len(report.spread) == len(report.groups)
+        assert all(s == 0.0 for s, g in zip(report.spread, report.groups) if len(g) == 1)
 
-    def test_excludes_inapplicable_members(self, cauchy):
+    def test_excludes_inapplicable_and_degenerate_members(self, cauchy):
         alt = get_alternative("contam", cauchy)
         report = eff.equivalence_report(alt, 0.25)
-        assert "CM" in report.not_applicable
-        assert "SQRT_B1" in report.not_applicable
-        members = {name for g in report.groups for name in g}
-        assert "W" in members
+        assert report.not_applicable == ("CM", "GAMMA", "MGG", "SQRT_B1")
+        assert sorted(report.groups) == [
+            ("BH_I", "MO_I_1", "NA_I_2", "NA_I_3"), ("BH_K", "MO_K_1", "NA_K_2", "NA_K_3"), ("KS", "S"),
+            ("MO_I_2",), ("MO_K_2",), ("NA_I_4",), ("NA_K_4",), ("W",),
+        ]
+        report = eff.equivalence_report(alt, 0.5)
+        assert report.degenerate == ("KS", "S")
+        assert not {"KS", "S"} & {name for g in report.groups for name in g}
+
+    def test_repeated_test_refused(self, contam_normal):
+        with pytest.raises(ValueError, match="test requested more than once: W$"):
+            eff.equivalence_report(contam_normal, 0.25, tests=("W", "W", "w"))
+        with pytest.raises(ValueError, match="test requested more than once: KS, W$"):
+            eff.equivalence_report(contam_normal, 0.25, tests=("KS", "W", "S", "ks", "W"))
+
+
+#: (alpha, tests) of logistic/contam and cauchy/contam where two classes' indices lie within 1e-6
+#: of each other, though their curves only cross near the level
+_CROSSINGS = {
+    ("logistic", "contam"): ((0.09, ("SQRT_B1", "W")), (0.2, ("BH_K", "NA_K_4")), (0.245, ("CM", "KS")),
+                             (0.35, ("KS", "MO_I_2")), (0.38, ("BH_I", "BH_K")),
+                             (0.445, ("MO_I_2", "MO_K_2")), (0.465, ("MO_I_2", "W"))),
+    ("cauchy", "contam"): ((0.3, ("NA_K_4", "S")),),
+}
+
+
+@pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+@pytest.mark.parametrize("alt_name", ["contam", "fs"])
+def test_report_is_the_theorem_partition(null_name, alt_name):
+    # at every level of the 101-point grid the groups are the paper's classes, KS with S
+    # where both KS suprema sit at t = 0 and S with the mean-median class at a = 0, and
+    # every other test alone; no index value decides, so curves that cross stay apart
+    alt = get_alternative(alt_name, null_name)
+    grid = eff.default_grid()
+    curves = {c.test: c for c in eff.index_curves(eff.DEFAULT_TESTS, alt, grid)}
+    ks = curves["KS"]
+    reports = [eff.equivalence_report(alt, float(a)) for a in grid]
+    for i, (a, report) in enumerate(zip(grid, reports)):
+        label = {name: name for name in eff.DEFAULT_TESTS}
+        for members in (_CLASS_INTEGRAL, _CLASS_SUP, _CLASS_MOMENT):  # the paper's classes
+            label.update(dict.fromkeys(members, members[0]))
+        if a == 0.0:
+            label["S"] = label["CM"]
+        if ks.var_argmax[i] == ks.slope_argmax[i] == 0.0:
+            label["KS"] = label["S"]
+        left = {name for name, c in curves.items() if c.not_applicable[i] or c.degenerate[i]}
+        want = {frozenset(n for n in label if label[n] == tag and n not in left) for tag in label.values()}
+        want.discard(frozenset())
+        assert {frozenset(g) for g in report.groups} == want, (a, report.groups)
+        assert (report.degenerate, report.not_applicable) == (
+            tuple(sorted(n for n in left if curves[n].degenerate[i])),
+            tuple(sorted(n for n in left if curves[n].not_applicable[i])))
+        # the budget: the largest relative spread of each group's indices, pinned as measured
+        for group, spread in zip(report.groups, report.spread):
+            values = np.array([curves[name].index[i] for name in group])
+            assert spread == (np.ptp(values) / values.max() if values.max() > 0.0 else 0.0)
+            assert spread <= SPREAD_BOUND and np.ptp(values) <= 2e-14, (a, group)
+    for a, pair in _CROSSINGS.get((null_name, alt_name), ()):
+        i = round(a * 200)
+        assert abs(curves[pair[0]].index[i] - curves[pair[1]].index[i]) <= 1e-6
+        assert not any(set(pair) <= set(g) for g in reports[i].groups), (a, pair)
 
 
 class TestPowerOrdering:

@@ -1,5 +1,7 @@
 """The package exports one public reader per quantity."""
 
+import inspect
+
 import pytest
 
 import symlab
@@ -48,7 +50,8 @@ PUBLIC = [
     "zero_efficiency_alpha",
 ]
 
-# one level of a curve, one test of index_curves, one row of evaluate_many
+# one level of a curve, one test of index_curves, one row of evaluate_many; and the tolerances
+# that equivalence and degeneracy by theorem replaced
 RETIRED = (
     "evaluate_family_member",
     "asymptotic_variance",
@@ -58,7 +61,11 @@ RETIRED = (
     "report_curve",
     "report_curves",
     "index_curve",
+    "EQUIVALENCE_TOL",
+    "DEGENERACY_TOL",
 )
+#: retired parameters of the public functions
+RETIRED_PARAMETERS = {efficiency.equivalence_report: ("tol",)}
 
 
 def test_package_exports_exactly_the_public_readers():
@@ -74,6 +81,11 @@ def test_retired_readers_are_gone(module):
         assert not hasattr(module, name), name
     for name in getattr(module, "__all__", ()):
         assert hasattr(module, name), name
+
+
+def test_retired_parameters_are_gone():
+    for function, names in RETIRED_PARAMETERS.items():
+        assert not set(names) & set(inspect.signature(function).parameters), function.__name__
 
 
 def test_moment_slopes_are_not_exported():
