@@ -1,26 +1,33 @@
 """Seeded Monte Carlo harness: null distributions, p-values, size and power.
 
 Replications are organized in fixed-size chunks; each chunk owns a private
-counter-derived random stream (see :mod:`symlab._rng`), and chunk results are
-concatenated in chunk order.  Outputs are therefore byte-identical for a given
-configuration however many worker threads execute the chunks.  The worker
-count is ``min(usable CPUs, reps // 512)``: a thread pays off only once every
-worker has a full chunk, so fewer than two full chunks (or one usable CPU) run
-inline.  Calibration and evaluation always consume disjoint stream families
-so critical values are never reused on the data that produced them.  All
+counter-derived random stream (see :mod:`symlab._rng`).  A simulation splits
+its replications into ``min(usable CPUs, chunks)`` equal contiguous ranges,
+one per worker thread: the calling thread takes the last, and range ``k - 1``
+always runs on the k-th persistent single-thread executor, made on first use
+(never at import) and forgotten in a forked child.  Each worker draws and
+evaluates its range cut at chunk boundaries, piece by piece, and a piece reads
+its rows of the chunk's stream in place (:class:`symlab._rng.Piece`), so
+outputs are byte-identical for a given configuration however many threads run;
+one chunk (``reps <= 512``) or one usable CPU runs inline, and so do
+:func:`power`'s tie-breaking uniforms, too few to be worth a thread.
+Calibration and evaluation always consume disjoint stream families so
+critical values are never reused on the data that produced them.  All
 calibrations go through a cache of the last sorted null (reps float64 values,
 read-only) keyed by (statistic, null, n, reps, seed), not by the level or the
 worker count, so consecutive calls on one key simulate it once (``symlab
 test`` runs :func:`p_value`, then :func:`critical_value`); results are
-byte-identical with or without it.  Each thread evaluates its chunks in its
-reused arrays and keeps a chunk's fresh draws as its one kept entry (see
-:mod:`symlab.stats`), so consecutive one-chunk inline simulations (``reps <=
-512``) of one model draw once across statistics, and fixed-threshold members at
-one ``(alpha, t)`` count once: on a 2-core x86-64 VM the 7 of the default battery
-on 100 x 2000 draws take about 10 ms for the first and 0.04 ms for each next
-(0.8 ms when each counted alone).  ``power`` for ``NA_K_4`` at n = 100 took
-0.14-0.17 s inline and 0.10-0.13 s on two workers with 10^4 replications, cold;
-with 600 it took 10-16 ms cold and 6-8 ms after another call on the same key.
+byte-identical with or without it.  Each thread evaluates its pieces in its
+reused arrays and keeps a piece's fresh draws as its one kept entry (see
+:mod:`symlab.stats`), so consecutive simulations of one model draw a thread's
+only piece (the whole of a one-chunk run) once across statistics, and
+fixed-threshold members at one ``(alpha, t)`` count once: on a 2-core
+x86-64 VM the 7 of the default battery on 100 x 2000 draws take about 10 ms for
+the first and 0.04 ms for each next (0.8 ms when each counted alone).  ``power``
+for ``NA_K_4`` at n = 100 with 10^4 replications took 69-71 ms inline and
+41-53 ms on two threads, cold (38 and 22 ms after another call on the same
+key); with 600 it took 5.4-5.8 ms and 4.7-7.7 ms cold, and 2.6-2.7 ms and
+1.9-3.1 ms after another call (six fresh interpreters each).
 """
 
 from __future__ import annotations
@@ -29,12 +36,13 @@ import functools
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import check_seed, stream
+from ._rng import Piece, check_seed, stream
 from .distributions import AlternativeFamily, SymmetricNull
 from .stats import SUPREMUM, StatisticSpec, _drawn, evaluate, evaluate_many
 
@@ -81,14 +89,50 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_chunked(reps: int, job) -> np.ndarray:
-    """Run ``job(chunk_index, rows) -> values`` over all chunks, in chunk order."""
-    rows = [min(_CHUNK, reps - start) for start in range(0, reps, _CHUNK)]
-    workers = min(_usable_cpus(), reps // _CHUNK)
-    if workers < 2:
-        return np.concatenate(list(map(job, range(len(rows)), rows)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(job, range(len(rows)), rows)))
+_workers: list[ThreadPoolExecutor] = []  # worker k >= 1 runs on _workers[k - 1], made on first use
+_workers_lock = threading.Lock()
+
+
+def _forget_workers():
+    global _workers_lock
+    _workers.clear()  # a forked child has none of its parent's threads
+    _workers_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _worker(k: int) -> ThreadPoolExecutor:
+    with _workers_lock:
+        while len(_workers) < k:
+            _workers.append(ThreadPoolExecutor(max_workers=1))
+        return _workers[k - 1]
+
+
+def _run_split(reps: int, job) -> np.ndarray:
+    """Values of all ``reps`` replications in order, from ``job(chunk, rows, start, stop)``.
+
+    A job evaluates rows ``[start, stop)`` of ``chunk``, which has ``rows`` rows.  Each
+    worker takes an equal contiguous range of replications, cut at chunk boundaries.
+    """
+    workers = min(_usable_cpus(), -(-reps // _CHUNK))
+    bounds = [reps * k // workers for k in range(workers + 1)]
+
+    def share(k: int) -> list:
+        pieces, begin = [], bounds[k]
+        while begin < bounds[k + 1]:
+            chunk, start = divmod(begin, _CHUNK)
+            stop = min(_CHUNK, bounds[k + 1] - chunk * _CHUNK)
+            pieces.append(job(chunk, min(_CHUNK, reps - chunk * _CHUNK), start, stop))
+            begin += stop - start
+        return pieces
+
+    futures = [_worker(k).submit(share, k - 1) for k in range(1, workers)]
+    try:
+        mine = share(workers - 1)  # the last range: the calling thread starts first
+    finally:
+        wait(futures)  # no worker outlives the simulation, not even a refused one
+    return np.concatenate([piece for future in futures for piece in future.result()] + mine)
 
 
 def _simulate(
@@ -101,12 +145,15 @@ def _simulate(
 ) -> np.ndarray:
     params = () if theta is None else (theta,)  # a null model takes no theta
 
-    def job(chunk_index: int, rows: int) -> np.ndarray:
-        key = model, params, cfg.seed, purpose, chunk_index, rows, cfg.n
-        return evaluate_many(spec, _drawn(key, lambda: model.sample(
-            *params, rows * cfg.n, 0, rng=stream(cfg.seed, purpose, chunk_index)).reshape(rows, cfg.n)), t=t)
+    def job(chunk: int, rows: int, start: int, stop: int) -> np.ndarray:
+        def draw():
+            rng = Piece(stream(cfg.seed, purpose, chunk), start * cfg.n, rows * cfg.n)
+            return model.sample(*params, (stop - start) * cfg.n, 0, rng=rng).reshape(stop - start, cfg.n)
 
-    return _run_chunked(cfg.reps, job)
+        key = model, params, cfg.seed, purpose, chunk, rows, start, stop, cfg.n
+        return evaluate_many(spec, _drawn(key, draw), t=t)
+
+    return _run_split(cfg.reps, job)
 
 
 def null_distribution(
@@ -177,6 +224,7 @@ def power(
     calib = _sorted_null(spec, alt.base, cfg.n, cfg.reps, cfg.seed)
     at_most = np.searchsorted(calib, values, side="right")
     ties = at_most - np.searchsorted(calib, values, side="left")
-    u = _run_chunked(cfg.reps, lambda i, rows: stream(cfg.seed, _TIE, i).random(rows))
+    u = np.concatenate([stream(cfg.seed, _TIE, i).random(min(_CHUNK, cfg.reps - start))
+                        for i, start in enumerate(range(0, cfg.reps, _CHUNK))])  # too few to split
     p_rand = (cfg.reps - at_most + u * (1.0 + ties)) / (cfg.reps + 1.0)
     return float(np.mean(p_rand <= cfg.level))

@@ -27,13 +27,13 @@ That path has one centering and one moment block:
   sorted copy) in one block of axis-wise reductions; they need ``n >= 2``
   and refuse a zero variance or (MGG) a zero mean absolute deviation.
 
-A chunk of several rows runs in arrays the calling thread reuses from call to
-call (:func:`_scratch`): one set per row length ``n``, each array grown to the
+A chunk of several rows runs in arrays the thread running it reuses from call
+to call (:func:`_scratch`): one set per row length ``n``, each array grown to the
 largest chunk seen at that ``n``, dropped at the next ``n``.  A single row gets
 fresh memory, and no returned array is a view of the set.  Each thread keeps one
 read-only entry for the last sample, in arrays of its own (:func:`_entry`): a
-single row, named by its bits (-0.0 is not 0.0), or a Monte Carlo chunk, named by
-its draw key, with its draws (:func:`_drawn`).  Its parts: the peak magnitude of
+single row, named by its bits (-0.0 is not 0.0), or a piece of a Monte Carlo chunk,
+named by its draw key, with its draws (:func:`_drawn`).  Its parts: the peak magnitude of
 its bits once they pass the finite check; a row's counts ``(z, a, b)`` S, W, KS
 and BH/NA/MO read at one ``alpha`` and its moments, 32 bytes a value; the draws'
 centered rows at one ``alpha``; the per-row ``#{y < t}``, ``#{y <= t}`` and
@@ -272,7 +272,7 @@ def _stored(key: tuple, build) -> np.ndarray:
 _BAND_BYTES = 2**23  # budget of the tables every thread shares
 _bands: dict = {}  # (n, p, r) or (n, alpha) -> (read-only table, bytes), least recently used first
 _bands_lock = threading.Lock()
-_pool = threading.local()  # the calling thread's working set (row length n, arrays) and kept entry
+_pool = threading.local()  # each thread's working set (row length n, arrays) and kept entry
 
 
 def _scratch(slot: int, rows: int, n: int, dtype=float, shape=None) -> np.ndarray:
@@ -452,7 +452,7 @@ def _entry(key) -> dict:
 
 
 def _drawn(key, draw) -> np.ndarray:
-    """The kept draws of the Monte Carlo chunk ``key``: on a miss, the fresh array ``draw()``, read-only."""
+    """The kept draws of the Monte Carlo piece ``key``: on a miss, the fresh array ``draw()``, read-only."""
     entry = _entry(key)
     if "draws" not in entry:  # a refused draw stores no key
         draws = draw()

@@ -12,6 +12,8 @@ def cold_null_cache():
     """Start every test without cached null simulations or a kept sample, whatever ran before it."""
     symlab.montecarlo._sorted_null.cache_clear()
     stats._pool.entry = None  # the calling thread's; other threads start without one
+    for worker in symlab.montecarlo._workers:  # and so do the simulations' worker threads
+        worker.submit(setattr, stats._pool, "entry", None).result()
 
 
 @pytest.fixture

@@ -459,6 +459,19 @@ INTEGRAL_KINDS = [name for name in DEFAULT_TESTS if parse_statistic(name).family
 
 
 class TestQuadratureBudget:
+    def test_recorded_rules_are_numpys_bit_for_bit(self):
+        from symlab._quad import _LEGENDRE, _gauss01
+
+        assert sorted(_LEGENDRE) == [12, 16, 24, 32]
+        for nodes in _LEGENDRE:
+            x, w = np.polynomial.legendre.leggauss(nodes)
+            recorded = [float.fromhex(v) for v in _LEGENDRE[nodes].split()]
+            assert np.array_equal(np.array(recorded).view(np.uint64),
+                                  np.concatenate([x[nodes // 2:], w[nodes // 2:]]).view(np.uint64))
+            s, v = _gauss01(nodes)
+            assert np.array_equal(s.view(np.uint64), (0.5 * (x + 1.0)).view(np.uint64))
+            assert np.array_equal(v.view(np.uint64), (0.5 * w).view(np.uint64))
+
     @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
     def test_fixed_rules_within_abs_tol(self, null_name):
         # Int_0^Q phi x f and Int_Q^inf phi f on every interior level of the

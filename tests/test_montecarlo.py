@@ -1,6 +1,13 @@
 import dataclasses
 import math
+import os
+import select
+import signal
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +15,7 @@ import pytest
 import symlab.montecarlo
 from helpers import run_in_threads
 from symlab import stats
-from symlab._rng import stream
+from symlab._rng import Piece, stream
 from symlab.cli import main
 from symlab.distributions import get_alternative, get_null
 from symlab.efficiency import DEFAULT_TESTS
@@ -102,10 +109,28 @@ def _fresh(spec, model, purpose, cfg, *theta, t=None):
     return _chunk_by_chunk(cfg.reps, job)
 
 
+def _fresh_power(spec, alt, theta, cfg):
+    # the reference randomized-tie rejection rate, on chunk-by-chunk draws and tie uniforms
+    calib, values = _fresh(spec, alt.base, 0, cfg), _fresh(spec, alt, 1, cfg, theta)
+    if spec.family != "supremum":
+        calib, values = np.abs(calib), np.abs(values)
+    calib = np.sort(calib)
+    u = _chunk_by_chunk(cfg.reps, lambda i, rows: stream(cfg.seed, 2, i).random(rows))
+    at_most = np.searchsorted(calib, values, side="right")
+    ties = at_most - np.searchsorted(calib, values, side="left")
+    p_rand = (cfg.reps - at_most + u * (1.0 + ties)) / (cfg.reps + 1.0)
+    return float(np.mean(p_rand <= cfg.level))
+
+
+def _cpus(monkeypatch, cpus):
+    monkeypatch.setattr(symlab.montecarlo, "_usable_cpus", lambda: cpus)
+
+
 class TestDrawSlot:
-    # a one-chunk simulation keeps its read-only draws in the thread's entry, keyed by
-    # (model, theta, seed, purpose, chunk, rows) at n, with their sorted, centered rows at
-    # one alpha; the kept-state machine in test_stats.py checks the values of any order of calls
+    # a thread whose share of a simulation is one piece, rows [start, stop) of a chunk, keeps its
+    # read-only draws in the thread's entry, keyed by (model, theta, seed, purpose, chunk, rows,
+    # start, stop) at n, with their sorted, centered rows at one alpha; the kept-state machine in
+    # test_stats.py checks the values of any order of calls
     SPECS = [parse_statistic(name, alpha=0.25) for name in ("W", "NA_K_2", "KS", "CM")]
     MEMBERS = [parse_statistic(name, alpha=0.25) for name in DEFAULT_TESTS
                if parse_statistic(name).family == "supremum"]
@@ -129,7 +154,8 @@ class TestDrawSlot:
                     np.testing.assert_array_equal(got, values)
             assert streams == [(cfg.seed, purpose, 0)]
 
-    def test_every_part_of_the_key_misses(self, streams, normal, logistic):
+    def test_every_part_of_the_key_misses(self, streams, monkeypatch, normal, logistic):
+        _cpus(monkeypatch, 2)
         spec = parse_statistic("NA_K_2", alpha=0.25)
         fs = get_alternative("fs", normal)
         cfg = McConfig(n=30, reps=300, seed=62)
@@ -144,11 +170,15 @@ class TestDrawSlot:
             (fs, 0.3, dataclasses.replace(cfg, reps=513), _EVAL),  # a 1-row tail chunk
         ]
         for other in others:
-            for model, theta, run, purpose in [(fs, 0.3, cfg, _EVAL), other] * 2:
+            for i, (model, theta, run, purpose) in enumerate([(fs, 0.3, cfg, _EVAL), other] * 2):
                 streams.clear()
                 got = _simulate(spec, model, theta, run, purpose)
                 np.testing.assert_array_equal(got, _fresh(spec, model, purpose, run, theta))
-                assert len(streams) == -(-run.reps // 512)  # every chunk drawn
+                # every piece is drawn: 513 splits into chunk 0's rows [0, 256) on the worker and
+                # chunk 0's [256, 512) and chunk 1's one row on the calling thread, and only the
+                # worker keeps its one piece for the second 513 run, over the inline 300 run between
+                chunks = [0] if run.reps <= 512 else [0, 1] if i == 3 else [0, 0, 1]
+                assert sorted(streams) == [(run.seed, purpose, chunk) for chunk in chunks]
 
     def test_null_distribution_and_power_draw_apart(self, streams, normal):
         # a null model's calibration draws and its evaluation draws share
@@ -164,7 +194,7 @@ class TestDrawSlot:
         # a single row is a sample of its own: it replaces the kept draws (as p_value's does)
         cfg = McConfig(n=30, reps=300, seed=65)
         null_distribution(StatisticSpec("S"), normal, cfg)
-        assert stats._pool.entry["key"][2:] == (65, _CAL, 0, 300, 30)
+        assert stats._pool.entry["key"][2:] == (65, _CAL, 0, 300, 0, 300, 30)
         row = np.arange(31.0)
         evaluate(StatisticSpec("S"), row)
         assert "draws" not in stats._pool.entry and stats._pool.entry["key"].tobytes() == row.tobytes()
@@ -208,7 +238,8 @@ class TestDrawSlot:
         assert centerings[:2] == [(60, 0.25), (60, 0.1)]  # the first 7 members, then the other alpha
         assert len(centerings) < 4 * len(calls)
 
-    def test_two_chunks_never_reuse(self, centerings, normal):
+    def test_two_chunks_never_reuse(self, centerings, monkeypatch, normal):
+        _cpus(monkeypatch, 1)
         cfg = McConfig(n=40, reps=513, seed=82)  # a full chunk and a 1-row tail
         want = [_fresh(spec, normal, _CAL, cfg, t=self.T) for spec in self.MEMBERS]
         centerings.clear()
@@ -216,7 +247,22 @@ class TestDrawSlot:
             for spec, values in zip(self.MEMBERS, want):
                 np.testing.assert_array_equal(null_distribution(spec, normal, cfg, t=self.T), values)
         assert len(centerings) == 2 * 2 * len(self.MEMBERS)
-        assert stats._pool.entry["key"][4:] == (1, 1, 40)  # the tail's draws replaced the full chunk's
+        assert stats._pool.entry["key"][4:] == (1, 1, 0, 1, 40)  # the tail's draws replaced the full chunk's
+
+    def test_a_thread_with_one_piece_reuses_it(self, centerings, monkeypatch, normal):
+        # split on two CPUs, the worker's one piece (chunk 0's rows [0, 256)) is drawn and centered
+        # once for all members; the calling thread's two pieces replace each other
+        _cpus(monkeypatch, 2)
+        cfg = McConfig(n=40, reps=513, seed=82)
+        want = [_fresh(spec, normal, _CAL, cfg, t=self.T) for spec in self.MEMBERS]
+        centerings.clear()
+        for _ in range(2):
+            for spec, values in zip(self.MEMBERS, want):
+                np.testing.assert_array_equal(null_distribution(spec, normal, cfg, t=self.T), values)
+        assert len(centerings) == 1 + 2 * 2 * len(self.MEMBERS)
+        assert stats._pool.entry["key"][4:] == (1, 1, 0, 1, 40)
+        worker_key = symlab.montecarlo._worker(1).submit(lambda: stats._pool.entry["key"]).result()
+        assert worker_key[4:] == (0, 512, 0, 256, 40)
 
     def test_the_kept_draws_are_read_only(self, contam_normal):
         cfg = McConfig(n=30, reps=300, seed=67)
@@ -239,7 +285,7 @@ class TestDrawSlot:
         for i, (got, key) in enumerate(run_in_threads(simulate, len(cfgs))):
             for values in got:
                 np.testing.assert_array_equal(values, want[i])
-            assert key == (fs_normal, (0.3,), cfgs[i].seed, _EVAL, 0, 300, 40)
+            assert key == (fs_normal, (0.3,), cfgs[i].seed, _EVAL, 0, 300, 0, 300, 40)
 
     def test_threads_keep_their_own_centerings(self, fs_normal):
         alphas = (0.1, 0.25, 0.4, 0.0)
@@ -265,7 +311,7 @@ class TestDrawSlot:
         calls = [(spec, self.T) for spec in self.MEMBERS] + [(self.CHUNKS[0], None), (self.MEMBERS[3], self.T)]
         runs = []
         for cpus in (1, 2):
-            monkeypatch.setattr(symlab.montecarlo, "_usable_cpus", lambda: cpus)
+            _cpus(monkeypatch, cpus)
             runs.append([null_distribution(spec, normal, cfg, t=t) for spec, t in calls])
         for (spec, t), inline, pooled in zip(calls, *runs):
             np.testing.assert_array_equal(inline, pooled)
@@ -285,9 +331,8 @@ class TestDrawSlot:
 
 
 class TestChunkRunner:
-    # 600 replications run inline (one full chunk); 1024 and 1500 run two
-    # pooled workers once four CPUs are usable; 600 and 1500 end in a
-    # partial chunk
+    # with four usable CPUs 600 and 1024 replications split over two threads
+    # and 1500 over three; 600 and 1500 end in a partial chunk
     @pytest.mark.parametrize("reps", [600, 1024, 1500])
     @pytest.mark.parametrize("name", ["W", "NA_K_2"])
     def test_cpu_count_does_not_change_results(self, normal, monkeypatch, name, reps):
@@ -297,33 +342,15 @@ class TestChunkRunner:
         runs = []
         for cpus in (1, 4):
             symlab.montecarlo._sorted_null.cache_clear()  # each power simulates its calibration
-            monkeypatch.setattr(symlab.montecarlo, "_usable_cpus", lambda: cpus)
+            _cpus(monkeypatch, cpus)
             runs.append(
                 (null_distribution(spec, normal, cfg), power(spec, contam, 0.2, cfg))
             )
         (null_inline, power_inline), (null_pooled, power_pooled) = runs
         np.testing.assert_array_equal(null_inline, null_pooled)
         assert power_inline == power_pooled
-
-        def draw(model, purpose, *theta):
-            def job(i, rows):
-                rng = stream(cfg.seed, purpose, i)
-                draws = model.sample(*theta, rows * cfg.n, 0, rng=rng)
-                return evaluate_many(spec, draws.reshape(rows, cfg.n))
-
-            return _chunk_by_chunk(reps, job)
-
-        null_ref = draw(normal, 0)
-        np.testing.assert_array_equal(null_pooled, null_ref)
-        calib, values = null_ref, draw(contam, 1, 0.2)
-        if spec.family != "supremum":
-            calib, values = np.abs(calib), np.abs(values)
-        calib = np.sort(calib)
-        u = _chunk_by_chunk(reps, lambda i, rows: stream(cfg.seed, 2, i).random(rows))
-        at_most = np.searchsorted(calib, values, side="right")
-        ties = at_most - np.searchsorted(calib, values, side="left")
-        p_rand = (reps - at_most + u * (1.0 + ties)) / (reps + 1.0)
-        assert power_pooled == float(np.mean(p_rand <= cfg.level))
+        np.testing.assert_array_equal(null_pooled, _fresh(spec, normal, _CAL, cfg))
+        assert power_pooled == _fresh_power(spec, contam, 0.2, cfg)
 
     @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
     def test_pooled_working_sets_equal_the_inline_one(self, monkeypatch, null_name):
@@ -333,7 +360,7 @@ class TestChunkRunner:
         cfg = McConfig(n=40, reps=2048, seed=9)
         runs = []
         for cpus in (1, 2):
-            monkeypatch.setattr(symlab.montecarlo, "_usable_cpus", lambda: cpus)
+            _cpus(monkeypatch, cpus)
             run = []
             for name in ("S", "W", "KS", "NA_K_2", "MO_I_2", "CM", "SQRT_B1"):
                 spec = parse_statistic(name, alpha=0.25)
@@ -343,6 +370,101 @@ class TestChunkRunner:
             runs.append(run)
         for inline, pooled in zip(*runs):
             np.testing.assert_array_equal(inline, pooled)
+
+
+class TestSplitRuns:
+    # a simulation's replications split into one equal range per worker thread, min(usable
+    # CPUs, chunks) of them; each draws its ranges' pieces of every chunk from the chunk's
+    # stream in place, so the values are those of the chunk-by-chunk reference for any count
+    def test_a_piece_reads_slices_of_the_stream(self):
+        full = stream(5, 1, 3).random(400)
+        for offset, stride, n in [(0, 7, 7), (1, 9, 3), (2, 13, 11), (3, 17, 5), (5, 6, 1), (6, 30, 2)]:
+            piece = Piece(stream(5, 1, 3), offset, stride)
+            for i in range(4):
+                start = i * stride + offset
+                np.testing.assert_array_equal(piece.random(n, out=np.empty(n)), full[start:start + n])
+
+    @pytest.mark.parametrize("reps", [100, 512, 513, 600, 1024, 1500])
+    def test_every_cpu_count_gives_the_reference_bytes(self, monkeypatch, all_nulls, reps):
+        spec, member = parse_statistic("NA_K_2", alpha=0.25), parse_statistic("KS", alpha=0.25)
+        cfg = McConfig(n=12, reps=reps, seed=36)
+        alts = [get_alternative(kind, null) for null in all_nulls for kind in ("fs", "contam")]
+        want = [_fresh(s, null, _CAL, cfg, t=t) for null in all_nulls for s, t in ((spec, None), (member, 0.6))]
+        want += [_fresh(spec, alt, _EVAL, cfg, 0.4) for alt in alts]  # fs and contam draw two arrays
+        want += [_fresh_power(spec, alt, 0.4, cfg) for alt in alts[:2]]
+        for cpus in (1, 2, 3, 4):
+            _cpus(monkeypatch, cpus)
+            symlab.montecarlo._sorted_null.cache_clear()
+            got = [null_distribution(s, null, cfg, t=t) for null in all_nulls for s, t in ((spec, None), (member, 0.6))]
+            got += [_simulate(spec, alt, 0.4, cfg, _EVAL) for alt in alts]
+            got += [power(spec, alt, 0.4, cfg) for alt in alts[:2]]
+            for values, reference in zip(got, want, strict=True):
+                np.testing.assert_array_equal(values, reference)
+
+    def test_identical_runs_open_the_same_streams_on_the_same_threads(self, monkeypatch, normal):
+        # 3000 replications on three threads: ranges [0, 1000), [1000, 2000) and [2000, 3000), each
+        # of two or three pieces, so no thread keeps draws from one run to the next
+        _cpus(monkeypatch, 3)
+        opened = []
+
+        def counted(seed, *key):
+            opened.append((threading.current_thread(), seed, *key))
+            return stream(seed, *key)
+
+        monkeypatch.setattr(symlab.montecarlo, "stream", counted)
+        spec, cfg = parse_statistic("W", alpha=0.25), McConfig(n=10, reps=3000, seed=37)
+        runs = []
+        for _ in range(2):
+            opened.clear()
+            np.testing.assert_array_equal(null_distribution(spec, normal, cfg), _fresh(spec, normal, _CAL, cfg))
+            by_thread = {}
+            for thread, *key in opened:
+                by_thread.setdefault(thread, []).append(tuple(key))
+            runs.append(by_thread)
+        assert runs[0] == runs[1]
+        workers = [symlab.montecarlo._worker(k).submit(threading.current_thread).result() for k in (1, 2)]
+        assert runs[0] == {
+            workers[0]: [(37, _CAL, 0), (37, _CAL, 1)],
+            workers[1]: [(37, _CAL, 1), (37, _CAL, 2), (37, _CAL, 3)],
+            threading.current_thread(): [(37, _CAL, 3), (37, _CAL, 4), (37, _CAL, 5)],
+        }
+
+    def test_a_fresh_import_starts_no_thread(self):
+        script = "import threading, symlab.cli; print(threading.active_count(), symlab.montecarlo._workers)"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["1", "[]"]
+
+    def test_a_forked_child_runs_its_own_split_simulation(self, monkeypatch, normal):
+        _cpus(monkeypatch, 2)
+        spec, cfg = parse_statistic("NA_K_2", alpha=0.25), McConfig(n=20, reps=1500, seed=38)
+        want = null_distribution(spec, normal, cfg)  # the parent's worker is alive and idle now
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child reports whether it started without workers, then its values
+            status = 1
+            try:
+                os.close(read)
+                inherited = len(symlab.montecarlo._workers)
+                values = null_distribution(spec, normal, cfg)
+                with os.fdopen(write, "wb") as fh:
+                    fh.write(bytes([inherited, len(symlab.montecarlo._workers)]) + values.tobytes())
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        try:
+            ready = select.select([read], [], [], 60)[0]
+            if not ready:
+                os.kill(pid, signal.SIGKILL)
+            with os.fdopen(read, "rb") as fh:
+                data = fh.read() if ready else b""
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        assert ready and status == 0, "the forked child's simulation did not finish"
+        assert data[:2] == bytes([0, 1])
+        np.testing.assert_array_equal(np.frombuffer(data[2:]), want)
 
 
 class TestPValues:
