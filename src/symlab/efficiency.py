@@ -188,20 +188,28 @@ def equivalence_report(alt: AlternativeFamily, alpha: float, tests=DEFAULT_TESTS
     largest relative spread of its indices, the budget of the numerics
     behind them.  A test named twice is refused with ``ValueError``.
     """
+    return _equivalence_reports(alt, [alpha], tests)[0]
+
+
+def _equivalence_reports(alt: AlternativeFamily, grid, tests=DEFAULT_TESTS) -> list[EquivalenceReport]:
+    """:func:`equivalence_report` at each level of ``grid``, off one :func:`index_curves` run."""
     specs = _distinct(tests)
-    curves = index_curves(specs, alt, [alpha])
+    curves = index_curves(specs, alt, grid)
     sign, mean_median = asy._shape(StatisticSpec("S")), asy._shape(StatisticSpec("CM"))
-    classes: dict[tuple, list[IndexCurve]] = {}
-    for spec, curve in zip(specs, curves):
-        if not (curve.not_applicable[0] or curve.degenerate[0]):
-            shape = sign if spec.kind == "KS" and _ks_is_s(curve)[0] else asy._shape(spec)
-            classes.setdefault(mean_median if shape == sign and alpha == 0.0 else shape, []).append(curve)
-    groups = sorted(((sorted(c.test for c in members), np.array([c.index[0] for c in members]))
-                     for members in classes.values()), key=lambda group: group[1].min())
-    return EquivalenceReport(
-        float(alpha),
-        tuple(tuple(names) for names, _ in groups),
-        tuple(float(np.ptp(v) / v.max()) if v.max() > 0.0 else 0.0 for _, v in groups),
-        tuple(sorted(c.test for c in curves if c.degenerate[0])),
-        tuple(sorted(c.test for c in curves if c.not_applicable[0])),
-    )
+    reports = []
+    for i, alpha in enumerate(grid):
+        classes: dict[tuple, list[IndexCurve]] = {}
+        for spec, curve in zip(specs, curves):
+            if not (curve.not_applicable[i] or curve.degenerate[i]):
+                shape = sign if spec.kind == "KS" and _ks_is_s(curve)[i] else asy._shape(spec)
+                classes.setdefault(mean_median if shape == sign and alpha == 0.0 else shape, []).append(curve)
+        groups = sorted(((sorted(c.test for c in members), np.array([c.index[i] for c in members]))
+                         for members in classes.values()), key=lambda group: group[1].min())
+        reports.append(EquivalenceReport(
+            float(alpha),
+            tuple(tuple(names) for names, _ in groups),
+            tuple(float(np.ptp(v) / v.max()) if v.max() > 0.0 else 0.0 for _, v in groups),
+            tuple(sorted(c.test for c in curves if c.degenerate[i])),
+            tuple(sorted(c.test for c in curves if c.not_applicable[i])),
+        ))
+    return reports

@@ -2,15 +2,18 @@
 
 Replications are organized in fixed-size chunks; each chunk owns a private
 counter-derived random stream (see :mod:`symlab._rng`).  A simulation splits
-its replications into ``min(usable CPUs, chunks)`` equal contiguous ranges,
-one per worker thread: the calling thread takes the last, and range ``k - 1``
-always runs on the k-th persistent single-thread executor, made on first use
-(never at import) and forgotten in a forked child.  Each worker draws and
-evaluates its range cut at chunk boundaries, piece by piece, and a piece reads
-its rows of the chunk's stream in place (:class:`symlab._rng.Piece`), so
-outputs are byte-identical for a given configuration however many threads run;
-one chunk (``reps <= 512``) or one usable CPU runs inline, and so do
-:func:`power`'s tie-breaking uniforms, too few to be worth a thread.
+its replications into ``min(usable CPUs, chunks)`` equal contiguous ranges
+(:func:`symlab._threads.split`): the calling thread takes the last, and range
+``k - 1`` always runs on the k-th persistent worker thread.  Each thread draws
+and evaluates its range cut at chunk boundaries, piece by piece, and a piece
+reads its rows of the chunk's stream in place (:class:`symlab._rng.Piece`),
+so outputs are byte-identical for a given configuration however many threads
+run.  One chunk (``reps <= 512``) or one usable CPU is evaluated inline; a
+one-chunk draw of ``2**16`` values or more still splits by rows the same way,
+and the calling thread keeps the assembled draws and evaluates them alone, so
+the next statistics on them wake no worker.  A thread running a range of a
+split never splits again, and :func:`power`'s tie-breaking uniforms, too few
+to be worth a thread, are drawn inline.
 Calibration and evaluation always consume disjoint stream families so
 critical values are never reused on the data that produced them.  All
 calibrations go through a cache of the last sorted null (reps float64 values,
@@ -22,8 +25,9 @@ reused arrays and keeps a piece's fresh draws as its one kept entry (see
 :mod:`symlab.stats`), so consecutive simulations of one model draw a thread's
 only piece (the whole of a one-chunk run) once across statistics, and
 fixed-threshold members at one ``(alpha, t)`` count once: on a 2-core
-x86-64 VM the 7 of the default battery on 100 x 2000 draws take about 10 ms for
-the first and 0.04 ms for each next (0.8 ms when each counted alone).  ``power``
+x86-64 VM the 7 of the default battery on 100 x 2000 draws take about 3.3 ms
+for the first (4.3 ms with the draw on one thread) and 0.04 ms for each next
+(0.8 ms when each counted alone).  ``power``
 for ``NA_K_4`` at n = 100 with 10^4 replications took 69-71 ms inline and
 41-53 ms on two threads, cold (38 and 22 ms after another call on the same
 key); with 600 it took 5.4-5.8 ms and 4.7-7.7 ms cold, and 2.6-2.7 ms and
@@ -35,13 +39,11 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _threads
 from ._rng import Piece, check_seed, stream
 from .distributions import AlternativeFamily, SymmetricNull
 from .stats import SUPREMUM, StatisticSpec, _drawn, evaluate, evaluate_many
@@ -82,57 +84,25 @@ class McConfig:
             raise ValueError("level must lie in (0, 1)")
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-_workers: list[ThreadPoolExecutor] = []  # worker k >= 1 runs on _workers[k - 1], made on first use
-_workers_lock = threading.Lock()
-
-
-def _forget_workers():
-    global _workers_lock
-    _workers.clear()  # a forked child has none of its parent's threads
-    _workers_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_workers)
-
-
-def _worker(k: int) -> ThreadPoolExecutor:
-    with _workers_lock:
-        while len(_workers) < k:
-            _workers.append(ThreadPoolExecutor(max_workers=1))
-        return _workers[k - 1]
-
-
 def _run_split(reps: int, job) -> np.ndarray:
     """Values of all ``reps`` replications in order, from ``job(chunk, rows, start, stop)``.
 
-    A job evaluates rows ``[start, stop)`` of ``chunk``, which has ``rows`` rows.  Each
-    worker takes an equal contiguous range of replications, cut at chunk boundaries.
+    A job evaluates rows ``[start, stop)`` of ``chunk``, which has ``rows`` rows.  Each of
+    ``min(usable CPUs, chunks)`` workers takes an equal contiguous range of replications,
+    cut at chunk boundaries.
     """
-    workers = min(_usable_cpus(), -(-reps // _CHUNK))
-    bounds = [reps * k // workers for k in range(workers + 1)]
 
-    def share(k: int) -> list:
-        pieces, begin = [], bounds[k]
-        while begin < bounds[k + 1]:
+    def share(begin: int, end: int) -> list:
+        pieces = []
+        while begin < end:
             chunk, start = divmod(begin, _CHUNK)
-            stop = min(_CHUNK, bounds[k + 1] - chunk * _CHUNK)
+            stop = min(_CHUNK, end - chunk * _CHUNK)
             pieces.append(job(chunk, min(_CHUNK, reps - chunk * _CHUNK), start, stop))
             begin += stop - start
         return pieces
 
-    futures = [_worker(k).submit(share, k - 1) for k in range(1, workers)]
-    try:
-        mine = share(workers - 1)  # the last range: the calling thread starts first
-    finally:
-        wait(futures)  # no worker outlives the simulation, not even a refused one
-    return np.concatenate([piece for future in futures for piece in future.result()] + mine)
+    shares = _threads.split(reps, min(_threads._usable_cpus(), -(-reps // _CHUNK)), share)
+    return np.concatenate([piece for pieces in shares for piece in pieces])
 
 
 def _simulate(
@@ -146,9 +116,13 @@ def _simulate(
     params = () if theta is None else (theta,)  # a null model takes no theta
 
     def job(chunk: int, rows: int, start: int, stop: int) -> np.ndarray:
-        def draw():
-            rng = Piece(stream(cfg.seed, purpose, chunk), start * cfg.n, rows * cfg.n)
-            return model.sample(*params, (stop - start) * cfg.n, 0, rng=rng).reshape(stop - start, cfg.n)
+        def part(lo: int, hi: int) -> np.ndarray:  # rows [start + lo, start + hi) of the chunk
+            rng = Piece(stream(cfg.seed, purpose, chunk), (start + lo) * cfg.n, rows * cfg.n)
+            return model.sample(*params, (hi - lo) * cfg.n, 0, rng=rng)
+
+        def draw():  # a one-chunk run splits its long draw by rows; the calling thread keeps it whole
+            parts = _threads.split(stop - start, _threads.ways((stop - start) * cfg.n), part)
+            return (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(stop - start, cfg.n)
 
         key = model, params, cfg.seed, purpose, chunk, rows, start, stop, cfg.n
         return evaluate_many(spec, _drawn(key, draw), t=t)

@@ -26,6 +26,12 @@ That path has one centering and one moment block:
   coefficient and center each row by its mean and median (the middle of a
   sorted copy) in one block of axis-wise reductions; they need ``n >= 2``
   and refuse a zero variance or (MGG) a zero mean absolute deviation.
+  SQRT_B1 cubes the centered block by ``np.power`` in place, split by
+  elements over the usable CPUs from ``2**16`` values up
+  (:func:`symlab._threads.split`; numpy's cube of a range is that range of
+  the whole cube, bit for bit): 2.7 ms against 4.7 ms at n = 10^5 on a
+  2-core x86-64 VM.  The split goes when the planned re-record of recorded
+  bits replaces the cube with two multiplications.
 
 A chunk of several rows runs in arrays the thread running it reuses from call
 to call (:func:`_scratch`): one set per row length ``n``, each array grown to the
@@ -65,6 +71,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import _threads
 from .errors import DegenerateSampleError, InsufficientSampleError
 from .location import _check_alpha, check_sample, trim_weights, trimmed_mean
 
@@ -523,8 +530,10 @@ def _moment_values(spec: StatisticSpec, samples: np.ndarray, moments) -> tuple:
         if np.any(j <= 0.0):
             raise DegenerateSampleError("mean absolute deviation is zero")
         return (xbar - med) / j, None
-    centered = np.subtract(samples, xbar[:, None], out=work)
-    return np.mean(np.power(centered, 3, out=centered), axis=1) / s**3, None
+    cubes = np.subtract(samples, xbar[:, None], out=work).ravel()  # a view: work is contiguous
+    _threads.split(cubes.size, _threads.ways(cubes.size),
+                   lambda lo, hi: np.power(cubes[lo:hi], 3, out=cubes[lo:hi]))
+    return np.mean(work, axis=1) / s**3, None
 
 
 def _check_rows(spec: StatisticSpec, samples: np.ndarray, peak: float | None = None) -> None:

@@ -101,8 +101,7 @@ def _check_equivalence_classes(seed: int, full: bool) -> tuple[bool, str]:
         for alt_name in ("contam", "fs"):
             alt = get_alternative(alt_name, null_name)
             crossover = eff.ks_s_equivalence_crossover(alt, grid)
-            for a in grid:
-                report = eff.equivalence_report(alt, float(a), tests)
+            for a, report in zip(grid, eff._equivalence_reports(alt, grid, tests)):
                 # the paper's classes; KS is S below the crossover, and S the mean-median test at a = 0
                 sign, moment = ({"S", "KS"} if a <= crossover else {"S"}), set(_CLASS_MOMENT)
                 if a == 0.0:

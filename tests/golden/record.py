@@ -54,7 +54,7 @@ import scipy
 import symlab.montecarlo as montecarlo
 from symlab import (critical_value, evaluate, evaluate_many, get_alternative, get_null, null_distribution,
                     p_value, power)
-from symlab import cli
+from symlab import _threads, cli
 from symlab._rng import stream
 from symlab.asymptotics import slope_curve, slope_function, variance_curve, variance_function
 from symlab.efficiency import DEFAULT_TESTS, index_curves
@@ -240,16 +240,16 @@ def _record(value) -> dict:
 
 def digests() -> dict:
     """Every group's record, run in one process from a cold null cache."""
-    usable = montecarlo._usable_cpus
+    usable = _threads._usable_cpus
     montecarlo._sorted_null.cache_clear()
     records = {}
     try:
         for name, call in _groups():
             cpus = RUNS["pooled"][0] if "/pooled/" in name else 1
-            montecarlo._usable_cpus = lambda: cpus
+            _threads._usable_cpus = lambda: cpus
             records[name] = _record(call())
     finally:
-        montecarlo._usable_cpus = usable
+        _threads._usable_cpus = usable
     return records
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import symlab._threads
 import symlab.montecarlo
 from helpers import run_in_threads
 from symlab import stats
@@ -123,7 +124,7 @@ def _fresh_power(spec, alt, theta, cfg):
 
 
 def _cpus(monkeypatch, cpus):
-    monkeypatch.setattr(symlab.montecarlo, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(symlab._threads, "_usable_cpus", lambda: cpus)
 
 
 class TestDrawSlot:
@@ -261,7 +262,7 @@ class TestDrawSlot:
                 np.testing.assert_array_equal(null_distribution(spec, normal, cfg, t=self.T), values)
         assert len(centerings) == 1 + 2 * 2 * len(self.MEMBERS)
         assert stats._pool.entry["key"][4:] == (1, 1, 0, 1, 40)
-        worker_key = symlab.montecarlo._worker(1).submit(lambda: stats._pool.entry["key"]).result()
+        worker_key = symlab._threads._worker(1).submit(lambda: stats._pool.entry["key"]).result()
         assert worker_key[4:] == (0, 512, 0, 256, 40)
 
     def test_the_kept_draws_are_read_only(self, contam_normal):
@@ -422,7 +423,7 @@ class TestSplitRuns:
                 by_thread.setdefault(thread, []).append(tuple(key))
             runs.append(by_thread)
         assert runs[0] == runs[1]
-        workers = [symlab.montecarlo._worker(k).submit(threading.current_thread).result() for k in (1, 2)]
+        workers = [symlab._threads._worker(k).submit(threading.current_thread).result() for k in (1, 2)]
         assert runs[0] == {
             workers[0]: [(37, _CAL, 0), (37, _CAL, 1)],
             workers[1]: [(37, _CAL, 1), (37, _CAL, 2), (37, _CAL, 3)],
@@ -430,7 +431,7 @@ class TestSplitRuns:
         }
 
     def test_a_fresh_import_starts_no_thread(self):
-        script = "import threading, symlab.cli; print(threading.active_count(), symlab.montecarlo._workers)"
+        script = "import threading, symlab.cli; print(threading.active_count(), symlab._threads._workers)"
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
@@ -440,31 +441,104 @@ class TestSplitRuns:
         _cpus(monkeypatch, 2)
         spec, cfg = parse_statistic("NA_K_2", alpha=0.25), McConfig(n=20, reps=1500, seed=38)
         want = null_distribution(spec, normal, cfg)  # the parent's worker is alive and idle now
-        read, write = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # the child reports whether it started without workers, then its values
-            status = 1
-            try:
-                os.close(read)
-                inherited = len(symlab.montecarlo._workers)
-                values = null_distribution(spec, normal, cfg)
-                with os.fdopen(write, "wb") as fh:
-                    fh.write(bytes([inherited, len(symlab.montecarlo._workers)]) + values.tobytes())
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write)
-        try:
-            ready = select.select([read], [], [], 60)[0]
-            if not ready:
-                os.kill(pid, signal.SIGKILL)
-            with os.fdopen(read, "rb") as fh:
-                data = fh.read() if ready else b""
-        finally:
-            status = os.waitpid(pid, 0)[1]
-        assert ready and status == 0, "the forked child's simulation did not finish"
+
+        def child():  # whether it started without workers, then its values
+            inherited = len(symlab._threads._workers)
+            values = null_distribution(spec, normal, cfg)
+            return bytes([inherited, len(symlab._threads._workers)]) + values.tobytes()
+
+        data = _in_forked_child(child)
         assert data[:2] == bytes([0, 1])
         np.testing.assert_array_equal(np.frombuffer(data[2:]), want)
+
+    # a one-chunk simulation whose draw has 2**16 values or more draws it by rows, one range per
+    # usable CPU, and a SQRT_B1 cube that long splits by elements; the calling thread keeps the
+    # assembled draws and evaluates them alone
+    @pytest.mark.parametrize("n, reps", [(655, 100), (656, 100), (32, 2000), (2000, 100)])
+    def test_a_long_one_chunk_draw_gives_the_reference_bytes(self, monkeypatch, normal, n, reps):
+        # 65,500 values draw on one thread and 65,600 split; 2000 replications of 32 run four chunks
+        specs = [(parse_statistic(name, alpha=0.25), t) for name, t in (("NA_K_2", None), ("KS", 0.6),
+                                                                        ("SQRT_B1", None))]
+        cfg = McConfig(n=n, reps=reps, seed=39)
+        runs = [(spec, normal, (), _CAL, t) for spec, t in specs]
+        runs += [(spec, get_alternative(kind, normal), (0.4,), _EVAL, t) for kind in ("fs", "contam")
+                 for spec, t in specs]
+        want = [_fresh(spec, model, purpose, cfg, *theta, t=t) for spec, model, theta, purpose, t in runs]
+        for cpus in (1, 2, 3, 4):
+            _cpus(monkeypatch, cpus)
+            stats._pool.entry = None  # each CPU count draws anew
+            for (spec, model, theta, purpose, t), values in zip(runs, want):
+                got = _simulate(spec, model, *(theta or (None,)), cfg, purpose, t)
+                np.testing.assert_array_equal(got, values)
+
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 100_003])
+    def test_a_long_cube_is_the_whole_cube(self, monkeypatch, n):
+        x = np.random.default_rng(n).normal(size=(1, n))
+        centered = x - x.mean(axis=1)[:, None]
+        cubes = np.power(centered, 3)
+        want = np.mean(cubes, axis=1)[0] / np.sqrt(np.mean(np.square(centered), axis=1)[0]) ** 3
+        for cpus in (1, 2, 3, 4):  # split points 21,845 and 50,001, say: not multiples of 8
+            _cpus(monkeypatch, cpus)
+            assert evaluate(StatisticSpec("SQRT_B1"), x[0]).value == want
+        flat = centered.ravel()
+        for cut in (1, 3, 7, 9, 13, 4095, 21845, 32769, 50001, n - 9, n - 1):  # what the split rests on
+            pieces = [np.power(flat[:cut], 3), np.power(flat[cut:], 3)]
+            np.testing.assert_array_equal(np.concatenate(pieces), cubes.ravel())
+
+    def test_long_pieces_on_busy_threads_run_inline(self, monkeypatch, normal):
+        # each of two threads evaluates a 512 x 2000 piece, whose SQRT_B1 cube runs inline: a worker
+        # splitting again would wait on itself, so the run is made in a child under a timeout
+        spec, cfg = StatisticSpec("SQRT_B1"), McConfig(n=2000, reps=1024, seed=40)
+        _cpus(monkeypatch, 1)
+        want = null_distribution(spec, normal, cfg)
+        _cpus(monkeypatch, 2)
+        data = _in_forked_child(lambda: null_distribution(spec, normal, cfg).tobytes())
+        np.testing.assert_array_equal(np.frombuffer(data), want)
+
+    def test_user_threads_split_on_the_same_workers(self, monkeypatch, normal):
+        _cpus(monkeypatch, 3)
+        spec = StatisticSpec("SQRT_B1")
+        cfgs = [McConfig(n=700, reps=100, seed=41 + i) for i in range(4)]
+        want = [_fresh(spec, normal, _CAL, cfg) for cfg in cfgs]
+        got = run_in_threads(lambda i: null_distribution(spec, normal, cfgs[i]), len(cfgs))
+        for values, reference in zip(got, want):
+            np.testing.assert_array_equal(values, reference)
+
+    def test_workers_keep_no_entry_of_a_split_draw(self, monkeypatch, normal):
+        _cpus(monkeypatch, 4)
+        cfg = McConfig(n=2000, reps=100, seed=84)
+        null_distribution(parse_statistic("NA_K_2", alpha=0.25), normal, cfg, t=0.6)
+        assert stats._pool.entry["key"][4:] == (0, 100, 0, 100, 2000)
+        kept = [symlab._threads._worker(k).submit(lambda: getattr(stats._pool, "entry", None)).result()
+                for k in (1, 2, 3)]
+        assert kept == [None] * 3
+
+
+def _in_forked_child(run, timeout=60):
+    """The bytes ``run()`` returns in a forked child, which fails the test if it does not finish in time."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            data = run()
+            with os.fdopen(write, "wb") as fh:
+                fh.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    try:
+        ready = select.select([read], [], [], timeout)[0]
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        with os.fdopen(read, "rb") as fh:
+            data = fh.read() if ready else b""
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    assert ready and status == 0, "the forked child's run did not finish"
+    return data
 
 
 class TestPValues:

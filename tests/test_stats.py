@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, rule, run_state_machine_as_test
 
 from helpers import exact_counting_value, run_in_threads, searchsorted_counts, sup_argument
-from symlab import montecarlo, stats
+from symlab import _threads, montecarlo, stats
 from symlab.distributions import get_alternative, get_null
 from symlab.efficiency import DEFAULT_TESTS
 from symlab.montecarlo import _CAL, _EVAL, McConfig, _simulate, null_distribution, power
@@ -1031,9 +1031,9 @@ def test_kept_state_changes_no_result_at_length():
 @pytest.mark.parametrize("reuse", ["battery", "members", "draws"])
 def test_each_kept_reuse_fires(reuse, streams, centerings, normal, monkeypatch):
     """The reuses the benchmark runs on: one finite pass and one centering of a sample for the
-    default battery; one draw, one finite pass, one centering and one counting pass for the 7
-    members of the default battery at n = 2000 with 100 replications; one draw and one finite
-    pass for a 300-rep simulation across statistics."""
+    default battery; one draw (split by rows on two CPUs), one finite pass, one centering and one
+    counting pass for the 7 members of the default battery at n = 2000 with 100 replications; one
+    draw and one finite pass for a 300-rep simulation across statistics."""
     passes, counted = [], []  # the shapes the finite pass reads, the thresholds counted at
     check, count = stats.check_sample, stats._threshold_counts
 
@@ -1051,9 +1051,15 @@ def test_each_kept_reuse_fires(reuse, streams, centerings, normal, monkeypatch):
         assert (streams, centerings, passes) == ([], [(10_000, 0.25)], [(1, 10_000)])
     elif reuse == "members":
         cfg = McConfig(n=2000, reps=100, seed=84)
-        for name in SUP_IDS:
-            null_distribution(parse_statistic(name, alpha=0.25), normal, cfg, t=0.6)
-        assert (streams, centerings, passes, counted) == ([(84, _CAL, 0)], [(2000, 0.25)], [(100, 2000)], [0.6])
+        for cpus in (1, 2):  # the 200,000-value draw reads the chunk's stream once per range of rows
+            monkeypatch.setattr(_threads, "_usable_cpus", lambda: cpus)
+            stats._pool.entry = None
+            for calls in (streams, centerings, passes, counted):
+                calls.clear()
+            for name in SUP_IDS:
+                null_distribution(parse_statistic(name, alpha=0.25), normal, cfg, t=0.6)
+            assert (streams, centerings, passes, counted) == (
+                [(84, _CAL, 0)] * cpus, [(2000, 0.25)], [(100, 2000)], [0.6])
     else:
         cfg = McConfig(n=40, reps=300, seed=61)
         for name in ("W", "NA_K_2", "KS", "CM", "S", "SQRT_B1"):
