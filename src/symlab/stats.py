@@ -25,7 +25,8 @@ That path has one centering and one moment block:
 * the moment statistics (CM, GAMMA, MGG, SQRT_B1) ignore the trimming
   coefficient and center each row by its mean and median (the middle of a
   sorted copy) in one block of axis-wise reductions; they need ``n >= 2``
-  and refuse a zero variance or (MGG) a zero mean absolute deviation.
+  and refuse a zero variance, (MGG) a zero mean absolute deviation or
+  (SQRT_B1) a variance whose 3/2 power is below the smallest normal float.
   SQRT_B1 cubes the centered block by ``np.power`` in place, split by
   elements over the usable CPUs from ``2**16`` values up
   (:func:`symlab._threads.split`; numpy's cube of a range is that range of
@@ -530,10 +531,13 @@ def _moment_values(spec: StatisticSpec, samples: np.ndarray, moments) -> tuple:
         if np.any(j <= 0.0):
             raise DegenerateSampleError("mean absolute deviation is zero")
         return (xbar - med) / j, None
+    scale = s**3
+    if np.any(scale < np.finfo(float).tiny):  # subnormal or zero: the ratio would keep few bits or none
+        raise DegenerateSampleError("sample variance underflows in SQRT_B1's cubed scale")
     cubes = np.subtract(samples, xbar[:, None], out=work).ravel()  # a view: work is contiguous
     _threads.split(cubes.size, _threads.ways(cubes.size),
                    lambda lo, hi: np.power(cubes[lo:hi], 3, out=cubes[lo:hi]))
-    return np.mean(work, axis=1) / s**3, None
+    return np.mean(work, axis=1) / scale, None
 
 
 def _check_rows(spec: StatisticSpec, samples: np.ndarray, peak: float | None = None) -> None:

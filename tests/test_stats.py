@@ -140,6 +140,13 @@ class TestErrors:
         with pytest.raises(DegenerateSampleError):
             evaluate(StatisticSpec("CM"), [2.0, 2.0, 2.0])
 
+    def test_sqrtb1_refuses_a_scale_whose_cube_underflows(self):
+        # a positive variance whose 3/2 power is subnormal or zero: the ratio would be NaN or keep few bits
+        for x in ([-0.0, 6.81109192e-152], [0.0, 1e-105, 3e-105]):
+            with pytest.raises(DegenerateSampleError, match="underflows"):
+                evaluate(StatisticSpec("SQRT_B1"), x)
+            assert math.isfinite(evaluate(StatisticSpec("CM"), x).value)
+
     def test_brute_force_refuses_large_n(self, rng):
         with pytest.raises(ValueError):
             brute_force(StatisticSpec("W"), rng.normal(size=15))
