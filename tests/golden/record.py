@@ -6,7 +6,9 @@ recorded as the error's type and message), ``evaluate_many`` over the
 counting battery and its supremum members at ``t`` on one chunk of rows (the
 values of every statistic the row length admits, one after another), or
 ``null_distribution``, ``p_value``, ``critical_value`` and ``power`` for one
-statistic, run inline (one kept chunk) and on two worker threads.  The
+statistic, run inline (one kept chunk) and on two worker threads, and the
+supremum defaults' members on one kept 100 x 700 draw, whose 70,000 values a
+second CPU would split by rows.  The
 asymptotic layer adds every array field of the ``IndexCurve`` of each of the
 19 defaults on each model pair, ``variance_curve`` of each non-moment
 default on each null and ``slope_curve`` on each model pair on their own
@@ -66,6 +68,9 @@ STATISTICS = ("S", "W", "KS", "BH_K", "NA_I_3", "NA_K_2", "MO_I_2", "MO_K_2", "C
               "SQRT_B1")
 #: inline: one chunk, kept across the calls; pooled: two full chunks and a tail on two workers
 RUNS = {"inline": (1, 300), "pooled": (2, 1100)}
+#: ``(reps, n)`` of the one-chunk member group whose draw has more than 2**16 values
+LONG_DRAW = (100, 700)
+LONG_MEMBERS = f"member/normal/{LONG_DRAW[0]}x{LONG_DRAW[1]}"
 NULLS = ("normal", "logistic", "cauchy")
 N, ALPHA, T = 20, 0.25, 0.7
 #: ``evaluate`` groups: one battery per data kind, size and level, in this order, so that the
@@ -202,6 +207,10 @@ def _groups():
             yield f"critical_value/{tag}", lambda: critical_value(spec, null, cfg)
             yield f"power/fs/{tag}", lambda: power(spec, fs, 0.4, cfg)
             yield f"power/contam/{tag}", lambda: power(spec, contam, 0.3, cfg)
+    long_draw = montecarlo.McConfig(n=LONG_DRAW[1], reps=LONG_DRAW[0], seed=LONG_DRAW[1])
+    yield LONG_MEMBERS, lambda: np.concatenate([
+        null_distribution(parse_statistic(name, alpha=ALPHA), get_null("normal"), long_draw, t=T)
+        for name in MEMBER_TESTS])
     for null_name, alt_name in itertools.product(NULLS, ALTERNATIVES):
         alt = get_alternative(alt_name, get_null(null_name))
         curves = functools.cache(lambda: index_curves(DEFAULT_TESTS, alt))

@@ -11,8 +11,12 @@ import json
 import pytest
 
 from helpers import golden_record
+from symlab import _threads
 
 record = golden_record()
+#: the groups a second CPU splits: SQRT_B1's cube at 102,572 values and the long one-chunk member draw
+SPLIT_GROUPS = (*(f"evaluate/{kind}/{record.LONG_N}/{record.ALPHA}" for kind in record.EVALUATE_DATA[:2]),
+                record.LONG_MEMBERS)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +31,14 @@ def current():
 
 def test_no_group_moved(recorded, current):
     assert record.changed(recorded, current) == []
+
+
+def test_split_runs_keep_the_recorded_bits(recorded, monkeypatch):
+    # recorded on one CPU; on two the cube splits by elements and the draw by rows
+    monkeypatch.setattr(_threads, "_usable_cpus", lambda: 2)
+    split = {name: record._record(call()) for name, call in record._groups() if name in SPLIT_GROUPS}
+    assert sorted(split) == sorted(SPLIT_GROUPS)
+    assert record.changed({**recorded, "groups": {name: recorded["groups"][name] for name in split}}, split) == []
 
 
 def test_another_stack_checks_counts_and_first_values(recorded, current, monkeypatch):
