@@ -94,6 +94,10 @@ class SymmetricNull:
     def density_derivative(self, x):
         raise NotImplementedError
 
+    def _x_density(self, x):
+        """``x f(x)`` for ``x >= 0``, and its limit 0 at ``inf`` (where ``inf * 0`` is NaN)."""
+        return np.minimum(x, _MAX) * np.asarray(self.density(x))
+
     def cdf(self, x):
         raise NotImplementedError
 
@@ -340,6 +344,11 @@ class Cauchy(SymmetricNull):
             value = np.where(far, -2.0 / math.pi / big / big / big, value)
         return _as_float(value)
 
+    def _x_density(self, x):  # past about 3.8e153 f(x) is subnormal and 1 + x x is x x: x f(x) is 1/(pi x)
+        density = np.asarray(self.density(x))
+        near = np.minimum(x, _MAX) * density
+        return np.where(density < np.finfo(float).tiny, 1.0 / math.pi / np.maximum(x, 1.0), near)
+
     # 1/2 + arctan(x)/pi and tan(pi (u - 1/2)) cancel in the lower tail; arctan2(1, -x)
     # is -arctan(1/x) there, and -1/tan(pi u) is mirrored (1 - u is exact above 1/2)
     def cdf(self, x):
@@ -457,7 +466,7 @@ class FernandezSteel(AlternativeFamily):
     def score_cumulative(self, x):
         # F(x) - x f(x) for x <= 0; the score is odd, so this is even and 1 - F never cancels
         size = np.abs(np.asarray(x, dtype=float))
-        return _as_float(self.base.cdf(-size) + np.minimum(size, _MAX) * self.base.density(size))
+        return _as_float(self.base.cdf(-size) + self.base._x_density(size))
 
     def sample(
         self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None

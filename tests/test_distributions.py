@@ -382,6 +382,17 @@ class TestAlternativeFamilies:
         for side in (x, -x):
             np.testing.assert_allclose(fs.score_cumulative(side), want, rtol=1e-13, atol=0)
 
+    def test_fernandez_steel_score_cumulative_in_the_far_cauchy_tail(self):
+        # past about 3.8e153 the Cauchy density is subnormal: |x| f(|x|) kept few of its bits there
+        # (2e-4 low at 1e160) and none from 2.5e161 on (half the value from 1e200 up)
+        fs = get_alternative("fs", "cauchy")
+        x = np.array([1e150, 1e155, 1e160, 2.5e161, 1e200, 1e300, np.finfo(float).max])
+        with mp.workdps(50):
+            want = np.array([float(mp.acot(a) / mp.pi + a / (mp.pi * (1 + a * a))) for a in map(mp.mpf, x)])
+        for side in (x, -x):
+            assert np.all(np.abs(fs.score_cumulative(side) - want) <= 2 * np.spacing(want))
+            assert [fs.score_cumulative(v) for v in side] == list(fs.score_cumulative(side))
+
     def test_two_piece_mass_split(self, normal):
         # negative piece carries (1+theta)^2 / (1 + (1+theta)^2); checked by
         # quadrature of the density itself
