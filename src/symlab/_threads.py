@@ -3,10 +3,12 @@
 :func:`split` runs ``part(lo, hi)`` over equal contiguous ranges of ``[0, count)``.
 Range ``k - 1`` runs on :func:`_worker` ``(k)``, the k-th single-thread executor, made
 on first use (never at import) and forgotten in a forked child; the calling thread
-submits those ranges, then runs the last one itself.  A split runs inline, as one range,
-on a worker thread and on a thread already running a split's range, so no worker ever
-waits on another or on itself.  The bits are the callers' to keep: each part computes
-its range exactly as one whole run would.
+submits those ranges, then runs the last one itself.  So each thread meets the same
+work call after call: its reused arrays (:func:`symlab.stats._scratch`) fit its ranges,
+and a repeated run opens the same streams on the same threads, as a trace counts them.
+A split runs inline, as one range, on a worker thread and on a thread already running
+a split's range, so no worker ever waits on another or on itself.  The bits are the
+callers' to keep: each part computes its range exactly as one whole run would.
 
 :func:`ways` gives element- or row-wise work one range per usable CPU from
 ``MIN_VALUES`` values up, and one range below: waking an idle worker costs about 0.2 ms

@@ -1,37 +1,34 @@
 """Seeded Monte Carlo harness: null distributions, p-values, size and power.
 
 Replications are organized in fixed-size chunks; each chunk owns a private
-counter-derived random stream (see :mod:`symlab._rng`).  A simulation splits
-its replications into ``min(usable CPUs, chunks)`` equal contiguous ranges
-(:func:`symlab._threads.split`): the calling thread takes the last, and range
-``k - 1`` always runs on the k-th persistent worker thread.  Each thread draws
-and evaluates its range cut at chunk boundaries, piece by piece, and a piece
-reads its rows of the chunk's stream in place (:class:`symlab._rng.Piece`),
-so outputs are byte-identical for a given configuration however many threads
-run.  One chunk (``reps <= 512``) or one usable CPU is evaluated inline; a
-one-chunk draw of ``2**16`` values or more still splits by rows the same way,
-and the calling thread keeps the assembled draws and evaluates them alone, so
-the next statistics on them wake no worker.  A thread running a range of a
-split never splits again, and :func:`power`'s tie-breaking uniforms, too few
-to be worth a thread, are drawn inline.
+counter-derived random stream (see :mod:`symlab._rng`).  A simulation of
+several chunks splits its replications into ``min(usable CPUs, chunks)``
+equal contiguous ranges (:func:`symlab._threads.split`): the calling thread
+takes the last, and range ``k - 1`` always runs on the k-th persistent worker
+thread.  Each thread cuts its range at chunk boundaries into pieces, reads a
+piece's rows of the chunk's stream in place (:class:`symlab._rng.Piece`), so
+outputs are byte-identical however many threads run, and evaluates it where
+it was drawn.  No thread keeps a piece (a lone row goes as two equal rows,
+no sample), so such a run leaves every thread's kept entry (see
+:mod:`symlab.stats`) as it found it.  One chunk (``reps <= 512``) is
+evaluated by the calling thread, which keeps its draws, keyed by (model,
+theta, seed, purpose, reps, n): consecutive simulations of one model draw it
+once across statistics, and members at one ``(alpha, t)`` count once.  Its
+draw still splits by rows over the usable CPUs from ``2**16`` values up: on a
+2-core x86-64 VM the 7 members of the default battery on 100 x 2000 draws
+take about 3.3 ms for the first (4.3 ms with the draw on one thread) and
+0.04 ms for each next (0.8 ms when each counted alone).  A thread running a
+range of a split never splits again, and :func:`power`'s tie-breaking
+uniforms, too few to be worth a thread, are drawn inline.
 Calibration and evaluation always consume disjoint stream families so
 critical values are never reused on the data that produced them.  All
 calibrations go through a cache of the last sorted null (reps float64 values,
 read-only) keyed by (statistic, null, n, reps, seed), not by the level or the
 worker count, so consecutive calls on one key simulate it once (``symlab
 test`` runs :func:`p_value`, then :func:`critical_value`); results are
-byte-identical with or without it.  Each thread evaluates its pieces in its
-reused arrays and keeps a piece's fresh draws as its one kept entry (see
-:mod:`symlab.stats`), so consecutive simulations of one model draw a thread's
-only piece (the whole of a one-chunk run) once across statistics, and
-fixed-threshold members at one ``(alpha, t)`` count once: on a 2-core
-x86-64 VM the 7 of the default battery on 100 x 2000 draws take about 3.3 ms
-for the first (4.3 ms with the draw on one thread) and 0.04 ms for each next
-(0.8 ms when each counted alone).  ``power``
-for ``NA_K_4`` at n = 100 with 10^4 replications took 69-71 ms inline and
-41-53 ms on two threads, cold (38 and 22 ms after another call on the same
-key); with 600 it took 5.4-5.8 ms and 4.7-7.7 ms cold, and 2.6-2.7 ms and
-1.9-3.1 ms after another call (six fresh interpreters each).
+byte-identical with or without it.  ``power`` for ``NA_K_4`` at n = 100 with
+10^4 replications took 69-71 ms inline and 41-53 ms on two threads, cold;
+with 600 it took 5.4-5.8 ms and 4.7-7.7 ms (six fresh interpreters each).
 """
 
 from __future__ import annotations
@@ -84,27 +81,6 @@ class McConfig:
             raise ValueError("level must lie in (0, 1)")
 
 
-def _run_split(reps: int, job) -> np.ndarray:
-    """Values of all ``reps`` replications in order, from ``job(chunk, rows, start, stop)``.
-
-    A job evaluates rows ``[start, stop)`` of ``chunk``, which has ``rows`` rows.  Each of
-    ``min(usable CPUs, chunks)`` workers takes an equal contiguous range of replications,
-    cut at chunk boundaries.
-    """
-
-    def share(begin: int, end: int) -> list:
-        pieces = []
-        while begin < end:
-            chunk, start = divmod(begin, _CHUNK)
-            stop = min(_CHUNK, end - chunk * _CHUNK)
-            pieces.append(job(chunk, min(_CHUNK, reps - chunk * _CHUNK), start, stop))
-            begin += stop - start
-        return pieces
-
-    shares = _threads.split(reps, min(_threads._usable_cpus(), -(-reps // _CHUNK)), share)
-    return np.concatenate([piece for pieces in shares for piece in pieces])
-
-
 def _simulate(
     spec: StatisticSpec,
     model,
@@ -115,19 +91,32 @@ def _simulate(
 ) -> np.ndarray:
     params = () if theta is None else (theta,)  # a null model takes no theta
 
-    def job(chunk: int, rows: int, start: int, stop: int) -> np.ndarray:
-        def part(lo: int, hi: int) -> np.ndarray:  # rows [start + lo, start + hi) of the chunk
-            rng = Piece(stream(cfg.seed, purpose, chunk), (start + lo) * cfg.n, rows * cfg.n)
-            return model.sample(*params, (hi - lo) * cfg.n, 0, rng=rng)
+    def draw(chunk: int, rows: int, start: int, stop: int) -> np.ndarray:  # of a chunk of ``rows`` rows
+        rng = Piece(stream(cfg.seed, purpose, chunk), start * cfg.n, rows * cfg.n)
+        return model.sample(*params, (stop - start) * cfg.n, 0, rng=rng).reshape(stop - start, cfg.n)
 
-        def draw():  # a one-chunk run splits its long draw by rows; the calling thread keeps it whole
-            parts = _threads.split(stop - start, _threads.ways((stop - start) * cfg.n), part)
-            return (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(stop - start, cfg.n)
+    if cfg.reps <= _CHUNK:  # one chunk: drawn by rows over the usable CPUs, kept by the calling thread
+        def whole() -> np.ndarray:
+            parts = _threads.split(cfg.reps, _threads.ways(cfg.reps * cfg.n),
+                                   lambda lo, hi: draw(0, cfg.reps, lo, hi))
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-        key = model, params, cfg.seed, purpose, chunk, rows, start, stop, cfg.n
-        return evaluate_many(spec, _drawn(key, draw), t=t)
+        return evaluate_many(spec, _drawn((model, params, cfg.seed, purpose, cfg.reps, cfg.n), whole), t=t)
 
-    return _run_split(cfg.reps, job)
+    def share(begin: int, end: int) -> list:  # replications [begin, end), cut at chunk boundaries into pieces
+        values = []
+        while begin < end:
+            chunk, start = divmod(begin, _CHUNK)
+            stop = min(_CHUNK, end - chunk * _CHUNK)
+            draws = draw(chunk, min(_CHUNK, cfg.reps - chunk * _CHUNK), start, stop)
+            # evaluated where drawn, kept nowhere: a lone row would be kept as a sample, two of it are a chunk
+            rows = draws if len(draws) > 1 else draws.repeat(2, axis=0)
+            values.append(evaluate_many(spec, rows, t=t)[:len(draws)])
+            begin += stop - start
+        return values
+
+    shares = _threads.split(cfg.reps, min(_threads._usable_cpus(), -(-cfg.reps // _CHUNK)), share)
+    return np.concatenate([values for pieces in shares for values in pieces])
 
 
 def null_distribution(

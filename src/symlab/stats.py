@@ -39,17 +39,17 @@ to call (:func:`_scratch`): one set per row length ``n``, each array grown to th
 largest chunk seen at that ``n``, dropped at the next ``n``.  A single row gets
 fresh memory, and no returned array is a view of the set.  Each thread keeps one
 read-only entry for the last sample, in arrays of its own (:func:`_entry`): a
-single row, named by its bits (-0.0 is not 0.0), or a piece of a Monte Carlo chunk,
-named by its draw key, with its draws (:func:`_drawn`).  Its parts: the peak magnitude of
+single row, named by its bits (-0.0 is not 0.0), or the draws of a one-chunk Monte
+Carlo run, named by its draw key (:func:`_drawn`).  Its parts: the peak magnitude of
 its bits once they pass the finite check; a row's counts ``(z, a, b)`` S, W, KS
-and BH/NA/MO read at one ``alpha`` and its moments, 32 bytes a value; the draws'
-centered rows at one ``alpha``; the per-row ``#{y < t}``, ``#{y <= t}`` and
-``#{y <= -t}`` every member at ``(alpha, t)`` reads.  Another sample (a single row
-too, as ``p_value``'s; a chunk of rows neither reads nor drops it) drops the entry,
-another tag the part (:func:`_kept`), so a battery checks and sorts its sample
-once, and members on kept draws center and count them once.  Band tables and
-trimming weights outlive the entry: the process keeps one read-only copy per
-``(n, p, r)`` or ``(n, alpha)``, within 8 MiB (:func:`_stored`).
+and BH/NA/MO read at one ``alpha`` and its moments, 32 bytes a value; the per-row
+``#{y < t}``, ``#{y <= t}`` and ``#{y <= -t}`` every member at ``(alpha, t)``
+reads.  Another sample (a single row too, as ``p_value``'s; a chunk of rows neither
+reads nor drops it) drops the entry, another tag the part (:func:`_kept`), so a
+battery checks and sorts its sample once, and members on kept draws center and
+count them once (any other statistic centers them anew).  Band tables and trimming
+weights outlive the entry: the process keeps one read-only copy per ``(n, p, r)``
+or ``(n, alpha)``, within 8 MiB (:func:`_stored`).
 
 The independent reference is :func:`brute_force`, a literal enumeration of
 every subset and outer index, exactly as the statistics are defined.  It is
@@ -460,7 +460,7 @@ def _entry(key) -> dict:
 
 
 def _drawn(key, draw) -> np.ndarray:
-    """The kept draws of the Monte Carlo piece ``key``: on a miss, the fresh array ``draw()``, read-only."""
+    """The kept draws of one-chunk Monte Carlo run ``key``: on a miss, the fresh ``draw()``, read-only."""
     entry = _entry(key)
     if "draws" not in entry:  # a refused draw stores no key
         draws = draw()
@@ -472,8 +472,8 @@ def _drawn(key, draw) -> np.ndarray:
 def _kept(samples: np.ndarray, entry, part: str, tag, make, use):
     """``use(make())``, with ``make()`` kept read-only as ``entry``'s ``part`` at ``tag``: another tag
     drops the part before ``make``, and a new row's bits are copied after ``use``, off its peak."""
-    if "key" not in entry or (len(samples) > 1 and part in ("counts", "moments")):  # a throwaway
-        return use(make())  # keeps nothing, and a chunk's counts and moments are in the working set
+    if "key" not in entry or (len(samples) > 1 and part != "members"):  # a throwaway, or kept draws'
+        return use(make())  # counts or moments, which are in the working set: keeps nothing
     if part in entry and entry[part][0] == tag:
         return use(entry[part][1])
     entry.pop(part, None)
@@ -487,19 +487,14 @@ def _kept(samples: np.ndarray, entry, part: str, tag, make, use):
     return values
 
 
-def _centered_rows(samples: np.ndarray, alpha: float, entry) -> np.ndarray:
-    """Each row sorted and centered at its ``alpha``-trimmed mean, in working slot 0 or kept with the draws."""
+def _centered_rows(samples: np.ndarray, alpha: float) -> np.ndarray:
+    """Each row sorted and centered at its ``alpha``-trimmed mean, in working slot 0."""
     rows, n = samples.shape
-    drawn = samples is entry.get("draws")
-
-    def center():
-        work = np.empty((rows, n)) if drawn else _scratch(0, rows, n)
-        np.copyto(work, samples)
-        work.sort(axis=1)
-        mu = np.multiply(work, _weights(n, alpha), out=_scratch(1, rows, n)).sum(axis=1)
-        return (np.subtract(work, mu[:, None], out=work),)
-
-    return _kept(samples, entry, "centered", alpha, center, lambda made: made[0]) if drawn else center()[0]
+    work = _scratch(0, rows, n)
+    np.copyto(work, samples)
+    work.sort(axis=1)
+    mu = np.multiply(work, _weights(n, alpha), out=_scratch(1, rows, n)).sum(axis=1)
+    return np.subtract(work, mu[:, None], out=work)
 
 
 def _moments(samples: np.ndarray):
@@ -595,10 +590,10 @@ def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = N
                      lambda moments: _moment_values(spec, samples, moments))
     if t is not None:
         return _kept(samples, entry, "members", (spec.alpha, t),
-                     lambda: _threshold_counts(_centered_rows(samples, spec.alpha, entry), t),
+                     lambda: _threshold_counts(_centered_rows(samples, spec.alpha), t),
                      lambda counts: _count_members(spec, samples.shape[1], t, *counts))
     return _kept(samples, entry, "counts", spec.alpha,
-                 lambda: _magnitude_counts(_centered_rows(samples, spec.alpha, entry)),
+                 lambda: _magnitude_counts(_centered_rows(samples, spec.alpha)),
                  lambda counts: _count_magnitudes(spec, *counts))
 
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import symlab._threads
 import symlab.montecarlo
 from symlab import stats
 from symlab._rng import stream
@@ -12,9 +11,7 @@ from symlab.distributions import get_alternative, get_null
 def cold_null_cache():
     """Start every test without cached null simulations or a kept sample, whatever ran before it."""
     symlab.montecarlo._sorted_null.cache_clear()
-    stats._pool.entry = None  # the calling thread's; other threads start without one
-    for worker in symlab._threads._workers:  # and so do the simulations' worker threads
-        worker.submit(setattr, stats._pool, "entry", None).result()
+    stats._pool.entry = None  # the calling thread's; other threads start without one, workers keep none
 
 
 @pytest.fixture

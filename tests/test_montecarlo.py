@@ -128,10 +128,9 @@ def _cpus(monkeypatch, cpus):
 
 
 class TestDrawSlot:
-    # a thread whose share of a simulation is one piece, rows [start, stop) of a chunk, keeps its
-    # read-only draws in the thread's entry, keyed by (model, theta, seed, purpose, chunk, rows,
-    # start, stop) at n, with their sorted, centered rows at one alpha; the kept-state machine in
-    # test_stats.py checks the values of any order of calls
+    # the calling thread keeps the read-only draws of a one-chunk simulation in its entry, keyed by
+    # (model, theta, seed, purpose, reps, n); a piece of a simulation of several chunks is kept by
+    # no thread; the kept-state machine in test_stats.py checks the values of any order of calls
     SPECS = [parse_statistic(name, alpha=0.25) for name in ("W", "NA_K_2", "KS", "CM")]
     MEMBERS = [parse_statistic(name, alpha=0.25) for name in DEFAULT_TESTS
                if parse_statistic(name).family == "supremum"]
@@ -176,9 +175,8 @@ class TestDrawSlot:
                 got = _simulate(spec, model, theta, run, purpose)
                 np.testing.assert_array_equal(got, _fresh(spec, model, purpose, run, theta))
                 # every piece is drawn: 513 splits into chunk 0's rows [0, 256) on the worker and
-                # chunk 0's [256, 512) and chunk 1's one row on the calling thread, and only the
-                # worker keeps its one piece for the second 513 run, over the inline 300 run between
-                chunks = [0] if run.reps <= 512 else [0, 1] if i == 3 else [0, 0, 1]
+                # chunk 0's [256, 512) and chunk 1's one row on the calling thread, none kept
+                chunks = [0] if run.reps <= 512 else [0, 0, 1]
                 assert sorted(streams) == [(run.seed, purpose, chunk) for chunk in chunks]
 
     def test_null_distribution_and_power_draw_apart(self, streams, normal):
@@ -195,7 +193,7 @@ class TestDrawSlot:
         # a single row is a sample of its own: it replaces the kept draws (as p_value's does)
         cfg = McConfig(n=30, reps=300, seed=65)
         null_distribution(StatisticSpec("S"), normal, cfg)
-        assert stats._pool.entry["key"][2:] == (65, _CAL, 0, 300, 0, 300, 30)
+        assert stats._pool.entry["key"][2:] == (65, _CAL, 300, 30)
         row = np.arange(31.0)
         evaluate(StatisticSpec("S"), row)
         assert "draws" not in stats._pool.entry and stats._pool.entry["key"].tobytes() == row.tobytes()
@@ -244,32 +242,33 @@ class TestDrawSlot:
         cfg = McConfig(n=40, reps=513, seed=82)  # a full chunk and a 1-row tail
         want = [_fresh(spec, normal, _CAL, cfg, t=self.T) for spec in self.MEMBERS]
         centerings.clear()
+        entry = stats._pool.entry  # the reference's last row
         for _ in range(2):
             for spec, values in zip(self.MEMBERS, want):
                 np.testing.assert_array_equal(null_distribution(spec, normal, cfg, t=self.T), values)
         assert len(centerings) == 2 * 2 * len(self.MEMBERS)
-        assert stats._pool.entry["key"][4:] == (1, 1, 0, 1, 40)  # the tail's draws replaced the full chunk's
+        assert stats._pool.entry is entry  # the 1-row tail is evaluated as a chunk: no sample is kept
 
-    def test_a_thread_with_one_piece_reuses_it(self, centerings, monkeypatch, normal):
+    def test_two_threads_keep_no_piece(self, centerings, monkeypatch, normal):
         # split on two CPUs, the worker's one piece (chunk 0's rows [0, 256)) is drawn and centered
-        # once for all members; the calling thread's two pieces replace each other
+        # for every member, as are the calling thread's two
         _cpus(monkeypatch, 2)
         cfg = McConfig(n=40, reps=513, seed=82)
         want = [_fresh(spec, normal, _CAL, cfg, t=self.T) for spec in self.MEMBERS]
         centerings.clear()
+        entry = stats._pool.entry
         for _ in range(2):
             for spec, values in zip(self.MEMBERS, want):
                 np.testing.assert_array_equal(null_distribution(spec, normal, cfg, t=self.T), values)
-        assert len(centerings) == 1 + 2 * 2 * len(self.MEMBERS)
-        assert stats._pool.entry["key"][4:] == (1, 1, 0, 1, 40)
-        worker_key = symlab._threads._worker(1).submit(lambda: stats._pool.entry["key"]).result()
-        assert worker_key[4:] == (0, 512, 0, 256, 40)
+        assert len(centerings) == 2 * 3 * len(self.MEMBERS)
+        assert stats._pool.entry is entry
+        assert symlab._threads._worker(1).submit(lambda: getattr(stats._pool, "entry", None)).result() is None
 
     def test_the_kept_draws_are_read_only(self, contam_normal):
         cfg = McConfig(n=30, reps=300, seed=67)
         power(StatisticSpec("W"), contam_normal, 0.3, cfg)
         entry = stats._pool.entry
-        for array in (entry["draws"], *entry["centered"][1]):
+        for array in (entry["draws"],):
             assert array.shape == (300, 30) and not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.0
@@ -286,9 +285,9 @@ class TestDrawSlot:
         for i, (got, key) in enumerate(run_in_threads(simulate, len(cfgs))):
             for values in got:
                 np.testing.assert_array_equal(values, want[i])
-            assert key == (fs_normal, (0.3,), cfgs[i].seed, _EVAL, 0, 300, 0, 300, 40)
+            assert key == (fs_normal, (0.3,), cfgs[i].seed, _EVAL, 300, 40)
 
-    def test_threads_keep_their_own_centerings(self, fs_normal):
+    def test_threads_keep_their_own_members(self, fs_normal):
         alphas = (0.1, 0.25, 0.4, 0.0)
         cfgs = [McConfig(n=40, reps=300, seed=90 + i) for i in range(4)]
         specs = [[dataclasses.replace(spec, alpha=alpha) for spec in self.MEMBERS] for alpha in alphas]
@@ -299,13 +298,13 @@ class TestDrawSlot:
             got = [[_simulate(spec, fs_normal, 0.3, cfgs[i], _EVAL, t=self.T) for spec in specs[i]]
                    for _ in range(3)]
             entry = stats._pool.entry
-            return got, entry["centered"][0], entry["key"][2]
+            return got, entry["members"][0], entry["key"][2]
 
-        for i, (got, alpha, seed) in enumerate(run_in_threads(simulate, len(cfgs))):
+        for i, (got, tag, seed) in enumerate(run_in_threads(simulate, len(cfgs))):
             for run in got:
                 for values, reference in zip(run, want[i]):
                     np.testing.assert_array_equal(values, reference)
-            assert (alpha, seed) == (alphas[i], cfgs[i].seed)
+            assert (tag, seed) == ((alphas[i], self.T), cfgs[i].seed)
 
     def test_pooled_members_equal_the_inline_ones(self, monkeypatch, normal):
         cfg = McConfig(n=40, reps=2048, seed=83)
@@ -508,10 +507,28 @@ class TestSplitRuns:
         _cpus(monkeypatch, 4)
         cfg = McConfig(n=2000, reps=100, seed=84)
         null_distribution(parse_statistic("NA_K_2", alpha=0.25), normal, cfg, t=0.6)
-        assert stats._pool.entry["key"][4:] == (0, 100, 0, 100, 2000)
+        assert stats._pool.entry["key"][4:] == (100, 2000)
         kept = [symlab._threads._worker(k).submit(lambda: getattr(stats._pool, "entry", None)).result()
                 for k in (1, 2, 3)]
         assert kept == [None] * 3
+
+    @pytest.mark.parametrize("reps", [600, 1025, 1026, 1539, 2048])
+    def test_no_thread_keeps_a_piece_of_several_chunks(self, monkeypatch, normal, reps):
+        # 1025 ends in a 1-row chunk on the calling thread; 1026 on two CPUs and 1539 on three end
+        # the first worker's range with chunk 1's first row
+        spec, cfg = parse_statistic("NA_K_2", alpha=0.25), McConfig(n=20, reps=reps, seed=42)
+        want = [_fresh(spec, normal, _CAL, cfg, t=t) for t in (None, 0.6)]
+        row = np.random.default_rng(reps).normal(size=20)
+        for cpus in (1, 2, 3):
+            _cpus(monkeypatch, cpus)
+            evaluate(spec, row)
+            entry = stats._pool.entry
+            for t, values in zip((None, 0.6), want):
+                np.testing.assert_array_equal(null_distribution(spec, normal, cfg, t=t), values)
+            assert stats._pool.entry is entry and entry["key"].tobytes() == row.tobytes()
+            kept = [symlab._threads._worker(k).submit(lambda: getattr(stats._pool, "entry", None)).result()
+                    for k in (1, 2)]
+            assert kept == [None, None]
 
 
 def _in_forked_child(run, timeout=60):

@@ -1039,8 +1039,10 @@ def test_kept_state_changes_no_result_at_length():
 def test_each_kept_reuse_fires(reuse, streams, centerings, normal, monkeypatch):
     """The reuses the benchmark runs on: one finite pass and one centering of a sample for the
     default battery; one draw (split by rows on two CPUs), one finite pass, one centering and one
-    counting pass for the 7 members of the default battery at n = 2000 with 100 replications; one
-    draw and one finite pass for a 300-rep simulation across statistics."""
+    counting pass for the 7 members of the default battery at n = 2000 with 100 replications.  And
+    one draw and one finite pass for a one-chunk (300-rep) simulation across statistics, each
+    counting statistic centering the kept draws anew; the benchmark's 600-rep simulations are
+    several chunks, which keep nothing (:func:`test_a_simulation_of_several_chunks_keeps_nothing`)."""
     passes, counted = [], []  # the shapes the finite pass reads, the thresholds counted at
     check, count = stats.check_sample, stats._threshold_counts
 
@@ -1071,7 +1073,24 @@ def test_each_kept_reuse_fires(reuse, streams, centerings, normal, monkeypatch):
         cfg = McConfig(n=40, reps=300, seed=61)
         for name in ("W", "NA_K_2", "KS", "CM", "S", "SQRT_B1"):
             null_distribution(parse_statistic(name, alpha=0.25), normal, cfg)
-        assert (streams, centerings, passes) == ([(61, _CAL, 0)], [(40, 0.25)], [(300, 40)])
+        assert (streams, centerings, passes) == ([(61, _CAL, 0)], [(40, 0.25)] * 4, [(300, 40)])
+
+
+def test_a_simulation_of_several_chunks_keeps_nothing(streams, normal, monkeypatch):
+    """Shaped like the benchmark's Monte Carlo: 600 replications of n = 100 on two CPUs, chunk 0's rows
+    [0, 300) on the worker, its rows [300, 512) and chunk 1 on the calling thread, for three statistics
+    in turn.  Each opens its streams again, the worker keeps no entry, and the calling thread keeps the
+    row it evaluated before."""
+    monkeypatch.setattr(_threads, "_usable_cpus", lambda: 2)
+    x = np.random.default_rng(6).normal(size=100)
+    evaluate(parse_statistic("W", alpha=0.25), x)
+    entry = stats._pool.entry
+    cfg = McConfig(n=100, reps=600, seed=62)
+    for name in ("W", "NA_K_2", "KS"):
+        null_distribution(parse_statistic(name, alpha=0.25), normal, cfg)
+    assert sorted(streams) == [(62, _CAL, 0)] * 6 + [(62, _CAL, 1)] * 3
+    assert _threads._worker(1).submit(lambda: getattr(stats._pool, "entry", None)).result() is None
+    assert stats._pool.entry is entry and entry["key"].tobytes() == x.tobytes()
 
 
 class TestBandCounts:
