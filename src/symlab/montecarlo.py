@@ -157,10 +157,12 @@ def p_value(spec: StatisticSpec, null: SymmetricNull, sample, cfg: McConfig) -> 
 
     One-sided for supremum-type statistics, two-sided by absolute value
     otherwise; ties with the observed value count as at least as extreme.
-    The sample is evaluated first, so an unusable one is refused before any
-    simulation.
+    The sample is evaluated first, so an unusable one, or one whose size is
+    not ``cfg.n``, is refused before any simulation.
     """
     observed = _rejection_scale(spec, evaluate(spec, sample).value)
+    if np.size(sample) != cfg.n:
+        raise ValueError(f"sample has {np.size(sample)} values, but the null is simulated at n = {cfg.n}")
     values = _sorted_null(spec, null, cfg.n, cfg.reps, cfg.seed)
     exceed = cfg.reps - int(np.searchsorted(values, observed, side="left"))
     return (1.0 + exceed) / (cfg.reps + 1.0)

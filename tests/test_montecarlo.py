@@ -574,6 +574,16 @@ class TestPValues:
         pvals = [p_value(spec, normal, base + s * np.abs(base), cfg) for s in shifts]
         assert all(a >= b - 1e-12 for a, b in zip(pvals, pvals[1:]))
 
+    def test_a_sample_of_another_size_is_refused_before_simulating(self, normal, simulations):
+        cfg = McConfig(n=100, reps=600, seed=36)
+        sample = np.random.default_rng(36).normal(size=101)
+        for size in (30, 99, 101):
+            with pytest.raises(ValueError, match=f"sample has {size} values.*n = 100"):
+                p_value(StatisticSpec("W"), normal, sample[:size], cfg)
+        assert simulations == []
+        assert 0.0 < p_value(StatisticSpec("W"), normal, sample[:100], cfg) <= 1.0
+        assert simulations == [_CAL]
+
     def test_plus_one_correction(self, normal):
         cfg = McConfig(n=30, reps=500, seed=36)
         # skewness beyond anything the null produces at this sample size
