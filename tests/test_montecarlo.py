@@ -127,6 +127,12 @@ def _cpus(monkeypatch, cpus):
     monkeypatch.setattr(symlab._threads, "_usable_cpus", lambda: cpus)
 
 
+def _worker_entries(workers):
+    # what each of the first ``workers`` worker threads keeps
+    return [symlab._threads._worker(k).submit(lambda: getattr(stats._pool, "entry", None)).result()
+            for k in range(1, workers + 1)]
+
+
 class TestDrawSlot:
     # the calling thread keeps the read-only draws of a one-chunk simulation in its entry, keyed by
     # (model, theta, seed, purpose, reps, n); a piece of a simulation of several chunks is kept by
@@ -261,17 +267,15 @@ class TestDrawSlot:
             for spec, values in zip(self.MEMBERS, want):
                 np.testing.assert_array_equal(null_distribution(spec, normal, cfg, t=self.T), values)
         assert len(centerings) == 2 * 3 * len(self.MEMBERS)
-        assert stats._pool.entry is entry
-        assert symlab._threads._worker(1).submit(lambda: getattr(stats._pool, "entry", None)).result() is None
+        assert stats._pool.entry is entry and _worker_entries(1) == [None]
 
     def test_the_kept_draws_are_read_only(self, contam_normal):
         cfg = McConfig(n=30, reps=300, seed=67)
         power(StatisticSpec("W"), contam_normal, 0.3, cfg)
-        entry = stats._pool.entry
-        for array in (entry["draws"],):
-            assert array.shape == (300, 30) and not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 0.0
+        draws = stats._pool.entry["draws"]
+        assert draws.shape == (300, 30) and not draws.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            draws[0, 0] = 0.0
 
     def test_threads_keep_their_own_draws(self, fs_normal):
         spec = parse_statistic("NA_K_2", alpha=0.25)
@@ -508,9 +512,7 @@ class TestSplitRuns:
         cfg = McConfig(n=2000, reps=100, seed=84)
         null_distribution(parse_statistic("NA_K_2", alpha=0.25), normal, cfg, t=0.6)
         assert stats._pool.entry["key"][4:] == (100, 2000)
-        kept = [symlab._threads._worker(k).submit(lambda: getattr(stats._pool, "entry", None)).result()
-                for k in (1, 2, 3)]
-        assert kept == [None] * 3
+        assert _worker_entries(3) == [None] * 3
 
     @pytest.mark.parametrize("reps", [600, 1025, 1026, 1539, 2048])
     def test_no_thread_keeps_a_piece_of_several_chunks(self, monkeypatch, normal, reps):
@@ -526,9 +528,7 @@ class TestSplitRuns:
             for t, values in zip((None, 0.6), want):
                 np.testing.assert_array_equal(null_distribution(spec, normal, cfg, t=t), values)
             assert stats._pool.entry is entry and entry["key"].tobytes() == row.tobytes()
-            kept = [symlab._threads._worker(k).submit(lambda: getattr(stats._pool, "entry", None)).result()
-                    for k in (1, 2)]
-            assert kept == [None, None]
+            assert _worker_entries(2) == [None, None]
 
 
 def _in_forked_child(run, timeout=60):
