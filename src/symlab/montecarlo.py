@@ -91,7 +91,7 @@ def _simulate(
 ) -> np.ndarray:
     params = () if theta is None else (theta,)  # a null model takes no theta
 
-    def draw(chunk: int, rows: int, start: int, stop: int) -> np.ndarray:  # of a chunk of ``rows`` rows
+    def draw(chunk: int, rows: int, start: int, stop: int) -> np.ndarray:  # [start, stop) of ``rows`` rows
         rng = Piece(stream(cfg.seed, purpose, chunk), start * cfg.n, rows * cfg.n)
         return model.sample(*params, (stop - start) * cfg.n, 0, rng=rng).reshape(stop - start, cfg.n)
 
