@@ -98,6 +98,10 @@ class SymmetricNull:
         """``x f(x)`` for ``x >= 0``, and its limit 0 at ``inf`` (where ``inf * 0`` is NaN)."""
         return np.minimum(x, _MAX) * np.asarray(self.density(x))
 
+    def _x_density_derivative(self, x):
+        """``|x| f'(x)``, and its limit 0 at ``+-inf`` (where ``inf * 0`` is NaN)."""
+        return np.minimum(np.abs(x), _MAX) * np.asarray(self.density_derivative(x))
+
     def cdf(self, x):
         raise NotImplementedError
 
@@ -349,6 +353,11 @@ class Cauchy(SymmetricNull):
         near = np.minimum(x, _MAX) * density
         return np.where(density < np.finfo(float).tiny, 1.0 / math.pi / np.maximum(x, 1.0), near)
 
+    def _x_density_derivative(self, x):  # past about 6.6e102 f'(x) is subnormal: |x| f'(x) is -2/(pi x |x|)
+        derivative, size = np.asarray(self.density_derivative(x)), np.abs(np.asarray(x, dtype=float))
+        big = np.where((np.abs(derivative) < np.finfo(float).tiny) & (size > 1.0), size, 1.0)  # not f' near 0
+        return np.where(big > 1.0, -2.0 / math.pi / np.copysign(big, x) / big, np.minimum(size, _MAX) * derivative)
+
     # 1/2 + arctan(x)/pi and tan(pi (u - 1/2)) cancel in the lower tail; arctan2(1, -x)
     # is -arctan(1/x) there, and -1/tan(pi u) is mirrored (1 - u is exact above 1/2)
     def cdf(self, x):
@@ -459,9 +468,7 @@ class FernandezSteel(AlternativeFamily):
             return np.where(x < 0.0, x / gamma, gamma * x)
 
     def score(self, x):
-        x = np.asarray(x, dtype=float)
-        size = np.minimum(np.abs(x), _MAX)  # at +-inf, inf * 0 is NaN: the limit is 0
-        return _as_float(size * np.asarray(self.base.density_derivative(x)))
+        return _as_float(self.base._x_density_derivative(x))
 
     def score_cumulative(self, x):
         # F(x) - x f(x) for x <= 0; the score is odd, so this is even and 1 - F never cancels

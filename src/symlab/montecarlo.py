@@ -5,15 +5,15 @@ counter-derived random stream (see :mod:`symlab._rng`).  A simulation of
 several chunks splits its replications into ``min(usable CPUs, chunks)``
 equal contiguous ranges (:func:`symlab._threads.split`): the calling thread
 takes the last, and range ``k - 1`` always runs on the k-th persistent worker
-thread.  Each thread cuts its range at chunk boundaries into pieces, reads a
-piece's rows of the chunk's stream in place (:class:`symlab._rng.Piece`), so
-outputs are byte-identical however many threads run, and evaluates it where
-it was drawn.  No thread keeps a piece (a lone row goes as two equal rows,
-no sample), so such a run leaves every thread's kept entry (see
-:mod:`symlab.stats`) as it found it.  One chunk (``reps <= 512``) is
-evaluated by the calling thread, which keeps its draws, keyed by (model,
-theta, seed, purpose, reps, n): consecutive simulations of one model draw it
-once across statistics, and members at one ``(alpha, t)`` count once.  Its
+thread.  Each thread evaluates its range in ``ceil(rows / 512)`` equal blocks,
+one call each; a block may span a chunk boundary and reads its rows of each
+chunk's stream in place (:class:`symlab._rng.Piece`), so outputs are
+byte-identical however many threads run.  A block has at least 256 rows, never
+a lone row kept as a sample, so such a run leaves every thread's kept entry (see
+:mod:`symlab.stats`) as it found it.  One chunk (``reps <= 512``) is evaluated
+by the calling thread, which keeps its draws, keyed by (model, theta, seed,
+purpose, reps, n): consecutive simulations of one model draw it once across
+statistics, and members at one ``(alpha, t)`` count once.  Its
 draw still splits by rows over the usable CPUs from ``2**16`` values up: on a
 2-core x86-64 VM the 7 members of the default battery on 100 x 2000 draws
 take about 3.3 ms for the first (4.3 ms with the draw on one thread) and
@@ -91,32 +91,30 @@ def _simulate(
 ) -> np.ndarray:
     params = () if theta is None else (theta,)  # a null model takes no theta
 
-    def draw(chunk: int, rows: int, start: int, stop: int) -> np.ndarray:  # [start, stop) of ``rows`` rows
-        rng = Piece(stream(cfg.seed, purpose, chunk), start * cfg.n, rows * cfg.n)
+    def draw(chunk: int, start: int, stop: int) -> np.ndarray:  # rows [start, stop) of the chunk
+        rng = Piece(stream(cfg.seed, purpose, chunk), start * cfg.n, min(_CHUNK, cfg.reps - chunk * _CHUNK) * cfg.n)
         return model.sample(*params, (stop - start) * cfg.n, 0, rng=rng).reshape(stop - start, cfg.n)
 
     if cfg.reps <= _CHUNK:  # one chunk: drawn by rows over the usable CPUs, kept by the calling thread
         def whole() -> np.ndarray:
             parts = _threads.split(cfg.reps, _threads.ways(cfg.reps * cfg.n),
-                                   lambda lo, hi: draw(0, cfg.reps, lo, hi))
+                                   lambda lo, hi: draw(0, lo, hi))
             return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
         return evaluate_many(spec, _drawn((model, params, cfg.seed, purpose, cfg.reps, cfg.n), whole), t=t)
 
-    def share(begin: int, end: int) -> list:  # replications [begin, end), cut at chunk boundaries into pieces
-        values = []
-        while begin < end:
-            chunk, start = divmod(begin, _CHUNK)
-            stop = min(_CHUNK, end - chunk * _CHUNK)
-            draws = draw(chunk, min(_CHUNK, cfg.reps - chunk * _CHUNK), start, stop)
-            # evaluated where drawn, kept nowhere: a lone row would be kept as a sample, two of it are a chunk
-            rows = draws if len(draws) > 1 else draws.repeat(2, axis=0)
-            values.append(evaluate_many(spec, rows, t=t)[:len(draws)])
-            begin += stop - start
-        return values
+    def block(lo: int, hi: int) -> np.ndarray:  # replications [lo, hi): rows of each chunk they span
+        pieces = [draw(c, max(lo - c * _CHUNK, 0), min(hi - c * _CHUNK, _CHUNK))
+                  for c in range(lo // _CHUNK, (hi - 1) // _CHUNK + 1)]
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+    def share(begin: int, end: int) -> list:  # a thread's range, one call per equal block of at most _CHUNK rows
+        blocks = -(-(end - begin) // _CHUNK)
+        cuts = [begin + (end - begin) * k // blocks for k in range(blocks + 1)]
+        return [evaluate_many(spec, block(lo, hi), t=t) for lo, hi in zip(cuts, cuts[1:])]
 
     shares = _threads.split(cfg.reps, min(_threads._usable_cpus(), -(-cfg.reps // _CHUNK)), share)
-    return np.concatenate([values for pieces in shares for values in pieces])
+    return np.concatenate([values for blocks in shares for values in blocks])
 
 
 def null_distribution(

@@ -21,7 +21,8 @@ That path has one centering and one moment block:
   band table ``D`` (:func:`_band_counts`).  Each row reduces to an integer
   numerator (the integral sum, the supremum with its maximizing threshold, or
   a family member at fixed ``t``), exact for every ``n`` and ``k``: int64
-  where it fits, Python ints beyond.
+  while ``2 n C(n, p) < 2**63`` for an integral sum (``n <= 10,206`` at
+  ``p = 4``) and ``2 C(n, p) < 2**63`` for a table entry, Python ints beyond.
 * the moment statistics (CM, GAMMA, MGG, SQRT_B1) ignore the trimming
   coefficient and center each row by its mean and median (the middle of a
   sorted copy) in one block of axis-wise reductions; they need ``n >= 2``
@@ -377,7 +378,7 @@ def _char_values(spec: StatisticSpec, n: int, num: np.ndarray) -> np.ndarray:
 def _threshold_counts(ys: np.ndarray, t: float) -> tuple:
     """Per row of centered ``ys``: ``#{y < t}``, ``#{y <= t}``, ``#{y <= -t}``, all a member at ``t`` reads."""
     flags = _scratch(1, *ys.shape, bool)
-    return tuple(np.count_nonzero(compare(ys, v, out=flags), axis=1)
+    return tuple(compare(ys, v, out=flags).sum(axis=1)
                  for compare, v in ((np.less, t), (np.less_equal, t), (np.less_equal, -t)))
 
 
@@ -393,7 +394,7 @@ def _count_magnitudes(spec: StatisticSpec, z: np.ndarray, a: np.ndarray, b: np.n
     """S, W, KS or BH/NA/MO per row off :func:`_magnitude_counts` (only read): values, sup arguments."""
     rows, n = z.shape
     if spec.kind == "S":  # #{y > 0} = n - #{y < 0} - #{y == 0}
-        zeros = np.count_nonzero(np.equal(z, 0.0, out=_scratch(3, rows, n, bool)), axis=1)
+        zeros = np.equal(z, 0.0, out=_scratch(3, rows, n, bool)).sum(axis=1)
         return (n - a[:, 0] - zeros) / n - 0.5, None
     if spec.kind == "W":  # a pair sums above 0 when its larger magnitude is positive: the
         # m = #{y = z > 0} positives (at the last key of z's run, else 0) pair with the b - a
@@ -418,7 +419,7 @@ def _count_magnitudes(spec: StatisticSpec, z: np.ndarray, a: np.ndarray, b: np.n
         np.greater(flat[1:], flat[:-1], out=keep.ravel()[:-1])  # the last key of each run
         keep[:, -1] = True
         keep &= np.greater(z, 0.0, out=positive)
-        zeros = n - np.count_nonzero(positive, axis=1)
+        zeros = n - positive.sum(axis=1)
         side0 = 2 * a[:, 0] + zeros - n  # beside t = 0; at t = 0 the zeros count twice
         gap = np.add(a, b, out=_scratch(4, rows, n, np.int64))
         gap -= n
@@ -435,8 +436,10 @@ def _count_magnitudes(spec: StatisticSpec, z: np.ndarray, a: np.ndarray, b: np.n
         return band[index] if rows == 1 or not exact else np.take(
             band, index, mode="clip", out=_scratch(slot, rows, n, np.int64))
 
-    def row_sums(num):  # exact, in Python ints; an int64 row sum can wrap, but not the sums of the
-        wrapped = num.sum(axis=1)  # high 32-bit halves and of the low ones, the wrapped sum less the high ones
+    def row_sums(num):  # exact: int64 while no sum, difference or double wraps, else Python ints off the
+        wrapped = num.sum(axis=1)  # sums of the high 32-bit halves and of the low ones, the wrapped less the high
+        if 2 * n * math.comb(n, spec.subset_size) < 2**63:
+            return wrapped
         high = np.right_shift(num, 32, out=num).sum(axis=1)
         return high.astype(object) * 2**32 + (wrapped - (high << 32))
 

@@ -393,6 +393,23 @@ class TestAlternativeFamilies:
             assert np.all(np.abs(fs.score_cumulative(side) - want) <= 2 * np.spacing(want))
             assert [fs.score_cumulative(v) for v in side] == list(fs.score_cumulative(side))
 
+    def test_fernandez_steel_score_in_the_far_cauchy_tail(self):
+        # |x| f'(x) = -2/(pi x |x|): f'(x) is subnormal past about 6.6e102, and the product read -0.0
+        # from about 6.3e107 to 1.3e154, where the value is a normal float; the bits stay where f'
+        # is normal
+        fs = get_alternative("fs", "cauchy")
+        x = np.concatenate([np.geomspace(1e100, 1e308, 2001), [6.3e107, 1e154, 1.3e154, np.finfo(float).max]])
+        with mp.workdps(50):
+            want = np.array([float(-2 * a * a / (mp.pi * (1 + a * a) ** 2)) for a in map(mp.mpf, x)])
+        for side, sign in ((x, 1.0), (-x, -1.0)):
+            got = fs.score(side)
+            assert np.all(np.abs(got - sign * want) <= 2 * np.spacing(np.abs(want)))
+            assert [fs.score(v) for v in side] == list(got)
+        derivative = fs.base.density_derivative(x)
+        normal = np.abs(derivative) >= np.finfo(float).tiny
+        np.testing.assert_array_equal(fs.score(x)[normal], (x * derivative)[normal])
+        assert np.all(fs.score(x[x < 1.3e154]) < 0.0)
+
     def test_two_piece_mass_split(self, normal):
         # negative piece carries (1+theta)^2 / (1 + (1+theta)^2); checked by
         # quadrature of the density itself

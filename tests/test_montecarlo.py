@@ -244,6 +244,8 @@ class TestDrawSlot:
         assert len(centerings) < 4 * len(calls)
 
     def test_two_chunks_never_reuse(self, centerings, monkeypatch, normal):
+        # on one CPU the one range [0, 513) runs as two blocks, [0, 256) and [256, 513), each
+        # centered once for every member and kept by no one
         _cpus(monkeypatch, 1)
         cfg = McConfig(n=40, reps=513, seed=82)  # a full chunk and a 1-row tail
         want = [_fresh(spec, normal, _CAL, cfg, t=self.T) for spec in self.MEMBERS]
@@ -253,11 +255,11 @@ class TestDrawSlot:
             for spec, values in zip(self.MEMBERS, want):
                 np.testing.assert_array_equal(null_distribution(spec, normal, cfg, t=self.T), values)
         assert len(centerings) == 2 * 2 * len(self.MEMBERS)
-        assert stats._pool.entry is entry  # the 1-row tail is evaluated as a chunk: no sample is kept
+        assert stats._pool.entry is entry  # the 1-row tail is evaluated inside a block: no sample is kept
 
     def test_two_threads_keep_no_piece(self, centerings, monkeypatch, normal):
-        # split on two CPUs, the worker's one piece (chunk 0's rows [0, 256)) is drawn and centered
-        # for every member, as are the calling thread's two
+        # split on two CPUs, the worker's block (chunk 0's rows [0, 256)) and the calling thread's
+        # (chunk 0's [256, 512) and chunk 1's one row) are drawn and centered once for every member
         _cpus(monkeypatch, 2)
         cfg = McConfig(n=40, reps=513, seed=82)
         want = [_fresh(spec, normal, _CAL, cfg, t=self.T) for spec in self.MEMBERS]
@@ -266,7 +268,28 @@ class TestDrawSlot:
         for _ in range(2):
             for spec, values in zip(self.MEMBERS, want):
                 np.testing.assert_array_equal(null_distribution(spec, normal, cfg, t=self.T), values)
-        assert len(centerings) == 2 * 3 * len(self.MEMBERS)
+        assert len(centerings) == 2 * 2 * len(self.MEMBERS)
+        assert stats._pool.entry is entry and _worker_entries(1) == [None]
+
+    @pytest.mark.parametrize("t", [None, T])
+    def test_a_range_one_row_before_a_chunk_boundary(self, monkeypatch, normal, t):
+        # 1022 replications on two CPUs: the calling thread's range [511, 1022) starts at chunk 0's
+        # last row, which it evaluates in one block with chunk 1's first 510, not as a lone row
+        _cpus(monkeypatch, 2)
+        cfg = McConfig(n=40, reps=1022, seed=85)
+        spec = self.MEMBERS[1] if t is not None else self.CHUNKS[1]
+        want = _fresh(spec, normal, _CAL, cfg, t=t)
+        blocks = []
+
+        def counted(spec, samples, t=None):
+            blocks.append((threading.get_ident(), len(samples)))
+            return evaluate_many(spec, samples, t=t)
+
+        monkeypatch.setattr(symlab.montecarlo, "evaluate_many", counted)
+        entry = stats._pool.entry
+        np.testing.assert_array_equal(null_distribution(spec, normal, cfg, t=t), want)
+        assert sorted(rows for _, rows in blocks) == [511, 511]
+        assert len({thread for thread, _ in blocks}) == 2
         assert stats._pool.entry is entry and _worker_entries(1) == [None]
 
     def test_the_kept_draws_are_read_only(self, contam_normal):
@@ -407,7 +430,8 @@ class TestSplitRuns:
 
     def test_identical_runs_open_the_same_streams_on_the_same_threads(self, monkeypatch, normal):
         # 3000 replications on three threads: ranges [0, 1000), [1000, 2000) and [2000, 3000), each
-        # of two or three pieces, so no thread keeps draws from one run to the next
+        # of two 500-row blocks read from one or two chunks (a chunk two blocks share is opened by
+        # each), so no thread keeps draws from one run to the next
         _cpus(monkeypatch, 3)
         opened = []
 
@@ -428,9 +452,9 @@ class TestSplitRuns:
         assert runs[0] == runs[1]
         workers = [symlab._threads._worker(k).submit(threading.current_thread).result() for k in (1, 2)]
         assert runs[0] == {
-            workers[0]: [(37, _CAL, 0), (37, _CAL, 1)],
-            workers[1]: [(37, _CAL, 1), (37, _CAL, 2), (37, _CAL, 3)],
-            threading.current_thread(): [(37, _CAL, 3), (37, _CAL, 4), (37, _CAL, 5)],
+            workers[0]: [(37, _CAL, 0), (37, _CAL, 0), (37, _CAL, 1)],
+            workers[1]: [(37, _CAL, 1), (37, _CAL, 2), (37, _CAL, 2), (37, _CAL, 3)],
+            threading.current_thread(): [(37, _CAL, 3), (37, _CAL, 4), (37, _CAL, 4), (37, _CAL, 5)],
         }
 
     def test_a_fresh_import_starts_no_thread(self):

@@ -1193,6 +1193,38 @@ class TestBandCounts:
         for key, band in kept.items():
             assert [int(v) for v in band] == [int(v) for v in _band_counts(*key)]
 
+    @pytest.mark.parametrize("name", ["BH_I", "NA_I_4", "MO_I_2"])
+    def test_integral_numerators_on_both_sides_of_the_int64_bound(self, name, rng, monkeypatch):
+        # int64 row sums while 2 n C(n, p) < 2**63, Python ints from the next n; on both sides each
+        # value is the Python-int sum of the gathered band entries, divided as the kernel divides
+        spec = parse_statistic(name, alpha=0.25)
+        p, r = spec.subset_size, spec.order_pair[0]
+        below = {2: 2_097_152, 4: 10_206}[p]
+        assert 2 * below * math.comb(below, p) < 2**63 <= 2 * (below + 1) * math.comb(below + 1, p)
+        dtypes = []
+        char_values = stats._char_values
+        monkeypatch.setattr(stats, "_char_values", lambda spec, n, num: dtypes.append(num.dtype) or
+                            char_values(spec, n, num))
+
+        def reference(row):
+            _, a, b = _magnitude_counts(stats._centered_rows(row[None, :], spec.alpha))
+            band = _band_counts(row.size, p, r)
+
+            def total(index):  # in slices: a few Python ints at a time
+                return sum(sum(band[index[0, i : i + 2**16]].tolist()) for i in range(0, row.size, 2**16))
+
+            num = total(b) - total(a)
+            return (num if name == "BH_I" else 2 * num) / stats._char_divisor(spec, row.size)
+
+        for n, dtype in [(below, np.int64), (below + 1, object)]:
+            rows = [rng.normal(size=n), rng.integers(-3, 4, size=n).astype(float)]
+            want = [reference(row) for row in rows]
+            dtypes.clear()
+            assert [evaluate(spec, row).value for row in rows] == want
+            if p == 4:  # the chunk's gather, too
+                assert list(evaluate_many(spec, np.stack(rows))) == want
+            assert set(dtypes) == {np.dtype(dtype)}  # no object array below the bound
+
     def test_threads_at_different_n_equal_their_single_thread_results(self, rng, monkeypatch):
         specs = [parse_statistic(name, alpha=0.25) for name in DEFAULT_TESTS]
         samples = [rng.normal(size=n) for n in (400, 700, 1000, 1300)]
