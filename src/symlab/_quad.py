@@ -6,8 +6,7 @@ recorded rules :data:`_LEGENDRE`, each level from its own limit alone, with
 the distance to the rule with half the nodes as the error estimate.  :func:`half_line` reads each model at its nodes once
 per process (:func:`_half_line_nodes`).  :func:`quad` and :func:`quad_split` wrap
 ``scipy.integrate.quad``, imported on first call, for the independent
-references only: the oracles, ``validate``, the influence curve and the
-population trimmed mean.
+references only: the oracles, ``validate`` and the population trimmed mean.
 """
 
 from __future__ import annotations
@@ -80,16 +79,16 @@ def _graded_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return (lo + width * s).ravel(), (width * w).ravel()
 
 
-def graded(g: Callable, q, nodes: int = 32):
-    """``Integral_0^q g(x) dx`` for each ``q`` by :func:`_graded_rule`, and its error estimate."""
+def graded(g: Callable, q):
+    """``Integral_0^q g(x) dx`` for each ``q`` by the 32-point :func:`_graded_rule`, and its error estimate."""
     q = np.asarray(q, dtype=float)[..., None]
 
     def apply(n):
         s, w = _graded_rule(n)
         return q[..., 0] * np.sum(w * g(q * s), axis=-1)
 
-    value = apply(nodes)
-    return value, np.abs(value - apply(nodes // 2))
+    value = apply(32)
+    return value, np.abs(value - apply(16))
 
 
 @cache

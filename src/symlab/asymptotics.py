@@ -74,7 +74,6 @@ the positive levels so small that ``1 - a`` rounds to 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -206,10 +205,6 @@ class Projection:
 
     spec: StatisticSpec
     null: SymmetricNull
-
-    @property
-    def order(self) -> int:
-        return self.spec.kernel_order
 
     def phi(self, x, t: float | None = None):
         """Evaluate the projection at ``x`` (member threshold ``t`` if sup-type)."""
@@ -489,7 +484,7 @@ def _scan(model) -> tuple:
     return table
 
 
-def _sup_over_t(searches, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def _sup_over_t(searches) -> tuple[np.ndarray, np.ndarray]:
     """Row maxima and argmaxes of smooth-between-kinks functions of the threshold ``t >= 0``.
 
     ``searches`` lists ``(model, member, groups)``; ``member(model, groups,
@@ -498,7 +493,7 @@ def _sup_over_t(searches, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
     Each test's block is scanned on its own on the :func:`_scan` grid.  Then
     each round of one refinement loop makes one call per search on a
     17-point grid over each row's bracket, and narrows those wider than
-    ``tol`` to the neighbours of their best point, so no row depends on
+    1e-6 to the neighbours of their best point, so no row depends on
     another.  Only a strictly larger value replaces the best: grid points
     win ties, and an argmax of exactly 0.0 stays exact.
     """
@@ -514,7 +509,7 @@ def _sup_over_t(searches, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, ts.size - 1)]
     steps = np.linspace(0.0, 1.0, _REFINE_POINTS)
     cuts = np.cumsum([sum(len(lv) for _, lv in groups) for *_, groups in searches])[:-1]
-    while (live := hi - lo > tol).any():
+    while (live := hi - lo > 1e-6).any():
         grid = lo[:, None] + (hi - lo)[:, None] * steps
         vals = np.concatenate([f(model, g, _thresholds(model, part))
                                for (model, f, g), part in zip(searches, np.split(grid, cuts))])
@@ -696,18 +691,6 @@ class IndexCurve:
                 bool(self.degenerate[i]),
                 bool(self.not_applicable[i]),
             )
-
-    def to_json(self) -> str:
-        payload = {
-            "test": self.test,
-            "null": self.null,
-            "alternative": self.alternative,
-            "alpha": [float(a) for a in self.grid],
-            "index": [None if not np.isfinite(v) else float(v) for v in self.index],
-            "degenerate": [bool(d) for d in self.degenerate],
-            "not_applicable": [bool(d) for d in self.not_applicable],
-        }
-        return json.dumps(payload, indent=2)
 
 
 def _report_curves(specs, alt: AlternativeFamily, alphas) -> list[IndexCurve]:

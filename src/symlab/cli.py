@@ -172,14 +172,17 @@ def _cmd_variance(args) -> int:
     nulls = [get_null(name.strip()) for name in args.null.split(",") if name.strip()]
     if not nulls:
         raise ValueError("no null models requested")
-    spec0 = parse_statistic(args.stat, alpha=args.alpha if args.over_t else 0.0)
+    if args.alpha is not None and not args.over_t:
+        raise ValueError("--alpha sets the trimming level of --over-t; the grid spans every level")
+    alpha = 0.0 if args.alpha is None else args.alpha
+    spec0 = parse_statistic(args.stat, alpha=alpha)
     grid = eff.default_grid(args.grid)
     if args.over_t:
         axis = "t"
         xs = np.linspace(0.0, max(float(null.quantile(0.999)) for null in nulls), args.grid)
         columns = [asy.variance_function(spec0, null, xs) for null in nulls]
         # the member variance is closed-form: nothing is integrated
-        params = {"stat": spec0.label, "alpha": args.alpha, "over_t": True, "quad_err_max": 0.0}
+        params = {"stat": spec0.label, "alpha": alpha, "over_t": True, "quad_err_max": 0.0}
     else:
         axis, xs = "alpha", grid
         curves = [asy.variance_curve(spec0, null, grid) for null in nulls]
@@ -254,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_var.add_argument("--stat", required=True)
     p_var.add_argument("--grid", type=int, default=101)
     p_var.add_argument("--over-t", action="store_true", help="variance function over the threshold")
-    p_var.add_argument("--alpha", type=float, default=0.0, help="trimming level for --over-t")
+    p_var.add_argument("--alpha", type=float, help="trimming level for --over-t (default 0)")
     p_var.add_argument("-o", "--output", required=True)
     p_var.set_defaults(func=_cmd_variance)
 

@@ -441,8 +441,8 @@ class FernandezSteel(AlternativeFamily):
 
     def _check_theta(self, theta: float) -> float:
         theta = float(theta)
-        if theta <= -1.0:
-            raise ValueError("two-piece skew parameter must exceed -1")
+        if not -1.0 < theta < math.inf:  # NaN fails too
+            raise ValueError("two-piece skew parameter must be finite and exceed -1")
         return theta
 
     def density(self, x, theta: float):

@@ -114,11 +114,11 @@ class ZeroEfficiencyResult:
     alpha: float | None = None
 
 
-def zero_efficiency_alpha(test, alt: AlternativeFamily, scan_points: int = 64) -> ZeroEfficiencyResult:
+def zero_efficiency_alpha(test, alt: AlternativeFamily) -> ZeroEfficiencyResult:
     """Interior trimming level at which an integral-type test's index vanishes.
 
     Scans the slope of the limit in probability over (0, 1/2), one
-    :func:`~symlab.asymptotics.slope_curve`, for a sign change and bisects
+    :func:`~symlab.asymptotics.slope_curve` on 64 levels, for a sign change and bisects
     to 1e-6.  The index vanishes exactly where the slope does (the
     variance is positive in the interior).  Returns a not-found
     result when the slope does not change sign; the sign test is the
@@ -134,7 +134,7 @@ def zero_efficiency_alpha(test, alt: AlternativeFamily, scan_points: int = 64) -
     def slope_at(a: float) -> float:
         return float(asy.slope_curve(spec0, alt, [a])[0][0])
 
-    grid = np.linspace(1e-4, 0.5 - 1e-4, scan_points)
+    grid = np.linspace(1e-4, 0.5 - 1e-4, 64)
     signs = np.sign(asy.slope_curve(spec0, alt, grid)[0])
     for i in range(grid.size - 1):
         if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]:

@@ -7,9 +7,10 @@ boundary cases are the sample mean (``alpha = 0``) and the sample median
 (``alpha = 1/2``, midpoint convention for even ``n``).
 
 Two population quantities accompany the estimator: the influence curve that
-gives its first-order expansion around a symmetric model, and the derivative
-of the estimand along a local asymmetric alternative family, which feeds the
-slope computations in :mod:`symlab.asymptotics`.
+gives its first-order expansion around a symmetric model, in closed form (the
+clamp ``clip(x, -Q, Q) / (1 - 2 alpha)`` inside the trimming range), and the
+derivative of the estimand along a local asymmetric alternative family, which
+feeds the slope computations in :mod:`symlab.asymptotics`.
 """
 
 from __future__ import annotations
@@ -119,36 +120,23 @@ def trimmed_mean(sample, alpha: float) -> float:
 def influence_curve(null: SymmetricNull, alpha: float, x):
     """Influence curve of the trimmed-mean functional at the symmetric null.
 
-    For ``0 < alpha < 1/2`` this evaluates
-    ``(1-2a)^{-1} Integral_a^{1-a} (t - 1{x < Q(t)}) / f(Q(t)) dt``
-    by quadrature (``Q`` the null quantile function); the trimming bounds the
-    domain away from the ``t -> 0, 1`` endpoint singularities.  The boundary
-    cases use the closed forms ``x`` (mean) and ``sgn(x)/(2 f(0))`` (median).
+    For ``0 < alpha < 1/2`` it is the clamp ``clip(x, -Q, Q) / (1-2a)``, ``Q``
+    the ``(1 - alpha)`` null quantile: under symmetry the defining integral
+    ``(1-2a)^{-1} Integral_a^{1-a} (t - 1{x < Q(t)}) / f(Q(t)) dt`` collapses to
+    it exactly.  The boundary cases are ``x`` (mean) and ``sgn(x)/(2 f(0))``
+    (median).
     """
     alpha = check_level(alpha)
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     check_centering(null, alpha)
     if alpha == 0.0:
-        out = x_arr.astype(float)
+        out = x_arr.copy()
     elif alpha == 0.5:
         out = np.sign(x_arr) / (2.0 * null.density(0.0))
     else:
-        scale = 1.0 / (1.0 - 2.0 * alpha)
-
-        def psi_one(xi: float) -> float:
-            u = float(null.cdf(xi))
-
-            def integrand(t: float) -> float:
-                q = null.quantile(t)
-                return (t - (u < t)) / null.density(q)
-
-            return scale * quad_split(integrand, alpha, 1.0 - alpha, points=[u])
-
-        out = np.array([psi_one(xi) for xi in x_arr])
-    return float(out[0]) if scalar else out
+        q = float(null.quantile(1.0 - alpha))
+        out = np.clip(x_arr, -q, q) / (1.0 - 2.0 * alpha)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def trimmed_mean_derivative(alt: AlternativeFamily, alpha: float) -> float:

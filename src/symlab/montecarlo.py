@@ -43,7 +43,7 @@ import numpy as np
 from . import _threads
 from ._rng import Piece, check_seed, stream
 from .distributions import AlternativeFamily, SymmetricNull
-from .stats import SUPREMUM, StatisticSpec, _drawn, evaluate, evaluate_many
+from .stats import SUPREMUM, StatisticSpec, _check_threshold, _drawn, evaluate, evaluate_many
 
 __all__ = [
     "McConfig",
@@ -81,6 +81,11 @@ class McConfig:
             raise ValueError("level must lie in (0, 1)")
 
 
+def _joined(parts: list) -> np.ndarray:
+    """Row blocks in order as one array: the block itself when there is one."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _simulate(
     spec: StatisticSpec,
     model,
@@ -89,24 +94,22 @@ def _simulate(
     purpose: int,
     t: float | None = None,
 ) -> np.ndarray:
+    _check_threshold(spec, t)  # before any draw, so a refused call leaves the kept entry as it was
     params = () if theta is None else (theta,)  # a null model takes no theta
 
     def draw(chunk: int, start: int, stop: int) -> np.ndarray:  # rows [start, stop) of the chunk
         rng = Piece(stream(cfg.seed, purpose, chunk), start * cfg.n, min(_CHUNK, cfg.reps - chunk * _CHUNK) * cfg.n)
         return model.sample(*params, (stop - start) * cfg.n, 0, rng=rng).reshape(stop - start, cfg.n)
 
-    if cfg.reps <= _CHUNK:  # one chunk: drawn by rows over the usable CPUs, kept by the calling thread
+    def block(lo: int, hi: int) -> np.ndarray:  # replications [lo, hi): rows of each chunk they span
+        return _joined([draw(c, max(lo - c * _CHUNK, 0), min(hi - c * _CHUNK, _CHUNK))
+                        for c in range(lo // _CHUNK, (hi - 1) // _CHUNK + 1)])
+
+    if cfg.reps <= _CHUNK:  # one chunk: its rows split over the usable CPUs, kept by the calling thread
         def whole() -> np.ndarray:
-            parts = _threads.split(cfg.reps, _threads.ways(cfg.reps * cfg.n),
-                                   lambda lo, hi: draw(0, lo, hi))
-            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            return _joined(_threads.split(cfg.reps, _threads.ways(cfg.reps * cfg.n), block))
 
         return evaluate_many(spec, _drawn((model, params, cfg.seed, purpose, cfg.reps, cfg.n), whole), t=t)
-
-    def block(lo: int, hi: int) -> np.ndarray:  # replications [lo, hi): rows of each chunk they span
-        pieces = [draw(c, max(lo - c * _CHUNK, 0), min(hi - c * _CHUNK, _CHUNK))
-                  for c in range(lo // _CHUNK, (hi - 1) // _CHUNK + 1)]
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
     def share(begin: int, end: int) -> list:  # a thread's range, one call per equal block of at most _CHUNK rows
         blocks = -(-(end - begin) // _CHUNK)

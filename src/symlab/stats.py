@@ -566,6 +566,15 @@ def _check_rows(spec: StatisticSpec, samples: np.ndarray, peak: float | None = N
         )
 
 
+def _check_threshold(spec: StatisticSpec, t: float | None) -> float | None:
+    """The fixed-threshold rule: a supremum-type statistic's member at ``t``, never NaN; ``t`` as a float."""
+    if t is not None and spec.family != SUPREMUM:
+        raise ValueError("fixed thresholds apply to supremum-type statistics only")
+    if t is not None and math.isnan(t := float(t)):
+        raise ValueError("threshold t must not be NaN")
+    return t
+
+
 def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = None):
     """Values of ``spec`` on every row of a ``(rows, n)`` sample matrix, refused unless finite.
 
@@ -583,10 +592,7 @@ def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = N
     if "peak" not in entry:  # the finite pass and the peak run once for the bits an entry keeps
         check_sample(samples, ndim=2)
         entry["peak"] = max(samples.max(), -samples.min())
-    if t is not None and spec.family != SUPREMUM:
-        raise ValueError("fixed thresholds apply to supremum-type statistics only")
-    if t is not None and math.isnan(t := float(t)):
-        raise ValueError("threshold t must not be NaN")
+    t = _check_threshold(spec, t)
     _check_rows(spec, samples, entry["peak"])
     if spec.family == MOMENT:
         return _kept(samples, entry, "moments", None, lambda: _moments(samples),

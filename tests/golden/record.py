@@ -14,7 +14,8 @@ asymptotic layer adds every array field of the ``IndexCurve`` of each of the
 default on each null and ``slope_curve`` on each model pair on their own
 trimming grid (value, argmax and error estimate in one group), and
 ``variance_function`` and ``slope_function`` of each supremum default on a
-fixed ``t`` grid; the
+fixed ``t`` grid, and ``influence_curve`` of each null at four trimming levels
+on a fixed ``x`` grid; the
 command line adds the bytes ``symlab index``, ``symlab variance`` and
 ``symlab test --json`` print and write (one group per stream or file, as
 lines with their ends, the output directory and the tool version
@@ -60,6 +61,7 @@ from symlab import _threads, cli
 from symlab._rng import stream
 from symlab.asymptotics import slope_curve, slope_function, variance_curve, variance_function
 from symlab.efficiency import DEFAULT_TESTS, index_curves
+from symlab.location import influence_curve
 from symlab.stats import MOMENT, SUPREMUM, parse_statistic
 
 DIGESTS = Path(__file__).with_name("digests.json")
@@ -100,6 +102,9 @@ CURVE_LEVELS = np.linspace(0.0, 0.5, 22)
 #: ``variance_function`` and ``slope_function`` groups: each supremum default at ``ALPHA`` on this grid
 MEMBER_TESTS = tuple(name for name in DEFAULT_TESTS if parse_statistic(name).family == SUPREMUM)
 MEMBER_T = np.linspace(0.0, 6.0, 61)
+#: ``influence_curve`` groups: each null at each of these levels on this ``x`` grid (or its refusal)
+INFLUENCE_LEVELS = (0.0, 0.1, 0.25, 0.5)
+INFLUENCE_X = np.array([-np.inf, -10.0, -2.5, -1.0, -0.3, -0.0, 0.0, 0.3, 1.0, 2.5, 10.0, np.inf])
 #: command-line groups: ``(tag, argv, files)``, ``{dir}`` the output directory; each run's exit code
 #: and console output make one group, and each of ``files`` one more
 CLI_RUNS = (
@@ -133,12 +138,17 @@ def evaluate_data(kind: str, n: int) -> np.ndarray:
     return x
 
 
-def _outcome(call) -> str:
+def _or_refusal(call):
+    """``call()``, or the type and message of the ``ValueError`` it raised."""
     try:
-        value = call()
+        return call()
     except ValueError as error:
         return f"{type(error).__name__}: {error}"
-    return f"{value.value!r} {value.sup_argument!r}"
+
+
+def _outcome(call) -> str:
+    value = _or_refusal(call)
+    return value if isinstance(value, str) else f"{value.value!r} {value.sup_argument!r}"
 
 
 def _battery(x: np.ndarray, alpha: float, names=BATTERY) -> list[str]:
@@ -230,6 +240,10 @@ def _groups():
         for alt_name in ALTERNATIVES:
             alt = get_alternative(alt_name, null)
             yield f"slope_function/{null_name}/{alt_name}/{name}", lambda: slope_function(spec, alt, MEMBER_T)
+    for null_name, alpha in itertools.product(NULLS, INFLUENCE_LEVELS):
+        null = get_null(null_name)
+        yield (f"influence_curve/{null_name}/{alpha}",
+               lambda: _or_refusal(lambda: influence_curve(null, alpha, INFLUENCE_X)))
     for tag, argv, files in CLI_RUNS:
         run = functools.cache(lambda: _cli(argv))
         for part in ("console", *files):

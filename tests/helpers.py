@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from symlab._quad import quad_split
 from symlab.location import trimmed_mean
 from symlab.stats import INTEGRAL, StatisticSpec
 
@@ -50,6 +51,22 @@ def golden_record():
     record = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(record)
     return record
+
+
+def quadrature_influence_curve(null, alpha: float, x) -> np.ndarray:
+    """The trimmed mean's influence curve at each ``x`` by its definition, for ``0 < alpha < 1/2``.
+
+    ``(1-2a)^{-1} Integral_a^{1-a} (t - 1{x < Q(t)}) / f(Q(t)) dt`` by adaptive
+    quadrature split at ``F(x)``, ``Q`` the null quantile; the trimming keeps
+    ``t`` off the endpoint singularities.  It reads the null's quantile, cdf and
+    density, not the clamp ``symlab.location.influence_curve`` gives.
+    """
+    def one(xi: float) -> float:
+        u = float(null.cdf(xi))
+        return (1.0 / (1.0 - 2.0 * alpha)) * quad_split(
+            lambda t: (t - (u < t)) / null.density(null.quantile(t)), alpha, 1.0 - alpha, points=[u])
+
+    return np.array([one(xi) for xi in np.atleast_1d(np.asarray(x, dtype=float))])
 
 
 def exact_counting_value(spec: StatisticSpec, sample, t: float | None = None) -> float:

@@ -410,6 +410,19 @@ class TestCmdVariance:
         assert "supremum-type" in capsys.readouterr().err
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("alpha", ["0.3", "0"])
+    def test_alpha_without_over_t_refused_before_any_output(self, tmp_path, capsys, alpha):
+        # the grid spans every trimming level, so a level given alone would be ignored
+        out = tmp_path / "sub" / "x.csv"
+        code = main(["variance", "--null", "normal", "--stat", "W", "--alpha", alpha, "-o", str(out)])
+        assert code == 2
+        assert "--over-t" in capsys.readouterr().err
+        assert not out.parent.exists()
+        # --over-t alone still reads level 0
+        assert main(["variance", "--null", "normal", "--stat", "KS", "--over-t", "--grid", "3",
+                     "-o", str(out)]) == 0
+        assert json.loads((out.parent / "x.csv.manifest.json").read_text())["parameters"]["alpha"] == 0.0
+
     def test_not_applicable_refused_before_any_output(self, tmp_path, capsys):
         # mean centering under the Cauchy: exit 3 and no directory left behind
         out = tmp_path / "d" / "sub" / "x.csv"

@@ -9,6 +9,8 @@ from scipy.integrate import quad
 from symlab._rng import stream
 from symlab.distributions import get_alternative, get_null
 from symlab.errors import NotApplicableError
+from symlab.montecarlo import McConfig, power
+from symlab.stats import StatisticSpec
 
 
 class TestNullModels:
@@ -300,6 +302,17 @@ class TestAlternativeFamilies:
             contam.density(0.0, 1.5)
         with pytest.raises(ValueError):
             contam.density(0.0, -0.1)
+
+    @pytest.mark.parametrize("null_name", ["normal", "cauchy"])
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_skew_refused(self, null_name, theta):
+        # a NaN or infinite skew gave NaN or degenerate values, and power failed late on its draws
+        fs = get_alternative("fs", null_name)
+        calls = (lambda: fs.density(0.5, theta), lambda: fs.cdf(0.5, theta), lambda: fs.sample(theta, 10, 1),
+                 lambda: power(StatisticSpec("W"), fs, theta, McConfig(n=20, reps=100, seed=1)))
+        for call in calls:
+            with pytest.raises(ValueError, match="two-piece skew parameter must be finite"):
+                call()
 
     def test_cdf_matches_density(self, normal):
         for alt_name in ("fs", "contam"):

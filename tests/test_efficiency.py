@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import subprocess
@@ -107,13 +106,6 @@ class TestIndexCurve:
         curve = eff.index_curves(["W"], alt, np.asarray([0.0, 0.25]))[0]
         assert curve.not_applicable[0] and not curve.not_applicable[1]
         assert math.isnan(curve.index[0]) and np.isfinite(curve.index[1])
-
-    def test_json_round_trip(self, contam_normal):
-        curve = eff.index_curves(["S"], contam_normal, np.asarray([0.0, 0.25, 0.5]))[0]
-        payload = json.loads(curve.to_json())
-        assert payload["test"] == "S"
-        assert payload["index"][2] is None  # degenerate endpoint
-        assert payload["degenerate"][2] is True
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from helpers import quadrature_influence_curve
 from symlab.distributions import get_alternative, get_null
 from symlab.errors import NotApplicableError
 from symlab.location import (
@@ -101,15 +102,17 @@ class TestInfluenceCurve:
         with pytest.raises(NotApplicableError):
             influence_curve(cauchy, 0.0, 1.0)
 
-    @pytest.mark.parametrize("null_name", ["normal", "logistic"])
-    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4])
+    @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.01, 0.1, 0.25, 0.4, 0.49, 0.499])
     def test_matches_clamped_form_under_symmetry(self, null_name, alpha):
-        # for a symmetric null the t-integral collapses to a clamped identity
+        # for a symmetric null the t-integral collapses to the clamp; its quadrature is the reference
         null = get_null(null_name)
         q = null.quantile(1.0 - alpha)
-        x = np.asarray([-5.0, -q, -0.3, 0.0, 0.7, q / 2, 3 * q])
-        expected = np.clip(x, -q, q) / (1.0 - 2.0 * alpha)
-        np.testing.assert_allclose(influence_curve(null, alpha, x), expected, atol=1e-9)
+        x = np.array([0.0, q / 3, q, 10 * q, np.inf])
+        x = np.concatenate([x, -x[1:]])
+        psi = influence_curve(null, alpha, x)
+        assert psi.tolist() == (np.clip(x, -q, q) / (1.0 - 2.0 * alpha)).tolist()
+        assert np.abs(psi - quadrature_influence_curve(null, alpha, x)).max() <= 1e-12 * np.abs(psi).max()
 
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5])
     def test_zero_mean_under_null(self, normal, alpha):

@@ -225,6 +225,17 @@ class TestDrawSlot:
             assert "draws" not in stats._pool.entry and stats._pool.entry["key"] is None
             np.testing.assert_array_equal(_simulate(spec, model, 0.3, cfg, _EVAL), want)
 
+    @pytest.mark.parametrize("name, t", [("W", 0.5), ("KS", math.nan)])
+    def test_a_refused_threshold_draws_nothing(self, streams, normal, name, t):
+        # the threshold is refused before the draw, so the thread keeps the draws it kept before
+        kept = McConfig(n=30, reps=300, seed=4)
+        null_distribution(StatisticSpec("KS"), normal, kept)
+        entry = stats._pool.entry
+        streams.clear()
+        with pytest.raises(ValueError, match="threshold"):
+            null_distribution(StatisticSpec(name), normal, McConfig(n=2000, reps=300, seed=3), t=t)
+        assert streams == [] and stats._pool.entry is entry and entry["key"][2:] == (4, _CAL, 300, 30)
+
     def test_members_in_any_order_equal_fresh_draws(self, centerings, normal, rng):
         cfg = McConfig(n=60, reps=300, seed=81)
         other = dataclasses.replace(self.MEMBERS[2], alpha=0.1)

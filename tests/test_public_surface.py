@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 import symlab
-from symlab import asymptotics, efficiency, stats
+from symlab import _quad, asymptotics, efficiency, stats
 
 PUBLIC = [
     "AlternativeFamily",
@@ -64,8 +64,15 @@ RETIRED = (
     "EQUIVALENCE_TOL",
     "DEGENERACY_TOL",
 )
-#: retired parameters of the public functions
-RETIRED_PARAMETERS = {efficiency.equivalence_report: ("tol",)}
+#: retired parameters, the private ones that every caller left at one value too
+RETIRED_PARAMETERS = {
+    efficiency.equivalence_report: ("tol",),
+    efficiency.zero_efficiency_alpha: ("scan_points",),
+    asymptotics._sup_over_t: ("tol",),
+    _quad.graded: ("nodes",),
+}
+#: retired members of the public classes, which nothing but their own tests called
+RETIRED_MEMBERS = {efficiency.IndexCurve: ("to_json",), asymptotics.Projection: ("order",)}
 
 
 def test_package_exports_exactly_the_public_readers():
@@ -86,6 +93,12 @@ def test_retired_readers_are_gone(module):
 def test_retired_parameters_are_gone():
     for function, names in RETIRED_PARAMETERS.items():
         assert not set(names) & set(inspect.signature(function).parameters), function.__name__
+
+
+def test_retired_members_are_gone():
+    for cls, names in RETIRED_MEMBERS.items():
+        for name in names:
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
 
 
 def test_moment_slopes_are_not_exported():
