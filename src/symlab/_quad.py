@@ -1,12 +1,14 @@
 """Quadrature: fixed rules for the asymptotic layer, adaptive ones for the references.
 
 Every integral behind a variance, slope or index uses the fixed composite
-Gauss-Legendre rules :func:`graded` and :func:`half_line`, made of the
-recorded rules :data:`_LEGENDRE`, each level from its own limit alone, with
-the distance to the rule with half the nodes as the error estimate.  :func:`half_line` reads each model at its nodes once
-per process (:func:`_half_line_nodes`).  :func:`quad` and :func:`quad_split` wrap
-``scipy.integrate.quad``, imported on first call, for the independent
-references only: the oracles, ``validate`` and the population trimmed mean.
+Gauss-Legendre rules :func:`graded` and :func:`half_line` (the null's partial
+second moment in the trimmed-mean term included), made of the recorded rules
+:data:`_LEGENDRE`, each level from its own limit alone, with the distance to
+the rule with half the nodes as the error estimate.  :func:`half_line` reads
+each model at its nodes once per process (:func:`_half_line_nodes`).
+:func:`quad` and :func:`quad_split` wrap ``scipy.integrate.quad``, imported on
+first call, for the independent references only: the oracles, ``validate`` and
+the population trimmed mean.
 """
 
 from __future__ import annotations

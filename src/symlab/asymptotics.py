@@ -32,9 +32,10 @@ Gauss-Legendre rule, and ``Int_0^Q phi x f`` uses a fixed composite rule
 ``a`` and are computed once (:func:`_moment_limits`).
 
 The other integrals use the fixed rules of :mod:`symlab._quad` too (the
-whole-line ones folded onto ``[0, inf)``), and the curves carry the largest
-error estimate behind each level.  Each model method runs once per point
-set (but ``F`` and ``f`` on the scan grid, once per part).  Per process,
+whole-line ones folded onto ``[0, inf)``, and ``Int_0^Q x^2 f`` of the
+trimmed-mean term by the null's partial second moment), and the curves carry
+the largest error estimate behind each level.  Each model method runs once
+per point set (but ``F`` and ``f`` on the scan grid, once per part).  Per process,
 :func:`functools.cache` keeps what depends only on the model and the rule:
 the model at the half-line nodes and on the scan grid (:func:`_scan`), the
 alpha-free integrals ``Int phi^2``, ``Int phi f'``, ``Int_0^inf phi x f``,
@@ -301,24 +302,27 @@ def _refused(spec: StatisticSpec, null: SymmetricNull, alphas) -> np.ndarray:
     return _uncentered(null, alphas)
 
 
-def _levels(null: SymmetricNull, alphas) -> tuple[np.ndarray, float]:
-    """Rows ``(a, c(a), factor of J, Q, Int_0^Q x f)`` of :func:`_assemble_variance`, and error 0.
+def _levels(null: SymmetricNull, alphas) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``(a, c(a), factor of J, Q, Int_0^Q x f)`` of :func:`_assemble_variance`, and the
+    error estimate of ``Int_0^Q x^2 f`` on each.
 
     ``Q`` is the ``(1-a)`` quantile; between the boundaries ``c = 2 (Int_0^Q
     x^2 f + a Q^2) / (1-2a)^2`` and the factor is ``4/(1-2a)``, at ``a = 0``
     ``sigma^2`` and 4, at ``a = 1/2`` ``1/(4 f(0)^2)`` and ``2/f(0)``.  A
-    boundary level carries the 0.75 quantile, which it never reads.
+    boundary level carries the 0.75 quantile, which it never reads, and error 0.
     """
     zero, half = alphas == 0.0, alphas == 0.5
     a = np.where(zero | half, 0.25, alphas)
     q, scale = null.quantile(1.0 - a), 1.0 - 2.0 * a
-    c2, factor = 2.0 * (null.partial_second_moment(q) + a * q * q) / (scale * scale), 4.0 / scale
+    moment, err = null._second_moment(q)
+    c2, factor = 2.0 * (moment + a * q * q) / (scale * scale), 4.0 / scale
     if zero.any():
         c2, factor = np.where(zero, null.moment(2), c2), np.where(zero, 4.0, factor)
     if half.any():
         f0 = float(null.density(0.0))
         c2, factor = np.where(half, 1.0 / (4.0 * f0 * f0), c2), np.where(half, 2.0 / f0, factor)
-    return np.stack([alphas, c2, factor, q, null.partial_first_moment(0.0, q)], axis=1), 0.0
+    rows = np.stack([alphas, c2, factor, q, null.partial_first_moment(0.0, q)], axis=1)
+    return rows, np.where(zero | half, 0.0, err)
 
 
 def _assemble_variance(m, levels, t1, a_coef, mean_cross, median_cross, trim_cross):

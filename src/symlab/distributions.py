@@ -3,8 +3,11 @@
 The nulls are the standard normal, the unit-scale logistic
 (``F(x) = 1/(1+exp(-x))``) and the standard Cauchy.  Each exposes analytic
 density, density derivative, CDF, quantile, (partial) moments and an
-inverse-CDF sampler.  The alternative families perturb a null ``f`` into an
-asymmetric density ``g(x; theta)`` that is symmetric iff ``theta == 0``:
+inverse-CDF sampler.  The partial second moment ``Integral_0^b x^2 f`` is the
+fixed rule :func:`symlab._quad.graded`, with its error estimate, up to a cut
+past which it is its limit (the Cauchy's closed form, which does not cancel
+there).  The alternative families perturb a null ``f`` into an asymmetric
+density ``g(x; theta)`` that is symmetric iff ``theta == 0``:
 
 * two-piece scaling (Fernandez/Steel style): the negative axis is stretched
   by ``1 + theta`` and the positive axis compressed by the same factor;
@@ -27,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import special
 
+from ._quad import graded
 from ._rng import stream
 from .errors import NotApplicableError
 
@@ -108,7 +112,7 @@ class SymmetricNull:
     def quantile(self, u):
         """Inverse CDF; ``u`` must lie in the open interval (0, 1)."""
         u_arr = np.asarray(u, dtype=float)
-        if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
+        if not ((u_arr > 0.0) & (u_arr < 1.0)).all():  # NaN fails too
             raise ValueError("quantile argument must lie in (0, 1)")
         with np.errstate(over="ignore"):  # a quantile past max float is its exact limit, +-inf
             return self._quantile(u_arr if u_arr.ndim else float(u_arr))
@@ -150,30 +154,29 @@ class SymmetricNull:
         """The primitive of ``x f(x)`` that vanishes at 0, so ``(0, b)`` cancels nothing."""
         raise NotImplementedError
 
-    #: coefficients ``d_k`` of ``Integral_0^b x^2 f(x) dx = b^3 sum_k d_k b^(2k)``,
-    #: summed below ``_series_cut`` (see :meth:`partial_second_moment`)
-    _moment_series: np.ndarray
-    _series_cut: float
+    #: ``|b|`` from which :meth:`partial_second_moment` is :meth:`_far_moment`
+    _moment_cut: float
 
     def partial_second_moment(self, b):
-        """``Integral_0^b x^2 f(x) dx`` for finite ``b >= 0`` (arrays elementwise).
+        """``Integral_0^b x^2 f(x) dx``, odd in ``b`` (arrays elementwise)."""
+        return _as_float(self._second_moment(b)[0])
 
-        The closed forms subtract O(1) terms whose difference is O(b^3) and
-        lose digits as ``b`` shrinks, so below ``_series_cut`` the density's
-        Taylor series, integrated term by term, is summed instead.  Either side
-        is within 1e-12 relative of a high-precision quadrature.
+    def _second_moment(self, b):
+        """:meth:`partial_second_moment` and its error estimate, 0 where the rule did not run.
+
+        :func:`~symlab._quad.graded` integrates ``x^2 f`` over ``[0, |b|]`` below the cut
+        and :meth:`_far_moment` gives the value from it on.
         """
         b = np.asarray(b, dtype=float)
-        small = b < self._series_cut
-        s = np.where(small, b, 0.0)
-        s2, series = s * s, 0.0
-        for d in self._moment_series[::-1]:  # Horner in b^2
-            series = series * s2 + d
-        closed = self._closed_second_moment(np.where(small, self._series_cut, b))
-        return _as_float(np.where(small, s * s2 * series, closed))
+        size = np.abs(b)
+        near = ~(size >= self._moment_cut)  # NaN included
+        value, err = np.array(self._far_moment(size)), np.zeros(b.shape)
+        value[near], err[near] = graded(lambda x: x * x * self.density(x), size[near])
+        return np.copysign(value, b), err
 
-    def _closed_second_moment(self, b):
-        raise NotImplementedError
+    def _far_moment(self, b):
+        """The limit ``sigma^2/2``, which the moment reaches in float64 at the cut."""
+        return np.full(b.shape, self.moment(2) / 2.0)
 
     # -- sampling ---------------------------------------------------------
     def sample(self, n: int, seed: int, rng: np.random.Generator | None = None):
@@ -215,8 +218,7 @@ class Normal(SymmetricNull):
         return True
 
     def _even_moment(self, k: int) -> float:
-        # (k-1)!! for the standard normal
-        return float(np.prod(np.arange(k - 1, 0, -2))) if k > 0 else 1.0
+        return float(math.prod(range(k - 1, 0, -2)))  # (k-1)!!, exact before the rounding
 
     def _abs_mean(self) -> float:
         return math.sqrt(2.0 / math.pi)
@@ -226,27 +228,7 @@ class Normal(SymmetricNull):
         with np.errstate(over="ignore"):  # past _x_max, -0.5 x x is -inf and expm1 its limit -1
             return _as_float(-np.expm1(-0.5 * x * x) / _SQRT_2PI)  # f(0) - f(x)
 
-    # f(x) = sum_k (-1/2)^k x^(2k) / (k! sqrt(2 pi))
-    _moment_series = np.array(
-        [float(Fraction(-1, 2) ** k / (math.factorial(k) * (2 * k + 3))) for k in range(12)]
-    ) / _SQRT_2PI
-    _series_cut = 0.5
-
-    def _closed_second_moment(self, b):
-        b = np.minimum(b, _MAX)  # at inf, inf * 0 is NaN: the limit is 1/2
-        return special.ndtr(b) - 0.5 - b * self.density(b)
-
-
-def _logistic_density_series(terms: int) -> list[Fraction]:
-    """Exact ``c_k`` of the logistic density ``f(x) = sum_k c_k x^(2k)``, for ``|x| < pi``.
-
-    ``f(x) = sech^2(x/2)/4``, and ``tanh(u) = sum_j a_j u^(2j+1)`` follows
-    from ``tanh' = 1 - tanh^2``: ``(2j+1) a_j = [j = 0] - sum_{i<j} a_i a_(j-1-i)``.
-    """
-    a: list[Fraction] = []
-    for j in range(terms):
-        a.append((Fraction(j == 0) - sum(a[i] * a[j - 1 - i] for i in range(j))) / (2 * j + 1))
-    return [(2 * j + 1) * a[j] / 4 ** (j + 1) for j in range(terms)]
+    _moment_cut = 40.0  # the tail past it is below 1e-340
 
 
 class Logistic(SymmetricNull):
@@ -274,16 +256,12 @@ class Logistic(SymmetricNull):
         return True
 
     def _even_moment(self, k: int) -> float:
-        # (2^k - 2) |B_k| pi^k for even k
-        values = {
-            0: 1.0,
-            2: math.pi**2 / 3.0,
-            4: 7.0 * math.pi**4 / 15.0,
-            6: 31.0 * math.pi**6 / 21.0,
-        }
-        if k not in values:
-            raise NotImplementedError(f"logistic central moment of order {k} not tabulated")
-        return values[k]
+        # (2^k - 2) |B_k| pi^k, with the Bernoulli numbers from sum_j C(n+1, j) B_j = 0
+        bernoulli = [Fraction(1)]
+        for n in range(1, k + 1):
+            bernoulli.append(-sum(math.comb(n + 1, j) * bernoulli[j] for j in range(n)) / (n + 1))
+        c = abs((2**k - 2) * bernoulli[k])
+        return c.numerator * math.pi**k / c.denominator
 
     def _abs_mean(self) -> float:
         return 2.0 * math.log(2.0)
@@ -295,30 +273,7 @@ class Logistic(SymmetricNull):
         y = 0.5 * np.clip(np.asarray(x, dtype=float), -80.0, 80.0)
         return _as_float(y * np.tanh(y) - np.log1p(2.0 * np.sinh(0.5 * y) ** 2))
 
-    _moment_series = np.array(
-        [float(c / (2 * k + 3)) for k, c in enumerate(_logistic_density_series(19))]
-    )
-    _series_cut = 1.0
-    #: past this ``b`` the primitive's O(b^2) terms cancel (1.7e-11 relative off at
-    #: b = 550) and then overflow; it lies beyond logit(1 - 2^-53) = 36.74
-    _tail_cut = 37.0
-
-    def _closed_second_moment(self, b):
-        # x^2 F - 2 [x log(1+e^x) + Li2(-e^x)] primitive, via the dilogarithm; past
-        # the cut, pi^2/6 less the tail e^-b (b^2 + 2b + 2), as f(x) = e^-x (1 + O(e^-x))
-        b = np.minimum(b, _MAX)  # at inf, inf * 0 is NaN: the limit is pi^2/6
-        far = b > self._tail_cut
-        near = np.where(far, self._tail_cut, b)
-        head = self._second_moment_primitive(near) - self._second_moment_primitive(0.0)
-        e = np.exp(-np.where(far, b, 0.0))
-        return np.where(far, math.pi**2 / 6.0 - ((b + 2.0) * e * b + 2.0 * e), head)
-
-    @staticmethod
-    def _second_moment_primitive(x):
-        # primitive of x^2 f(x): x^2 F(x) - 2 x log(1+e^x) - 2 Li2(-e^x)
-        # scipy's spence(z) = Li2(1 - z), so Li2(-e^x) = spence(1 + e^x)
-        li2 = special.spence(1.0 + np.exp(np.minimum(x, 700.0)))
-        return x * x * special.expit(x) - 2.0 * x * np.logaddexp(0.0, x) - 2.0 * li2
+    _moment_cut = 50.0  # the tail past it, e^-b (b^2 + 2b + 2), is below 1e-18
 
 
 class Cauchy(SymmetricNull):
@@ -379,11 +334,9 @@ class Cauchy(SymmetricNull):
         near = np.log1p(np.square(np.where(far, 0.0, x))) / (2.0 * math.pi)
         return _as_float(np.where(far, np.log(np.where(far, x, 1.0)) / math.pi, near))
 
-    # f(x) = sum_k (-1)^k x^(2k) / pi, for |x| < 1
-    _moment_series = np.array([(-1.0) ** k / (2 * k + 3) for k in range(15)]) / math.pi
-    _series_cut = 0.25
+    _moment_cut = 1.0  # below it the primitive's b - arctan(b) cancels
 
-    def _closed_second_moment(self, b):
+    def _far_moment(self, b):
         return (b - np.arctan(b)) / math.pi
 
 

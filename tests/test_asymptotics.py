@@ -494,6 +494,16 @@ class TestQuadratureBudget:
                 assert abs(value[i] - inner) <= ABS_TOL, (name, alphas[i])
                 assert abs(tail[i] - outer) <= ABS_TOL, (name, alphas[i])
 
+    def test_trimmed_mean_term_carries_its_estimate(self):
+        # Int_0^Q x^2 f of the trimmed-mean term reported 0.0; its rule's estimate reaches
+        # each curve's error, and a boundary level, which never reads it, keeps 0
+        null = get_null("logistic")
+        _, _, err = asy.variance_curve(StatisticSpec("KS"), null, [0.25])
+        assert err[0] > 0.0
+        levels, level_err = asy._levels(null, np.array([0.0, 0.25, 0.5]))
+        assert level_err.tolist() == [0.0, null._second_moment(levels[1, 3])[1], 0.0]
+        assert 0.0 < level_err[1] <= err[0]
+
     @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
     @pytest.mark.parametrize("alt_name", ["contam", "fs"])
     def test_half_line_rules_within_abs_tol(self, null_name, alt_name):

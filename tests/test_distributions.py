@@ -63,6 +63,14 @@ class TestNullModels:
         with pytest.raises(ValueError):
             normal.quantile(1.0)
 
+    @pytest.mark.parametrize("name", ["normal", "logistic", "cauchy"])
+    def test_quantile_refuses_nan(self, name):
+        # NaN passed both comparisons of the (0, 1) check and came out as NaN
+        null = get_null(name)
+        for u in (math.nan, [0.5, math.nan], np.array([[math.nan]])):
+            with pytest.raises(ValueError, match=r"\(0, 1\)"):
+                null.quantile(u)
+
     def test_moment_flags(self, normal, logistic, cauchy):
         for k in (1, 2, 4, 6):
             assert normal.has_moment(k)
@@ -83,6 +91,19 @@ class TestNullModels:
             val, _ = quad(lambda x: x**k * null.density(x), -np.inf, np.inf, epsabs=1e-12)
             assert val == pytest.approx(null.moment(k), rel=1e-9)
 
+    def test_every_even_moment(self, normal, logistic):
+        # the logistic raised NotImplementedError past k = 6, and the normal's
+        # int64 product of (k-1)!! wrapped from k = 36 (2.8e17 for 2.2e20; negative at k = 38)
+        assert [logistic.moment(k) for k in (0, 2, 4, 6, 8)] == [
+            1.0, math.pi**2 / 3.0, 7.0 * math.pi**4 / 15.0, 31.0 * math.pi**6 / 21.0, 127.0 * math.pi**8 / 15.0]
+        with mp.workdps(30):
+            for k in range(8, 21, 2):
+                # 2 k! eta(k); the float pi, 3.9e-17 relative low, costs k times that
+                want = float(2 * mp.factorial(k) * mp.altzeta(k))
+                assert logistic.moment(k) == pytest.approx(want, rel=1e-15, abs=0)
+            for k in range(2, 61, 2):
+                assert normal.moment(k) == float(mp.fac2(k - 1))
+
     @pytest.mark.parametrize("name", ["normal", "logistic", "cauchy"])
     def test_partial_moments_match_quadrature(self, name):
         null = get_null(name)
@@ -95,18 +116,17 @@ class TestNullModels:
 
     @pytest.mark.parametrize("name", ["normal", "logistic", "cauchy"])
     def test_partial_second_moment_full_precision_for_small_b(self, name):
-        # the closed forms lose digits as b shrinks (logistic: 3e-2 relative
-        # at b = 1e-4); the series below the cut keeps them.  Large b too, up
-        # to the largest float: the logistic primitive's O(b^2) terms cancel
-        # (1.7e-11 relative off at b = 550, -63534 for 1.645 at b = 744), and
-        # the normal's b f(b) overflowed past its _x_max
+        # the closed forms lost digits as b shrank (logistic: 3e-2 relative at
+        # b = 1e-4) and the logistic primitive's O(b^2) terms cancelled as b grew
+        # (8.6e-14 relative at b = 37); the fixed rule keeps them, up to the cuts
+        # 1 (Cauchy), 40 (normal) and 50 (logistic) and on to the largest float
         null = get_null(name)
-        cut = null._series_cut
         top = np.finfo(float).max
-        large = [36.7, 37.0, 40.0, 100.0, 550.0, 700.0, 744.0, 1e4, 1e100, 1e200, top]
+        large = [36.7, 37.0, 100.0, 550.0, 700.0, 744.0, 1e4, 1e100, 1e200, top]
+        points = [0.25, 0.5, 1.0, 2.0, 40.0, 50.0]
         b = np.concatenate([
-            np.logspace(-8, 1, 37), [np.nextafter(cut, 0.0), cut, 2.0 * cut], large,
-            [null._x_max, np.nextafter(null._x_max, top)],
+            np.logspace(-8, 1, 37), [v for p in points for v in (np.nextafter(p, 0.0), p, np.nextafter(p, top))],
+            large, [null._x_max, np.nextafter(null._x_max, top)],
         ])
         density = {
             "normal": mp.npdf,
@@ -120,9 +140,21 @@ class TestNullModels:
                 for v in b
             ])
         got = null.partial_second_moment(b)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
         # an array gives the bits of a loop of scalar calls
         assert [null.partial_second_moment(float(v)) for v in b] == got.tolist()
+
+    @pytest.mark.parametrize("name", ["normal", "logistic", "cauchy"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_partial_second_moment_is_odd(self, name):
+        # the series ran outside its radius for b < 0: 29123.85 (normal), -3.2e8
+        # (logistic) and -4.6e19 (Cauchy) at b = -5
+        null = get_null(name)
+        b = np.array([0.0, 0.3, 5.0, 40.0, 1e3, np.inf])
+        got = null.partial_second_moment(-b)
+        assert got.view(np.int64).tolist() == (-null.partial_second_moment(b)).view(np.int64).tolist()
+        assert [null.partial_second_moment(-float(v)) for v in b] == got.tolist()
+        assert np.signbit(got).all()
 
     def test_cauchy_tails_to_two_ulp(self, cauchy):
         # tan(pi (u - 1/2)) and 1/2 + arctan(x)/pi lose the digits of a small
@@ -248,10 +280,10 @@ class TestNullModels:
         # too, so mpmath carries 650 digits; where the true value underflows,
         # the smallest normal float is the bound
         null = get_null(name)
-        cut = null._series_cut
+        points = [0.25, 0.5, 1.0]
         b = np.concatenate([
-            np.logspace(-300, math.log10(50.0), 61), [1e-8, 1e-4],
-            [np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0), 2.0 * cut],
+            np.logspace(-300, math.log10(50.0), 61), [1e-8, 1e-4, 2.0],
+            [v for p in points for v in (np.nextafter(p, 0.0), p, np.nextafter(p, 1.0))],
         ])
         exact = {
             "normal": lambda v: -mp.expm1(-v * v / 2) / mp.sqrt(2 * mp.pi),
@@ -266,10 +298,11 @@ class TestNullModels:
         assert (null.partial_first_moment(0.0, -b) == got).all()
         assert [null.partial_first_moment(0.0, float(v)) for v in b] == got.tolist()
         # two limits near 0, and an infinite limit
-        lo, hi = 0.25 * cut, 0.75 * cut
-        with mp.workdps(50):
-            want = float(exact(mp.mpf(hi)) - exact(mp.mpf(lo)))
-        assert null.partial_first_moment(lo, hi) == pytest.approx(want, rel=1e-12, abs=0)
+        for p in points:
+            lo, hi = 0.25 * p, 0.75 * p
+            with mp.workdps(50):
+                want = float(exact(mp.mpf(hi)) - exact(mp.mpf(lo)))
+            assert null.partial_first_moment(lo, hi) == pytest.approx(want, rel=1e-12, abs=0)
         if name != "cauchy":
             assert null.partial_first_moment(0.0, np.inf) == null.partial_first_moment(0.0, 1e300)
 
