@@ -38,9 +38,9 @@ the largest error estimate behind each level.  Each model method runs once
 per point set (but ``F`` and ``f`` on the scan grid, once per part).  Per process,
 :func:`functools.cache` keeps what depends only on the model and the rule:
 the model at the half-line nodes and on the scan grid (:func:`_scan`), the
-alpha-free integrals ``Int phi^2``, ``Int phi f'``, ``Int_0^inf phi x f``,
-``Int phi h`` and ``Int x^3 h`` per ``(kind, k)`` statistic and model with
-their estimates, and ``mu'`` on one level; models compare by value, so
+alpha-free integrals ``Int phi^2``, ``Int phi f'``, ``Int_0^inf phi x f``
+and ``Int phi h`` per ``(kind, k)`` statistic and model with their
+estimates, and ``mu'`` on one level; models compare by value, so
 every lookup of one model shares an entry.  What
 depends on the grid (:func:`_levels`, the null on :func:`_t3`'s nodes, ``mu'``)
 lives for one :func:`_curves` call, for all its tests, parts and rounds.
@@ -405,10 +405,10 @@ def _member_variance(null: SymmetricNull, groups, v):
 def variance_function(spec: StatisticSpec, null: SymmetricNull, t):
     """Member variance ``sigma^2(alpha; t)`` of a supremum-type family.
 
-    All ingredients are closed-form: with ``q = F(t)`` the member projection
-    is ``w(q) chi(.; q)`` whose squared mass is ``2(1-q)``, whose density-
-    derivative pairing is ``-2 f(t)``, and whose partial moments are partial
-    moments of the null.  ``t`` may be an array (elementwise, bit for bit
+    With ``q = F(t)`` the member projection is ``w(q) chi(.; q)`` whose
+    squared mass is ``2(1-q)``, whose density-derivative pairing is
+    ``-2 f(t)``, and whose partial moments are partial moments of the null;
+    only the trimmed mean's ``Int_0^Q x^2 f`` is integrated (:func:`_levels`).  ``t`` may be an array (elementwise, bit for bit
     the values of scalar calls); a float in gives a float out.  A NaN ``t``
     is refused, and ``t`` beyond the null's finite arithmetic (``inf``
     included) gives the ``t -> inf`` limit 0.0.
@@ -612,23 +612,8 @@ def cm_family_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
     return _mu_prime(alt, (0.0,))[0][0] - _mu_prime(alt, (0.5,))[0][0]
 
 
-@cache
 def _int_x3_score(alt: AlternativeFamily) -> tuple[float, float]:
     return half_line(lambda v: v.x**3 * v.odd_score, alt)
-
-
-def sqrtb1_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
-    """Local slope of the skewness-coefficient test.
-
-    ``(Int x^3 h - 3 sigma^2 Int x h) / sigma^3``, with the mean shift rate
-    ``Int x h = mu'(0)``; requires a finite sixth moment.
-    """
-    applicability(StatisticSpec("SQRT_B1"), null)
-    if alt.base != null:
-        raise ValueError("alternative family must perturb the same null")
-    sigma2 = null.moment(2)
-    xh = _mu_prime(alt, (0.0,))[0][0]
-    return (_int_x3_score(alt)[0] - 3.0 * sigma2 * xh) / sigma2**1.5
 
 
 def _moment_limits(spec: StatisticSpec, alt: AlternativeFamily) -> tuple[float, float, float]:
@@ -637,13 +622,16 @@ def _moment_limits(spec: StatisticSpec, alt: AlternativeFamily) -> tuple[float, 
     The mean-median statistics are ``(xbar - med) / s``, with ``s = sigma``
     (CM), ``1/2`` (GAMMA) and ``sqrt(pi/2) tau`` (MGG), ``tau = E|X|``
     under the null: their variance is ``(sigma^2 + 1/(4 f(0)^2) - tau/f(0))
-    / s^2``.  SQRT_B1's is ``(m6 - 6 sigma^2 m4 + 9 sigma^6) / sigma^6``.
+    / s^2``.  SQRT_B1's is ``(m6 - 6 sigma^2 m4 + 9 sigma^6) / sigma^6`` and
+    its slope ``(Int x^3 h - 3 sigma^2 mu'(0)) / sigma^3``, ``mu'(0) = Int x h``.
     """
     null = alt.base
-    m2, err = null.moment(2), _mu_prime(alt, (0.0,))[1][0]
+    (xh,), (err,) = _mu_prime(alt, (0.0,))
+    m2 = null.moment(2)
     if spec.kind == "SQRT_B1":
+        x3h, x3_err = _int_x3_score(alt)
         sigma2 = (null.moment(6) - 6.0 * m2 * null.moment(4) + 9.0 * m2**3) / m2**3
-        return sigma2, sqrtb1_slope(null, alt), max(err, _int_x3_score(alt)[1])
+        return sigma2, (x3h - 3.0 * m2 * xh) / m2**1.5, max(err, x3_err)
     f0, tau = float(null.density(0.0)), null.abs_mean()
     s = {"CM": math.sqrt(m2), "GAMMA": 0.5, "MGG": math.sqrt(math.pi / 2.0) * tau}[spec.kind]
     return (m2 + 1.0 / (4.0 * f0 * f0) - tau / f0) / (s * s), cm_family_slope(null, alt) / s, err
@@ -680,12 +668,6 @@ class IndexCurve:
     slope_argmax: np.ndarray
     quad_err: np.ndarray
 
-    def __post_init__(self):
-        if not (len(self.grid) == len(self.index) == len(self.degenerate)):
-            raise ValueError("grid and value arrays must have equal length")
-        if np.any(np.diff(self.grid) <= 0):
-            raise ValueError("trimming grid must be strictly increasing")
-
     def rows(self):
         """Iterate (alpha, index, degenerate, not_applicable) tuples."""
         for i, a in enumerate(self.grid):
@@ -707,10 +689,13 @@ def _report_curves(specs, alt: AlternativeFamily, alphas) -> list[IndexCurve]:
     computed alone.  ``spec.alpha`` is ignored; S and KS at ``a = 1/2`` are
     flagged degenerate by the theorem, never by a variance's size; levels
     :func:`applicability` refuses are flagged, and a level that breaks
-    :func:`symlab.location.check_level` raises ``ValueError``.
+    :func:`symlab.location.check_level`, or a grid that is not strictly
+    increasing, raises ``ValueError`` before any work.
     """
     null = alt.base
     alphas = check_level(np.asarray(alphas, dtype=float).ravel())
+    if np.any(np.diff(alphas) <= 0):
+        raise ValueError("trimming grid must be strictly increasing")
     curved = [spec for spec in specs if spec.family != MOMENT]
     curves = iter(zip(*_curves(curved, null, alphas, [(null, _VARIANCE), (alt, _SLOPE)])))
     reports = []

@@ -181,8 +181,9 @@ def _cmd_variance(args) -> int:
         axis = "t"
         xs = np.linspace(0.0, max(float(null.quantile(0.999)) for null in nulls), args.grid)
         columns = [asy.variance_function(spec0, null, xs) for null in nulls]
-        # the member variance is closed-form: nothing is integrated
-        params = {"stat": spec0.label, "alpha": alpha, "over_t": True, "quad_err_max": 0.0}
+        # a member variance integrates only the trimmed mean's Int_0^Q x^2 f
+        err = max(float(asy._levels(null, np.array([alpha]))[1][0]) for null in nulls)
+        params = {"stat": spec0.label, "alpha": alpha, "over_t": True, "quad_err_max": err}
     else:
         axis, xs = "alpha", grid
         curves = [asy.variance_curve(spec0, null, grid) for null in nulls]

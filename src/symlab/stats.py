@@ -26,8 +26,9 @@ That path has one centering and one moment block:
 * the moment statistics (CM, GAMMA, MGG, SQRT_B1) ignore the trimming
   coefficient and center each row by its mean and median (the middle of a
   sorted copy) in one block of axis-wise reductions; they need ``n >= 2``
-  and refuse a zero variance, (MGG) a zero mean absolute deviation or
-  (SQRT_B1) a variance whose 3/2 power is below the smallest normal float.
+  and share one degeneracy rule: a row of equal values (read exactly off the
+  sorted copy) or a zero variance is refused, and SQRT_B1 also refuses a
+  variance whose 3/2 power is below the smallest normal float.
   SQRT_B1 cubes the centered block by ``np.power`` in place, split by
   elements over the usable CPUs from ``2**16`` values up
   (:func:`symlab._threads.split`; numpy's cube of a range is that range of
@@ -501,22 +502,24 @@ def _centered_rows(samples: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _moments(samples: np.ndarray):
-    """Each row's mean, median and mean squared deviation from the mean."""
+    """Each row's mean, median and mean squared deviation from the mean; refused if constant or zero."""
     rows, n = samples.shape
     work = _scratch(0, rows, n)
     np.copyto(work, samples)
     xbar = samples.mean(axis=1)
     work.sort(axis=1)  # np.median's mean of the middle, bar a zero's sign (TestMedianBySort)
     med = work[:, (n - 1) // 2 : n // 2 + 1].mean(axis=1)
+    constant = work[:, 0] == work[:, -1]  # exact, where the mean of equal values may round off them
     centered = np.subtract(samples, xbar[:, None], out=_scratch(1, rows, n))
-    return xbar, med, np.mean(np.square(centered, out=work), axis=1)
+    var = np.mean(np.square(centered, out=work), axis=1)
+    if np.any(constant | (var <= 0.0)):
+        raise DegenerateSampleError("sample variance is zero")
+    return xbar, med, var
 
 
 def _moment_values(spec: StatisticSpec, samples: np.ndarray, moments) -> tuple:
     """CM, GAMMA, MGG or SQRT_B1 per row off :func:`_moments`, and None."""
     xbar, med, var = moments
-    if np.any(var <= 0.0):
-        raise DegenerateSampleError("sample variance is zero")
     s = np.sqrt(var)
     if spec.kind == "CM":
         return (xbar - med) / s, None
@@ -525,10 +528,7 @@ def _moment_values(spec: StatisticSpec, samples: np.ndarray, moments) -> tuple:
     work = _scratch(1, *samples.shape)
     if spec.kind == "MGG":
         deviation = np.abs(np.subtract(samples, med[:, None], out=work), out=work)
-        j = math.sqrt(math.pi / 2.0) * np.mean(deviation, axis=1)
-        if np.any(j <= 0.0):
-            raise DegenerateSampleError("mean absolute deviation is zero")
-        return (xbar - med) / j, None
+        return (xbar - med) / (math.sqrt(math.pi / 2.0) * np.mean(deviation, axis=1)), None
     scale = s**3
     if np.any(scale < np.finfo(float).tiny):  # subnormal or zero: the ratio would keep few bits or none
         raise DegenerateSampleError("sample variance underflows in SQRT_B1's cubed scale")

@@ -71,6 +71,9 @@ class TestCmdTest:
         assert main(["test", short, "--stat", "NA_I_4", "--reps", "400"]) == 2
         data = write_lines(tmp_path / "d.txt", [0.3, -1.2, 2.0, 0.7, -0.4])
         assert main(["test", data, "--stat", "S", "--reps", "50"]) == 2
+        # constant, though the mean of three 0.1s rounds off 0.1
+        constant = write_lines(tmp_path / "c.txt", [0.1] * 3)
+        assert main(["test", constant, "--stat", "CM", "--reps", "100"]) == 2
         assert main(["test", data, "--stat", "S", "--reps", "400", "--level", "1.5"]) == 2
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -103,6 +106,23 @@ class TestCmdTest:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "overflows" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["test", "d.csv", "--col", "y", "--stat", "S"], "column 'y' not found in d.csv"),
+    (["test", "notes.txt", "--stat", "S"], "no numeric data in notes.txt"),
+    (["index", "--null", "normal", "--alt", "contam", "--tests", ",", "-o", "out/i.csv"], "no tests requested"),
+    (["variance", "--null", ",", "--stat", "KS", "-o", "out/v.csv"], "no null models requested"),
+])
+def test_missing_or_empty_input_exits_two_writing_nothing(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.csv").write_text("id,x\n1,2\n")
+    write_lines(tmp_path / "notes.txt", [])  # comments only
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestOneSimulationPerTest:
@@ -370,10 +390,12 @@ class TestCmdVariance:
 
     @pytest.mark.parametrize(
         "stat, extra",
-        [("W", []), ("NA_I_4", []), ("KS", []), ("KS", ["--over-t", "--alpha", "0.25"])],
+        [("W", []), ("NA_I_4", []), ("KS", []), ("KS", ["--over-t", "--alpha", "0.25"]),
+         ("KS", ["--over-t", "--alpha", "0.5"])],
     )
     def test_quadrature_error_budget_in_manifest(self, tmp_path, stat, extra):
-        # the largest estimate over the requested nulls; 0.0 for the closed-form member
+        # the largest estimate over the requested nulls: every curve and every member variance
+        # integrates the trimmed mean's Int_0^Q x^2 f, but at a = 1/2, where nothing is integrated
         out = tmp_path / "var.csv"
         code = main(["variance", "--null", "normal,logistic,cauchy", "--stat", stat,
                      "-o", str(out), *extra])
@@ -381,7 +403,13 @@ class TestCmdVariance:
         manifest = json.loads((tmp_path / "var.csv.manifest.json").read_text())
         err = manifest["parameters"]["quad_err_max"]
         assert 0.0 <= err <= ABS_TOL
-        assert (err > 0.0) == (not extra)  # every curve integrates the trimmed mean's Int_0^Q x^2 f
+        if extra:  # the one-level curve's estimate, which reads that integral alone
+            alpha = float(extra[-1])
+            spec = parse_statistic(stat, alpha=alpha)
+            assert err == max(variance_curve(spec, get_null(name), [alpha])[2][0] for name in NULL_NAMES)
+            assert err == {0.25: 4.163336342344337e-17, 0.5: 0.0}[alpha]
+        else:
+            assert err > 0.0
 
     # 1e-17 and 2^-54 pass the [0, 1/2] range, but 1 - alpha rounds to 1
     @pytest.mark.parametrize("alpha", ["0.7", "nan", "1e-17", repr(2.0**-54)])
@@ -457,6 +485,10 @@ class TestCmdValidate:
         )
         assert main(["validate", "--suite", "quick"]) == 1
         assert "[FAIL] fake-fail" in capsys.readouterr().out
+
+    def test_unknown_suite_refused(self):
+        with pytest.raises(ValueError, match="suite must be 'quick' or 'full'"):
+            symlab.validate.run_suite("medium")
 
     def test_size_calibration_reports_its_monte_carlo_error(self, monkeypatch):
         # sqrt(0.05 * 0.95 / 10^4) = 0.00218, next to the deviation and its tolerance

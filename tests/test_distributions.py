@@ -57,6 +57,13 @@ class TestNullModels:
         assert (logistic.density(-x) == logistic.density(x)).all()
         assert (logistic.density_derivative(-x) == -logistic.density_derivative(x)).all()
 
+    def test_unknown_names_refused(self):
+        choices = r"choose from \['cauchy', 'logistic', 'normal'\]"
+        with pytest.raises(ValueError, match=f"unknown null model 'gamma'; {choices}"):
+            get_null("gamma")
+        with pytest.raises(ValueError, match="unknown alternative family 'skew'; choose from "):
+            get_alternative("skew", "normal")
+
     def test_quantile_domain(self, normal):
         with pytest.raises(ValueError):
             normal.quantile(0.0)
@@ -495,6 +502,10 @@ class TestSamplers:
         np.testing.assert_array_equal(a, b)
         fs = get_alternative("fs", normal)
         np.testing.assert_array_equal(fs.sample(0.3, 500, 7), fs.sample(0.3, 500, 7))
+
+    def test_refuses_an_empty_draw(self, normal):
+        with pytest.raises(ValueError, match="sample size must be at least 1"):
+            normal.sample(0, 1)
 
     @pytest.mark.parametrize("seed", [1.5, True, -1])
     def test_refuses_seeds_that_are_not_natural_numbers(self, normal, seed):

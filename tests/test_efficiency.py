@@ -90,6 +90,17 @@ class TestIndexCurve:
         assert np.all(np.isfinite(curve.index[~curve.degenerate & ~curve.not_applicable]))
         assert np.all(curve.index[~np.isnan(curve.index)] >= 0.0)
 
+    @pytest.mark.parametrize("grid", [eff.default_grid()[::-1], [0.1, 0.1]])
+    def test_grid_order_refused_before_any_work(self, contam_normal, monkeypatch, grid):
+        def search(searches):
+            raise AssertionError("a supremum search ran")
+
+        monkeypatch.setattr(asy, "_sup_over_t", search)
+        for run in (lambda: eff.index_curves(eff.DEFAULT_TESTS, contam_normal, grid),
+                    lambda: eff.ks_s_equivalence_crossover(contam_normal, grid)):
+            with pytest.raises(ValueError, match="^trimming grid must be strictly increasing$"):
+                run()
+
     def test_constant_for_moment_statistics(self, contam_normal):
         curve = eff.index_curves(["CM"], contam_normal, np.linspace(0.0, 0.5, 7))[0]
         assert np.ptp(curve.index) == 0.0

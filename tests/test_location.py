@@ -34,6 +34,8 @@ class TestTrimmedMean:
             trimmed_mean([], 0.1)
         with pytest.raises(ValueError):
             trimmed_mean([1.0, 2.0], 0.6)
+        with pytest.raises(ValueError, match="need at least one observation"):
+            trim_weights(0, 0.1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_refused(self, bad):
@@ -180,10 +182,13 @@ class TestTrimmedMeanDerivative:
         with pytest.raises(ValueError, match=r"trimming coefficient must lie in \[0, 1/2\]"):
             _derivative_curve(contam_normal, [0.0, bad, 0.5])
 
+    # alpha = 0.05 puts the oracle's quantiles beyond its first bracket [-1, 1]; the Cauchy mean has no limit
     @pytest.mark.parametrize("alt_name", ["contam", "fs"])
-    @pytest.mark.parametrize("alpha", [0.0, 0.2, 0.35, 0.5])
-    def test_matches_population_finite_difference(self, normal, alt_name, alpha):
-        alt = get_alternative(alt_name, normal)
+    @pytest.mark.parametrize("null_name, alpha", [
+        (null_name, alpha) for null_name in ("normal", "logistic", "cauchy")
+        for alpha in (0.0, 0.05, 0.2, 0.35, 0.5) if null_name != "cauchy" or alpha > 0.0])
+    def test_matches_population_finite_difference(self, null_name, alt_name, alpha):
+        alt = get_alternative(alt_name, get_null(null_name))
         eps = 1e-4
         if alt_name == "contam":
             fd = (

@@ -63,6 +63,7 @@ RETIRED = (
     "index_curve",
     "EQUIVALENCE_TOL",
     "DEGENERACY_TOL",
+    "sqrtb1_slope",
 )
 #: retired parameters, the private ones that every caller left at one value too
 RETIRED_PARAMETERS = {

@@ -136,9 +136,24 @@ class TestErrors:
         with pytest.raises(InsufficientSampleError):
             evaluate(parse_statistic("NA_I_4"), [1.0, 2.0, 3.0])
 
-    def test_degenerate_sample(self):
-        with pytest.raises(DegenerateSampleError):
-            evaluate(StatisticSpec("CM"), [2.0, 2.0, 2.0])
+    def test_degenerate_sample(self, rng):
+        # one rule for the four moment kinds: a constant row is refused exactly, even where its mean
+        # rounds off its value (three 0.1s gave CM = 1.0, SQRT_B1 = -1.0 and GAMMA = 2.8e-17)
+        for kind in ("CM", "GAMMA", "MGG", "SQRT_B1"):
+            for row in ([0.1] * 3, [0.7] * 7, [0.1] * 100, [2.0] * 3):
+                with pytest.raises(DegenerateSampleError, match="^sample variance is zero$"):
+                    evaluate(StatisticSpec(kind), row)
+                chunk = rng.normal(size=(4, len(row)))
+                chunk[2] = row
+                with pytest.raises(DegenerateSampleError, match="^sample variance is zero$"):
+                    evaluate_many(StatisticSpec(kind), chunk)
+        # MGG needs no rule of its own: a spread of a few ulps, or a subnormal one, gives a finite
+        # value or the shared refusal
+        for row in ([0.0, 5e-324], [1.0, 1.0 + 2.0**-52], [0.0, 1e-160, 0.0, 1e-160]):
+            try:
+                assert math.isfinite(evaluate(StatisticSpec("MGG"), row).value)
+            except DegenerateSampleError as exc:
+                assert str(exc) == "sample variance is zero"
 
     def test_sqrtb1_refuses_a_scale_whose_cube_underflows(self):
         # a positive variance whose 3/2 power is subnormal or zero: the ratio would be NaN or keep few bits
