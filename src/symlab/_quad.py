@@ -1,14 +1,14 @@
 """Quadrature: fixed rules for the asymptotic layer, adaptive ones for the references.
 
-Every integral behind a variance, slope or index uses the fixed composite
-Gauss-Legendre rules :func:`graded` and :func:`half_line` (the null's partial
-second moment in the trimmed-mean term included), made of the recorded rules
-:data:`_LEGENDRE`, each level from its own limit alone, with the distance to
-the rule with half the nodes as the error estimate.  :func:`half_line` reads
-each model at its nodes once per process (:func:`_half_line_nodes`).
-:func:`quad` and :func:`quad_split` wrap ``scipy.integrate.quad``, imported on
-first call, for the independent references only: the oracles, ``validate`` and
-the population trimmed mean.
+Every integral behind a variance, slope or index reads one table of panel
+edges, :data:`_EDGES`, with the recorded 32-point Gauss-Legendre rule
+(:data:`_LEGENDRE`) on each panel and its distance to the 16-point rule as the
+panel's error estimate: :func:`graded` on ``[0, q]``, each ``q`` from its own
+limit alone, and :func:`half_line` on ``[0, inf)`` mapped onto the panels in
+``[0, 1]``, reading each model at its nodes once per process.  :func:`quad`
+and :func:`quad_split` wrap ``scipy.integrate.quad``, imported on first call,
+for the independent references only: the oracles, ``validate`` and the
+population trimmed mean.
 """
 
 from __future__ import annotations
@@ -51,11 +51,6 @@ _LEGENDRE = {
         0x1.83feae80e4e01p-3 0x1.75f8c77e0c011p-3 0x1.5a6ebbb5a7600p-3 0x1.325f61bca3cbep-3
         0x1.fe7af2bad3878p-4 0x1.85c4ee79cc24bp-4 0x1.fdfb1a2c1261ep-5 0x1.bcddab4b7c228p-6
     """,
-    12: """
-        0x1.007a5f8f630e4p-3 0x1.78a8d20a8b19dp-2 0x1.2cb4f05c077f9p-1 0x1.8a30aeed88f36p-1
-        0x1.cee874ffb88b3p-1 0x1.f68f1d8e42e81p-1 0x1.fe40ce6d4f022p-3 0x1.de3155c256aaep-3
-        0x1.a0163e6b1ab6bp-3 0x1.47d7258f22d96p-3 0x1.b60602bce61afp-4 0x1.8275d9dea6d53p-5
-    """,
 }
 
 
@@ -67,42 +62,49 @@ def _gauss01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-@cache
-def _graded_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on ``[0, 1]``, panels ``[4^-j-1, 4^-j]`` and ``[0, 4^-25]``.
+#: the panel edges of every fixed rule: 0, then ``2^j`` for ``j = -50 .. 52``, past the largest
+#: Cauchy quantile (about 2.9e15); a null rescaled by a power of 2 moves its panels by whole edges
+_EDGES = np.concatenate([[0.0], np.ldexp(1.0, np.arange(-50, 53))])
+#: the widths of :func:`half_line`'s panels, those of :data:`_EDGES` on ``[0, 1]``
+_UNIT = np.diff(_EDGES[_EDGES <= 1.0])
 
-    Scaled to ``[0, q]``, the graded panels resolve an integrand that varies
-    on a fixed scale near the origin for any ``q`` up to about 3e15 (the
-    largest Cauchy quantile); uniform panels lose digits once ``q`` is large.
-    """
-    s, w = _gauss01(nodes)
-    edges = np.concatenate([[0.0], 0.25 ** np.arange(25.0, -1.0, -1.0)])
-    lo, width = edges[:-1, None], np.diff(edges)[:, None]
-    return (lo + width * s).ravel(), (width * w).ravel()
+
+def _nodes(lo, width) -> np.ndarray:
+    """The 32-point rule's nodes, then the 16-point rule's, on each panel ``[lo, lo + width]``."""
+    return lo[:, None] + width[:, None] * np.concatenate([_gauss01(32)[0], _gauss01(16)[0]])
+
+
+def _panels(y, width) -> tuple[np.ndarray, np.ndarray]:
+    """Each panel's 32-point value from ``y`` on its :func:`_nodes`, and the distance to its 16-point one."""
+    value = width * np.sum(_gauss01(32)[1] * y[..., :32], axis=-1)
+    return value, np.abs(value - width * np.sum(_gauss01(16)[1] * y[..., 32:], axis=-1))
 
 
 def graded(g: Callable, q):
-    """``Integral_0^q g(x) dx`` for each ``q`` by the 32-point :func:`_graded_rule`, and its error estimate."""
-    q = np.asarray(q, dtype=float)[..., None]
+    """``Integral_0^q g(x) dx`` for each of the limits ``q`` (a 1-D array), and its error estimate.
 
-    def apply(n):
-        s, w = _graded_rule(n)
-        return q[..., 0] * np.sum(w * g(q * s), axis=-1)
-
-    value = apply(32)
-    return value, np.abs(value - apply(16))
+    The whole :data:`_EDGES` panels below ``q``, summed in order, then the
+    partial panel from the last edge to ``q``, so each ``q`` gives the same
+    bits on any grid.  ``g`` maps an array of nodes to the integrand there,
+    with leading axes of its own if it likes (one per integrand).
+    """
+    k = np.searchsorted(_EDGES, q, side="right") - 1  # the whole panels below q; all of them for NaN
+    whole = k.max(initial=0)
+    width = np.concatenate([np.diff(_EDGES[: whole + 1]), q - _EDGES[k]])
+    parts = _panels(g(_nodes(np.concatenate([_EDGES[:whole], _EDGES[k]]), width)), width)
+    return tuple(np.cumsum(np.insert(part[..., :whole], 0, 0.0, axis=-1), axis=-1)[..., k] + part[..., whole:]
+                 for part in parts)
 
 
 @cache
-def _half_line_nodes(model, nodes: int) -> SimpleNamespace:
-    """:func:`half_line`'s nodes ``x = -Q(s/2)`` of the ``nodes``-point rule, and the null's ``cdf``,
-    ``density`` and ``density_derivative`` there; an alternative family adds ``odd_score``,
-    ``h(x) - h(-x)``."""
+def _half_line_nodes(model) -> SimpleNamespace:
+    """:func:`half_line`'s nodes ``x = -Q(s/2)`` and the null's ``cdf``, ``density`` and
+    ``density_derivative`` there; an alternative family adds ``odd_score``, ``h(x) - h(-x)``."""
     null = getattr(model, "base", model)
     if model is not null:
-        v = _half_line_nodes(null, nodes)
+        v = _half_line_nodes(null)
         return SimpleNamespace(**vars(v), odd_score=model.score(v.x) - model.score(-v.x))
-    x = -null.quantile(0.5 * _graded_rule(nodes)[0])
+    x = -null.quantile(0.5 * _nodes(_EDGES[: _UNIT.size], _UNIT))
     return SimpleNamespace(x=x, cdf=null.cdf(x), density=null.density(x),
                            density_derivative=null.density_derivative(x))
 
@@ -113,15 +115,11 @@ def half_line(g: Callable, model) -> tuple[float, float]:
     ``g`` maps the :func:`_half_line_nodes` of ``model`` (a null, or an
     alternative family over it) to the integrand there.  With ``x =
     -Q(s/2)``, ``Q`` the null quantile, the integral is ``1/2 Integral_0^1
-    g(x)/f(x) ds``; the graded rule in ``s`` resolves the tail at ``s -> 0``.
+    g(x)/f(x) ds``, summed in order over the panels of :data:`_UNIT`, which
+    resolve the tail at ``s -> 0``.
     """
-
-    def apply(nodes):
-        v = _half_line_nodes(model, nodes)
-        return np.sum(_graded_rule(nodes)[1] * (0.5 * g(v) / v.density))
-
-    value = apply(32)
-    return float(value), float(np.abs(value - apply(16)))
+    v = _half_line_nodes(model)
+    return tuple(float(np.cumsum(part)[-1]) for part in _panels(0.5 * g(v) / v.density, _UNIT))
 
 
 def quad(f: Callable[[float], float], a: float, b: float, abs_tol: float = ABS_TOL) -> float:

@@ -27,13 +27,13 @@ are the rows of an ``(a, t)`` array, which :func:`_sup_over_t` scans per
 test, then refines together with the rows of every other test and curve it
 is given (:func:`_report_curves`).  For integral-type ones ``Int_Q^inf phi
 f`` integrates a polynomial in ``u = F(x)``, exact under a fixed
-Gauss-Legendre rule, and ``Int_0^Q phi x f`` uses a fixed composite rule
-(:func:`_t3`).  A moment statistic's variance and slope do not depend on
-``a`` and are computed once (:func:`_moment_limits`).
+Gauss-Legendre rule, and ``Int_0^Q phi x f`` of every test is one sum over
+the fixed panels of :func:`symlab._quad.graded` (:func:`_t3`), as are ``Int_0^Q
+x^2 f`` of the trimmed-mean term (the null's partial second moment) and
+``mu'``.  A moment statistic's limits do not depend on ``a`` (:func:`_moment_limits`).
 
-The other integrals use the fixed rules of :mod:`symlab._quad` too (the
-whole-line ones folded onto ``[0, inf)``, and ``Int_0^Q x^2 f`` of the
-trimmed-mean term by the null's partial second moment), and the curves carry
+The whole-line integrals read the same panels on ``[0, 1]``, folded onto
+``[0, inf)`` (:func:`symlab._quad.half_line`), and the curves carry
 the largest error estimate behind each level.  Each model method runs once
 per point set (but ``F`` and ``f`` on the scan grid, once per part).  Per process,
 :func:`functools.cache` keeps what depends only on the model and the rule:
@@ -82,7 +82,7 @@ from functools import cache
 
 import numpy as np
 
-from ._quad import _gauss01, _graded_rule, half_line
+from ._quad import _gauss01, graded, half_line
 from .distributions import AlternativeFamily, SymmetricNull, _as_float
 from .errors import NotApplicableError
 from .location import _derivative_curve, _uncentered, check_centering, check_level
@@ -261,19 +261,14 @@ def _int_phi_x(spec: StatisticSpec, null: SymmetricNull) -> tuple[float, float]:
 
 
 def _t3(specs, null: SymmetricNull, q):
-    """``Integral_0^q phi(x) x f(x) dx`` of each of ``specs`` on each ``q``, and its error estimate.
+    """``Integral_0^q phi(x) x f(x) dx`` of each of ``specs`` on each ``q``, and its error estimate,
+    by one :func:`symlab._quad.graded` call that evaluates the null once for all ``specs``."""
 
-    The 24-point :func:`symlab._quad.graded` rule (12 points for the
-    estimate) suffices here.  The null is evaluated on a rule's nodes once
-    for all ``specs``, one rule at a time.
-    """
-    q = np.asarray(q, dtype=float)[..., None]
-    sums = []
-    for s, w in (_graded_rule(24), _graded_rule(12)):
-        x = q * s
-        u, f = null.cdf(x), null.density(x)
-        sums.append([q[..., 0] * np.sum(w * (_profile(spec)(u) * x * f), axis=-1) for spec in specs])
-    return [(value, np.abs(value - half)) for value, half in zip(*sums)]
+    def integrands(x):
+        u, xf = null.cdf(x), x * null.density(x)
+        return np.stack([_profile(spec)(u) * xf for spec in specs])
+
+    return list(zip(*graded(integrands, q)))
 
 
 def applicability(spec: StatisticSpec, null: SymmetricNull) -> None:

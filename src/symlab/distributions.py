@@ -3,10 +3,10 @@
 The nulls are the standard normal, the unit-scale logistic
 (``F(x) = 1/(1+exp(-x))``) and the standard Cauchy.  Each exposes analytic
 density, density derivative, CDF, quantile, (partial) moments and an
-inverse-CDF sampler.  The partial second moment ``Integral_0^b x^2 f`` is the
-fixed rule :func:`symlab._quad.graded`, with its error estimate, up to a cut
-past which it is its limit (the Cauchy's closed form, which does not cancel
-there).  The alternative families perturb a null ``f`` into an asymmetric
+inverse-CDF sampler.  The partial second moment ``Integral_0^b x^2 f`` sums
+the fixed panels of :func:`symlab._quad.graded` below ``b``, with their error
+estimates, up to a cut past which it is its limit (the Cauchy's closed form,
+which does not cancel there).  The alternative families perturb a null ``f`` into an asymmetric
 density ``g(x; theta)`` that is symmetric iff ``theta == 0``:
 
 * two-piece scaling (Fernandez/Steel style): the negative axis is stretched
@@ -147,7 +147,9 @@ class SymmetricNull:
         raise NotImplementedError
 
     def partial_first_moment(self, a, b):
-        """``Integral_a^b x f(x) dx`` (closed form, finite limits; arrays elementwise)."""
+        """``Integral_a^b x f(x) dx`` (closed form, finite limits; arrays elementwise); NaN is refused."""
+        if np.isnan(a).any() or np.isnan(b).any():
+            raise ValueError("integration limits must not be NaN")
         return self._first_moment_primitive(b) - self._first_moment_primitive(a)
 
     def _first_moment_primitive(self, x):
@@ -158,7 +160,9 @@ class SymmetricNull:
     _moment_cut: float
 
     def partial_second_moment(self, b):
-        """``Integral_0^b x^2 f(x) dx``, odd in ``b`` (arrays elementwise)."""
+        """``Integral_0^b x^2 f(x) dx``, odd in ``b`` (arrays elementwise); NaN is refused."""
+        if np.isnan(b).any():
+            raise ValueError("integration limits must not be NaN")
         return _as_float(self._second_moment(b)[0])
 
     def _second_moment(self, b):

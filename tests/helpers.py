@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from symlab._quad import quad_split
+from symlab.distributions import SymmetricNull
 from symlab.location import trimmed_mean
 from symlab.stats import INTEGRAL, StatisticSpec
 
@@ -51,6 +52,62 @@ def golden_record():
     record = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(record)
     return record
+
+
+class Scaled(SymmetricNull):
+    """The law of ``c X`` for ``X`` under ``null``: a null rescaled by ``c``, for the scale check.
+
+    Every method is the base's with its argument divided by ``c`` and its
+    value multiplied by the power of ``c`` the quantity carries, so for ``c``
+    a power of 2 each is the base's bits rescaled exactly.  It has no
+    ``base``: the library tells a null from an alternative by that name.
+    """
+
+    def __init__(self, null: SymmetricNull, c: float):
+        self.null, self.c = null, c
+        self.name = f"{null.name}*{c}"
+        self._x_max = c * null._x_max
+        self._moment_cut = c * null._moment_cut
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Scaled and (self.null, self.c) == (other.null, other.c)
+
+    def __hash__(self) -> int:
+        return hash((Scaled, self.null, self.c))
+
+    def density(self, x):
+        return self.null.density(np.asarray(x, dtype=float) / self.c) / self.c
+
+    def density_derivative(self, x):
+        return self.null.density_derivative(np.asarray(x, dtype=float) / self.c) / (self.c * self.c)
+
+    def _x_density(self, x):
+        return self.null._x_density(np.asarray(x, dtype=float) / self.c)
+
+    def _x_density_derivative(self, x):
+        return self.null._x_density_derivative(np.asarray(x, dtype=float) / self.c) / self.c
+
+    def cdf(self, x):
+        return self.null.cdf(np.asarray(x, dtype=float) / self.c)
+
+    def _quantile(self, u, out=None):
+        value = self.null._quantile(u, out=out)
+        return value * self.c if out is None else np.multiply(value, self.c, out=out)
+
+    def has_moment(self, k: int) -> bool:
+        return self.null.has_moment(k)
+
+    def _even_moment(self, k: int) -> float:
+        return self.c**k * self.null._even_moment(k)
+
+    def _abs_mean(self) -> float:
+        return self.c * self.null._abs_mean()
+
+    def _first_moment_primitive(self, x):
+        return self.c * self.null._first_moment_primitive(np.asarray(x, dtype=float) / self.c)
+
+    def _far_moment(self, b):
+        return self.c * self.c * self.null._far_moment(b / self.c)
 
 
 def quadrature_influence_curve(null, alpha: float, x) -> np.ndarray:

@@ -407,7 +407,7 @@ class TestCmdVariance:
             alpha = float(extra[-1])
             spec = parse_statistic(stat, alpha=alpha)
             assert err == max(variance_curve(spec, get_null(name), [alpha])[2][0] for name in NULL_NAMES)
-            assert err == {0.25: 4.163336342344337e-17, 0.5: 0.0}[alpha]
+            assert err == {0.25: 3.388144713715055e-21, 0.5: 0.0}[alpha]
         else:
             assert err > 0.0
 

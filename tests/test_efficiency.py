@@ -7,13 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import CURVE_FIELDS, curve_digest
+from helpers import CURVE_FIELDS, Scaled, curve_digest
 from symlab import efficiency as eff
 from symlab import asymptotics as asy
 from symlab._quad import ABS_TOL
-from symlab.distributions import AlternativeFamily, get_alternative
+from symlab.distributions import NULL_NAMES, AlternativeFamily, get_alternative, get_null
 from symlab.errors import NotApplicableError
-from symlab.montecarlo import McConfig, power
+from symlab.montecarlo import McConfig, null_distribution, power
 from symlab.stats import parse_statistic
 from symlab.validate import _CLASS_INTEGRAL, _CLASS_MOMENT, _CLASS_SUP
 from symlab.validate import _SPREAD_BOUND as SPREAD_BOUND
@@ -415,6 +415,36 @@ def test_report_is_the_theorem_partition(null_name, alt_name):
         i = round(a * 200)
         assert abs(curves[pair[0]].index[i] - curves[pair[1]].index[i]) <= 1e-6
         assert not any(set(pair) <= set(g) for g in reports[i].groups), (a, pair)
+
+
+#: the defaults whose curves a rescaled null leaves bit for bit: the 7 supremum kinds scan ``t`` on an
+#: absolute grid and move, by up to 8.2e-12 relative at c = 1/4
+_SCALE_FREE = [name for name in eff.DEFAULT_TESTS if parse_statistic(name).family != "supremum"]
+
+
+def test_a_null_rescaled_by_a_power_of_two_moves_no_bit():
+    # c X has the bits of X times c wherever the arithmetic is equivariant: every statistic but
+    # GAMMA, 2 (xbar - med), is scale-free, so its curves, null values and powers must not move.
+    # Left out: SQRT_B1 on the normal, whose s**3 by np.power moves 1 of 700 null values by an ulp
+    cfg, grid = McConfig(n=60, reps=700, seed=11), eff.default_grid()
+    for null in map(get_null, NULL_NAMES):
+        alt = get_alternative("fs", null)
+        curves = eff.index_curves(_SCALE_FREE, alt, grid)
+        specs = [parse_statistic(name) for name in eff.DEFAULT_TESTS
+                 if (name, null.name) != ("SQRT_B1", "normal")]
+        runs = [(null_distribution(spec, null, cfg), power(spec, alt, 0.3, cfg)) for spec in specs]
+        for c in (2.0**-2, 2.0**3, 2.0**10):
+            scaled = get_alternative("fs", Scaled(null, c))
+            for base, curve in zip(curves, eff.index_curves(_SCALE_FREE, scaled, grid)):
+                k = c if base.test == "GAMMA" else 1.0
+                for field, value in (("index", 1.0), ("sigma2", k * k), ("slope", k)):
+                    assert (getattr(curve, field) / value).tobytes() == getattr(base, field).tobytes(), (
+                        null.name, c, base.test, field)
+            for spec, (values, level) in zip(specs, runs):
+                k = c if spec.kind == "GAMMA" else 1.0
+                assert (null_distribution(spec, scaled.base, cfg) / k).tobytes() == values.tobytes(), (
+                    null.name, c, spec.kind)
+                assert power(spec, scaled, 0.3, cfg) == level, (null.name, c, spec.kind)
 
 
 class TestPowerOrdering:
