@@ -35,7 +35,9 @@ suite (about 8 s) to name the checks whose detail moved.
     PYTHONPATH=src python tests/golden/record.py --write  # record the file anew
 
 A change that moves a group records the file anew and says which group moved
-and why.
+and why.  After naming the moved groups the script counts them per family (the
+name's first part, and the command for ``cli`` groups) with the largest
+relative move of a recorded first value, and the largest over all of them.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import io
 import itertools
 import json
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -324,6 +327,44 @@ def changed(recorded: dict, current: dict) -> list[str]:
     return drifted(recorded["groups"], current)
 
 
+def family(name: str) -> str:
+    """A group's family: the first part of its name, with the command for ``cli`` groups."""
+    parts = name.split("/")
+    return "/".join(parts[:2]) if parts[0] == "cli" else parts[0]
+
+
+def first_value_move(old: dict | None, new: dict | None) -> float:
+    """The largest relative move among the numeric tokens of two records' first values (0.0 if none
+    moved, inf where a zero moved or where the two do not line up token for token)."""
+    if old is None or new is None:
+        return math.inf
+    split = [[re.split(r"[\s,]+", str(value)) for value in record["head"]] for record in (old, new)]
+    pairs = [(a, b) for x, y in zip(*split) for a, b in itertools.zip_longest(x, y)]
+    if len(split[0]) != len(split[1]) or any(a is None or b is None for a, b in pairs):
+        return math.inf
+    largest = 0.0
+    for a, b in pairs:
+        try:
+            a, b = float(a), float(b)
+        except ValueError:
+            largest = largest if a == b else math.inf
+            continue
+        if a != b and not (math.isnan(a) and math.isnan(b)):
+            largest = max(largest, abs(b - a) / abs(a) if a else math.inf)
+    return largest
+
+
+def summary(recorded: dict, current: dict, names: list[str]) -> list[str]:
+    """One line per family of the moved ``names``: their count and largest first-value move."""
+    lines, by_family = [], {}
+    for name in names:
+        by_family.setdefault(family(name), []).append(name)
+    for tag, members in sorted(by_family.items()):
+        move = max(first_value_move(recorded.get(name), current.get(name)) for name in members)
+        lines.append(f"{tag}: {len(members)} moved, largest relative move of a first value {move:.3g}")
+    return lines
+
+
 def _rows(mapping: dict) -> str:
     return ",\n".join(f"  {json.dumps(name)}: {json.dumps(value)}" for name, value in mapping.items())
 
@@ -344,7 +385,15 @@ def main(argv: list[str]) -> int:
         if not detail_alike(recorded, name, details.get(name)))
     for name in names:
         print(f"moved: {name}")
-    print(f"{len(names)} of {len(current) + len(details)} groups moved")
+    groups = [name for name in names if not name.startswith("validate/")]
+    for line in summary(recorded["groups"], current, groups):
+        print(line)
+    if checks := [name for name in names if name.startswith("validate/")]:
+        print(f"validate: {len(checks)} details moved")
+    largest = max((first_value_move(recorded["groups"].get(name), current.get(name)) for name in groups),
+                  default=0.0)
+    print(f"{len(names)} of {len(current) + len(details)} groups moved; "
+          f"largest relative move of a first value {largest:.3g}")
     return 1 if names else 0
 
 

@@ -63,3 +63,23 @@ def test_another_stack_checks_counts_and_first_values(recorded, current, monkeyp
     assert changed("sample/normal", count=999) == ["sample/normal"]
     missing = {name: group for name, group in current.items() if name != "member/normal/inline/KS"}
     assert record.changed(recorded, missing) == ["member/normal/inline/KS"]
+
+
+def test_moves_are_summed_up_by_family():
+    # record.py names the moved groups, then counts them per family with the largest relative move
+    # of a recorded first value: inf where a zero moved or the values no longer line up
+    assert [record.family(name) for name in ("index_curve/normal/fs/KS/index", "cli/index/normal/contam/console",
+                                             "sample/normal")] == ["index_curve", "cli/index", "sample"]
+    old = {"count": 2, "head": ["1.0", "exit 0 0.25,2.0,false\n"]}
+    assert record.first_value_move(old, old) == 0.0
+    assert record.first_value_move(old, {**old, "head": ["1.0", "exit 0 0.25,2.000002,false\n"]}) == pytest.approx(1e-6)
+    assert record.first_value_move(old, {**old, "head": ["1.0", "exit 0 0.25,2.0,true\n"]}) == float("inf")
+    assert record.first_value_move({"head": ["0.0"]}, {"head": ["1e-300"]}) == float("inf")
+    assert record.first_value_move({"head": ["nan"]}, {"head": ["nan"]}) == 0.0
+    assert record.first_value_move(old, None) == float("inf")
+    recorded = {"index_curve/a": {"head": ["2.0"]}, "index_curve/b": {"head": ["4.0"]}, "cli/index/x": old}
+    current = {"index_curve/a": {"head": ["2.0000000002"]}, "index_curve/b": {"head": ["4.004"]},
+               "cli/index/x": old}
+    assert record.summary(recorded, current, sorted(recorded)) == [
+        "cli/index: 1 moved, largest relative move of a first value 0",
+        "index_curve: 2 moved, largest relative move of a first value 0.001"]
