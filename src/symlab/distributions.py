@@ -182,6 +182,13 @@ class SymmetricNull:
         """The limit ``sigma^2/2``, which the moment reaches in float64 at the cut."""
         return np.full(b.shape, self.moment(2) / 2.0)
 
+    def _unit_mass(self, x):
+        """``F(x) - F(x - 1)``, the mass of ``(x - 1, x]``, from the lower tail alone: by symmetry it
+        is ``F(1 - x) - F(-x)`` (``1 - x`` is exact) where ``F(x)`` would near 1 and cancel."""
+        x = np.asarray(x, dtype=float)
+        y = np.where(x >= 0.5, 1.0 - x, x)
+        return np.asarray(self.cdf(y)) - np.asarray(self.cdf(y - 1.0))
+
     # -- sampling ---------------------------------------------------------
     def sample(self, n: int, seed: int, rng: np.random.Generator | None = None):
         """``n`` i.i.d. draws by inverse CDF, in a fresh array; deterministic given ``seed``.
@@ -343,6 +350,12 @@ class Cauchy(SymmetricNull):
     def _far_moment(self, b):
         return (b - np.arctan(b)) / math.pi
 
+    def _unit_mass(self, x):
+        # arctan(x) - arctan(x - 1) cancels in both tails; it is arctan(1 / (1 + x (x - 1))), and
+        # 1 + x (x - 1) >= 3/4 (past about 1.3e154 it is inf, and the mass its limit 0)
+        x = np.asarray(x, dtype=float)
+        return np.arctan(1.0 / (x * (x - 1.0) + 1.0)) / math.pi
+
 
 class AlternativeFamily:
     """A parametric family ``g(x; theta)`` that is symmetric iff ``theta = 0``."""
@@ -484,8 +497,8 @@ class Contamination(AlternativeFamily):
         )
 
     def score_cumulative(self, x):
-        x = np.asarray(x, dtype=float)
-        return _as_float(np.asarray(self.base.cdf(x - 1.0)) - np.asarray(self.base.cdf(x)))
+        # F(x - 1) - F(x) loses every digit where F nears 1 (and the Cauchy's tails cancel too)
+        return _as_float(-self.base._unit_mass(x))
 
     def sample(
         self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None

@@ -475,6 +475,31 @@ class TestAlternativeFamilies:
         np.testing.assert_array_equal(fs.score(x)[normal], (x * derivative)[normal])
         assert np.all(fs.score(x[x < 1.3e154]) < 0.0)
 
+    #: relative bound of the contamination ``score_cumulative`` where the value is a normal float:
+    #: ``ndtr`` carries its argument's rounding times about ``x^2`` into the normal tail (measured
+    #: 7.5e-15 at 10, 38 ulps); the logistic and Cauchy forms are within 2 ulps (measured 2.3e-16)
+    CONTAMINATION_BOUND = {"normal": 1e-14, "logistic": 4e-16, "cauchy": 4e-16}
+
+    @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+    def test_contamination_score_cumulative_against_mpmath(self, null_name):
+        # F(x - 1) - F(x) lost every digit in the right tail: 3.7e-5 relative off on the Cauchy at
+        # 3.2e5 and 0.0 against -3.1e-18 at 3.2e8; the normal read 0.0 against -1.1e-19 at 10.
+        # The reference takes the lower tail F(1 - x) - F(-x) at 300 digits, enough to absorb the
+        # Cauchy's cancellation up to 1e100
+        contam = get_alternative("contam", null_name)
+        cdf = {"normal": mp.ncdf, "logistic": lambda a: 1 / (1 + mp.exp(-a)),
+               "cauchy": lambda a: mp.atan(a) / mp.pi + mp.mpf(1) / 2}[null_name]
+        x = np.array([0.5, 1.0, 10.0, 1e3, 3.2e5, 3.2e8, 1e100])
+        for side in (x, -x):
+            with mp.workdps(300):
+                want = np.array([float(cdf(a - 1) - cdf(a) if a < 0.5 else cdf(-a) - cdf(1 - a))
+                                 for a in map(mp.mpf, side)])
+            got = contam.score_cumulative(side)
+            assert [contam.score_cumulative(v) for v in side] == list(got)
+            normal = np.abs(want) >= np.finfo(float).tiny
+            assert np.all(np.abs(got - want)[normal] <= self.CONTAMINATION_BOUND[null_name] * np.abs(want[normal]))
+            assert np.all(np.abs(got[~normal]) < np.finfo(float).tiny), (null_name, got[~normal])
+
     def test_two_piece_mass_split(self, normal):
         # negative piece carries (1+theta)^2 / (1 + (1+theta)^2); checked by
         # quadrature of the density itself
