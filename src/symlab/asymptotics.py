@@ -23,9 +23,14 @@ at one level is index 0 of the curve on ``[a]``.  A curve computes a grid
 of trimming levels ``a`` in one pass, each level from its own ``a`` alone,
 so it gives the same bits on any grid.  For supremum-type statistics ``a``
 enters only through ``Q``, ``min(a, 1-q)`` and ``mu'(a)``: a test's levels
-are the rows of an ``(a, t)`` array, which :func:`_sup_over_t` scans per
-test, then refines together with the rows of every other test and curve it
-is given (:func:`_report_curves`).  For integral-type ones ``Int_Q^inf phi
+are the rows of an ``(a, t)`` array.  A member variance is ``m^2 w(q)^2``
+times a factor that no test changes, and a member slope ``m w(q)`` times
+one, so :func:`_sup_over_t` scans each part (variance, slope) once on a grid
+of ``t`` scaled by the 0.999 null quantile, then takes safeguarded Newton
+steps on the closed-form ``t``-derivatives of the members, one point per row
+and step, for the rows of every test and curve it is given
+(:func:`_report_curves`); each row's resolution is carried as ``sup_err``.
+For integral-type ones ``Int_Q^inf phi
 f`` integrates a polynomial in ``u = F(x)``, exact under a fixed
 Gauss-Legendre rule, and ``Int_0^Q phi x f`` of every test is one sum over
 the fixed panels of :func:`symlab._quad.graded` (:func:`_t3`), as are ``Int_0^Q
@@ -35,15 +40,16 @@ x^2 f`` of the trimmed-mean term (the null's partial second moment) and
 The whole-line integrals read the same panels on ``[0, 1]``, folded onto
 ``[0, inf)`` (:func:`symlab._quad.half_line`), and the curves carry
 the largest error estimate behind each level.  Each model method runs once
-per point set (but ``F`` and ``f`` on the scan grid, once per part).  Per process,
+per point set.  Per process,
 :func:`functools.cache` keeps what depends only on the model and the rule:
-the model at the half-line nodes and on the scan grid (:func:`_scan`), the
+the model at the half-line nodes and on the scan grid (:func:`_scan`, where
+an alternative shares its null's), the
 alpha-free integrals ``Int phi^2``, ``Int phi f'``, ``Int_0^inf phi x f``
 and ``Int phi h`` per ``(kind, k)`` statistic and model with their
 estimates, and ``mu'`` on one level; models compare by value, so
 every lookup of one model shares an entry.  What
 depends on the grid (:func:`_levels`, the null on :func:`_t3`'s nodes, ``mu'``)
-lives for one :func:`_curves` call, for all its tests, parts and rounds.
+lives for one :func:`_curves` call, for all its tests, parts and steps.
 
 Projections are analytic.  Every characterization statistic compares the
 ``r``-th and ``(p+1-r)``-th order statistics of a ``p``-subsample in absolute
@@ -150,6 +156,24 @@ def _weight(spec: StatisticSpec):
     if spec.kind.startswith("BH"):
         return lambda q: 0.5 * (2.0 * q - 1.0)
     raise ValueError(f"{spec.kind} is not supremum-type")
+
+
+def _weight_derivative(spec: StatisticSpec):
+    """``dw/dq`` of :func:`_weight` (MO_K_1's ``_power`` of order -1 is 1.0, times ``k - 1 = 0``)."""
+    k = spec.k
+    if spec.kind == "KS":
+        return lambda q: np.zeros_like(np.asarray(q, dtype=float))
+    if spec.kind.startswith("NA"):
+        return lambda q: (k - 1) * (_power(q, k - 2) + _power(1.0 - q, k - 2))
+    if spec.kind.startswith("MO"):
+        c = math.comb(2 * k - 1, k)
+
+        def mo(q):
+            p, y = q * (1.0 - q), 2.0 * q - 1.0
+            return c * (2.0 * _power(p, k - 1) - (k - 1) * _power(p, k - 2) * (y * y))
+
+        return mo
+    return lambda q: np.ones_like(np.asarray(q, dtype=float))  # BH
 
 
 def _shape(spec: StatisticSpec) -> tuple:
@@ -321,13 +345,13 @@ def _levels(null: SymmetricNull, alphas) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _assemble_variance(m, levels, t1, a_coef, mean_cross, median_cross, trim_cross):
-    """``m^2 [t1 + c(a) A^2 + A J(a)]`` on each level ``a``, shared by the two families.
+    """``m^2 [t1 + c(a) A^2 + A J(a)]`` on each level ``a`` of an integral-type statistic.
 
     ``levels`` holds the :func:`_levels` columns ``a``, ``c(a)`` and the factor of ``J``; they
-    broadcast against ``t1`` and ``A = a_coef`` (scalars, or supremum-member thresholds).  ``J``
-    is the factor times ``mean_cross()`` at ``a = 0``, ``median_cross()`` at ``a = 1/2`` and
-    ``trim_cross()`` between, each ``(value, error estimate)`` and run only when some level
-    needs it; the second result is the estimate of the branch each level took.
+    broadcast against ``t1`` and ``A = a_coef``.  ``J`` is the factor times ``mean_cross()`` at
+    ``a = 0``, ``median_cross()`` at ``a = 1/2`` and ``trim_cross()`` between, each ``(value,
+    error estimate)`` and run only when some level needs it; the second result is the estimate
+    of the branch each level took.  A supremum member's ``J`` is :func:`_cross`.
     """
     a, c2, factor = levels
     zero, half = a == 0.0, a == 0.5
@@ -354,47 +378,110 @@ def _integral_variance(specs, null: SymmetricNull, levels):
         yield value, np.maximum(err, fprime_err)
 
 
-def _by_test(groups, q):
+@cache
+def _blocks(tests: tuple) -> tuple:
+    """Kernel order and member sign (columns), row slice and ``(w, dw/dq)`` of ``(spec, rows)``
+    blocks; once per block layout in a process."""
+    rows = [n for _, n in tests]
+    m, sign = (np.repeat([value(s) for s, _ in tests], rows).astype(float)[:, None]
+                for value in (lambda s: s.kernel_order, lambda s: _SUP_SIGN.get(s.kind, 1.0)))
+    m.flags.writeable = sign.flags.writeable = False  # every search shares them
+    ends = np.cumsum(rows)
+    return m, sign, [slice(end - n, end) for n, end in zip(rows, ends)], [
+        (_weight(s), _weight_derivative(s)) for s, _ in tests]
+
+
+def _by_test(groups, q, derivative=False):
     """Kernel order and member sign (columns) and weight ``w(q)`` of the rows of ``groups``,
-    ``(spec, levels)`` blocks, one per test; ``q`` has one row per row, or any shape for one."""
+    ``(spec, levels)`` blocks, one per test, and with ``derivative`` ``dw/dq`` too; ``q`` has
+    one row per row, or any shape for one."""
+    m, sign, cuts, weights = _blocks(tuple((spec, len(lv)) for spec, lv in groups))
 
-    def column(value):
-        return np.concatenate([np.full(len(lv), value(s), float) for s, lv in groups])[:, None]
+    def per_test(k):
+        if len(cuts) == 1:
+            return weights[0][k](q)
+        out = np.empty(q.shape)
+        for cut, pair in zip(cuts, weights):
+            out[cut] = pair[k](q[cut])  # NA_K_2's dw/dq is a constant
+        return out
 
-    if len(groups) == 1:
-        w = _weight(groups[0][0])(q)
-    else:
-        cuts = np.cumsum([len(lv) for _, lv in groups])[:-1]
-        w = np.concatenate([_weight(s)(part) for (s, _), part in zip(groups, np.split(q, cuts))])
-    return column(lambda s: s.kernel_order), column(lambda s: _SUP_SIGN.get(s.kind, 1.0)), w
+    return m, sign, *map(per_test, (0, 1) if derivative else (0,))
 
 
-def _thresholds(model, t):
-    """``|t|`` and the null's ``F``, ``f`` and ``Int_0^t x f`` there; an alternative family's
-    score pairing ``-(H(t) + H(-t))`` replaces the last."""
+def _thresholds(model, t, derivative=False):
+    """``|t|`` and the null's ``F``, ``f`` and ``Int_0^t x f`` there, and with ``derivative`` the
+    ``t``-derivatives ``f'`` and ``t f`` of the last two; an alternative family's score pairing
+    ``-(H(t) + H(-t))`` and its derivative ``-(h(t) - h(-t))`` replace ``Int_0^t x f`` and ``t f``."""
     null = getattr(model, "base", model)
     t = np.abs(np.asarray(t, dtype=float))
+    f = null.density(t)
     if model is null:
-        return t, null.cdf(t), null.density(t), null.partial_first_moment(0.0, t)
-    return t, null.cdf(t), null.density(t), -(model.score_cumulative(t) + model.score_cumulative(-t))
+        head = (t, null.cdf(t), f, null.partial_first_moment(0.0, t))
+        return (*head, null.density_derivative(t), t * f) if derivative else head
+    head = (t, null.cdf(t), f, -(model.score_cumulative(t) + model.score_cumulative(-t)))
+    return (*head, null.density_derivative(t), -(model.score(t) - model.score(-t))) if derivative else head
 
 
-def _member_variance(null: SymmetricNull, groups, v):
-    """``sigma^2(a; t)`` on the rows of ``(spec, levels)`` blocks at the :func:`_thresholds` ``v``."""
-    t, q, f, below = v
-    m, _, w = _by_test(groups, q)
-    a, c2, factor, Q, Q_moment = np.concatenate([lv for _, lv in groups]).T[..., None]
-    a_coef = w * (-2.0) * f  # sign of the member cancels in every product
+def _cross(null: SymmetricNull, levels, v, derivative=False):
+    """``Y``, the member variance's ``J(a) = factor w(q) Y``, on the :func:`_levels` rows at the
+    :func:`_thresholds` ``v``, and with ``derivative`` ``(Y, dY/dt)``: ``tau/2 - Int_0^t x f`` at
+    ``a = 0``, ``1 - q`` at ``a = 1/2``, and between ``Int_t^Q x f`` plus ``Q min(a, 1 - q)``.
+    Computed in place, so a scan holds few arrays of its size at once."""
+    t, q, f, below, *rates = v
+    a, _, _, Q, Q_moment = levels.T[..., None]
+    zero, half = a == 0.0, a == 0.5
+    outside = t >= Q  # the partial moment over (t, Q) is empty (exactly 0.0) there
+    y = Q_moment - below  # every row as trimmed, then the boundary levels' rows, in place
+    y[outside] = 0.0
+    y += np.multiply(np.minimum(a, 1.0 - q), Q)
+    if zero.any():
+        np.copyto(y, null.abs_mean() / 2.0 - below, where=zero)
+    if half.any():
+        np.copyto(y, 1.0 - q, where=half)
+    if not derivative:
+        return y
+    # past Q, min(a, 1 - q) is 1 - q: Y' is -t f below Q and -Q f from it, continuous at Q
+    below_t = rates[1]
+    y_t = -np.where(outside, Q * f, below_t)
+    np.copyto(y_t, -below_t, where=zero)
+    np.copyto(y_t, -f, where=half)
+    return y, y_t
 
-    def trim_cross():
-        # the partial moment over (t, Q), empty (exactly 0.0) once t >= Q
-        inside = np.where(t < Q, Q_moment - below, 0.0)
-        return w * (inside + Q * np.minimum(a, 1.0 - q)), 0.0
 
-    return _assemble_variance(
-        m, (a, c2, factor), w * w * 2.0 * (1.0 - q), a_coef,
-        lambda: (w * (null.abs_mean() / 2.0 - below), 0.0), lambda: (w * (1.0 - q), 0.0), trim_cross,
-    )[0]
+def _free_variance(levels, q, f, y):
+    """``B = 2 (1-q) + 4 c(a) f^2 - 2 factor f Y`` on the :func:`_levels` rows: a member variance
+    is ``m^2 w(q)^2 B``, and no test changes ``B``.  ``y`` is overwritten."""
+    _, c2, factor, _, _ = levels.T[..., None]
+    b = np.multiply(y, f * (-2.0 * factor), out=y)
+    b += 4.0 * c2 * (f * f)
+    b += 2.0 * (1.0 - q)
+    return b
+
+
+def _member_variance(null: SymmetricNull, groups, v, derivative=False):
+    """``sigma^2(a; t)`` on the rows of ``(spec, levels)`` blocks at the :func:`_thresholds` ``v``,
+    and with ``derivative`` its ``t``-derivative too, from :func:`_free_variance` (``q' = f``)."""
+    t, q, f, *_ = v
+    m, _, w, *w_q = _by_test(groups, q, derivative)
+    levels = np.concatenate([lv for _, lv in groups])
+    _, c2, factor, _, _ = levels.T[..., None]
+    y, *y_t = _cross(null, levels, v, True) if derivative else (_cross(null, levels, v),)
+    a_coef, cross = w * (-2.0) * f, factor * (w * y)  # sign of the member cancels in every product
+    value = m * m * (w * w * 2.0 * (1.0 - q) + c2 * (a_coef * a_coef) + a_coef * cross)
+    if not derivative:
+        return value
+    f_t = v[4]
+    b_t = 2.0 * (4.0 * c2 * (f * f_t) - f - factor * (f_t * y + f * y_t[0]))
+    return value, m * m * w * (2.0 * w_q[0] * f * _free_variance(levels, q, f, y) + w * b_t)
+
+
+def _variance_scan(null: SymmetricNull, groups, v):
+    """The member variance over ``m^2`` of the tests of ``groups``, which share their levels, as
+    one row of factors ``w(q)^2`` per test and :func:`_free_variance`."""
+    _, q, f, *_ = v
+    levels = groups[0][1]
+    weights = np.square([_weight(spec)(q) for spec, _ in groups])
+    return weights, _free_variance(levels, q, f, _cross(null, levels, v))
 
 
 def variance_function(spec: StatisticSpec, null: SymmetricNull, t):
@@ -448,12 +535,26 @@ def _integral_slope(specs, alt: AlternativeFamily, mu_p):
         yield spec.kernel_order * (score + mu_p * fprime), max(score_err, fprime_err)
 
 
-def _member_slope(alt: AlternativeFamily, groups, v):
-    """Signed member slope on the rows of ``(spec, mu'(a))`` blocks, ``v`` as for the variance."""
-    t, q, f, chi_score = v
-    m, sign, w = _by_test(groups, q)
+def _member_slope(alt: AlternativeFamily, groups, v, derivative=False):
+    """Signed member slope on the rows of ``(spec, mu'(a))`` blocks, ``v`` and ``derivative`` as
+    for the variance."""
+    t, q, f, chi_score, *rates = v
+    m, sign, w, *w_q = _by_test(groups, q, derivative)
     mu_p = np.concatenate([lv for _, lv in groups])[:, None]
-    return m * sign * w * (chi_score + mu_p * (-2.0 * f))
+    pairing = chi_score + mu_p * (-2.0 * f)
+    value = m * sign * w * pairing
+    if not derivative:
+        return value
+    f_t, chi_score_t = rates
+    return value, m * sign * (w_q[0] * f * pairing + w * (chi_score_t + mu_p * (-2.0 * f_t)))
+
+
+def _slope_scan(alt: AlternativeFamily, groups, v):
+    """``|member slope| / m`` of the tests of ``groups``, which share their ``mu'``, as one row of
+    factors ``|w(q)|`` per test and the test-free ``|pairing|`` of :func:`_member_slope`."""
+    _, q, f, chi_score = v
+    weights = np.abs([_weight(spec)(q) for spec, _ in groups])
+    return weights, np.abs(chi_score + groups[0][1][:, None] * (-2.0 * f))
 
 
 def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t):
@@ -469,102 +570,168 @@ def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t):
 # supremum search
 # ---------------------------------------------------------------------------
 
-_REFINE_POINTS = 17
+#: a row's search ends once its next step is at most this fraction of the 0.999 quantile
+_RESOLUTION = 1e-9
+#: or after this many steps; the midpoints alone close any bracket of the scan below it in 26
+_MAX_STEPS = 40
+#: the scan multiplies out the values of as many tests at once as fit in 2^14 (128 KiB, glibc's
+#: default mmap threshold: larger temporaries fault their pages in afresh on every call)
+_SCAN_SIZE = 2**14
 
 
 @cache
 def _scan(model) -> tuple:
-    """:func:`_thresholds` of ``model`` at ``t = 0`` and 512 log-spaced points up to the 0.999
-    null quantile, the scan of :func:`_sup_over_t`; once per model in a process."""
-    q999 = float(getattr(model, "base", model).quantile(0.999))
-    table = _thresholds(model, np.concatenate([[0.0], np.geomspace(q999 * 1e-5, q999, 512)]))
+    """:func:`_thresholds` of ``model`` at ``t = 0`` and 512 log-spaced points from 1e-5 to 1 times
+    the 0.999 null quantile, the scan of :func:`_sup_over_t`: a fixed table, so that a null rescaled
+    by a power of 2 scans the same points rescaled.  Once per model in a process, and an
+    alternative's shares its null's."""
+    null = getattr(model, "base", model)
+    if model is null:
+        table = _thresholds(null, null.quantile(0.999) * np.concatenate([[0.0], np.geomspace(1e-5, 1.0, 512)]))
+    else:  # the null's own columns are read from its scan
+        t, q, f, _ = _scan(null)
+        table = (t, q, f, -(model.score_cumulative(t) + model.score_cumulative(-t)))
     for array in table:
         array.flags.writeable = False  # every search shares the cached arrays
     return table
 
 
-def _sup_over_t(searches) -> tuple[np.ndarray, np.ndarray]:
-    """Row maxima and argmaxes of smooth-between-kinks functions of the threshold ``t >= 0``.
-
-    ``searches`` lists ``(model, member, groups)``; ``member(model, groups,
-    v)`` maps the :func:`_thresholds` ``v`` of ``model`` (one row for all, or
-    one row each) to the values of the rows of ``groups`` (:func:`_by_test`).
-    Each test's block is scanned on its own on the :func:`_scan` grid.  Then
-    each round of one refinement loop makes one call per search on a
-    17-point grid over each row's bracket, and narrows those wider than
-    1e-6 to the neighbours of their best point, so no row depends on
-    another.  Only a strictly larger value replaces the best: grid points
-    win ties, and an argmax of exactly 0.0 stays exact.
-    """
-
-    def scan(model, member, group):  # reduced to its argmax before the next test's scan
-        vals = member(model, [group], _scan(model))
+def _scanned(model, scan, groups):
+    """The values of ``scan`` on the :func:`_scan` grid beside, at and after each row's best point,
+    and its index, for as many tests at once as fit in :data:`_SCAN_SIZE` values."""
+    weights, free = scan(model, groups, _scan(model))
+    per, n = max(1, _SCAN_SIZE // free.size), free.shape[-1]
+    for k in range(0, len(weights), per):
+        vals = (weights[k:k + per, None, :] * free).reshape(-1, n)
         i = np.argmax(vals, axis=1)
-        return i, vals[np.arange(i.size), i]
+        rows = np.arange(i.size)
+        yield vals[rows, np.maximum(i - 1, 0)], vals[rows, i], vals[rows, np.minimum(i + 1, n - 1)], i
 
-    i, best = (np.concatenate(a) for a in zip(*[scan(m, f, g) for m, f, gs in searches for g in gs]))
+
+def _sup_over_t(searches) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row maxima, argmaxes and resolutions of the absolute values of functions of the threshold
+    ``t >= 0``, smooth but at one kink per row (a supremum-type slope is the supremum of the
+    absolute member slope; a member variance is not negative).
+
+    ``searches`` lists ``(model, member, scan, groups, kinks)``.  ``member(model, groups, v)``
+    maps the :func:`_thresholds` ``v`` of ``model`` (one row for all, or one row each) to the
+    values of the rows of ``groups`` (:func:`_by_test`), and ``member(model, groups, v, True)``
+    to the values and their ``t``-derivatives.  ``scan(model, groups, v)`` gives one row of
+    factors per test and a test-free array whose products have the members' argmaxes, and
+    ``kinks`` holds each row's kink (NaN for none), where the second derivative may jump.
+
+    ``scan`` runs on the :func:`_scan` grid, ``q999`` times a fixed table, and a row's bracket
+    is the scan points beside its best one.  Each step then makes one call of ``member`` per
+    search with one column of points (a few in the first step), so no row depends on another.
+    The first step evaluates the best scan point, the kink if the bracket holds it (the
+    function is smooth on either side of it), and the vertex of the parabola through the three
+    scan points with a point ``2^-10`` of it on either side.  Every derivative's sign cuts the
+    bracket.  The next point is the root of the parabola through the last three derivatives, a
+    safeguarded Newton step, else the secant's root through the last two, else the bracket's
+    midpoint, whichever first stays in the bracket.  A row ends once its next step is at most
+    :data:`_RESOLUTION` of ``q999``.  Its resolution is ``|derivative x next step|`` at its last
+    point, twice the rise a quadratic model leaves past it, and 0 where the bracket closed (a
+    zero derivative, or the maximum at an end of the scan).  Only a strictly larger value
+    replaces the best: the scan point wins ties, and an argmax of exactly 0.0 stays exact.
+    Nothing here adds terms of different scales, so a null rescaled by a power of 2 gives the
+    same values and resolutions and the argmaxes rescaled.
+    """
     ts = _scan(searches[0][0])[0]
-    rows, arg = np.arange(i.size), ts[i]
-    lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, ts.size - 1)]
-    steps = np.linspace(0.0, 1.0, _REFINE_POINTS)
-    cuts = np.cumsum([sum(len(lv) for _, lv in groups) for *_, groups in searches])[:-1]
-    while (live := hi - lo > 1e-6).any():
-        grid = lo[:, None] + (hi - lo)[:, None] * steps
-        vals = np.concatenate([f(model, g, _thresholds(model, part))
-                               for (model, f, g), part in zip(searches, np.split(grid, cuts))])
-        j = np.argmax(vals, axis=1)
-        top = vals[rows, j]
+    g_lo, g_at, g_hi, i = map(np.concatenate, zip(*[
+        found for model, _, scan, groups, _ in searches for found in _scanned(model, scan, groups)]))
+    at, lo, hi = ts[i], ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, ts.size - 1)]
+    kinks = np.concatenate([k for *_, k in searches])
+    with np.errstate(divide="ignore", invalid="ignore"):  # at the ends of the scan
+        d_lo, d_hi = (g_at - g_lo) / (at - lo), (g_hi - g_at) / (hi - at)
+        vertex = 0.5 * (lo + at) - d_lo * (hi - lo) / (2.0 * (d_hi - d_lo))
+    vertex = np.where((vertex > lo) & (vertex < hi), vertex, at)
+    # the last three give the first step the derivative's curvature over 2^-10 of the vertex
+    points = np.stack([at, np.where((kinks > lo) & (kinks < hi), kinks, at),
+                       np.maximum(vertex * (1.0 - 2.0**-10), lo), np.minimum(vertex * (1.0 + 2.0**-10), hi),
+                       vertex], axis=1)
+    cuts = np.cumsum([sum(len(lv) for _, lv in groups) for *_, groups, _ in searches])[:-1]
+    best, arg = np.full(at.size, -math.inf), at
+    trail_x, trail_d = np.full((2, at.size, 3), math.nan)  # the last three points and derivatives
+    err, live = np.zeros(at.size), np.ones(at.size, dtype=bool)
+    for _ in range(_MAX_STEPS):
+        pairs = [member(model, groups, _thresholds(model, part, True), True)
+                 for (model, member, _, groups, _), part in zip(searches, np.split(points, cuts))]
+        values, slopes = (np.concatenate([pair[k] for pair in pairs]) for k in (0, 1))
+        values, slopes = np.abs(values), np.sign(values) * slopes
+        j = np.argmax(values, axis=1)  # the first of equal values
+        top = values[np.arange(j.size), j]
         better = live & (top > best)
-        best, arg = np.where(better, top, best), np.where(better, grid[rows, j], arg)
-        lo = np.where(live, grid[rows, np.maximum(j - 1, 0)], lo)
-        hi = np.where(live, grid[rows, np.minimum(j + 1, steps.size - 1)], hi)
-    return best, arg
+        best, arg = np.where(better, top, best), np.where(better, points[np.arange(j.size), j], arg)
+        keep = live[:, None]
+        lo = np.where(live, np.maximum(lo, np.max(np.where(slopes >= 0.0, points, -math.inf), axis=1)), lo)
+        hi = np.where(live, np.minimum(hi, np.min(np.where(slopes <= 0.0, points, math.inf), axis=1)), hi)
+        trail_x = np.where(keep, np.concatenate([trail_x, points], axis=1)[:, -3:], trail_x)
+        trail_d = np.where(keep, np.concatenate([trail_d, slopes], axis=1)[:, -3:], trail_d)
+        (xa, xb, x), (da, db, d) = trail_x.T, trail_d.T
+        with np.errstate(divide="ignore", invalid="ignore"):  # points that coincide
+            secant = (db - d) / (xb - x)
+            bend = ((da - db) / (xa - xb) - secant) / (xa - x)
+            rate = secant + bend * (x - xb)  # at x, of the parabola through the three
+            steps = (-d / (rate - bend * d / rate), -d / secant, 0.5 * (lo + hi) - x)
+        step = steps[-1]
+        for guess in steps[-2::-1]:  # the parabola's root, else the secant's, else the midpoint
+            step = np.where((x + guess >= lo) & (x + guess <= hi), guess, step)
+        err = np.where(live, np.abs(d * step), err)
+        live &= np.abs(step) > _RESOLUTION * ts[-1]
+        if not live.any():
+            break
+        points = np.where(live, x + step, x)[:, None]
+    return best, arg, err
 
 
-# (integral, column, member) of a curve, for :func:`_curves`; a slope's supremum is of |member|
-_VARIANCE = (_integral_variance, _levels, _member_variance)
-_SLOPE = (_integral_slope, _derivative_curve,
-          lambda alt, groups, v: np.abs(_member_slope(alt, groups, v)))
+# (integral, column, member, scan, kink) of a curve, for :func:`_curves`; a trimmed member variance
+# has a kink at Q (its second derivative jumps there)
+_VARIANCE = (_integral_variance, _levels, _member_variance, _variance_scan,
+             lambda levels: np.where((levels[:, 0] > 0.0) & (levels[:, 0] < 0.5), levels[:, 3], math.nan))
+_SLOPE = (_integral_slope, _derivative_curve, _member_slope, _slope_scan,
+          lambda mu_p: np.full(len(mu_p), math.nan))
 
 
 def _curves(specs, null: SymmetricNull, alphas, parts):
-    """``(value, argmax, error)`` of each test in ``specs`` on each level, one list per part.
+    """``(value, argmax, error, resolution)`` of each test in ``specs`` on each level, one list
+    per part.
 
-    A part is ``(model, (integral, column, member))``.  On the accepted
+    A part is ``(model, (integral, column, member, scan, kink))``.  On the accepted
     levels ``a``, ``(levels, error) = column(model, a)`` is computed once for
     every test; ``integral(specs, model, levels)`` yields each integral-type
     test's ``(value, error)``, and a supremum-type test's rows ``(spec,
-    levels)`` are searched over ``member`` by one :func:`_sup_over_t` for all
-    parts and tests.  Refused levels (:func:`_refused`) read NaN with error
-    0, integral-type argmaxes NaN.
+    levels)`` are searched over ``member``, with ``scan`` and ``kink(levels)``, by one
+    :func:`_sup_over_t` for all parts and tests, which gives their
+    resolutions.  Refused levels (:func:`_refused`) read NaN with error and
+    resolution 0, integral-type argmaxes NaN and resolutions 0.
     """
     if moment := [spec.kind for spec in specs if spec.family == MOMENT]:
         raise ValueError(f"{moment[0]} is moment-based; it has no trimming curve")
     alphas = check_level(np.asarray(alphas, dtype=float).ravel())
     ok = ~_uncentered(null, alphas)  # :func:`_refused` of every test here
     curves, searches, pending = [], [], []
-    for model, (integral, column, member) in parts:
-        block = [(*np.full((2, alphas.size), math.nan), np.zeros(alphas.size)) for _ in specs]
+    for model, (integral, column, member, scan, kink) in parts:
+        block = [(*np.full((2, alphas.size), math.nan), *np.zeros((2, alphas.size))) for _ in specs]
         curves.append(block)
         if not ok.any():
             continue
         levels, level_err = column(model, alphas[ok])
         sums = integral([spec for spec in specs if spec.family == INTEGRAL], model, levels)
         groups = []
-        for spec, (value, arg, err) in zip(specs, block):
+        for spec, (value, arg, err, resolution) in zip(specs, block):
             if spec.family == INTEGRAL:
                 value[ok], e = next(sums)
                 err[ok] = np.maximum(level_err, e)
             else:
                 err[ok] = level_err
                 groups.append((spec, levels))
-                pending.append((value, arg))
+                pending.append((value, arg, resolution))
         if groups:
-            searches.append((model, member, groups))
+            searches.append((model, member, scan, groups, np.concatenate([kink(lv) for _, lv in groups])))
     if pending:
-        best, where = (np.split(r, len(pending)) for r in _sup_over_t(searches))
-        for (value, arg), b, w in zip(pending, best, where):
-            value[ok], arg[ok] = b, w
+        for out, *found in zip(pending, *(np.split(r, len(pending)) for r in _sup_over_t(searches))):
+            for array, part in zip(out, found):
+                array[ok] = part
     return curves
 
 
@@ -578,7 +745,7 @@ def variance_curve(spec: StatisticSpec, null: SymmetricNull, alphas):
     :func:`applicability` refuses are NaN, and a level that breaks
     :func:`symlab.location.check_level` raises ``ValueError``.
     """
-    return _curves([spec], null, alphas, [(null, _VARIANCE)])[0][0]
+    return _curves([spec], null, alphas, [(null, _VARIANCE)])[0][0][:3]
 
 
 def slope_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas):
@@ -586,7 +753,7 @@ def slope_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas):
 
     A supremum-type slope is the supremum of the absolute member slope.
     """
-    return _curves([spec], alt.base, alphas, [(alt, _SLOPE)])[0][0]
+    return _curves([spec], alt.base, alphas, [(alt, _SLOPE)])[0][0][:3]
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +814,11 @@ class IndexCurve:
     ``slope`` are NaN only at not-applicable points, and the argmaxes NaN but
     for supremum-type ones.
     ``quad_err`` is the largest quadrature error estimate behind each point
-    (0 where nothing was integrated).
+    (0 where nothing was integrated).  ``sup_err`` is what the resolution of
+    the supremum search over ``t`` (:func:`_sup_over_t`) may move the index
+    by, to first order: ``(2 |slope| e_slope + index e_sigma2) / sigma2``
+    from each search's resolution ``e``; 0 where nothing was searched and
+    where the index is NaN.
     """
 
     test: str
@@ -662,6 +833,7 @@ class IndexCurve:
     var_argmax: np.ndarray
     slope_argmax: np.ndarray
     quad_err: np.ndarray
+    sup_err: np.ndarray
 
     def rows(self):
         """Iterate (alpha, index, degenerate, not_applicable) tuples."""
@@ -680,7 +852,7 @@ def _report_curves(specs, alt: AlternativeFamily, alphas) -> list[IndexCurve]:
     The one place the local index is assembled: every index the library
     gives (:func:`symlab.efficiency.bahadur_index`, index curves,
     equivalence reports) is one of these curves.  All supremum searches
-    share one refinement loop; a curve is the bits of its test's curve
+    share one loop of Newton steps; a curve is the bits of its test's curve
     computed alone.  ``spec.alpha`` is ignored; S and KS at ``a = 1/2`` are
     flagged degenerate by the theorem, never by a variance's size; levels
     :func:`applicability` refuses are flagged, and a level that breaks
@@ -698,20 +870,21 @@ def _report_curves(specs, alt: AlternativeFamily, alphas) -> list[IndexCurve]:
         na = _refused(spec, null, alphas)
         if spec.family == MOMENT:
             sigma2, slope, var_arg, slope_arg = np.full((4, alphas.size), math.nan)
-            err = np.zeros(alphas.size)
+            err, var_res, slope_res = np.zeros((3, alphas.size))
             if not na.all():
                 sigma2[~na], slope[~na], err[~na] = _moment_limits(spec, alt)
         else:
-            (sigma2, var_arg, var_err), (slope, slope_arg, slope_err) = next(curves)
+            (sigma2, var_arg, var_err, var_res), (slope, slope_arg, slope_err, slope_res) = next(curves)
             err = np.maximum(var_err, slope_err)
         # Median centering pins the empirical process at the origin: at a = 1/2
         # the sign test, and the t = 0 member that defines the KS family, are
         # an exact 0/0, the theorem's only one (the comparison study treats
         # the median-centered KS as inefficient there).
         flagged = ~na & (alphas == 0.5) & (spec.kind in ("S", "KS"))
-        index = np.full(alphas.size, math.nan)
+        index, sup_err = np.full(alphas.size, math.nan), np.zeros(alphas.size)
         np.divide(slope * slope, sigma2, out=index, where=~(flagged | na))
+        np.divide(2.0 * np.abs(slope) * slope_res + index * var_res, sigma2, out=sup_err, where=~(flagged | na))
         reports.append(IndexCurve(spec.label, null.name, alt.kind, alphas, index, flagged, na,
-                                  sigma2, slope, var_arg, slope_arg, err))
+                                  sigma2, slope, var_arg, slope_arg, err, sup_err))
     return reports
 

@@ -162,7 +162,8 @@ def _cmd_index(args) -> int:
                         *([c.test, *row] for c in curves for row in rows[c.test])]))
     params = {"null": null.name, "alt": alt.kind, "tests": tests, "grid_points": args.grid}
     results = {"not_applicable": not_applicable,
-               "quad_err_max": max(float(c.quad_err.max()) for c in curves)}
+               "quad_err_max": max(float(c.quad_err.max()) for c in curves),
+               "sup_err_max": max(float(c.sup_err.max()) for c in curves)}
     for path in writer.write(params | results, files):
         print(f"wrote {path}")
     return EXIT_NOT_APPLICABLE if len(not_applicable) == len(curves) else EXIT_OK
@@ -183,13 +184,16 @@ def _cmd_variance(args) -> int:
         columns = [asy.variance_function(spec0, null, xs) for null in nulls]
         # a member variance integrates only the trimmed mean's Int_0^Q x^2 f
         err = max(float(asy._levels(null, np.array([alpha]))[1][0]) for null in nulls)
-        params = {"stat": spec0.label, "alpha": alpha, "over_t": True, "quad_err_max": err}
+        # and searches nothing
+        params = {"stat": spec0.label, "alpha": alpha, "over_t": True, "quad_err_max": err, "sup_err_max": 0.0}
     else:
         axis, xs = "alpha", grid
-        curves = [asy.variance_curve(spec0, null, grid) for null in nulls]
-        columns = [value for value, _, _ in curves]
+        # variance_curve's, with the resolution of each supremum search over t
+        curves = [asy._curves([spec0], null, grid, [(null, asy._VARIANCE)])[0][0] for null in nulls]
+        columns = [value for value, *_ in curves]
         params = {"stat": spec0.label, "grid_points": args.grid, "over_t": False,
-                  "quad_err_max": max(float(err.max()) for _, _, err in curves)}
+                  "quad_err_max": max(float(err.max()) for _, _, err, _ in curves),
+                  "sup_err_max": max(float(resolution.max()) for *_, resolution in curves)}
 
     # every refusal above comes before the writer, which leaves no directory behind
     writer = _Writer(args.output, "variance", None)

@@ -32,7 +32,7 @@ from symlab.stats import INTEGRAL, StatisticSpec
 #: the array fields of an ``IndexCurve`` besides its grid
 CURVE_FIELDS = (
     "index", "degenerate", "not_applicable", "sigma2", "slope", "var_argmax", "slope_argmax",
-    "quad_err",
+    "quad_err", "sup_err",
 )
 
 

@@ -12,6 +12,7 @@ import pytest
 import symlab.cli
 import symlab.montecarlo
 import symlab.validate
+from symlab import asymptotics as asy
 from symlab import efficiency as eff
 from symlab._quad import ABS_TOL
 from symlab.cli import main
@@ -282,11 +283,13 @@ class TestCmdIndex:
         "null_name, alt_name", [("normal", "contam"), ("logistic", "fs"), ("cauchy", "fs")]
     )
     def test_quadrature_error_budget_in_manifest(self, tmp_path, null_name, alt_name):
-        # the 19 default tests on 101 points
+        # the 19 default tests on 101 points; with the largest resolution of the supremum searches
         out = tmp_path / "idx.csv"
         assert main(["index", "--null", null_name, "--alt", alt_name, "-o", str(out)]) == 0
         manifest = json.loads((tmp_path / "idx.csv.manifest.json").read_text())
         assert 0.0 < manifest["parameters"]["quad_err_max"] <= ABS_TOL
+        curves = eff.index_curves(eff.DEFAULT_TESTS, get_alternative(alt_name, null_name), eff.default_grid())
+        assert 0.0 < manifest["parameters"]["sup_err_max"] == max(float(c.sup_err.max()) for c in curves)
 
 
 def test_index_loads_no_adaptive_quadrature(tmp_path):
@@ -403,6 +406,14 @@ class TestCmdVariance:
         manifest = json.loads((tmp_path / "var.csv.manifest.json").read_text())
         err = manifest["parameters"]["quad_err_max"]
         assert 0.0 <= err <= ABS_TOL
+        # the largest resolution of the supremum searches over t: none over t, nor for W and NA_I_4
+        resolution = manifest["parameters"]["sup_err_max"]
+        if extra or stat != "KS":
+            assert resolution == 0.0
+        else:
+            curves = [asy._curves([parse_statistic(stat)], null, eff.default_grid(), [(null, asy._VARIANCE)])[0][0]
+                      for null in map(get_null, NULL_NAMES)]
+            assert 0.0 < resolution == max(float(curve[3].max()) for curve in curves)
         if extra:  # the one-level curve's estimate, which reads that integral alone
             alpha = float(extra[-1])
             spec = parse_statistic(stat, alpha=alpha)

@@ -72,7 +72,8 @@ def test_moves_are_summed_up_by_family():
                                              "sample/normal")] == ["index_curve", "cli/index", "sample"]
     old = {"count": 2, "head": ["1.0", "exit 0 0.25,2.0,false\n"]}
     assert record.first_value_move(old, old) == 0.0
-    assert record.first_value_move(old, {**old, "head": ["1.0", "exit 0 0.25,2.000002,false\n"]}) == pytest.approx(1e-6)
+    moved = {**old, "head": ["1.0", "exit 0 0.25,2.000002,false\n"]}
+    assert record.first_value_move(old, moved) == pytest.approx(1e-6)
     assert record.first_value_move(old, {**old, "head": ["1.0", "exit 0 0.25,2.0,true\n"]}) == float("inf")
     assert record.first_value_move({"head": ["0.0"]}, {"head": ["1e-300"]}) == float("inf")
     assert record.first_value_move({"head": ["nan"]}, {"head": ["nan"]}) == 0.0
