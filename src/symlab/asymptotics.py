@@ -387,8 +387,8 @@ def _blocks(tests: tuple) -> tuple:
                 for value in (lambda s: s.kernel_order, lambda s: _SUP_SIGN.get(s.kind, 1.0)))
     m.flags.writeable = sign.flags.writeable = False  # every search shares them
     ends = np.cumsum(rows)
-    return m, sign, [slice(end - n, end) for n, end in zip(rows, ends)], [
-        (_weight(s), _weight_derivative(s)) for s, _ in tests]
+    return m, sign, tuple(slice(end - n, end) for n, end in zip(rows, ends)), tuple(
+        (_weight(s), _weight_derivative(s)) for s, _ in tests)
 
 
 def _by_test(groups, q, derivative=False):
@@ -423,7 +423,7 @@ def _thresholds(model, t, derivative=False):
 
 
 def _cross(null: SymmetricNull, levels, v, derivative=False):
-    """``Y``, the member variance's ``J(a) = factor w(q) Y``, on the :func:`_levels` rows at the
+    """``(Y,)``, the member variance's ``J(a) = factor w(q) Y``, on the :func:`_levels` rows at the
     :func:`_thresholds` ``v``, and with ``derivative`` ``(Y, dY/dt)``: ``tau/2 - Int_0^t x f`` at
     ``a = 0``, ``1 - q`` at ``a = 1/2``, and between ``Int_t^Q x f`` plus ``Q min(a, 1 - q)``.
     Computed in place, so a scan holds few arrays of its size at once."""
@@ -439,7 +439,7 @@ def _cross(null: SymmetricNull, levels, v, derivative=False):
     if half.any():
         np.copyto(y, 1.0 - q, where=half)
     if not derivative:
-        return y
+        return (y,)
     # past Q, min(a, 1 - q) is 1 - q: Y' is -t f below Q and -Q f from it, continuous at Q
     below_t = rates[1]
     y_t = -np.where(outside, Q * f, below_t)
@@ -465,7 +465,7 @@ def _member_variance(null: SymmetricNull, groups, v, derivative=False):
     m, _, w, *w_q = _by_test(groups, q, derivative)
     levels = np.concatenate([lv for _, lv in groups])
     _, c2, factor, _, _ = levels.T[..., None]
-    y, *y_t = _cross(null, levels, v, True) if derivative else (_cross(null, levels, v),)
+    y, *y_t = _cross(null, levels, v, derivative)
     a_coef, cross = w * (-2.0) * f, factor * (w * y)  # sign of the member cancels in every product
     value = m * m * (w * w * 2.0 * (1.0 - q) + c2 * (a_coef * a_coef) + a_coef * cross)
     if not derivative:
@@ -481,7 +481,7 @@ def _variance_scan(null: SymmetricNull, groups, v):
     _, q, f, *_ = v
     levels = groups[0][1]
     weights = np.square([_weight(spec)(q) for spec, _ in groups])
-    return weights, _free_variance(levels, q, f, _cross(null, levels, v))
+    return weights, _free_variance(levels, q, f, _cross(null, levels, v)[0])
 
 
 def variance_function(spec: StatisticSpec, null: SymmetricNull, t):
@@ -587,7 +587,7 @@ def _scan(model) -> tuple:
     alternative's shares its null's."""
     null = getattr(model, "base", model)
     if model is null:
-        table = _thresholds(null, null.quantile(0.999) * np.concatenate([[0.0], np.geomspace(1e-5, 1.0, 512)]))
+        table = _thresholds(null, null.quantile(0.999) * np.append(0.0, np.geomspace(1e-5, 1.0, 512)))
     else:  # the null's own columns are read from its scan
         t, q, f, _ = _scan(null)
         table = (t, q, f, -(model.score_cumulative(t) + model.score_cumulative(-t)))
@@ -597,7 +597,7 @@ def _scan(model) -> tuple:
 
 
 def _scanned(model, scan, groups):
-    """The values of ``scan`` on the :func:`_scan` grid beside, at and after each row's best point,
+    """The values of ``scan`` on the :func:`_scan` grid before, at and after each row's best point,
     and its index, for as many tests at once as fit in :data:`_SCAN_SIZE` values."""
     weights, free = scan(model, groups, _scan(model))
     per, n = max(1, _SCAN_SIZE // free.size), free.shape[-1]
