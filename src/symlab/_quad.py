@@ -103,7 +103,7 @@ def _half_line_nodes(model) -> SimpleNamespace:
     null = getattr(model, "base", model)
     if model is not null:
         v = _half_line_nodes(null)
-        return SimpleNamespace(**vars(v), odd_score=model.score(v.x) - model.score(-v.x))
+        return SimpleNamespace(**vars(v), odd_score=model.odd_score(v.x))
     x = -null.quantile(0.5 * _nodes(_EDGES[: _UNIT.size], _UNIT))
     return SimpleNamespace(x=x, cdf=null.cdf(x), density=null.density(x),
                            density_derivative=null.density_derivative(x))

@@ -419,7 +419,7 @@ def _thresholds(model, t, derivative=False):
         head = (t, null.cdf(t), f, null.partial_first_moment(0.0, t))
         return (*head, null.density_derivative(t), t * f) if derivative else head
     head = (t, null.cdf(t), f, -(model.score_cumulative(t) + model.score_cumulative(-t)))
-    return (*head, null.density_derivative(t), -(model.score(t) - model.score(-t))) if derivative else head
+    return (*head, null.density_derivative(t), -model.odd_score(t)) if derivative else head
 
 
 def _cross(null: SymmetricNull, levels, v, derivative=False):

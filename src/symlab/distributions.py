@@ -189,6 +189,12 @@ class SymmetricNull:
         y = np.where(x >= 0.5, 1.0 - x, x)
         return np.asarray(self.cdf(y)) - np.asarray(self.cdf(y - 1.0))
 
+    def _unit_difference(self, x):
+        """``f(x - 1) - f(x + 1)``, the odd part of the contamination score: its ``f(x)`` terms
+        cancel exactly, so they are left out."""
+        x = np.asarray(x, dtype=float)
+        return np.asarray(self.density(x - 1.0)) - np.asarray(self.density(x + 1.0))
+
     # -- sampling ---------------------------------------------------------
     def sample(self, n: int, seed: int, rng: np.random.Generator | None = None):
         """``n`` i.i.d. draws by inverse CDF, in a fresh array; deterministic given ``seed``.
@@ -356,6 +362,13 @@ class Cauchy(SymmetricNull):
         x = np.asarray(x, dtype=float)
         return np.arctan(1.0 / (x * (x - 1.0) + 1.0)) / math.pi
 
+    def _unit_difference(self, x):
+        # f(x - 1) - f(x + 1) cancels about log10(x) digits; it is 4x / (pi (1 + (x-1)^2) (1 + (x+1)^2)),
+        # divided in turn so that no product overflows before the value underflows, and odd in x
+        x = np.asarray(x, dtype=float)
+        a = np.abs(x)
+        return 4.0 * x / (math.pi * (1.0 + (a - 1.0) ** 2)) / (1.0 + (a + 1.0) ** 2)
+
 
 class AlternativeFamily:
     """A parametric family ``g(x; theta)`` that is symmetric iff ``theta = 0``."""
@@ -383,6 +396,11 @@ class AlternativeFamily:
     def score(self, x):
         """``d g(x; theta)/d theta`` at ``theta = 0`` (analytic form)."""
         raise NotImplementedError
+
+    def odd_score(self, x):
+        """``h(x) - h(-x)`` of the score ``h``, which the estimand derivative and slopes integrate."""
+        x = np.asarray(x, dtype=float)
+        return _as_float(np.asarray(self.score(x)) - np.asarray(self.score(-x)))
 
     def score_cumulative(self, x):
         """Antiderivative of the score, vanishing at both infinities."""
@@ -495,6 +513,9 @@ class Contamination(AlternativeFamily):
         return _as_float(
             np.asarray(self.base.density(x - 1.0)) - np.asarray(self.base.density(x))
         )
+
+    def odd_score(self, x):
+        return _as_float(self.base._unit_difference(x))
 
     def score_cumulative(self, x):
         # F(x - 1) - F(x) loses every digit where F nears 1 (and the Cauchy's tails cancel too)

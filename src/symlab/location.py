@@ -160,7 +160,7 @@ def _derivative_curve(alt: AlternativeFamily, alphas) -> tuple[np.ndarray, np.nd
     check_centering(null, alphas)
 
     def xh(x):  # Int_{-q}^{q} x h(x) dx folded onto [0, q]
-        return x * (alt.score(x) - alt.score(-x))
+        return x * alt.odd_score(x)
 
     value, err = np.zeros((2, alphas.size))
     inner = (alphas > 0.0) & (alphas < 0.5)

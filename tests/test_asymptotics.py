@@ -546,14 +546,14 @@ class TestQuadratureBudget:
     @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
     @pytest.mark.parametrize("alt_name", ["contam", "fs"])
     def test_mu_prime_integral_against_mpmath(self, null_name, alt_name):
-        # mu' = (edge + Int_0^Q x (h(x) - h(-x))) / (1 - 2a), edge = -Q (H(Q) + H(-Q)), H the
-        # score's antiderivative: within 4.5e-16 of the curve's largest value on every level
-        # (measured: 4.4e-16, 2 ulps above 1.0 on Cauchy contam at a = 1e-9, where the edge
-        # F(Q - 1) - F(Q) cancelled and mu' read 0.999999999)
+        # mu' = (edge + Int_0^Q x (h(x) - h(-x))) / (1 - 2a) with the program's own edge term, so
+        # the integral alone is checked: within 4e-16 of the curve's largest value on every level
+        # (measured: 3.3e-16, logistic and Cauchy contam)
         alt = get_alternative(alt_name, null_name)
         density, cdf, derivative = MP_NULLS[null_name]
         value, _ = loc._derivative_curve(alt, MP_LEVELS)
         q = alt.base.quantile(1.0 - MP_LEVELS)
+        edge = -q * (alt.score_cumulative(q) + alt.score_cumulative(-q))
         if alt_name == "fs":  # h(x) = |x| f'(x), odd
             xh = lambda x: 2 * x * x * derivative(x)
             H = lambda x: cdf(-abs(x)) + abs(x) * density(x)
@@ -562,9 +562,15 @@ class TestQuadratureBudget:
             H = lambda x: cdf(x - 1) - cdf(x)
         with mp.workdps(60):  # F(Q - 1) - F(Q) cancels about log10(Q^2) digits on the Cauchy
             integral = mp_below(xh, q.tolist())
-            want = np.array([float((-Q * (H(Q) + H(-Q)) + i) / (1 - 2 * mp.mpf(a)))
-                             for Q, i, a in zip(map(mp.mpf, q.tolist()), integral, MP_LEVELS.tolist())])
-        assert np.abs(value - want).max() <= 4.5e-16 * np.abs(want).max()
+            own = np.array([float((mp.mpf(e) + i) / (1 - 2 * mp.mpf(a)))
+                            for e, i, a in zip(edge.tolist(), integral, MP_LEVELS.tolist())])
+            # and with the exact edge -Q (H(Q) + H(-Q)), H the score's antiderivative, as tight
+            # (measured: 3.3e-16, logistic and Cauchy contam; the edge F(Q - 1) - F(Q) cancelled
+            # on the Cauchy, where mu' read 0.999999999 at a = 1e-9)
+            exact = np.array([float((-Q * (H(Q) + H(-Q)) + i) / (1 - 2 * mp.mpf(a)))
+                              for Q, i, a in zip(map(mp.mpf, q.tolist()), integral, MP_LEVELS.tolist())])
+        assert np.abs(value - own).max() <= 4e-16 * np.abs(own).max()
+        assert np.abs(value - exact).max() <= 4e-16 * np.abs(exact).max()
         assert [loc._derivative_curve(alt, [a])[0][0] for a in MP_LEVELS] == value.tolist()
 
     def test_trimmed_mean_term_carries_its_estimate(self):
