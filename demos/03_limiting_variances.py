@@ -36,7 +36,7 @@ print(f"  simulated {2000 * values.var():.5f}")
 print("\nKS variance function over the threshold t (normal null):")
 normal = get_null("normal")
 levels = (0.1, 0.4)
-sups, argmaxes, _ = variance_curve(parse_statistic("KS"), normal, levels)  # both levels at once
+sups, argmaxes, *_ = variance_curve(parse_statistic("KS"), normal, levels)  # both levels at once
 for alpha, sup_val, argmax in zip(levels, sups, argmaxes):
     spec = parse_statistic("KS", alpha=alpha)
     ts = np.round(np.linspace(0.0, 2.0, 6), 2)

@@ -322,7 +322,7 @@ def _refused(spec: StatisticSpec, null: SymmetricNull, alphas) -> np.ndarray:
 
 
 def _levels(null: SymmetricNull, alphas) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``(a, c(a), factor of J, Q, Int_0^Q x f)`` of :func:`_assemble_variance`, and the
+    """Rows ``(a, c(a), factor of J, Q, Int_0^Q x f)`` of a variance (:func:`_by_level`), and the
     error estimate of ``Int_0^Q x^2 f`` on each.
 
     ``Q`` is the ``(1-a)`` quantile; between the boundaries ``c = 2 (Int_0^Q
@@ -344,37 +344,28 @@ def _levels(null: SymmetricNull, alphas) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.where(zero | half, 0.0, err)
 
 
-def _assemble_variance(m, levels, t1, a_coef, mean_cross, median_cross, trim_cross):
-    """``m^2 [t1 + c(a) A^2 + A J(a)]`` on each level ``a`` of an integral-type statistic.
-
-    ``levels`` holds the :func:`_levels` columns ``a``, ``c(a)`` and the factor of ``J``; they
-    broadcast against ``t1`` and ``A = a_coef``.  ``J`` is the factor times ``mean_cross()`` at
-    ``a = 0``, ``median_cross()`` at ``a = 1/2`` and ``trim_cross()`` between, each ``(value,
-    error estimate)`` and run only when some level needs it; the second result is the estimate
-    of the branch each level took.  A supremum member's ``J`` is :func:`_cross`.
-    """
-    a, c2, factor = levels
-    zero, half = a == 0.0, a == 0.5
-    cross = np.zeros(np.broadcast_shapes(a.shape, np.shape(a_coef)))
-    err = np.zeros(a.shape)
-    for mask, part in ((zero, mean_cross), (half, median_cross), (~(zero | half), trim_cross)):
+def _by_level(a, trimmed, mean, median):
+    """The parts of ``J(a)`` on each level ``a``: ``trimmed``, a tuple of arrays that broadcast
+    against ``a``, but the tuple ``mean()`` at ``a = 0`` and ``median()`` at ``a = 1/2``, each run
+    only when some level is there.  Both families' one rule for the boundary levels."""
+    for mask, part in ((a == 0.0, mean), (a == 0.5, median)):
         if mask.any():
-            value, e = part()
-            cross, err = np.where(mask, factor * value, cross), np.where(mask, e, err)
-    return m * m * (t1 + c2 * (a_coef * a_coef) + a_coef * cross), err
+            trimmed = tuple(np.where(mask, new, old) for new, old in zip(part(), trimmed))
+    return trimmed
 
 
 def _integral_variance(specs, null: SymmetricNull, levels):
-    """Variance of each of ``specs`` on the :func:`_levels` rows, and its largest error estimate."""
+    """Variance ``m^2 [Int phi^2 + c(a) A^2 + A J(a)]`` of each of ``specs`` on the :func:`_levels`
+    rows, ``A = Int phi f'``, and its largest error estimate."""
     a, c2, factor, q, _ = levels.T
     for spec, (inner, inner_err) in zip(specs, _t3(specs, null, q)):
         kernel, phi_u = _kernel(spec), _profile(spec)
         fprime, fprime_err = _int_phi_fprime(kernel, null)
         # Int_Q^inf phi f is Int_{1-a}^1 phi(u) du: a polynomial in u there
-        value, err = _assemble_variance(
-            spec.kernel_order, (a, c2, factor), _phi_sq(kernel), fprime,
-            lambda: _int_phi_x(kernel, null), lambda: (_u_integral(phi_u, 0.5), 0.0),
-            lambda: (inner + q * _u_integral(phi_u, 1.0 - a), inner_err))
+        cross, err = _by_level(a, (inner + q * _u_integral(phi_u, 1.0 - a), inner_err),
+                               lambda: _int_phi_x(kernel, null), lambda: (_u_integral(phi_u, 0.5), 0.0))
+        m = spec.kernel_order
+        value = m * m * (_phi_sq(kernel) + c2 * (fprime * fprime) + fprime * (factor * cross))
         yield value, np.maximum(err, fprime_err)
 
 
@@ -424,28 +415,18 @@ def _thresholds(model, t, derivative=False):
 
 def _cross(null: SymmetricNull, levels, v, derivative=False):
     """``(Y,)``, the member variance's ``J(a) = factor w(q) Y``, on the :func:`_levels` rows at the
-    :func:`_thresholds` ``v``, and with ``derivative`` ``(Y, dY/dt)``: ``tau/2 - Int_0^t x f`` at
-    ``a = 0``, ``1 - q`` at ``a = 1/2``, and between ``Int_t^Q x f`` plus ``Q min(a, 1 - q)``.
-    Computed in place, so a scan holds few arrays of its size at once."""
+    :func:`_thresholds` ``v``, and with ``derivative`` ``(Y, dY/dt)``: ``Int_t^Q x f`` plus ``Q
+    min(a, 1 - q)`` between the boundaries, ``tau/2 - Int_0^t x f`` at ``a = 0`` and ``1 - q`` at
+    ``a = 1/2`` (:func:`_by_level`)."""
     t, q, f, below, *rates = v
     a, _, _, Q, Q_moment = levels.T[..., None]
-    zero, half = a == 0.0, a == 0.5
-    outside = t >= Q  # the partial moment over (t, Q) is empty (exactly 0.0) there
-    y = Q_moment - below  # every row as trimmed, then the boundary levels' rows, in place
-    y[outside] = 0.0
-    y += np.multiply(np.minimum(a, 1.0 - q), Q)
-    if zero.any():
-        np.copyto(y, null.abs_mean() / 2.0 - below, where=zero)
-    if half.any():
-        np.copyto(y, 1.0 - q, where=half)
+    inside = t < Q  # the partial moment over (t, Q) is empty (exactly 0.0) from Q on
+    trimmed = (np.where(inside, Q_moment - below, 0.0) + Q * np.minimum(a, 1.0 - q),)
     if not derivative:
-        return (y,)
-    # past Q, min(a, 1 - q) is 1 - q: Y' is -t f below Q and -Q f from it, continuous at Q
-    below_t = rates[1]
-    y_t = -np.where(outside, Q * f, below_t)
-    np.copyto(y_t, -below_t, where=zero)
-    np.copyto(y_t, -f, where=half)
-    return y, y_t
+        return _by_level(a, trimmed, lambda: (null.abs_mean() / 2.0 - below,), lambda: (1.0 - q,))
+    below_t = rates[1]  # past Q, min(a, 1 - q) is 1 - q: Y' is -t f below Q and -Q f from it
+    return _by_level(a, (*trimmed, -np.where(inside, below_t, Q * f)),
+                     lambda: (null.abs_mean() / 2.0 - below, -below_t), lambda: (1.0 - q, -f))
 
 
 def _free_variance(levels, q, f, y):
@@ -736,16 +717,19 @@ def _curves(specs, null: SymmetricNull, alphas, parts):
 
 
 def variance_curve(spec: StatisticSpec, null: SymmetricNull, alphas):
-    """Limiting variance of ``spec`` on each trimming level, its argmax over ``t`` and error.
+    """Limiting variance of ``spec`` on each trimming level, its argmax over ``t``, error and
+    resolution.
 
     The supremum over the threshold for supremum-type statistics; the
     argmax is NaN for integral-type ones.  The error is the largest
-    quadrature error estimate behind each level.  Each level is computed
+    quadrature error estimate behind each level, and the resolution what
+    the last step of the search over ``t`` may still move the value by
+    (:func:`_sup_over_t`; 0 for integral-type ones).  Each level is computed
     from its own ``a`` alone (``spec.alpha`` is ignored); levels
     :func:`applicability` refuses are NaN, and a level that breaks
     :func:`symlab.location.check_level` raises ``ValueError``.
     """
-    return _curves([spec], null, alphas, [(null, _VARIANCE)])[0][0][:3]
+    return _curves([spec], null, alphas, [(null, _VARIANCE)])[0][0]
 
 
 def slope_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas):
@@ -753,7 +737,7 @@ def slope_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas):
 
     A supremum-type slope is the supremum of the absolute member slope.
     """
-    return _curves([spec], alt.base, alphas, [(alt, _SLOPE)])[0][0][:3]
+    return _curves([spec], alt.base, alphas, [(alt, _SLOPE)])[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -188,8 +188,7 @@ def _cmd_variance(args) -> int:
         params = {"stat": spec0.label, "alpha": alpha, "over_t": True, "quad_err_max": err, "sup_err_max": 0.0}
     else:
         axis, xs = "alpha", grid
-        # variance_curve's, with the resolution of each supremum search over t
-        curves = [asy._curves([spec0], null, grid, [(null, asy._VARIANCE)])[0][0] for null in nulls]
+        curves = [asy.variance_curve(spec0, null, grid) for null in nulls]
         columns = [value for value, *_ in curves]
         params = {"stat": spec0.label, "grid_points": args.grid, "over_t": False,
                   "quad_err_max": max(float(err.max()) for _, _, err, _ in curves),

@@ -9,10 +9,11 @@ values of every statistic the row length admits, one after another), or
 statistic, run inline (one kept chunk) and on two worker threads, and the
 supremum defaults' members on one kept 100 x 700 draw, whose 70,000 values a
 second CPU would split by rows.  The
-asymptotic layer adds every array field of the ``IndexCurve`` of each of the
-19 defaults on each model pair, ``variance_curve`` of each non-moment
+asymptotic layer adds every array field of the ``IndexCurve`` but ``sup_err`` of
+each of the 19 defaults on each model pair, ``variance_curve`` of each non-moment
 default on each null and ``slope_curve`` on each model pair on their own
-trimming grid (value, argmax and error estimate in one group), and
+trimming grid (value, argmax and error estimate in one group, not the resolution
+of the search over ``t``, which any change to the search moves), and
 ``variance_function`` and ``slope_function`` of each supremum default on a
 fixed ``t`` grid, and ``influence_curve`` of each null at four trimming levels
 on a fixed ``x`` grid; the
@@ -232,11 +233,11 @@ def _groups():
                    lambda: getattr(curves()[i], field))
     for null_name, name in itertools.product(NULLS, CURVE_TESTS):
         null, spec = get_null(null_name), parse_statistic(name)
-        yield f"variance_curve/{null_name}/{name}", lambda: np.stack(variance_curve(spec, null, CURVE_LEVELS))
+        yield f"variance_curve/{null_name}/{name}", lambda: np.stack(variance_curve(spec, null, CURVE_LEVELS)[:3])
         for alt_name in ALTERNATIVES:
             alt = get_alternative(alt_name, null)
             yield (f"slope_curve/{null_name}/{alt_name}/{name}",
-                   lambda: np.stack(slope_curve(spec, alt, CURVE_LEVELS)))
+                   lambda: np.stack(slope_curve(spec, alt, CURVE_LEVELS)[:3]))
     for null_name, name in itertools.product(NULLS, MEMBER_TESTS):
         null, spec = get_null(null_name), parse_statistic(name, alpha=ALPHA)
         yield f"variance_function/{null_name}/{name}", lambda: variance_function(spec, null, MEMBER_T)

@@ -450,8 +450,8 @@ class TestSupremumSearch:
             assert curve.sigma2[i] >= var_max * (1.0 - 1e-12)
             assert curve.slope[i] >= slope_max * (1.0 - 1e-12)
             # the same bits as each curve on this level alone
-            var, var_arg, _ = asy.variance_curve(spec, null, [alpha])
-            slope, slope_arg, _ = asy.slope_curve(spec, alt, [alpha])
+            var, var_arg, *_ = asy.variance_curve(spec, null, [alpha])
+            slope, slope_arg, *_ = asy.slope_curve(spec, alt, [alpha])
             assert (curve.sigma2[i], curve.var_argmax[i]) == (var[0], var_arg[0])
             assert (curve.slope[i], curve.slope_argmax[i]) == (slope[0], slope_arg[0])
 
@@ -577,7 +577,7 @@ class TestQuadratureBudget:
         # Int_0^Q x^2 f of the trimmed-mean term reported 0.0; its rule's estimate reaches
         # each curve's error, and a boundary level, which never reads it, keeps 0
         null = get_null("logistic")
-        _, _, err = asy.variance_curve(StatisticSpec("KS"), null, [0.25])
+        _, _, err, _ = asy.variance_curve(StatisticSpec("KS"), null, [0.25])
         assert err[0] > 0.0
         levels, level_err = asy._levels(null, np.array([0.0, 0.25, 0.5]))
         assert level_err.tolist() == [0.0, null._second_moment(levels[1, 3])[1], 0.0]

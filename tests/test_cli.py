@@ -12,7 +12,6 @@ import pytest
 import symlab.cli
 import symlab.montecarlo
 import symlab.validate
-from symlab import asymptotics as asy
 from symlab import efficiency as eff
 from symlab._quad import ABS_TOL
 from symlab.cli import main
@@ -411,8 +410,7 @@ class TestCmdVariance:
         if extra or stat != "KS":
             assert resolution == 0.0
         else:
-            curves = [asy._curves([parse_statistic(stat)], null, eff.default_grid(), [(null, asy._VARIANCE)])[0][0]
-                      for null in map(get_null, NULL_NAMES)]
+            curves = [variance_curve(parse_statistic(stat), get_null(name), eff.default_grid()) for name in NULL_NAMES]
             assert 0.0 < resolution == max(float(curve[3].max()) for curve in curves)
         if extra:  # the one-level curve's estimate, which reads that integral alone
             alpha = float(extra[-1])

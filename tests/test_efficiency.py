@@ -170,11 +170,11 @@ def test_report_is_the_one_index(name, null_name, alt_name):
     for curve, model in ((asy.variance_curve, alt.base), (asy.slope_curve, alt)):
         wanted = {}
         for a, na in zip(levels, refused):
-            value, argmax, _ = curve(spec0, model, [a])
+            value, argmax, *_ = curve(spec0, model, [a])
             assert np.isnan(value[0]) == na
             wanted[a] = (value[0], argmax[0])
         for grid in grids:
-            values, argmaxes, errs = curve(spec0, model, grid)
+            values, argmaxes, errs, _ = curve(spec0, model, grid)
             assert errs.max() <= ABS_TOL and (errs[np.isnan(values)] == 0.0).all()
             want = np.array([wanted[a] for a in grid])
             np.testing.assert_array_equal(values.view(np.int64), want[:, 0].view(np.int64))
