@@ -23,13 +23,16 @@ at one level is index 0 of the curve on ``[a]``.  A curve computes a grid
 of trimming levels ``a`` in one pass, each level from its own ``a`` alone,
 so it gives the same bits on any grid.  For supremum-type statistics ``a``
 enters only through ``Q``, ``min(a, 1-q)`` and ``mu'(a)``: a test's levels
-are the rows of an ``(a, t)`` array.  A member variance is ``m^2 w(q)^2``
-times a factor that no test changes, and a member slope ``m w(q)`` times
-one, so :func:`_sup_over_t` scans each part (variance, slope) once on a grid
-of ``t`` scaled by the 0.999 null quantile, then takes safeguarded Newton
-steps on the closed-form ``t``-derivatives of the members, one point per row
-and step, for the rows of every test and curve it is given
-(:func:`_report_curves`); each row's resolution is carried as ``sup_err``.
+are the rows of an ``(a, t)`` array.  A member is written once
+(:func:`_members`), as ``m^p w(q)^p`` times a factor ``F`` that no test
+changes: ``p = 2`` and :func:`_free_variance`'s ``B`` for a variance, ``p =
+1`` and :func:`_free_slope`'s ``P`` for a slope, up to its sign.  Each search
+of :func:`_sup_over_t` is ``(model, free, power, groups, kinks)``: it scans
+``|w|^p |F|`` on a grid of ``t`` scaled by the 0.999 null quantile, ``F``
+once for all tests, then takes safeguarded Newton steps on the closed-form
+``t``-derivatives of :func:`_members`, one point per row and step, for the
+rows of every test and curve it is given (:func:`_report_curves`); each
+row's resolution is carried as ``sup_err``.
 For integral-type ones ``Int_Q^inf phi
 f`` integrates a polynomial in ``u = F(x)``, exact under a fixed
 Gauss-Legendre rule, and ``Int_0^Q phi x f`` of every test is one sum over
@@ -371,22 +374,20 @@ def _integral_variance(specs, null: SymmetricNull, levels):
 
 @cache
 def _blocks(tests: tuple) -> tuple:
-    """Kernel order and member sign (columns), row slice and ``(w, dw/dq)`` of ``(spec, rows)``
-    blocks; once per block layout in a process."""
+    """Kernel order (a column), row slice and ``(w, dw/dq)`` of ``(spec, rows)`` blocks; once per
+    block layout in a process."""
     rows = [n for _, n in tests]
-    m, sign = (np.repeat([value(s) for s, _ in tests], rows).astype(float)[:, None]
-                for value in (lambda s: s.kernel_order, lambda s: _SUP_SIGN.get(s.kind, 1.0)))
-    m.flags.writeable = sign.flags.writeable = False  # every search shares them
+    m = np.repeat([s.kernel_order for s, _ in tests], rows).astype(float)[:, None]
+    m.flags.writeable = False  # every search shares it
     ends = np.cumsum(rows)
-    return m, sign, tuple(slice(end - n, end) for n, end in zip(rows, ends)), tuple(
+    return m, tuple(slice(end - n, end) for n, end in zip(rows, ends)), tuple(
         (_weight(s), _weight_derivative(s)) for s, _ in tests)
 
 
-def _by_test(groups, q, derivative=False):
-    """Kernel order and member sign (columns) and weight ``w(q)`` of the rows of ``groups``,
-    ``(spec, levels)`` blocks, one per test, and with ``derivative`` ``dw/dq`` too; ``q`` has
-    one row per row, or any shape for one."""
-    m, sign, cuts, weights = _blocks(tuple((spec, len(lv)) for spec, lv in groups))
+def _by_test(groups, q):
+    """Kernel order (a column), weight ``w(q)`` and ``dw/dq`` of the rows of ``groups``, ``(spec,
+    levels)`` blocks, one per test; ``q`` has one row per row, or any shape for one."""
+    m, cuts, weights = _blocks(tuple((spec, len(lv)) for spec, lv in groups))
 
     def per_test(k):
         if len(cuts) == 1:
@@ -396,21 +397,24 @@ def _by_test(groups, q, derivative=False):
             out[cut] = pair[k](q[cut])  # NA_K_2's dw/dq is a constant
         return out
 
-    return m, sign, *map(per_test, (0, 1) if derivative else (0,))
+    return m, per_test(0), per_test(1)
 
 
-def _thresholds(model, t, derivative=False):
-    """``|t|`` and the null's ``F``, ``f`` and ``Int_0^t x f`` there, and with ``derivative`` the
-    ``t``-derivatives ``f'`` and ``t f`` of the last two; an alternative family's score pairing
-    ``-(H(t) + H(-t))`` and its derivative ``-(h(t) - h(-t))`` replace ``Int_0^t x f`` and ``t f``."""
+def _thresholds(model, t):
+    """``|t|`` and the null's ``F``, ``f`` and ``Int_0^t x f`` there, and the ``t``-derivatives
+    ``f'`` and ``t f`` of the last two; an alternative family's score pairing ``-(H(t) + H(-t))``
+    and its derivative ``-(h(t) - h(-t))`` replace ``Int_0^t x f`` and ``t f``."""
     null = getattr(model, "base", model)
     t = np.abs(np.asarray(t, dtype=float))
     f = null.density(t)
     if model is null:
-        head = (t, null.cdf(t), f, null.partial_first_moment(0.0, t))
-        return (*head, null.density_derivative(t), t * f) if derivative else head
-    head = (t, null.cdf(t), f, -(model.score_cumulative(t) + model.score_cumulative(-t)))
-    return (*head, null.density_derivative(t), -model.odd_score(t)) if derivative else head
+        return t, null.cdf(t), f, null.partial_first_moment(0.0, t), null.density_derivative(t), t * f
+    return _scored(model, t, null.cdf(t), f, null.density_derivative(t))
+
+
+def _scored(alt: AlternativeFamily, t, q, f, f_t):
+    """:func:`_thresholds` of ``alt`` from its null's columns at ``|t|``."""
+    return t, q, f, -(alt.score_cumulative(t) + alt.score_cumulative(-t)), f_t, -alt.odd_score(t)
 
 
 def _cross(null: SymmetricNull, levels, v, derivative=False):
@@ -418,51 +422,43 @@ def _cross(null: SymmetricNull, levels, v, derivative=False):
     :func:`_thresholds` ``v``, and with ``derivative`` ``(Y, dY/dt)``: ``Int_t^Q x f`` plus ``Q
     min(a, 1 - q)`` between the boundaries, ``tau/2 - Int_0^t x f`` at ``a = 0`` and ``1 - q`` at
     ``a = 1/2`` (:func:`_by_level`)."""
-    t, q, f, below, *rates = v
+    t, q, f, below, _, below_t = v
     a, _, _, Q, Q_moment = levels.T[..., None]
     inside = t < Q  # the partial moment over (t, Q) is empty (exactly 0.0) from Q on
     trimmed = (np.where(inside, Q_moment - below, 0.0) + Q * np.minimum(a, 1.0 - q),)
     if not derivative:
         return _by_level(a, trimmed, lambda: (null.abs_mean() / 2.0 - below,), lambda: (1.0 - q,))
-    below_t = rates[1]  # past Q, min(a, 1 - q) is 1 - q: Y' is -t f below Q and -Q f from it
+    # past Q, min(a, 1 - q) is 1 - q: Y' is -t f below Q and -Q f from it
     return _by_level(a, (*trimmed, -np.where(inside, below_t, Q * f)),
                      lambda: (null.abs_mean() / 2.0 - below, -below_t), lambda: (1.0 - q, -f))
 
 
-def _free_variance(levels, q, f, y):
-    """``B = 2 (1-q) + 4 c(a) f^2 - 2 factor f Y`` on the :func:`_levels` rows: a member variance
-    is ``m^2 w(q)^2 B``, and no test changes ``B``.  ``y`` is overwritten."""
+def _free_variance(null: SymmetricNull, levels, v, derivative=False):
+    """``(B,)``, and with ``derivative`` ``(B, dB/dt)``: ``B = 2 (1-q) + 4 c(a) f^2 - 2 factor f Y``
+    on the :func:`_levels` rows at the :func:`_thresholds` ``v`` (:func:`_cross`'s ``Y``).  A
+    member variance is ``m^2 w(q)^2 B``, and no test changes ``B``."""
+    _, q, f, _, f_t, _ = v
     _, c2, factor, _, _ = levels.T[..., None]
+    y, *y_t = _cross(null, levels, v, derivative)
+    rate = [2.0 * (4.0 * c2 * (f * f_t) - f - factor * (f_t * y + f * y_t[0]))] if derivative else []
     b = np.multiply(y, f * (-2.0 * factor), out=y)
     b += 4.0 * c2 * (f * f)
     b += 2.0 * (1.0 - q)
-    return b
+    return (b, *rate)
 
 
-def _member_variance(null: SymmetricNull, groups, v, derivative=False):
-    """``sigma^2(a; t)`` on the rows of ``(spec, levels)`` blocks at the :func:`_thresholds` ``v``,
-    and with ``derivative`` its ``t``-derivative too, from :func:`_free_variance` (``q' = f``)."""
-    t, q, f, *_ = v
-    m, _, w, *w_q = _by_test(groups, q, derivative)
-    levels = np.concatenate([lv for _, lv in groups])
-    _, c2, factor, _, _ = levels.T[..., None]
-    y, *y_t = _cross(null, levels, v, derivative)
-    a_coef, cross = w * (-2.0) * f, factor * (w * y)  # sign of the member cancels in every product
-    value = m * m * (w * w * 2.0 * (1.0 - q) + c2 * (a_coef * a_coef) + a_coef * cross)
-    if not derivative:
-        return value
-    f_t = v[4]
-    b_t = 2.0 * (4.0 * c2 * (f * f_t) - f - factor * (f_t * y + f * y_t[0]))
-    return value, m * m * w * (2.0 * w_q[0] * f * _free_variance(levels, q, f, y) + w * b_t)
-
-
-def _variance_scan(null: SymmetricNull, groups, v):
-    """The member variance over ``m^2`` of the tests of ``groups``, which share their levels, as
-    one row of factors ``w(q)^2`` per test and :func:`_free_variance`."""
-    _, q, f, *_ = v
-    levels = groups[0][1]
-    weights = np.square([_weight(spec)(q) for spec, _ in groups])
-    return weights, _free_variance(levels, q, f, _cross(null, levels, v)[0])
+def _members(model, groups, power, free, v):
+    """Values ``m^p w(q)^p F`` and their ``t``-derivatives ``m^p w^(p-1) (p w' f F + w F')``
+    (``q' = f``) of the members of the rows of ``groups``, ``(spec, levels)`` blocks, at the
+    :func:`_thresholds` ``v`` of ``model``, where ``p`` is ``power`` and ``(F, F') = free(model,
+    levels, v, True)`` is the factor that no test changes: a variance's is
+    :func:`_free_variance` with ``p = 2``, a slope's :func:`_free_slope` with ``p = 1`` (unsigned,
+    :data:`_SUP_SIGN`)."""
+    m, w, w_q = _by_test(groups, v[1])
+    value, rate = free(model, np.concatenate([lv for _, lv in groups]), v, True)
+    scale = _power(m, power)
+    return (scale * _power(w, power) * value,
+            scale * _power(w, power - 1) * (power * w_q * v[2] * value + w * rate))
 
 
 def variance_function(spec: StatisticSpec, null: SymmetricNull, t):
@@ -480,7 +476,7 @@ def variance_function(spec: StatisticSpec, null: SymmetricNull, t):
         raise ValueError("variance_function applies to supremum-type statistics")
     applicability(spec, null)
     levels = _levels(null, check_level([spec.alpha]))[0]
-    return _at_thresholds(lambda v: _member_variance(null, [(spec, levels)], v), null, t)
+    return _at_thresholds(lambda v: _members(null, [(spec, levels)], 2, _free_variance, v)[0], null, t)
 
 
 def _at_thresholds(member, model, t):
@@ -516,26 +512,15 @@ def _integral_slope(specs, alt: AlternativeFamily, mu_p):
         yield spec.kernel_order * (score + mu_p * fprime), max(score_err, fprime_err)
 
 
-def _member_slope(alt: AlternativeFamily, groups, v, derivative=False):
-    """Signed member slope on the rows of ``(spec, mu'(a))`` blocks, ``v`` and ``derivative`` as
-    for the variance."""
-    t, q, f, chi_score, *rates = v
-    m, sign, w, *w_q = _by_test(groups, q, derivative)
-    mu_p = np.concatenate([lv for _, lv in groups])[:, None]
-    pairing = chi_score + mu_p * (-2.0 * f)
-    value = m * sign * w * pairing
-    if not derivative:
-        return value
-    f_t, chi_score_t = rates
-    return value, m * sign * (w_q[0] * f * pairing + w * (chi_score_t + mu_p * (-2.0 * f_t)))
-
-
-def _slope_scan(alt: AlternativeFamily, groups, v):
-    """``|member slope| / m`` of the tests of ``groups``, which share their ``mu'``, as one row of
-    factors ``|w(q)|`` per test and the test-free ``|pairing|`` of :func:`_member_slope`."""
-    _, q, f, chi_score = v
-    weights = np.abs([_weight(spec)(q) for spec, _ in groups])
-    return weights, np.abs(chi_score + groups[0][1][:, None] * (-2.0 * f))
+def _free_slope(alt: AlternativeFamily, mu_p, v, derivative=False):
+    """``(P,)``, and with ``derivative`` ``(P, dP/dt)``: the pairing ``P = -(H(t) + H(-t)) - 2
+    mu'(a) f`` of ``chi(.; q)`` with ``h + mu' f'`` on the rows of estimand derivatives ``mu_p``
+    at the :func:`_thresholds` ``v`` of ``alt``.  A member slope is ``m w(q) P`` up to its sign
+    (:data:`_SUP_SIGN`), and no test changes ``P``."""
+    _, _, f, chi_score, f_t, chi_score_t = v
+    mu_p = mu_p[:, None]
+    value = chi_score + mu_p * (-2.0 * f)
+    return (value, chi_score_t + mu_p * (-2.0 * f_t)) if derivative else (value,)
 
 
 def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t):
@@ -544,7 +529,8 @@ def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t):
         raise ValueError("slope_function applies to supremum-type statistics")
     applicability(spec, alt.base)
     mu_p = _mu_prime(alt, (spec.alpha,))[0]
-    return _at_thresholds(lambda v: _member_slope(alt, [(spec, mu_p)], v), alt, t)
+    sign = _SUP_SIGN.get(spec.kind, 1.0)
+    return _at_thresholds(lambda v: sign * _members(alt, [(spec, mu_p)], 1, _free_slope, v)[0], alt, t)
 
 
 # ---------------------------------------------------------------------------
@@ -570,20 +556,23 @@ def _scan(model) -> tuple:
     if model is null:
         table = _thresholds(null, null.quantile(0.999) * np.append(0.0, np.geomspace(1e-5, 1.0, 512)))
     else:  # the null's own columns are read from its scan
-        t, q, f, _ = _scan(null)
-        table = (t, q, f, -(model.score_cumulative(t) + model.score_cumulative(-t)))
+        t, q, f, _, f_t, _ = _scan(null)
+        table = _scored(model, t, q, f, f_t)
     for array in table:
         array.flags.writeable = False  # every search shares the cached arrays
     return table
 
 
-def _scanned(model, scan, groups):
-    """The values of ``scan`` on the :func:`_scan` grid before, at and after each row's best point,
-    and its index, for as many tests at once as fit in :data:`_SCAN_SIZE` values."""
-    weights, free = scan(model, groups, _scan(model))
-    per, n = max(1, _SCAN_SIZE // free.size), free.shape[-1]
+def _scanned(model, free, power, groups):
+    """``|w(q)|^p |F|``, the members of the tests of ``groups`` (which share their levels) over
+    ``m^p`` (:func:`_members`), on the :func:`_scan` grid before, at and after each row's best
+    point, and its index, for as many tests at once as fit in :data:`_SCAN_SIZE` values."""
+    v = _scan(model)
+    weights = _power(np.abs([_weight(spec)(v[1]) for spec, _ in groups]), power)
+    factor = np.abs(free(model, groups[0][1], v)[0])
+    per, n = max(1, _SCAN_SIZE // factor.size), factor.shape[-1]
     for k in range(0, len(weights), per):
-        vals = (weights[k:k + per, None, :] * free).reshape(-1, n)
+        vals = (weights[k:k + per, None, :] * factor).reshape(-1, n)
         i = np.argmax(vals, axis=1)
         rows = np.arange(i.size)
         yield vals[rows, np.maximum(i - 1, 0)], vals[rows, i], vals[rows, np.minimum(i + 1, n - 1)], i
@@ -594,16 +583,16 @@ def _sup_over_t(searches) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``t >= 0``, smooth but at one kink per row (a supremum-type slope is the supremum of the
     absolute member slope; a member variance is not negative).
 
-    ``searches`` lists ``(model, member, scan, groups, kinks)``.  ``member(model, groups, v)``
-    maps the :func:`_thresholds` ``v`` of ``model`` (one row for all, or one row each) to the
-    values of the rows of ``groups`` (:func:`_by_test`), and ``member(model, groups, v, True)``
-    to the values and their ``t``-derivatives.  ``scan(model, groups, v)`` gives one row of
-    factors per test and a test-free array whose products have the members' argmaxes, and
-    ``kinks`` holds each row's kink (NaN for none), where the second derivative may jump.
+    ``searches`` lists ``(model, free, power, groups, kinks)``: the function of a row of
+    ``groups``, ``(spec, levels)`` blocks that share their levels, is the member ``m^p w(q)^p
+    F`` of :func:`_members`, ``p`` being ``power`` and ``F`` the factor that ``free(model,
+    levels, v)`` gives at the :func:`_thresholds` ``v`` of ``model``, and ``kinks`` holds each
+    row's kink (NaN for none), where the second derivative may jump.
 
-    ``scan`` runs on the :func:`_scan` grid, ``q999`` times a fixed table, and a row's bracket
-    is the scan points beside its best one.  Each step then makes one call of ``member`` per
-    search with one column of points (a few in the first step), so no row depends on another.
+    The scan evaluates ``|w(q)|^p |F|`` on the :func:`_scan` grid, ``q999`` times a fixed table,
+    ``F`` once for all tests of a search, and a row's bracket is the scan points beside its best
+    one.  Each step then makes one call of :func:`_members` per search with one column of points
+    (a few in the first step), so no row depends on another.
     The first step evaluates the best scan point, the kink if the bracket holds it (the
     function is smooth on either side of it), and the vertex of the parabola through the three
     scan points with a point ``2^-10`` of it on either side.  Every derivative's sign cuts the
@@ -619,7 +608,7 @@ def _sup_over_t(searches) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     ts = _scan(searches[0][0])[0]
     g_lo, g_at, g_hi, i = map(np.concatenate, zip(*[
-        found for model, _, scan, groups, _ in searches for found in _scanned(model, scan, groups)]))
+        found for search in searches for found in _scanned(*search[:4])]))
     at, lo, hi = ts[i], ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, ts.size - 1)]
     kinks = np.concatenate([k for *_, k in searches])
     with np.errstate(divide="ignore", invalid="ignore"):  # at the ends of the scan
@@ -635,8 +624,8 @@ def _sup_over_t(searches) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     trail_x, trail_d = np.full((2, at.size, 3), math.nan)  # the last three points and derivatives
     err, live = np.zeros(at.size), np.ones(at.size, dtype=bool)
     for _ in range(_MAX_STEPS):
-        pairs = [member(model, groups, _thresholds(model, part, True), True)
-                 for (model, member, _, groups, _), part in zip(searches, np.split(points, cuts))]
+        pairs = [_members(model, groups, power, free, _thresholds(model, part))
+                 for (model, free, power, groups, _), part in zip(searches, np.split(points, cuts))]
         values, slopes = (np.concatenate([pair[k] for pair in pairs]) for k in (0, 1))
         values, slopes = np.abs(values), np.sign(values) * slopes
         j = np.argmax(values, axis=1)  # the first of equal values
@@ -665,23 +654,22 @@ def _sup_over_t(searches) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return best, arg, err
 
 
-# (integral, column, member, scan, kink) of a curve, for :func:`_curves`; a trimmed member variance
+# (integral, column, free, power, kink) of a curve, for :func:`_curves`; a trimmed member variance
 # has a kink at Q (its second derivative jumps there)
-_VARIANCE = (_integral_variance, _levels, _member_variance, _variance_scan,
+_VARIANCE = (_integral_variance, _levels, _free_variance, 2,
              lambda levels: np.where((levels[:, 0] > 0.0) & (levels[:, 0] < 0.5), levels[:, 3], math.nan))
-_SLOPE = (_integral_slope, _derivative_curve, _member_slope, _slope_scan,
-          lambda mu_p: np.full(len(mu_p), math.nan))
+_SLOPE = (_integral_slope, _derivative_curve, _free_slope, 1, lambda mu_p: np.full(len(mu_p), math.nan))
 
 
 def _curves(specs, null: SymmetricNull, alphas, parts):
     """``(value, argmax, error, resolution)`` of each test in ``specs`` on each level, one list
     per part.
 
-    A part is ``(model, (integral, column, member, scan, kink))``.  On the accepted
+    A part is ``(model, (integral, column, free, power, kink))``.  On the accepted
     levels ``a``, ``(levels, error) = column(model, a)`` is computed once for
     every test; ``integral(specs, model, levels)`` yields each integral-type
     test's ``(value, error)``, and a supremum-type test's rows ``(spec,
-    levels)`` are searched over ``member``, with ``scan`` and ``kink(levels)``, by one
+    levels)`` are searched over their members, with ``free``, ``power`` and ``kink(levels)``, by one
     :func:`_sup_over_t` for all parts and tests, which gives their
     resolutions.  Refused levels (:func:`_refused`) read NaN with error and
     resolution 0, integral-type argmaxes NaN and resolutions 0.
@@ -691,7 +679,7 @@ def _curves(specs, null: SymmetricNull, alphas, parts):
     alphas = check_level(np.asarray(alphas, dtype=float).ravel())
     ok = ~_uncentered(null, alphas)  # :func:`_refused` of every test here
     curves, searches, pending = [], [], []
-    for model, (integral, column, member, scan, kink) in parts:
+    for model, (integral, column, free, power, kink) in parts:
         block = [(*np.full((2, alphas.size), math.nan), *np.zeros((2, alphas.size))) for _ in specs]
         curves.append(block)
         if not ok.any():
@@ -708,7 +696,7 @@ def _curves(specs, null: SymmetricNull, alphas, parts):
                 groups.append((spec, levels))
                 pending.append((value, arg, resolution))
         if groups:
-            searches.append((model, member, scan, groups, np.concatenate([kink(lv) for _, lv in groups])))
+            searches.append((model, free, power, groups, np.concatenate([kink(lv) for _, lv in groups])))
     if pending:
         for out, *found in zip(pending, *(np.split(r, len(pending)) for r in _sup_over_t(searches))):
             for array, part in zip(out, found):

@@ -19,6 +19,7 @@ import numpy as np
 from . import asymptotics as asy
 from .asymptotics import IndexCurve
 from .distributions import AlternativeFamily
+from .location import check_level
 from .stats import INTEGRAL, StatisticSpec, parse_statistic
 
 __all__ = [
@@ -156,9 +157,11 @@ def ks_s_equivalence_crossover(alt: AlternativeFamily, grid=None) -> float:
 
     The grid is scanned from zero and the last trimming level before either
     supremum of KS moves off the origin (:func:`_ks_is_s`) is returned (0.0
-    when it moves immediately).
+    when it moves immediately).  The whole grid must keep
+    :func:`symlab.location.check_level`'s rule before the median level 1/2 is
+    dropped.
     """
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    grid = check_level(np.asarray(default_grid() if grid is None else grid, dtype=float).ravel())
     grid = grid[grid < 0.5]
     curve = index_curves(["KS"], alt, grid)[0]
     na = curve.not_applicable

@@ -391,6 +391,7 @@ class TestTrimmingLevelRule:
         "index_curves_moment": lambda a, alt: eff.index_curves(["CM"], alt, [a]),
         "bahadur_index": lambda a, alt: eff.bahadur_index("W", alt, a),
         "equivalence_report": lambda a, alt: eff.equivalence_report(alt, a, tests=("S", "KS")),
+        "ks_s_equivalence_crossover": lambda a, alt: eff.ks_s_equivalence_crossover(alt, [0.0, a]),
         "variance_function": lambda a, alt: asy.variance_function(
             StatisticSpec("KS", alpha=a), alt.base, 0.5),
         "slope_function": lambda a, alt: asy.slope_function(
@@ -405,6 +406,12 @@ class TestTrimmingLevelRule:
     def test_one_rule_at_every_entry_point(self, contam_normal, entry, level):
         with pytest.raises(ValueError, match=r"trimming coefficient must lie in \[0, 1/2\]"):
             self.ENTRY_POINTS[entry](level, contam_normal)
+
+    @pytest.mark.parametrize("grid", [[0.7], [0.1, 0.9], [0.1, math.nan, 0.2]])
+    def test_crossover_applies_the_rule_before_dropping_the_median(self, contam_normal, grid):
+        # levels past 1/2 and NaN were dropped with 1/2, and the crossover read 0.0
+        with pytest.raises(ValueError, match=r"trimming coefficient must lie in \[0, 1/2\]"):
+            eff.ks_s_equivalence_crossover(contam_normal, grid)
 
     def test_smallest_level_above_the_rule(self, contam_normal):
         a = np.nextafter(2.0**-54, 1.0)  # 1 - a is the float below 1
@@ -454,6 +461,30 @@ class TestSupremumSearch:
             slope, slope_arg, *_ = asy.slope_curve(spec, alt, [alpha])
             assert (curve.sigma2[i], curve.var_argmax[i]) == (var[0], var_arg[0])
             assert (curve.slope[i], curve.slope_argmax[i]) == (slope[0], slope_arg[0])
+
+
+class TestMemberDerivatives:
+    @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+    @pytest.mark.parametrize("alt_name", ["contam", "fs"])
+    def test_closed_form_against_central_difference(self, null_name, alt_name):
+        # the t-derivatives that steer the Newton steps of the search, off the kink at Q(1 - a);
+        # measured at most 4.1e-9 (variance) and 2.6e-8 (slope) of the scale max(|d|, |value| / t)
+        alt = get_alternative(alt_name, null_name)
+        null = alt.base
+        alphas = np.array([a for a in (0.0, 0.02, 0.15, 0.35, 0.5) if a > 0.0 or null.has_moment(2)])
+        specs = [parse_statistic(name) for name in ALL_SUP_IDS]
+        t = np.tile(null.quantile([0.55, 0.7, 0.8, 0.95]), (len(specs) * alphas.size, 1))
+        h = 1e-6 * t
+        for model, (_, column, free, power, _) in ((null, asy._VARIANCE), (alt, asy._SLOPE)):
+            groups = [(spec, column(model, alphas)[0]) for spec in specs]
+
+            def members(x):
+                return asy._members(model, groups, power, free, asy._thresholds(model, x))
+
+            value, d = members(t)
+            central = (members(t + h)[0] - members(t - h)[0]) / (2.0 * h)
+            scale = np.maximum(np.abs(d), np.abs(value) / t)
+            assert (np.abs(d - central) <= 1e-6 * scale).all(), (power, np.max(np.abs(d - central) / scale))
 
 
 INTEGRAL_KINDS = [name for name in DEFAULT_TESTS if parse_statistic(name).family == "integral"]

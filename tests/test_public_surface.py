@@ -65,11 +65,15 @@ RETIRED = (
     "DEGENERACY_TOL",
     "sqrtb1_slope",
 )
+#: the second formula of each supremum member, retired for :func:`symlab.asymptotics._members`
+RETIRED_PRIVATE = {asymptotics: ("_member_variance", "_member_slope", "_variance_scan", "_slope_scan")}
 #: retired parameters, the private ones that every caller left at one value too
 RETIRED_PARAMETERS = {
     efficiency.equivalence_report: ("tol",),
     efficiency.zero_efficiency_alpha: ("scan_points",),
     asymptotics._sup_over_t: ("tol",),
+    asymptotics._thresholds: ("derivative",),
+    asymptotics._by_test: ("derivative",),
     _quad.graded: ("nodes",),
 }
 #: retired members of the public classes, which nothing but their own tests called
@@ -89,6 +93,12 @@ def test_retired_readers_are_gone(module):
         assert not hasattr(module, name), name
     for name in getattr(module, "__all__", ()):
         assert hasattr(module, name), name
+
+
+def test_retired_private_functions_are_gone():
+    for module, names in RETIRED_PRIVATE.items():
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_retired_parameters_are_gone():
