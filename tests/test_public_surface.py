@@ -66,7 +66,7 @@ RETIRED = (
     "sqrtb1_slope",
 )
 #: the second formula of each supremum member, retired for :func:`symlab.asymptotics._members`
-RETIRED_PRIVATE = {asymptotics: ("_member_variance", "_member_slope", "_variance_scan", "_slope_scan")}
+RETIRED_MEMBER_FORMULAS = ("_member_variance", "_member_slope", "_variance_scan", "_slope_scan")
 #: retired parameters, the private ones that every caller left at one value too
 RETIRED_PARAMETERS = {
     efficiency.equivalence_report: ("tol",),
@@ -95,10 +95,9 @@ def test_retired_readers_are_gone(module):
         assert hasattr(module, name), name
 
 
-def test_retired_private_functions_are_gone():
-    for module, names in RETIRED_PRIVATE.items():
-        for name in names:
-            assert not hasattr(module, name), f"{module.__name__}.{name}"
+def test_retired_member_formulas_are_gone():
+    for name in RETIRED_MEMBER_FORMULAS:
+        assert not hasattr(asymptotics, name), name
 
 
 def test_retired_parameters_are_gone():
