@@ -57,16 +57,17 @@ lives for one :func:`_curves` call, for all its tests, parts and steps.
 Projections are analytic.  Every characterization statistic compares the
 ``r``-th and ``(p+1-r)``-th order statistics of a ``p``-subsample in absolute
 value, and conditioning one coordinate at ``x`` leaves binomial survival
-probabilities in ``u = F(x)``.  Integrating the outer coordinate gives, for
-the integral forms, the odd profile
+probabilities in ``u = F(x)``.  A supremum-family member factors as ``w(q) *
+chi(u; q)`` with ``chi(u; q) = 1{u >= q} - 1{u < 1-q}`` and ``q = F(t)``, one
+polynomial ``w(q) = c (q(1-q))^(r-1) (q^d - (1-q)^d)`` for every test of ranks
+``(p, r)`` (:func:`_polynomial`), and the integral forms have the odd profile
 
     ``B(u) = 2 sign(u - 1/2) Omega(max(u, 1-u))``
 
-with an explicit polynomial ``Omega`` per family, while the supremum-family
-members factor as ``w(q) * chi(u; q)`` where ``chi(u; q) = 1{u >= q} -
-1{u < 1-q}`` and ``q = F(t)``.  These closed forms are certified against
-Monte Carlo conditional expectations and their exact coefficients
-(:func:`_shape`) in the test suite.
+with ``Omega`` the integral of ``w`` from 1/2, evaluated so that it does not
+cancel at the median (:func:`_omega`).  The test suite certifies these against
+Monte Carlo conditional expectations and against the per-family closed forms,
+written out by hand, with their exact coefficients (:func:`_shape`).
 
 :func:`_report_curves` is the single place the local index, slope squared
 over variance, is assembled from the two curves, including its degenerate
@@ -95,7 +96,7 @@ from ._quad import _gauss01, graded, half_line
 from .distributions import AlternativeFamily, SymmetricNull, _as_float
 from .errors import NotApplicableError
 from .location import _derivative_curve, _uncentered, check_centering, check_level
-from .stats import INTEGRAL, MOMENT, SUPREMUM, StatisticSpec
+from .stats import _KIND_TABLE, INTEGRAL, MOMENT, SUPREMUM, StatisticSpec
 
 __all__ = [
     "Projection",
@@ -128,17 +129,39 @@ def _kernel(spec: StatisticSpec) -> StatisticSpec:
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _polynomial(kind: str, k: int | None) -> tuple:
+    """``(r, d, c, terms)`` of a BH/NA/MO kind of ranks ``(p, r)``: its member weight is ``w(q) = c
+    (q(1-q))^(r-1) (q^d - (1-q)^d)`` with ``d = p + 1 - 2r`` and ``c = C(p-1, r-1)``, halved for BH,
+    and ``terms`` are the exact ``(power, coefficient)``s of ``w`` in ``y = q - 1/2``, odd powers."""
+    spec, half, terms = StatisticSpec(kind, k), Fraction(1, 2), {}
+    p, r = spec.subset_size, spec.order_pair[0]
+    d, c = p + 1 - 2 * r, math.comb(p - 1, r - 1) * (half if _KIND_TABLE[kind].half else 1)
+    for i in range(r):  # (1/4 - y^2)^(r-1) times (1/2 + y)^d - (1/2 - y)^d
+        for j in range(1, d + 1, 2):
+            a = c * math.comb(r - 1, i) * (-1) ** i * math.comb(d, j) * half ** (2 * r - 3 - 2 * i + d - j)
+            terms[2 * i + j] = terms.get(2 * i + j, 0) + a
+    return r, d, float(c), tuple(sorted(terms.items()))
+
+
 def _omega(spec: StatisticSpec):
-    """Polynomial ``Omega(v) = Integral_{1/2}^{v} w(q) dq`` of the family."""
-    k = spec.k
-    if spec.kind.startswith("NA"):
-        return lambda v: (v**k + (1.0 - v) ** k - 2.0 * 0.5**k) / k
-    if spec.kind.startswith("MO"):
-        c = math.comb(2 * k - 1, k)
-        return lambda v: c * (0.25**k - (v * (1.0 - v)) ** k) / k
-    if spec.kind.startswith("BH"):
-        return lambda v: 0.5 * ((v - 0.5) ** 2)
-    raise ValueError(f"{spec.kind} has no characterization profile")
+    """``Omega(v) = Integral_{1/2}^{v} w(q) dq`` of :func:`_weight` on ``[1/2, 1]``, as ``z = (v -
+    1/2)^2`` times Horner's rule over positive exact coefficients, so it keeps its relative accuracy
+    at the median: for ``r = 1`` (BH, NA) in ``z``, from :func:`_polynomial`'s terms, and else (``d =
+    1``, MO) in ``P = v (1 - v)``, as ``c (1/4^r - P^r) / r = z sum_{i<r} c 4^(i+1-r) P^i / r``."""
+    r, _, c, terms = _polynomial(spec.kind, spec.k)
+    exact = [a / (j + 1) for j, a in terms] if r == 1 else [Fraction(c) * 4 ** (i + 1 - r) / r for i in range(r)]
+    first, *rest = [float(a) for a in reversed(exact)]  # of Omega / z, highest power first
+
+    def omega(v):
+        x = v - 0.5
+        z = x * x
+        s, total = z if r == 1 else v * (1.0 - v), first
+        for a in rest:
+            total = total * s + a
+        return total * z
+
+    return omega
 
 
 def _power(x, k: int):
@@ -147,58 +170,37 @@ def _power(x, k: int):
 
 
 def _weight(spec: StatisticSpec):
-    """Threshold weight ``w(q)`` of the supremum-family projection."""
-    k = spec.k
+    """Threshold weight ``w(q)`` of the supremum-family projection (:func:`_polynomial`)."""
     if spec.kind == "KS":
         return lambda q: np.ones_like(np.asarray(q, dtype=float))
-    if spec.kind.startswith("NA"):
-        return lambda q: _power(q, k - 1) - _power(1.0 - q, k - 1)
-    if spec.kind.startswith("MO"):
-        c = math.comb(2 * k - 1, k)
-        return lambda q: c * _power(q * (1.0 - q), k - 1) * (2.0 * q - 1.0)
-    if spec.kind.startswith("BH"):
-        return lambda q: 0.5 * (2.0 * q - 1.0)
-    raise ValueError(f"{spec.kind} is not supremum-type")
+    r, d, c, _ = _polynomial(spec.kind, spec.k)
+    return lambda q: c * _power(q * (1.0 - q), r - 1) * (_power(q, d) - _power(1.0 - q, d))
 
 
 def _weight_derivative(spec: StatisticSpec):
-    """``dw/dq`` of :func:`_weight` (MO_K_1's ``_power`` of order -1 is 1.0, times ``k - 1 = 0``)."""
-    k = spec.k
+    """``dw/dq`` of :func:`_weight` (a ``_power`` of order -1 is 1.0, times ``r - 1 = 0``)."""
     if spec.kind == "KS":
         return lambda q: np.zeros_like(np.asarray(q, dtype=float))
-    if spec.kind.startswith("NA"):
-        return lambda q: (k - 1) * (_power(q, k - 2) + _power(1.0 - q, k - 2))
-    if spec.kind.startswith("MO"):
-        c = math.comb(2 * k - 1, k)
+    r, d, c, _ = _polynomial(spec.kind, spec.k)
 
-        def mo(q):
-            p, y = q * (1.0 - q), 2.0 * q - 1.0
-            return c * (2.0 * _power(p, k - 1) - (k - 1) * _power(p, k - 2) * (y * y))
+    def rate(q):
+        p, y = q * (1.0 - q), 2.0 * q - 1.0
+        return c * (d * _power(p, r - 1) * (_power(q, d - 1) + _power(1.0 - q, d - 1))
+                    - (r - 1) * _power(p, r - 2) * (y * (_power(q, d) - _power(1.0 - q, d))))
 
-        return mo
-    return lambda q: np.ones_like(np.asarray(q, dtype=float))  # BH
+    return rate
 
 
 def _shape(spec: StatisticSpec) -> tuple:
     """Exact shape of the first projection: two tests of one shape have proportional projections.
-
-    A BH/NA/MO kind's is its family and the ``(power, coefficient)`` terms of
-    :func:`_weight` in ``y = q - 1/2`` (supremum) or of :func:`_omega`, its
-    integral, in ``x = v - 1/2`` (integral), as ``Fraction``s divided by the first.
-    """
-    if not spec.kind.startswith(("BH", "NA", "MO")):  # CM, GAMMA and MGG are (xbar - med) / const
+    A BH/NA/MO kind's is its family and the terms of :func:`_polynomial` (supremum) or of their
+    integral ``Omega`` in ``x = v - 1/2`` (integral), as ``Fraction``s divided by the first."""
+    if _KIND_TABLE[spec.kind].ranks is None:  # CM, GAMMA and MGG are (xbar - med) / const
         return ("mean-median",) if spec.kind in ("CM", "GAMMA", "MGG") else (spec.kind,)
-    k, half = spec.k, Fraction(1, 2)
-    if spec.kind.startswith("NA"):  # (1/2 + y)^(k-1) - (1/2 - y)^(k-1)
-        w = {j: math.comb(k - 1, j) * half ** (k - 1 - j) * (1 - (-1) ** j) for j in range(k)}
-    elif spec.kind.startswith("MO"):  # (1/4 - y^2)^(k-1) y, up to the factor 2 C(2k-1, k)
-        w = {2 * j + 1: math.comb(k - 1, j) * (half * half) ** (k - 1 - j) * (-1) ** j for j in range(k)}
-    else:  # y, up to the factor 1
-        w = {1: Fraction(1)}
+    terms = _polynomial(spec.kind, spec.k)[3]
     if spec.family == INTEGRAL:  # Omega(1/2 + x) is the integral of w over (0, x)
-        w = {j + 1: c / (j + 1) for j, c in w.items()}
-    terms = sorted((j, c) for j, c in w.items() if c)
-    return (spec.family, *((j, c / terms[0][1]) for j, c in terms))
+        terms = [(j + 1, a / (j + 1)) for j, a in terms]
+    return (spec.family, *((j, a / terms[0][1]) for j, a in terms))
 
 
 def _chi(u, q):
@@ -212,14 +214,12 @@ def _profile(spec: StatisticSpec):
         return lambda u: np.where(u > 0.5, 0.5, np.where(u < 0.5, -0.5, 0.0))
     if spec.kind == "W":
         return lambda u: np.asarray(u, dtype=float) - 0.5
-    omega = _omega(spec)
-    p = spec.subset_size
+    omega, p = _omega(spec), spec.subset_size
     scale = p / (p + 1.0)
 
     def phi_u(u):
         u = np.asarray(u, dtype=float)
-        v = np.maximum(u, 1.0 - u)
-        return scale * 2.0 * np.sign(u - 0.5) * omega(v)
+        return scale * 2.0 * np.sign(u - 0.5) * omega(np.maximum(u, 1.0 - u))
 
     return phi_u
 
@@ -389,13 +389,10 @@ def _by_test(groups, q):
     levels)`` blocks, one per test; ``q`` has one row per row, or any shape for one."""
     m, cuts, weights = _blocks(tuple((spec, len(lv)) for spec, lv in groups))
 
-    def per_test(k):
+    def per_test(k):  # one test's q may have any shape
         if len(cuts) == 1:
             return weights[0][k](q)
-        out = np.empty(q.shape)
-        for cut, pair in zip(cuts, weights):
-            out[cut] = pair[k](q[cut])  # NA_K_2's dw/dq is a constant
-        return out
+        return np.concatenate([pair[k](q[cut]) for cut, pair in zip(cuts, weights)])
 
     return m, per_test(0), per_test(1)
 

@@ -68,6 +68,7 @@ from __future__ import annotations
 import math
 import numbers
 import threading
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -95,21 +96,23 @@ INTEGRAL = "integral"
 SUPREMUM = "supremum"
 MOMENT = "moment"
 
-# kind -> (family, needs_k)
+# a kind's family, least k (None: it takes none) and, for a BH, NA or MO test, its ranks (p, r) of k
+# (it compares the r-th and (p + 1 - r)-th smallest magnitudes of a p-subset) and BH's half weight
+_Kind = namedtuple("_Kind", "family least_k ranks half", defaults=(None, None, False))
 _KIND_TABLE = {
-    "S": (INTEGRAL, False),
-    "W": (INTEGRAL, False),
-    "KS": (SUPREMUM, False),
-    "BH_I": (INTEGRAL, False),
-    "BH_K": (SUPREMUM, False),
-    "NA_I": (INTEGRAL, True),
-    "NA_K": (SUPREMUM, True),
-    "MO_I": (INTEGRAL, True),
-    "MO_K": (SUPREMUM, True),
-    "CM": (MOMENT, False),
-    "GAMMA": (MOMENT, False),
-    "MGG": (MOMENT, False),
-    "SQRT_B1": (MOMENT, False),
+    "S": _Kind(INTEGRAL),
+    "W": _Kind(INTEGRAL),
+    "KS": _Kind(SUPREMUM),
+    "BH_I": _Kind(INTEGRAL, None, lambda k: (2, 1), True),
+    "BH_K": _Kind(SUPREMUM, None, lambda k: (2, 1), True),
+    "NA_I": _Kind(INTEGRAL, 2, lambda k: (k, 1)),
+    "NA_K": _Kind(SUPREMUM, 2, lambda k: (k, 1)),
+    "MO_I": _Kind(INTEGRAL, 1, lambda k: (2 * k, k)),
+    "MO_K": _Kind(SUPREMUM, 1, lambda k: (2 * k, k)),
+    "CM": _Kind(MOMENT),
+    "GAMMA": _Kind(MOMENT),
+    "MGG": _Kind(MOMENT),
+    "SQRT_B1": _Kind(MOMENT),
 }
 
 STATISTIC_NAMES = tuple(_KIND_TABLE)
@@ -130,6 +133,10 @@ class StatisticSpec:
     alpha:
         Trimming coefficient of the centering estimator; ignored by the
         moment-based kinds, which use their own centering.
+
+    A characterization statistic is its ranks ``(p, r)`` (``_KIND_TABLE``), which
+    :attr:`subset_size`, :attr:`order_pair` and :attr:`kernel_order` read: BH at
+    ``(2, 1)`` with weight 1/2, NA(k) at ``(k, 1)`` and MO(k) at ``(2k, k)``.
     """
 
     kind: str
@@ -139,9 +146,8 @@ class StatisticSpec:
     def __post_init__(self):
         if self.kind not in _KIND_TABLE:
             raise ValueError(f"unknown statistic kind {self.kind!r}")
-        _, needs_k = _KIND_TABLE[self.kind]
-        if needs_k:
-            lo = 2 if self.kind.startswith("NA") else 1
+        lo = _KIND_TABLE[self.kind].least_k
+        if lo is not None:
             if not isinstance(self.k, numbers.Integral) or isinstance(self.k, bool) or self.k < lo:
                 raise ValueError(f"{self.kind} requires an integer order parameter k >= {lo}")
         elif self.k is not None:
@@ -150,41 +156,31 @@ class StatisticSpec:
 
     @property
     def family(self) -> str:
-        return _KIND_TABLE[self.kind][0]
+        return _KIND_TABLE[self.kind].family
+
+    def _ranks(self) -> tuple[int, int]:
+        """``(p, r)`` of a characterization statistic (its :data:`_KIND_TABLE` row)."""
+        if (ranks := _KIND_TABLE[self.kind].ranks) is None:
+            raise ValueError(f"{self.kind} is not a characterization statistic")
+        return ranks(self.k)
 
     @property
     def subset_size(self) -> int:
-        """Size of the inner subsample (characterization statistics only)."""
-        if self.kind.startswith("BH"):
-            return 2
-        if self.kind.startswith("NA"):
-            return self.k
-        if self.kind.startswith("MO"):
-            return 2 * self.k
-        raise ValueError(f"{self.kind} is not a characterization statistic")
+        """Size ``p`` of the inner subsample (characterization statistics only)."""
+        return self._ranks()[0]
 
     @property
     def order_pair(self) -> tuple[int, int]:
-        """(low, high) order-statistic ranks compared inside the subsample."""
-        if self.kind.startswith("BH"):
-            return (1, 2)
-        if self.kind.startswith("NA"):
-            return (1, self.k)
-        if self.kind.startswith("MO"):
-            return (self.k, self.k + 1)
-        raise ValueError(f"{self.kind} is not a characterization statistic")
+        """(low, high) order-statistic ranks ``(r, p + 1 - r)`` compared inside the subsample."""
+        p, r = self._ranks()
+        return (r, p + 1 - r)
 
     @property
     def kernel_order(self) -> int:
-        """Order of the underlying (family of) U-statistic kernels."""
-        if self.kind in ("S", "KS"):
-            return 1
-        if self.kind == "W":
-            return 2
-        if self.kind in ("CM", "GAMMA", "MGG", "SQRT_B1"):
-            return 1
-        p = self.subset_size
-        return p + 1 if self.kind.endswith("_I") else p
+        """Order of the underlying (family of) U-statistic kernels (``p``, plus 1 if integral-type)."""
+        if _KIND_TABLE[self.kind].ranks is None:
+            return 2 if self.kind == "W" else 1
+        return self.subset_size + (self.family == INTEGRAL)
 
     @property
     def label(self) -> str:
@@ -373,7 +369,7 @@ def _char_values(spec: StatisticSpec, n: int, num: np.ndarray) -> np.ndarray:
 
     The half-weighted BH kernel is ``(N_1 + N_2)/2 - N_2 = (N_1 - N_2)/2``: its ``num`` stays single.
     """
-    return np.asarray((num if spec.kind.startswith("BH") else 2 * num) / _char_divisor(spec, n), dtype=float)
+    return np.asarray((num if _KIND_TABLE[spec.kind].half else 2 * num) / _char_divisor(spec, n), dtype=float)
 
 
 def _threshold_counts(ys: np.ndarray, t: float) -> tuple:

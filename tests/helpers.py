@@ -2,7 +2,9 @@
 
 The kernel-projection estimator here evaluates the symmetrized kernels by
 literal order-statistic comparisons on simulated draws, so it is independent
-of the closed-form profiles in ``symlab.asymptotics``.  The exact counting
+of the closed-form profiles in ``symlab.asymptotics``, and :func:`closed_forms`
+writes those profiles out by hand per family, apart from the library's one
+polynomial in the ranks.  The exact counting
 value recounts the characterization statistics in Python ints, with a
 different subset-count formula from the one in ``symlab.stats``, and the
 threshold counts are one binary search per row instead of the kernel's one
@@ -124,6 +126,40 @@ def quadrature_influence_curve(null, alpha: float, x) -> np.ndarray:
             lambda t: (t - (u < t)) / null.density(null.quantile(t)), alpha, 1.0 - alpha, points=[u])
 
     return np.array([one(xi) for xi in np.atleast_1d(np.asarray(x, dtype=float))])
+
+
+def _power(x, k: int):
+    """``x**k`` (integer ``k >= 0``) by repeated multiplication, as ``symlab.asymptotics`` takes it."""
+    return math.prod([x] * k, start=1.0)
+
+
+def closed_forms(spec: StatisticSpec) -> tuple:
+    """The reference ``(Omega, w, dw/dq)`` of a BH/NA/MO kind: each family's closed forms, written
+    out by hand, independent of the ranks polynomial ``symlab.asymptotics`` derives them from.
+
+    ``Omega(v)`` is ``Integral_{1/2}^v w``, the integral forms' profile, and ``w(q)`` the supremum
+    members' weight.  They take floats, numpy arrays and mpmath numbers alike; in floats ``w`` and
+    ``dw/dq`` multiply in the library's order, so a correct library gives their bits.  This
+    ``Omega`` cancels at the median (relative error 1.0 for NA_I_2 at ``v - 1/2 = 1e-9``): read it
+    in mpmath there.  BH's and NA_K_2's ``dw/dq`` are constants.
+    """
+    k = spec.k
+    if spec.kind.startswith("NA"):
+        return (lambda v: (v**k + (1.0 - v) ** k - 2.0 * 0.5**k) / k,
+                lambda q: _power(q, k - 1) - _power(1.0 - q, k - 1),
+                lambda q: (k - 1) * (_power(q, k - 2) + _power(1.0 - q, k - 2)))
+    if spec.kind.startswith("MO"):
+        c = math.comb(2 * k - 1, k)
+
+        def rate(q):
+            p, y = q * (1.0 - q), 2.0 * q - 1.0
+            return c * (2.0 * _power(p, k - 1) - (k - 1) * _power(p, k - 2) * (y * y))
+
+        return (lambda v: c * (0.25**k - (v * (1.0 - v)) ** k) / k,
+                lambda q: c * _power(q * (1.0 - q), k - 1) * (2.0 * q - 1.0), rate)
+    if spec.kind.startswith("BH"):
+        return lambda v: 0.5 * ((v - 0.5) ** 2), lambda q: 0.5 * (2.0 * q - 1.0), lambda q: 1.0
+    raise ValueError(f"{spec.kind} is no characterization statistic")
 
 
 def exact_counting_value(spec: StatisticSpec, sample, t: float | None = None) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import mc_projection
+from helpers import closed_forms, mc_projection
 from symlab import asymptotics as asy
 from symlab import efficiency as eff
 from symlab import location as loc
@@ -88,16 +88,51 @@ class TestProjections:
         # Omega(v) of an integral kind and w(q) of a supremum kind, on [1/2, 1] where the
         # projections read them, are a constant times the exact polynomial of their shape in
         # v - 1/2 (q - 1/2), to a few ulps of their largest value
+        # (the hand-written forms of each family, not the ranks polynomial the shape comes from)
         spec = parse_statistic(name)
         family, *terms = asy._shape(spec)
         assert family == spec.family
-        closed = (asy._omega if family == "integral" else asy._weight)(spec)
+        closed = closed_forms(spec)[0 if family == "integral" else 1]
         points = np.linspace(0.5, 1.0, 1001)
         x = [Fraction(float(p)) - Fraction(1, 2) for p in points]
         exact = np.array([float(sum(c * xi**j for j, c in terms)) for xi in x])
         got = closed(points)
         top = np.argmax(np.abs(exact))
         assert np.abs(got - got[top] / exact[top] * exact).max() <= 8 * np.spacing(np.abs(got).max())
+
+    @pytest.mark.parametrize("name", [name for name in SHAPED_IDS if parse_statistic(name).family == "supremum"])
+    def test_weights_are_the_hand_written_forms_bit_for_bit(self, name):
+        spec = parse_statistic(name)
+        q = np.concatenate([np.linspace(0.5, 1.0, 4001), 0.5 + np.geomspace(1e-12, 0.5, 200),
+                            1.0 - np.geomspace(1e-12, 0.5, 200)])
+        for got, want in zip((asy._weight(spec)(q), asy._weight_derivative(spec)(q)), closed_forms(spec)[1:]):
+            assert np.array_equal(got.view(np.uint64), np.broadcast_to(want(q), q.shape).view(np.uint64))
+
+    @pytest.mark.parametrize("name", [name for name in SHAPED_IDS if parse_statistic(name).family == "integral"])
+    def test_omega_keeps_its_relative_accuracy_at_the_median(self, name):
+        # the hand-written Omega cancels as v nears 1/2 (relative error 1.0 for NA_I_2 at v - 1/2 =
+        # 1e-9); against it in mpmath at 60 digits, the library's reads at most 3.9e-16 here (NA_I_7)
+        spec = parse_statistic(name)
+        v = np.concatenate([0.5 + np.geomspace(1e-9, 0.25, 60), 1.0 - np.geomspace(1e-12, 0.25, 60)])
+        exact = closed_forms(spec)[0]
+        with mp.workdps(60):
+            want = np.array([float(exact(mp.mpf(x))) for x in v])
+        assert (np.abs(asy._omega(spec)(v) - want) / want).max() <= 4e-16
+
+    def test_integral_projection_near_the_center(self, normal):
+        # phi(x) against 60-digit mpmath: rounding u = F(x) alone costs BH_I 6.0e-9 relative at x =
+        # 1e-8, and no kind may read more than twice BH_I's error (NA_I_2's Omega read 1.0 there)
+        xs = [1e-8, 1e-6, 1e-4, 1e-2, 1.0]
+        errors = {}
+        for name in ("BH_I", "NA_I_2", "NA_I_3", "NA_I_4", "MO_I_1", "MO_I_2"):
+            spec = parse_statistic(name)
+            omega, p = closed_forms(spec)[0], spec.subset_size
+            got = asy.projection(spec, normal).phi(np.array(xs))
+            with mp.workdps(60):
+                want = [2 * mp.mpf(p) / (p + 1) * omega(mp.ncdf(mp.mpf(x))) for x in xs]
+                errors[name] = np.array([float(abs((g - w) / w)) for g, w in zip(got, want)])
+        for name, error in errors.items():
+            assert (error <= 2.0 * errors["BH_I"]).all(), (name, error, errors["BH_I"])
 
     def test_moment_kinds_have_no_projection(self, normal):
         with pytest.raises(ValueError):
@@ -518,7 +553,7 @@ def mp_profile(spec: StatisticSpec):
     ``u - 1/2``, or ``2 p/(p+1) sign(u - 1/2) Omega(max(u, 1 - u))``."""
     if spec.kind == "W":
         return lambda u: u - mp.mpf(1) / 2
-    omega, p = asy._omega(spec), spec.subset_size
+    omega, p = closed_forms(spec)[0], spec.subset_size
     return lambda u: 2 * mp.mpf(p) / (p + 1) * mp.sign(u - 0.5) * omega(max(u, 1 - u))
 
 
