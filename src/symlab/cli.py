@@ -173,6 +173,9 @@ def _cmd_variance(args) -> int:
     nulls = [get_null(name.strip()) for name in args.null.split(",") if name.strip()]
     if not nulls:
         raise ValueError("no null models requested")
+    names = [null.name for null in nulls]  # one column each
+    if repeated := sorted({name for name in names if names.count(name) > 1}):
+        raise ValueError(f"null requested more than once: {', '.join(repeated)}")
     if args.alpha is not None and not args.over_t:
         raise ValueError("--alpha sets the trimming level of --over-t; the grid spans every level")
     alpha = 0.0 if args.alpha is None else args.alpha
@@ -196,9 +199,9 @@ def _cmd_variance(args) -> int:
 
     # every refusal above comes before the writer, which leaves no directory behind
     writer = _Writer(args.output, "variance", None)
-    table = [[axis] + [f"sigma2_{null.name}" for null in nulls]]
+    table = [[axis] + [f"sigma2_{name}" for name in names]]
     table += [[_fmt(v) for v in row] for row in np.column_stack([xs, *columns]).tolist()]
-    for path in writer.write(params | {"nulls": [n.name for n in nulls]}, [(writer.out, table)]):
+    for path in writer.write(params | {"nulls": names}, [(writer.out, table)]):
         print(f"wrote {path}")
     return EXIT_OK
 

@@ -113,6 +113,8 @@ class TestCmdTest:
     (["test", "notes.txt", "--stat", "S"], "no numeric data in notes.txt"),
     (["index", "--null", "normal", "--alt", "contam", "--tests", ",", "-o", "out/i.csv"], "no tests requested"),
     (["variance", "--null", ",", "--stat", "KS", "-o", "out/v.csv"], "no null models requested"),
+    (["variance", "--null", "normal,cauchy,normal", "--stat", "KS", "-o", "out/v.csv"],
+     "null requested more than once: normal"),
 ])
 def test_missing_or_empty_input_exits_two_writing_nothing(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
