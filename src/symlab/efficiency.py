@@ -158,10 +158,14 @@ def ks_s_equivalence_crossover(alt: AlternativeFamily, grid=None) -> float:
     The grid is scanned from zero and the last trimming level before either
     supremum of KS moves off the origin (:func:`_ks_is_s`) is returned (0.0
     when it moves immediately).  The whole grid must keep
-    :func:`symlab.location.check_level`'s rule before the median level 1/2 is
-    dropped.
+    :func:`symlab.location.check_level`'s rule, increase strictly and start at
+    0 (so it has a level below 1/2, which is dropped), else ``ValueError``.
     """
     grid = check_level(np.asarray(default_grid() if grid is None else grid, dtype=float).ravel())
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("trimming grid must be strictly increasing")
+    if not grid.size or grid[0] != 0.0:
+        raise ValueError("the crossover scans its grid from level 0: its first level must be 0")
     grid = grid[grid < 0.5]
     curve = index_curves(["KS"], alt, grid)[0]
     na = curve.not_applicable

@@ -338,6 +338,17 @@ class TestZeroEfficiency:
 
 
 class TestCrossover:
+    @pytest.mark.parametrize("grid", [[0.3, 0.4], [0.5], []])
+    def test_grid_it_cannot_scan_from_zero_refused_before_any_work(self, contam_normal, monkeypatch, grid):
+        # [0.3, 0.4] read 0.0 on normal/fs, where the default grid gives 0.095; [0.5] has no level
+        # below the median level, which the crossover drops, and read 0.0 too
+        def search(searches):
+            raise AssertionError("a supremum search ran")
+
+        monkeypatch.setattr(asy, "_sup_over_t", search)
+        with pytest.raises(ValueError, match="^the crossover scans its grid from level 0"):
+            eff.ks_s_equivalence_crossover(get_alternative("fs", "normal"), grid)
+
     def test_equality_below_crossover(self, contam_normal):
         grid = np.linspace(0.0, 0.5, 51)
         crossover = eff.ks_s_equivalence_crossover(contam_normal, grid)
