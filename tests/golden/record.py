@@ -38,7 +38,9 @@ suite (about 8 s) to name the checks whose detail moved.
 A change that moves a group records the file anew and says which group moved
 and why.  After naming the moved groups the script counts them per family (the
 name's first part, and the command for ``cli`` groups) with the largest
-relative move of a recorded first value, and the largest over all of them.
+relative move of a recorded first value, and the largest over all of them,
+apart for the values and for the ``quad_err`` groups: an error estimate may
+move by a large part of itself where the values it bounds move by an ulp.
 """
 
 from __future__ import annotations
@@ -355,14 +357,21 @@ def first_value_move(old: dict | None, new: dict | None) -> float:
     return largest
 
 
+def is_estimate(name: str) -> bool:
+    """Whether group ``name`` holds quadrature error estimates, not values."""
+    return name.endswith("/quad_err")
+
+
 def summary(recorded: dict, current: dict, names: list[str]) -> list[str]:
-    """One line per family of the moved ``names``: their count and largest first-value move."""
+    """Per family of the moved ``names``: the count and largest first-value move of its value groups,
+    then of its ``quad_err`` groups (:func:`is_estimate`), each line where it has any."""
     lines, by_family = [], {}
     for name in names:
-        by_family.setdefault(family(name), []).append(name)
-    for tag, members in sorted(by_family.items()):
+        by_family.setdefault((family(name), is_estimate(name)), []).append(name)
+    for (tag, estimate), members in sorted(by_family.items()):
         move = max(first_value_move(recorded.get(name), current.get(name)) for name in members)
-        lines.append(f"{tag}: {len(members)} moved, largest relative move of a first value {move:.3g}")
+        lines.append(f"{tag} {'quad_err' if estimate else 'values'}: {len(members)} moved, "
+                     f"largest relative move of a first value {move:.3g}")
     return lines
 
 
@@ -391,10 +400,10 @@ def main(argv: list[str]) -> int:
         print(line)
     if checks := [name for name in names if name.startswith("validate/")]:
         print(f"validate: {len(checks)} details moved")
-    largest = max((first_value_move(recorded["groups"].get(name), current.get(name)) for name in groups),
-                  default=0.0)
-    print(f"{len(names)} of {len(current) + len(details)} groups moved; "
-          f"largest relative move of a first value {largest:.3g}")
+    value, estimate = (max((first_value_move(recorded["groups"].get(name), current.get(name))
+                            for name in groups if is_estimate(name) == kind), default=0.0) for kind in (False, True))
+    print(f"{len(names)} of {len(current) + len(details)} groups moved; largest relative move of a first value "
+          f"{value:.3g}, of a quad_err estimate {estimate:.3g}")
     return 1 if names else 0
 
 

@@ -78,9 +78,14 @@ def test_moves_are_summed_up_by_family():
     assert record.first_value_move({"head": ["0.0"]}, {"head": ["1e-300"]}) == float("inf")
     assert record.first_value_move({"head": ["nan"]}, {"head": ["nan"]}) == 0.0
     assert record.first_value_move(old, None) == float("inf")
-    recorded = {"index_curve/a": {"head": ["2.0"]}, "index_curve/b": {"head": ["4.0"]}, "cli/index/x": old}
-    current = {"index_curve/a": {"head": ["2.0000000002"]}, "index_curve/b": {"head": ["4.004"]},
-               "cli/index/x": old}
+    # values apart from the quad_err estimates: an estimate's move hides no value's
+    recorded = {"index_curve/a/index": {"head": ["2.0"]}, "index_curve/b/sigma2": {"head": ["4.0"]},
+                "index_curve/a/quad_err": {"head": ["1e-17"]}, "cli/index/x": old}
+    current = {"index_curve/a/index": {"head": ["2.0000000002"]}, "index_curve/b/sigma2": {"head": ["4.004"]},
+               "index_curve/a/quad_err": {"head": ["1.3e-17"]}, "cli/index/x": old}
     assert record.summary(recorded, current, sorted(recorded)) == [
-        "cli/index: 1 moved, largest relative move of a first value 0",
-        "index_curve: 2 moved, largest relative move of a first value 0.001"]
+        "cli/index values: 1 moved, largest relative move of a first value 0",
+        "index_curve values: 2 moved, largest relative move of a first value 0.001",
+        "index_curve quad_err: 1 moved, largest relative move of a first value 0.3"]
+    assert record.summary(recorded, current, ["index_curve/a/index"]) == [
+        "index_curve values: 1 moved, largest relative move of a first value 1e-10"]
