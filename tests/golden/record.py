@@ -400,10 +400,12 @@ def main(argv: list[str]) -> int:
         print(line)
     if checks := [name for name in names if name.startswith("validate/")]:
         print(f"validate: {len(checks)} details moved")
-    value, estimate = (max((first_value_move(recorded["groups"].get(name), current.get(name))
-                            for name in groups if is_estimate(name) == kind), default=0.0) for kind in (False, True))
-    print(f"{len(names)} of {len(current) + len(details)} groups moved; largest relative move of a first value "
-          f"{value:.3g}, of a quad_err estimate {estimate:.3g}")
+    largest = {False: 0.0, True: 0.0}  # values, quad_err estimates
+    for name in groups:
+        move = first_value_move(recorded["groups"].get(name), current.get(name))
+        largest[is_estimate(name)] = max(largest[is_estimate(name)], move)
+    print(f"{len(names)} of {len(current) + len(details)} groups moved; largest relative move of a first "
+          f"value {largest[False]:.3g}, of a quad_err estimate {largest[True]:.3g}")
     return 1 if names else 0
 
 

@@ -25,6 +25,8 @@ ALL_SUP_IDS = [name for name in DEFAULT_TESTS if parse_statistic(name).family ==
 #: BH, NA_2-10 and MO_1-5, each as its integral and its supremum kind
 SHAPED_IDS = ["BH_I", "BH_K", *(f"{kind}_{f}_{k}" for kind, ks in (("NA", range(2, 11)), ("MO", range(1, 6)))
                                for k in ks for f in "IK")]
+SHAPED = {family: [name for name in SHAPED_IDS if parse_statistic(name).family == family]
+          for family in ("integral", "supremum")}
 
 
 class TestProjections:
@@ -100,7 +102,7 @@ class TestProjections:
         top = np.argmax(np.abs(exact))
         assert np.abs(got - got[top] / exact[top] * exact).max() <= 8 * np.spacing(np.abs(got).max())
 
-    @pytest.mark.parametrize("name", [name for name in SHAPED_IDS if parse_statistic(name).family == "supremum"])
+    @pytest.mark.parametrize("name", SHAPED["supremum"])
     def test_weights_are_the_hand_written_forms_bit_for_bit(self, name):
         spec = parse_statistic(name)
         q = np.concatenate([np.linspace(0.5, 1.0, 4001), 0.5 + np.geomspace(1e-12, 0.5, 200),
@@ -108,7 +110,7 @@ class TestProjections:
         for got, want in zip((asy._weight(spec)(q), asy._weight_derivative(spec)(q)), closed_forms(spec)[1:]):
             assert np.array_equal(got.view(np.uint64), np.broadcast_to(want(q), q.shape).view(np.uint64))
 
-    @pytest.mark.parametrize("name", [name for name in SHAPED_IDS if parse_statistic(name).family == "integral"])
+    @pytest.mark.parametrize("name", SHAPED["integral"])
     def test_omega_keeps_its_relative_accuracy_at_the_median(self, name):
         # the hand-written Omega cancels as v nears 1/2 (relative error 1.0 for NA_I_2 at v - 1/2 =
         # 1e-9); against it in mpmath at 60 digits, the library's reads at most 3.9e-16 here (NA_I_7)
