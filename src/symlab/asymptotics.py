@@ -64,10 +64,9 @@ polynomial ``w(q) = c (q(1-q))^(r-1) (q^d - (1-q)^d)`` for every test of ranks
 
     ``B(u) = 2 sign(u - 1/2) Omega(max(u, 1-u))``
 
-with ``Omega`` the integral of ``w`` from 1/2, evaluated so that it does not
-cancel at the median (:func:`_omega`).  The test suite certifies these against
-Monte Carlo conditional expectations and against the per-family closed forms,
-written out by hand, with their exact coefficients (:func:`_shape`).
+with ``Omega`` the integral of ``w`` from 1/2, which does not cancel at the
+median (:func:`_omega`).  The tests certify these and their exact coefficients
+(:func:`_shape`) against Monte Carlo and the per-family forms written by hand.
 
 :func:`_report_curves` is the single place the local index, slope squared
 over variance, is assembled from the two curves, including its degenerate
@@ -131,27 +130,26 @@ def _kernel(spec: StatisticSpec) -> StatisticSpec:
 
 @cache
 def _polynomial(kind: str, k: int | None) -> tuple:
-    """``(r, d, c, terms)`` of a BH/NA/MO kind of ranks ``(p, r)``: its member weight is ``w(q) = c
-    (q(1-q))^(r-1) (q^d - (1-q)^d)`` with ``d = p + 1 - 2r`` and ``c = C(p-1, r-1)``, halved for BH,
-    and ``terms`` are the exact ``(power, coefficient)``s of ``w`` in ``y = q - 1/2``, odd powers."""
-    spec, half, terms = StatisticSpec(kind, k), Fraction(1, 2), {}
-    p, r = spec.subset_size, spec.order_pair[0]
-    d, c = p + 1 - 2 * r, math.comb(p - 1, r - 1) * (half if _KIND_TABLE[kind].half else 1)
-    for i in range(r):  # (1/4 - y^2)^(r-1) times (1/2 + y)^d - (1/2 - y)^d
+    """``(r, d, c, below, terms)`` of a BH/NA/MO kind of ranks ``(p, r)``: its member weight ``w(q) = c
+    (q(1-q))^(r-1) (q^d - (1-q)^d)``, ``d = p + 1 - 2r`` and ``c = C(p-1, r-1)`` halved for BH, is the
+    sum of ``a y^j / below`` over its ``(j, a)`` terms, ``y = q - 1/2``, in integers (no ``Fraction``)."""
+    _, _, ranks, halved = _KIND_TABLE[kind]
+    p, r = ranks(k)
+    d, c, terms = p + 1 - 2 * r, math.comb(p - 1, r - 1), {}
+    for i in range(r):  # (1/4 - y^2)^(r-1) times (1/2 + y)^d - (1/2 - y)^d, over 2^(2r - 3 + d)
         for j in range(1, d + 1, 2):
-            a = c * math.comb(r - 1, i) * (-1) ** i * math.comb(d, j) * half ** (2 * r - 3 - 2 * i + d - j)
+            a = c * math.comb(r - 1, i) * (-1) ** i * math.comb(d, j) * 2 ** (2 * i + j)
             terms[2 * i + j] = terms.get(2 * i + j, 0) + a
-    return r, d, float(c), tuple(sorted(terms.items()))
+    return r, d, c / (2 if halved else 1), 2 ** (2 * r - 3 + d + halved), tuple(sorted(terms.items()))
 
 
 def _omega(spec: StatisticSpec):
-    """``Omega(v) = Integral_{1/2}^{v} w(q) dq`` of :func:`_weight` on ``[1/2, 1]``, as ``z = (v -
-    1/2)^2`` times Horner's rule over positive exact coefficients, so it keeps its relative accuracy
-    at the median: for ``r = 1`` (BH, NA) in ``z``, from :func:`_polynomial`'s terms, and else (``d =
-    1``, MO) in ``P = v (1 - v)``, as ``c (1/4^r - P^r) / r = z sum_{i<r} c 4^(i+1-r) P^i / r``."""
-    r, _, c, terms = _polynomial(spec.kind, spec.k)
-    exact = [a / (j + 1) for j, a in terms] if r == 1 else [Fraction(c) * 4 ** (i + 1 - r) / r for i in range(r)]
-    first, *rest = [float(a) for a in reversed(exact)]  # of Omega / z, highest power first
+    """``Omega(v) = Integral_{1/2}^v w(q) dq`` on ``[1/2, 1]``: ``z = (v - 1/2)^2`` times Horner's rule
+    over positive exact coefficients, so no cancellation at the median; for ``r = 1`` (BH, NA) in ``z``
+    (:func:`_polynomial`), else (``d = 1``, MO) ``c (1/4^r - P^r) / r`` in ``P = v (1 - v)``."""
+    r, _, c, below, terms = _polynomial(spec.kind, spec.k)
+    first, *rest = ([a / (below * (j + 1)) for j, a in reversed(terms)] if r == 1  # highest power first
+                    else [c / (r * 4 ** (r - 1 - i)) for i in reversed(range(r))])
 
     def omega(v):
         x = v - 0.5
@@ -173,20 +171,23 @@ def _weight(spec: StatisticSpec):
     """Threshold weight ``w(q)`` of the supremum-family projection (:func:`_polynomial`)."""
     if spec.kind == "KS":
         return lambda q: np.ones_like(np.asarray(q, dtype=float))
-    r, d, c, _ = _polynomial(spec.kind, spec.k)
-    return lambda q: c * _power(q * (1.0 - q), r - 1) * (_power(q, d) - _power(1.0 - q, d))
+    r, d, c, *_ = _polynomial(spec.kind, spec.k)
+    return lambda q: (c if r == 1 else c * _power(q * (1.0 - q), r - 1)) * (_power(q, d) - _power(1.0 - q, d))
 
 
 def _weight_derivative(spec: StatisticSpec):
-    """``dw/dq`` of :func:`_weight` (a ``_power`` of order -1 is 1.0, times ``r - 1 = 0``)."""
+    """``dw/dq`` of :func:`_weight` by the product rule, ``c (P^(r-1) d (q^(d-1) + (1-q)^(d-1)) - (r-1)
+    P^(r-2) (2q - 1) (q^d - (1-q)^d))`` with ``P = q(1-q)``, whose second term is 0 for ``r = 1``."""
     if spec.kind == "KS":
         return lambda q: np.zeros_like(np.asarray(q, dtype=float))
-    r, d, c, _ = _polynomial(spec.kind, spec.k)
+    r, d, c, *_ = _polynomial(spec.kind, spec.k)
 
     def rate(q):
+        odd = d * (_power(q, d - 1) + _power(1.0 - q, d - 1))  # a float for d = 1
+        if r == 1:
+            return c * odd
         p, y = q * (1.0 - q), 2.0 * q - 1.0
-        return c * (d * _power(p, r - 1) * (_power(q, d - 1) + _power(1.0 - q, d - 1))
-                    - (r - 1) * _power(p, r - 2) * (y * (_power(q, d) - _power(1.0 - q, d))))
+        return c * (_power(p, r - 1) * odd - (r - 1) * _power(p, r - 2) * (y * (_power(q, d) - _power(1.0 - q, d))))
 
     return rate
 
@@ -197,7 +198,7 @@ def _shape(spec: StatisticSpec) -> tuple:
     integral ``Omega`` in ``x = v - 1/2`` (integral), as ``Fraction``s divided by the first."""
     if _KIND_TABLE[spec.kind].ranks is None:  # CM, GAMMA and MGG are (xbar - med) / const
         return ("mean-median",) if spec.kind in ("CM", "GAMMA", "MGG") else (spec.kind,)
-    terms = _polynomial(spec.kind, spec.k)[3]
+    terms = [(j, Fraction(a)) for j, a in _polynomial(spec.kind, spec.k)[4]]  # over one denominator
     if spec.family == INTEGRAL:  # Omega(1/2 + x) is the integral of w over (0, x)
         terms = [(j + 1, a / (j + 1)) for j, a in terms]
     return (spec.family, *((j, a / terms[0][1]) for j, a in terms))
@@ -214,8 +215,7 @@ def _profile(spec: StatisticSpec):
         return lambda u: np.where(u > 0.5, 0.5, np.where(u < 0.5, -0.5, 0.0))
     if spec.kind == "W":
         return lambda u: np.asarray(u, dtype=float) - 0.5
-    omega, p = _omega(spec), spec.subset_size
-    scale = p / (p + 1.0)
+    omega, scale = _omega(spec), spec.subset_size / (spec.subset_size + 1.0)
 
     def phi_u(u):
         u = np.asarray(u, dtype=float)
@@ -389,10 +389,13 @@ def _by_test(groups, q):
     levels)`` blocks, one per test; ``q`` has one row per row, or any shape for one."""
     m, cuts, weights = _blocks(tuple((spec, len(lv)) for spec, lv in groups))
 
-    def per_test(k):  # one test's q may have any shape
+    def per_test(k):
         if len(cuts) == 1:
             return weights[0][k](q)
-        return np.concatenate([pair[k](q[cut]) for cut, pair in zip(cuts, weights)])
+        out = np.empty(q.shape)
+        for cut, pair in zip(cuts, weights):
+            out[cut] = pair[k](q[cut])  # dw/dq is a float where d = r = 1 (BH, NA_K_2, MO_K_1)
+        return out
 
     return m, per_test(0), per_test(1)
 

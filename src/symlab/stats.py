@@ -96,8 +96,7 @@ INTEGRAL = "integral"
 SUPREMUM = "supremum"
 MOMENT = "moment"
 
-# a kind's family, least k (None: it takes none) and, for a BH, NA or MO test, its ranks (p, r) of k
-# (it compares the r-th and (p + 1 - r)-th smallest magnitudes of a p-subset) and BH's half weight
+# a kind's family, least k (None: takes none), ranks (p, r) of k (StatisticSpec) and BH's half weight
 _Kind = namedtuple("_Kind", "family least_k ranks half", defaults=(None, None, False))
 _KIND_TABLE = {
     "S": _Kind(INTEGRAL),
@@ -129,14 +128,13 @@ class StatisticSpec:
         MGG, SQRT_B1``.
     k:
         Subsample order parameter for the NA (``k >= 2``) and MO (``k >= 1``)
-        families; must be None otherwise.
+        families; must be None otherwise.  A characterization statistic is its
+        ranks ``(p, r)`` (``_KIND_TABLE``): BH ``(2, 1)`` with weight 1/2, NA(k)
+        ``(k, 1)`` and MO(k) ``(2k, k)``, which :attr:`subset_size`,
+        :attr:`order_pair` and :attr:`kernel_order` read.
     alpha:
         Trimming coefficient of the centering estimator; ignored by the
         moment-based kinds, which use their own centering.
-
-    A characterization statistic is its ranks ``(p, r)`` (``_KIND_TABLE``), which
-    :attr:`subset_size`, :attr:`order_pair` and :attr:`kernel_order` read: BH at
-    ``(2, 1)`` with weight 1/2, NA(k) at ``(k, 1)`` and MO(k) at ``(2k, k)``.
     """
 
     kind: str
@@ -146,8 +144,7 @@ class StatisticSpec:
     def __post_init__(self):
         if self.kind not in _KIND_TABLE:
             raise ValueError(f"unknown statistic kind {self.kind!r}")
-        lo = _KIND_TABLE[self.kind].least_k
-        if lo is not None:
+        if (lo := _KIND_TABLE[self.kind].least_k) is not None:
             if not isinstance(self.k, numbers.Integral) or isinstance(self.k, bool) or self.k < lo:
                 raise ValueError(f"{self.kind} requires an integer order parameter k >= {lo}")
         elif self.k is not None:

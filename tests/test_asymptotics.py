@@ -107,8 +107,10 @@ class TestProjections:
         spec = parse_statistic(name)
         q = np.concatenate([np.linspace(0.5, 1.0, 4001), 0.5 + np.geomspace(1e-12, 0.5, 200),
                             1.0 - np.geomspace(1e-12, 0.5, 200)])
-        for got, want in zip((asy._weight(spec)(q), asy._weight_derivative(spec)(q)), closed_forms(spec)[1:]):
-            assert np.array_equal(got.view(np.uint64), np.broadcast_to(want(q), q.shape).view(np.uint64))
+        for got, want in zip((asy._weight(spec), asy._weight_derivative(spec)), closed_forms(spec)[1:]):
+            # a constant dw/dq (BH, NA_K_2 and MO_K_1) may be one float
+            got, want = (np.broadcast_to(f(q), q.shape).view(np.uint64) for f in (got, want))
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("name", SHAPED["integral"])
     def test_omega_keeps_its_relative_accuracy_at_the_median(self, name):
