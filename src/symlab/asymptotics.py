@@ -78,8 +78,8 @@ theory covers: moment-based tests need a finite second moment (SQRT_B1 a
 sixth), and every other test needs mean centering (``a = 0``) to have a
 finite second moment under the null.  Every variance, slope and index here
 applies it, as does ``symlab test``.  Every one of them also applies
-:func:`symlab.location.check_level` to its trimming levels, which refuses
-the positive levels so small that ``1 - a`` rounds to 1.
+:func:`symlab.location.check_level` once to its trimming levels, which
+refuses the positive levels so small that ``1 - a`` rounds to 1.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ import numpy as np
 from ._quad import _gauss01, graded, half_line
 from .distributions import AlternativeFamily, SymmetricNull, _as_float
 from .errors import NotApplicableError
-from .location import _derivative_curve, _uncentered, check_centering, check_level
+from .location import _by_level, _derivative_curve, _trimmed, _uncentered, check_centering, check_level
 from .stats import _KIND_TABLE, INTEGRAL, MOMENT, SUPREMUM, StatisticSpec
 
 __all__ = [
@@ -325,36 +325,21 @@ def _refused(spec: StatisticSpec, null: SymmetricNull, alphas) -> np.ndarray:
 
 
 def _levels(null: SymmetricNull, alphas) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``(a, c(a), factor of J, Q, Int_0^Q x f)`` of a variance (:func:`_by_level`), and the
-    error estimate of ``Int_0^Q x^2 f`` on each.
+    """Rows ``(a, c(a), factor of J, Q, Int_0^Q x f)`` of a variance on the checked levels
+    ``alphas``, and the error estimate of ``Int_0^Q x^2 f`` on each.
 
     ``Q`` is the ``(1-a)`` quantile; between the boundaries ``c = 2 (Int_0^Q
     x^2 f + a Q^2) / (1-2a)^2`` and the factor is ``4/(1-2a)``, at ``a = 0``
-    ``sigma^2`` and 4, at ``a = 1/2`` ``1/(4 f(0)^2)`` and ``2/f(0)``.  A
-    boundary level carries the 0.75 quantile, which it never reads, and error 0.
+    ``sigma^2`` and 4, at ``a = 1/2`` ``1/(4 f(0)^2)`` and ``2/f(0)``.  A boundary
+    level carries ``Q = 0`` (:func:`symlab.location._trimmed`) and error 0.
     """
-    zero, half = alphas == 0.0, alphas == 0.5
-    a = np.where(zero | half, 0.25, alphas)
-    q, scale = null.quantile(1.0 - a), 1.0 - 2.0 * a
+    a, q, scale = _trimmed(null, alphas)
     moment, err = null._second_moment(q)
-    c2, factor = 2.0 * (moment + a * q * q) / (scale * scale), 4.0 / scale
-    if zero.any():
-        c2, factor = np.where(zero, null.moment(2), c2), np.where(zero, 4.0, factor)
-    if half.any():
-        f0 = float(null.density(0.0))
-        c2, factor = np.where(half, 1.0 / (4.0 * f0 * f0), c2), np.where(half, 2.0 / f0, factor)
-    rows = np.stack([alphas, c2, factor, q, null.partial_first_moment(0.0, q)], axis=1)
-    return rows, np.where(zero | half, 0.0, err)
-
-
-def _by_level(a, trimmed, mean, median):
-    """The parts of ``J(a)`` on each level ``a``: ``trimmed``, a tuple of arrays that broadcast
-    against ``a``, but the tuple ``mean()`` at ``a = 0`` and ``median()`` at ``a = 1/2``, each run
-    only when some level is there.  Both families' one rule for the boundary levels."""
-    for mask, part in ((a == 0.0, mean), (a == 0.5, median)):
-        if mask.any():
-            trimmed = tuple(np.where(mask, new, old) for new, old in zip(part(), trimmed))
-    return trimmed
+    f0 = float(null.density(0.0))
+    c2, factor, err = _by_level(alphas, (2.0 * (moment + a * q * q) / (scale * scale), 4.0 / scale, err),
+                                lambda: (null.moment(2), 4.0, 0.0),
+                                lambda: (1.0 / (4.0 * f0 * f0), 2.0 / f0, 0.0))
+    return np.stack([alphas, c2, factor, q, null.partial_first_moment(0.0, q)], axis=1), err
 
 
 def _integral_variance(specs, null: SymmetricNull, levels):
@@ -421,16 +406,14 @@ def _cross(null: SymmetricNull, levels, v, derivative=False):
     """``(Y,)``, the member variance's ``J(a) = factor w(q) Y``, on the :func:`_levels` rows at the
     :func:`_thresholds` ``v``, and with ``derivative`` ``(Y, dY/dt)``: ``Int_t^Q x f`` plus ``Q
     min(a, 1 - q)`` between the boundaries, ``tau/2 - Int_0^t x f`` at ``a = 0`` and ``1 - q`` at
-    ``a = 1/2`` (:func:`_by_level`)."""
+    ``a = 1/2`` (:func:`symlab.location._by_level`)."""
     t, q, f, below, _, below_t = v
     a, _, _, Q, Q_moment = levels.T[..., None]
     inside = t < Q  # the partial moment over (t, Q) is empty (exactly 0.0) from Q on
     trimmed = (np.where(inside, Q_moment - below, 0.0) + Q * np.minimum(a, 1.0 - q),)
-    if not derivative:
-        return _by_level(a, trimmed, lambda: (null.abs_mean() / 2.0 - below,), lambda: (1.0 - q,))
-    # past Q, min(a, 1 - q) is 1 - q: Y' is -t f below Q and -Q f from it
-    return _by_level(a, (*trimmed, -np.where(inside, below_t, Q * f)),
-                     lambda: (null.abs_mean() / 2.0 - below, -below_t), lambda: (1.0 - q, -f))
+    if derivative:  # past Q, min(a, 1 - q) is 1 - q: Y' is -t f below Q and -Q f from it
+        trimmed += (-np.where(inside, below_t, Q * f),)
+    return _by_level(a, trimmed, lambda: (null.abs_mean() / 2.0 - below, -below_t), lambda: (1.0 - q, -f))
 
 
 def _free_variance(null: SymmetricNull, levels, v, derivative=False):
@@ -528,7 +511,7 @@ def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t):
     if spec.family != SUPREMUM:
         raise ValueError("slope_function applies to supremum-type statistics")
     applicability(spec, alt.base)
-    mu_p = _mu_prime(alt, (spec.alpha,))[0]
+    mu_p = _mu_prime(alt, (check_level(spec.alpha),))[0]
     sign = _SUP_SIGN.get(spec.kind, 1.0)
     return _at_thresholds(lambda v: sign * _members(alt, [(spec, mu_p)], 1, _free_slope, v)[0], alt, t)
 
@@ -655,15 +638,14 @@ def _sup_over_t(searches) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # (integral, column, free, power, kink) of a curve, for :func:`_curves`; a trimmed member variance
-# has a kink at Q (its second derivative jumps there)
-_VARIANCE = (_integral_variance, _levels, _free_variance, 2,
-             lambda levels: np.where((levels[:, 0] > 0.0) & (levels[:, 0] < 0.5), levels[:, 3], math.nan))
+# has a kink at Q (its second derivative jumps there), and a boundary level's Q = 0 is in no bracket
+_VARIANCE = (_integral_variance, _levels, _free_variance, 2, lambda levels: levels[:, 3])
 _SLOPE = (_integral_slope, _derivative_curve, _free_slope, 1, lambda mu_p: np.full(len(mu_p), math.nan))
 
 
 def _curves(specs, null: SymmetricNull, alphas, parts):
-    """``(value, argmax, error, resolution)`` of each test in ``specs`` on each level, one list
-    per part.
+    """``(value, argmax, error, resolution)`` of each test in ``specs``, none moment-based, on
+    each of the checked levels ``alphas``, one list per part.
 
     A part is ``(model, (integral, column, free, power, kink))``.  On the accepted
     levels ``a``, ``(levels, error) = column(model, a)`` is computed once for
@@ -674,9 +656,6 @@ def _curves(specs, null: SymmetricNull, alphas, parts):
     resolutions.  Refused levels (:func:`_refused`) read NaN with error and
     resolution 0, integral-type argmaxes NaN and resolutions 0.
     """
-    if moment := [spec.kind for spec in specs if spec.family == MOMENT]:
-        raise ValueError(f"{moment[0]} is moment-based; it has no trimming curve")
-    alphas = check_level(np.asarray(alphas, dtype=float).ravel())
     ok = ~_uncentered(null, alphas)  # :func:`_refused` of every test here
     curves, searches, pending = [], [], []
     for model, (integral, column, free, power, kink) in parts:
@@ -717,7 +696,7 @@ def variance_curve(spec: StatisticSpec, null: SymmetricNull, alphas):
     :func:`applicability` refuses are NaN, and a level that breaks
     :func:`symlab.location.check_level` raises ``ValueError``.
     """
-    return _curves([spec], null, alphas, [(null, _VARIANCE)])[0][0]
+    return _curve(spec, null, alphas, (null, _VARIANCE))
 
 
 def slope_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas):
@@ -725,7 +704,14 @@ def slope_curve(spec: StatisticSpec, alt: AlternativeFamily, alphas):
 
     A supremum-type slope is the supremum of the absolute member slope.
     """
-    return _curves([spec], alt.base, alphas, [(alt, _SLOPE)])[0][0]
+    return _curve(spec, alt.base, alphas, (alt, _SLOPE))
+
+
+def _curve(spec: StatisticSpec, null: SymmetricNull, alphas, part):
+    """The one :func:`_curves` part of ``spec``, refused if moment-based, on the levels ``alphas``."""
+    if spec.family == MOMENT:
+        raise ValueError(f"{spec.kind} is moment-based; it has no trimming curve")
+    return _curves([spec], null, check_level(np.asarray(alphas, dtype=float).ravel()), [part])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +805,8 @@ class IndexCurve:
 
 
 def _report_curves(specs, alt: AlternativeFamily, alphas) -> list[IndexCurve]:
-    """Asymptotic report of each of ``specs`` against ``alt`` on the increasing ``alphas``.
+    """Asymptotic report of each of ``specs`` against ``alt`` on the grid ``alphas``, which
+    :func:`symlab.location._check_grid` has accepted.
 
     The one place the local index is assembled: every index the library
     gives (:func:`symlab.efficiency.bahadur_index`, index curves,
@@ -827,14 +814,9 @@ def _report_curves(specs, alt: AlternativeFamily, alphas) -> list[IndexCurve]:
     share one loop of Newton steps; a curve is the bits of its test's curve
     computed alone.  ``spec.alpha`` is ignored; S and KS at ``a = 1/2`` are
     flagged degenerate by the theorem, never by a variance's size; levels
-    :func:`applicability` refuses are flagged, and a level that breaks
-    :func:`symlab.location.check_level`, or a grid that is not strictly
-    increasing, raises ``ValueError`` before any work.
+    :func:`applicability` refuses are flagged.
     """
     null = alt.base
-    alphas = check_level(np.asarray(alphas, dtype=float).ravel())
-    if np.any(np.diff(alphas) <= 0):
-        raise ValueError("trimming grid must be strictly increasing")
     curved = [spec for spec in specs if spec.family != MOMENT]
     curves = iter(zip(*_curves(curved, null, alphas, [(null, _VARIANCE), (alt, _SLOPE)])))
     reports = []

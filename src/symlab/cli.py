@@ -91,7 +91,7 @@ def _read_data(path: str, col: str | None) -> np.ndarray:
         raise OSError(f"data file not found: {path}")
     if col is not None:
         with open(text_path, newline="") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.DictReader(fh, restval="")  # a short row's missing cells are empty entries
             if reader.fieldnames is None or col not in reader.fieldnames:
                 raise ValueError(f"column {col!r} not found in {path}")
             values = [row[col] for row in reader]

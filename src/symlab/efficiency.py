@@ -19,7 +19,7 @@ import numpy as np
 from . import asymptotics as asy
 from .asymptotics import IndexCurve
 from .distributions import AlternativeFamily
-from .location import check_level
+from .location import _check_grid
 from .stats import INTEGRAL, StatisticSpec, parse_statistic
 
 __all__ = [
@@ -101,10 +101,11 @@ def index_curves(tests, alt: AlternativeFamily, grid=None) -> list[IndexCurve]:
 
     The public reader of every index: each curve carries its test's
     variances, slopes and their argmaxes over ``t``, and is the bits of the
-    same test's curve computed alone (``index_curves([test], alt, grid)[0]``).
+    same test's curve computed alone (``index_curves([test], alt, grid)[0]``).  A grid that
+    breaks :func:`symlab.location._check_grid` raises ``ValueError`` before any work.
     """
-    grid = default_grid() if grid is None else grid
-    return asy._report_curves([_resolve(test, None) for test in tests], alt, grid)
+    specs = [_resolve(test, None) for test in tests]
+    return asy._report_curves(specs, alt, _check_grid(default_grid() if grid is None else grid))
 
 
 @dataclass(frozen=True)
@@ -158,16 +159,14 @@ def ks_s_equivalence_crossover(alt: AlternativeFamily, grid=None) -> float:
     The grid is scanned from zero and the last trimming level before either
     supremum of KS moves off the origin (:func:`_ks_is_s`) is returned (0.0
     when it moves immediately).  The whole grid must keep
-    :func:`symlab.location.check_level`'s rule, increase strictly and start at
-    0 (so it has a level below 1/2, which is dropped), else ``ValueError``.
+    :func:`symlab.location._check_grid`'s rule and start at 0 (so it has a
+    level below 1/2, which is dropped), else ``ValueError``.
     """
-    grid = check_level(np.asarray(default_grid() if grid is None else grid, dtype=float).ravel())
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("trimming grid must be strictly increasing")
+    grid = _check_grid(default_grid() if grid is None else grid)
     if not grid.size or grid[0] != 0.0:
         raise ValueError("the crossover scans its grid from level 0: its first level must be 0")
     grid = grid[grid < 0.5]
-    curve = index_curves(["KS"], alt, grid)[0]
+    curve = asy._report_curves([_resolve("KS", None)], alt, grid)[0]
     na = curve.not_applicable
     same = np.logical_and.accumulate(_ks_is_s(curve) | na) & ~na
     return float(grid[same][-1]) if same.any() else 0.0

@@ -57,6 +57,33 @@ def check_level(alpha):
     return _as_float(alphas)
 
 
+def _check_grid(alphas) -> np.ndarray:
+    """The one rule of an ordered trimming grid: :func:`check_level` on each level, strictly increasing."""
+    alphas = check_level(np.asarray(alphas, dtype=float).ravel())
+    if np.any(np.diff(alphas) <= 0):
+        raise ValueError("trimming grid must be strictly increasing")
+    return alphas
+
+
+def _trimmed(null: SymmetricNull, alphas):
+    """``(a, Q(1 - a), 1 - 2a)`` of the trimmed formulas on the levels ``alphas``.  A boundary level
+    (0 or 1/2), whose own formulas replace what these give (:func:`_by_level`), stands in as ``a =
+    1/4`` with ``Q = 0``: every level runs the trimmed formulas, and none integrates for it."""
+    boundary = (alphas == 0.0) | (alphas == 0.5)
+    a = np.where(boundary, 0.25, alphas)
+    return a, np.where(boundary, 0.0, null.quantile(1.0 - a)), 1.0 - 2.0 * a
+
+
+def _by_level(a, trimmed, mean, median):
+    """The one boundary rule: ``trimmed``, a tuple of arrays that broadcast against the levels
+    ``a`` (computed by :func:`_trimmed`), but the tuple ``mean()`` at ``a = 0`` and ``median()``
+    at ``a = 1/2``, each run only when some level is there and cut to the length of ``trimmed``."""
+    for mask, part in ((a == 0.0, mean), (a == 0.5, median)):
+        if mask.any():
+            trimmed = tuple(np.where(mask, new, old) for new, old in zip(part(), trimmed))
+    return trimmed
+
+
 def _uncentered(null: SymmetricNull, alphas) -> np.ndarray:
     """The one centering rule, as a mask of the levels whose center has no root-n limit.
 
@@ -129,13 +156,9 @@ def influence_curve(null: SymmetricNull, alpha: float, x):
     alpha = check_level(alpha)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     check_centering(null, alpha)
-    if alpha == 0.0:
-        out = x_arr.copy()
-    elif alpha == 0.5:
-        out = np.sign(x_arr) / (2.0 * null.density(0.0))
-    else:
-        q = float(null.quantile(1.0 - alpha))
-        out = np.clip(x_arr, -q, q) / (1.0 - 2.0 * alpha)
+    _, q, scale = _trimmed(null, alpha)
+    (out,) = _by_level(np.asarray(alpha), (np.clip(x_arr, -q, q) / scale,), lambda: (x_arr,),
+                       lambda: (np.sign(x_arr) / (2.0 * null.density(0.0)),))
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -150,29 +173,24 @@ def trimmed_mean_derivative(alt: AlternativeFamily, alpha: float) -> float:
     * ``alpha = 1/2``: ``-H(0)/f(0)`` (median shift rate);
     * ``alpha = 0``: ``Integral x h(x) dx`` (mean shift rate).
     """
-    return float(_derivative_curve(alt, [alpha])[0][0])
+    return float(_derivative_curve(alt, [check_level(alpha)])[0][0])
 
 
 def _derivative_curve(alt: AlternativeFamily, alphas) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`trimmed_mean_derivative` on each level from its own ``a``, with an error estimate."""
-    alphas = check_level(alphas)
+    """:func:`trimmed_mean_derivative` on each checked level from its own ``a``, with an error estimate."""
+    alphas = np.asarray(alphas, dtype=float)
     null = alt.base
     check_centering(null, alphas)
 
     def xh(x):  # Int_{-q}^{q} x h(x) dx folded onto [0, q]
         return x * alt.odd_score(x)
 
-    value, err = np.zeros((2, alphas.size))
-    inner = (alphas > 0.0) & (alphas < 0.5)
-    scale = 1.0 - 2.0 * alphas[inner]
-    q = null.quantile(1.0 - alphas[inner])
-    integral, e = graded(xh, q)
+    _, q, scale = _trimmed(null, alphas)
+    integral, err = graded(xh, q)
     edge = -q * (alt.score_cumulative(q) + alt.score_cumulative(-q))
-    value[inner], err[inner] = (edge + integral) / scale, e / scale
-    value[alphas == 0.5] = -alt.score_cumulative(0.0) / null.density(0.0)
-    if (alphas == 0.0).any():
-        value[alphas == 0.0], err[alphas == 0.0] = half_line(lambda v: v.x * v.odd_score, alt)
-    return value, err
+    return _by_level(alphas, ((edge + integral) / scale, err / scale),
+                     lambda: half_line(lambda v: v.x * v.odd_score, alt),
+                     lambda: (-alt.score_cumulative(0.0) / null.density(0.0), 0.0))
 
 
 def population_trimmed_mean(alt: AlternativeFamily, theta: float, alpha: float) -> float:

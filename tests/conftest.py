@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import symlab.montecarlo
-from symlab import stats
+from symlab import asymptotics, efficiency, location, stats
 from symlab._rng import stream
 from symlab.distributions import get_alternative, get_null
 
@@ -38,6 +38,22 @@ def centerings(monkeypatch):
         return weights(n, alpha)
 
     monkeypatch.setattr(stats, "_weights", counted)
+    return calls
+
+
+@pytest.fixture
+def level_checks(monkeypatch):
+    """The levels of each trimming-level check (:func:`symlab.location.check_level`), whichever module runs it."""
+    calls = []
+    check = location.check_level
+
+    def counted(alpha):
+        calls.append(np.ravel(alpha).tolist())
+        return check(alpha)
+
+    for module in (location, asymptotics, efficiency):
+        if getattr(module, "check_level", None) is check:
+            monkeypatch.setattr(module, "check_level", counted)
     return calls
 
 

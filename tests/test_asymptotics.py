@@ -561,6 +561,24 @@ def mp_profile(spec: StatisticSpec):
     return lambda u: 2 * mp.mpf(p) / (p + 1) * mp.sign(u - 0.5) * omega(max(u, 1 - u))
 
 
+#: both boundary levels among interior ones (MP_LEVELS holds neither), in no order
+BOUNDARY_GRID = np.array([0.3, 0.0, 1e-9, 0.5, 0.25, 0.499, 0.1])
+
+
+@pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+@pytest.mark.parametrize("alt_name", ["contam", "fs"])
+def test_boundary_levels_keep_their_own_bits(null_name, alt_name):
+    # the boundary rule (location._by_level) leaves every level the bits of that level computed
+    # alone, a boundary level's stand-in and the interior levels beside it included
+    alt = get_alternative(alt_name, null_name)
+    grid = BOUNDARY_GRID if alt.base.has_moment(2) else BOUNDARY_GRID[BOUNDARY_GRID != 0.0]
+    for column in (lambda a: asy._levels(alt.base, a), lambda a: loc._derivative_curve(alt, a)):
+        alone = [column(np.array([a])) for a in grid]
+        for k, together in enumerate(column(grid)):
+            want = np.concatenate([parts[k] for parts in alone])
+            assert together.view(np.uint64).tolist() == want.view(np.uint64).tolist(), k
+
+
 class TestQuadratureBudget:
     def test_recorded_rules_are_numpys_bit_for_bit(self):
         from symlab._quad import _LEGENDRE, _gauss01

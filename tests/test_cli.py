@@ -111,6 +111,8 @@ class TestCmdTest:
 @pytest.mark.parametrize("argv, message", [
     (["test", "d.csv", "--col", "y", "--stat", "S"], "column 'y' not found in d.csv"),
     (["test", "notes.txt", "--stat", "S"], "no numeric data in notes.txt"),
+    (["test", "short.csv", "--col", "b", "--stat", "S"],
+     "non-numeric entry in short.csv: could not convert string to float: ''"),
     (["index", "--null", "normal", "--alt", "contam", "--tests", ",", "-o", "out/i.csv"], "no tests requested"),
     (["variance", "--null", ",", "--stat", "KS", "-o", "out/v.csv"], "no null models requested"),
     (["variance", "--null", "normal,cauchy,normal", "--stat", "KS", "-o", "out/v.csv"],
@@ -119,6 +121,7 @@ class TestCmdTest:
 def test_missing_or_empty_input_exits_two_writing_nothing(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d.csv").write_text("id,x\n1,2\n")
+    (tmp_path / "short.csv").write_text("a,b\n1.0,2.0\n3.0\n")  # a row shorter than its header
     write_lines(tmp_path / "notes.txt", [])  # comments only
     before = sorted(tmp_path.rglob("*"))
     assert main(argv) == 2

@@ -13,6 +13,7 @@ from symlab import asymptotics as asy
 from symlab._quad import ABS_TOL
 from symlab.distributions import NULL_NAMES, AlternativeFamily, get_alternative, get_null
 from symlab.errors import NotApplicableError
+from symlab.location import influence_curve, trimmed_mean_derivative
 from symlab.montecarlo import McConfig, null_distribution, power
 from symlab.stats import parse_statistic
 from symlab.validate import _CLASS_INTEGRAL, _CLASS_MOMENT, _CLASS_SUP
@@ -90,7 +91,7 @@ class TestIndexCurve:
         assert np.all(np.isfinite(curve.index[~curve.degenerate & ~curve.not_applicable]))
         assert np.all(curve.index[~np.isnan(curve.index)] >= 0.0)
 
-    @pytest.mark.parametrize("grid", [eff.default_grid()[::-1], [0.1, 0.1]])
+    @pytest.mark.parametrize("grid", [eff.default_grid()[::-1], [0.1, 0.1], [0.0, 0.3, 0.2, 0.5], [0.0, -0.0]])
     def test_grid_order_refused_before_any_work(self, contam_normal, monkeypatch, grid):
         def search(searches):
             raise AssertionError("a supremum search ran")
@@ -100,6 +101,15 @@ class TestIndexCurve:
                     lambda: eff.ks_s_equivalence_crossover(contam_normal, grid)):
             with pytest.raises(ValueError, match="^trimming grid must be strictly increasing$"):
                 run()
+
+    @pytest.mark.parametrize("name", ["S", "W", "KS", "BH_I", "NA_K_3", "MO_K_2"])
+    def test_curves_take_any_order(self, contam_normal, name):
+        # only an index grid is ordered: a variance or slope curve on the reversed default grid is
+        # the sorted grid's bits reversed
+        spec, grid = parse_statistic(name), eff.default_grid()
+        for curve, model in ((asy.variance_curve, contam_normal.base), (asy.slope_curve, contam_normal)):
+            for got, want in zip(curve(spec, model, grid[::-1]), curve(spec, model, grid)):
+                assert got.view(np.uint64).tolist() == want[::-1].view(np.uint64).tolist(), curve.__name__
 
     def test_constant_for_moment_statistics(self, contam_normal):
         curve = eff.index_curves(["CM"], contam_normal, np.linspace(0.0, 0.5, 7))[0]
@@ -117,6 +127,27 @@ class TestIndexCurve:
         curve = eff.index_curves(["W"], alt, np.asarray([0.0, 0.25]))[0]
         assert curve.not_applicable[0] and not curve.not_applicable[1]
         assert math.isnan(curve.index[0]) and np.isfinite(curve.index[1])
+
+
+#: each public entry that reads trimming levels, and the levels it is given
+ENTRIES = {
+    "index_curves": (lambda alt, a: eff.index_curves(eff.DEFAULT_TESTS, alt, a), eff.default_grid(11)),
+    "crossover": (eff.ks_s_equivalence_crossover, eff.default_grid(11)),
+    "bahadur_index": (lambda alt, a: eff.bahadur_index("NA_K_2", alt, a), 0.1),
+    "variance_curve": (lambda alt, a: asy.variance_curve(parse_statistic("KS"), alt.base, a), [0.3, 0.0, 0.5]),
+    "slope_curve": (lambda alt, a: asy.slope_curve(parse_statistic("W"), alt, a), [0.3, 0.0, 0.5]),
+    "variance_function": (lambda alt, a: asy.variance_function(parse_statistic("KS", a), alt.base, 1.0), 0.2),
+    "slope_function": (lambda alt, a: asy.slope_function(parse_statistic("KS", a), alt, 1.0), 0.2),
+    "trimmed_mean_derivative": (trimmed_mean_derivative, 0.2),
+    "influence_curve": (lambda alt, a: influence_curve(alt.base, a, [0.5, 2.0]), 0.2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_each_entry_checks_its_levels_once(contam_normal, level_checks, entry):
+    run, levels = ENTRIES[entry]
+    run(contam_normal, levels)
+    assert level_checks == [np.ravel(levels).tolist()]
 
 
 @pytest.mark.parametrize(

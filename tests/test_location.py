@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from helpers import quadrature_influence_curve
+from symlab.asymptotics import slope_curve
 from symlab.distributions import get_alternative, get_null
 from symlab.errors import NotApplicableError
 from symlab.location import (
@@ -16,6 +17,7 @@ from symlab.location import (
     trimmed_mean,
     trimmed_mean_derivative,
 )
+from symlab.stats import StatisticSpec
 from symlab._rng import stream
 
 
@@ -100,6 +102,18 @@ class TestInfluenceCurve:
         assert influence_curve(normal, 0.5, 1.0) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(1.25331413731550, rel=1e-12)
 
+    @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
+    def test_boundary_levels_are_their_closed_forms(self, null_name):
+        # x at the mean and sgn(x) / (2 f(0)) at the median, bit for bit, on arrays and on floats
+        null = get_null(null_name)
+        x = np.array([0.0, -0.0, 0.3, -1.7, 40.0, 1e300, np.inf, -np.inf])
+        forms = {0.5: np.sign(x) / (2.0 * null.density(0.0))}
+        if null.has_moment(2):
+            forms[0.0] = x
+        for alpha, want in forms.items():
+            for got in (influence_curve(null, alpha, x), np.array([influence_curve(null, alpha, v) for v in x])):
+                assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), alpha
+
     def test_mean_case_cauchy_not_applicable(self, cauchy):
         with pytest.raises(NotApplicableError):
             influence_curve(cauchy, 0.0, 1.0)
@@ -179,8 +193,11 @@ class TestTrimmedMeanDerivative:
 
     @pytest.mark.parametrize("bad", [np.nan, -0.01, 0.51, 2.0**-54, 1e-300])
     def test_curve_refuses_levels_outside_the_range(self, contam_normal, bad):
-        with pytest.raises(ValueError, match=r"trimming coefficient must lie in \[0, 1/2\]"):
-            _derivative_curve(contam_normal, [0.0, bad, 0.5])
+        # the curve takes checked levels: its readers check them, on one level and on a grid
+        for run in (lambda: trimmed_mean_derivative(contam_normal, bad),
+                    lambda: slope_curve(StatisticSpec("W"), contam_normal, [0.0, bad, 0.5])):
+            with pytest.raises(ValueError, match=r"trimming coefficient must lie in \[0, 1/2\]"):
+                run()
 
     # alpha = 0.05 puts the oracle's quantiles beyond its first bracket [-1, 1]; the Cauchy mean has no limit
     @pytest.mark.parametrize("alt_name", ["contam", "fs"])
