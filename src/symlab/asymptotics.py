@@ -324,16 +324,17 @@ def _refused(spec: StatisticSpec, null: SymmetricNull, alphas) -> np.ndarray:
     return _uncentered(null, alphas)
 
 
-def _levels(null: SymmetricNull, alphas) -> tuple[np.ndarray, np.ndarray]:
+def _levels(null: SymmetricNull, alphas, trimmed=None) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``(a, c(a), factor of J, Q, Int_0^Q x f)`` of a variance on the checked levels
-    ``alphas``, and the error estimate of ``Int_0^Q x^2 f`` on each.
+    ``alphas``, and the error estimate of ``Int_0^Q x^2 f`` on each; ``trimmed`` is
+    :func:`symlab.location._trimmed` on ``alphas`` if the caller has it.
 
     ``Q`` is the ``(1-a)`` quantile; between the boundaries ``c = 2 (Int_0^Q
     x^2 f + a Q^2) / (1-2a)^2`` and the factor is ``4/(1-2a)``, at ``a = 0``
     ``sigma^2`` and 4, at ``a = 1/2`` ``1/(4 f(0)^2)`` and ``2/f(0)``.  A boundary
     level carries ``Q = 0`` (:func:`symlab.location._trimmed`) and error 0.
     """
-    a, q, scale = _trimmed(null, alphas)
+    a, q, scale = trimmed or _trimmed(null, alphas)
     moment, err = null._second_moment(q)
     f0 = float(null.density(0.0))
     c2, factor, err = _by_level(alphas, (2.0 * (moment + a * q * q) / (scale * scale), 4.0 / scale, err),
@@ -648,8 +649,8 @@ def _curves(specs, null: SymmetricNull, alphas, parts):
     each of the checked levels ``alphas``, one list per part.
 
     A part is ``(model, (integral, column, free, power, kink))``.  On the accepted
-    levels ``a``, ``(levels, error) = column(model, a)`` is computed once for
-    every test; ``integral(specs, model, levels)`` yields each integral-type
+    levels ``a``, ``(levels, error) = column(model, a, trimmed)`` is computed once for
+    every test, ``trimmed`` being :func:`symlab.location._trimmed` of the null, once for every part; ``integral(specs, model, levels)`` yields each integral-type
     test's ``(value, error)``, and a supremum-type test's rows ``(spec,
     levels)`` are searched over their members, with ``free``, ``power`` and ``kink(levels)``, by one
     :func:`_sup_over_t` for all parts and tests, which gives their
@@ -657,13 +658,14 @@ def _curves(specs, null: SymmetricNull, alphas, parts):
     resolution 0, integral-type argmaxes NaN and resolutions 0.
     """
     ok = ~_uncentered(null, alphas)  # :func:`_refused` of every test here
+    trimmed = _trimmed(null, alphas[ok])
     curves, searches, pending = [], [], []
     for model, (integral, column, free, power, kink) in parts:
         block = [(*np.full((2, alphas.size), math.nan), *np.zeros((2, alphas.size))) for _ in specs]
         curves.append(block)
         if not ok.any():
             continue
-        levels, level_err = column(model, alphas[ok])
+        levels, level_err = column(model, alphas[ok], trimmed)
         sums = integral([spec for spec in specs if spec.family == INTEGRAL], model, levels)
         groups = []
         for spec, (value, arg, err, resolution) in zip(specs, block):

@@ -176,8 +176,9 @@ def trimmed_mean_derivative(alt: AlternativeFamily, alpha: float) -> float:
     return float(_derivative_curve(alt, [check_level(alpha)])[0][0])
 
 
-def _derivative_curve(alt: AlternativeFamily, alphas) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`trimmed_mean_derivative` on each checked level from its own ``a``, with an error estimate."""
+def _derivative_curve(alt: AlternativeFamily, alphas, trimmed=None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`trimmed_mean_derivative` on each checked level from its own ``a``, with an error estimate;
+    ``trimmed`` is :func:`_trimmed` of the null on ``alphas`` if the caller has it."""
     alphas = np.asarray(alphas, dtype=float)
     null = alt.base
     check_centering(null, alphas)
@@ -185,7 +186,7 @@ def _derivative_curve(alt: AlternativeFamily, alphas) -> tuple[np.ndarray, np.nd
     def xh(x):  # Int_{-q}^{q} x h(x) dx folded onto [0, q]
         return x * alt.odd_score(x)
 
-    _, q, scale = _trimmed(null, alphas)
+    _, q, scale = trimmed or _trimmed(null, alphas)
     integral, err = graded(xh, q)
     edge = -q * (alt.score_cumulative(q) + alt.score_cumulative(-q))
     return _by_level(alphas, ((edge + integral) / scale, err / scale),
