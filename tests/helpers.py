@@ -23,12 +23,14 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 
 from symlab._quad import quad_split
 from symlab.distributions import SymmetricNull
+from symlab.efficiency import default_grid
 from symlab.location import trimmed_mean
-from symlab.stats import INTEGRAL, StatisticSpec
+from symlab.stats import INTEGRAL, StatisticSpec, parse_statistic
 
 
 #: the array fields of an ``IndexCurve`` besides its grid
@@ -160,6 +162,37 @@ def closed_forms(spec: StatisticSpec) -> tuple:
     if spec.kind.startswith("BH"):
         return lambda v: 0.5 * ((v - 0.5) ** 2), lambda q: 0.5 * (2.0 * q - 1.0), lambda q: 1.0
     raise ValueError(f"{spec.kind} is no characterization statistic")
+
+
+def mp_profile(spec: StatisticSpec):
+    """The integral-type profile ``phi(u)`` of S, W or a BH/NA/MO kind in mpmath arithmetic:
+    ``sign(u - 1/2)/2``, ``u - 1/2``, or ``2 p/(p+1) sign(u - 1/2) Omega(max(u, 1 - u))``."""
+    if spec.kind == "S":
+        return lambda u: mp.sign(u - mp.mpf(1) / 2) / 2
+    if spec.kind == "W":
+        return lambda u: u - mp.mpf(1) / 2
+    omega, p = closed_forms(spec)[0], spec.subset_size
+    return lambda u: 2 * mp.mpf(p) / (p + 1) * mp.sign(u - 0.5) * omega(max(u, 1 - u))
+
+
+@functools.cache
+def null_free_references(name: str) -> tuple:
+    """``Integral_0^1 phi(u)^2 du`` of the integral kind ``name`` and its tail ``Integral_{1-a}^1
+    phi(u) du`` on each interior level ``a`` of the default grid, as 50-digit mpmath numbers.
+
+    They integrate :func:`mp_profile`, the hand-written forms, by mpmath's own quadrature, which
+    is exact to its precision on these polynomials; none reads the library's rules or its
+    ranks polynomial.
+    """
+    phi = mp_profile(parse_statistic(name))
+    with mp.workdps(50):
+        square = 2 * mp.quad(lambda u: phi(u) ** 2, [mp.mpf(1) / 2, 1], method="gauss-legendre")
+        return square, [mp.quad(phi, [1 - mp.mpf(a), 1], method="gauss-legendre") for a in default_grid()[1:-1]]
+
+
+def ulps(got, exact) -> float:
+    """The distance of the float ``got`` from the mpmath number ``exact``, in ulps of ``exact``."""
+    return float(abs(mp.mpf(float(got)) - exact)) / float(np.spacing(abs(float(exact))))
 
 
 def exact_counting_value(spec: StatisticSpec, sample, t: float | None = None) -> float:
