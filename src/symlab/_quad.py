@@ -5,7 +5,9 @@ edges, :data:`_EDGES`, with the recorded 32-point Gauss-Legendre rule
 (:data:`_LEGENDRE`) on each panel and its distance to the 16-point rule as the
 panel's error estimate: :func:`graded` on ``[0, q]``, each ``q`` from its own
 limit alone, and :func:`half_line` on ``[0, inf)`` mapped onto the panels in
-``[0, 1]``, reading each model at its nodes once per process.  :func:`quad`
+``[0, 1]``, reading each model at its nodes once per process.  The profile
+integrals that need no model, ``Int phi^2`` and the tail ``Int_{1-a}^1 phi``,
+are :func:`graded` in ``t = 1 - u``, their estimates in ``quad_err_max`` too.  :func:`quad`
 and :func:`quad_split` wrap ``scipy.integrate.quad``, imported on first call,
 for the independent references only: the oracles, ``validate`` and the
 population trimmed mean.
@@ -36,14 +38,6 @@ _LEGENDRE = {
         0x1.6705e18e13ecfp-4 0x1.553ee25ebebc3p-4 0x1.40483e126fd0ep-4 0x1.2854103b35e00p-4
         0x1.0d9b9a62cac04p-4 0x1.e0bd76c924984p-5 0x1.a1c6ae961fbeep-5 0x1.5ee963a3354abp-5
         0x1.18c5800a35609p-5 0x1.a0060a8531ff0p-6 0x1.0aa3c248696dep-6 0x1.cbf8bc743ce34p-8
-    """,
-    24: """
-        0x1.0660853eda2e8p-4 0x1.8769542b94f8dp-3 0x1.429a8c588e910p-2 0x1.bc345d81e24b5p-2
-        0x1.17417bac4d72bp-1 0x1.4bd2ee5fa1086p-1 0x1.7af18edb9ddd6p-1 0x1.a3d74ce0d3700p-1
-        0x1.c5d841864d0f5p-1 0x1.e06585a70aa4dp-1 0x1.f30f9f0cbf876p-1 0x1.fd892de691982p-1
-        0x1.060475e763731p-3 0x1.01b7117cf8bd6p-3 0x1.f25cbce1d1fefp-4 0x1.d91c78acb1b27p-4
-        0x1.b8177ba4a68d7p-4 0x1.8fd8936444b19p-4 0x1.6108ef5044635p-4 0x1.2c6d5c2eff05ap-4
-        0x1.e5c6255d25e9dp-5 0x1.6ab884f57c940p-5 0x1.d375514486effp-6 0x1.9465bd311255dp-7
     """,
     16: """
         0x1.852bd6676a9f9p-4 0x1.205cae642337cp-2 0x1.d50259a43a772p-2 0x1.3c5a466d5e8b8p-1

@@ -33,21 +33,23 @@ once for all tests, then takes safeguarded Newton steps on the closed-form
 ``t``-derivatives of :func:`_members`, one point per row and step, for the
 rows of every test and curve it is given (:func:`_report_curves`); each
 row's resolution is carried as ``sup_err``.
-For integral-type ones ``Int_Q^inf phi
-f`` integrates a polynomial in ``u = F(x)``, exact under a fixed
-Gauss-Legendre rule, and ``Int_0^Q phi x f`` of every test is one sum over
+For integral-type ones ``Int_0^Q phi x f`` of every test is one sum over
 the fixed panels of :func:`symlab._quad.graded` (:func:`_t3`), as are ``Int_0^Q
 x^2 f`` of the trimmed-mean term (the null's partial second moment) and
-``mu'``.  A moment statistic's limits do not depend on ``a`` (:func:`_moment_limits`).
+``mu'``.  The two integrals no model changes read the same panels in ``t = 1
+- u`` (:func:`_null_free`): ``Int phi^2``, and the tail ``Int_Q^inf phi f =
+Int_{1-a}^1 phi(u) du`` up to the level ``a`` itself.  A moment statistic's
+limits do not depend on ``a`` (:func:`_moment_limits`).
 
 The whole-line integrals read the same panels on ``[0, 1]``, folded onto
-``[0, inf)`` (:func:`symlab._quad.half_line`), and the curves carry
-the largest error estimate behind each level.  Each model method runs once
+``[0, inf)`` (:func:`symlab._quad.half_line`), so every integral here sums
+one rule over one table of panels, and the curves carry the largest error
+estimate behind each level, the tail's times ``Q``.  Each model method runs once
 per point set.  Per process,
 :func:`functools.cache` keeps what depends only on the model and the rule:
 the model at the half-line nodes and on the scan grid (:func:`_scan`, where
 an alternative shares its null's), the
-alpha-free integrals ``Int phi^2``, ``Int phi f'``, ``Int_0^inf phi x f``
+alpha-free integrals ``Int phi f'``, ``Int_0^inf phi x f``
 and ``Int phi h`` per ``(kind, k)`` statistic and model with their
 estimates, and ``mu'`` on one level; models compare by value, so
 every lookup of one model shares an entry.  What
@@ -91,7 +93,7 @@ from functools import cache
 
 import numpy as np
 
-from ._quad import _gauss01, graded, half_line
+from ._quad import graded, half_line
 from .distributions import AlternativeFamily, SymmetricNull, _as_float
 from .errors import NotApplicableError
 from .location import _by_level, _derivative_curve, _trimmed, _uncentered, check_centering, check_level
@@ -260,20 +262,6 @@ def projection(spec: StatisticSpec, null: SymmetricNull) -> Projection:
 # ---------------------------------------------------------------------------
 
 
-def _u_integral(f, lo):
-    """``Integral_lo^1 f(u) du`` for each ``lo``, exact for polynomials of degree <= 47."""
-    u, w = _gauss01(24)
-    lo = np.asarray(lo, dtype=float)[..., None]
-    return (1.0 - lo[..., 0]) * np.sum(w * f(lo + (1.0 - lo) * u), axis=-1)
-
-
-@cache
-def _phi_sq(spec: StatisticSpec) -> float:
-    """``Integral_0^1 phi(u)^2 du`` (null-free)."""
-    phi_u = _profile(spec)
-    return 2.0 * float(_u_integral(lambda u: phi_u(u) ** 2, 0.5))
-
-
 @cache
 def _int_phi_fprime(spec: StatisticSpec, null: SymmetricNull) -> tuple[float, float]:
     phi_u = _profile(spec)
@@ -343,19 +331,33 @@ def _levels(null: SymmetricNull, alphas, trimmed=None) -> tuple[np.ndarray, np.n
     return np.stack([alphas, c2, factor, q, null.partial_first_moment(0.0, q)], axis=1), err
 
 
+def _null_free(specs, alphas):
+    """``(tail, error, Int phi^2, error)`` of each of ``specs``, the integrals no model changes, by one
+    :func:`symlab._quad.graded` call each for all ``specs`` in ``t = 1 - u``: the tail ``Int_{1-a}^1
+    phi du = Int_0^a phi(1 - t) dt`` on each level ``a`` of ``alphas`` and then at ``a = 1/2``, and
+    ``Int_0^1 phi^2 du = 2 Int_0^{1/2} phi(1 - t)^2 dt``, each with its error estimate."""
+
+    def profiles(t):
+        return np.stack([_profile(spec)(1.0 - t) for spec in specs])
+
+    squares = graded(lambda t: profiles(t) ** 2, np.array([0.5]))
+    return list(zip(*graded(profiles, np.append(alphas, 0.5)), *(2.0 * part[:, 0] for part in squares)))
+
+
 def _integral_variance(specs, null: SymmetricNull, levels):
     """Variance ``m^2 [Int phi^2 + c(a) A^2 + A J(a)]`` of each of ``specs`` on the :func:`_levels`
     rows, ``A = Int phi f'``, and its largest error estimate."""
     a, c2, factor, q, _ = levels.T
-    for spec, (inner, inner_err) in zip(specs, _t3(specs, null, q)):
-        kernel, phi_u = _kernel(spec), _profile(spec)
+    for spec, (inner, inner_err), (tail, tail_err, square, square_err) in zip(
+            specs, _t3(specs, null, q), _null_free(specs, a)):
+        kernel = _kernel(spec)
         fprime, fprime_err = _int_phi_fprime(kernel, null)
-        # Int_Q^inf phi f is Int_{1-a}^1 phi(u) du: a polynomial in u there
-        cross, err = _by_level(a, (inner + q * _u_integral(phi_u, 1.0 - a), inner_err),
-                               lambda: _int_phi_x(kernel, null), lambda: (_u_integral(phi_u, 0.5), 0.0))
+        # Int_Q^inf phi f is the tail Int_{1-a}^1 phi(u) du; at a = 1/2 it is Int_{1/2}^1 phi(u) du
+        cross, err = _by_level(a, (inner + q * tail[:-1], np.maximum(inner_err, q * tail_err[:-1])),
+                               lambda: _int_phi_x(kernel, null), lambda: (tail[-1], tail_err[-1]))
         m = spec.kernel_order
-        value = m * m * (_phi_sq(kernel) + c2 * (fprime * fprime) + fprime * (factor * cross))
-        yield value, np.maximum(err, fprime_err)
+        value = m * m * (square + c2 * (fprime * fprime) + fprime * (factor * cross))
+        yield value, np.maximum(err, max(fprime_err, square_err))
 
 
 @cache

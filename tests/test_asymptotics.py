@@ -153,10 +153,11 @@ class TestVariance:
 
     def test_wilcoxon_pieces(self, normal):
         # squared projection mass and density-derivative pairing
-        from symlab.asymptotics import _int_phi_fprime, _phi_sq
+        from symlab.asymptotics import _int_phi_fprime, _null_free
 
         spec = StatisticSpec("W", alpha=0.0)
-        assert _phi_sq(spec) == pytest.approx(1.0 / 12.0, abs=1e-14)
+        ((_, _, square, _),) = _null_free([spec], [])
+        assert square == pytest.approx(1.0 / 12.0, abs=1e-14)
         value, err = _int_phi_fprime(spec, normal)
         assert value == pytest.approx(-1.0 / (2.0 * math.sqrt(math.pi)), abs=1e-12)
         assert err <= 1e-12
@@ -576,7 +577,7 @@ class TestQuadratureBudget:
     def test_recorded_rules_are_numpys_bit_for_bit(self):
         from symlab._quad import _LEGENDRE, _gauss01
 
-        assert sorted(_LEGENDRE) == [16, 24, 32]
+        assert sorted(_LEGENDRE) == [16, 32]
         for nodes in _LEGENDRE:
             x, w = np.polynomial.legendre.leggauss(nodes)
             recorded = [float.fromhex(v) for v in _LEGENDRE[nodes].split()]
@@ -600,7 +601,7 @@ class TestQuadratureBudget:
             spec = parse_statistic(name)
             phi = asy.projection(spec, null).phi
             ((value, abserr),) = asy._t3([spec], null, q)
-            tail = asy._u_integral(asy._profile(spec), 1.0 - alphas)
+            ((tail, *_),) = asy._null_free([spec], alphas)
             assert abserr.max() <= ABS_TOL
             for i, qi in enumerate(q):
                 inner = quad_split(lambda x: phi(x) * x * null.density(x), 0.0, qi)
@@ -611,13 +612,12 @@ class TestQuadratureBudget:
     @pytest.mark.parametrize("name", NULL_FREE_IDS)
     def test_null_free_integrals_against_exact(self, name):
         # Int phi^2 and the tail Int_{1-a}^1 phi on every interior default level, against 50-digit
-        # references from the hand-written forms (measured worst: Int phi^2 9.9 ulps for the
-        # defaults (NA_I_4) and 29.1 for the rest (NA_I_10); the tail 8.5, NA_I_9)
-        spec = parse_statistic(name)
+        # references from the hand-written forms (measured worst: Int phi^2 2.1 ulps, MO_I_3; the
+        # tail 1.9 for S, W, BH and NA (NA_I_10) and 2.9 for MO (MO_I_10))
         square, tails = null_free_references(name)
-        got = asy._u_integral(asy._profile(spec), 1.0 - default_grid()[1:-1])
-        assert ulps(asy._phi_sq(spec), square) <= (12.1 if name in DEFAULT_TESTS else 29.1)
-        assert max(map(ulps, got, tails)) <= 8.5
+        ((tail, _, got, _),) = asy._null_free([parse_statistic(name)], default_grid()[1:-1])
+        assert ulps(got, square) <= 2.5
+        assert max(map(ulps, tail[:-1], tails)) <= (3.0 if name.startswith("MO") else 2.0)
 
     @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
     def test_level_integrals_against_mpmath(self, null_name):
