@@ -283,8 +283,8 @@ def main(argv=None) -> int:
     except NotApplicableError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE
-    except (OSError, ValueError) as exc:  # unreadable data, unwritable -o, bad options, unusable sample
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:  # bad data, -o or options, or a grid too large
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -539,6 +539,21 @@ def test_output_under_a_file_exits_two_before_any_work(tmp_path, capsys, monkeyp
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("command", [["index", "--null", "normal", "--alt", "contam"],
+                                     ["variance", "--null", "normal", "--stat", "KS"]])
+@pytest.mark.parametrize("message", ["Unable to allocate 745. GiB for an array", ""])
+def test_a_grid_too_large_to_hold_exits_two(tmp_path, capsys, monkeypatch, command, message):
+    # the grid's allocation fails by a stand-in, so the test allocates nothing itself
+    def too_large(points):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(eff, "default_grid", too_large)
+    out = tmp_path / "sub" / "x.csv"
+    assert main([*command, "--grid", "100000000000", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message or 'out of memory'}"]
+    assert not out.parent.exists()
+
+
 class TestParser:
     """One parser per process: ``main`` parses every call with the same object."""
 
