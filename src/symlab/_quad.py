@@ -7,10 +7,10 @@ panel's error estimate: :func:`graded` on ``[0, q]``, each ``q`` from its own
 limit alone, and :func:`half_line` on ``[0, inf)`` mapped onto the panels in
 ``[0, 1]``, reading each model at its nodes once per process.  The profile
 integrals that need no model, ``Int phi^2`` and the tail ``Int_{1-a}^1 phi``,
-are :func:`graded` in ``t = 1 - u``, their estimates in ``quad_err_max`` too.  :func:`quad`
-and :func:`quad_split` wrap ``scipy.integrate.quad``, imported on first call,
-for the independent references only: the oracles, ``validate`` and the
-population trimmed mean.
+are :func:`graded` in ``t = 1 - u``, their estimates in ``quad_err_max`` too.
+:func:`quad` and :func:`quad_split` wrap ``scipy.integrate.quad``, imported on
+first call, for the independent references only: the oracles, ``validate``
+and the population trimmed mean.
 """
 
 from __future__ import annotations

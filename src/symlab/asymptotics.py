@@ -35,16 +35,14 @@ rows of every test and curve it is given (:func:`_report_curves`); each
 row's resolution is carried as ``sup_err``.
 For integral-type ones ``Int_0^Q phi x f`` of every test is one sum over
 the fixed panels of :func:`symlab._quad.graded` (:func:`_t3`), as are ``Int_0^Q
-x^2 f`` of the trimmed-mean term (the null's partial second moment) and
-``mu'``.  The two integrals no model changes read the same panels in ``t = 1
-- u`` (:func:`_null_free`): ``Int phi^2``, and the tail ``Int_Q^inf phi f =
-Int_{1-a}^1 phi(u) du`` up to the level ``a`` itself.  A moment statistic's
-limits do not depend on ``a`` (:func:`_moment_limits`).
+x^2 f`` of the trimmed-mean term (the null's partial second moment), ``mu'``
+and, in ``t = 1 - u``, the two integrals no model changes (:func:`_null_free`):
+``Int phi^2`` and the tail ``Int_Q^inf phi f = Int_{1-a}^1 phi(u) du`` up to the
+level ``a`` itself.  A moment statistic's limits do not depend on ``a`` (:func:`_moment_limits`).
 
 The whole-line integrals read the same panels on ``[0, 1]``, folded onto
-``[0, inf)`` (:func:`symlab._quad.half_line`), so every integral here sums
-one rule over one table of panels, and the curves carry the largest error
-estimate behind each level, the tail's times ``Q``.  Each model method runs once
+``[0, inf)`` (:func:`symlab._quad.half_line`), and the curves carry the largest
+error estimate behind each level, the tail's times ``Q``.  Each model method runs once
 per point set.  Per process,
 :func:`functools.cache` keeps what depends only on the model and the rule:
 the model at the half-line nodes and on the scan grid (:func:`_scan`, where
@@ -652,9 +650,10 @@ def _curves(specs, null: SymmetricNull, alphas, parts):
 
     A part is ``(model, (integral, column, free, power, kink))``.  On the accepted
     levels ``a``, ``(levels, error) = column(model, a, trimmed)`` is computed once for
-    every test, ``trimmed`` being :func:`symlab.location._trimmed` of the null, once for every part; ``integral(specs, model, levels)`` yields each integral-type
-    test's ``(value, error)``, and a supremum-type test's rows ``(spec,
-    levels)`` are searched over their members, with ``free``, ``power`` and ``kink(levels)``, by one
+    every test from :func:`symlab.location._trimmed`, run once for every part;
+    ``integral(specs, model, levels)`` yields each integral-type test's ``(value,
+    error)``, and a supremum-type test's rows ``(spec, levels)`` are searched over
+    their members, with ``free``, ``power`` and ``kink(levels)``, by one
     :func:`_sup_over_t` for all parts and tests, which gives their
     resolutions.  Refused levels (:func:`_refused`) read NaN with error and
     resolution 0, integral-type argmaxes NaN and resolutions 0.
