@@ -53,7 +53,10 @@ def _gauss01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on ``[0, 1]``."""
     x, w = np.array([float.fromhex(v) for v in _LEGENDRE[nodes].split()]).reshape(2, nodes // 2)
     x, w = np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
-    return 0.5 * (x + 1.0), 0.5 * w
+    rule = 0.5 * (x + 1.0), 0.5 * w
+    for array in rule:
+        array.flags.writeable = False  # every integral of the process shares the cached arrays
+    return rule
 
 
 #: the panel edges of every fixed rule: 0, then ``2^j`` for ``j = -50 .. 52``, past the largest
@@ -97,10 +100,14 @@ def _half_line_nodes(model) -> SimpleNamespace:
     null = getattr(model, "base", model)
     if model is not null:
         v = _half_line_nodes(null)
-        return SimpleNamespace(**vars(v), odd_score=model.odd_score(v.x))
-    x = -null.quantile(0.5 * _nodes(_EDGES[: _UNIT.size], _UNIT))
-    return SimpleNamespace(x=x, cdf=null.cdf(x), density=null.density(x),
-                           density_derivative=null.density_derivative(x))
+        v = SimpleNamespace(**vars(v), odd_score=model.odd_score(v.x))
+    else:
+        x = -null.quantile(0.5 * _nodes(_EDGES[: _UNIT.size], _UNIT))
+        v = SimpleNamespace(x=x, cdf=null.cdf(x), density=null.density(x),
+                            density_derivative=null.density_derivative(x))
+    for array in vars(v).values():
+        array.flags.writeable = False  # every integral of the process shares the cached arrays
+    return v
 
 
 def half_line(g: Callable, model) -> tuple[float, float]:

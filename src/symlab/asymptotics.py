@@ -44,15 +44,17 @@ The whole-line integrals read the same panels on ``[0, 1]``, folded onto
 ``[0, inf)`` (:func:`symlab._quad.half_line`), and the curves carry the largest
 error estimate behind each level, the tail's times ``Q``.  Each model method runs once
 per point set.  Per process,
-:func:`functools.cache` keeps what depends only on the model and the rule:
-the model at the half-line nodes and on the scan grid (:func:`_scan`, where
-an alternative shares its null's), the
-alpha-free integrals ``Int phi f'``, ``Int_0^inf phi x f``
-and ``Int phi h`` per ``(kind, k)`` statistic and model with their
-estimates, and ``mu'`` on one level; models compare by value, so
-every lookup of one model shares an entry.  What
-depends on the grid (:func:`_levels`, the null on :func:`_t3`'s nodes, ``mu'``)
-lives for one :func:`_curves` call, for all its tests, parts and steps.
+:func:`functools.cache` keeps only what depends on a model and an alpha-free
+statistic, as read-only arrays or floats: the model at the half-line nodes and
+on the scan grid (:func:`_scan`, where an alternative shares its null's), the
+alpha-free integrals ``Int phi f'``, ``Int_0^inf phi x f`` and ``Int phi h``
+per ``(kind, k)`` statistic and model with their estimates, ``mu'`` at the
+mean and the median (:func:`_mean_median`) and a kind's weight polynomial
+(:func:`_polynomial`); models compare by value, so every lookup of one model
+shares an entry, and no level, grid or row layout keys one.  What depends on
+the levels (:func:`_levels`, the null on :func:`_t3`'s nodes, ``mu'``) lives
+for one call, in :func:`_curves` for all its tests, parts and steps; each
+step rebuilds its rows' kernel orders and weights (:func:`_by_test`).
 
 Projections are analytic.  Every characterization statistic compares the
 ``r``-th and ``(p+1-r)``-th order statistics of a ``p``-subsample in absolute
@@ -110,9 +112,9 @@ __all__ = [
 
 
 @cache
-def _mu_prime(alt: AlternativeFamily, alphas: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """``mu'`` on each of the levels ``alphas`` and its quadrature error estimate."""
-    curve = _derivative_curve(alt, alphas)
+def _mean_median(alt: AlternativeFamily) -> tuple[np.ndarray, np.ndarray]:
+    """``mu'`` at the mean and the median (``a = 0, 1/2``) and its quadrature error estimate."""
+    curve = _derivative_curve(alt, [0.0, 0.5])
     for array in curve:
         array.flags.writeable = False  # every caller shares the cached arrays
     return curve
@@ -358,32 +360,18 @@ def _integral_variance(specs, null: SymmetricNull, levels):
         yield value, np.maximum(err, max(fprime_err, square_err))
 
 
-@cache
-def _blocks(tests: tuple) -> tuple:
-    """Kernel order (a column), row slice and ``(w, dw/dq)`` of ``(spec, rows)`` blocks; once per
-    block layout in a process."""
-    rows = [n for _, n in tests]
-    m = np.repeat([s.kernel_order for s, _ in tests], rows).astype(float)[:, None]
-    m.flags.writeable = False  # every search shares it
-    ends = np.cumsum(rows)
-    return m, tuple(slice(end - n, end) for n, end in zip(rows, ends)), tuple(
-        (_weight(s), _weight_derivative(s)) for s, _ in tests)
-
-
 def _by_test(groups, q):
     """Kernel order (a column), weight ``w(q)`` and ``dw/dq`` of the rows of ``groups``, ``(spec,
     levels)`` blocks, one per test; ``q`` has one row per row, or any shape for one."""
-    m, cuts, weights = _blocks(tuple((spec, len(lv)) for spec, lv in groups))
-
-    def per_test(k):
-        if len(cuts) == 1:
-            return weights[0][k](q)
-        out = np.empty(q.shape)
-        for cut, pair in zip(cuts, weights):
-            out[cut] = pair[k](q[cut])  # dw/dq is a float where d = r = 1 (BH, NA_K_2, MO_K_1)
-        return out
-
-    return m, per_test(0), per_test(1)
+    rows = [len(lv) for _, lv in groups]
+    m = np.repeat([spec.kernel_order for spec, _ in groups], rows).astype(float)[:, None]
+    if len(groups) == 1:
+        return m, _weight(groups[0][0])(q), _weight_derivative(groups[0][0])(q)
+    w, w_q = np.empty(q.shape), np.empty(q.shape)
+    for (spec, _), end, n in zip(groups, np.cumsum(rows), rows):
+        cut = slice(end - n, end)
+        w[cut], w_q[cut] = _weight(spec)(q[cut]), _weight_derivative(spec)(q[cut])  # dw/dq is a float where d = r = 1
+    return m, w, w_q
 
 
 def _thresholds(model, t):
@@ -512,7 +500,7 @@ def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t):
     if spec.family != SUPREMUM:
         raise ValueError("slope_function applies to supremum-type statistics")
     applicability(spec, alt.base)
-    mu_p = _mu_prime(alt, (check_level(spec.alpha),))[0]
+    mu_p = _derivative_curve(alt, [check_level(spec.alpha)])[0]
     sign = _SUP_SIGN.get(spec.kind, 1.0)
     return _at_thresholds(lambda v: sign * _members(alt, [(spec, mu_p)], 1, _free_slope, v)[0], alt, t)
 
@@ -732,7 +720,8 @@ def cm_family_slope(null: SymmetricNull, alt: AlternativeFamily) -> float:
     applicability(StatisticSpec("CM"), null)
     if alt.base != null:
         raise ValueError("alternative family must perturb the same null")
-    return _mu_prime(alt, (0.0,))[0][0] - _mu_prime(alt, (0.5,))[0][0]
+    mean, median = _mean_median(alt)[0]
+    return mean - median
 
 
 def _int_x3_score(alt: AlternativeFamily) -> tuple[float, float]:
@@ -749,7 +738,7 @@ def _moment_limits(spec: StatisticSpec, alt: AlternativeFamily) -> tuple[float, 
     its slope ``(Int x^3 h - 3 sigma^2 mu'(0)) / sigma^3``, ``mu'(0) = Int x h``.
     """
     null = alt.base
-    (xh,), (err,) = _mu_prime(alt, (0.0,))
+    (xh, _), (err, _) = _mean_median(alt)
     m2 = null.moment(2)
     if spec.kind == "SQRT_B1":
         x3h, x3_err = _int_x3_score(alt)

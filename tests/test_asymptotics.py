@@ -396,12 +396,49 @@ class TestArrayThresholds:
         assert contam != get_alternative("contam", "logistic")
 
     def test_repeated_lookups_share_one_cache_entry(self):
-        spec = StatisticSpec("KS", alpha=0.3)
-        first = asy.slope_function(spec, get_alternative("fs", "logistic"), 0.7)
-        misses = asy._mu_prime.cache_info().misses
-        again = asy.slope_function(spec, get_alternative("fs", "logistic"), 0.7)
+        first = asy.cm_family_slope(get_null("logistic"), get_alternative("fs", "logistic"))
+        misses = asy._mean_median.cache_info().misses
+        again = asy.cm_family_slope(get_null("logistic"), get_alternative("fs", "logistic"))
         assert again == first
-        assert asy._mu_prime.cache_info().misses == misses
+        assert asy._mean_median.cache_info().misses == misses
+
+
+class TestProcessCaches:
+    def test_no_cache_grows_with_levels_or_grids(self):
+        # every functools.cache of the layer is keyed by models and alpha-free
+        # statistics, so sweeps over levels and grids add no entry after the first call
+        from symlab import _quad
+
+        caches = {f"{f.__module__}.{f.__qualname__}": f for module in (asy, _quad)
+                  for f in vars(module).values() if hasattr(f, "cache_info")}
+        alt = get_alternative("fs", "normal")
+        sweeps = [
+            (lambda a: asy.slope_function(parse_statistic("KS", float(a)), alt, 0.7), np.linspace(0, 0.5, 200)),
+            (lambda a: asy.variance_function(parse_statistic("NA_K_2", float(a)), alt.base, 0.7),
+             np.linspace(0, 0.5, 200)),
+            (lambda n: eff.index_curves(DEFAULT_TESTS, alt, default_grid(n)), [5, 11, 21]),
+        ]
+        for run, inputs in sweeps:
+            run(inputs[0])
+        first = {name: f.cache_info().currsize for name, f in caches.items()}
+        for run, inputs in sweeps:
+            for x in inputs[1:]:
+                run(x)
+        assert {name: f.cache_info().currsize for name, f in caches.items()} == first
+
+    def test_cached_arrays_are_read_only(self):
+        # one in-place write by any integrand would change every later integral of the process
+        from symlab import _quad
+
+        alt = get_alternative("fs", "normal")
+        arrays = [*_quad._gauss01(32), *_quad._gauss01(16), *asy._scan(alt.base), *asy._scan(alt),
+                  *asy._mean_median(alt)]
+        for model in (alt.base, alt):
+            arrays += vars(_quad._half_line_nodes(model)).values()
+        assert len(arrays) == 4 + 12 + 2 + 9  # both rules, both scans, mu' and the nodes with odd_score
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 class TestApplicabilityMask:
@@ -715,7 +752,7 @@ class TestQuadratureBudget:
         alt = get_alternative(alt_name, null_name)
         null = alt.base
         alphas = default_grid()[:-1] if null.has_moment(2) else default_grid()[1:-1]
-        value, err = asy._mu_prime(alt, tuple(alphas.tolist()))
+        value, err = loc._derivative_curve(alt, alphas)
         assert err.max() <= ABS_TOL
         for i, a in enumerate(alphas):
             if a == 0.0:

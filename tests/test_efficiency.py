@@ -289,9 +289,11 @@ class TestIndexCurves:
 
 
 _SHARED_PAIRS = (("normal", "contam"), ("cauchy", "fs"))
-#: the points each pair's run evaluates again, as measured: cauchy/fs reads f(0) twice, and 2976 of
-#: normal/contam's are one density call on points an earlier call read
-_REPEATS = {("normal", "contam"): 3081, ("cauchy", "fs"): 1}
+#: the points each pair's run evaluates again, as measured: cauchy/fs reads f(0) twice; 2976 of
+#: normal/contam's are the null's density on the nodes of Int_0^Q, read by SymmetricNull._second_moment
+#: and again by asymptotics._t3 (the near/far cut of that moment belongs to the null, and sharing the
+#: density would give the cut a second owner), and 6 are f(0) and H(0) read again by the median's formulas
+_REPEATS = {("normal", "contam"): 2982, ("cauchy", "fs"): 1}
 
 # A fresh interpreter counts the points passed to the outermost model-method
 # calls of one index run per pair, and those on an input already seen (by
