@@ -17,11 +17,13 @@ import math
 import numpy as np
 
 from ._quad import quad, quad_split
-from .distributions import AlternativeFamily, SymmetricNull
+from .distributions import AlternativeFamily, SymmetricNull, _as_float
 from .location import population_trimmed_mean
-from .stats import MOMENT, SUPREMUM, StatisticSpec
+from .stats import MOMENT, SUPREMUM, StatisticSpec, _check_threshold
 
 __all__ = ["population_limit", "population_slope_fd"]
+
+_THETA = 1e-3  # the step in theta of population_slope_fd's finite differences
 
 
 def _binom_sf(r: int, p: int, prob) -> np.ndarray:
@@ -94,9 +96,10 @@ def population_limit(
     """Limit in probability of the statistic under ``g(.; theta)``.
 
     For supremum-type statistics, pass ``t`` for a fixed family member
-    (signed); without ``t`` the supremum of the absolute member limits is
-    returned.
+    (signed, :func:`symlab.stats._check_threshold`); without ``t`` the
+    supremum of the absolute member limits is returned.
     """
+    t = _check_threshold(spec, t)
     if spec.family == MOMENT:
         return _moment_limit(spec, alt, theta)
 
@@ -123,7 +126,7 @@ def population_limit(
                 return _char_member(spec, alt, theta, mu, tt)
 
         if t is not None:
-            return float(member(float(t)))
+            return _as_float(member(t))
         return _sup_abs(member, alt.base)
 
     # integral characterization statistic: integrate the outer coordinate
@@ -137,11 +140,10 @@ def population_limit(
 def population_slope_fd(
     spec: StatisticSpec,
     alt: AlternativeFamily,
-    theta: float = 1e-3,
     t: float | None = None,
     absolute: bool = False,
 ) -> float:
-    """Finite-difference slope of the population limit at the symmetric point.
+    """Finite-difference slope of the population limit at the symmetric point, step :data:`_THETA`.
 
     Central differences for families defined on both sides of zero
     (two-piece skew); a second-order one-sided stencil for the contamination
@@ -155,7 +157,7 @@ def population_slope_fd(
         return abs(val) if absolute else val
 
     if alt.kind == "contamination":
-        return (4.0 * limit(theta) - limit(2.0 * theta)) / (2.0 * theta)
+        return (4.0 * limit(_THETA) - limit(2.0 * _THETA)) / (2.0 * _THETA)
     if absolute:
-        return (limit(theta) + limit(-theta)) / (2.0 * theta)
-    return (limit(theta) - limit(-theta)) / (2.0 * theta)
+        return (limit(_THETA) + limit(-_THETA)) / (2.0 * _THETA)
+    return (limit(_THETA) - limit(-_THETA)) / (2.0 * _THETA)

@@ -97,7 +97,7 @@ from ._quad import graded, half_line
 from .distributions import AlternativeFamily, SymmetricNull, _as_float
 from .errors import NotApplicableError
 from .location import _by_level, _derivative_curve, _trimmed, _uncentered, check_centering, check_level
-from .stats import _KIND_TABLE, INTEGRAL, MOMENT, SUPREMUM, StatisticSpec
+from .stats import _KIND_TABLE, INTEGRAL, MOMENT, SUPREMUM, StatisticSpec, _check_threshold
 
 __all__ = [
     "Projection",
@@ -237,16 +237,14 @@ class Projection:
     null: SymmetricNull
 
     def phi(self, x, t: float | None = None):
-        """Evaluate the projection at ``x`` (member threshold ``t`` if sup-type)."""
+        """Evaluate the projection at ``x``, a supremum-type one's member at the threshold ``t``
+        (:func:`symlab.stats._check_threshold`); ``x`` and ``t`` broadcast."""
         u = self.null.cdf(np.asarray(x, dtype=float))
-        if self.spec.family == SUPREMUM:
-            if t is None:
-                raise ValueError("supremum-type projections need a threshold t")
-            q = float(self.null.cdf(abs(t)))
-            sign = _SUP_SIGN.get(self.spec.kind, 1.0)
-            return sign * _weight(self.spec)(q) * _chi(u, q)
-        if t is not None:
-            raise ValueError("integral-type projections take no threshold")
+        if (t := _check_threshold(self.spec, t)) is not None:
+            q = self.null.cdf(t)
+            return _SUP_SIGN.get(self.spec.kind, 1.0) * _weight(self.spec)(q) * _chi(u, q)
+        if self.spec.family == SUPREMUM:  # not the integral-type profile of the same kernel
+            raise ValueError("supremum-type projections need a threshold t")
         return _profile(self.spec)(u)
 
 
@@ -361,12 +359,10 @@ def _integral_variance(specs, null: SymmetricNull, levels):
 
 
 def _by_test(groups, q):
-    """Kernel order (a column), weight ``w(q)`` and ``dw/dq`` of the rows of ``groups``, ``(spec,
-    levels)`` blocks, one per test; ``q`` has one row per row, or any shape for one."""
+    """Signed kernel order (a column, :data:`_SUP_SIGN`), weight ``w(q)`` and ``dw/dq`` of the rows
+    of ``groups``, ``(spec, levels)`` blocks, one per test; ``q`` has one row per row."""
     rows = [len(lv) for _, lv in groups]
-    m = np.repeat([spec.kernel_order for spec, _ in groups], rows).astype(float)[:, None]
-    if len(groups) == 1:
-        return m, _weight(groups[0][0])(q), _weight_derivative(groups[0][0])(q)
+    m = np.repeat([_SUP_SIGN.get(spec.kind, 1.0) * spec.kernel_order for spec, _ in groups], rows)[:, None]
     w, w_q = np.empty(q.shape), np.empty(q.shape)
     for (spec, _), end, n in zip(groups, np.cumsum(rows), rows):
         cut = slice(end - n, end)
@@ -375,11 +371,11 @@ def _by_test(groups, q):
 
 
 def _thresholds(model, t):
-    """``|t|`` and the null's ``F``, ``f`` and ``Int_0^t x f`` there, and the ``t``-derivatives
+    """``t >= 0`` and the null's ``F``, ``f`` and ``Int_0^t x f`` there, and the ``t``-derivatives
     ``f'`` and ``t f`` of the last two; an alternative family's score pairing ``-(H(t) + H(-t))``
     and its derivative ``-(h(t) - h(-t))`` replace ``Int_0^t x f`` and ``t f``."""
     null = getattr(model, "base", model)
-    t = np.abs(np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
     f = null.density(t)
     if model is null:
         return t, null.cdf(t), f, null.partial_first_moment(0.0, t), null.density_derivative(t), t * f
@@ -387,7 +383,7 @@ def _thresholds(model, t):
 
 
 def _scored(alt: AlternativeFamily, t, q, f, f_t):
-    """:func:`_thresholds` of ``alt`` from its null's columns at ``|t|``."""
+    """:func:`_thresholds` of ``alt`` from its null's columns at ``t``."""
     return t, q, f, -(alt.score_cumulative(t) + alt.score_cumulative(-t)), f_t, -alt.odd_score(t)
 
 
@@ -422,10 +418,10 @@ def _free_variance(null: SymmetricNull, levels, v, derivative=False):
 def _members(model, groups, power, free, v):
     """Values ``m^p w(q)^p F`` and their ``t``-derivatives ``m^p w^(p-1) (p w' f F + w F')``
     (``q' = f``) of the members of the rows of ``groups``, ``(spec, levels)`` blocks, at the
-    :func:`_thresholds` ``v`` of ``model``, where ``p`` is ``power`` and ``(F, F') = free(model,
-    levels, v, True)`` is the factor that no test changes: a variance's is
-    :func:`_free_variance` with ``p = 2``, a slope's :func:`_free_slope` with ``p = 1`` (unsigned,
-    :data:`_SUP_SIGN`)."""
+    :func:`_thresholds` ``v`` of ``model`` (a row of thresholds per row), ``p`` being ``power``,
+    ``m`` the signed kernel order of :func:`_by_test` (the sign enters as an exact ``(+-1)^p``) and
+    ``(F, F') = free(model, levels, v, True)`` the factor that no test changes: a variance's is
+    :func:`_free_variance` with ``p = 2``, a slope's :func:`_free_slope` with ``p = 1``."""
     m, w, w_q = _by_test(groups, v[1])
     value, rate = free(model, np.concatenate([lv for _, lv in groups]), v, True)
     scale = _power(m, power)
@@ -439,28 +435,12 @@ def variance_function(spec: StatisticSpec, null: SymmetricNull, t):
     With ``q = F(t)`` the member projection is ``w(q) chi(.; q)`` whose
     squared mass is ``2(1-q)``, whose density-derivative pairing is
     ``-2 f(t)``, and whose partial moments are partial moments of the null;
-    only the trimmed mean's ``Int_0^Q x^2 f`` is integrated (:func:`_levels`).  ``t`` may be an array (elementwise, bit for bit
-    the values of scalar calls); a float in gives a float out.  A NaN ``t``
-    is refused, and ``t`` beyond the null's finite arithmetic (``inf``
-    included) gives the ``t -> inf`` limit 0.0.
+    only the trimmed mean's ``Int_0^Q x^2 f`` is integrated (:func:`_levels`).
+    ``t >= 0`` (:func:`symlab.stats._check_threshold`) may be an array (bit for bit
+    the values of scalar calls); a float in gives a float out, and ``t`` beyond the
+    null's finite arithmetic (``inf`` included) the ``t -> inf`` limit 0.0.
     """
-    if spec.family != SUPREMUM:
-        raise ValueError("variance_function applies to supremum-type statistics")
-    applicability(spec, null)
-    levels = _levels(null, check_level([spec.alpha]))[0]
-    return _at_thresholds(lambda v: _members(null, [(spec, levels)], 2, _free_variance, v)[0], null, t)
-
-
-def _at_thresholds(member, model, t):
-    """One-row ``member`` of ``model``'s :func:`_thresholds` at ``|t|``, in the shape of ``t``;
-    refused if NaN, 0.0 past the null's ``_x_max``."""
-    null = getattr(model, "base", model)
-    t = np.abs(np.asarray(t, dtype=float))
-    if np.isnan(t).any():
-        raise ValueError("threshold t must not be NaN")
-    far = t > null._x_max
-    values = member(_thresholds(model, np.where(far, 0.0, t)))
-    return _as_float(np.where(far, 0.0, np.reshape(values, t.shape)))
+    return _member(spec, null, _VARIANCE, t)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +467,8 @@ def _integral_slope(specs, alt: AlternativeFamily, mu_p):
 def _free_slope(alt: AlternativeFamily, mu_p, v, derivative=False):
     """``(P,)``, and with ``derivative`` ``(P, dP/dt)``: the pairing ``P = -(H(t) + H(-t)) - 2
     mu'(a) f`` of ``chi(.; q)`` with ``h + mu' f'`` on the rows of estimand derivatives ``mu_p``
-    at the :func:`_thresholds` ``v`` of ``alt``.  A member slope is ``m w(q) P`` up to its sign
-    (:data:`_SUP_SIGN`), and no test changes ``P``."""
+    at the :func:`_thresholds` ``v`` of ``alt``.  A member slope is ``m w(q) P`` (``m`` signed,
+    :func:`_by_test`), and no test changes ``P``."""
     _, _, f, chi_score, f_t, chi_score_t = v
     mu_p = mu_p[:, None]
     value = chi_score + mu_p * (-2.0 * f)
@@ -497,12 +477,7 @@ def _free_slope(alt: AlternativeFamily, mu_p, v, derivative=False):
 
 def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t):
     """Signed member slope ``b'(0, alpha; t)`` of a supremum family (``t`` as for the variance)."""
-    if spec.family != SUPREMUM:
-        raise ValueError("slope_function applies to supremum-type statistics")
-    applicability(spec, alt.base)
-    mu_p = _derivative_curve(alt, [check_level(spec.alpha)])[0]
-    sign = _SUP_SIGN.get(spec.kind, 1.0)
-    return _at_thresholds(lambda v: sign * _members(alt, [(spec, mu_p)], 1, _free_slope, v)[0], alt, t)
+    return _member(spec, alt, _SLOPE, t)
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +605,19 @@ def _sup_over_t(searches) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # has a kink at Q (its second derivative jumps there), and a boundary level's Q = 0 is in no bracket
 _VARIANCE = (_integral_variance, _levels, _free_variance, 2, lambda levels: levels[:, 3])
 _SLOPE = (_integral_slope, _derivative_curve, _free_slope, 1, lambda mu_p: np.full(len(mu_p), math.nan))
+
+
+def _member(spec: StatisticSpec, model, part, t):
+    """``spec``'s member at ``t``, in its shape, as the search reads it: ``part``'s (:data:`_VARIANCE`,
+    :data:`_SLOPE`) column, factor and power on ``spec.alpha``; 0.0 past the null's ``_x_max``."""
+    t = _check_threshold(spec, t)
+    null = getattr(model, "base", model)
+    applicability(spec, null)
+    _, column, free, power, _ = part
+    levels = column(model, check_level([spec.alpha]))[0]
+    far = t > null._x_max
+    values = _members(model, [(spec, levels)], power, free, _thresholds(model, np.where(far, 0.0, t).reshape(1, -1)))
+    return _as_float(np.where(far, 0.0, np.reshape(values[0], np.shape(t))))
 
 
 def _curves(specs, null: SymmetricNull, alphas, parts):

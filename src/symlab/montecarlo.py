@@ -94,7 +94,7 @@ def _simulate(
     purpose: int,
     t: float | None = None,
 ) -> np.ndarray:
-    _check_threshold(spec, t)  # before any draw, so a refused call leaves the kept entry as it was
+    _check_threshold(spec, t, scalar=True)  # before any draw, so a refused call leaves the kept entry as it was
     params = () if theta is None else (theta,)  # a null model takes no theta
 
     def draw(chunk: int, start: int, stop: int) -> np.ndarray:  # rows [start, stop) of the chunk
@@ -125,8 +125,8 @@ def null_distribution(
 ) -> np.ndarray:
     """Statistic values over ``cfg.reps`` fresh null samples of size ``cfg.n``.
 
-    With ``t`` given (supremum kinds), the fixed-threshold family member is
-    simulated instead of the supremum.  Deterministic given ``cfg.seed``.
+    With ``t`` given (one float, :func:`symlab.stats._check_threshold`, before any draw), the
+    fixed-threshold family member is simulated instead of the supremum.  Deterministic given ``cfg.seed``.
     """
     return _simulate(spec, null, None, cfg, _CAL, t=t)
 

@@ -559,13 +559,18 @@ def _check_rows(spec: StatisticSpec, samples: np.ndarray, peak: float | None = N
         )
 
 
-def _check_threshold(spec: StatisticSpec, t: float | None) -> float | None:
-    """The fixed-threshold rule: a supremum-type statistic's member at ``t``, never NaN; ``t`` as a float."""
-    if t is not None and spec.family != SUPREMUM:
+def _check_threshold(spec: StatisticSpec, t, scalar: bool = False):
+    """The one rule of every reader of a supremum family's member at ``t >= 0`` (``inf`` included, ``-0.0``
+    read as ``0.0``): a float comes back a float, an array an array, which a sample's (``scalar``) refuses."""
+    if t is None:
+        return None
+    if spec.family != SUPREMUM:
         raise ValueError("fixed thresholds apply to supremum-type statistics only")
-    if t is not None and math.isnan(t := float(t)):
-        raise ValueError("threshold t must not be NaN")
-    return t
+    if not ((t := np.asarray(t, dtype=float)) >= 0.0).all():
+        raise ValueError("threshold t must not be NaN or negative")
+    if scalar and t.ndim:
+        raise ValueError("a sample's member takes one threshold t, not an array")
+    return t + 0.0 if t.ndim else float(t) + 0.0
 
 
 def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = None):
@@ -585,7 +590,7 @@ def _evaluate_rows(spec: StatisticSpec, samples: np.ndarray, t: float | None = N
     if "peak" not in entry:  # the finite pass and the peak run once for the bits an entry keeps
         check_sample(samples, ndim=2)
         entry["peak"] = max(samples.max(), -samples.min())
-    t = _check_threshold(spec, t)
+    t = _check_threshold(spec, t, scalar=True)
     _check_rows(spec, samples, entry["peak"])
     if spec.family == MOMENT:
         return _kept(samples, entry, "moments", None, lambda: _moments(samples),
@@ -613,8 +618,8 @@ def evaluate(spec: StatisticSpec, sample) -> StatisticValue:
 def evaluate_many(spec: StatisticSpec, samples: np.ndarray, t: float | None = None) -> np.ndarray:
     """Row-wise evaluation on a 2-D array of samples.
 
-    With ``t`` given (supremum kinds only) the signed family member at the
-    fixed threshold is evaluated instead of the supremum: for KS
+    With ``t`` given (one float, :func:`_check_threshold`) the signed family
+    member at the fixed threshold is evaluated instead of the supremum: for KS
     ``F_n(t + center) + F_n(center - t) - 1``, for the characterization
     families the subset-count difference at ``t``; one sample ``x`` is the
     row ``x[None, :]``.  Equals :func:`evaluate` row for row, bit for bit.

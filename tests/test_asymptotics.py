@@ -15,8 +15,8 @@ from symlab.distributions import AlternativeFamily, get_alternative, get_null
 from symlab.efficiency import DEFAULT_TESTS, default_grid
 from symlab.errors import NotApplicableError
 from symlab.montecarlo import McConfig, null_distribution
-from symlab.stats import StatisticSpec, parse_statistic
-from symlab._oracles import population_slope_fd
+from symlab.stats import StatisticSpec, evaluate_many, parse_statistic
+from symlab._oracles import population_limit, population_slope_fd
 from symlab._rng import stream
 
 INTEGRAL_IDS = ["S", "W", "BH_I", "NA_I_2", "NA_I_4", "MO_I_2"]
@@ -337,6 +337,50 @@ class TestMomentStatistics:
         assert slope**2 / 6.0 == pytest.approx(idx, rel=0.10)
 
 
+def _member_readers():
+    null, alt = get_null("normal"), get_alternative("fs", "normal")
+    rows, cfg = np.random.default_rng(5).normal(size=(3, 20)), McConfig(n=20, reps=200, seed=5)
+    return {
+        "evaluate_many": lambda spec, t: evaluate_many(spec, rows, t),
+        "null_distribution": lambda spec, t: null_distribution(spec, null, cfg, t),
+        "variance_function": lambda spec, t: asy.variance_function(spec, null, t),
+        "slope_function": lambda spec, t: asy.slope_function(spec, alt, t),
+        "phi": lambda spec, t: asy.projection(spec, null).phi(np.array([-1.0, 0.3, 2.0]), t),
+        "population_limit": lambda spec, t: population_limit(spec, alt, 0.01, t),
+    }
+
+
+#: the five readers of a supremum family's member at a fixed threshold t, and the population oracle
+MEMBER_READERS = _member_readers()
+
+
+class TestThresholdRule:
+    # every member reader applies stats._check_threshold: supremum kinds only, t >= 0 with inf
+    # included; a negative t read 0.0 in the finite-sample member and the value at |t| elsewhere
+    @pytest.mark.parametrize("reader", MEMBER_READERS)
+    @pytest.mark.parametrize("name", ["NA_K_2", "BH_K", "KS"])
+    def test_one_rule_in_every_reader(self, reader, name):
+        read, spec = MEMBER_READERS[reader], parse_statistic(name, alpha=0.25)
+        for t in (-0.7, -math.inf, math.nan, np.array([0.5, -0.1])):
+            with pytest.raises(ValueError, match="^threshold t must not be NaN or negative$"):
+                read(spec, t)
+        zero, minus_zero = np.asarray(read(spec, 0.0)), np.asarray(read(spec, -0.0))
+        np.testing.assert_array_equal(minus_zero.view(np.int64), zero.view(np.int64))
+
+    @pytest.mark.parametrize("reader", MEMBER_READERS)
+    @pytest.mark.parametrize("name", ["W", "NA_I_2"])
+    def test_no_threshold_off_the_supremum_kinds(self, reader, name):
+        with pytest.raises(ValueError, match="^fixed thresholds apply to supremum-type statistics only$"):
+            MEMBER_READERS[reader](parse_statistic(name, alpha=0.25), 0.5)
+
+    @pytest.mark.parametrize("reader", ["evaluate_many", "null_distribution"])
+    def test_a_sample_member_takes_one_threshold(self, reader):
+        # float() of these raised TypeError, and a DeprecationWarning for the one-element array
+        for t in (np.array([0.5, 0.7]), np.array([0.5]), np.array([[0.5]]), np.empty(0)):
+            with pytest.raises(ValueError, match="one threshold t, not an array"):
+                MEMBER_READERS[reader](parse_statistic("KS", alpha=0.25), t)
+
+
 class TestArrayThresholds:
     # NA_K_8 and MO_K_4 raise their weights to longer powers than any default test
     @pytest.mark.parametrize("name", ALL_SUP_IDS + ["NA_K_8", "MO_K_4"])
@@ -351,7 +395,7 @@ class TestArrayThresholds:
         spec = parse_statistic(name, alpha=alpha)
         q999 = float(null.quantile(0.999))
         ts = np.concatenate(
-            [[0.0], np.geomspace(q999 * 1e-5, q999, 97), [1.5 * q999, 4.0 * q999, -0.7]]
+            [[0.0], np.geomspace(q999 * 1e-5, q999, 97), [1.5 * q999, 4.0 * q999]]
         )
 
         def assert_bitwise(func, *args):
@@ -368,20 +412,20 @@ class TestArrayThresholds:
     @pytest.mark.parametrize("name", ALL_SUP_IDS)
     @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
     def test_non_finite_thresholds(self, name, null_name):
-        # t -> inf limits are 0.0 wherever the arithmetic would overflow; NaN is refused
+        # t -> inf limits are 0.0 wherever the arithmetic would overflow; NaN and -inf are refused
         null = get_null(null_name)
         spec = parse_statistic(name, alpha=0.25)
         for func, model in [(asy.variance_function, null)] + [
             (asy.slope_function, get_alternative(alt_name, null)) for alt_name in ("contam", "fs")
         ]:
             inside = func(spec, model, 0.5)
-            for t in (math.inf, -math.inf, 1e300):
+            for t in (math.inf, 1e300):
                 got = func(spec, model, t)
                 assert got == 0.0  # -0.0 where the logistic arithmetic reaches it at 1e300
                 values = func(spec, model, np.array([0.5, t]))
                 expected = np.array([inside, got])
                 np.testing.assert_array_equal(values.view(np.int64), expected.view(np.int64))
-            for t in (math.nan, np.array([0.5, math.nan])):
+            for t in (math.nan, -math.inf, np.array([0.5, math.nan])):
                 with pytest.raises(ValueError, match="NaN"):
                     func(spec, model, t)
 

@@ -225,7 +225,8 @@ class TestDrawSlot:
             assert "draws" not in stats._pool.entry and stats._pool.entry["key"] is None
             np.testing.assert_array_equal(_simulate(spec, model, 0.3, cfg, _EVAL), want)
 
-    @pytest.mark.parametrize("name, t", [("W", 0.5), ("KS", math.nan)])
+    @pytest.mark.parametrize("name, t", [("W", 0.5), ("KS", math.nan), ("BH_K", -0.7),
+                                         ("KS", np.array([0.5, 0.7]))])
     def test_a_refused_threshold_draws_nothing(self, streams, normal, name, t):
         # the threshold is refused before the draw, so the thread keeps the draws it kept before
         kept = McConfig(n=30, reps=300, seed=4)

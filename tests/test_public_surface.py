@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 import symlab
-from symlab import _quad, asymptotics, efficiency, stats
+from symlab import _oracles, _quad, asymptotics, efficiency, stats
 
 PUBLIC = [
     "AlternativeFamily",
@@ -75,6 +75,7 @@ RETIRED_PARAMETERS = {
     asymptotics._thresholds: ("derivative",),
     asymptotics._by_test: ("derivative",),
     _quad.graded: ("nodes",),
+    _oracles.population_slope_fd: ("theta",),
 }
 #: retired members of the public classes, which nothing but their own tests called
 RETIRED_MEMBERS = {efficiency.IndexCurve: ("to_json",), asymptotics.Projection: ("order",)}
