@@ -15,6 +15,8 @@ feeds the slope computations in :mod:`symlab.asymptotics`.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from ._quad import graded, half_line, quad, quad_split
@@ -122,6 +124,8 @@ def trim_weights(n: int, alpha: float) -> np.ndarray:
     construction from telescoping breakpoints, sum to one exactly.
     """
     alpha = _check_alpha(alpha)
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise ValueError("sample size must be an integer")
     if n < 1:
         raise ValueError("need at least one observation")
     if alpha == 0.5:

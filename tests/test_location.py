@@ -39,6 +39,15 @@ class TestTrimmedMean:
         with pytest.raises(ValueError, match="need at least one observation"):
             trim_weights(0, 0.1)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, np.float64(4.0)])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5])
+    def test_sample_size_must_be_an_integer(self, n, alpha):
+        # McConfig's rule: 2.5 gave three weights summing to 1, True gave [1.], and 2.5 at the median
+        # numpy's TypeError
+        with pytest.raises(ValueError, match="sample size must be an integer"):
+            trim_weights(n, alpha)
+        assert trim_weights(np.int64(5), alpha).tobytes() == trim_weights(5, alpha).tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_refused(self, bad):
         # even in the trimmed tail: 0 * inf would make the weighted sum NaN
