@@ -206,11 +206,6 @@ def _shape(spec: StatisticSpec) -> tuple:
     return (spec.family, *((j, a / terms[0][1]) for j, a in terms))
 
 
-def _chi(u, q):
-    u = np.asarray(u, dtype=float)
-    return np.where(u >= q, 1.0, 0.0) - np.where(u < 1.0 - q, 1.0, 0.0)
-
-
 def _profile(spec: StatisticSpec):
     """Integral-type projection as a function of ``u = F(x)``."""
     if spec.kind == "S":
@@ -241,8 +236,9 @@ class Projection:
         (:func:`symlab.stats._check_threshold`); ``x`` and ``t`` broadcast."""
         u = self.null.cdf(np.asarray(x, dtype=float))
         if (t := _check_threshold(self.spec, t)) is not None:
-            q = self.null.cdf(t)
-            return _SUP_SIGN.get(self.spec.kind, 1.0) * _weight(self.spec)(q) * _chi(u, q)
+            q = self.null.cdf(t)  # chi(x; q) = 1{F(x) >= q} - 1{F(x) < 1 - q}
+            chi = np.where(u >= q, 1.0, 0.0) - np.where(u < 1.0 - q, 1.0, 0.0)
+            return _SUP_SIGN.get(self.spec.kind, 1.0) * _weight(self.spec)(q) * chi
         if self.spec.family == SUPREMUM:  # not the integral-type profile of the same kernel
             raise ValueError("supremum-type projections need a threshold t")
         return _profile(self.spec)(u)
@@ -610,6 +606,8 @@ _SLOPE = (_integral_slope, _derivative_curve, _free_slope, 1, lambda mu_p: np.fu
 def _member(spec: StatisticSpec, model, part, t):
     """``spec``'s member at ``t``, in its shape, as the search reads it: ``part``'s (:data:`_VARIANCE`,
     :data:`_SLOPE`) column, factor and power on ``spec.alpha``; 0.0 past the null's ``_x_max``."""
+    if t is None:  # which the rule passes as the supremum itself
+        raise ValueError("supremum-type members need a threshold t")
     t = _check_threshold(spec, t)
     null = getattr(model, "base", model)
     applicability(spec, null)

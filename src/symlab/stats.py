@@ -560,8 +560,8 @@ def _check_rows(spec: StatisticSpec, samples: np.ndarray, peak: float | None = N
 
 
 def _check_threshold(spec: StatisticSpec, t, scalar: bool = False):
-    """The one rule of every reader of a supremum family's member at ``t >= 0`` (``inf`` included, ``-0.0``
-    read as ``0.0``): a float comes back a float, an array an array, which a sample's (``scalar``) refuses."""
+    """The threshold rule of every reader of a supremum family's member: ``t >= 0``, ``inf`` included,
+    ``-0.0`` read as 0.0; a float comes back a float, an array an array (refused if ``scalar``)."""
     if t is None:
         return None
     if spec.family != SUPREMUM:

@@ -367,6 +367,13 @@ class TestThresholdRule:
         zero, minus_zero = np.asarray(read(spec, 0.0)), np.asarray(read(spec, -0.0))
         np.testing.assert_array_equal(minus_zero.view(np.int64), zero.view(np.int64))
 
+    @pytest.mark.parametrize("reader", ["variance_function", "slope_function", "phi"])
+    def test_a_member_needs_a_threshold(self, reader):
+        # without t these readers have no supremum to fall back on
+        for name in ("KS", "NA_K_2"):
+            with pytest.raises(ValueError, match="need a threshold t"):
+                MEMBER_READERS[reader](parse_statistic(name, alpha=0.25), None)
+
     @pytest.mark.parametrize("reader", MEMBER_READERS)
     @pytest.mark.parametrize("name", ["W", "NA_I_2"])
     def test_no_threshold_off_the_supremum_kinds(self, reader, name):
