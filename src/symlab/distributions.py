@@ -19,7 +19,7 @@ local slope computations elsewhere in the package.
 
 All model objects are immutable and their methods are pure, so they are safe
 to share across threads.  Samplers take an explicit seed and are
-deterministic.
+deterministic; given ``out=``, they draw into the caller's array in place.
 """
 
 from __future__ import annotations
@@ -63,19 +63,20 @@ def _as_float(x):
     return float(arr) if arr.ndim == 0 else arr
 
 
-def _uniforms(n: int, seed: int, rng: np.random.Generator | None, count: int):
-    """``count + 1`` fresh arrays of ``n``, the first ``count`` drawn from ``rng``, the last for the draws.
-
-    The sampling preamble of every model (``rng`` is ``stream(seed, 0)`` if None):
-    the last uniforms feed an inverse CDF, so they are clipped into ``[2^-53, 1 - 2^-53]``.
-    """
+def _uniforms(n: int, seed: int, rng: np.random.Generator | None, out, count: int) -> list:
+    """``count`` rows of ``n`` uniforms from ``rng`` (``stream(seed, 0)`` if None): the first ``count - 1``
+    fresh, the last in ``out`` (fresh if None), clipped into ``[2^-53, 1 - 2^-53]`` for an inverse CDF."""
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    if rng is None:
-        rng = stream(seed, 0)
-    rows = [rng.random(n, out=np.empty(n)) for _ in range(count)]
-    np.clip(rows[-1], 2.0**-53, 1.0 - 2.0**-53, out=rows[-1])
-    return rows + [np.empty(n)]
+    out = np.empty(n) if out is None else out
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64:
+        raise TypeError(f"out must be a float64 array, not {getattr(out, 'dtype', type(out))}")
+    if out.shape != (n,) or not (out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"out must be a writeable C-contiguous array of shape ({n},)")
+    rng = stream(seed, 0) if rng is None else rng
+    rows = [rng.random(n, out=np.empty(n)) for _ in range(count - 1)] + [rng.random(n, out=out)]
+    np.clip(out, 2.0**-53, 1.0 - 2.0**-53, out=out)
+    return rows
 
 
 class SymmetricNull:
@@ -118,7 +119,7 @@ class SymmetricNull:
             return self._quantile(u_arr if u_arr.ndim else float(u_arr))
 
     def _quantile(self, u, out=None):
-        """The inverse CDF without the domain check; with ``out``, into it (``u`` is scratch then)."""
+        """The inverse CDF without the domain check; with ``out``, into it (``out`` may be ``u``)."""
         raise NotImplementedError
 
     # -- moments ---------------------------------------------------------
@@ -196,14 +197,13 @@ class SymmetricNull:
         return np.asarray(self.density(x - 1.0)) - np.asarray(self.density(x + 1.0))
 
     # -- sampling ---------------------------------------------------------
-    def sample(self, n: int, seed: int, rng: np.random.Generator | None = None):
-        """``n`` i.i.d. draws by inverse CDF, in a fresh array; deterministic given ``seed``.
-
-        ``rng``, if given, replaces ``stream(seed, 0)``.  The sampler allocates
-        the uniforms and the draws and nothing else of their size.
-        """
-        u, draws = _uniforms(n, seed, rng, 1)
-        return self._quantile(u, out=draws)
+    def sample(self, n: int, seed: int, rng: np.random.Generator | None = None, *, out=None):
+        """``n`` i.i.d. draws by inverse CDF from ``rng`` (``stream(seed, 0)`` if None) into ``out``,
+        returned: a writeable C-contiguous float64 array of ``n`` values, fresh if None.  The inverse
+        CDF runs on the uniforms in ``out``, so the normal and the logistic allocate nothing else of
+        its size, and the Cauchy one temporary."""
+        (u,) = _uniforms(n, seed, rng, out, 1)
+        return self._quantile(u, out=u)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -336,10 +336,10 @@ class Cauchy(SymmetricNull):
         return _as_float(np.arctan2(1.0, -np.asarray(x, dtype=float)) / math.pi)
 
     def _quantile(self, u, out=None):
-        m = np.minimum(u, np.subtract(1.0, u, out=out), out=out)
-        m = np.tan(np.multiply(math.pi, m, out=out), out=out)
-        tmp = None if out is None else u
-        return _as_float(np.divide(np.sign(np.subtract(u, 0.5, out=tmp), out=tmp), m, out=out))
+        m = np.subtract(1.0, u)  # the one temporary: out may be u, which the sign reads after
+        into = None if out is None else m
+        m = np.tan(np.multiply(math.pi, np.minimum(u, m, out=into), out=into), out=into)
+        return _as_float(np.divide(np.sign(np.subtract(u, 0.5, out=out), out=out), m, out=out))
 
     def has_moment(self, k: int) -> bool:
         return k < 1
@@ -407,9 +407,10 @@ class AlternativeFamily:
         raise NotImplementedError
 
     def sample(
-        self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None
+        self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None, *, out=None
     ) -> np.ndarray:
-        """``n`` draws at ``theta`` in a fresh array, as in :meth:`SymmetricNull.sample`."""
+        """``n`` draws at ``theta`` as in :meth:`SymmetricNull.sample`, holding one more temporary of
+        their size for contamination (the picks) and two for the two-piece family (the side and the flip)."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -464,18 +465,18 @@ class FernandezSteel(AlternativeFamily):
         return _as_float(self.base.cdf(-size) + self.base._x_density(size))
 
     def sample(
-        self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None
+        self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None, *, out=None
     ) -> np.ndarray:
         theta = self._check_theta(theta)
-        side, u, half = _uniforms(n, seed, rng, 2)
+        side, half = _uniforms(n, seed, rng, out, 2)
         gamma = 1.0 + theta
         # every bit set (the sign bit shifted through) where side < mass_neg: the draws mirrored
         negative = np.subtract(side, _mass(gamma * gamma), out=side).view(np.int64)
         negative >>= 63  # onto x < 0
         # 0.5 + 0.5 u rounds to 1 at the top uniform 1 - 2^-53 alone; the cap moves no other draw
-        np.minimum(np.add(np.multiply(u, 0.5, out=u), 0.5, out=u), 1.0 - 2.0**-53, out=u)
-        self.base._quantile(u, out=half)
-        flip = np.multiply(half, -gamma, out=u).view(np.int64)  # take the mirrored draws bit
+        np.minimum(np.add(np.multiply(half, 0.5, out=half), 0.5, out=half), 1.0 - 2.0**-53, out=half)
+        self.base._quantile(half, out=half)
+        flip = np.multiply(half, -gamma).view(np.int64)  # take the mirrored draws bit
         bits = np.divide(half, gamma, out=half).view(np.int64)  # for bit, with no branch
         bits ^= np.bitwise_and(np.bitwise_xor(flip, bits, out=flip), negative, out=flip)
         return half
@@ -522,12 +523,12 @@ class Contamination(AlternativeFamily):
         return _as_float(-self.base._unit_mass(x))
 
     def sample(
-        self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None
+        self, theta: float, n: int, seed: int, rng: np.random.Generator | None = None, *, out=None
     ) -> np.ndarray:
         theta = self._check_theta(theta)
-        picks, u, draws = _uniforms(n, seed, rng, 2)
+        picks, draws = _uniforms(n, seed, rng, out, 2)
         shifted = np.less(picks, theta, out=picks)  # 1.0 or 0.0
-        self.base._quantile(u, out=draws)
+        self.base._quantile(draws, out=draws)
         return np.add(draws, shifted, out=draws)  # + 0.0 keeps a draw: no quantile is -0.0
 
 

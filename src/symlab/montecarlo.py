@@ -6,20 +6,21 @@ several chunks splits its replications into ``min(usable CPUs, chunks)``
 equal contiguous ranges (:func:`symlab._threads.split`): the calling thread
 takes the last, and range ``k - 1`` always runs on the k-th persistent worker
 thread.  Each thread evaluates its range in ``ceil(rows / 512)`` equal blocks,
-one call each; a block may span a chunk boundary and reads its rows of each
-chunk's stream in place (:class:`symlab._rng.Piece`), so outputs are
+one call each, on rows it allocates; a block may span a chunk boundary, and each
+chunk's piece is drawn into its slice of the rows, read from the chunk's stream
+in place (:class:`symlab._rng.Piece`).  No draws are joined, and outputs are
 byte-identical however many threads run.  A block has at least 256 rows, never
 a lone row kept as a sample, so such a run leaves every thread's kept entry (see
-:mod:`symlab.stats`) as it found it.  One chunk (``reps <= 512``) is evaluated
-by the calling thread, which keeps its draws, keyed by (model, theta, seed,
+:mod:`symlab.stats`) as it found it.  One chunk (``reps <= 512``) is drawn into one
+array that the calling thread evaluates and keeps, keyed by (model, theta, seed,
 purpose, reps, n): consecutive simulations of one model draw it once across
-statistics, and members at one ``(alpha, t)`` count once.  Its
-draw still splits by rows over the usable CPUs from ``2**16`` values up: on a
-2-core x86-64 VM the 7 members of the default battery on 100 x 2000 draws
-take about 3.3 ms for the first (4.3 ms with the draw on one thread) and
-0.04 ms for each next (0.8 ms when each counted alone).  A thread running a
-range of a split never splits again, and :func:`power`'s tie-breaking
-uniforms, too few to be worth a thread, are drawn inline.
+statistics, and members at one ``(alpha, t)`` count once.  Its draw still splits
+by rows over the usable CPUs from ``2**16`` values up: on a 2-core x86-64 VM the
+7 members of the default battery on 100 x 2000 draws take about 3.3 ms for the
+first (4.3 ms with the draw on one thread) and 0.04 ms for each next (0.8 ms
+when each counted alone).  A thread running a range of a split never splits
+again, and :func:`power`'s tie-breaking uniforms, too few to be worth a thread,
+are drawn inline into one array.
 Calibration and evaluation always consume disjoint stream families so
 critical values are never reused on the data that produced them.  All
 calibrations go through a cache of the last sorted null (reps float64 values,
@@ -81,11 +82,6 @@ class McConfig:
             raise ValueError("level must lie in (0, 1)")
 
 
-def _joined(parts: list) -> np.ndarray:
-    """Row blocks in order as one array: the block itself when there is one."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def _simulate(
     spec: StatisticSpec,
     model,
@@ -97,24 +93,26 @@ def _simulate(
     _check_threshold(spec, t, scalar=True)  # before any draw, so a refused call leaves the kept entry as it was
     params = () if theta is None else (theta,)  # a null model takes no theta
 
-    def draw(chunk: int, start: int, stop: int) -> np.ndarray:  # rows [start, stop) of the chunk
-        rng = Piece(stream(cfg.seed, purpose, chunk), start * cfg.n, min(_CHUNK, cfg.reps - chunk * _CHUNK) * cfg.n)
-        return model.sample(*params, (stop - start) * cfg.n, 0, rng=rng).reshape(stop - start, cfg.n)
+    def fill(rows: np.ndarray, lo: int) -> np.ndarray:  # replications [lo, lo + len(rows)), chunk by chunk
+        for c in range(lo // _CHUNK, (lo + len(rows) - 1) // _CHUNK + 1):
+            first, last = max(lo, c * _CHUNK), min(lo + len(rows), (c + 1) * _CHUNK)  # chunk c's replications
+            rng = Piece(stream(cfg.seed, purpose, c), (first - c * _CHUNK) * cfg.n,
+                        min(_CHUNK, cfg.reps - c * _CHUNK) * cfg.n)
+            model.sample(*params, (last - first) * cfg.n, 0, rng=rng, out=rows[first - lo:last - lo].reshape(-1))
+        return rows
 
-    def block(lo: int, hi: int) -> np.ndarray:  # replications [lo, hi): rows of each chunk they span
-        return _joined([draw(c, max(lo - c * _CHUNK, 0), min(hi - c * _CHUNK, _CHUNK))
-                        for c in range(lo // _CHUNK, (hi - 1) // _CHUNK + 1)])
-
-    if cfg.reps <= _CHUNK:  # one chunk: its rows split over the usable CPUs, kept by the calling thread
+    if cfg.reps <= _CHUNK:  # one chunk: one array the calling thread keeps, its rows split over the usable CPUs
         def whole() -> np.ndarray:
-            return _joined(_threads.split(cfg.reps, _threads.ways(cfg.reps * cfg.n), block))
+            draws = np.empty((cfg.reps, cfg.n))
+            _threads.split(cfg.reps, _threads.ways(cfg.reps * cfg.n), lambda lo, hi: fill(draws[lo:hi], lo))
+            return draws
 
         return evaluate_many(spec, _drawn((model, params, cfg.seed, purpose, cfg.reps, cfg.n), whole), t=t)
 
     def share(begin: int, end: int) -> list:  # a thread's range, one call per equal block of at most _CHUNK rows
         blocks = -(-(end - begin) // _CHUNK)
         cuts = [begin + (end - begin) * k // blocks for k in range(blocks + 1)]
-        return [evaluate_many(spec, block(lo, hi), t=t) for lo, hi in zip(cuts, cuts[1:])]
+        return [evaluate_many(spec, fill(np.empty((hi - lo, cfg.n)), lo), t=t) for lo, hi in zip(cuts, cuts[1:])]
 
     shares = _threads.split(cfg.reps, min(_threads._usable_cpus(), -(-cfg.reps // _CHUNK)), share)
     return np.concatenate([values for blocks in shares for values in blocks])
@@ -190,7 +188,8 @@ def power(
     calib = _sorted_null(spec, alt.base, cfg.n, cfg.reps, cfg.seed)
     at_most = np.searchsorted(calib, values, side="right")
     ties = at_most - np.searchsorted(calib, values, side="left")
-    u = np.concatenate([stream(cfg.seed, _TIE, i).random(min(_CHUNK, cfg.reps - start))
-                        for i, start in enumerate(range(0, cfg.reps, _CHUNK))])  # too few to split
+    u = np.empty(cfg.reps)  # too few to split
+    for i, start in enumerate(range(0, cfg.reps, _CHUNK)):
+        stream(cfg.seed, _TIE, i).random(out=u[start:start + _CHUNK])
     p_rand = (cfg.reps - at_most + u * (1.0 + ties)) / (cfg.reps + 1.0)
     return float(np.mean(p_rand <= cfg.level))

@@ -41,8 +41,8 @@ to call (:func:`_scratch`): one set per row length ``n``, each array grown to th
 largest chunk seen at that ``n``, dropped at the next ``n``.  A single row gets
 fresh memory, and no returned array is a view of the set.  Each thread keeps one
 read-only entry for the last sample, in arrays of its own (:func:`_entry`): a
-single row, named by its bits (-0.0 is not 0.0), or the draws of a one-chunk Monte
-Carlo run, named by its draw key (:func:`_drawn`).  Its parts: the peak magnitude of
+single row, named by its bits (-0.0 is not 0.0), or the array a one-chunk Monte Carlo
+run drew into, named by its draw key (:func:`_drawn`).  Its parts: the peak magnitude of
 its bits once they pass the finite check; a row's counts ``(z, a, b)`` S, W, KS
 and BH/NA/MO read at one ``alpha`` and its moments, 32 bytes a value; the per-row
 ``#{y < t}``, ``#{y <= t}`` and ``#{y <= -t}`` every member at ``(alpha, t)``
@@ -457,7 +457,7 @@ def _entry(key) -> dict:
 
 
 def _drawn(key, draw) -> np.ndarray:
-    """The kept draws of one-chunk Monte Carlo run ``key``: on a miss, the fresh ``draw()``, read-only."""
+    """The kept draws of one-chunk Monte Carlo run ``key``: on a miss, the array ``draw()`` filled, read-only."""
     entry = _entry(key)
     if "draws" not in entry:  # a refused draw stores no key
         draws = draw()

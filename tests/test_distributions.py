@@ -640,27 +640,38 @@ class TestSamplers:
             assert drawn.view(np.uint64).tolist() == want.view(np.uint64).tolist()
             assert drawn.flags.owndata and drawn.flags.writeable
         assert not np.shares_memory(*draws)
-        with pytest.raises(TypeError):  # no caller's buffer is taken
-            model.sample(*theta, n, 17, out=np.empty((3, n)))
+        out = np.full(n, np.nan)  # a draw into a caller's array returns it, with the same bits
+        assert model.sample(*theta, n, 17, out=out) is out
+        assert out.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        read_only = np.empty(n)
+        read_only.flags.writeable = False
+        for bad in [np.empty((3, n)), np.empty((1, n)), np.empty(n + 1), np.empty(n, np.float32),
+                    np.empty(n, ">f8"), list(out), np.empty(2 * n)[::2], read_only]:
+            with pytest.raises((TypeError, ValueError), match="out must be"):
+                model.sample(*theta, n, 17, out=bad)
 
     @pytest.mark.parametrize("null_name", ["normal", "logistic", "cauchy"])
     @pytest.mark.parametrize("alt_name", [None, "fs", "contam"])
     def test_a_draw_allocates_only_its_own_arrays(self, null_name, alt_name):
-        # a Monte Carlo chunk's 512 x 100 draws: past the sampler's own arrays (its uniforms
-        # and the draws), the generator and numpy's cast buffers stay under a quarter of the
-        # chunk (102400 bytes); a mirror or a shift by np.where would hold two more arrays
+        # a Monte Carlo chunk's 512 x 100 draws: past the draws (a fresh array, or the caller's
+        # ``out``) and their transform's temporaries, the generator and numpy's cast buffers
+        # stay under a quarter of the chunk (102400 bytes); a mirror or a shift by np.where
+        # would hold two more arrays.  The temporaries: the Cauchy quantile's one, the
+        # contamination's picks (held through the quantile), the two-piece side and flip (the
+        # flip made after the quantile); the normal and the logistic hold none
         model = get_null(null_name) if alt_name is None else get_alternative(alt_name, null_name)
         theta = () if alt_name is None else (0.3,)
         n = 51_200
-        own = (2 if alt_name is None else 3) * n * 8
-        model.sample(*theta, n, 0, rng=stream(5, 0, 0))
-        tracemalloc.start()
-        try:
-            model.sample(*theta, n, 0, rng=stream(5, 0, 1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < own + 102_400
+        temps = {None: 0, "fs": 2, "contam": 1}[alt_name] + (null_name == "cauchy" and alt_name != "fs")
+        for out in (None, np.empty(n)):
+            model.sample(*theta, n, 0, rng=stream(5, 0, 0), out=out)
+            tracemalloc.start()
+            try:
+                model.sample(*theta, n, 0, rng=stream(5, 0, 1), out=out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < (temps + (out is None)) * n * 8 + 102_400
 
     def test_null_sample_mean(self, normal):
         x = normal.sample(100_000, 11)

@@ -550,6 +550,31 @@ class TestSplitRuns:
         assert stats._pool.entry["key"][4:] == (100, 2000)
         assert _worker_entries(3) == [None] * 3
 
+    @pytest.mark.parametrize("n, reps", [(2000, 100), (200, 600)])
+    def test_a_split_draw_allocates_only_its_rows(self, monkeypatch, normal, n, reps):
+        # on two CPUs every piece lands in the rows the simulation owns: a one-chunk draw in one
+        # (reps, n) array, a two-chunk run in one 300-row block per thread, which the stubbed
+        # evaluation holds at once; past them the normal sampler holds no temporary.
+        # tracemalloc counts the worker thread's allocations too
+        _cpus(monkeypatch, 2)
+        blocks = threading.Barrier(1 if reps <= 512 else 2, timeout=60)
+        shapes = []
+
+        def evaluated(spec, samples, t=None):
+            shapes.append(samples.shape)
+            blocks.wait()
+            return np.zeros(len(samples))
+
+        monkeypatch.setattr(symlab.montecarlo, "evaluate_many", evaluated)
+        tracemalloc.start()
+        try:
+            null_distribution(parse_statistic("KS", alpha=0.25), normal, McConfig(n=n, reps=reps, seed=86))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(shapes) == ([(reps, n)] if reps <= 512 else [(300, n)] * 2)
+        assert peak < reps * n * 8 + 65_536
+
     @pytest.mark.parametrize("reps", [600, 1025, 1026, 1539, 2048])
     def test_no_thread_keeps_a_piece_of_several_chunks(self, monkeypatch, normal, reps):
         # 1025 ends in a 1-row chunk on the calling thread; 1026 on two CPUs and 1539 on three end
