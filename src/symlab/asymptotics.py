@@ -26,7 +26,8 @@ enters only through ``Q``, ``min(a, 1-q)`` and ``mu'(a)``: a test's levels
 are the rows of an ``(a, t)`` array.  A member is written once
 (:func:`_members`), as ``m^p w(q)^p`` times a factor ``F`` that no test
 changes: ``p = 2`` and :func:`_free_variance`'s ``B`` for a variance, ``p =
-1`` and :func:`_free_slope`'s ``P`` for a slope, up to its sign.  Each search
+1`` and :func:`_free_slope`'s ``P`` for a slope; KS's sign is its weight, -1
+(:func:`_weight`).  Each search
 of :func:`_sup_over_t` is ``(model, free, power, groups, kinks)``: it scans
 ``|w|^p |F|`` on a grid of ``t`` scaled by the 0.999 null quantile, ``F``
 once for all tests, then takes safeguarded Newton steps on the closed-form
@@ -169,19 +170,13 @@ def _power(x, k: int):
     return math.prod([x] * k, start=1.0)
 
 
-def _weight(spec: StatisticSpec):
-    """Threshold weight ``w(q)`` of the supremum-family projection (:func:`_polynomial`)."""
+def _weight(spec: StatisticSpec) -> tuple:
+    """Threshold weight ``w(q)`` of the supremum-family projection (:func:`_polynomial`) and ``dw/dq``
+    by the product rule, ``c (P^(r-1) d (q^(d-1) + (1-q)^(d-1)) - (r-1) P^(r-2) (2q - 1) (q^d -
+    (1-q)^d))`` with ``P = q(1-q)``, whose second term is 0 for ``r = 1``.  KS's weight is -1: its
+    member is ``I{x<=t} + I{x<=-t} - 1 = -chi``."""
     if spec.kind == "KS":
-        return lambda q: np.ones_like(np.asarray(q, dtype=float))
-    r, d, c, *_ = _polynomial(spec.kind, spec.k)
-    return lambda q: (c if r == 1 else c * _power(q * (1.0 - q), r - 1)) * (_power(q, d) - _power(1.0 - q, d))
-
-
-def _weight_derivative(spec: StatisticSpec):
-    """``dw/dq`` of :func:`_weight` by the product rule, ``c (P^(r-1) d (q^(d-1) + (1-q)^(d-1)) - (r-1)
-    P^(r-2) (2q - 1) (q^d - (1-q)^d))`` with ``P = q(1-q)``, whose second term is 0 for ``r = 1``."""
-    if spec.kind == "KS":
-        return lambda q: np.zeros_like(np.asarray(q, dtype=float))
+        return lambda q: np.full(np.shape(q), -1.0), lambda q: 0.0
     r, d, c, *_ = _polynomial(spec.kind, spec.k)
 
     def rate(q):
@@ -191,7 +186,7 @@ def _weight_derivative(spec: StatisticSpec):
         p, y = q * (1.0 - q), 2.0 * q - 1.0
         return c * (_power(p, r - 1) * odd - (r - 1) * _power(p, r - 2) * (y * (_power(q, d) - _power(1.0 - q, d))))
 
-    return rate
+    return lambda q: (c if r == 1 else c * _power(q * (1.0 - q), r - 1)) * (_power(q, d) - _power(1.0 - q, d)), rate
 
 
 def _shape(spec: StatisticSpec) -> tuple:
@@ -221,9 +216,6 @@ def _profile(spec: StatisticSpec):
     return phi_u
 
 
-_SUP_SIGN = {"KS": -1.0}  # KS member is I{x<=t} + I{x<=-t} - 1 = -chi
-
-
 @dataclass(frozen=True)
 class Projection:
     """First projection of a statistic's kernel under a symmetric null."""
@@ -231,24 +223,32 @@ class Projection:
     spec: StatisticSpec
     null: SymmetricNull
 
+    def __post_init__(self):
+        if self.spec.family == MOMENT:
+            raise ValueError(f"{self.spec.kind} is not a U-statistic; it has no kernel projection")
+
     def phi(self, x, t: float | None = None):
         """Evaluate the projection at ``x``, a supremum-type one's member at the threshold ``t``
-        (:func:`symlab.stats._check_threshold`); ``x`` and ``t`` broadcast."""
+        (:func:`_threshold`); ``x`` and ``t`` broadcast."""
         u = self.null.cdf(np.asarray(x, dtype=float))
-        if (t := _check_threshold(self.spec, t)) is not None:
-            q = self.null.cdf(t)  # chi(x; q) = 1{F(x) >= q} - 1{F(x) < 1 - q}
-            chi = np.where(u >= q, 1.0, 0.0) - np.where(u < 1.0 - q, 1.0, 0.0)
-            return _SUP_SIGN.get(self.spec.kind, 1.0) * _weight(self.spec)(q) * chi
-        if self.spec.family == SUPREMUM:  # not the integral-type profile of the same kernel
-            raise ValueError("supremum-type projections need a threshold t")
-        return _profile(self.spec)(u)
+        if self.spec.family != SUPREMUM:
+            _check_threshold(self.spec, t)  # which refuses any t
+            return _profile(self.spec)(u)
+        q = self.null.cdf(_threshold(self.spec, t))  # chi(x; q) = 1{F(x) >= q} - 1{F(x) < 1 - q}
+        return _weight(self.spec)[0](q) * (np.where(u >= q, 1.0, 0.0) - np.where(u < 1.0 - q, 1.0, 0.0))
 
 
 def projection(spec: StatisticSpec, null: SymmetricNull) -> Projection:
     """Projection object for ``spec`` under ``null`` (kernels are centered)."""
-    if spec.family == MOMENT:
-        raise ValueError(f"{spec.kind} is not a U-statistic; it has no kernel projection")
     return Projection(spec, null)
+
+
+def _threshold(spec: StatisticSpec, t):
+    """A member's threshold ``t`` by :func:`symlab.stats._check_threshold`, refused if missing: a
+    member has no supremum to fall back on."""
+    if t is None:
+        raise ValueError("supremum-type members need a threshold t")
+    return _check_threshold(spec, t)
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +327,17 @@ def _levels(null: SymmetricNull, alphas, trimmed=None) -> tuple[np.ndarray, np.n
 
 def _null_free(specs, alphas):
     """``(tail, error, Int phi^2, error)`` of each of ``specs``, the integrals no model changes, by one
-    :func:`symlab._quad.graded` call each for all ``specs`` in ``t = 1 - u``: the tail ``Int_{1-a}^1
-    phi du = Int_0^a phi(1 - t) dt`` on each level ``a`` of ``alphas`` and then at ``a = 1/2``, and
-    ``Int_0^1 phi^2 du = 2 Int_0^{1/2} phi(1 - t)^2 dt``, each with its error estimate."""
+    :func:`symlab._quad.graded` call for all ``specs`` in ``t = 1 - u``, of ``phi`` and ``phi^2`` on
+    each level ``a`` of ``alphas`` and then at ``a = 1/2``: the tail ``Int_{1-a}^1 phi du = Int_0^a
+    phi(1 - t) dt``, and ``Int_0^1 phi^2 du = 2 Int_0^{1/2} phi(1 - t)^2 dt``, each with its error
+    estimate."""
 
-    def profiles(t):
-        return np.stack([_profile(spec)(1.0 - t) for spec in specs])
+    def integrands(t):
+        profiles = np.stack([_profile(spec)(1.0 - t) for spec in specs])
+        return np.stack([profiles, profiles**2])
 
-    squares = graded(lambda t: profiles(t) ** 2, np.array([0.5]))
-    return list(zip(*graded(profiles, np.append(alphas, 0.5)), *(2.0 * part[:, 0] for part in squares)))
+    (tail, square), (tail_err, square_err) = graded(integrands, np.append(alphas, 0.5))
+    return list(zip(tail, tail_err, 2.0 * square[:, -1], 2.0 * square_err[:, -1]))
 
 
 def _integral_variance(specs, null: SymmetricNull, levels):
@@ -355,14 +357,15 @@ def _integral_variance(specs, null: SymmetricNull, levels):
 
 
 def _by_test(groups, q):
-    """Signed kernel order (a column, :data:`_SUP_SIGN`), weight ``w(q)`` and ``dw/dq`` of the rows
-    of ``groups``, ``(spec, levels)`` blocks, one per test; ``q`` has one row per row."""
+    """Kernel order (a column), weight ``w(q)`` and ``dw/dq`` (:func:`_weight`, KS's sign in its
+    weight) of the rows of ``groups``, ``(spec, levels)`` blocks, one per test; ``q`` has one row per
+    row."""
     rows = [len(lv) for _, lv in groups]
-    m = np.repeat([_SUP_SIGN.get(spec.kind, 1.0) * spec.kernel_order for spec, _ in groups], rows)[:, None]
+    m = np.repeat([float(spec.kernel_order) for spec, _ in groups], rows)[:, None]
     w, w_q = np.empty(q.shape), np.empty(q.shape)
     for (spec, _), end, n in zip(groups, np.cumsum(rows), rows):
         cut = slice(end - n, end)
-        w[cut], w_q[cut] = _weight(spec)(q[cut]), _weight_derivative(spec)(q[cut])  # dw/dq is a float where d = r = 1
+        w[cut], w_q[cut] = (f(q[cut]) for f in _weight(spec))  # dw/dq is a float where d = r = 1 and for KS
     return m, w, w_q
 
 
@@ -383,43 +386,42 @@ def _scored(alt: AlternativeFamily, t, q, f, f_t):
     return t, q, f, -(alt.score_cumulative(t) + alt.score_cumulative(-t)), f_t, -alt.odd_score(t)
 
 
-def _cross(null: SymmetricNull, levels, v, derivative=False):
-    """``(Y,)``, the member variance's ``J(a) = factor w(q) Y``, on the :func:`_levels` rows at the
-    :func:`_thresholds` ``v``, and with ``derivative`` ``(Y, dY/dt)``: ``Int_t^Q x f`` plus ``Q
-    min(a, 1 - q)`` between the boundaries, ``tau/2 - Int_0^t x f`` at ``a = 0`` and ``1 - q`` at
-    ``a = 1/2`` (:func:`symlab.location._by_level`)."""
+def _cross(null: SymmetricNull, levels, v):
+    """``(Y, dY/dt)``, the member variance's ``J(a) = factor w(q) Y``, on the :func:`_levels` rows at
+    the :func:`_thresholds` ``v``: ``Int_t^Q x f`` plus ``Q min(a, 1 - q)`` between the boundaries,
+    ``tau/2 - Int_0^t x f`` at ``a = 0`` and ``1 - q`` at ``a = 1/2``
+    (:func:`symlab.location._by_level`)."""
     t, q, f, below, _, below_t = v
     a, _, _, Q, Q_moment = levels.T[..., None]
     inside = t < Q  # the partial moment over (t, Q) is empty (exactly 0.0) from Q on
-    trimmed = (np.where(inside, Q_moment - below, 0.0) + Q * np.minimum(a, 1.0 - q),)
-    if derivative:  # past Q, min(a, 1 - q) is 1 - q: Y' is -t f below Q and -Q f from it
-        trimmed += (-np.where(inside, below_t, Q * f),)
+    # past Q, min(a, 1 - q) is 1 - q: Y' is -t f below Q and -Q f from it
+    trimmed = np.where(inside, Q_moment - below, 0.0) + Q * np.minimum(a, 1.0 - q), -np.where(inside, below_t, Q * f)
     return _by_level(a, trimmed, lambda: (null.abs_mean() / 2.0 - below, -below_t), lambda: (1.0 - q, -f))
 
 
-def _free_variance(null: SymmetricNull, levels, v, derivative=False):
-    """``(B,)``, and with ``derivative`` ``(B, dB/dt)``: ``B = 2 (1-q) + 4 c(a) f^2 - 2 factor f Y``
-    on the :func:`_levels` rows at the :func:`_thresholds` ``v`` (:func:`_cross`'s ``Y``).  A
-    member variance is ``m^2 w(q)^2 B``, and no test changes ``B``."""
+def _free_variance(null: SymmetricNull, levels, v):
+    """``(B, dB/dt)``: ``B = 2 (1-q) + 4 c(a) f^2 - 2 factor f Y`` on the :func:`_levels` rows at the
+    :func:`_thresholds` ``v`` (:func:`_cross`'s ``Y``).  A member variance is ``m^2 w(q)^2 B``, and
+    no test changes ``B``."""
     _, q, f, _, f_t, _ = v
     _, c2, factor, _, _ = levels.T[..., None]
-    y, *y_t = _cross(null, levels, v, derivative)
-    rate = [2.0 * (4.0 * c2 * (f * f_t) - f - factor * (f_t * y + f * y_t[0]))] if derivative else []
+    y, y_t = _cross(null, levels, v)
+    rate = 2.0 * (4.0 * c2 * (f * f_t) - f - factor * (f_t * y + f * y_t))
     b = np.multiply(y, f * (-2.0 * factor), out=y)
     b += 4.0 * c2 * (f * f)
     b += 2.0 * (1.0 - q)
-    return (b, *rate)
+    return b, rate
 
 
 def _members(model, groups, power, free, v):
     """Values ``m^p w(q)^p F`` and their ``t``-derivatives ``m^p w^(p-1) (p w' f F + w F')``
     (``q' = f``) of the members of the rows of ``groups``, ``(spec, levels)`` blocks, at the
     :func:`_thresholds` ``v`` of ``model`` (a row of thresholds per row), ``p`` being ``power``,
-    ``m`` the signed kernel order of :func:`_by_test` (the sign enters as an exact ``(+-1)^p``) and
-    ``(F, F') = free(model, levels, v, True)`` the factor that no test changes: a variance's is
-    :func:`_free_variance` with ``p = 2``, a slope's :func:`_free_slope` with ``p = 1``."""
+    ``m``, ``w`` and ``w'`` those of :func:`_by_test` (KS's sign is its weight's) and ``(F, F') =
+    free(model, levels, v)`` the factor that no test changes: a variance's is :func:`_free_variance`
+    with ``p = 2``, a slope's :func:`_free_slope` with ``p = 1``."""
     m, w, w_q = _by_test(groups, v[1])
-    value, rate = free(model, np.concatenate([lv for _, lv in groups]), v, True)
+    value, rate = free(model, np.concatenate([lv for _, lv in groups]), v)
     scale = _power(m, power)
     return (scale * _power(w, power) * value,
             scale * _power(w, power - 1) * (power * w_q * v[2] * value + w * rate))
@@ -460,15 +462,13 @@ def _integral_slope(specs, alt: AlternativeFamily, mu_p):
         yield spec.kernel_order * (score + mu_p * fprime), max(score_err, fprime_err)
 
 
-def _free_slope(alt: AlternativeFamily, mu_p, v, derivative=False):
-    """``(P,)``, and with ``derivative`` ``(P, dP/dt)``: the pairing ``P = -(H(t) + H(-t)) - 2
-    mu'(a) f`` of ``chi(.; q)`` with ``h + mu' f'`` on the rows of estimand derivatives ``mu_p``
-    at the :func:`_thresholds` ``v`` of ``alt``.  A member slope is ``m w(q) P`` (``m`` signed,
-    :func:`_by_test`), and no test changes ``P``."""
+def _free_slope(alt: AlternativeFamily, mu_p, v):
+    """``(P, dP/dt)``: the pairing ``P = -(H(t) + H(-t)) - 2 mu'(a) f`` of ``chi(.; q)`` with ``h +
+    mu' f'`` on the rows of estimand derivatives ``mu_p`` at the :func:`_thresholds` ``v`` of
+    ``alt``.  A member slope is ``m w(q) P`` (:func:`_by_test`), and no test changes ``P``."""
     _, _, f, chi_score, f_t, chi_score_t = v
     mu_p = mu_p[:, None]
-    value = chi_score + mu_p * (-2.0 * f)
-    return (value, chi_score_t + mu_p * (-2.0 * f_t)) if derivative else (value,)
+    return chi_score + mu_p * (-2.0 * f), chi_score_t + mu_p * (-2.0 * f_t)
 
 
 def slope_function(spec: StatisticSpec, alt: AlternativeFamily, t):
@@ -511,7 +511,7 @@ def _scanned(model, free, power, groups):
     ``m^p`` (:func:`_members`), on the :func:`_scan` grid before, at and after each row's best
     point, and its index, for as many tests at once as fit in :data:`_SCAN_SIZE` values."""
     v = _scan(model)
-    weights = _power(np.abs([_weight(spec)(v[1]) for spec, _ in groups]), power)
+    weights = _power(np.abs([_weight(spec)[0](v[1]) for spec, _ in groups]), power)
     factor = np.abs(free(model, groups[0][1], v)[0])
     per, n = max(1, _SCAN_SIZE // factor.size), factor.shape[-1]
     for k in range(0, len(weights), per):
@@ -606,9 +606,7 @@ _SLOPE = (_integral_slope, _derivative_curve, _free_slope, 1, lambda mu_p: np.fu
 def _member(spec: StatisticSpec, model, part, t):
     """``spec``'s member at ``t``, in its shape, as the search reads it: ``part``'s (:data:`_VARIANCE`,
     :data:`_SLOPE`) column, factor and power on ``spec.alpha``; 0.0 past the null's ``_x_max``."""
-    if t is None:  # which the rule passes as the supremum itself
-        raise ValueError("supremum-type members need a threshold t")
-    t = _check_threshold(spec, t)
+    t = _threshold(spec, t)
     null = getattr(model, "base", model)
     applicability(spec, null)
     _, column, free, power, _ = part

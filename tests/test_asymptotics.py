@@ -109,7 +109,7 @@ class TestProjections:
         spec = parse_statistic(name)
         q = np.concatenate([np.linspace(0.5, 1.0, 4001), 0.5 + np.geomspace(1e-12, 0.5, 200),
                             1.0 - np.geomspace(1e-12, 0.5, 200)])
-        for got, want in zip((asy._weight(spec), asy._weight_derivative(spec)), closed_forms(spec)[1:]):
+        for got, want in zip(asy._weight(spec), closed_forms(spec)[1:]):  # (w, dw/dq)
             # a constant dw/dq (BH, NA_K_2 and MO_K_1) may be one float
             got, want = (np.broadcast_to(f(q), q.shape).view(np.uint64) for f in (got, want))
             assert np.array_equal(got, want)
@@ -143,6 +143,12 @@ class TestProjections:
     def test_moment_kinds_have_no_projection(self, normal):
         with pytest.raises(ValueError):
             asy.projection(StatisticSpec("CM"), normal)
+
+    @pytest.mark.parametrize("kind", ["CM", "GAMMA", "MGG", "SQRT_B1"])
+    def test_a_projection_refuses_moment_kinds_itself(self, normal, kind):
+        # built without the factory, phi(0.3) raised TypeError: 'NoneType' object is not callable
+        with pytest.raises(ValueError, match=f"^{kind} is not a U-statistic; it has no kernel projection$"):
+            asy.Projection(StatisticSpec(kind), normal)
 
 
 class TestVariance:

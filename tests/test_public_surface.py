@@ -65,8 +65,10 @@ RETIRED = (
     "DEGENERACY_TOL",
     "sqrtb1_slope",
 )
-#: the second formula of each supremum member, retired for :func:`symlab.asymptotics._members`
-RETIRED_MEMBER_FORMULAS = ("_member_variance", "_member_slope", "_variance_scan", "_slope_scan")
+#: the second formula of each supremum member, retired for :func:`symlab.asymptotics._members`, and
+#: the second copy of a member's pieces: KS's sign table and the weight's derivative, now :func:`_weight`'s
+RETIRED_MEMBER_FORMULAS = ("_member_variance", "_member_slope", "_variance_scan", "_slope_scan",
+                           "_SUP_SIGN", "_weight_derivative")
 #: retired parameters, the private ones that every caller left at one value too
 RETIRED_PARAMETERS = {
     efficiency.equivalence_report: ("tol",),
@@ -74,6 +76,9 @@ RETIRED_PARAMETERS = {
     asymptotics._sup_over_t: ("tol",),
     asymptotics._thresholds: ("derivative",),
     asymptotics._by_test: ("derivative",),
+    asymptotics._cross: ("derivative",),
+    asymptotics._free_variance: ("derivative",),
+    asymptotics._free_slope: ("derivative",),
     _quad.graded: ("nodes",),
     _oracles.population_slope_fd: ("theta",),
 }
