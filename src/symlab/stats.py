@@ -513,15 +513,16 @@ def _moments(samples: np.ndarray):
 def _moment_values(spec: StatisticSpec, samples: np.ndarray, moments) -> tuple:
     """CM, GAMMA, MGG or SQRT_B1 per row off :func:`_moments`, and None."""
     xbar, med, var = moments
+    gap = (xbar - med) + 0.0  # a zero gap is +0.0, whichever sign the sort left the middle zero
     s = np.sqrt(var)
     if spec.kind == "CM":
-        return (xbar - med) / s, None
+        return gap / s, None
     if spec.kind == "GAMMA":
-        return 2.0 * (xbar - med), None
+        return 2.0 * gap, None
     work = _scratch(1, *samples.shape)
     if spec.kind == "MGG":
         deviation = np.abs(np.subtract(samples, med[:, None], out=work), out=work)
-        return (xbar - med) / (math.sqrt(math.pi / 2.0) * np.mean(deviation, axis=1)), None
+        return gap / (math.sqrt(math.pi / 2.0) * np.mean(deviation, axis=1)), None
     scale = s**3
     if np.any(scale < np.finfo(float).tiny):  # subnormal or zero: the ratio would keep few bits or none
         raise DegenerateSampleError("sample variance underflows in SQRT_B1's cubed scale")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -605,8 +606,8 @@ class TestMedianBySort:
     come out as the other zero: the same value.  ``|x - med|`` is then equal either way, and
     ``xbar - med`` differs only when ``xbar`` is -0.0: a row of -0.0 alone (zero variance,
     refused) or a negative sum that the division by ``n`` rounds to -0.0, as in the subnormal
-    rows below, where only the sign of a zero CM, GAMMA or MGG could move.  numpy's sort and
-    partition place the zeros alike on every row here, so the tests pin every bit.
+    rows below, where only the sign of a zero gap could move; CM, GAMMA and MGG read it as +0.0.
+    numpy's sort and partition place the zeros alike on every row here, so the tests pin every bit.
     """
 
     @staticmethod
@@ -639,7 +640,7 @@ class TestMedianBySort:
             xbar = x.mean(axis=1)
             seen_negative_zero_mean |= bool(np.any(np.signbit(xbar) & (xbar == 0.0)))
             med = np.median(x, axis=1)
-            gap = xbar - med
+            gap = (xbar - med) + 0.0  # a zero gap of either sign is +0.0
             mad = math.sqrt(math.pi / 2.0) * np.mean(np.abs(x - med[:, None]), axis=1)
             want = {"CM": gap / np.sqrt(np.mean(np.square(x - xbar[:, None]), axis=1)),
                     "GAMMA": 2.0 * gap, "MGG": gap / mad}
@@ -649,6 +650,14 @@ class TestMedianBySort:
                 assert [repr(float(v)) for v in evaluate_many(spec, x)] == expected
                 assert [repr(evaluate(spec, row).value) for row in x] == expected
         assert seen_negative_zero_mean
+
+    @pytest.mark.parametrize("name", ["CM", "GAMMA", "MGG"])
+    def test_a_zero_gap_is_positive_whatever_the_order(self, name):
+        # the mean is -0.0 and the middle zero's sign follows the sort: both signs came out before
+        rows = np.array(list(itertools.permutations([1.0, -1.0, 0.0, -0.0, -5e-324])))
+        spec = parse_statistic(name)
+        values = [evaluate(spec, row).value for row in rows] + list(evaluate_many(spec, rows))
+        assert {repr(float(v)) for v in values} == {"0.0"}
 
 
 class TestWorkingSet:
