@@ -25,6 +25,7 @@ deterministic; given ``out=``, they draw into the caller's array in place.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -63,11 +64,16 @@ def _as_float(x):
     return float(arr) if arr.ndim == 0 else arr
 
 
+def _check_size(n) -> None:
+    """The one sample-size rule: a positive integer (numpy's too), not a bool or a float."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"sample sizes are positive integers, not {n!r}")
+
+
 def _uniforms(n: int, seed: int, rng: np.random.Generator | None, out, count: int) -> list:
     """``count`` rows of ``n`` uniforms from ``rng`` (``stream(seed, 0)`` if None): the first ``count - 1``
     fresh, the last in ``out`` (fresh if None), clipped into ``[2^-53, 1 - 2^-53]`` for an inverse CDF."""
-    if n < 1:
-        raise ValueError("sample size must be at least 1")
+    _check_size(n)
     out = np.empty(n) if out is None else out
     if not isinstance(out, np.ndarray) or out.dtype != np.float64:
         raise TypeError(f"out must be a float64 array, not {getattr(out, 'dtype', type(out))}")

@@ -15,12 +15,10 @@ feeds the slope computations in :mod:`symlab.asymptotics`.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from ._quad import graded, half_line, quad, quad_split
-from .distributions import AlternativeFamily, SymmetricNull, _as_float
+from .distributions import AlternativeFamily, SymmetricNull, _as_float, _check_size
 from .errors import NotApplicableError
 
 __all__ = [
@@ -124,10 +122,7 @@ def trim_weights(n: int, alpha: float) -> np.ndarray:
     construction from telescoping breakpoints, sum to one exactly.
     """
     alpha = _check_alpha(alpha)
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
-        raise ValueError("sample size must be an integer")
-    if n < 1:
-        raise ValueError("need at least one observation")
+    _check_size(n)
     if alpha == 0.5:
         w = np.zeros(n)
         if n % 2 == 1:

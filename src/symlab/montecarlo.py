@@ -43,7 +43,7 @@ import numpy as np
 
 from . import _threads
 from ._rng import Piece, check_seed, stream
-from .distributions import AlternativeFamily, SymmetricNull
+from .distributions import AlternativeFamily, SymmetricNull, _check_size
 from .stats import SUPREMUM, StatisticSpec, _check_threshold, _drawn, evaluate, evaluate_many
 
 __all__ = [
@@ -70,12 +70,10 @@ class McConfig:
     level: float = 0.05
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                   for v in (self.n, self.reps)):
-            raise ValueError("sample size and replications must be integers")
+        _check_size(self.n)
+        if not isinstance(self.reps, numbers.Integral) or isinstance(self.reps, bool):
+            raise ValueError("replications must be integers")
         check_seed(self.seed)  # refused here already, not first inside a worker
-        if self.n < 1:
-            raise ValueError("sample size must be positive")
         if self.reps < 100:
             raise ValueError("need at least 100 replications")
         if not 0.0 < self.level < 1.0:

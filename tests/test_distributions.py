@@ -559,8 +559,17 @@ class TestSamplers:
         np.testing.assert_array_equal(fs.sample(0.3, 500, 7), fs.sample(0.3, 500, 7))
 
     def test_refuses_an_empty_draw(self, normal):
-        with pytest.raises(ValueError, match="sample size must be at least 1"):
+        with pytest.raises(ValueError, match="^sample sizes are positive integers, not 0$"):
             normal.sample(0, 1)
+
+    @pytest.mark.parametrize("n", [True, 3.0, 2.5, np.float64(4.0), -1])
+    def test_one_sample_size_rule(self, normal, n):
+        # True and 3.0 failed inside numpy with TypeError: expected a sequence of integers or a single integer
+        for draw in (lambda: normal.sample(n, 1), lambda: get_alternative("fs", normal).sample(0.3, n, 1),
+                     lambda: get_alternative("contam", normal).sample(0.3, n, 1)):
+            with pytest.raises(ValueError, match="^sample sizes are positive integers, not "):
+                draw()
+        assert normal.sample(np.int64(5), 1).tobytes() == normal.sample(5, 1).tobytes()
 
     @pytest.mark.parametrize("seed", [1.5, True, -1])
     def test_refuses_seeds_that_are_not_natural_numbers(self, normal, seed):

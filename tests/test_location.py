@@ -36,7 +36,7 @@ class TestTrimmedMean:
             trimmed_mean([], 0.1)
         with pytest.raises(ValueError):
             trimmed_mean([1.0, 2.0], 0.6)
-        with pytest.raises(ValueError, match="need at least one observation"):
+        with pytest.raises(ValueError, match="^sample sizes are positive integers, not 0$"):
             trim_weights(0, 0.1)
 
     @pytest.mark.parametrize("n", [2.5, 3.0, True, np.float64(4.0)])
@@ -44,7 +44,7 @@ class TestTrimmedMean:
     def test_sample_size_must_be_an_integer(self, n, alpha):
         # McConfig's rule: 2.5 gave three weights summing to 1, True gave [1.], and 2.5 at the median
         # numpy's TypeError
-        with pytest.raises(ValueError, match="sample size must be an integer"):
+        with pytest.raises(ValueError, match="^sample sizes are positive integers, not "):
             trim_weights(n, alpha)
         assert trim_weights(np.int64(5), alpha).tobytes() == trim_weights(5, alpha).tobytes()
 
